@@ -43,6 +43,7 @@ from .diversify import (
     FamilyReport,
     LeafSwapPlan,
     build_diverse_family,
+    construct_family,
     plan_swaps,
     verify_family,
 )

@@ -12,9 +12,10 @@ reports unavailable (None) instead of guessing.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 from .graphcore import Graph, InternalInvariantError
-from .spantree import TreeEnumerationOverflow, enumerate_spanning_trees
+from .spantree import SpanningTree, TreeEnumerationOverflow, enumerate_spanning_trees
 
 
 @dataclass(frozen=True)
@@ -65,6 +66,22 @@ _NTST_YES = NtstInstance(graph=_K2, nonterminals=frozenset())
 _NTST_NO = NtstInstance(graph=_K2, nonterminals=frozenset({1, 2}))
 
 
+def _tree_exists(
+    g: Graph, trivially: bool, fits: Callable[[SpanningTree], bool], budget: int
+) -> bool | None:
+    """Does a spanning tree of ``g`` satisfy ``fits``?  ``trivially``
+    answers yes without looking; None when ``budget`` trees ran out
+    before a match."""
+    if not g.is_connected:
+        return False
+    if trivially:
+        return True
+    try:
+        return any(fits(t) for t in enumerate_spanning_trees(g, limit=budget))
+    except TreeEnumerationOverflow:
+        return None
+
+
 def mist_kernel(inst: MistInstance, budget: int = 200000) -> MistInstance | None:
     """Reduce a max-internal spanning tree instance to a canonical
     2-vertex equivalent by deciding it outright.
@@ -72,18 +89,10 @@ def mist_kernel(inst: MistInstance, budget: int = 200000) -> MistInstance | None
     ``budget`` caps the number of spanning trees examined; exceeding it
     returns None (unavailable) unless a witness already turned up.
     """
-    g = inst.graph
-    if not g.is_connected:
-        return _checked_mist(_MIST_NO)
-    if inst.q == 0:
-        return _checked_mist(_MIST_YES)
-    try:
-        for t in enumerate_spanning_trees(g, limit=budget):
-            if t.internal_count >= inst.q:
-                return _checked_mist(_MIST_YES)
-    except TreeEnumerationOverflow:
-        return None
-    return _checked_mist(_MIST_NO)
+    found = _tree_exists(
+        inst.graph, inst.q == 0, lambda t: t.internal_count >= inst.q, budget
+    )
+    return None if found is None else _checked_mist(_MIST_YES if found else _MIST_NO)
 
 
 def ntst_kernel(inst: NtstInstance, budget: int = 200000) -> NtstInstance | None:
@@ -92,18 +101,13 @@ def ntst_kernel(inst: NtstInstance, budget: int = 200000) -> NtstInstance | None
 
     Same budget semantics as :func:`mist_kernel`.
     """
-    g = inst.graph
-    if not g.is_connected:
-        return _checked_ntst(_NTST_NO)
-    if not inst.nonterminals:
-        return _checked_ntst(_NTST_YES)
-    try:
-        for t in enumerate_spanning_trees(g, limit=budget):
-            if inst.nonterminals <= t.internal_vertices:
-                return _checked_ntst(_NTST_YES)
-    except TreeEnumerationOverflow:
-        return None
-    return _checked_ntst(_NTST_NO)
+    found = _tree_exists(
+        inst.graph,
+        not inst.nonterminals,
+        lambda t: inst.nonterminals <= t.internal_vertices,
+        budget,
+    )
+    return None if found is None else _checked_ntst(_NTST_YES if found else _NTST_NO)
 
 
 def mist_yes_instance() -> MistInstance:

@@ -19,14 +19,12 @@ import argparse
 import json
 import random
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
-from math import ceil
 from pathlib import Path
 
 from .blackbox import mist_kernel, ntst_kernel
-from .diversify import build_diverse_family, plan_swaps, verify_family
+from .diversify import construct_family, verify_family
 from .graphcore import (
     GraphFormatError,
     Instance,
@@ -39,15 +37,7 @@ from .graphcore import (
 )
 from .kernelizer import kernelize_li, kernelize_lnt, transcript_to_ndjson
 from .oracle import OracleLimits, solve
-from .spantree import (
-    SmallnessReport,
-    TreeEnumerationOverflow,
-    arbitrary_spanning_tree,
-    enumerate_spanning_trees,
-    grow_leaves,
-    read_edge_set_family,
-    write_family,
-)
+from .spantree import read_edge_set_family, write_family
 
 EX_USAGE = 64
 EX_DATA = 65
@@ -205,60 +195,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 0 if ok else 1
 
 
-def _construct_family(inst: Instance | InstanceNT, budget: int):
-    """Build a family the constructive way: grow leaves, then swap.
-
-    Returns (family, reason); exactly one is None.
-    """
-    g = inst.graph
-    k, ell = inst.k, inst.ell
-    block = ceil(k / 4)
-    if not g.is_connected:
-        return None, "graph is disconnected"
-    if isinstance(inst, InstanceNT):
-        nt = inst.nonterminals
-        seed = None
-        try:
-            for t in enumerate_spanning_trees(g, limit=budget):
-                if nt <= t.internal_vertices:
-                    seed = t
-                    break
-        except TreeEnumerationOverflow:
-            return None, "seed search exhausted its budget"
-        if seed is None:
-            return None, "no spanning tree keeps the required vertices internal"
-        target = max(2 * block * ell + 2 * len(nt), inst.p + block + 2 * len(nt))
-    else:
-        nt = frozenset()
-        seed = arbitrary_spanning_tree(g)
-        target = max(2 * block * ell, inst.p + block)
-    try:
-        grown = grow_leaves(g, seed, nt, target, ell + 3)
-    except ValueError as exc:
-        return None, f"leaf growth failed: {exc}"
-    if isinstance(grown, SmallnessReport):
-        return None, (
-            f"growth stalled at {grown.leaves_reached} leaves; "
-            f"the graph has fewer than {grown.bound} vertices"
-        )
-    excluded: set[int] = set()
-    for v in sorted(nt):
-        excluded.update(sorted(grown.adjacency[v])[:2])
-    chosen = frozenset(
-        v for v in grown.leaves if v not in excluded and g.degree(v) >= 2
-    )
-    try:
-        plan = plan_swaps(g, grown, chosen, k, ell)
-        family = build_diverse_family(g, grown, plan, nt=nt)
-    except ValueError as exc:
-        return None, f"swap planning failed: {exc}"
-    return family, None
-
-
 def _cmd_construct(args: argparse.Namespace) -> int:
     cfg = _config(args)
     inst = _load_instance(cfg)
-    family, reason = _construct_family(inst, args.budget)
+    family, reason = construct_family(inst, args.budget)
     ok = False
     report_json = None
     if family is not None:
@@ -337,8 +277,7 @@ def _cmd_audit(args: argparse.Namespace) -> int:
     ]
     lines = []
     passes = 0
-    with ThreadPoolExecutor(max_workers=args.workers) as pool:
-        rows = list(pool.map(lambda i: _audit_one(i, args.budget), instances))
+    rows = [_audit_one(inst, args.budget) for inst in instances]
     for idx, (inst, (outcome, original, reduced)) in enumerate(zip(instances, rows)):
         good = original == reduced and original in ("yes", "no")
         passes += good
@@ -413,7 +352,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--count", type=int, default=100)
     sp.add_argument("--max-n", type=int, default=9)
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--workers", type=int, default=4)
+    sp.add_argument(
+        "--workers", type=int, default=4, help="ignored: audit runs serially"
+    )
     sp.add_argument("--budget", type=int, default=200000)
     sp.add_argument("-o", "--output", default=None)
 

@@ -16,12 +16,17 @@ from dataclasses import dataclass
 from math import ceil
 from typing import Iterable, Sequence
 
-from .graphcore import Graph, InternalInvariantError
-from .spantree import SpanningTree, hamming
-
-
-def _norm(u: int, v: int) -> tuple[int, int]:
-    return (u, v) if u < v else (v, u)
+from .graphcore import Graph, Instance, InstanceNT, InternalInvariantError, _norm_edge
+from .spantree import (
+    SmallnessReport,
+    SpanningTree,
+    TreeEnumerationOverflow,
+    _find,
+    arbitrary_spanning_tree,
+    enumerate_spanning_trees,
+    grow_leaves,
+    hamming,
+)
 
 
 def _conflict_edges(
@@ -31,7 +36,7 @@ def _conflict_edges(
     for v in leaves:
         u = target[v]
         if u in leaves and u != v:
-            out.add(_norm(u, v))
+            out.add(_norm_edge(u, v))
     return frozenset(out)
 
 
@@ -67,15 +72,9 @@ class LeafSwapPlan:
         if self.conflict_edges != _conflict_edges(self.leaves, self.swap_target):
             raise ValueError("recorded conflict edges do not match the swap targets")
         # conflicts must form a forest
-        parent = {v: v for v in self.leaves}
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                x = parent[x]
-            return x
-
+        parent = list(range(g.n + 1))
         for u, v in sorted(self.conflict_edges):
-            ru, rv = find(u), find(v)
+            ru, rv = _find(parent, u), _find(parent, v)
             if ru == rv:
                 raise InternalInvariantError("conflict edges contain a cycle")
             parent[ru] = rv
@@ -121,10 +120,10 @@ def _find_cycle(vertices: Iterable[int], edges: frozenset[tuple[int, int]]) -> l
                 if y not in parent:
                     parent[y] = x
                     depth[y] = depth[x] + 1
-                    tree.add(_norm(x, y))
+                    tree.add(_norm_edge(x, y))
                     queue.append(y)
                     continue
-                if _norm(x, y) in tree:
+                if _norm_edge(x, y) in tree:
                     continue
                 # non-tree edge: climb both endpoints to their meeting
                 # point; the two forest paths plus the edge close a cycle
@@ -270,8 +269,8 @@ def build_diverse_family(
     for block in plan.blocks:
         edges = set(t.edges)
         for v in sorted(block):
-            edges.discard(_norm(v, plan.tree_neighbor[v]))
-            edges.add(_norm(v, plan.swap_target[v]))
+            edges.discard(_norm_edge(v, plan.tree_neighbor[v]))
+            edges.add(_norm_edge(v, plan.swap_target[v]))
         family.append(SpanningTree(g, frozenset(edges)))
 
     block_size = len(plan.blocks[0]) if plan.blocks else 0
@@ -285,6 +284,58 @@ def build_diverse_family(
             if hamming(ti, tj) != 2 * (2 * block_size):
                 raise InternalInvariantError("family members at an unexpected distance")
     return family
+
+
+def construct_family(
+    inst: Instance | InstanceNT, budget: int = 200000
+) -> tuple[list[SpanningTree] | None, str | None]:
+    """Build a family the constructive way: grow leaves, then swap.
+
+    The seed tree is the breadth-first tree for li; for lnt it is the
+    first enumerated tree keeping every required vertex internal, found
+    within ``budget`` trees.  Returns (family, reason); exactly one is
+    None.
+    """
+    g = inst.graph
+    k, ell = inst.k, inst.ell
+    block = ceil(k / 4)
+    if not g.is_connected:
+        return None, "graph is disconnected"
+    if isinstance(inst, InstanceNT):
+        nt = inst.nonterminals
+        try:
+            trees = enumerate_spanning_trees(g, limit=budget)
+            seed = next((t for t in trees if nt <= t.internal_vertices), None)
+        except TreeEnumerationOverflow:
+            return None, "seed search exhausted its budget"
+        if seed is None:
+            return None, "no spanning tree keeps the required vertices internal"
+        target = max(2 * block * ell + 2 * len(nt), inst.p + block + 2 * len(nt))
+    else:
+        nt = frozenset()
+        seed = arbitrary_spanning_tree(g)
+        target = max(2 * block * ell, inst.p + block)
+    try:
+        grown = grow_leaves(g, seed, nt, target, ell + 3)
+    except ValueError as exc:
+        return None, f"leaf growth failed: {exc}"
+    if isinstance(grown, SmallnessReport):
+        return None, (
+            f"growth stalled at {grown.leaves_reached} leaves; "
+            f"the graph has fewer than {grown.bound} vertices"
+        )
+    excluded: set[int] = set()
+    for v in sorted(nt):
+        excluded.update(sorted(grown.adjacency[v])[:2])
+    chosen = frozenset(
+        v for v in grown.leaves if v not in excluded and g.degree(v) >= 2
+    )
+    try:
+        plan = plan_swaps(g, grown, chosen, k, ell)
+        family = build_diverse_family(g, grown, plan, nt=nt)
+    except ValueError as exc:
+        return None, f"swap planning failed: {exc}"
+    return family, None
 
 
 # ---------------------------------------------------------------------------
@@ -355,23 +406,7 @@ class FamilyReport:
 
 
 def _spans(g: Graph, edges: frozenset[tuple[int, int]]) -> bool:
-    if not edges <= g.edges or len(edges) != g.n - 1:
-        return False
-    if g.n == 1:
-        return True
-    adj: dict[int, set[int]] = {v: set() for v in g.vertices()}
-    for u, v in edges:
-        adj[u].add(v)
-        adj[v].add(u)
-    seen = {1}
-    queue = deque([1])
-    while queue:
-        x = queue.popleft()
-        for y in adj[x]:
-            if y not in seen:
-                seen.add(y)
-                queue.append(y)
-    return len(seen) == g.n
+    return edges <= g.edges and len(edges) == g.n - 1 and Graph(g.n, edges).is_connected
 
 
 def verify_family(

@@ -17,7 +17,7 @@ import random
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Mapping
 
 
 class GraphFormatError(ValueError):
@@ -30,6 +30,20 @@ class InternalInvariantError(RuntimeError):
 
 def _norm_edge(u: int, v: int) -> tuple[int, int]:
     return (u, v) if u < v else (v, u)
+
+
+def _bfs_parents(adj: Mapping[int, Iterable[int]], root: int) -> dict[int, int]:
+    """Breadth-first parent of every vertex reachable from ``root``
+    (which is its own parent), visiting neighbors in ``adj`` order."""
+    parent = {root: root}
+    queue = deque([root])
+    while queue:
+        x = queue.popleft()
+        for y in adj[x]:
+            if y not in parent:
+                parent[y] = x
+                queue.append(y)
+    return parent
 
 
 @dataclass(frozen=True)
@@ -92,18 +106,7 @@ class Graph:
 
     @cached_property
     def is_connected(self) -> bool:
-        if self.n == 1:
-            return True
-        seen = {1}
-        queue = deque([1])
-        adj = self.adjacency
-        while queue:
-            x = queue.popleft()
-            for y in adj[x]:
-                if y not in seen:
-                    seen.add(y)
-                    queue.append(y)
-        return len(seen) == self.n
+        return len(_bfs_parents(self.adjacency, 1)) == self.n
 
     def is_tree(self) -> bool:
         return self.is_connected and self.m == self.n - 1
@@ -479,18 +482,6 @@ def write_instance(inst: Instance | InstanceNT) -> str:
             head.append("#% nt " + " ".join(str(v) for v in sorted(inst.nonterminals)))
     head += [f"#% k {inst.k}", f"#% l {inst.ell}"]
     return "\n".join(head) + "\n" + write_graph(inst.graph)
-
-
-def read_nonterminals(text: str) -> frozenset[int]:
-    """Parse a whitespace-separated vertex id list (comments allowed)."""
-    ids = []
-    for row in _content_lines(text):
-        for tok in row:
-            try:
-                ids.append(int(tok))
-            except ValueError:
-                raise GraphFormatError(f"non-terminal id {tok!r} is not an integer") from None
-    return frozenset(ids)
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,16 @@
 """Kernelization pipelines for the two diverse spanning tree problems.
 
-Each pipeline prunes an instance with local reduction rules (contract
-long induced paths, drop redundant pendants, reset parameters that
-pendant counting already satisfies), then either certifies the answer,
-shrinks the instance below an explicit size threshold, or hands the
-residual question to a pluggable subroutine kernel.
+Both problems run one pipeline: reject degenerate inputs, prune the
+instance with local reduction rules (contract long induced paths, drop
+redundant pendants, reset parameters that pendant counting already
+satisfies), then either certify the answer, shrink the instance below
+an explicit size threshold, or hand the residual single-tree question
+to a pluggable subroutine kernel.  A small per-variant table
+(``_VARIANTS``) supplies what differs: the contraction and deletion
+rules of each phase, the reset rule, the two threshold rules, whether
+a large case-1 instance is a yes outright, and the subroutine kernel's
+instance type.  The lnt problem has no internal count, so q reads as 0
+there and the q-specific steps (R1's decrement, PC-q) never fire.
 
 Every firing is logged as a :class:`RuleApplication`; replaying the
 transcript from the input instance reproduces the pipeline's final
@@ -23,15 +29,16 @@ import json
 from bisect import bisect_left, insort
 from dataclasses import dataclass
 from math import ceil
-from typing import Callable
+from typing import Callable, Collection
 
 from .blackbox import MistInstance, NtstInstance, mist_kernel, ntst_kernel
-from .diversify import build_diverse_family, plan_swaps, verify_family
+from .diversify import construct_family, verify_family
 from .graphcore import (
     Graph,
     Instance,
     InstanceNT,
     InternalInvariantError,
+    _canonical_path,
     _compact_renaming,
     _contract_edge,
     contract_path_edge,
@@ -39,7 +46,7 @@ from .graphcore import (
     maximal_degree2_paths,
     pendant_vertices,
 )
-from .spantree import SpanningTree, arbitrary_spanning_tree, grow_leaves
+from .spantree import SpanningTree
 
 
 @dataclass(frozen=True)
@@ -294,50 +301,60 @@ def apply_rule(
     return inst, entry
 
 
-def _oriented_key(vs: list[int]) -> tuple[int, ...]:
-    # mirror of the canonical path orientation used by graphcore
-    if vs[0] == vs[-1]:
-        if len(vs) > 2 and vs[1] > vs[-2]:
-            return tuple([vs[0]] + vs[-2:0:-1] + [vs[0]])
-        return tuple(vs)
-    rev = list(reversed(vs))
-    return tuple(rev) if rev < vs else tuple(vs)
+def _q(inst: Instance | InstanceNT) -> int:
+    # the lnt problem has no internal count: q reads as 0 there
+    return inst.q if isinstance(inst, Instance) else 0
+
+
+def _nt(inst: Instance | InstanceNT) -> frozenset[int]:
+    return inst.nonterminals if isinstance(inst, InstanceNT) else frozenset()
+
+
+def _successor(
+    inst: Instance | InstanceNT,
+    g: Graph,
+    rename: Callable[[int], int],
+    p_delta: int = 0,
+    q_delta: int = 0,
+    nt_removed: Collection[int] = (),
+) -> Instance | InstanceNT:
+    """``inst`` moved onto ``g``, whose ids ``rename`` maps from the old ones."""
+    if isinstance(inst, InstanceNT):
+        nt = frozenset(rename(v) for v in inst.nonterminals if v not in nt_removed)
+        return InstanceNT(g, nt, inst.p + p_delta, inst.k, inst.ell)
+    return Instance(g, inst.p + p_delta, inst.q + q_delta, inst.k, inst.ell)
 
 
 def _exhaust_contractions(
-    g: Graph,
-    ell: int,
-    nt: frozenset[int],
-    q: int,
-    rule_id: str,
-    decrement_q: bool,
-    transcript: list[RuleApplication],
-) -> tuple[Graph, int, frozenset[int], bool]:
-    """Contract long degree-2-paths to exhaustion in one pass.
+    inst: Instance | InstanceNT, rule: str, transcript: list[RuleApplication]
+) -> Instance | InstanceNT | None:
+    """Contract long degree-2-paths to exhaustion in one pass (R1 or R7).
 
-    Behaves exactly like firing R1/R7 repeatedly at the lowest
+    Behaves exactly like firing the rule repeatedly at the lowest
     canonical location — contracting an interior edge never disturbs
     another maximal path, so the path list can be maintained
     incrementally and the graph rebuilt once at the end.  Renumbering
     is arithmetic: after dropping a vertex every higher id slides down,
     so the current id of a survivor is its id minus the dropped ids
-    below it.
+    below it.  Returns None when nothing fired.
     """
-    threshold = ell + 3
-    paths = [list(p.vertices) for p in maximal_degree2_paths(g, nt)]
-    if not any(len(vs) - 1 >= threshold for vs in paths):
-        return g, q, nt, False
+    g = inst.graph
+    threshold = inst.ell + 3
+    q = _q(inst)
+    # paths come back canonically oriented, so each is its own sort key
+    keys = [p.vertices for p in maximal_degree2_paths(g, _nt(inst))]
+    if not any(len(key) - 1 >= threshold for key in keys):
+        return None
     adj: dict[int, set[int]] = {v: set(g.neighbors(v)) for v in g.vertices()}
     dropped: list[int] = []
 
     def cur(x: int) -> int:
         return x - bisect_left(dropped, x)
 
-    keys = [_oriented_key(vs) for vs in paths]
     while True:
         best = None
-        for i, vs in enumerate(paths):
-            if len(vs) - 1 >= threshold and (best is None or keys[i] < keys[best]):
+        for i, key in enumerate(keys):
+            if len(key) - 1 >= threshold and (best is None or key < keys[best]):
                 best = i
         if best is None:
             break
@@ -348,26 +365,25 @@ def _exhaust_contractions(
         del adj[c]
         adj[b].add(d)
         adj[d].add(b)
+        # R1 spends one unit of q per contraction; R7 sees q = 0
         transcript.append(
             RuleApplication(
-                rule_id,
+                rule,
                 g.n - len(dropped),
                 touched=(cur(b), cur(c)),
-                q_delta=-1 if decrement_q and q > 0 else 0,
+                q_delta=-1 if q > 0 else 0,
                 merged_edge=(cur(b), cur(c)),
             )
         )
-        if decrement_q:
-            q = max(0, q - 1)
+        q = max(0, q - 1)
         insort(dropped, c)
         del ordered[2]
-        paths[best] = ordered
-        keys[best] = _oriented_key(ordered)
+        keys[best] = _canonical_path(ordered)
     edges = frozenset(
         (cur(u), cur(v)) for u, nbrs in adj.items() for v in nbrs if u < v
     )
     g2 = Graph(g.n - len(dropped), edges)
-    return g2, q, frozenset(cur(v) for v in nt), True
+    return _successor(inst, g2, cur, q_delta=q - _q(inst))
 
 
 def _long_path_via(
@@ -404,23 +420,25 @@ def _long_path_via(
 
 
 def _exhaust_pendant_deletions(
-    g: Graph,
-    threshold: int,
-    p: int,
-    nt: frozenset[int],
-    variant: str,
-    include_r4: bool,
-    transcript: list[RuleApplication],
-) -> tuple[Graph, int, frozenset[int], bool]:
-    """Delete pendants to exhaustion in one pass (R2/R4, or R9).
+    inst: Instance | InstanceNT, rules: tuple[str, ...], transcript: list[RuleApplication]
+) -> Instance | InstanceNT | None:
+    """Delete pendants to exhaustion in one pass under ``rules``.
 
-    Sequentially identical to firing the rules one at a time with the
-    contraction rule at higher priority: the batch stops as soon as a
-    deletion opens a degree-2-path of length >= threshold, so the
-    caller can contract before deletions resume.  A deletion only
-    changes its host's degree, so that check is local.  Ids and the
-    single final rebuild follow _exhaust_contractions.
+    R2 deletes the lowest pendant sharing its host with another
+    pendant; R4 and R9, listed after it, delete the lowest pendant of
+    all.  Sequentially identical to firing the rules one at a time with
+    the contraction rule at higher priority: the batch stops as soon as
+    a deletion opens a degree-2-path of length >= ell+3, so the caller
+    can contract before deletions resume.  A deletion only changes its
+    host's degree, so that check is local.  Ids and the single final
+    rebuild follow _exhaust_contractions.  Returns None when nothing
+    fired.
     """
+    g = inst.graph
+    nt = _nt(inst)
+    p = inst.p
+    twins = "R2" in rules
+    sweep = rules[-1] if rules[-1] != "R2" else None
     adj: dict[int, set[int]] = {v: set(g.neighbors(v)) for v in g.vertices()}
     live_nt = set(nt)
     dropped: list[int] = []
@@ -435,24 +453,23 @@ def _exhaust_pendant_deletions(
         host_count[u] = host_count.get(u, 0) + 1
 
     while pend:
-        if variant == "lnt":
-            bad = pend & live_nt
-            if bad:
-                raise InternalInvariantError(
-                    f"required-internal vertex {min(bad)} became pendant"
-                )
-            v, rule = min(pend), "R9"
-        else:
+        bad = pend & live_nt
+        if bad:
+            raise InternalInvariantError(
+                f"required-internal vertex {min(bad)} became pendant"
+            )
+        twin = None
+        if twins:
             twin = min(
                 (x for x in pend if host_count[next(iter(adj[x]))] >= 2),
                 default=None,
             )
-            if twin is not None:
-                v, rule = twin, "R2"
-            elif include_r4:
-                v, rule = min(pend), "R4"
-            else:
-                break
+        if twin is not None:
+            v, rule = twin, "R2"
+        elif sweep is not None:
+            v, rule = min(pend), sweep
+        else:
+            break
         (u,) = adj[v]
         pend.discard(v)
         host_count[u] -= 1
@@ -461,37 +478,19 @@ def _exhaust_pendant_deletions(
         host_count.pop(v, None)
         del adj[v]
         adj[u].discard(v)
-        n_now = g.n - len(dropped)
-        if rule == "R2":
-            pd = -1 if p > 0 else 0
-            p += pd
-            transcript.append(
-                RuleApplication(
-                    "R2",
-                    n_now,
-                    touched=(cur(v), cur(u)),
-                    p_delta=pd,
-                    removed_vertex=cur(v),
-                )
+        pd = -1 if rule == "R2" and p > 0 else 0
+        p += pd
+        transcript.append(
+            RuleApplication(
+                rule,
+                g.n - len(dropped),
+                touched=(cur(v), cur(u)),
+                p_delta=pd,
+                nt_removed=(cur(u),) if u in live_nt else (),
+                removed_vertex=cur(v),
             )
-        elif rule == "R4":
-            transcript.append(
-                RuleApplication(
-                    "R4", n_now, touched=(cur(v), cur(u)), removed_vertex=cur(v)
-                )
-            )
-        else:
-            removed = (cur(u),) if u in live_nt else ()
-            live_nt.discard(u)
-            transcript.append(
-                RuleApplication(
-                    "R9",
-                    n_now,
-                    touched=(cur(v), cur(u)),
-                    nt_removed=removed,
-                    removed_vertex=cur(v),
-                )
-            )
+        )
+        live_nt.discard(u)
         insort(dropped, v)
         if u in pend:
             # u lost its only neighbor (K_2 endgame); no longer deletable
@@ -500,47 +499,183 @@ def _exhaust_pendant_deletions(
             pend.add(u)
             (w,) = adj[u]
             host_count[w] = host_count.get(w, 0) + 1
-        if _long_path_via(adj, live_nt, u, threshold):
+        if _long_path_via(adj, live_nt, u, inst.ell + 3):
             break
     if not dropped:
-        return g, p, nt, False
+        return None
     edges = frozenset(
         (cur(a), cur(b)) for a, nbrs in adj.items() for b in nbrs if a < b
     )
     g2 = Graph(g.n - len(dropped), edges)
-    return g2, p, frozenset(cur(x) for x in live_nt), True
+    return _successor(inst, g2, cur, p_delta=p - inst.p, nt_removed=nt - live_nt)
 
 
-def _li_fixpoint(
-    inst: Instance, transcript: list[RuleApplication], include_r4: bool
-) -> Instance:
+def _fixpoint(
+    inst: Instance | InstanceNT, rules: tuple[str, ...], transcript: list[RuleApplication]
+) -> Instance | InstanceNT:
+    """Alternate the contraction rule ``rules[0]`` with the deletion
+    rules ``rules[1:]`` until neither fires.
+
+    One contraction pass exhausts contractions, so the loop ends as
+    soon as a deletion pass finds nothing to delete.
+    """
+    contraction, deletions = rules[0], rules[1:]
     for _ in range(inst.graph.n + inst.graph.m + 4):
-        g2, q2, _, c_fired = _exhaust_contractions(
-            inst.graph, inst.ell, frozenset(), inst.q, "R1", True, transcript
-        )
-        if c_fired:
-            inst = Instance(g2, inst.p, q2, inst.k, inst.ell)
-        g3, p3, _, d_fired = _exhaust_pendant_deletions(
-            inst.graph, inst.ell + 3, inst.p, frozenset(), "li", include_r4, transcript
-        )
-        if d_fired:
-            inst = Instance(g3, p3, inst.q, inst.k, inst.ell)
-        if not c_fired and not d_fired:
+        inst = _exhaust_contractions(inst, contraction, transcript) or inst
+        if not deletions:
             return inst
+        smaller = _exhaust_pendant_deletions(inst, deletions, transcript)
+        if smaller is None:
+            return inst
+        inst = smaller
     raise InternalInvariantError("reduction loop failed to reach a fixpoint")
 
 
 def _case1_witness_li(cur: Instance) -> tuple[SpanningTree, ...]:
-    g = cur.graph
-    target = 2 * ceil(cur.k / 4) * cur.ell
-    grown = grow_leaves(g, arbitrary_spanning_tree(g), frozenset(), target, cur.ell + 3)
-    if not isinstance(grown, SpanningTree):
-        raise InternalInvariantError("leaf growth fell short above the size threshold")
-    plan = plan_swaps(g, grown, grown.leaves, cur.k, cur.ell)
-    family = tuple(build_diverse_family(g, grown, plan))
-    if not verify_family(g, family, cur.p, cur.q, cur.k).verdict:
+    # every pendant is gone after R4, so construction swaps every leaf
+    family, reason = construct_family(cur)
+    if reason is not None:
+        raise InternalInvariantError(f"no family above the size threshold: {reason}")
+    if not verify_family(cur.graph, family, cur.p, cur.q, cur.k).verdict:
         raise InternalInvariantError("constructed family failed verification")
-    return family
+    return tuple(family)
+
+
+@dataclass(frozen=True)
+class _Variant:
+    """Everything that tells the two pipelines apart."""
+
+    # contraction rule plus deletion rules, before and after the reset
+    phases: tuple[tuple[str, ...], tuple[str, ...]]
+    reset: str
+    # size thresholds of case 1 (p = q = 0) and case 2
+    thresholds: tuple[str, str]
+    # case 1 above its threshold: yes outright (li) or delegate (lnt)
+    large_is_yes: bool
+    to_kernel: Callable
+    from_kernel: Callable
+
+
+_VARIANTS = {
+    Instance: _Variant(
+        (("R1", "R2"), ("R1", "R2", "R4")),
+        "R3",
+        ("R5", "R6"),
+        True,
+        lambda inst: MistInstance(inst.graph, inst.q),
+        lambda out: Instance(out.graph, 0, out.q, 1, 1),
+    ),
+    InstanceNT: _Variant(
+        (("R7",), ("R7", "R9")),
+        "R8",
+        ("R5nt", "R6nt"),
+        False,
+        lambda inst: NtstInstance(inst.graph, inst.nonterminals),
+        lambda out: InstanceNT(out.graph, out.nonterminals, 0, 1, 1),
+    ),
+}
+
+
+def _unreachable_target(inst: Instance | InstanceNT) -> tuple[str, str] | None:
+    """The pre-check rule and reason when p or q cannot be met."""
+    # non-tree connected graphs have n >= 3, so a tree can have at most
+    # n-1 leaves and, having at least 2 leaves, at most n-2 internals
+    if inst.p >= inst.graph.n:
+        return "PC-p", "p exceeds any possible leaf count"
+    if _q(inst) >= inst.graph.n:
+        return "PC-q", "q exceeds any possible internal count"
+    return None
+
+
+def _kernelize(
+    inst: Instance | InstanceNT, construct_witness: bool, blackbox: Callable | None
+) -> KernelResult:
+    """The pipeline both problems share; :data:`_VARIANTS` supplies the
+    rules, thresholds and subroutine kernel types."""
+    variant = _VARIANTS[type(inst)]
+    transcript: list[RuleApplication] = []
+
+    def done(outcome: str, current: Instance | InstanceNT, **kw) -> KernelResult:
+        return KernelResult(
+            outcome=outcome,
+            transcript=tuple(transcript),
+            final_instance=current,
+            **kw,
+        )
+
+    def refuse(
+        current: Instance | InstanceNT, rule: str, reason: str, touched: tuple[int, ...] = ()
+    ) -> KernelResult:
+        transcript.append(
+            RuleApplication(rule, current.graph.n, touched=touched, decision="no")
+        )
+        return done("trivial_no", current, reason=reason)
+
+    g = inst.graph
+    nt = _nt(inst)
+    if not g.is_connected:
+        return refuse(inst, "PC-disconnected", "disconnected graphs have no spanning tree")
+    if g.is_tree():
+        t = SpanningTree(g, g.edges)
+        good = (
+            inst.ell == 1
+            and t.leaf_count >= inst.p
+            and t.internal_count >= _q(inst)
+            and nt <= t.internal_vertices
+        )
+        if not good:
+            return refuse(
+                inst,
+                "PC-tree",
+                "a tree has exactly one spanning tree and it fails the requirements",
+            )
+        transcript.append(RuleApplication("PC-tree", g.n, decision="yes"))
+        witness = (t,)
+        if not verify_family(g, witness, inst.p, _q(inst), inst.k, nt=nt).verdict:
+            raise InternalInvariantError("tree witness failed verification")
+        return done("trivial_yes", inst, witness=witness)
+    nt_pendants = pendant_vertices(g) & nt
+    if nt_pendants:
+        return refuse(
+            inst,
+            "PC-nt-pendant",
+            "a required-internal vertex has degree one",
+            tuple(sorted(nt_pendants)),
+        )
+    unreachable = _unreachable_target(inst)
+    if unreachable:
+        return refuse(inst, *unreachable)
+
+    cur = _fixpoint(inst, variant.phases[0], transcript)
+    h = len(pendant_vertices(cur.graph))
+    if (cur.p > 0 and h >= cur.p) or (_q(cur) > 0 and h >= _q(cur)):
+        cur, e = apply_rule(cur, variant.reset)
+        transcript.append(e)
+
+    case1 = cur.p == 0 and _q(cur) == 0
+    if case1:
+        cur = _fixpoint(cur, variant.phases[1], transcript)
+    else:
+        # contraction can shrink n below the leftover targets, so re-check
+        unreachable = _unreachable_target(cur)
+        if unreachable:
+            return refuse(cur, *unreachable)
+    cur, e = apply_rule(cur, variant.thresholds[0 if case1 else 1])
+    transcript.append(e)
+    if e.decision == "reduced":
+        return done("reduced", cur, instance=cur)
+    if case1 and variant.large_is_yes:
+        witness = _case1_witness_li(cur) if construct_witness else None
+        return done("trivial_yes", cur, witness=witness)
+    out = blackbox(variant.to_kernel(cur)) if blackbox is not None else None
+    if out is None:
+        return done(
+            "delegated_unavailable",
+            cur,
+            instance=cur,
+            reason="subroutine kernel unavailable within budget",
+        )
+    return done("delegated", cur, instance=variant.from_kernel(out))
 
 
 def kernelize_li(
@@ -557,78 +692,7 @@ def kernelize_li(
     asked), or delegation of the surviving internal-count constraint to
     the plug-in kernel.
     """
-    transcript: list[RuleApplication] = []
-
-    def done(outcome: str, current: Instance, **kw) -> KernelResult:
-        return KernelResult(
-            outcome=outcome,
-            transcript=tuple(transcript),
-            final_instance=current,
-            **kw,
-        )
-
-    g = inst.graph
-    if not g.is_connected:
-        transcript.append(RuleApplication("PC-disconnected", g.n, decision="no"))
-        return done("trivial_no", inst, reason="disconnected graphs have no spanning tree")
-    if g.is_tree():
-        t = SpanningTree(g, g.edges)
-        good = inst.ell == 1 and t.leaf_count >= inst.p and t.internal_count >= inst.q
-        transcript.append(RuleApplication("PC-tree", g.n, decision="yes" if good else "no"))
-        if good:
-            witness = (t,)
-            if not verify_family(g, witness, inst.p, inst.q, inst.k).verdict:
-                raise InternalInvariantError("tree witness failed verification")
-            return done("trivial_yes", inst, witness=witness)
-        return done(
-            "trivial_no",
-            inst,
-            reason="a tree has exactly one spanning tree and it fails the requirements",
-        )
-    # non-tree connected graphs have n >= 3, so a tree can have at most
-    # n-1 leaves and, having at least 2 leaves, at most n-2 internals
-    if inst.p >= g.n:
-        transcript.append(RuleApplication("PC-p", g.n, decision="no"))
-        return done("trivial_no", inst, reason="p exceeds any possible leaf count")
-    if inst.q >= g.n:
-        transcript.append(RuleApplication("PC-q", g.n, decision="no"))
-        return done("trivial_no", inst, reason="q exceeds any possible internal count")
-
-    cur = _li_fixpoint(inst, transcript, include_r4=False)
-    h = len(pendant_vertices(cur.graph))
-    if (cur.p > 0 and h >= cur.p) or (cur.q > 0 and h >= cur.q):
-        cur, e = apply_rule(cur, "R3")
-        transcript.append(e)
-
-    if cur.p == 0 and cur.q == 0:
-        cur = _li_fixpoint(cur, transcript, include_r4=True)
-        cur, e = apply_rule(cur, "R5")
-        transcript.append(e)
-        if e.decision == "reduced":
-            return done("reduced", cur, instance=cur)
-        witness = _case1_witness_li(cur) if construct_witness else None
-        return done("trivial_yes", cur, witness=witness)
-
-    # contraction can shrink n below the leftover targets, so re-check
-    if cur.p >= cur.graph.n:
-        transcript.append(RuleApplication("PC-p", cur.graph.n, decision="no"))
-        return done("trivial_no", cur, reason="p exceeds any possible leaf count")
-    if cur.q >= cur.graph.n:
-        transcript.append(RuleApplication("PC-q", cur.graph.n, decision="no"))
-        return done("trivial_no", cur, reason="q exceeds any possible internal count")
-    cur, e = apply_rule(cur, "R6")
-    transcript.append(e)
-    if e.decision == "reduced":
-        return done("reduced", cur, instance=cur)
-    out = blackbox(MistInstance(cur.graph, cur.q)) if blackbox is not None else None
-    if out is None:
-        return done(
-            "delegated_unavailable",
-            cur,
-            instance=cur,
-            reason="subroutine kernel unavailable within budget",
-        )
-    return done("delegated", cur, instance=Instance(out.graph, 0, out.q, 1, 1))
+    return _kernelize(inst, construct_witness, blackbox)
 
 
 def kernelize_lnt(
@@ -638,100 +702,12 @@ def kernelize_lnt(
 ) -> KernelResult:
     """Kernelize a leaf/non-terminal instance.
 
-    Mirrors :func:`kernelize_li`; both parameter cases end below their
-    size threshold (Reduced) or delegate the required-internal
-    constraint to the plug-in kernel (no trivial-yes branch here).
+    Same pipeline as :func:`kernelize_li`; both parameter cases end
+    below their size threshold (Reduced) or delegate the
+    required-internal constraint to the plug-in kernel (no trivial-yes
+    branch here).
     """
-    transcript: list[RuleApplication] = []
-
-    def done(outcome: str, current: InstanceNT, **kw) -> KernelResult:
-        return KernelResult(
-            outcome=outcome,
-            transcript=tuple(transcript),
-            final_instance=current,
-            **kw,
-        )
-
-    g = inst.graph
-    nt = inst.nonterminals
-    if not g.is_connected:
-        transcript.append(RuleApplication("PC-disconnected", g.n, decision="no"))
-        return done("trivial_no", inst, reason="disconnected graphs have no spanning tree")
-    if g.is_tree():
-        t = SpanningTree(g, g.edges)
-        good = inst.ell == 1 and t.leaf_count >= inst.p and nt <= t.internal_vertices
-        transcript.append(RuleApplication("PC-tree", g.n, decision="yes" if good else "no"))
-        if good:
-            witness = (t,)
-            if not verify_family(g, witness, inst.p, 0, inst.k, nt=nt).verdict:
-                raise InternalInvariantError("tree witness failed verification")
-            return done("trivial_yes", inst, witness=witness)
-        return done(
-            "trivial_no",
-            inst,
-            reason="a tree has exactly one spanning tree and it fails the requirements",
-        )
-    nt_pendants = pendant_vertices(g) & nt
-    if nt_pendants:
-        transcript.append(
-            RuleApplication(
-                "PC-nt-pendant", g.n, touched=tuple(sorted(nt_pendants)), decision="no"
-            )
-        )
-        return done(
-            "trivial_no", inst, reason="a required-internal vertex has degree one"
-        )
-    if inst.p >= g.n:
-        transcript.append(RuleApplication("PC-p", g.n, decision="no"))
-        return done("trivial_no", inst, reason="p exceeds any possible leaf count")
-
-    cur = inst
-    g2, _, nt2, fired = _exhaust_contractions(
-        cur.graph, cur.ell, cur.nonterminals, 0, "R7", False, transcript
-    )
-    if fired:
-        cur = InstanceNT(g2, nt2, cur.p, cur.k, cur.ell)
-    h = len(pendant_vertices(cur.graph))
-    if cur.p > 0 and h >= cur.p:
-        cur, e = apply_rule(cur, "R8")
-        transcript.append(e)
-
-    if cur.p == 0:
-        for _ in range(cur.graph.n + cur.graph.m + 4):
-            g2, _, nt2, c_fired = _exhaust_contractions(
-                cur.graph, cur.ell, cur.nonterminals, 0, "R7", False, transcript
-            )
-            if c_fired:
-                cur = InstanceNT(g2, nt2, 0, cur.k, cur.ell)
-            g3, _, nt3, d_fired = _exhaust_pendant_deletions(
-                cur.graph, cur.ell + 3, 0, cur.nonterminals, "lnt", False, transcript
-            )
-            if d_fired:
-                cur = InstanceNT(g3, nt3, 0, cur.k, cur.ell)
-            if not c_fired and not d_fired:
-                break
-        else:
-            raise InternalInvariantError("reduction loop failed to reach a fixpoint")
-        cur, e = apply_rule(cur, "R5nt")
-    else:
-        if cur.p >= cur.graph.n:
-            transcript.append(RuleApplication("PC-p", cur.graph.n, decision="no"))
-            return done("trivial_no", cur, reason="p exceeds any possible leaf count")
-        cur, e = apply_rule(cur, "R6nt")
-    transcript.append(e)
-    if e.decision == "reduced":
-        return done("reduced", cur, instance=cur)
-    out = blackbox(NtstInstance(cur.graph, cur.nonterminals)) if blackbox is not None else None
-    if out is None:
-        return done(
-            "delegated_unavailable",
-            cur,
-            instance=cur,
-            reason="subroutine kernel unavailable within budget",
-        )
-    return done(
-        "delegated", cur, instance=InstanceNT(out.graph, out.nonterminals, 0, 1, 1)
-    )
+    return _kernelize(inst, False, blackbox)
 
 
 def kernelize(
@@ -758,29 +734,12 @@ def replay(
     """
     for e in transcript:
         if e.merged_edge is not None:
-            keep, drop = e.merged_edge
-            g2, rename = _contract_edge(inst.graph, keep, drop)
-            if isinstance(inst, InstanceNT):
-                nt2 = frozenset(rename[v] for v in inst.nonterminals)
-                inst = InstanceNT(g2, nt2, inst.p + e.p_delta, inst.k, inst.ell)
-            else:
-                inst = Instance(g2, inst.p + e.p_delta, inst.q + e.q_delta, inst.k, inst.ell)
+            g, rename = _contract_edge(inst.graph, *e.merged_edge)
         elif e.removed_vertex is not None:
-            g2, rename = delete_vertex(inst.graph, e.removed_vertex)
-            if isinstance(inst, InstanceNT):
-                nt2 = frozenset(
-                    rename[v] for v in inst.nonterminals if v not in e.nt_removed
-                )
-                inst = InstanceNT(g2, nt2, inst.p + e.p_delta, inst.k, inst.ell)
-            else:
-                inst = Instance(g2, inst.p + e.p_delta, inst.q + e.q_delta, inst.k, inst.ell)
+            g, rename = delete_vertex(inst.graph, e.removed_vertex)
         elif e.p_delta or e.q_delta:
-            if isinstance(inst, InstanceNT):
-                inst = InstanceNT(
-                    inst.graph, inst.nonterminals, inst.p + e.p_delta, inst.k, inst.ell
-                )
-            else:
-                inst = Instance(
-                    inst.graph, inst.p + e.p_delta, inst.q + e.q_delta, inst.k, inst.ell
-                )
+            g, rename = inst.graph, e.renaming()
+        else:
+            continue
+        inst = _successor(inst, g, rename.__getitem__, e.p_delta, e.q_delta, e.nt_removed)
     return inst

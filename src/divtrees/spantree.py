@@ -9,7 +9,6 @@ behind the exact solvers).
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -20,6 +19,8 @@ from .graphcore import (
     Graph,
     GraphFormatError,
     InternalInvariantError,
+    _bfs_parents,
+    _norm_edge,
     maximal_degree2_paths,
     write_graph,
 )
@@ -49,15 +50,7 @@ class SpanningTree:
             raise ValueError(f"a spanning tree of {n} vertices needs {n - 1} edges")
         if n > 1:
             adj = self.adjacency
-            seen = {1}
-            queue = deque([1])
-            while queue:
-                x = queue.popleft()
-                for y in adj[x]:
-                    if y not in seen:
-                        seen.add(y)
-                        queue.append(y)
-            if len(seen) != n:
+            if len(_bfs_parents(adj, 1)) != n:
                 raise ValueError("edge set does not span the host graph")
             branching = sum(1 for v in adj if len(adj[v]) >= 3)
             if branching > len(self.leaves) - 2:
@@ -104,17 +97,8 @@ def arbitrary_spanning_tree(g: Graph) -> SpanningTree:
     visiting neighbors in id order."""
     if not g.is_connected:
         raise ValueError("disconnected graphs have no spanning tree")
-    seen = {1}
-    queue = deque([1])
-    picked = set()
-    while queue:
-        x = queue.popleft()
-        for y in sorted(g.neighbors(x)):
-            if y not in seen:
-                seen.add(y)
-                picked.add((x, y) if x < y else (y, x))
-                queue.append(y)
-    return SpanningTree(g, frozenset(picked))
+    parent = _bfs_parents({v: sorted(g.neighbors(v)) for v in g.vertices()}, 1)
+    return SpanningTree(g, frozenset(_norm_edge(v, u) for v, u in parent.items() if v != u))
 
 
 def hamming(t1: SpanningTree, t2: SpanningTree) -> int:
@@ -122,23 +106,6 @@ def hamming(t1: SpanningTree, t2: SpanningTree) -> int:
     if t1.host != t2.host:
         raise ValueError("trees live in different host graphs")
     return len(t1.edges ^ t2.edges)
-
-
-def _parents_from(t: SpanningTree, root: int) -> dict[int, int]:
-    parent = {root: root}
-    queue = deque([root])
-    adj = t.adjacency
-    while queue:
-        x = queue.popleft()
-        for y in adj[x]:
-            if y not in parent:
-                parent[y] = x
-                queue.append(y)
-    return parent
-
-
-def _norm(u: int, v: int) -> tuple[int, int]:
-    return (u, v) if u < v else (v, u)
 
 
 def augment_leaf(
@@ -168,11 +135,11 @@ def augment_leaf(
         raise ValueError(f"vertex {v} is not strictly internal to the path")
     if w == v or not g.has_edge(v, w):
         raise ValueError(f"({v},{w}) is not an edge of the host graph")
-    if _norm(v, w) in t.edges:
+    if _norm_edge(v, w) in t.edges:
         raise ValueError(f"({v},{w}) is already a tree edge")
 
     root = vs[0]
-    parent = _parents_from(t, root)
+    parent = _bfs_parents(t.adjacency, root)
     pos = {x: i for i, x in enumerate(vs)}
     j = pos[v]
 
@@ -200,7 +167,7 @@ def augment_leaf(
         # path start, so cutting near it frees two interior vertices
         drop = (vs[1], vs[2])
 
-    new_edges = (t.edges - {_norm(*drop)}) | {_norm(v, w)}
+    new_edges = (t.edges - {_norm_edge(*drop)}) | {_norm_edge(v, w)}
     out = SpanningTree(g, new_edges)
     if out.leaf_count < t.leaf_count + 1:
         raise InternalInvariantError("edge exchange failed to gain a leaf")
@@ -264,7 +231,7 @@ def grow_leaves(
             vs = path.vertices
             for v in vs[3 : path.length - 2]:
                 for w in sorted(g.neighbors(v)):
-                    if _norm(v, w) not in t.edges:
+                    if _norm_edge(v, w) not in t.edges:
                         move = (path, v, w)
                         break
                 if move:
@@ -443,7 +410,7 @@ def read_edge_set_family(text: str, n: int) -> list[frozenset[tuple[int, int]]]:
                 raise GraphFormatError(f"vertex out of range in edge {u} {v}")
             if u == v:
                 raise GraphFormatError(f"self-loop at vertex {u}")
-            e = _norm(u, v)
+            e = _norm_edge(u, v)
             if e in edges:
                 raise GraphFormatError(f"duplicate edge {e} in tree block")
             edges.add(e)

@@ -27,7 +27,8 @@ from divtrees import (
     verify_family,
 )
 from divtrees.blackbox import mist_no_instance, ntst_no_instance
-from divtrees.kernelizer import _li_fixpoint, _oriented_key
+from divtrees.graphcore import _canonical_path
+from divtrees.kernelizer import _fixpoint
 
 
 def li(g, p=0, q=0, k=1, ell=1):
@@ -196,13 +197,13 @@ def test_lnt_threshold_rules():
 # canonical path orientation used by the batched passes
 
 def test_oriented_key_matches_canonical_form():
-    assert _oriented_key([1, 2, 3]) == (1, 2, 3)
-    assert _oriented_key([3, 2, 1]) == (1, 2, 3)
-    assert _oriented_key([2, 5, 3, 2]) == (2, 3, 5, 2)
-    assert _oriented_key([2, 3, 5, 2]) == (2, 3, 5, 2)
+    assert _canonical_path([1, 2, 3]) == (1, 2, 3)
+    assert _canonical_path([3, 2, 1]) == (1, 2, 3)
+    assert _canonical_path([2, 5, 3, 2]) == (2, 3, 5, 2)
+    assert _canonical_path([2, 3, 5, 2]) == (2, 3, 5, 2)
     # closed paths orient by the two edges at the anchor, nothing else
-    assert _oriented_key([1, 4, 2, 6, 1]) == (1, 4, 2, 6, 1)
-    assert _oriented_key([1, 6, 2, 4, 1]) == (1, 4, 2, 6, 1)
+    assert _canonical_path([1, 4, 2, 6, 1]) == (1, 4, 2, 6, 1)
+    assert _canonical_path([1, 6, 2, 4, 1]) == (1, 4, 2, 6, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -379,7 +380,7 @@ def test_li_fixpoint_matches_sequential_rules(case):
     inst, include_r4 = list(li_reduction_cases())[case]
     expected, expected_transcript = sequential_li_fixpoint(inst, include_r4)
     transcript = []
-    got = _li_fixpoint(inst, transcript, include_r4=include_r4)
+    got = _fixpoint(inst, ("R1", "R2", "R4") if include_r4 else ("R1", "R2"), transcript)
     assert got == expected
     assert transcript == expected_transcript
 
