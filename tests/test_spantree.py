@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 from hypothesis import given
 
@@ -19,6 +21,7 @@ from divtrees import (
     write_family,
     write_tree,
 )
+from divtrees.spantree import enumerate_tree_masks
 
 
 # ---------------------------------------------------------------------------
@@ -113,6 +116,42 @@ def test_count_pins():
     assert count_spanning_trees(support.path_graph(7)) == 1
     assert count_spanning_trees(Graph(1, frozenset())) == 1
     assert count_spanning_trees(Graph(3, frozenset({(1, 2)}))) == 0
+
+
+ORDER_GOLDEN = "8fb7ca97cecefb39769af896f5041f50a5b0ba9fba2fb5684fa3ab596bf8e1c1"
+
+
+def _mask_digest(g, limit=200000):
+    """SHA-256 over the mask stream, in emission order, plus whether
+    the enumeration overflowed ``limit``."""
+    h = hashlib.sha256()
+    try:
+        for mask in enumerate_tree_masks(g, limit):
+            h.update(b"%x\n" % mask)
+    except TreeEnumerationOverflow:
+        h.update(b"overflow\n")
+    return h.hexdigest()
+
+
+def _order_corpus():
+    yield "md3-10", generate("min-degree-3", (10,)), 200000
+    yield "md3-12", generate("min-degree-3", (12,)), 200000
+    for n, m in ((10, 18), (9, 14)):
+        for seed in range(3):
+            yield f"rc-{n}-{m}-{seed}", generate("random-connected", (n, m), seed=seed), 200000
+    yield "c8", support.cycle_graph(8), 200000
+    # K6 has 1296 trees, so the stream stops at the 501st
+    yield "k6-overflow", support.complete_graph(6), 500
+
+
+def test_enumeration_order_is_pinned():
+    """The oracle, the subroutine kernels and the construct seed search
+    all consume trees in this order; a faster enumerator must emit the
+    same masks in the same sequence."""
+    h = hashlib.sha256()
+    for name, g, limit in _order_corpus():
+        h.update(f"{name} {_mask_digest(g, limit)}\n".encode())
+    assert h.hexdigest() == ORDER_GOLDEN
 
 
 @given(support.connected_graphs(min_n=2, max_n=8))
