@@ -269,6 +269,13 @@ def enumerate_tree_masks(g: Graph, limit: int = 200000) -> Iterator[int]:
     disconnected) or that close a cycle.  Raises
     :class:`TreeEnumerationOverflow` as soon as a (limit+1)-th tree is
     found.
+
+    The O(m) spanning check runs only on the exclude child of an edge
+    that joins two forest components, the one frame that can lose
+    viability.  The root spans because ``g`` is connected; an include
+    child keeps picked plus undecided edges unchanged; and the exclude
+    child of an edge inside one component drops an edge the forest
+    already made redundant.  So the first tree costs no scan at all.
     """
     if not g.is_connected:
         raise ValueError("enumeration expects a connected graph")
@@ -279,37 +286,38 @@ def enumerate_tree_masks(g: Graph, limit: int = 200000) -> Iterator[int]:
     edges = g.sorted_edges()
     m = len(edges)
     emitted = 0
-    # frame: next edge index, chosen-edge bitmask, forest as DSU parent, components
-    stack: list[tuple[int, int, list[int], int]] = [(0, 0, list(range(n + 1)), n)]
+    # frame: next edge index, chosen-edge bitmask, forest as DSU parent,
+    # components, whether the frame must re-check that it can still span
+    stack: list[tuple[int, int, list[int], int, bool]] = [
+        (0, 0, list(range(n + 1)), n, False)
+    ]
     while stack:
-        idx, mask, parent, comps = stack.pop()
+        idx, mask, parent, comps, check = stack.pop()
         if comps == 1:
             emitted += 1
             if emitted > limit:
                 raise TreeEnumerationOverflow(f"more than {limit} spanning trees")
             yield mask
             continue
-        if idx == m:
-            continue
-        # viability: the chosen forest plus all undecided edges must span
-        trial = parent[:]
-        c = comps
-        for j in range(idx, m):
-            ru, rv = _find(trial, edges[j][0]), _find(trial, edges[j][1])
-            if ru != rv:
-                trial[ru] = rv
-                c -= 1
-                if c == 1:
-                    break
-        if c > 1:
-            continue
+        if check:
+            trial = parent[:]
+            c = comps
+            for j in range(idx, m):
+                ru, rv = _find(trial, edges[j][0]), _find(trial, edges[j][1])
+                if ru != rv:
+                    trial[ru] = rv
+                    c -= 1
+                    if c == 1:
+                        break
+            if c > 1:
+                continue
         u, v = edges[idx]
         ru, rv = _find(parent, u), _find(parent, v)
-        stack.append((idx + 1, mask, parent, comps))
+        stack.append((idx + 1, mask, parent, comps, ru != rv))
         if ru != rv:
             child = parent[:]
             child[ru] = rv
-            stack.append((idx + 1, mask | (1 << idx), child, comps - 1))
+            stack.append((idx + 1, mask | (1 << idx), child, comps - 1, False))
     if emitted == 0:
         raise InternalInvariantError("a connected graph must have a spanning tree")
 
