@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import json
 from bisect import bisect_left, insort
+from heapq import heapify, heappop, heappush
 from dataclasses import dataclass
 from math import ceil
 from typing import Callable, Collection
@@ -55,9 +56,12 @@ class RuleApplication:
 
     Mutation entries carry enough to replay exactly: a contraction
     stores its (keep, drop) pair and a deletion its removed vertex, in
-    ids current at application time; ids above a removed vertex shift
-    down by one afterwards.  Decision entries (pre-checks and size
-    thresholds) mutate nothing and only record the verdict taken.
+    ids current at application time.  The old-to-new id map follows
+    from ``n_before`` and those fields, so it is not serialized: ids
+    above the removed (or dropped) vertex shift down by one, a
+    contraction's ``drop`` maps to ``keep``'s new id, and every other
+    id stays put.  Decision entries (pre-checks and size thresholds)
+    mutate nothing and only record the verdict taken.
     """
 
     rule: str
@@ -82,7 +86,6 @@ class RuleApplication:
         return {v: v for v in range(1, self.n_before + 1)}
 
     def to_json_dict(self) -> dict:
-        rename = self.renaming()
         return {
             "rule": self.rule,
             "n_before": self.n_before,
@@ -93,8 +96,6 @@ class RuleApplication:
             "removed_vertex": self.removed_vertex,
             "merged_edge": list(self.merged_edge) if self.merged_edge else None,
             "decision": self.decision,
-            # only the ids that actually move
-            "renaming": {str(a): b for a, b in sorted(rename.items()) if a != b},
         }
 
 
@@ -343,22 +344,23 @@ def _exhaust_contractions(
     q = _q(inst)
     # paths come back canonically oriented, so each is its own sort key
     keys = [p.vertices for p in maximal_degree2_paths(g, _nt(inst))]
-    if not any(len(key) - 1 >= threshold for key in keys):
+    # lazy min-heap: a contraction re-keys only its own path, so push
+    # the new key and skip entries whose key has gone stale
+    heap = [(key, i) for i, key in enumerate(keys) if len(key) - 1 >= threshold]
+    if not heap:
         return None
+    heapify(heap)
     adj: dict[int, set[int]] = {v: set(g.neighbors(v)) for v in g.vertices()}
     dropped: list[int] = []
 
     def cur(x: int) -> int:
         return x - bisect_left(dropped, x)
 
-    while True:
-        best = None
-        for i, key in enumerate(keys):
-            if len(key) - 1 >= threshold and (best is None or key < keys[best]):
-                best = i
-        if best is None:
-            break
-        ordered = list(keys[best])
+    while heap:
+        key, i = heappop(heap)
+        if keys[i] != key:
+            continue
+        ordered = list(key)
         b, c, d = ordered[1], ordered[2], ordered[3]
         adj[b].discard(c)
         adj[d].discard(c)
@@ -378,7 +380,9 @@ def _exhaust_contractions(
         q = max(0, q - 1)
         insort(dropped, c)
         del ordered[2]
-        keys[best] = _canonical_path(ordered)
+        keys[i] = _canonical_path(ordered)
+        if len(keys[i]) - 1 >= threshold:
+            heappush(heap, (keys[i], i))
     edges = frozenset(
         (cur(u), cur(v)) for u, nbrs in adj.items() for v in nbrs if u < v
     )
@@ -447,35 +451,43 @@ def _exhaust_pendant_deletions(
         return x - bisect_left(dropped, x)
 
     pend = {v for v, nbrs in adj.items() if len(nbrs) == 1}
-    host_count: dict[int, int] = {}
+    # deletions only lower degrees, so only a vertex that starts out
+    # pendant can be a required-internal pendant
+    bad = pend & live_nt
+    if bad:
+        raise InternalInvariantError(f"required-internal vertex {min(bad)} became pendant")
+    pendants_of: dict[int, set[int]] = {}
     for v in pend:
         (u,) = adj[v]
-        host_count[u] = host_count.get(u, 0) + 1
+        pendants_of.setdefault(u, set()).add(v)
 
-    while pend:
-        bad = pend & live_nt
-        if bad:
-            raise InternalInvariantError(
-                f"required-internal vertex {min(bad)} became pendant"
-            )
-        twin = None
-        if twins:
-            twin = min(
-                (x for x in pend if host_count[next(iter(adj[x]))] >= 2),
-                default=None,
-            )
-        if twin is not None:
-            v, rule = twin, "R2"
-        elif sweep is not None:
-            v, rule = min(pend), sweep
+    def is_twin(x: int) -> bool:
+        return x in pend and len(pendants_of[next(iter(adj[x]))]) >= 2
+
+    # lazy min-heaps of twin-eligible pendants and of all pendants: an
+    # entry is checked when it surfaces, and a pendant is pushed again
+    # only when it (re)gains eligibility
+    twin_heap = [x for x in pend if is_twin(x)] if twins else []
+    sweep_heap = list(pend) if sweep else []
+    heapify(twin_heap)
+    heapify(sweep_heap)
+    while True:
+        while twin_heap and not is_twin(twin_heap[0]):
+            heappop(twin_heap)
+        while sweep_heap and sweep_heap[0] not in pend:
+            heappop(sweep_heap)
+        if twin_heap:
+            v, rule = heappop(twin_heap), "R2"
+        elif sweep_heap:
+            v, rule = heappop(sweep_heap), sweep
         else:
             break
         (u,) = adj[v]
         pend.discard(v)
-        host_count[u] -= 1
-        if not host_count[u]:
-            del host_count[u]
-        host_count.pop(v, None)
+        pendants_of[u].discard(v)
+        if not pendants_of[u]:
+            del pendants_of[u]
+        pendants_of.pop(v, None)
         del adj[v]
         adj[u].discard(v)
         pd = -1 if rule == "R2" and p > 0 else 0
@@ -497,8 +509,16 @@ def _exhaust_pendant_deletions(
             pend.discard(u)
         elif len(adj[u]) == 1:
             pend.add(u)
+            if sweep:
+                heappush(sweep_heap, u)
             (w,) = adj[u]
-            host_count[w] = host_count.get(w, 0) + 1
+            siblings = pendants_of.setdefault(w, set())
+            siblings.add(u)
+            if twins and len(siblings) >= 2:
+                # on 1 -> 2 both pendants turn eligible; above 2 only u is
+                # new, and re-pushing all of them would be quadratic on a star
+                for x in siblings if len(siblings) == 2 else (u,):
+                    heappush(twin_heap, x)
         if _long_path_via(adj, live_nt, u, inst.ell + 3):
             break
     if not dropped:

@@ -141,7 +141,7 @@ def test_kernelize_payload_shape(tmp_path, capsys):
     assert code == 0
     payload = json.loads(out)
     assert sorted(payload) == KERNELIZE_KEYS
-    assert payload["schema"] == 1
+    assert payload["schema"] == 2
     assert payload["outcome"] == "reduced"
     assert payload["instance"]["n"] == 8
     assert payload["witness"] is None
@@ -155,6 +155,18 @@ def test_kernelize_writes_transcript_ndjson(tmp_path, capsys):
     lines = log.read_text().splitlines()
     rules = [json.loads(line)["rule"] for line in lines]
     assert rules == ["R1"] * 17 + ["R5"]
+
+
+def test_kernelize_transcript_entries_stay_small(tmp_path, capsys):
+    # an entry that encoded its id map would grow with n; 1997 contractions
+    # of a 2000-cycle would then write megabytes
+    path = instance_file(tmp_path, Instance(support.cycle_graph(2000), 0, 0, 1, 1))
+    log = tmp_path / "trace.ndjson"
+    code, _, _ = run(capsys, "kernelize", "-i", path, "--transcript", str(log))
+    assert code == 0
+    entries = log.read_text().splitlines()
+    assert len(entries) == 1998
+    assert log.stat().st_size < 200 * len(entries)
 
 
 def test_kernelize_witness_flow(tmp_path, capsys):

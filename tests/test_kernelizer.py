@@ -12,6 +12,7 @@ from divtrees import (
     KernelResult,
     MistInstance,
     NtstInstance,
+    RuleApplication,
     apply_rule,
     case1_bound_li,
     case1_bound_lnt,
@@ -364,6 +365,20 @@ def sequential_li_fixpoint(inst, include_r4):
     raise AssertionError("no fixpoint")
 
 
+def with_legs(g, hub, legs):
+    """Hang ``legs`` paths of two edges off ``hub``: once a leg's tip is
+    deleted its middle vertex turns pendant, and those new pendants
+    are twins at the hub."""
+    mids = support.with_pendants(g, [hub] * legs)
+    return support.with_pendants(mids, list(range(g.n + 1, g.n + legs + 1)))
+
+
+# the heaps' adversaries: hosts turning pendant mid-pass (spider), one
+# host with 40 pendants, the K_2 endgame of a path, and one path that is
+# contracted again and again while staying the lowest key (theta)
+THETA = generate("theta", (12, 6, 7))
+
+
 def li_reduction_cases():
     base = support.cycle_graph(9)
     yield li(support.with_pendants(base, [1, 1, 4, 4, 4, 7]), p=3, q=2, ell=1), False
@@ -373,9 +388,19 @@ def li_reduction_cases():
     yield li(support.with_pendants(support.path_graph(9), [2, 2, 5, 9])), True
     star = Graph.from_edges(6, [(1, 2), (1, 3), (1, 4), (1, 5), (1, 6)])
     yield li(star), True
+    yield li(with_legs(Graph(1, frozenset()), 1, 6)), True
+    yield li(with_legs(support.cycle_graph(5), 2, 5)), True
+    # deleting 6 turns 8 pendant beside 7: the older, lower twin goes first
+    late_twin = Graph.from_edges(8, list(support.cycle_graph(5).edges) + [(1, 7), (1, 8), (6, 8)])
+    yield li(late_twin), True
+    yield li(support.with_pendants(support.cycle_graph(6), [1] * 40), p=3), False
+    yield li(support.with_pendants(support.cycle_graph(6), [1] * 40)), True
+    yield li(support.path_graph(7)), True
+    yield li(support.path_graph(3)), False
+    yield li(THETA, q=4), True
 
 
-@pytest.mark.parametrize("case", range(6))
+@pytest.mark.parametrize("case", range(len(list(li_reduction_cases()))))
 def test_li_fixpoint_matches_sequential_rules(case):
     inst, include_r4 = list(li_reduction_cases())[case]
     expected, expected_transcript = sequential_li_fixpoint(inst, include_r4)
@@ -385,40 +410,66 @@ def test_li_fixpoint_matches_sequential_rules(case):
     assert transcript == expected_transcript
 
 
-def test_lnt_loop_matches_sequential_rules():
+def lnt_reduction_cases():
     g = generate("twin-pendant-gadget", (support.cycle_graph(9), 4), seed=5)
-    inst = lnt(g, {1}, p=0, ell=1)
-    expected = inst
-    expected_transcript = []
-    for _ in range(10000):
-        for rule in ("R7", "R9"):
-            try:
-                expected, e = apply_rule(expected, rule)
-            except ValueError:
-                continue
-            expected_transcript.append(e)
-            break
-        else:
-            break
-    res = kernelize_lnt(inst)
-    body = [e for e in res.transcript if e.rule in ("R7", "R9")]
-    assert body == expected_transcript
-    assert res.final_instance.graph == expected.graph
-    assert res.final_instance.nonterminals == expected.nonterminals
+    yield lnt(g, {1}, p=0, ell=1)
+    # kernelize_lnt answers trees by PC-tree and deletions never break a
+    # cycle, so the K_2 endgame cannot reach this loop
+    yield lnt(with_legs(support.cycle_graph(5), 1, 6), {1, 3})
+    yield lnt(support.with_pendants(support.cycle_graph(6), [2] * 40), {1})
+    yield lnt(THETA, {20})
+
+
+def test_lnt_loop_matches_sequential_rules():
+    for inst in lnt_reduction_cases():
+        expected = inst
+        expected_transcript = []
+        for _ in range(10000):
+            for rule in ("R7", "R9"):
+                try:
+                    expected, e = apply_rule(expected, rule)
+                except ValueError:
+                    continue
+                expected_transcript.append(e)
+                break
+            else:
+                break
+        res = kernelize_lnt(inst)
+        body = [e for e in res.transcript if e.rule in ("R7", "R9")]
+        assert body == expected_transcript
+        assert res.final_instance.graph == expected.graph
+        assert res.final_instance.nonterminals == expected.nonterminals
 
 
 # ---------------------------------------------------------------------------
 # transcripts
 
+def entry_from_json(d):
+    return RuleApplication(
+        rule=d["rule"],
+        n_before=d["n_before"],
+        touched=tuple(d["touched"]),
+        p_delta=d["p_delta"],
+        q_delta=d["q_delta"],
+        nt_removed=tuple(d["nt_removed"]),
+        removed_vertex=d["removed_vertex"],
+        merged_edge=tuple(d["merged_edge"]) if d["merged_edge"] else None,
+        decision=d["decision"],
+    )
+
+
 def test_transcript_ndjson_round_trip():
-    res = kernelize_li(li(support.with_pendants(support.cycle_graph(8), [1, 1]), p=2))
+    inst = li(support.with_pendants(support.cycle_graph(8), [1, 1]), p=2)
+    res = kernelize_li(inst)
     lines = transcript_to_ndjson(res.transcript).splitlines()
     assert len(lines) == len(res.transcript)
-    parsed = [json.loads(line) for line in lines]
-    assert [d["rule"] for d in parsed] == [e.rule for e in res.transcript]
-    for d in parsed:
-        for a, b in d["renaming"].items():
-            assert int(a) != b
+    raw = [json.loads(line) for line in lines]
+    assert all("renaming" not in d for d in raw)
+    parsed = tuple(entry_from_json(d) for d in raw)
+    assert parsed == res.transcript
+    assert replay(inst, parsed) == res.final_instance
+    for got, want in zip(parsed, res.transcript):
+        assert got.renaming() == want.renaming()
 
 
 def test_decision_entries_have_identity_renaming():
