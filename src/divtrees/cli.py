@@ -149,7 +149,6 @@ def _cmd_kernelize(args: argparse.Namespace) -> int:
         if result.witness is None:
             raise UsageError("no witness family to write; outcome was " + result.outcome)
         Path(args.family_out).write_text(write_family(list(result.witness)))
-    # schema 2: transcript entries no longer carry the derived renaming map
     payload = {"schema": 2, "problem": problem}
     payload.update(result.to_json_dict())
     _emit_json(cfg.output, payload)

@@ -27,8 +27,8 @@ from __future__ import annotations
 
 import json
 from bisect import bisect_left, insort
-from heapq import heapify, heappop, heappush
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 from math import ceil
 from typing import Callable, Collection
 

@@ -373,9 +373,7 @@ def with_legs(g, hub, legs):
     return support.with_pendants(mids, list(range(g.n + 1, g.n + legs + 1)))
 
 
-# the heaps' adversaries: hosts turning pendant mid-pass (spider), one
-# host with 40 pendants, the K_2 endgame of a path, and one path that is
-# contracted again and again while staying the lowest key (theta)
+# its first path is contracted again and again while staying the lowest key
 THETA = generate("theta", (12, 6, 7))
 
 
@@ -388,11 +386,13 @@ def li_reduction_cases():
     yield li(support.with_pendants(support.path_graph(9), [2, 2, 5, 9])), True
     star = Graph.from_edges(6, [(1, 2), (1, 3), (1, 4), (1, 5), (1, 6)])
     yield li(star), True
+    # the pass's heaps: hosts turning pendant mid-pass (spiders), a late
+    # twin, one host with 40 pendants, the K_2 endgame of a path, theta
     yield li(with_legs(Graph(1, frozenset()), 1, 6)), True
     yield li(with_legs(support.cycle_graph(5), 2, 5)), True
     # deleting 6 turns 8 pendant beside 7: the older, lower twin goes first
-    late_twin = Graph.from_edges(8, list(support.cycle_graph(5).edges) + [(1, 7), (1, 8), (6, 8)])
-    yield li(late_twin), True
+    c5 = list(support.cycle_graph(5).edges)
+    yield li(Graph.from_edges(8, c5 + [(1, 7), (1, 8), (6, 8)])), True
     yield li(support.with_pendants(support.cycle_graph(6), [1] * 40), p=3), False
     yield li(support.with_pendants(support.cycle_graph(6), [1] * 40)), True
     yield li(support.path_graph(7)), True
