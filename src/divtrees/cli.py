@@ -19,7 +19,6 @@ import argparse
 import json
 import random
 import sys
-from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
 
@@ -35,7 +34,7 @@ from .graphcore import (
     read_instance,
     write_graph,
 )
-from .kernelizer import kernelize_li, kernelize_lnt, transcript_to_ndjson
+from .kernelizer import KernelResult, kernelize_li, kernelize_lnt, transcript_to_ndjson
 from .oracle import OracleLimits, solve
 from .spantree import read_edge_set_family, write_family
 
@@ -48,27 +47,6 @@ class UsageError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated flag bundle for the instance-reading subcommands."""
-
-    subcommand: str
-    input: str
-    problem: str | None
-    p: int | None
-    q: int | None
-    k: int | None
-    ell: int | None
-    nt: frozenset[int] | None
-    output: str | None
-
-    def __post_init__(self) -> None:
-        if self.problem == "lnt" and self.q is not None:
-            raise UsageError("-q has no meaning for the lnt problem")
-        if self.problem == "li" and self.nt is not None:
-            raise UsageError("--nt has no meaning for the li problem")
-
-
 def _parse_nt(text: str | None) -> frozenset[int] | None:
     if text is None:
         return None
@@ -77,39 +55,29 @@ def _parse_nt(text: str | None) -> frozenset[int] | None:
     return frozenset(int(x) for x in text.split(","))
 
 
-def _config(args: argparse.Namespace) -> RunConfig:
-    return RunConfig(
-        subcommand=args.cmd,
-        input=args.input,
-        problem=args.problem,
-        p=args.p,
-        q=args.q,
-        k=args.k,
-        ell=args.ell,
-        nt=_parse_nt(args.nt),
-        output=args.output,
-    )
+def _load_instance(args: argparse.Namespace) -> Instance | InstanceNT:
+    """Read the input file and overlay any parameter flags.
 
-
-def _load_instance(cfg: RunConfig) -> Instance | InstanceNT:
-    """Read the input file and overlay any parameter flags."""
-    text = Path(cfg.input).read_text()
-    base = read_instance(text)
-    file_lnt = isinstance(base, InstanceNT)
-    problem = cfg.problem or ("lnt" if file_lnt else "li")
-    if problem == "li" and file_lnt and base.nonterminals:
+    Flag conflicts are usage errors, reported before the file is read.
+    """
+    nt = _parse_nt(args.nt)
+    if args.problem == "lnt" and args.q is not None:
+        raise UsageError("-q has no meaning for the lnt problem")
+    if args.problem == "li" and nt is not None:
+        raise UsageError("--nt has no meaning for the li problem")
+    base = read_instance(Path(args.input).read_text())
+    problem = args.problem or base.problem
+    if problem == "li" and base.nonterminals:
         raise UsageError("input file carries non-terminals but the problem is li")
-    g = base.graph
-    p = cfg.p if cfg.p is not None else base.p
-    k = cfg.k if cfg.k is not None else base.k
-    ell = cfg.ell if cfg.ell is not None else base.ell
+    p = base.p if args.p is None else args.p
+    k = base.k if args.k is None else args.k
+    ell = base.ell if args.ell is None else args.ell
     if problem == "lnt":
-        file_nt = base.nonterminals if file_lnt else frozenset()
-        nt = cfg.nt if cfg.nt is not None else file_nt
-        inst: Instance | InstanceNT = InstanceNT(g, nt, p, k, ell)
+        nt = base.nonterminals if nt is None else nt
+        inst: Instance | InstanceNT = InstanceNT(base.graph, nt, p, k, ell)
     else:
-        q = cfg.q if cfg.q is not None else (base.q if not file_lnt else 0)
-        inst = Instance(g, p, q, k, ell)
+        q = base.q if args.q is None else args.q
+        inst = Instance(base.graph, p, q, k, ell)
     _check_instance_bounds(inst)
     return inst
 
@@ -132,58 +100,55 @@ def _family_json(family) -> list[list[list[int]]]:
 # ---------------------------------------------------------------------------
 # subcommands
 
-def _cmd_kernelize(args: argparse.Namespace) -> int:
-    cfg = _config(args)
-    inst = _load_instance(cfg)
+def _kernelize_within(
+    inst: Instance | InstanceNT, budget: int | None, witness: bool = False
+) -> KernelResult:
+    """Run the instance's pipeline with its subroutine kernel capped at
+    ``budget`` trees, or with no subroutine kernel when ``budget`` is None."""
     if isinstance(inst, InstanceNT):
-        bb = None if args.blackbox == "none" else partial(ntst_kernel, budget=args.budget)
-        result = kernelize_lnt(inst, blackbox=bb)
-        problem = "lnt"
-    else:
-        bb = None if args.blackbox == "none" else partial(mist_kernel, budget=args.budget)
-        result = kernelize_li(inst, construct_witness=args.witness, blackbox=bb)
-        problem = "li"
+        bb = None if budget is None else partial(ntst_kernel, budget=budget)
+        return kernelize_lnt(inst, blackbox=bb)
+    bb = None if budget is None else partial(mist_kernel, budget=budget)
+    return kernelize_li(inst, construct_witness=witness, blackbox=bb)
+
+
+def _cmd_kernelize(args: argparse.Namespace) -> int:
+    inst = _load_instance(args)
+    budget = None if args.blackbox == "none" else args.budget
+    result = _kernelize_within(inst, budget, args.witness)
     if args.transcript is not None:
         Path(args.transcript).write_text(transcript_to_ndjson(result.transcript))
     if args.family_out is not None:
         if result.witness is None:
             raise UsageError("no witness family to write; outcome was " + result.outcome)
         Path(args.family_out).write_text(write_family(list(result.witness)))
-    payload = {"schema": 2, "problem": problem}
+    payload = {"schema": 2, "problem": inst.problem}
     payload.update(result.to_json_dict())
-    _emit_json(cfg.output, payload)
+    _emit_json(args.output, payload)
     return 0
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
-    cfg = _config(args)
-    inst = _load_instance(cfg)
+    inst = _load_instance(args)
     limits = OracleLimits(max_trees=args.max_trees, max_clique_nodes=args.max_clique_nodes)
     verdict = solve(inst, limits)
     payload = {
         "schema": 1,
-        "problem": "lnt" if isinstance(inst, InstanceNT) else "li",
+        "problem": inst.problem,
         "answer": verdict.answer,
         "stats": verdict.stats.to_json_dict(),
         "witness": None if verdict.witness is None else _family_json(verdict.witness),
     }
-    _emit_json(cfg.output, payload)
+    _emit_json(args.output, payload)
     return {"yes": 0, "no": 1, "inconclusive": 2}[verdict.answer]
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    cfg = _config(args)
-    inst = _load_instance(cfg)
+    inst = _load_instance(args)
     family_text = Path(args.family).read_text()
     edge_sets = read_edge_set_family(family_text, inst.graph.n)
-    size_ok = len(edge_sets) == inst.ell
-    if isinstance(inst, InstanceNT):
-        report = verify_family(
-            inst.graph, edge_sets, inst.p, 0, inst.k, nt=inst.nonterminals
-        )
-    else:
-        report = verify_family(inst.graph, edge_sets, inst.p, inst.q, inst.k)
-    ok = size_ok and report.verdict
+    report = verify_family(inst.graph, edge_sets, inst.p, inst.q, inst.k, nt=inst.nonterminals)
+    ok = len(edge_sets) == inst.ell and report.verdict
     payload = {
         "schema": 1,
         "ok": ok,
@@ -191,23 +156,17 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         "expected_size": inst.ell,
         "report": report.to_json_dict(),
     }
-    _emit_json(cfg.output, payload)
+    _emit_json(args.output, payload)
     return 0 if ok else 1
 
 
 def _cmd_construct(args: argparse.Namespace) -> int:
-    cfg = _config(args)
-    inst = _load_instance(cfg)
+    inst = _load_instance(args)
     family, reason = construct_family(inst, args.budget)
     ok = False
     report_json = None
     if family is not None:
-        if isinstance(inst, InstanceNT):
-            report = verify_family(
-                inst.graph, family, inst.p, 0, inst.k, nt=inst.nonterminals
-            )
-        else:
-            report = verify_family(inst.graph, family, inst.p, inst.q, inst.k)
+        report = verify_family(inst.graph, family, inst.p, inst.q, inst.k, nt=inst.nonterminals)
         ok = report.verdict and len(family) == inst.ell
         report_json = report.to_json_dict()
         if args.family_out is not None:
@@ -219,7 +178,7 @@ def _cmd_construct(args: argparse.Namespace) -> int:
         "family": None if family is None else _family_json(family),
         "report": report_json,
     }
-    _emit_json(cfg.output, payload)
+    _emit_json(args.output, payload)
     return 0 if ok else 1
 
 
@@ -253,10 +212,7 @@ def _random_instance(rng: random.Random, problem: str, max_n: int) -> Instance |
 
 
 def _audit_one(inst: Instance | InstanceNT, budget: int) -> tuple[str, str, str]:
-    if isinstance(inst, InstanceNT):
-        result = kernelize_lnt(inst, blackbox=partial(ntst_kernel, budget=budget))
-    else:
-        result = kernelize_li(inst, blackbox=partial(mist_kernel, budget=budget))
+    result = _kernelize_within(inst, budget)
     original = solve(inst).answer
     if result.outcome == "trivial_yes":
         reduced = "yes"
@@ -271,6 +227,11 @@ def _audit_one(inst: Instance | InstanceNT, budget: int) -> tuple[str, str, str]
 
 
 def _cmd_audit(args: argparse.Namespace) -> int:
+    if args.count < 0:
+        raise UsageError("--count must be at least 0")
+    # random instances have at most 14 edges, so a connected one has n <= 15
+    if not 3 <= args.max_n <= 15:
+        raise UsageError("--max-n must be between 3 and 15")
     rng = random.Random(args.seed)
     instances = [
         _random_instance(rng, args.problem, args.max_n) for _ in range(args.count)
@@ -281,14 +242,9 @@ def _cmd_audit(args: argparse.Namespace) -> int:
     for idx, (inst, (outcome, original, reduced)) in enumerate(zip(instances, rows)):
         good = original == reduced and original in ("yes", "no")
         passes += good
-        nt_note = (
-            ",".join(map(str, sorted(inst.nonterminals)))
-            if isinstance(inst, InstanceNT)
-            else "-"
-        )
-        q_note = "-" if isinstance(inst, InstanceNT) else str(inst.q)
+        nt_note = ",".join(map(str, sorted(inst.nonterminals))) or "-"
         lines.append(
-            f"{idx:4d}  n={inst.graph.n} m={inst.graph.m} p={inst.p} q={q_note}"
+            f"{idx:4d}  n={inst.graph.n} m={inst.graph.m} p={inst.p} q={inst.q}"
             f" k={inst.k} l={inst.ell} nt={nt_note:12s}"
             f" outcome={outcome:22s} original={original:12s}"
             f" kernel={reduced:12s} {'pass' if good else 'FAIL'}"

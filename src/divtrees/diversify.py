@@ -301,8 +301,8 @@ def construct_family(
     block = ceil(k / 4)
     if not g.is_connected:
         return None, "graph is disconnected"
+    nt = inst.nonterminals
     if isinstance(inst, InstanceNT):
-        nt = inst.nonterminals
         try:
             trees = enumerate_spanning_trees(g, limit=budget)
             seed = next((t for t in trees if nt <= t.internal_vertices), None)
@@ -310,11 +310,9 @@ def construct_family(
             return None, "seed search exhausted its budget"
         if seed is None:
             return None, "no spanning tree keeps the required vertices internal"
-        target = max(2 * block * ell + 2 * len(nt), inst.p + block + 2 * len(nt))
     else:
-        nt = frozenset()
         seed = arbitrary_spanning_tree(g)
-        target = max(2 * block * ell, inst.p + block)
+    target = max(2 * block * ell + 2 * len(nt), inst.p + block + 2 * len(nt))
     try:
         grown = grow_leaves(g, seed, nt, target, ell + 3)
     except ValueError as exc:

@@ -17,7 +17,7 @@ import random
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Iterator, Mapping
+from typing import ClassVar, Iterable, Iterator, Mapping
 
 
 class GraphFormatError(ValueError):
@@ -179,8 +179,11 @@ class Instance:
 
     Asks for ell spanning trees, pairwise differing in at least k
     edges, each with at least p leaves and at least q internal
-    vertices.
+    vertices.  Reads like :class:`InstanceNT`: ``nonterminals`` is
+    empty, because li requires no particular vertex to be internal.
     """
+
+    problem: ClassVar[str] = "li"
 
     graph: Graph
     p: int
@@ -194,16 +197,23 @@ class Instance:
         if self.k < 1 or self.ell < 1:
             raise ValueError("k and ell must be at least 1")
 
+    @property
+    def nonterminals(self) -> frozenset[int]:
+        return frozenset()
+
     def to_json_dict(self) -> dict:
         d = self.graph.to_json_dict()
-        d.update({"problem": "li", "p": self.p, "q": self.q, "k": self.k, "ell": self.ell})
+        d.update(problem=self.problem, p=self.p, q=self.q, k=self.k, ell=self.ell)
         return d
 
 
 @dataclass(frozen=True)
 class InstanceNT:
     """Decision instance: graph, a set of vertices that must stay
-    internal in every tree, plus (p, k, ell)."""
+    internal in every tree, plus (p, k, ell).  Reads like
+    :class:`Instance`: ``q`` is 0, because lnt has no internal count."""
+
+    problem: ClassVar[str] = "lnt"
 
     graph: Graph
     nonterminals: frozenset[int]
@@ -220,17 +230,14 @@ class InstanceNT:
             if not (1 <= v <= self.graph.n):
                 raise ValueError(f"non-terminal {v} out of range")
 
+    @property
+    def q(self) -> int:
+        return 0
+
     def to_json_dict(self) -> dict:
         d = self.graph.to_json_dict()
-        d.update(
-            {
-                "problem": "lnt",
-                "nonterminals": sorted(self.nonterminals),
-                "p": self.p,
-                "k": self.k,
-                "ell": self.ell,
-            }
-        )
+        d.update(problem=self.problem, nonterminals=sorted(self.nonterminals))
+        d.update(p=self.p, k=self.k, ell=self.ell)
         return d
 
 
@@ -469,7 +476,7 @@ def _check_instance_bounds(inst: Instance | InstanceNT) -> None:
     n = inst.graph.n
     if inst.p > n:
         raise GraphFormatError(f"p={inst.p} exceeds the vertex count {n}")
-    if isinstance(inst, Instance) and inst.q > n:
+    if inst.q > n:
         raise GraphFormatError(f"q={inst.q} exceeds the vertex count {n}")
 
 

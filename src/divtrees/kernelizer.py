@@ -302,15 +302,6 @@ def apply_rule(
     return inst, entry
 
 
-def _q(inst: Instance | InstanceNT) -> int:
-    # the lnt problem has no internal count: q reads as 0 there
-    return inst.q if isinstance(inst, Instance) else 0
-
-
-def _nt(inst: Instance | InstanceNT) -> frozenset[int]:
-    return inst.nonterminals if isinstance(inst, InstanceNT) else frozenset()
-
-
 def _successor(
     inst: Instance | InstanceNT,
     g: Graph,
@@ -341,9 +332,9 @@ def _exhaust_contractions(
     """
     g = inst.graph
     threshold = inst.ell + 3
-    q = _q(inst)
+    q = inst.q
     # paths come back canonically oriented, so each is its own sort key
-    keys = [p.vertices for p in maximal_degree2_paths(g, _nt(inst))]
+    keys = [p.vertices for p in maximal_degree2_paths(g, inst.nonterminals)]
     # lazy min-heap: a contraction re-keys only its own path, so push
     # the new key and skip entries whose key has gone stale
     heap = [(key, i) for i, key in enumerate(keys) if len(key) - 1 >= threshold]
@@ -387,7 +378,7 @@ def _exhaust_contractions(
         (cur(u), cur(v)) for u, nbrs in adj.items() for v in nbrs if u < v
     )
     g2 = Graph(g.n - len(dropped), edges)
-    return _successor(inst, g2, cur, q_delta=q - _q(inst))
+    return _successor(inst, g2, cur, q_delta=q - inst.q)
 
 
 def _long_path_via(
@@ -439,7 +430,7 @@ def _exhaust_pendant_deletions(
     fired.
     """
     g = inst.graph
-    nt = _nt(inst)
+    nt = inst.nonterminals
     p = inst.p
     twins = "R2" in rules
     sweep = rules[-1] if rules[-1] != "R2" else None
@@ -602,7 +593,7 @@ def _unreachable_target(inst: Instance | InstanceNT) -> tuple[str, str] | None:
     # n-1 leaves and, having at least 2 leaves, at most n-2 internals
     if inst.p >= inst.graph.n:
         return "PC-p", "p exceeds any possible leaf count"
-    if _q(inst) >= inst.graph.n:
+    if inst.q >= inst.graph.n:
         return "PC-q", "q exceeds any possible internal count"
     return None
 
@@ -632,7 +623,7 @@ def _kernelize(
         return done("trivial_no", current, reason=reason)
 
     g = inst.graph
-    nt = _nt(inst)
+    nt = inst.nonterminals
     if not g.is_connected:
         return refuse(inst, "PC-disconnected", "disconnected graphs have no spanning tree")
     if g.is_tree():
@@ -640,7 +631,7 @@ def _kernelize(
         good = (
             inst.ell == 1
             and t.leaf_count >= inst.p
-            and t.internal_count >= _q(inst)
+            and t.internal_count >= inst.q
             and nt <= t.internal_vertices
         )
         if not good:
@@ -651,7 +642,7 @@ def _kernelize(
             )
         transcript.append(RuleApplication("PC-tree", g.n, decision="yes"))
         witness = (t,)
-        if not verify_family(g, witness, inst.p, _q(inst), inst.k, nt=nt).verdict:
+        if not verify_family(g, witness, inst.p, inst.q, inst.k, nt=nt).verdict:
             raise InternalInvariantError("tree witness failed verification")
         return done("trivial_yes", inst, witness=witness)
     nt_pendants = pendant_vertices(g) & nt
@@ -668,11 +659,11 @@ def _kernelize(
 
     cur = _fixpoint(inst, variant.phases[0], transcript)
     h = len(pendant_vertices(cur.graph))
-    if (cur.p > 0 and h >= cur.p) or (_q(cur) > 0 and h >= _q(cur)):
+    if (cur.p > 0 and h >= cur.p) or (cur.q > 0 and h >= cur.q):
         cur, e = apply_rule(cur, variant.reset)
         transcript.append(e)
 
-    case1 = cur.p == 0 and _q(cur) == 0
+    case1 = cur.p == 0 and cur.q == 0
     if case1:
         cur = _fixpoint(cur, variant.phases[1], transcript)
     else:

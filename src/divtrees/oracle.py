@@ -11,9 +11,8 @@ for small instances only — this is the referee, not the algorithm.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
-from .graphcore import Graph, Instance, InstanceNT, InternalInvariantError
+from .graphcore import Instance, InstanceNT, InternalInvariantError
 from .spantree import (
     SpanningTree,
     TreeEnumerationOverflow,
@@ -133,12 +132,10 @@ def _find_clique(
 
 
 def _decide(
-    g: Graph,
-    accept: Callable[[list[int], int], bool],
-    k: int,
-    ell: int,
-    limits: OracleLimits,
+    inst: Instance | InstanceNT, limits: OracleLimits
 ) -> tuple[str, list[int] | None, OracleStats]:
+    g, p, q, k, ell = inst.graph, inst.p, inst.q, inst.k, inst.ell
+    nt = inst.nonterminals
     if not g.is_connected:
         return "no", None, OracleStats(0, 0)
     edges = g.sorted_edges()
@@ -157,12 +154,11 @@ def _decide(
                 degrees[u] += 1
                 degrees[v] += 1
             leaves = sum(1 for d in degrees[1:] if d == 1)
-            if accept(degrees, leaves):
+            # li reads nt as empty and lnt reads q as 0
+            if leaves >= p and g.n - leaves >= q and all(degrees[v] != 1 for v in nt):
                 cands.append((leaves, mask))
                 if fast and len(cands) == ell:
                     break
-        else:
-            pass
     except TreeEnumerationOverflow:
         complete = False
     stats = OracleStats(seen, 0)
@@ -181,47 +177,30 @@ def _decide(
     return "inconclusive", None, stats
 
 
-def _masks_to_trees(g: Graph, masks: list[int]) -> tuple[SpanningTree, ...]:
-    edges = g.sorted_edges()
-    return tuple(
-        SpanningTree(g, frozenset(edges[i] for i in _bits(mask))) for mask in masks
-    )
+def _solve(inst: Instance | InstanceNT, limits: OracleLimits) -> OracleVerdict:
+    answer, masks, stats = _decide(inst, limits)
+    witness = None
+    if masks is not None:
+        g, edges = inst.graph, inst.graph.sorted_edges()
+        witness = tuple(
+            SpanningTree(g, frozenset(edges[i] for i in _bits(mask))) for mask in masks
+        )
+        report = verify_family(g, witness, inst.p, inst.q, inst.k, nt=inst.nonterminals)
+        if not report.verdict:
+            raise InternalInvariantError("oracle produced a non-verifying witness")
+    return OracleVerdict(answer=answer, witness=witness, stats=stats)
 
 
 def solve_li(inst: Instance, limits: OracleLimits = _DEFAULT) -> OracleVerdict:
     """Decide whether ``inst.graph`` has ``ell`` pairwise k-diverse
     spanning trees, each with at least p leaves and q internal vertices."""
-    g, p, q = inst.graph, inst.p, inst.q
-
-    def accept(degrees: list[int], leaves: int) -> bool:
-        return leaves >= p and g.n - leaves >= q
-
-    answer, masks, stats = _decide(g, accept, inst.k, inst.ell, limits)
-    witness = None
-    if answer == "yes":
-        assert masks is not None
-        witness = _masks_to_trees(g, masks)
-        if not verify_family(g, witness, p, q, inst.k).verdict:
-            raise InternalInvariantError("oracle produced a non-verifying witness")
-    return OracleVerdict(answer=answer, witness=witness, stats=stats)
+    return _solve(inst, limits)
 
 
 def solve_lnt(inst: InstanceNT, limits: OracleLimits = _DEFAULT) -> OracleVerdict:
     """Decide the variant where ``inst.nonterminals`` must be internal
     in every tree and each tree has at least p leaves."""
-    g, p, nt = inst.graph, inst.p, inst.nonterminals
-
-    def accept(degrees: list[int], leaves: int) -> bool:
-        return leaves >= p and all(degrees[v] != 1 for v in nt)
-
-    answer, masks, stats = _decide(g, accept, inst.k, inst.ell, limits)
-    witness = None
-    if answer == "yes":
-        assert masks is not None
-        witness = _masks_to_trees(g, masks)
-        if not verify_family(g, witness, p, 0, inst.k, nt=nt).verdict:
-            raise InternalInvariantError("oracle produced a non-verifying witness")
-    return OracleVerdict(answer=answer, witness=witness, stats=stats)
+    return _solve(inst, limits)
 
 
 def solve(inst: Instance | InstanceNT, limits: OracleLimits = _DEFAULT) -> OracleVerdict:
@@ -250,12 +229,7 @@ def counting_shortcut(inst: Instance | InstanceNT) -> bool | None:
     per-tree constraints the answer is just "are there ell trees".
     Returns None when the instance has constraints the count ignores.
     """
-    if inst.k > 2 or inst.p != 0:
-        return None
-    if isinstance(inst, InstanceNT):
-        if inst.nonterminals:
-            return None
-    elif inst.q != 0:
+    if inst.k > 2 or inst.p != 0 or inst.q != 0 or inst.nonterminals:
         return None
     if not inst.graph.is_connected:
         return False

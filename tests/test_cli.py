@@ -48,6 +48,22 @@ def test_usage_problems_exit_64(tmp_path, capsys):
     assert code == 64 and "no meaning" in err
     code, _, err = run(capsys, "kernelize", "-i", path, "--problem", "li", "--nt", "1")
     assert code == 64 and "no meaning" in err
+    # a flag conflict is reported before the input file is read
+    missing = str(tmp_path / "missing.txt")
+    code, _, err = run(capsys, "kernelize", "-i", missing, "--problem", "lnt", "-q", "2")
+    assert code == 64 and "no meaning" in err
+    code, _, err = run(capsys, "kernelize", "-i", missing, "--problem", "li", "--nt", "1")
+    assert code == 64 and "no meaning" in err
+    code, out, err = run(capsys, "audit", "--problem", "li", "--count", "-3")
+    assert code == 64 and "--count" in err and out == ""
+    for max_n in ("2", "16"):
+        code, out, err = run(capsys, "audit", "--problem", "lnt", "--max-n", max_n)
+        assert code == 64 and "--max-n" in err and out == ""
+    # the smallest accepted sizes
+    code, out, _ = run(capsys, "audit", "--problem", "li", "--count", "0", "--max-n", "3")
+    assert code == 0 and out.strip() == "0/0 equivalence passes"
+    code, out, _ = run(capsys, "audit", "--problem", "li", "--count", "2", "--max-n", "15")
+    assert code == 0 and out.strip().endswith("2/2 equivalence passes")
 
 
 def test_help_exits_zero(capsys):
@@ -348,9 +364,13 @@ def test_audit_small_batches_pass(tmp_path, capsys):
     assert code == 0
     assert out.strip().endswith("12/12 equivalence passes")
     assert "FAIL" not in out
+    # li rows have no required-internal set
+    assert all(" nt=- " in row for row in out.splitlines()[:-1])
     code, out, _ = run(
         capsys, "audit", "--problem", "lnt", "--count", "12", "--max-n", "7",
         "--seed", "4", "--workers", "2",
     )
     assert code == 0
     assert out.strip().endswith("12/12 equivalence passes")
+    # lnt rows read q as 0
+    assert all(" q=0 " in row for row in out.splitlines()[:-1])

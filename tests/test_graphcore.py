@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -80,6 +82,32 @@ def test_instance_validation():
         Instance(g, 0, 0, 1, 0)
     with pytest.raises(ValueError, match="out of range"):
         InstanceNT(g, frozenset({9}), 0, 1, 1)
+
+
+def test_both_instance_types_answer_the_same_reads():
+    g = support.cycle_graph(5)
+    li = Instance(g, 1, 2, 3, 2)
+    lnt = InstanceNT(g, frozenset({2, 4}), 1, 3, 2)
+    assert (li.problem, lnt.problem) == ("li", "lnt")
+    assert li.nonterminals == frozenset()
+    assert lnt.q == 0
+    assert (li.q, lnt.nonterminals) == (2, frozenset({2, 4}))
+
+
+def test_instance_fields_stay_put():
+    # the shared reads are properties and class attributes, not fields,
+    # so equality, hashing and JSON keep to the fields below
+    names = [f.name for f in dataclasses.fields(Instance)]
+    assert names == ["graph", "p", "q", "k", "ell"]
+    names = [f.name for f in dataclasses.fields(InstanceNT)]
+    assert names == ["graph", "nonterminals", "p", "k", "ell"]
+    g = support.cycle_graph(4)
+    assert sorted(Instance(g, 0, 1, 1, 1).to_json_dict()) == [
+        "edges", "ell", "k", "n", "p", "problem", "q"
+    ]
+    assert sorted(InstanceNT(g, frozenset({1}), 0, 1, 1).to_json_dict()) == [
+        "edges", "ell", "k", "n", "nonterminals", "p", "problem"
+    ]
 
 
 def test_pendant_vertices():
