@@ -1,3 +1,7 @@
+import hashlib
+import json
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -11,6 +15,7 @@ from divtrees import (
     SpanningTree,
     counting_shortcut,
     equivalent,
+    generate,
     solve,
     solve_li,
     solve_lnt,
@@ -215,3 +220,65 @@ def test_single_tree_requests_ignore_k(g, p, k):
     marked = frozenset({1})
     nt_base = solve_lnt(lnt(g, marked, p, 1, 1))
     assert solve_lnt(lnt(g, marked, p, k, 1)).answer == nt_base.answer
+
+
+# ---------------------------------------------------------------------------
+# golden hashes over the clique search's answers
+#
+# One SHA-256 per problem over (answer, trees enumerated, witness edge
+# masks) on a seeded corpus with k >= 3 and ell >= 3, so every
+# instance with enough candidates reaches the clique search.  The
+# search's node count is left out: it measures the search, not its
+# result.  A rewrite of the oracle's inner layers must leave both
+# hashes unchanged.
+
+ORACLE_GOLDEN = {
+    "li": "37f96cf29ec08f4428f968665f4c67582d527b58542527666bdc8b7a6b15f752",
+    "lnt": "ac994ecd1ee9328ea6f600177ebf149b611b394d7d89bba0f530601c56118e38",
+}
+
+
+def _oracle_corpus(problem):
+    """(instance, limits) pairs: random small graphs, then two md8 cases
+    whose search runs long, one of them cut short by the tree budget."""
+    rng = random.Random({"li": 1, "lnt": 2}[problem])
+    for _ in range(300):
+        n = rng.randint(5, 8)
+        m = rng.randint(n, min(n * (n - 1) // 2, n + 6))
+        g = generate("random-connected", (n, m), seed=rng.randrange(2**30))
+        k = rng.randint(3, 2 * (n - 1))
+        ell = rng.randint(3, 5)
+        p = rng.randint(0, 3)
+        if problem == "li":
+            inst = li(g, p, rng.randint(0, 3), k, ell)
+        else:
+            inst = lnt(g, rng.sample(range(1, n + 1), rng.randint(0, 2)), p, k, ell)
+        yield inst, OracleLimits()
+    md8 = generate("min-degree-3", (8,))
+    extra = li(md8, 3, 0, 8, 4) if problem == "li" else lnt(md8, {1}, 0, 8, 4)
+    yield extra, OracleLimits()
+    yield extra, OracleLimits(max_trees=100)
+
+
+def _oracle_records(problem):
+    records = []
+    for inst, limits in _oracle_corpus(problem):
+        verdict = solve(inst, limits)
+        index = {e: i for i, e in enumerate(inst.graph.sorted_edges())}
+        masks = None
+        if verdict.witness is not None:
+            masks = [sum(1 << index[e] for e in t.edges) for t in verdict.witness]
+        records.append((verdict.answer, verdict.stats.trees_enumerated, masks, verdict.stats.clique_nodes))
+    return records
+
+
+@pytest.mark.parametrize("problem", ["li", "lnt"])
+def test_oracle_golden(problem):
+    records = _oracle_records(problem)
+    # yes from the greedy pass, yes only from the search, no after a
+    # search, no without one, and a search over a tree budget's partial pool
+    classes = {(a, nodes > 0) for a, _, _, nodes in records}
+    assert classes == {("yes", False), ("yes", True), ("no", False), ("no", True), ("inconclusive", True)}
+    pinned = [r[:3] for r in records]
+    text = json.dumps(pinned, sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(text.encode()).hexdigest() == ORACLE_GOLDEN[problem]
