@@ -6,6 +6,14 @@ a clique in the diversity graph (trees adjacent when their symmetric
 difference has at least k edges).  Exact within its budgets; returns
 ``inconclusive`` instead of guessing when a budget runs out.  Intended
 for small instances only — this is the referee, not the algorithm.
+
+The inner layers work on whole words.  A tree's leaves are read off
+one incidence mask per vertex.  All candidates have n - 1 edges, so a
+diversity row is a bound on shared edges, evaluated for every other
+candidate at once in bit-sliced counters.  The clique search walks
+bitset pools in index order and returns the lexicographically first
+clique, so witnesses depend only on the candidate order; its node count
+(``clique_nodes``) is the number of vertices it tried.
 """
 
 from __future__ import annotations
@@ -67,16 +75,123 @@ def _bits(x: int):
         x ^= low
 
 
+def _diversity_rows(cands: list[int], k: int) -> list[int]:
+    """Row i: the bitset of j with ``(cands[i] ^ cands[j]).bit_count() >= k``.
+
+    Every mask must have the same bit count s.  Then the distance is
+    2(s - shared), so "distance >= k" is "shared <= s - ceil(k/2)".
+    Row i adds, for each edge of ``cands[i]``, the bitset of candidates
+    holding that edge into bit-sliced counter planes, and compares the
+    planes with that cap: O(s log s) big-int operations per row.
+    """
+    n = len(cands)
+    if n == 0:
+        return []
+    cap = cands[0].bit_count() - (k + 1) // 2
+    if cap < 0:
+        return [0] * n
+    full = (1 << n) - 1
+    columns = [0] * max(m.bit_length() for m in cands)
+    for i, mask in enumerate(cands):
+        for e in _bits(mask):
+            columns[e] |= 1 << i
+    rows = []
+    for i, mask in enumerate(cands):
+        planes: list[int] = []  # planes[b]: candidates whose shared count has bit b
+        for e in _bits(mask):
+            carry = columns[e]
+            for b, plane in enumerate(planes):
+                planes[b] = plane ^ carry
+                carry &= plane
+                if not carry:
+                    break
+            else:
+                planes.append(carry)
+        # bit-sliced "count <= cap", most significant plane first; k >= 1
+        # puts cap below s, i's count with itself, so cap fits the planes
+        # and i drops out of its own row
+        below, equal = 0, full
+        for b in range(len(planes) - 1, -1, -1):
+            if cap >> b & 1:
+                below |= equal & ~planes[b]
+                equal &= planes[b]
+            else:
+                equal &= ~planes[b]
+        rows.append(below | equal)
+    return rows
+
+
+def _first_clique(
+    adj: list[int], pool: int, ell: int, budget: int
+) -> tuple[list[int] | None, int, bool]:
+    """The lexicographically first ``ell``-clique inside ``pool``.
+
+    Include-first depth-first search in index order: each level keeps
+    the bitset of vertices above its last pick that are adjacent to
+    every pick, and a node is one vertex tried.  With two picks left it
+    takes the lowest vertex whose forward neighbourhood meets the pool,
+    and with one left the lowest pool vertex.  A level stops once its
+    pool is too small to finish, which cuts no subtree holding a clique.
+    """
+    nodes = 0
+    chosen: list[int] = []
+    pools = [pool]
+    while pools:
+        pool = pools[-1]
+        need = ell - len(chosen)
+        if need == 1:
+            if pool:
+                nodes += 1
+                if nodes > budget:
+                    return None, nodes, False
+                return chosen + [(pool & -pool).bit_length() - 1], nodes, True
+        elif need == 2:
+            while pool:
+                low = pool & -pool
+                pool ^= low
+                nodes += 1
+                if nodes > budget:
+                    return None, nodes, False
+                v = low.bit_length() - 1
+                tail = pool & adj[v]
+                if tail:
+                    chosen.append(v)
+                    pools.append(tail)
+                    break
+            if pool:  # found a vertex with a forward neighbour
+                continue
+        elif pool.bit_count() >= need:
+            low = pool & -pool
+            pools[-1] = pool ^ low
+            nodes += 1
+            if nodes > budget:
+                return None, nodes, False
+            v = low.bit_length() - 1
+            tail = pool & adj[v]
+            if tail.bit_count() >= need - 1:
+                chosen.append(v)
+                pools.append(tail)
+            continue
+        pools.pop()
+        if chosen:
+            chosen.pop()
+    return None, nodes, True
+
+
 def _find_clique(
     cands: list[int], k: int, ell: int, budget: int
 ) -> tuple[list[int] | None, int, bool]:
     """Search for ``ell`` pairwise k-distant masks among ``cands``.
 
-    Returns (clique or None, nodes explored, search exhausted).  The
-    caller orders ``cands``; a greedy pass runs first, then
-    branch-and-bound over bitset adjacency with core pruning.  Not
-    exhausted means the node budget (or the quadratic adjacency guard)
-    cut the search short, so None is not a proven absence.
+    Every mask must have the same bit count, as the spanning trees of
+    one graph do.  Returns (clique or None, nodes, search exhausted).
+    The caller orders ``cands``; a greedy pass runs first.  Past it,
+    the diversity graph is built as bit-sliced rows, vertices that
+    cannot sit in an ell-clique are peeled, and the search returns the
+    lexicographically first ell-clique by index.  Nodes count the
+    vertices the search tried.  Not exhausted means the node budget (or
+    the quadratic adjacency guard) cut the search short, so None is not
+    a proven absence.
     """
     n = len(cands)
     if n < ell:
@@ -90,13 +205,7 @@ def _find_clique(
                 return clique, 0, True
     if n * (n - 1) // 2 > budget:
         return None, 0, False
-    adj = [0] * n
-    for i in range(n):
-        mi = cands[i]
-        for j in range(i + 1, n):
-            if (mi ^ cands[j]).bit_count() >= k:
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
+    adj = _diversity_rows(cands, k)
     # peel vertices that cannot sit in an ell-clique
     deg = [a.bit_count() for a in adj]
     alive = (1 << n) - 1
@@ -112,33 +221,22 @@ def _find_clique(
                 queue.append(u)
     if alive.bit_count() < ell:
         return None, 0, True
-    nodes = 0
-    stack: list[tuple[tuple[int, ...], int]] = [((), alive)]
-    while stack:
-        chosen, pool = stack.pop()
-        nodes += 1
-        if nodes > budget:
-            return None, nodes, False
-        if len(chosen) == ell:
-            return list(chosen), nodes, True
-        if len(chosen) + pool.bit_count() < ell:
-            continue
-        low = pool & -pool
-        v = low.bit_length() - 1
-        rest = pool ^ low
-        stack.append((chosen, rest))
-        stack.append((chosen + (v,), rest & adj[v]))
-    return None, nodes, True
+    return _first_clique(adj, alive, ell, budget)
 
 
 def _decide(
     inst: Instance | InstanceNT, limits: OracleLimits
 ) -> tuple[str, list[int] | None, OracleStats]:
     g, p, q, k, ell = inst.graph, inst.p, inst.q, inst.k, inst.ell
-    nt = inst.nonterminals
     if not g.is_connected:
         return "no", None, OracleStats(0, 0)
-    edges = g.sorted_edges()
+    # incidence mask of each vertex over the edge order of the tree masks
+    inc = [0] * (g.n + 1)
+    for i, (u, v) in enumerate(g.sorted_edges()):
+        inc[u] |= 1 << i
+        inc[v] |= 1 << i
+    required = [inc[v] for v in inst.nonterminals]
+    inc = inc[1:]
     seen = 0
     cands: list[tuple[int, int]] = []  # (leaf count, mask)
     # pairwise distances between distinct trees are even and >= 2, so
@@ -148,17 +246,23 @@ def _decide(
     try:
         for mask in enumerate_tree_masks(g, limit=limits.max_trees):
             seen += 1
-            degrees = [0] * (g.n + 1)
-            for i in _bits(mask):
-                u, v = edges[i]
-                degrees[u] += 1
-                degrees[v] += 1
-            leaves = sum(1 for d in degrees[1:] if d == 1)
-            # li reads nt as empty and lnt reads q as 0
-            if leaves >= p and g.n - leaves >= q and all(degrees[v] != 1 for v in nt):
-                cands.append((leaves, mask))
-                if fast and len(cands) == ell:
-                    break
+            # a vertex is a leaf iff its tree edges form one bit; degree
+            # 0 (the lone vertex of K1) counts as internal
+            leaves = 0
+            for a in inc:
+                x = mask & a
+                if x and not x & (x - 1):
+                    leaves += 1
+            # li reads the required set as empty and lnt reads q as 0
+            if leaves >= p and g.n - leaves >= q:
+                for a in required:
+                    x = mask & a
+                    if x and not x & (x - 1):
+                        break
+                else:
+                    cands.append((leaves, mask))
+                    if fast and len(cands) == ell:
+                        break
     except TreeEnumerationOverflow:
         complete = False
     stats = OracleStats(seen, 0)

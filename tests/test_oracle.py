@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import random
 
@@ -21,7 +22,7 @@ from divtrees import (
     solve_lnt,
     verify_family,
 )
-from divtrees.oracle import OracleStats
+from divtrees.oracle import OracleStats, _diversity_rows, _find_clique, _first_clique
 
 
 def li(g, p, q, k, ell):
@@ -282,3 +283,64 @@ def test_oracle_golden(problem):
     pinned = [r[:3] for r in records]
     text = json.dumps(pinned, sort_keys=True, separators=(",", ":"))
     assert hashlib.sha256(text.encode()).hexdigest() == ORACLE_GOLDEN[problem]
+
+
+# ---------------------------------------------------------------------------
+# the clique search against brute force
+
+def _random_masks(rng, least=0):
+    """``least`` to 14 masks with one bit count, as the trees of one graph have."""
+    width = rng.randint(2, 9)
+    size = rng.randint(1, width - 1)
+    return [
+        sum(1 << b for b in rng.sample(range(width), size))
+        for _ in range(rng.randint(least, 14))
+    ], size
+
+
+def _far(a, b, k):
+    return (a ^ b).bit_count() >= k
+
+
+def _brute_clique(cands, k, ell):
+    for combo in itertools.combinations(range(len(cands)), ell):
+        if all(_far(cands[i], cands[j], k) for i, j in itertools.combinations(combo, 2)):
+            return list(combo)
+    return None
+
+
+def test_diversity_rows_match_pairwise_distances():
+    rng = random.Random(3)
+    for _ in range(400):
+        cands, size = _random_masks(rng)
+        for k in range(1, 2 * size + 3):
+            rows = _diversity_rows(cands, k)
+            assert rows == [
+                sum(1 << j for j, b in enumerate(cands) if j != i and _far(a, b, k))
+                for i, a in enumerate(cands)
+            ]
+            if k > 2 * size:
+                assert not any(rows)
+
+
+def test_find_clique_matches_brute_force():
+    rng = random.Random(4)
+    searched = {"yes": 0, "no": 0}
+    for _ in range(1200):
+        cands, size = _random_masks(rng, least=4)
+        k = rng.randint(1, 2 * size)
+        ell = rng.randint(1, 5)
+        clique, nodes, exhausted = _find_clique(cands, k, ell, 10**6)
+        assert exhausted
+        assert clique == _brute_clique(cands, k, ell)
+        if nodes > 1:
+            # the greedy pass failed and the search needed more than one node
+            searched["yes" if clique else "no"] += 1
+            assert _find_clique(cands, k, ell, 1) == (None, 0, False)
+            # the node budget bounds the search itself, to the node
+            adj, pool = _diversity_rows(cands, k), (1 << len(cands)) - 1
+            found, tried, done = _first_clique(adj, pool, ell, 10**6)
+            assert done and found == clique
+            assert _first_clique(adj, pool, ell, tried - 1) == (None, tried, False)
+            assert _first_clique(adj, pool, ell, tried) == (found, tried, True)
+    assert searched["no"] > 50 and searched["yes"] > 10
