@@ -10,7 +10,6 @@ behind the exact solvers).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from typing import Iterator
 
@@ -331,12 +330,10 @@ def enumerate_spanning_trees(g: Graph, limit: int = 200000) -> Iterator[Spanning
 
 
 def count_spanning_trees(g: Graph) -> int:
-    """Exact spanning-tree count via the determinant of a reduced
-    Laplacian, evaluated in exact rational arithmetic."""
-    n = g.n
-    if n == 1:
-        return 1
-    lap = [[Fraction(0)] * (n - 1) for _ in range(n - 1)]
+    """Exact spanning-tree count: the determinant of a reduced
+    Laplacian, by fraction-free (Bareiss) elimination on integers."""
+    size = g.n - 1
+    lap = [[0] * size for _ in range(size)]
     for u, v in g.edges:
         # index by vertices 2..n; vertex 1's row and column are dropped
         ui, vi = u - 2, v - 2
@@ -347,24 +344,30 @@ def count_spanning_trees(g: Graph) -> int:
         if ui >= 0 and vi >= 0:
             lap[ui][vi] -= 1
             lap[vi][ui] -= 1
-    det = Fraction(1)
-    size = n - 1
-    for col in range(size):
-        pivot = next((r for r in range(col, size) if lap[r][col] != 0), None)
+    # Bareiss: each step eliminates the pivot's column and keeps only
+    # the columns right of it.  Every entry is then a minor of the
+    # matrix, so the division by the previous pivot is exact.  A row
+    # with a zero in the pivot column would only be rescaled, so it
+    # keeps the divisor of its last update instead.  Row order only
+    # flips the sign, and the count is the absolute value.
+    rows = [(1, row) for row in lap]
+    prev = 1
+    while rows:
+        pivot = next((i for i, (_, row) in enumerate(rows) if row[0]), None)
         if pivot is None:
             return 0
-        if pivot != col:
-            lap[col], lap[pivot] = lap[pivot], lap[col]
-            det = -det
-        det *= lap[col][col]
-        inv = 1 / lap[col][col]
-        for r in range(col + 1, size):
-            factor = lap[r][col] * inv
-            if factor:
-                for c in range(col, size):
-                    lap[r][c] -= factor * lap[col][c]
-    assert det.denominator == 1
-    return abs(int(det))
+        div, top = rows.pop(pivot)
+        if div != prev:
+            top = [x * prev // div for x in top]
+        pc, tail = top[0], top[1:]
+        rows = [
+            (pc, [(x * pc - row[0] * y) // div for x, y in zip(row[1:], tail)])
+            if row[0]
+            else (div, row[1:])
+            for div, row in rows
+        ]
+        prev = pc
+    return abs(prev)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,6 @@
 import hashlib
+import random
+import time
 
 import pytest
 from hypothesis import given
@@ -116,6 +118,25 @@ def test_count_pins():
     assert count_spanning_trees(support.path_graph(7)) == 1
     assert count_spanning_trees(Graph(1, frozenset())) == 1
     assert count_spanning_trees(Graph(3, frozenset({(1, 2)}))) == 0
+
+
+def test_count_matches_enumeration_on_random_graphs():
+    rng = random.Random(5)
+    for _ in range(300):
+        n = rng.randint(1, 9)
+        pairs = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
+        g = Graph(n, frozenset(rng.sample(pairs, rng.randint(0, min(len(pairs), 16)))))
+        trees = sum(1 for _ in enumerate_tree_masks(g)) if g.is_connected else 0
+        assert count_spanning_trees(g) == trees
+
+
+def test_count_stays_fast_on_large_graphs():
+    # the determinant has 48 digits; exact rationals took seconds here
+    g = generate("min-degree-3", (160,))
+    start = time.perf_counter()
+    count = count_spanning_trees(g)
+    assert time.perf_counter() - start < 0.5
+    assert count == 227962700977360477553905172759643132779913339040
 
 
 ORDER_GOLDEN = "8fb7ca97cecefb39769af896f5041f50a5b0ba9fba2fb5684fa3ab596bf8e1c1"
