@@ -288,40 +288,43 @@ def build_diverse_family(
 
 def construct_family(
     inst: Instance | InstanceNT, budget: int = 200000
-) -> tuple[list[SpanningTree] | None, str | None]:
+) -> tuple[list[SpanningTree] | None, str | None, FamilyReport | None]:
     """Build a family the constructive way: grow leaves, then swap.
 
     The seed tree is the breadth-first tree for li; for lnt it is the
     first enumerated tree keeping every required vertex internal, found
-    within ``budget`` trees.  Returns (family, reason); exactly one is
-    None.
+    within ``budget`` trees.  Returns (family, reason, report); exactly
+    one of family and reason is None.  The report is
+    :func:`verify_family`'s check of the built family, present whenever
+    a family was built; a family that fails it is returned as a reason,
+    never as a family.
     """
     g = inst.graph
     k, ell = inst.k, inst.ell
     block = ceil(k / 4)
     if not g.is_connected:
-        return None, "graph is disconnected"
+        return None, "graph is disconnected", None
     nt = inst.nonterminals
     if isinstance(inst, InstanceNT):
         try:
             trees = enumerate_spanning_trees(g, limit=budget)
             seed = next((t for t in trees if nt <= t.internal_vertices), None)
         except TreeEnumerationOverflow:
-            return None, "seed search exhausted its budget"
+            return None, "seed search exhausted its budget", None
         if seed is None:
-            return None, "no spanning tree keeps the required vertices internal"
+            return None, "no spanning tree keeps the required vertices internal", None
     else:
         seed = arbitrary_spanning_tree(g)
     target = max(2 * block * ell + 2 * len(nt), inst.p + block + 2 * len(nt))
     try:
         grown = grow_leaves(g, seed, nt, target, ell + 3)
     except ValueError as exc:
-        return None, f"leaf growth failed: {exc}"
+        return None, f"leaf growth failed: {exc}", None
     if isinstance(grown, SmallnessReport):
         return None, (
             f"growth stalled at {grown.leaves_reached} leaves; "
             f"the graph has fewer than {grown.bound} vertices"
-        )
+        ), None
     excluded: set[int] = set()
     for v in sorted(nt):
         excluded.update(sorted(grown.adjacency[v])[:2])
@@ -332,8 +335,12 @@ def construct_family(
         plan = plan_swaps(g, grown, chosen, k, ell)
         family = build_diverse_family(g, grown, plan, nt=nt)
     except ValueError as exc:
-        return None, f"swap planning failed: {exc}"
-    return family, None
+        return None, f"swap planning failed: {exc}", None
+    # growth and swaps track p and k only, so q is checked here
+    report = verify_family(g, family, inst.p, inst.q, k, nt=nt)
+    if len(family) != ell or not report.verdict:
+        return None, "the constructed family fails verification", report
+    return family, None, report
 
 
 # ---------------------------------------------------------------------------

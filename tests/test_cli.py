@@ -9,9 +9,11 @@ from divtrees import (
     InstanceNT,
     generate,
     read_graph,
+    solve,
     write_graph,
     write_instance,
 )
+from divtrees import cli, diversify
 from divtrees.cli import main
 
 
@@ -310,6 +312,40 @@ def test_construct_respects_nonterminals(tmp_path, capsys):
     assert payload["ok"] is True
     for tree in payload["report"]["trees"]:
         assert tree["required_internal_ok"]
+
+
+@pytest.fixture
+def verify_calls(monkeypatch):
+    """Counts verify_family calls from the library and the CLI."""
+    calls = []
+    real = diversify.verify_family
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(diversify, "verify_family", counting)
+    monkeypatch.setattr(cli, "verify_family", counting)
+    return calls
+
+
+def test_construct_verifies_its_family_once(tmp_path, capsys, verify_calls):
+    code, _, _ = run(capsys, "construct", "-i", md3_file(tmp_path))
+    assert code == 0 and len(verify_calls) == 1
+
+
+def test_construct_refuses_a_family_that_fails_verification(tmp_path, capsys, verify_calls):
+    # growth and swaps track p and k only: the family built here has 6
+    # and 8 internal vertices against q = 8, on an instance that is yes
+    inst = Instance(generate("min-degree-3", (12,)), 2, 8, 2, 2)
+    code, out, _ = run(capsys, "construct", "-i", instance_file(tmp_path, inst))
+    assert code == 1 and len(verify_calls) == 1
+    payload = json.loads(out)
+    assert payload["ok"] is False and payload["family"] is None
+    assert payload["reason"] == "the constructed family fails verification"
+    assert payload["report"]["verdict"] is False
+    assert [t["internal_count"] for t in payload["report"]["trees"]] == [6, 8]
+    assert solve(inst).answer == "yes"
 
 
 # ---------------------------------------------------------------------------
