@@ -361,10 +361,10 @@ def count_spanning_trees(g: Graph) -> int:
             top = [x * prev // div for x in top]
         pc, tail = top[0], top[1:]
         rows = [
-            (pc, [(x * pc - row[0] * y) // div for x, y in zip(row[1:], tail)])
+            (pc, [(x * pc - row[0] * y) // d for x, y in zip(row[1:], tail)])
             if row[0]
-            else (div, row[1:])
-            for div, row in rows
+            else (d, row[1:])
+            for d, row in rows
         ]
         prev = pc
     return abs(prev)
