@@ -15,6 +15,9 @@ there and the q-specific steps (R1's decrement, PC-q) never fire.
 Every firing is logged as a :class:`RuleApplication`; replaying the
 transcript from the input instance reproduces the pipeline's final
 instance exactly, which is the backbone of the safety test harness.
+One edit state applies every contraction and deletion, for the passes,
+:func:`apply_rule` and :func:`replay` alike, so replay rebuilds the
+graph once, not per entry, and re-derives every entry it replays.
 
 Rule ids: R1-R6 belong to the leaf/internal pipeline (contract, twin
 pendant, pendant-count reset, pendant delete, and the two size
@@ -26,11 +29,11 @@ required-internal vertex) get "PC-*" entries.
 from __future__ import annotations
 
 import json
-from bisect import bisect_left, insort
+from bisect import bisect_left
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from math import ceil
-from typing import Callable, Collection
+from typing import Callable
 
 from .blackbox import MistInstance, NtstInstance, mist_kernel, ntst_kernel
 from .diversify import construct_family, verify_family
@@ -41,9 +44,6 @@ from .graphcore import (
     InternalInvariantError,
     _canonical_path,
     _compact_renaming,
-    _contract_edge,
-    contract_path_edge,
-    delete_vertex,
     maximal_degree2_paths,
     pendant_vertices,
 )
@@ -177,6 +177,84 @@ _LI_RULES = ("R1", "R2", "R3", "R4", "R5", "R6")
 _LNT_RULES = ("R7", "R8", "R9", "R5nt", "R6nt")
 
 
+class _Edit:
+    """An instance under a run of contractions and pendant deletions.
+
+    The one place a contraction or deletion is applied, by the batched
+    passes, by :func:`apply_rule` and by :func:`replay`.  Adjacency and
+    the required set are kept in starting ids, so a step touches only
+    its own vertices.  ``live`` holds the surviving starting ids in
+    order: a vertex's current id is its rank there, and current id
+    ``c`` is starting id ``live[c - 1]``.  Each step checks that it is
+    well formed, decides its parameter spend and returns its transcript
+    entry; :meth:`instance` rebuilds the graph once at the end.
+    """
+
+    def __init__(self, inst: Instance | InstanceNT) -> None:
+        self.start = inst
+        self.adj = {v: set(nbrs) for v, nbrs in inst.graph.adjacency.items()}
+        self.live = list(inst.graph.vertices())
+        self.p, self.q = inst.p, inst.q
+        self.nt = set(inst.nonterminals)
+
+    def cur(self, v: int) -> int:
+        return bisect_left(self.live, v) + 1
+
+    def starting_id(self, c: int) -> int:
+        if not 1 <= c <= len(self.live):
+            raise ValueError(f"vertex {c} out of range 1..{len(self.live)}")
+        return self.live[c - 1]
+
+    def contract(self, rule: str, keep: int, drop: int) -> RuleApplication:
+        """Merge ``drop`` into its neighbour ``keep``; R1 spends one unit of q."""
+        adj, pair = self.adj, (self.cur(keep), self.cur(drop))
+        if drop not in adj[keep]:
+            raise ValueError(f"{pair} is not an edge")
+        if adj[keep] & adj[drop]:
+            raise ValueError(f"contracting {pair} would create a parallel edge")
+        if keep in self.nt or drop in self.nt:
+            raise ValueError(f"contracting {pair} merges a required-internal vertex")
+        qd = -1 if self.q > 0 else 0
+        entry = RuleApplication(rule, len(self.live), touched=pair, q_delta=qd, merged_edge=pair)
+        adj[keep].discard(drop)
+        for x in adj.pop(drop) - {keep}:
+            adj[x].discard(drop)
+            adj[x].add(keep)
+            adj[keep].add(x)
+        self.q += qd
+        del self.live[pair[1] - 1]
+        return entry
+
+    def delete(self, rule: str, v: int) -> RuleApplication:
+        """Delete the pendant ``v``; R2 spends one unit of p, and the
+        pendant's host leaves the required set (R9)."""
+        adj, c = self.adj, self.cur(v)
+        if len(adj[v]) != 1:
+            raise ValueError(f"vertex {c} is not a pendant")
+        (u,) = adj.pop(v)
+        adj[u].discard(v)
+        h = self.cur(u)
+        pd = -1 if rule == "R2" and self.p > 0 else 0
+        released = (h,) if u in self.nt else ()
+        entry = RuleApplication(
+            rule, len(self.live), (c, h), p_delta=pd, nt_removed=released, removed_vertex=c
+        )
+        self.nt.discard(u)
+        self.p += pd
+        del self.live[c - 1]
+        return entry
+
+    def instance(self) -> Instance | InstanceNT:
+        cur, inst = self.cur, self.start
+        edges = frozenset(
+            (cur(u), cur(v)) for u, nbrs in self.adj.items() for v in nbrs if u < v
+        )
+        g = Graph(len(self.live), edges)
+        if isinstance(inst, InstanceNT):
+            return InstanceNT(g, frozenset(map(cur, self.nt)), self.p, inst.k, inst.ell)
+        return Instance(g, self.p, self.q, inst.k, inst.ell)
+
+
 def apply_rule(
     inst: Instance | InstanceNT, rule: str
 ) -> tuple[Instance | InstanceNT, RuleApplication]:
@@ -194,27 +272,22 @@ def apply_rule(
     if not g.is_connected:
         raise ValueError(f"{rule} guard: graph must be connected")
 
-    if rule == "R1":
-        path = _first_long_path(g, inst.ell + 3, frozenset())
+    if rule in ("R1", "R7"):
+        path = _first_long_path(g, inst.ell + 3, inst.nonterminals)
         if path is None:
-            raise ValueError("R1 guard: no degree-2-path of length >= ell+3")
-        keep, drop = path.vertices[1], path.vertices[2]
-        g2, _ = contract_path_edge(g, path)
-        qd = -1 if inst.q > 0 else 0
-        entry = RuleApplication(
-            "R1", g.n, touched=(keep, drop), q_delta=qd, merged_edge=(keep, drop)
-        )
-        return Instance(g2, inst.p, inst.q + qd, inst.k, inst.ell), entry
+            clear = " clear of the required-internal set" if rule == "R7" else ""
+            raise ValueError(f"{rule} guard: no degree-2-path of length >= ell+3{clear}")
+        edit = _Edit(inst)
+        entry = edit.contract(rule, path.vertices[1], path.vertices[2])
+        return edit.instance(), entry
 
     if rule == "R2":
         tw = _twin_pendant(g)
         if tw is None:
             raise ValueError("R2 guard: no two pendants share a neighbor")
-        x, w = tw
-        g2, _ = delete_vertex(g, x)
-        pd = -1 if inst.p > 0 else 0
-        entry = RuleApplication("R2", g.n, touched=(x, w), p_delta=pd, removed_vertex=x)
-        return Instance(g2, inst.p + pd, inst.q, inst.k, inst.ell), entry
+        edit = _Edit(inst)
+        entry = edit.delete(rule, tw[0])
+        return edit.instance(), entry
 
     if rule == "R3":
         h = len(pendant_vertices(g))
@@ -225,17 +298,18 @@ def apply_rule(
         entry = RuleApplication("R3", g.n, p_delta=pd, q_delta=qd)
         return Instance(g, inst.p + pd, inst.q + qd, inst.k, inst.ell), entry
 
-    if rule == "R4":
+    if rule in ("R4", "R9"):
         if inst.p or inst.q:
-            raise ValueError("R4 guard: needs p = q = 0")
+            needs = "p = q = 0" if rule == "R4" else "p = 0"
+            raise ValueError(f"{rule} guard: needs {needs}")
         pend = pendant_vertices(g)
         if not pend:
-            raise ValueError("R4 guard: no pendant vertex")
-        v = min(pend)
-        (u,) = g.neighbors(v)
-        g2, _ = delete_vertex(g, v)
-        entry = RuleApplication("R4", g.n, touched=(v, u), removed_vertex=v)
-        return Instance(g2, 0, 0, inst.k, inst.ell), entry
+            raise ValueError(f"{rule} guard: no pendant vertex")
+        if pend & inst.nonterminals:
+            raise ValueError("R9 guard: a required-internal vertex is pendant")
+        edit = _Edit(inst)
+        entry = edit.delete(rule, min(pend))
+        return edit.instance(), entry
 
     if rule == "R5":
         if inst.p or inst.q:
@@ -251,42 +325,12 @@ def apply_rule(
         entry = RuleApplication("R6", g.n, decision="reduced" if small else "large")
         return inst, entry
 
-    if rule == "R7":
-        path = _first_long_path(g, inst.ell + 3, inst.nonterminals)
-        if path is None:
-            raise ValueError(
-                "R7 guard: no degree-2-path of length >= ell+3 clear of the required-internal set"
-            )
-        keep, drop = path.vertices[1], path.vertices[2]
-        g2, rename = contract_path_edge(g, path)
-        nt2 = frozenset(rename[v] for v in inst.nonterminals)
-        entry = RuleApplication("R7", g.n, touched=(keep, drop), merged_edge=(keep, drop))
-        return InstanceNT(g2, nt2, inst.p, inst.k, inst.ell), entry
-
     if rule == "R8":
         h = len(pendant_vertices(g))
         if not (inst.p > 0 and h >= inst.p):
             raise ValueError("R8 guard: pendant count below p, or p already 0")
         entry = RuleApplication("R8", g.n, p_delta=-inst.p)
         return InstanceNT(g, inst.nonterminals, 0, inst.k, inst.ell), entry
-
-    if rule == "R9":
-        if inst.p:
-            raise ValueError("R9 guard: needs p = 0")
-        pend = pendant_vertices(g)
-        if not pend:
-            raise ValueError("R9 guard: no pendant vertex")
-        if pend & inst.nonterminals:
-            raise ValueError("R9 guard: a required-internal vertex is pendant")
-        v = min(pend)
-        (u,) = g.neighbors(v)
-        g2, rename = delete_vertex(g, v)
-        removed = (u,) if u in inst.nonterminals else ()
-        nt2 = frozenset(rename[w] for w in inst.nonterminals if w != u)
-        entry = RuleApplication(
-            "R9", g.n, touched=(v, u), nt_removed=removed, removed_vertex=v
-        )
-        return InstanceNT(g2, nt2, 0, inst.k, inst.ell), entry
 
     if rule == "R5nt":
         if inst.p:
@@ -302,21 +346,6 @@ def apply_rule(
     return inst, entry
 
 
-def _successor(
-    inst: Instance | InstanceNT,
-    g: Graph,
-    rename: Callable[[int], int],
-    p_delta: int = 0,
-    q_delta: int = 0,
-    nt_removed: Collection[int] = (),
-) -> Instance | InstanceNT:
-    """``inst`` moved onto ``g``, whose ids ``rename`` maps from the old ones."""
-    if isinstance(inst, InstanceNT):
-        nt = frozenset(rename(v) for v in inst.nonterminals if v not in nt_removed)
-        return InstanceNT(g, nt, inst.p + p_delta, inst.k, inst.ell)
-    return Instance(g, inst.p + p_delta, inst.q + q_delta, inst.k, inst.ell)
-
-
 def _exhaust_contractions(
     inst: Instance | InstanceNT, rule: str, transcript: list[RuleApplication]
 ) -> Instance | InstanceNT | None:
@@ -325,60 +354,30 @@ def _exhaust_contractions(
     Behaves exactly like firing the rule repeatedly at the lowest
     canonical location — contracting an interior edge never disturbs
     another maximal path, so the path list can be maintained
-    incrementally and the graph rebuilt once at the end.  Renumbering
-    is arithmetic: after dropping a vertex every higher id slides down,
-    so the current id of a survivor is its id minus the dropped ids
-    below it.  Returns None when nothing fired.
+    incrementally and the graph rebuilt once at the end.  Returns None
+    when nothing fired.
     """
-    g = inst.graph
     threshold = inst.ell + 3
-    q = inst.q
     # paths come back canonically oriented, so each is its own sort key
-    keys = [p.vertices for p in maximal_degree2_paths(g, inst.nonterminals)]
+    keys = [p.vertices for p in maximal_degree2_paths(inst.graph, inst.nonterminals)]
     # lazy min-heap: a contraction re-keys only its own path, so push
     # the new key and skip entries whose key has gone stale
     heap = [(key, i) for i, key in enumerate(keys) if len(key) - 1 >= threshold]
     if not heap:
         return None
     heapify(heap)
-    adj: dict[int, set[int]] = {v: set(g.neighbors(v)) for v in g.vertices()}
-    dropped: list[int] = []
-
-    def cur(x: int) -> int:
-        return x - bisect_left(dropped, x)
-
+    edit = _Edit(inst)
     while heap:
         key, i = heappop(heap)
         if keys[i] != key:
             continue
         ordered = list(key)
-        b, c, d = ordered[1], ordered[2], ordered[3]
-        adj[b].discard(c)
-        adj[d].discard(c)
-        del adj[c]
-        adj[b].add(d)
-        adj[d].add(b)
-        # R1 spends one unit of q per contraction; R7 sees q = 0
-        transcript.append(
-            RuleApplication(
-                rule,
-                g.n - len(dropped),
-                touched=(cur(b), cur(c)),
-                q_delta=-1 if q > 0 else 0,
-                merged_edge=(cur(b), cur(c)),
-            )
-        )
-        q = max(0, q - 1)
-        insort(dropped, c)
+        transcript.append(edit.contract(rule, ordered[1], ordered[2]))
         del ordered[2]
         keys[i] = _canonical_path(ordered)
         if len(keys[i]) - 1 >= threshold:
             heappush(heap, (keys[i], i))
-    edges = frozenset(
-        (cur(u), cur(v)) for u, nbrs in adj.items() for v in nbrs if u < v
-    )
-    g2 = Graph(g.n - len(dropped), edges)
-    return _successor(inst, g2, cur, q_delta=q - inst.q)
+    return edit.instance()
 
 
 def _long_path_via(
@@ -425,26 +424,17 @@ def _exhaust_pendant_deletions(
     the contraction rule at higher priority: the batch stops as soon as
     a deletion opens a degree-2-path of length >= ell+3, so the caller
     can contract before deletions resume.  A deletion only changes its
-    host's degree, so that check is local.  Ids and the single final
-    rebuild follow _exhaust_contractions.  Returns None when nothing
+    host's degree, so that check is local.  Returns None when nothing
     fired.
     """
-    g = inst.graph
-    nt = inst.nonterminals
-    p = inst.p
     twins = "R2" in rules
     sweep = rules[-1] if rules[-1] != "R2" else None
-    adj: dict[int, set[int]] = {v: set(g.neighbors(v)) for v in g.vertices()}
-    live_nt = set(nt)
-    dropped: list[int] = []
-
-    def cur(x: int) -> int:
-        return x - bisect_left(dropped, x)
-
+    edit = _Edit(inst)
+    adj = edit.adj
     pend = {v for v, nbrs in adj.items() if len(nbrs) == 1}
     # deletions only lower degrees, so only a vertex that starts out
     # pendant can be a required-internal pendant
-    bad = pend & live_nt
+    bad = pend & edit.nt
     if bad:
         raise InternalInvariantError(f"required-internal vertex {min(bad)} became pendant")
     pendants_of: dict[int, set[int]] = {}
@@ -479,22 +469,7 @@ def _exhaust_pendant_deletions(
         if not pendants_of[u]:
             del pendants_of[u]
         pendants_of.pop(v, None)
-        del adj[v]
-        adj[u].discard(v)
-        pd = -1 if rule == "R2" and p > 0 else 0
-        p += pd
-        transcript.append(
-            RuleApplication(
-                rule,
-                g.n - len(dropped),
-                touched=(cur(v), cur(u)),
-                p_delta=pd,
-                nt_removed=(cur(u),) if u in live_nt else (),
-                removed_vertex=cur(v),
-            )
-        )
-        live_nt.discard(u)
-        insort(dropped, v)
+        transcript.append(edit.delete(rule, v))
         if u in pend:
             # u lost its only neighbor (K_2 endgame); no longer deletable
             pend.discard(u)
@@ -510,15 +485,9 @@ def _exhaust_pendant_deletions(
                 # new, and re-pushing all of them would be quadratic on a star
                 for x in siblings if len(siblings) == 2 else (u,):
                     heappush(twin_heap, x)
-        if _long_path_via(adj, live_nt, u, inst.ell + 3):
+        if _long_path_via(adj, edit.nt, u, inst.ell + 3):
             break
-    if not dropped:
-        return None
-    edges = frozenset(
-        (cur(a), cur(b)) for a, nbrs in adj.items() for b in nbrs if a < b
-    )
-    g2 = Graph(g.n - len(dropped), edges)
-    return _successor(inst, g2, cur, p_delta=p - inst.p, nt_removed=nt - live_nt)
+    return edit.instance() if len(edit.live) < inst.graph.n else None
 
 
 def _fixpoint(
@@ -722,14 +691,11 @@ def kernelize_lnt(
 def kernelize(
     inst: Instance | InstanceNT, *, construct_witness: bool = False, blackbox=None
 ) -> KernelResult:
-    """Dispatch to the right pipeline; blackbox=None keeps the defaults."""
+    """Dispatch to the right pipeline; blackbox=None keeps the default
+    kernels, looked up per call so that a wrapped one is used."""
     if isinstance(inst, InstanceNT):
-        if blackbox is None:
-            return kernelize_lnt(inst)
-        return kernelize_lnt(inst, blackbox=blackbox)
-    if blackbox is None:
-        return kernelize_li(inst, construct_witness=construct_witness)
-    return kernelize_li(inst, construct_witness=construct_witness, blackbox=blackbox)
+        return kernelize_lnt(inst, blackbox=blackbox or ntst_kernel)
+    return kernelize_li(inst, construct_witness=construct_witness, blackbox=blackbox or mist_kernel)
 
 
 def replay(
@@ -737,18 +703,27 @@ def replay(
 ) -> Instance | InstanceNT:
     """Re-apply a transcript's mutations to the starting instance.
 
-    Decision entries are no-ops; contractions and deletions are
-    re-applied at their recorded locations.  The result must equal the
-    producing run's final_instance.
+    Decision entries are no-ops and resets move p and q.  Contractions
+    and deletions are re-applied at their recorded locations on one
+    edit state and the graph is rebuilt once, so replay costs O(n + m)
+    plus O(log n) and one list shift per entry.  Entries are checked
+    strictly: ``n_before`` must be the current vertex count, and each
+    contraction or deletion must be well formed and re-derive exactly
+    the recorded entry, or ValueError is raised.  The result must equal
+    the producing run's final_instance.
     """
+    edit = _Edit(inst)
     for e in transcript:
+        if e.n_before != len(edit.live):
+            raise ValueError(f"{e.rule} entry has n_before {e.n_before}, not {len(edit.live)}")
         if e.merged_edge is not None:
-            g, rename = _contract_edge(inst.graph, *e.merged_edge)
+            derived = edit.contract(e.rule, *map(edit.starting_id, e.merged_edge))
         elif e.removed_vertex is not None:
-            g, rename = delete_vertex(inst.graph, e.removed_vertex)
-        elif e.p_delta or e.q_delta:
-            g, rename = inst.graph, e.renaming()
+            derived = edit.delete(e.rule, edit.starting_id(e.removed_vertex))
         else:
+            edit.p += e.p_delta
+            edit.q += e.q_delta
             continue
-        inst = _successor(inst, g, rename.__getitem__, e.p_delta, e.q_delta, e.nt_removed)
-    return inst
+        if derived != e:
+            raise ValueError(f"{e} does not match the step it records, {derived}")
+    return edit.instance()

@@ -1,4 +1,7 @@
+import dataclasses
+import itertools
 import json
+import time
 
 import pytest
 from hypothesis import given, strategies as st
@@ -28,8 +31,9 @@ from divtrees import (
     verify_family,
 )
 from divtrees.blackbox import mist_no_instance, ntst_no_instance
-from divtrees.graphcore import _canonical_path
+from divtrees.graphcore import _canonical_path, _contract_edge, delete_vertex
 from divtrees.kernelizer import _fixpoint
+from test_golden import _corpus as golden_corpus
 
 
 def li(g, p=0, q=0, k=1, ell=1):
@@ -477,6 +481,116 @@ def test_decision_entries_have_identity_renaming():
     (entry,) = res.transcript
     assert entry.rule == "R5"
     assert entry.renaming() == {v: v for v in range(1, 9)}
+
+
+# ---------------------------------------------------------------------------
+# replay: strict entry checks, an independent reference, and its cost
+
+MIXED = li(support.with_pendants(support.cycle_graph(8), [1, 1]), p=2)
+
+
+def corrupted(index, **changes):
+    """MIXED's transcript (R1 x5, R2, R3, R4, R5) with one entry altered."""
+    transcript = list(kernelize_li(MIXED).transcript)
+    transcript[index] = dataclasses.replace(transcript[index], **changes)
+    return tuple(transcript)
+
+
+def test_replay_rejects_a_wrong_n_before():
+    transcript = kernelize_li(MIXED).transcript
+    with pytest.raises(ValueError, match="n_before"):
+        replay(MIXED, corrupted(5, n_before=transcript[5].n_before + 7))
+    # a decision entry re-derives nothing, but its count is checked too
+    with pytest.raises(ValueError, match="R5 entry has n_before"):
+        replay(MIXED, corrupted(8, n_before=transcript[8].n_before + 1))
+
+
+def test_replay_rejects_wrong_touched_ids():
+    with pytest.raises(ValueError, match="does not match"):
+        replay(MIXED, corrupted(5, touched=(1, 2)))
+
+
+def test_replay_rejects_a_relabelled_rule():
+    # R2 spends one unit of p; an R4 deletion spends none
+    assert kernelize_li(MIXED).transcript[5].p_delta == -1
+    with pytest.raises(ValueError, match="does not match"):
+        replay(MIXED, corrupted(5, rule="R4"))
+
+
+def test_replay_rejects_a_merged_pair_that_is_no_edge():
+    with pytest.raises(ValueError, match="not an edge"):
+        replay(MIXED, corrupted(0, touched=(1, 3), merged_edge=(1, 3)))
+
+
+def test_replay_rejects_a_merge_into_a_parallel_edge():
+    k4 = li(support.complete_graph(4))
+    entry = RuleApplication("R1", 4, touched=(1, 2), merged_edge=(1, 2))
+    with pytest.raises(ValueError, match="parallel edge"):
+        replay(k4, (entry,))
+
+
+def test_replay_rejects_ids_out_of_range():
+    n = MIXED.graph.n
+    with pytest.raises(ValueError, match="out of range"):
+        replay(MIXED, corrupted(5, touched=(n + 1, 1), removed_vertex=n + 1))
+    with pytest.raises(ValueError, match="out of range"):
+        replay(MIXED, corrupted(0, touched=(0, 1), merged_edge=(0, 1)))
+
+
+def test_replay_rejects_deleting_a_vertex_that_is_no_pendant():
+    entry = RuleApplication("R4", 5, touched=(1, 2), removed_vertex=1)
+    with pytest.raises(ValueError, match="not a pendant"):
+        replay(li(support.cycle_graph(5)), (entry,))
+
+
+def test_replay_rejects_contracting_a_required_vertex():
+    # R7 contracts only paths clear of the required-internal set
+    entry = RuleApplication("R7", 8, touched=(2, 3), merged_edge=(2, 3))
+    with pytest.raises(ValueError, match="required-internal"):
+        replay(lnt(support.cycle_graph(8), {3}), (entry,))
+
+
+def reference_replay(inst, transcript):
+    """Replay on graphcore's one-step primitives, rebuilding the graph
+    for every entry; shares no code with :func:`replay`."""
+    for e in transcript:
+        g, rename = inst.graph, {v: v for v in inst.graph.vertices()}
+        if e.merged_edge is not None:
+            g, rename = _contract_edge(g, *e.merged_edge)
+        elif e.removed_vertex is not None:
+            g, rename = delete_vertex(g, e.removed_vertex)
+        p, q = inst.p + e.p_delta, inst.q + e.q_delta
+        if isinstance(inst, InstanceNT):
+            nt = frozenset(rename[v] for v in inst.nonterminals if v not in e.nt_removed)
+            inst = InstanceNT(g, nt, p, inst.k, inst.ell)
+        else:
+            inst = Instance(g, p, q, inst.k, inst.ell)
+    return inst
+
+
+def test_replay_matches_a_graph_rebuilding_reference():
+    insts = [inst for inst, _ in li_reduction_cases()] + list(lnt_reduction_cases())
+    for problem in ("li", "lnt"):
+        # the mid-size instances that follow the 300 random ones
+        insts += [inst for inst, _ in itertools.islice(golden_corpus(problem), 300, None)]
+    mutations = 0
+    for inst in insts:
+        res = kernelize(inst, blackbox=lambda _: None)
+        assert replay(inst, res.transcript) == reference_replay(inst, res.transcript)
+        steps = [e for e in res.transcript if e.merged_edge or e.removed_vertex is not None]
+        mutations += len(steps)
+    assert mutations > 1000
+
+
+def test_replay_stays_fast_on_large_transcripts():
+    # rebuilding the graph per entry took seconds here
+    inst = li(generate("twin-pendant-gadget", (md3(2000), 1000)))
+    res = kernelize_li(inst)
+    assert inst.graph.n == 4000 and len(res.transcript) == 2001
+    start = time.perf_counter()
+    out = replay(inst, res.transcript)
+    assert time.perf_counter() - start < 0.5
+    assert out == res.final_instance
 
 
 # ---------------------------------------------------------------------------
