@@ -12,10 +12,9 @@ reports unavailable (None) instead of guessing.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 from .graphcore import Graph, InternalInvariantError
-from .spantree import SpanningTree, TreeEnumerationOverflow, enumerate_spanning_trees
+from .spantree import TreeEnumerationOverflow, _tree_fit, enumerate_tree_masks
 
 
 @dataclass(frozen=True)
@@ -66,18 +65,17 @@ _NTST_YES = NtstInstance(graph=_K2, nonterminals=frozenset())
 _NTST_NO = NtstInstance(graph=_K2, nonterminals=frozenset({1, 2}))
 
 
-def _tree_exists(
-    g: Graph, trivially: bool, fits: Callable[[SpanningTree], bool], budget: int
-) -> bool | None:
-    """Does a spanning tree of ``g`` satisfy ``fits``?  ``trivially``
-    answers yes without looking; None when ``budget`` trees ran out
-    before a match."""
+def _tree_exists(g: Graph, q: int, nt: frozenset[int], budget: int) -> bool | None:
+    """Does a spanning tree of ``g`` have at least ``q`` internal
+    vertices and every vertex of ``nt`` internal?  None when ``budget``
+    trees ran out before a match."""
     if not g.is_connected:
         return False
-    if trivially:
+    if q == 0 and not nt:
         return True
+    fit = _tree_fit(g, 0, q, nt)
     try:
-        return any(fits(t) for t in enumerate_spanning_trees(g, limit=budget))
+        return any(fit(mask) is not None for mask in enumerate_tree_masks(g, limit=budget))
     except TreeEnumerationOverflow:
         return None
 
@@ -89,9 +87,7 @@ def mist_kernel(inst: MistInstance, budget: int = 200000) -> MistInstance | None
     ``budget`` caps the number of spanning trees examined; exceeding it
     returns None (unavailable) unless a witness already turned up.
     """
-    found = _tree_exists(
-        inst.graph, inst.q == 0, lambda t: t.internal_count >= inst.q, budget
-    )
+    found = _tree_exists(inst.graph, inst.q, frozenset(), budget)
     return None if found is None else _checked_mist(_MIST_YES if found else _MIST_NO)
 
 
@@ -101,12 +97,7 @@ def ntst_kernel(inst: NtstInstance, budget: int = 200000) -> NtstInstance | None
 
     Same budget semantics as :func:`mist_kernel`.
     """
-    found = _tree_exists(
-        inst.graph,
-        not inst.nonterminals,
-        lambda t: inst.nonterminals <= t.internal_vertices,
-        budget,
-    )
+    found = _tree_exists(inst.graph, 0, inst.nonterminals, budget)
     return None if found is None else _checked_ntst(_NTST_YES if found else _NTST_NO)
 
 

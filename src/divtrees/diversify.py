@@ -11,19 +11,18 @@ half the leaves always survive as a conflict-free pool.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from math import ceil
 from typing import Iterable, Sequence
 
-from .graphcore import Graph, Instance, InstanceNT, InternalInvariantError, _norm_edge
+from .graphcore import Graph, Instance, InstanceNT, InternalInvariantError, _bfs_parents, _norm_edge
 from .spantree import (
     SmallnessReport,
     SpanningTree,
     TreeEnumerationOverflow,
-    _find,
+    _tree_fit,
     arbitrary_spanning_tree,
-    enumerate_spanning_trees,
+    enumerate_tree_masks,
     grow_leaves,
     hamming,
 )
@@ -71,13 +70,8 @@ class LeafSwapPlan:
                 raise ValueError(f"bad swap target {t} for leaf {v}")
         if self.conflict_edges != _conflict_edges(self.leaves, self.swap_target):
             raise ValueError("recorded conflict edges do not match the swap targets")
-        # conflicts must form a forest
-        parent = list(range(g.n + 1))
-        for u, v in sorted(self.conflict_edges):
-            ru, rv = _find(parent, u), _find(parent, v)
-            if ru == rv:
-                raise InternalInvariantError("conflict edges contain a cycle")
-            parent[ru] = rv
+        if _find_cycle(self.leaves, self.conflict_edges) is not None:
+            raise InternalInvariantError("conflict edges contain a cycle")
         if not self.independent <= self.leaves:
             raise ValueError("independent pool must consist of chosen leaves")
         for u, v in self.conflict_edges:
@@ -98,49 +92,53 @@ class LeafSwapPlan:
             raise ValueError("blocks must all have the same size")
 
 
-def _find_cycle(vertices: Iterable[int], edges: frozenset[tuple[int, int]]) -> list[int] | None:
+def _bfs_forest(
+    vertices: Iterable[int], edges: Iterable[tuple[int, int]]
+) -> tuple[dict[int, list[int]], dict[int, int], dict[int, int]]:
+    """Sorted adjacency, breadth-first parent and depth of each vertex.
+
+    Components are searched from their smallest vertex, in increasing
+    order; a root is its own parent, and the parent dict lists the
+    vertices in search order.
+    """
     adj: dict[int, list[int]] = {v: [] for v in vertices}
     for u, v in edges:
         adj[u].append(v)
         adj[v].append(u)
     for v in adj:
         adj[v].sort()
-    parent: dict[int, int | None] = {}
+    parent: dict[int, int] = {}
     depth: dict[int, int] = {}
-    tree: set[tuple[int, int]] = set()
     for root in sorted(adj):
-        if root in parent:
-            continue
-        parent[root] = None
-        depth[root] = 0
-        queue = deque([root])
-        while queue:
-            x = queue.popleft()
-            for y in adj[x]:
-                if y not in parent:
-                    parent[y] = x
-                    depth[y] = depth[x] + 1
-                    tree.add(_norm_edge(x, y))
-                    queue.append(y)
-                    continue
-                if _norm_edge(x, y) in tree:
-                    continue
-                # non-tree edge: climb both endpoints to their meeting
-                # point; the two forest paths plus the edge close a cycle
-                a, b = x, y
-                left, right = [a], [b]
-                while depth[a] > depth[b]:
-                    a = parent[a]
-                    left.append(a)
-                while depth[b] > depth[a]:
-                    b = parent[b]
-                    right.append(b)
-                while a != b:
-                    a = parent[a]
-                    left.append(a)
-                    b = parent[b]
-                    right.append(b)
-                return left + right[-2::-1]
+        if root not in parent:
+            for x, px in _bfs_parents(adj, root).items():
+                parent[x] = px
+                depth[x] = 0 if x == px else depth[px] + 1
+    return adj, parent, depth
+
+
+def _find_cycle(vertices: Iterable[int], edges: frozenset[tuple[int, int]]) -> list[int] | None:
+    adj, parent, depth = _bfs_forest(vertices, edges)
+    for x in parent:
+        for y in adj[x]:
+            if y == parent[x] or parent[y] == x:
+                continue
+            # first non-tree edge in search order: climb both endpoints to
+            # their meeting point; the two paths plus the edge close a cycle
+            a, b = x, y
+            left, right = [a], [b]
+            while depth[a] > depth[b]:
+                a = parent[a]
+                left.append(a)
+            while depth[b] > depth[a]:
+                b = parent[b]
+                right.append(b)
+            while a != b:
+                a = parent[a]
+                left.append(a)
+                b = parent[b]
+                right.append(b)
+            return left + right[-2::-1]
     return None
 
 
@@ -203,24 +201,9 @@ def plan_swaps(
             raise InternalInvariantError("conflict repair failed to drop an edge")
         conflicts = smaller
 
-    # two-color the conflict forest, component roots at even depth
-    adj: dict[int, list[int]] = {v: [] for v in leaves}
-    for u, v in conflicts:
-        adj[u].append(v)
-        adj[v].append(u)
-    color: dict[int, int] = {}
-    for root in sorted(leaves):
-        if root in color:
-            continue
-        color[root] = 0
-        queue = deque([root])
-        while queue:
-            x = queue.popleft()
-            for y in adj[x]:
-                if y not in color:
-                    color[y] = 1 - color[x]
-                    queue.append(y)
-    even = frozenset(v for v in leaves if color[v] == 0)
+    # two-color the conflict forest by depth parity, roots even
+    _, _, depth = _bfs_forest(leaves, conflicts)
+    even = frozenset(v for v in leaves if depth[v] % 2 == 0)
     odd = leaves - even
     pool = odd if len(odd) > len(even) else even
 
@@ -306,13 +289,15 @@ def construct_family(
         return None, "graph is disconnected", None
     nt = inst.nonterminals
     if isinstance(inst, InstanceNT):
+        fit = _tree_fit(g, 0, 0, nt)
         try:
-            trees = enumerate_spanning_trees(g, limit=budget)
-            seed = next((t for t in trees if nt <= t.internal_vertices), None)
+            masks = enumerate_tree_masks(g, limit=budget)
+            mask = next((m for m in masks if fit(m) is not None), None)
         except TreeEnumerationOverflow:
             return None, "seed search exhausted its budget", None
-        if seed is None:
+        if mask is None:
             return None, "no spanning tree keeps the required vertices internal", None
+        seed = SpanningTree.from_mask(g, mask)
     else:
         seed = arbitrary_spanning_tree(g)
     target = max(2 * block * ell + 2 * len(nt), inst.p + block + 2 * len(nt))

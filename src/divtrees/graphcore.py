@@ -2,10 +2,10 @@
 
 This module owns the graph value type, the structural queries the
 reduction pipelines build on (pendant vertices, maximal chains of
-degree-2 vertices), the two mutating operations used by the rules
-(chain-edge contraction and vertex deletion, both of which renumber
-vertices back to a contiguous range), plain-text instance I/O, and the
-graph generators behind the test corpus and the audit tooling.
+degree-2 vertices), chain-edge contraction and vertex deletion (the
+reference that the tests fold transcripts over; both renumber vertices
+back to a contiguous range), plain-text instance I/O, and the graph
+generators behind the test corpus and the audit tooling.
 
 All types are immutable values: mutations return new graphs together
 with an old-id -> new-id renaming map.
@@ -17,6 +17,7 @@ import random
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import islice
 from typing import ClassVar, Iterable, Iterator, Mapping
 
 
@@ -111,8 +112,13 @@ class Graph:
     def is_tree(self) -> bool:
         return self.is_connected and self.m == self.n - 1
 
+    @cached_property
+    def _edge_order(self) -> tuple[tuple[int, int], ...]:
+        # the bit order of spanning-tree masks, sorted once per graph
+        return tuple(sorted(self.edges))
+
     def sorted_edges(self) -> list[tuple[int, int]]:
-        return sorted(self.edges)
+        return list(self._edge_order)
 
     def to_json_dict(self) -> dict:
         return {"n": self.n, "edges": [list(e) for e in self.sorted_edges()]}
@@ -395,12 +401,8 @@ def _directives(text: str) -> dict[str, list[str]]:
     return out
 
 
-def read_graph(text: str) -> Graph:
-    rows = _content_lines(text)
-    try:
-        header = next(rows)
-    except StopIteration:
-        raise GraphFormatError("empty input") from None
+def _edge_block(rows: Iterator[list[str]], header: list[str]) -> Graph:
+    """Parse one ``n m`` header and the m edge lines that follow it."""
     if len(header) != 2:
         raise GraphFormatError(f"header must be 'n m', got {' '.join(header)!r}")
     try:
@@ -410,9 +412,7 @@ def read_graph(text: str) -> Graph:
     if n < 1 or m < 0:
         raise GraphFormatError(f"bad sizes n={n} m={m}")
     pairs = []
-    for row in rows:
-        if len(pairs) == m:
-            raise GraphFormatError("more edge lines than the header announces")
+    for row in islice(rows, m):
         if len(row) != 2:
             raise GraphFormatError(f"edge line must be 'u v', got {' '.join(row)!r}")
         try:
@@ -432,11 +432,24 @@ def read_graph(text: str) -> Graph:
         raise GraphFormatError(str(exc)) from None
 
 
-def _parse_int(kind: str, tokens: list[str]) -> int:
-    if len(tokens) != 1:
+def read_graph(text: str) -> Graph:
+    rows = _content_lines(text)
+    header = next(rows, None)
+    if header is None:
+        raise GraphFormatError("empty input")
+    g = _edge_block(rows, header)
+    if next(rows, None) is not None:
+        raise GraphFormatError("more edge lines than the header announces")
+    return g
+
+
+def _directive(d: dict[str, list[str]], kind: str, default, cast=int):
+    if kind not in d:
+        return default
+    if len(d[kind]) != 1:
         raise GraphFormatError(f"directive {kind} needs one value")
     try:
-        return int(tokens[0])
+        return cast(d[kind][0])
     except ValueError:
         raise GraphFormatError(f"directive {kind} needs an integer") from None
 
@@ -446,17 +459,19 @@ def read_instance(text: str) -> Instance | InstanceNT:
 
     Missing directives default to p=0, q=0, k=1, ell=1 and the
     leaf/internal problem; a ``#% nt`` directive or ``#% problem lnt``
-    selects the non-terminal variant.
+    selects the non-terminal variant.  A ``#% nt`` directive on li, or
+    ``#% q`` on lnt, is an error.
     """
     g = read_graph(text)
     d = _directives(text)
-    p = _parse_int("p", d["p"]) if "p" in d else 0
-    k = _parse_int("k", d["k"]) if "k" in d else 1
-    ell = _parse_int("l", d["l"]) if "l" in d else 1
-    problem = d.get("problem", ["lnt" if "nt" in d else "li"])[0]
+    p, k, ell = _directive(d, "p", 0), _directive(d, "k", 1), _directive(d, "l", 1)
+    problem = _directive(d, "problem", "lnt" if "nt" in d else "li", str)
+    stray = {"li": "nt", "lnt": "q"}.get(problem)
+    if stray in d:
+        raise GraphFormatError(f"directive {stray} does not apply to problem {problem}")
     try:
         if problem == "li":
-            q = _parse_int("q", d["q"]) if "q" in d else 0
+            q = _directive(d, "q", 0)
             inst = Instance(g, p, q, k, ell)
         elif problem == "lnt":
             try:

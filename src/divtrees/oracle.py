@@ -7,13 +7,14 @@ difference has at least k edges).  Exact within its budgets; returns
 ``inconclusive`` instead of guessing when a budget runs out.  Intended
 for small instances only — this is the referee, not the algorithm.
 
-The inner layers work on whole words.  A tree's leaves are read off
-one incidence mask per vertex.  All candidates have n - 1 edges, so a
-diversity row is a bound on shared edges, evaluated for every other
-candidate at once in bit-sliced counters.  The clique search walks
-bitset pools in index order and returns the lexicographically first
-clique, so witnesses depend only on the candidate order; its node count
-(``clique_nodes``) is the number of vertices it tried.
+The inner layers work on whole words.  ``spantree._tree_fit`` reads a
+tree's leaves off one incidence mask per vertex.  All candidates have
+n - 1 edges, so a diversity row is a bound on shared edges, evaluated
+for every other candidate at once in bit-sliced counters.  The clique
+search walks bitset pools in index order and returns the
+lexicographically first clique, so witnesses depend only on the
+candidate order; its node count (``clique_nodes``) is the number of
+vertices it tried.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from .graphcore import Instance, InstanceNT, InternalInvariantError
 from .spantree import (
     SpanningTree,
     TreeEnumerationOverflow,
+    _tree_fit,
     count_spanning_trees,
     enumerate_tree_masks,
 )
@@ -227,16 +229,11 @@ def _find_clique(
 def _decide(
     inst: Instance | InstanceNT, limits: OracleLimits
 ) -> tuple[str, list[int] | None, OracleStats]:
-    g, p, q, k, ell = inst.graph, inst.p, inst.q, inst.k, inst.ell
+    g, k, ell = inst.graph, inst.k, inst.ell
     if not g.is_connected:
         return "no", None, OracleStats(0, 0)
-    # incidence mask of each vertex over the edge order of the tree masks
-    inc = [0] * (g.n + 1)
-    for i, (u, v) in enumerate(g.sorted_edges()):
-        inc[u] |= 1 << i
-        inc[v] |= 1 << i
-    required = [inc[v] for v in inst.nonterminals]
-    inc = inc[1:]
+    # li reads the required set as empty and lnt reads q as 0
+    fit = _tree_fit(g, inst.p, inst.q, inst.nonterminals)
     seen = 0
     cands: list[tuple[int, int]] = []  # (leaf count, mask)
     # pairwise distances between distinct trees are even and >= 2, so
@@ -246,23 +243,11 @@ def _decide(
     try:
         for mask in enumerate_tree_masks(g, limit=limits.max_trees):
             seen += 1
-            # a vertex is a leaf iff its tree edges form one bit; degree
-            # 0 (the lone vertex of K1) counts as internal
-            leaves = 0
-            for a in inc:
-                x = mask & a
-                if x and not x & (x - 1):
-                    leaves += 1
-            # li reads the required set as empty and lnt reads q as 0
-            if leaves >= p and g.n - leaves >= q:
-                for a in required:
-                    x = mask & a
-                    if x and not x & (x - 1):
-                        break
-                else:
-                    cands.append((leaves, mask))
-                    if fast and len(cands) == ell:
-                        break
+            leaves = fit(mask)
+            if leaves is not None:
+                cands.append((leaves, mask))
+                if fast and len(cands) == ell:
+                    break
     except TreeEnumerationOverflow:
         complete = False
     stats = OracleStats(seen, 0)
@@ -285,10 +270,8 @@ def _solve(inst: Instance | InstanceNT, limits: OracleLimits) -> OracleVerdict:
     answer, masks, stats = _decide(inst, limits)
     witness = None
     if masks is not None:
-        g, edges = inst.graph, inst.graph.sorted_edges()
-        witness = tuple(
-            SpanningTree(g, frozenset(edges[i] for i in _bits(mask))) for mask in masks
-        )
+        g = inst.graph
+        witness = tuple(SpanningTree.from_mask(g, mask) for mask in masks)
         report = verify_family(g, witness, inst.p, inst.q, inst.k, nt=inst.nonterminals)
         if not report.verdict:
             raise InternalInvariantError("oracle produced a non-verifying witness")

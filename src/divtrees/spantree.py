@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator
+from typing import Callable, Iterator
 
 from .graphcore import (
     Degree2Path,
@@ -19,6 +19,8 @@ from .graphcore import (
     GraphFormatError,
     InternalInvariantError,
     _bfs_parents,
+    _content_lines,
+    _edge_block,
     _norm_edge,
     maximal_degree2_paths,
     write_graph,
@@ -56,6 +58,11 @@ class SpanningTree:
                 raise InternalInvariantError(
                     "tree balance violated: more branching vertices than leaves - 2"
                 )
+
+    @classmethod
+    def from_mask(cls, host: Graph, mask: int) -> SpanningTree:
+        """The tree on the set bits of ``mask`` over ``host.sorted_edges()``."""
+        return cls(host, frozenset(e for i, e in enumerate(host._edge_order) if mask >> i & 1))
 
     @cached_property
     def adjacency(self) -> dict[int, frozenset[int]]:
@@ -130,7 +137,7 @@ def augment_leaf(
         raise ValueError("augmentation needs a path of length >= 6")
     vs = path.vertices
     r = path.length
-    if v not in vs[3 : r - 2]:
+    if v not in path.strictly_internal():
         raise ValueError(f"vertex {v} is not strictly internal to the path")
     if w == v or not g.has_edge(v, w):
         raise ValueError(f"({v},{w}) is not an edge of the host graph")
@@ -227,8 +234,7 @@ def grow_leaves(
         for path in maximal_degree2_paths(t.as_graph(), forbidden=nt):
             if path.length < 6:
                 continue
-            vs = path.vertices
-            for v in vs[3 : path.length - 2]:
+            for v in path.strictly_internal():
                 for w in sorted(g.neighbors(v)):
                     if _norm_edge(v, w) not in t.edges:
                         move = (path, v, w)
@@ -322,11 +328,41 @@ def enumerate_tree_masks(g: Graph, limit: int = 200000) -> Iterator[int]:
 
 
 def enumerate_spanning_trees(g: Graph, limit: int = 200000) -> Iterator[SpanningTree]:
-    """Stream all spanning trees of ``g`` in a deterministic order."""
-    edges = g.sorted_edges()
+    """Stream all spanning trees of ``g`` in a deterministic order: the
+    validated reference that the tests check the mask readers against."""
     for mask in enumerate_tree_masks(g, limit):
-        chosen = frozenset(e for i, e in enumerate(edges) if mask >> i & 1)
-        yield SpanningTree(g, chosen)
+        yield SpanningTree.from_mask(g, mask)
+
+
+def _tree_fit(g: Graph, p: int, q: int, nt: frozenset[int]) -> Callable[[int], int | None]:
+    """The per-tree test: maps a mask from :func:`enumerate_tree_masks`
+    to the tree's leaf count, or to None when it has fewer than p
+    leaves, fewer than q internal vertices, or a leaf in ``nt``.  Vertex
+    v is a leaf iff ``mask & inc[v]`` has exactly one bit."""
+    inc = [0] * (g.n + 1)
+    for i, (u, v) in enumerate(g._edge_order):
+        inc[u] |= 1 << i
+        inc[v] |= 1 << i
+    required = [inc[v] for v in nt]
+    inc = inc[1:]
+    n = g.n
+
+    def fit(mask: int) -> int | None:
+        # degree 0 (the lone vertex of K1) counts as internal
+        leaves = 0
+        for a in inc:
+            x = mask & a
+            if x and not x & (x - 1):
+                leaves += 1
+        if leaves < p or n - leaves < q:
+            return None
+        for a in required:
+            x = mask & a
+            if x and not x & (x - 1):
+                return None
+        return leaves
+
+    return fit
 
 
 def count_spanning_trees(g: Graph) -> int:
@@ -388,43 +424,11 @@ def read_edge_set_family(text: str, n: int) -> list[frozenset[tuple[int, int]]]:
     Only format problems are errors here; whether each block is an
     actual spanning tree of some host is the verifier's question.
     """
-    rows = []
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        rows.append(line.split())
+    rows = _content_lines(text)
     out: list[frozenset[tuple[int, int]]] = []
-    i = 0
-    while i < len(rows):
-        header = rows[i]
-        i += 1
-        if len(header) != 2:
-            raise GraphFormatError(f"block header must be 'n m', got {' '.join(header)!r}")
-        try:
-            block_n, block_m = int(header[0]), int(header[1])
-        except ValueError:
-            raise GraphFormatError("block header must be two integers") from None
-        if block_n != n:
-            raise GraphFormatError(f"tree block is on {block_n} vertices, host has {n}")
-        if block_m < 0 or i + block_m > len(rows):
-            raise GraphFormatError("tree block shorter than its header announces")
-        edges = set()
-        for row in rows[i : i + block_m]:
-            if len(row) != 2:
-                raise GraphFormatError(f"edge line must be 'u v', got {' '.join(row)!r}")
-            try:
-                u, v = int(row[0]), int(row[1])
-            except ValueError:
-                raise GraphFormatError("edge line must be two integers") from None
-            if not (1 <= u <= n and 1 <= v <= n):
-                raise GraphFormatError(f"vertex out of range in edge {u} {v}")
-            if u == v:
-                raise GraphFormatError(f"self-loop at vertex {u}")
-            e = _norm_edge(u, v)
-            if e in edges:
-                raise GraphFormatError(f"duplicate edge {e} in tree block")
-            edges.add(e)
-        i += block_m
-        out.append(frozenset(edges))
+    for header in rows:
+        block = _edge_block(rows, header)
+        if block.n != n:
+            raise GraphFormatError(f"tree block is on {block.n} vertices, host has {n}")
+        out.append(block.edges)
     return out

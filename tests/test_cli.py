@@ -94,6 +94,14 @@ def test_data_problems_exit_65(tmp_path, capsys):
     assert code == 65 and "exceeds the vertex count" in err
 
 
+def test_bare_problem_directive_exits_65(tmp_path, capsys):
+    bad = tmp_path / "bare.txt"
+    bad.write_text("#% problem\n3 2\n1 2\n2 3\n")
+    code, out, err = run(capsys, "solve", "-i", str(bad))
+    assert code == 65 and out == ""
+    assert "error: directive problem needs one value" in err
+
+
 # ---------------------------------------------------------------------------
 # solve
 

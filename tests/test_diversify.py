@@ -129,6 +129,37 @@ def test_find_cycle_skips_acyclic_component():
     assert sorted(cyc) == [3, 4, 5]
 
 
+def test_find_cycle_returns_a_pinned_walk():
+    # breadth-first from the smallest root, neighbours in id order; the
+    # first non-tree edge in that order closes the cycle, and the exact
+    # walk decides which swap _rotate_cycle re-aims
+    hanging = frozenset({(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (3, 6)})
+    assert _find_cycle(range(1, 7), hanging) == [6, 3, 4, 5]
+    both = frozenset({(2, 4), (4, 6), (2, 6), (1, 3), (3, 5), (5, 7), (1, 7)})
+    assert _find_cycle(range(1, 8), both) == [7, 1, 3, 5]
+    c5 = frozenset({(1, 2), (2, 3), (3, 4), (4, 5), (1, 5)})
+    cyc = _find_cycle(range(1, 6), c5)
+    assert cyc == [3, 2, 1, 5, 4]
+    target = {1: 5, 2: 1, 3: 2, 4: 3, 5: 4}
+    _rotate_cycle(cyc, target)
+    assert target == {1: 5, 2: 1, 3: 2, 4: 3, 5: 1}
+
+
+def test_plan_two_colours_a_deep_conflict_forest():
+    # star at 1; the lowest-id targets chain into a conflict tree of
+    # depth 3 rooted at 2, whose colour classes tie, so the even one wins
+    g = Graph.from_edges(
+        7,
+        [(1, v) for v in range(2, 8)]
+        + [(2, 3), (2, 4), (3, 6), (3, 7), (4, 7), (5, 6)],
+    )
+    t = SpanningTree(g, frozenset((1, v) for v in range(2, 8)))
+    plan = plan_swaps(g, t, range(2, 8), k=1, ell=1)
+    assert plan.swap_target == {2: 3, 3: 2, 4: 2, 5: 6, 6: 3, 7: 3}
+    assert plan.conflict_edges == frozenset({(2, 3), (2, 4), (3, 6), (3, 7), (5, 6)})
+    assert plan.independent == frozenset({2, 6, 7})
+
+
 def test_rotate_cycle_forward_orientation():
     # targets chain backwards along [1, 2, 3]
     target = {1: 3, 2: 1, 3: 2}

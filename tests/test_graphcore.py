@@ -302,6 +302,19 @@ def test_read_instance_rejects_unknown_problem():
         read_instance("#% problem xyz\n3 3\n1 2\n2 3\n1 3\n")
 
 
+def test_read_instance_rejects_bare_and_stray_directives():
+    body = "3 2\n1 2\n2 3\n"
+    for head, pattern in [
+        ("#% problem\n", "problem needs one value"),
+        ("#% problem li lnt\n", "problem needs one value"),
+        ("#% problem li\n#% nt 2\n", "nt does not apply to problem li"),
+        ("#% problem lnt\n#% q 1\n", "q does not apply to problem lnt"),
+        ("#% nt 2\n#% q 1\n", "q does not apply to problem lnt"),
+    ]:
+        with pytest.raises(GraphFormatError, match=pattern):
+            read_instance(head + body)
+
+
 # ---------------------------------------------------------------------------
 # generators
 

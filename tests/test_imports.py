@@ -31,3 +31,16 @@ def test_runtime_imports_only_the_standard_library():
         if name.partition(".")[0] not in sys.stdlib_module_names
     }
     assert outside == set()
+
+
+def test_only_spantree_calls_the_tree_object_enumerator():
+    # the runtime reads trees off masks; enumerate_spanning_trees stays
+    # the validated reference that the tests check the mask readers against
+    callers = {
+        path.name
+        for path in SRC.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", getattr(node.func, "attr", None)) == "enumerate_spanning_trees"
+    }
+    assert callers <= {"spantree.py"}

@@ -23,7 +23,7 @@ from divtrees import (
     write_family,
     write_tree,
 )
-from divtrees.spantree import enumerate_tree_masks
+from divtrees.spantree import _tree_fit, enumerate_tree_masks
 
 
 # ---------------------------------------------------------------------------
@@ -175,6 +175,39 @@ def test_enumeration_order_is_pinned():
     assert h.hexdigest() == ORDER_GOLDEN
 
 
+def _fit_corpus():
+    yield Graph(1, frozenset())
+    yield support.complete_graph(4)
+    yield support.complete_graph(5)
+    yield support.cycle_graph(5)
+    yield generate("theta", (2, 3, 3))
+    for seed in range(4):
+        n = 5 + seed
+        yield generate("random-connected", (n, n + 3), seed=seed)
+    yield generate("random-connected", (8, 12), seed=11)
+
+
+def test_tree_fit_matches_the_tree_queries():
+    for g in _fit_corpus():
+        n = g.n
+        for p, q, nt in [
+            (0, 0, frozenset()),
+            (2, 0, frozenset()),
+            (0, 2, frozenset()),
+            (3, 3, frozenset()),
+            (0, 0, frozenset({1})),
+            (2, 0, frozenset({1, n})),
+            (0, 1, frozenset({n})),
+            (n, 0, frozenset()),
+            (0, n, frozenset()),
+        ]:
+            fit = _tree_fit(g, p, q, nt)
+            masks = enumerate_tree_masks(g)
+            for mask, t in zip(masks, enumerate_spanning_trees(g), strict=True):
+                ok = t.leaf_count >= p and t.internal_count >= q and nt <= t.internal_vertices
+                assert fit(mask) == (t.leaf_count if ok else None), (g, p, q, nt, t.edges)
+
+
 @given(support.connected_graphs(min_n=2, max_n=8))
 def test_enumeration_agrees_with_kirchhoff(g):
     trees = list(enumerate_spanning_trees(g))
@@ -318,3 +351,17 @@ def test_read_family_rejects_bad_blocks():
         read_edge_set_family("{\n", 4)
     with pytest.raises(GraphFormatError):
         read_edge_set_family("4 3\n1 2\n2 3\n", 4)
+    # one input per failure mode of read_graph, plus a block on the wrong n
+    for text, pattern in [
+        ("4 3\n1 2\n2 3\n", "expected 3 edges"),
+        ("4 1\n1 5\n", "out of range"),
+        ("4 1\n2 2\n", "self-loop"),
+        ("4 2\n1 2\n2 1\n", "duplicate"),
+        ("4 1\n1 2\n4 3\n1 2\n", "expected 3 edges"),
+        ("4\n", "header"),
+        ("4 x\n", "integers"),
+        ("4 1\n1 x\n", "integers"),
+        ("3 1\n1 2\n", "3 vertices, host has 4"),
+    ]:
+        with pytest.raises(GraphFormatError, match=pattern):
+            read_edge_set_family(text, 4)
