@@ -5,8 +5,10 @@ its tree edge (to tree_neighbor[v]) and pick up a host edge to
 swap_target[v] instead.  Applying the swaps of disjoint leaf blocks to
 the same base tree yields trees at exactly known pairwise Hamming
 distance.  Swap targets are chosen to minimize conflicts (a target
-that is itself a chosen leaf); remaining conflicts form a forest, so
-half the leaves always survive as a conflict-free pool.
+that is itself a chosen leaf).  Lowest-id targets cannot close a
+conflict cycle (the proof is in :func:`plan_swaps`), so the conflicts
+form a forest and two-colouring it keeps half the leaves as a
+conflict-free pool.
 """
 
 from __future__ import annotations
@@ -70,16 +72,15 @@ class LeafSwapPlan:
                 raise ValueError(f"bad swap target {t} for leaf {v}")
         if self.conflict_edges != _conflict_edges(self.leaves, self.swap_target):
             raise ValueError("recorded conflict edges do not match the swap targets")
-        if _find_cycle(self.leaves, self.conflict_edges) is not None:
+        if not _is_forest(self.leaves, self.conflict_edges):
             raise InternalInvariantError("conflict edges contain a cycle")
         if not self.independent <= self.leaves:
             raise ValueError("independent pool must consist of chosen leaves")
+        # a swap target inside the pool is a chosen leaf, so it would
+        # make such an edge too
         for u, v in self.conflict_edges:
             if u in self.independent and v in self.independent:
                 raise ValueError("independent pool touches a conflict edge")
-        for v in self.independent:
-            if self.swap_target[v] in self.independent:
-                raise InternalInvariantError("swap target inside the independent pool")
         seen: set[int] = set()
         sizes = {len(b) for b in self.blocks}
         for b in self.blocks:
@@ -92,14 +93,11 @@ class LeafSwapPlan:
             raise ValueError("blocks must all have the same size")
 
 
-def _bfs_forest(
-    vertices: Iterable[int], edges: Iterable[tuple[int, int]]
-) -> tuple[dict[int, list[int]], dict[int, int], dict[int, int]]:
-    """Sorted adjacency, breadth-first parent and depth of each vertex.
+def _bfs_depth(vertices: Iterable[int], edges: Iterable[tuple[int, int]]) -> dict[int, int]:
+    """Breadth-first depth of each vertex, roots at 0.
 
     Components are searched from their smallest vertex, in increasing
-    order; a root is its own parent, and the parent dict lists the
-    vertices in search order.
+    order, with neighbours in id order.
     """
     adj: dict[int, list[int]] = {v: [] for v in vertices}
     for u, v in edges:
@@ -107,54 +105,18 @@ def _bfs_forest(
         adj[v].append(u)
     for v in adj:
         adj[v].sort()
-    parent: dict[int, int] = {}
     depth: dict[int, int] = {}
     for root in sorted(adj):
-        if root not in parent:
+        if root not in depth:
             for x, px in _bfs_parents(adj, root).items():
-                parent[x] = px
                 depth[x] = 0 if x == px else depth[px] + 1
-    return adj, parent, depth
+    return depth
 
 
-def _find_cycle(vertices: Iterable[int], edges: frozenset[tuple[int, int]]) -> list[int] | None:
-    adj, parent, depth = _bfs_forest(vertices, edges)
-    for x in parent:
-        for y in adj[x]:
-            if y == parent[x] or parent[y] == x:
-                continue
-            # first non-tree edge in search order: climb both endpoints to
-            # their meeting point; the two paths plus the edge close a cycle
-            a, b = x, y
-            left, right = [a], [b]
-            while depth[a] > depth[b]:
-                a = parent[a]
-                left.append(a)
-            while depth[b] > depth[a]:
-                b = parent[b]
-                right.append(b)
-            while a != b:
-                a = parent[a]
-                left.append(a)
-                b = parent[b]
-                right.append(b)
-            return left + right[-2::-1]
-    return None
-
-
-def _rotate_cycle(cyc: list[int], target: dict[int, int]) -> None:
-    """Break one conflict cycle by re-aiming a single swap target.
-
-    Around a conflict cycle the targets must chain backwards in one of
-    the two directions; re-aiming the second vertex at the third drops
-    the cycle's first edge and creates nothing new.
-    """
-    r = len(cyc)
-    for candidate in (cyc, list(reversed(cyc))):
-        if all(target[candidate[(i + 1) % r]] == candidate[i] for i in range(r)):
-            target[candidate[1]] = candidate[2]
-            return
-    raise InternalInvariantError("conflict cycle without a consistent orientation")
+def _is_forest(vertices: Iterable[int], edges: frozenset[tuple[int, int]]) -> bool:
+    """A breadth-first forest has one edge per non-root vertex, so the
+    edges form a forest exactly when there are that many of them."""
+    return len(edges) == sum(1 for d in _bfs_depth(vertices, edges).values() if d)
 
 
 def plan_swaps(
@@ -164,11 +126,16 @@ def plan_swaps(
     conflict-free blocks, one per requested tree.
 
     Each target is the lowest-id host neighbor other than the leaf's
-    tree neighbor, preferring targets outside ``L``.  Conflict cycles
-    are repaired by re-aiming, which strictly shrinks the conflict set,
-    so it ends in a forest; two-coloring the forest keeps at least half
-    of ``L``.  With |L| >= 2*ceil(k/4)*ell the blocks always fill;
-    smaller pools fail only if the surviving half is too small.
+    tree neighbor, preferring targets outside ``L``.  The conflict
+    edges then form a forest.  Each leaf has one target, so a conflict
+    cycle of length r >= 3 is a directed cycle v1 -> v2 -> ... -> vr
+    -> v1 inside ``L``.  Each vi aims inside ``L``, so all its non-tree
+    neighbors lie in ``L`` and its target is the lowest of them.
+    v(i-1) is one of those: it is not vi's tree neighbor, since two
+    adjacent leaves would mean n = 2.  So v(i+1) < v(i-1) for every i,
+    which no cyclic order allows.  Two-coloring the forest keeps at
+    least half of ``L``.  With |L| >= 2*ceil(k/4)*ell the blocks always
+    fill; smaller pools fail only if the surviving half is too small.
     """
     if t.host != g:
         raise ValueError("tree does not span the given graph")
@@ -191,18 +158,9 @@ def plan_swaps(
         target[v] = outside[0] if outside else options[0]
 
     conflicts = _conflict_edges(leaves, target)
-    while True:
-        cyc = _find_cycle(leaves, conflicts)
-        if cyc is None:
-            break
-        _rotate_cycle(cyc, target)
-        smaller = _conflict_edges(leaves, target)
-        if len(smaller) >= len(conflicts):
-            raise InternalInvariantError("conflict repair failed to drop an edge")
-        conflicts = smaller
 
     # two-color the conflict forest by depth parity, roots even
-    _, _, depth = _bfs_forest(leaves, conflicts)
+    depth = _bfs_depth(leaves, conflicts)
     even = frozenset(v for v in leaves if depth[v] % 2 == 0)
     odd = leaves - even
     pool = odd if len(odd) > len(even) else even

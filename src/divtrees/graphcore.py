@@ -623,24 +623,28 @@ def _gen_random_connected(n: int, m: int, rng: random.Random) -> Graph:
     return Graph.from_edges(n, edges)
 
 
+# family name -> (builder, parameter count, whether it takes the rng)
+_FAMILIES = {
+    "cycle": (_gen_cycle, 1, False),
+    "theta": (_gen_theta, 3, False),
+    "random-connected": (_gen_random_connected, 2, True),
+    "subdivided": (_gen_subdivided, 2, False),
+    "twin-pendant-gadget": (_gen_twin_pendants, 2, True),
+    "min-degree-3": (_gen_min_degree3, 1, False),
+}
+
+
 def generate(family: str, params: tuple, seed: int = 0) -> Graph:
     """Build a named graph family member, deterministic under ``seed``.
 
     Families: cycle(n), theta(a,b,c), random-connected(n,m),
     subdivided(base_graph, factor), twin-pendant-gadget(base_graph, count),
-    min-degree-3(n).
+    min-degree-3(n).  An unknown family or a wrong parameter count
+    raises ValueError.
     """
-    rng = random.Random(seed)
-    if family == "cycle":
-        return _gen_cycle(*params)
-    if family == "theta":
-        return _gen_theta(*params)
-    if family == "random-connected":
-        return _gen_random_connected(*params, rng)
-    if family == "subdivided":
-        return _gen_subdivided(*params)
-    if family == "twin-pendant-gadget":
-        return _gen_twin_pendants(*params, rng)
-    if family == "min-degree-3":
-        return _gen_min_degree3(*params)
-    raise ValueError(f"unknown family {family!r}")
+    if family not in _FAMILIES:
+        raise ValueError(f"unknown family {family!r}")
+    build, arity, seeded = _FAMILIES[family]
+    if len(params) != arity:
+        raise ValueError(f"{family} takes {arity} parameter(s), got {len(params)}")
+    return build(*params, random.Random(seed)) if seeded else build(*params)

@@ -358,25 +358,22 @@ def _exhaust_contractions(
     when nothing fired.
     """
     threshold = inst.ell + 3
-    # paths come back canonically oriented, so each is its own sort key
-    keys = [p.vertices for p in maximal_degree2_paths(inst.graph, inst.nonterminals)]
-    # lazy min-heap: a contraction re-keys only its own path, so push
-    # the new key and skip entries whose key has gone stale
-    heap = [(key, i) for i, key in enumerate(keys) if len(key) - 1 >= threshold]
+    # paths come back canonically oriented, so each is its own sort key,
+    # and no two tie, since interiors are disjoint; a contraction re-keys
+    # only the path it pops, so each long path has one entry at a time
+    paths = maximal_degree2_paths(inst.graph, inst.nonterminals)
+    heap = [p.vertices for p in paths if len(p.vertices) - 1 >= threshold]
     if not heap:
         return None
     heapify(heap)
     edit = _Edit(inst)
     while heap:
-        key, i = heappop(heap)
-        if keys[i] != key:
-            continue
-        ordered = list(key)
+        ordered = list(heappop(heap))
         transcript.append(edit.contract(rule, ordered[1], ordered[2]))
         del ordered[2]
-        keys[i] = _canonical_path(ordered)
-        if len(keys[i]) - 1 >= threshold:
-            heappush(heap, (keys[i], i))
+        key = _canonical_path(ordered)
+        if len(key) - 1 >= threshold:
+            heappush(heap, key)
     return edit.instance()
 
 
@@ -386,30 +383,23 @@ def _long_path_via(
     """Does ``u`` now sit inside a degree-2-path of length >= threshold?
 
     Called after a deletion dropped ``u`` to degree 2 (or removed it
-    from the forbidden set); only paths through ``u`` can be new, so a
-    two-sided walk bounded by ``threshold`` suffices.
+    from the forbidden set); only paths through ``u`` can be new.  The
+    pass starts right after contractions ran out and stops at the first
+    long path, so each side of ``u`` was part of a path shorter than
+    ``threshold`` (walking both to their ends costs O(threshold)), and
+    so was a bare cycle through ``u``: a walk back to ``u`` is False.
     """
     if len(adj[u]) != 2 or u in forbidden:
         return False
-    a, b = sorted(adj[u])
     length = 2
-    prev, x = u, a
-    while x != u and len(adj[x]) == 2 and x not in forbidden:
-        if length >= threshold:
-            return True
-        (nxt,) = adj[x] - {prev}
-        prev, x = x, nxt
-        length += 1
-    if x == u:
-        # walked all the way around a bare cycle; u-b was counted twice
-        return length - 1 >= threshold
-    prev, x = u, b
-    while len(adj[x]) == 2 and x not in forbidden:
-        if length >= threshold:
-            return True
-        (nxt,) = adj[x] - {prev}
-        prev, x = x, nxt
-        length += 1
+    for x in adj[u]:
+        prev = u
+        while len(adj[x]) == 2 and x not in forbidden:
+            if x == u:
+                return False
+            (nxt,) = adj[x] - {prev}
+            prev, x = x, nxt
+            length += 1
     return length >= threshold
 
 

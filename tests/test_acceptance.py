@@ -34,7 +34,7 @@ from divtrees import (
     solve,
 )
 from divtrees.cli import _audit_one, _random_instance
-from divtrees.diversify import _find_cycle
+from divtrees.diversify import _is_forest
 from divtrees.spantree import enumerate_tree_masks
 
 
@@ -342,7 +342,7 @@ def test_criterion_05_conflict_structure():
     runs = _crit45_cached()
     bad = []
     for g, grown, nt, k, ell, plan, family in runs:
-        if _find_cycle(plan.leaves, plan.conflict_edges) is not None:
+        if not _is_forest(plan.leaves, plan.conflict_edges):
             bad.append((g.n, "cycle"))
         if 2 * len(plan.independent) < len(plan.leaves):
             bad.append((g.n, "pool", len(plan.independent), len(plan.leaves)))

@@ -388,6 +388,15 @@ def test_gen_usage_errors(tmp_path, capsys):
     assert code == 64 and "unknown family" in err
     code, _, err = run(capsys, "gen", "subdivided", "cycle")
     assert code == 64 and "BASE-FAMILY" in err
+    for argv, message in [
+        (["cycle"], "cycle takes 1 parameter(s), got 0"),
+        (["theta", "1", "2"], "theta takes 3 parameter(s), got 2"),
+        (["min-degree-3", "5", "6"], "min-degree-3 takes 1 parameter(s), got 2"),
+        (["random-connected", "5"], "random-connected takes 2 parameter(s), got 1"),
+        (["subdivided", "cycle", "3", "4", "2"], "cycle takes 1 parameter(s), got 2"),
+    ]:
+        code, _, err = run(capsys, "gen", *argv)
+        assert code == 64 and message in err and "Traceback" not in err, argv
     dest = tmp_path / "g.txt"
     code, _, _ = run(capsys, "gen", "cycle", "7", "-o", str(dest))
     assert code == 0 and read_graph(dest.read_text()).n == 7

@@ -16,7 +16,8 @@ from divtrees import (
     plan_swaps,
     verify_family,
 )
-from divtrees.diversify import _conflict_edges, _find_cycle, _rotate_cycle
+from divtrees.diversify import _conflict_edges, _is_forest
+from divtrees.spantree import enumerate_spanning_trees
 
 
 def k4_star():
@@ -93,6 +94,16 @@ def test_plan_rejects_degree_one_leaf():
     t = arbitrary_spanning_tree(g)
     with pytest.raises(ValueError, match="host degree < 2"):
         plan_swaps(g, t, {3}, k=2, ell=1)
+    with pytest.raises(ValueError, match="host degree < 2, nothing to swap to"):
+        LeafSwapPlan(
+            tree=t,
+            leaves=frozenset({3}),
+            tree_neighbor={3: 2},
+            swap_target={3: 1},
+            conflict_edges=frozenset(),
+            independent=frozenset({3}),
+            blocks=(frozenset({3}),),
+        )
 
 
 def test_plan_on_cycle_path_tree():
@@ -116,33 +127,22 @@ def test_conflict_edges_only_inside_leaf_set():
     assert _conflict_edges(leaves, {2: 1, 3: 1, 4: 1}) == frozenset()
 
 
-def test_find_cycle_on_forest_and_triangle():
-    assert _find_cycle([1, 2, 3, 4], frozenset({(1, 2), (3, 4)})) is None
-    cyc = _find_cycle([1, 2, 3, 4], frozenset({(1, 2), (2, 3), (1, 3)}))
-    assert cyc is not None
-    assert sorted(cyc) == [1, 2, 3]
-
-
-def test_find_cycle_skips_acyclic_component():
-    edges = frozenset({(1, 2), (3, 4), (4, 5), (3, 5)})
-    cyc = _find_cycle([1, 2, 3, 4, 5], edges)
-    assert sorted(cyc) == [3, 4, 5]
-
-
-def test_find_cycle_returns_a_pinned_walk():
-    # breadth-first from the smallest root, neighbours in id order; the
-    # first non-tree edge in that order closes the cycle, and the exact
-    # walk decides which swap _rotate_cycle re-aims
+def test_is_forest_on_forests_and_cycles():
+    assert _is_forest([1, 2, 3, 4], frozenset({(1, 2), (3, 4)}))
+    assert _is_forest([1, 2, 3], frozenset())
+    deep = frozenset({(2, 3), (2, 4), (3, 6), (3, 7), (5, 6)})
+    assert _is_forest(range(2, 8), deep)
+    triangle = frozenset({(1, 2), (2, 3), (1, 3)})
+    assert not _is_forest([1, 2, 3, 4], triangle)
+    # a cycle in the second component, after an acyclic one
+    assert not _is_forest([1, 2, 3, 4, 5], frozenset({(1, 2), (3, 4), (4, 5), (3, 5)}))
     hanging = frozenset({(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (3, 6)})
-    assert _find_cycle(range(1, 7), hanging) == [6, 3, 4, 5]
+    assert not _is_forest(range(1, 7), hanging)
     both = frozenset({(2, 4), (4, 6), (2, 6), (1, 3), (3, 5), (5, 7), (1, 7)})
-    assert _find_cycle(range(1, 8), both) == [7, 1, 3, 5]
+    assert not _is_forest(range(1, 8), both)
     c5 = frozenset({(1, 2), (2, 3), (3, 4), (4, 5), (1, 5)})
-    cyc = _find_cycle(range(1, 6), c5)
-    assert cyc == [3, 2, 1, 5, 4]
-    target = {1: 5, 2: 1, 3: 2, 4: 3, 5: 4}
-    _rotate_cycle(cyc, target)
-    assert target == {1: 5, 2: 1, 3: 2, 4: 3, 5: 1}
+    assert not _is_forest(range(1, 6), c5)
+    assert _is_forest(range(1, 6), c5 - {(1, 5)})
 
 
 def test_plan_two_colours_a_deep_conflict_forest():
@@ -160,27 +160,50 @@ def test_plan_two_colours_a_deep_conflict_forest():
     assert plan.independent == frozenset({2, 6, 7})
 
 
-def test_rotate_cycle_forward_orientation():
-    # targets chain backwards along [1, 2, 3]
-    target = {1: 3, 2: 1, 3: 2}
-    _rotate_cycle([1, 2, 3], target)
-    assert target == {1: 3, 2: 3, 3: 2}
-    assert _conflict_edges(frozenset({1, 2, 3}), target) == frozenset(
-        {(1, 3), (2, 3)}
-    )
+def _acyclic(edges):
+    root = {}
+
+    def find(x):
+        while root.get(x, x) != x:
+            x = root[x]
+        return x
+
+    for u, v in edges:
+        a, b = find(u), find(v)
+        if a == b:
+            return False
+        root[a] = b
+    return True
 
 
-def test_rotate_cycle_reversed_orientation():
-    target = {1: 2, 2: 3, 3: 1}
-    _rotate_cycle([1, 2, 3], target)
-    # reversed candidate is [3, 2, 1]: vertex 2 re-aims at 1
-    assert target == {1: 2, 2: 1, 3: 1}
+def _swap_corpus():
+    yield support.complete_graph(4)
+    yield support.complete_graph(5)
+    yield support.cycle_graph(5)
+    yield generate("theta", (2, 2, 3))
+    for seed in range(6):
+        n = 4 + seed % 4
+        yield generate("random-connected", (n, min(n + 3, n * (n - 1) // 2)), seed=seed)
 
 
-def test_rotate_cycle_rejects_inconsistent_targets():
-    target = {1: 2, 2: 1, 3: 1}
-    with pytest.raises(InternalInvariantError, match="consistent orientation"):
-        _rotate_cycle([1, 2, 3], target)
+def test_lowest_targets_never_close_a_conflict_cycle():
+    # plan_swaps keeps no cycle repair: on every tree and every leaf
+    # subset the targets are the lowest-id ones and the conflicts a forest
+    plans = 0
+    for g in _swap_corpus():
+        for t in enumerate_spanning_trees(g):
+            eligible = sorted(v for v in t.leaves if g.degree(v) >= 2)
+            for bits in range(1, 1 << len(eligible)):
+                L = frozenset(v for i, v in enumerate(eligible) if bits >> i & 1)
+                plan = plan_swaps(g, t, L, 1, 1)
+                for v in L:
+                    (p,) = t.adjacency[v]
+                    options = sorted(g.neighbors(v) - {p})
+                    outside = [u for u in options if u not in L]
+                    assert plan.swap_target[v] == (outside or options)[0]
+                assert _acyclic(plan.conflict_edges), (g, t.edges, L)
+                plans += 1
+    assert plans > 1000
 
 
 # ---------------------------------------------------------------------------
