@@ -127,15 +127,22 @@ def test_conflict_edges_only_inside_leaf_set():
     assert _conflict_edges(leaves, {2: 1, 3: 1, 4: 1}) == frozenset()
 
 
-def test_is_forest_on_forests_and_cycles():
+def test_find_cycle_on_forest_and_triangle():
     assert _is_forest([1, 2, 3, 4], frozenset({(1, 2), (3, 4)}))
+    assert not _is_forest([1, 2, 3, 4], frozenset({(1, 2), (2, 3), (1, 3)}))
+
+
+def test_find_cycle_skips_acyclic_component():
+    # a cycle in the second component, after an acyclic one
+    edges = frozenset({(1, 2), (3, 4), (4, 5), (3, 5)})
+    assert not _is_forest([1, 2, 3, 4, 5], edges)
+    assert _is_forest([1, 2, 3, 4, 5], edges - {(3, 5)})
+
+
+def test_is_forest_on_forests_and_cycles():
     assert _is_forest([1, 2, 3], frozenset())
     deep = frozenset({(2, 3), (2, 4), (3, 6), (3, 7), (5, 6)})
     assert _is_forest(range(2, 8), deep)
-    triangle = frozenset({(1, 2), (2, 3), (1, 3)})
-    assert not _is_forest([1, 2, 3, 4], triangle)
-    # a cycle in the second component, after an acyclic one
-    assert not _is_forest([1, 2, 3, 4, 5], frozenset({(1, 2), (3, 4), (4, 5), (3, 5)}))
     hanging = frozenset({(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (3, 6)})
     assert not _is_forest(range(1, 7), hanging)
     both = frozenset({(2, 4), (4, 6), (2, 6), (1, 3), (3, 5), (5, 7), (1, 7)})
