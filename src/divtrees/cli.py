@@ -100,6 +100,12 @@ def _family_json(family) -> list[list[list[int]]]:
 # ---------------------------------------------------------------------------
 # subcommands
 
+def _budget(args: argparse.Namespace) -> int:
+    if args.budget < 1:
+        raise UsageError("--budget must be at least 1")
+    return args.budget
+
+
 def _kernelize_within(
     inst: Instance | InstanceNT, budget: int | None, witness: bool = False
 ) -> KernelResult:
@@ -113,9 +119,9 @@ def _kernelize_within(
 
 
 def _cmd_kernelize(args: argparse.Namespace) -> int:
+    budget = _budget(args)
     inst = _load_instance(args)
-    budget = None if args.blackbox == "none" else args.budget
-    result = _kernelize_within(inst, budget, args.witness)
+    result = _kernelize_within(inst, None if args.blackbox == "none" else budget, args.witness)
     if args.transcript is not None:
         Path(args.transcript).write_text(transcript_to_ndjson(result.transcript))
     if args.family_out is not None:
@@ -161,8 +167,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_construct(args: argparse.Namespace) -> int:
+    budget = _budget(args)
     inst = _load_instance(args)
-    family, reason, report = construct_family(inst, args.budget)
+    family, reason, report = construct_family(inst, budget)
     if family is not None and args.family_out is not None:
         Path(args.family_out).write_text(write_family(list(family)))
     payload = {
@@ -226,13 +233,14 @@ def _cmd_audit(args: argparse.Namespace) -> int:
     # random instances have at most 14 edges, so a connected one has n <= 15
     if not 3 <= args.max_n <= 15:
         raise UsageError("--max-n must be between 3 and 15")
+    budget = _budget(args)
     rng = random.Random(args.seed)
     instances = [
         _random_instance(rng, args.problem, args.max_n) for _ in range(args.count)
     ]
     lines = []
     passes = 0
-    rows = [_audit_one(inst, args.budget) for inst in instances]
+    rows = [_audit_one(inst, budget) for inst in instances]
     for idx, (inst, (outcome, original, reduced)) in enumerate(zip(instances, rows)):
         good = original == reduced and original in ("yes", "no")
         passes += good

@@ -279,17 +279,11 @@ def maximal_degree2_paths(g: Graph, forbidden: frozenset[int] = frozenset()) -> 
     adj = g.adjacency
     interior = {v for v in g.vertices() if len(adj[v]) == 2 and v not in forbidden}
     anchors = [v for v in g.vertices() if v not in interior]
-
     if not anchors:
-        # every vertex is allowed degree-2 material: the graph is a cycle
-        start = 1
-        vs = [start, min(adj[start])]
-        while vs[-1] != start:
-            prev, cur = vs[-2], vs[-1]
-            (nxt,) = adj[cur] - {prev}
-            vs.append(nxt)
-        return [Degree2Path(tuple(vs))]
-
+        # every vertex is allowed degree-2 material: the graph is a
+        # cycle, walked once from vertex 1 towards its lower neighbour
+        anchors = [1]
+        interior.discard(1)
     claimed: set[int] = set()
     found: list[Degree2Path] = []
     for a in anchors:

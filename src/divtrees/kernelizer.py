@@ -15,9 +15,11 @@ there and the q-specific steps (R1's decrement, PC-q) never fire.
 Every firing is logged as a :class:`RuleApplication`; replaying the
 transcript from the input instance reproduces the pipeline's final
 instance exactly, which is the backbone of the safety test harness.
-One edit state applies every contraction and deletion, for the passes,
-:func:`apply_rule` and :func:`replay` alike, so replay rebuilds the
-graph once, not per entry, and re-derives every entry it replays.
+One edit state applies every contraction and deletion, for a whole
+reduction phase, :func:`apply_rule` and :func:`replay` alike: a phase
+contracts each long path the moment a deletion opens it, on the same
+state, and each rebuilds the graph once, not per step.  Replay
+re-derives every entry it replays.
 
 Rule ids: R1-R6 belong to the leaf/internal pipeline (contract, twin
 pendant, pendant-count reset, pendant delete, and the two size
@@ -175,13 +177,21 @@ def _twin_pendant(g: Graph) -> tuple[int, int] | None:
 
 _LI_RULES = ("R1", "R2", "R3", "R4", "R5", "R6")
 _LNT_RULES = ("R7", "R8", "R9", "R5nt", "R6nt")
+# threshold rules: whether they need case 1 (p = q = 0), the guard that
+# says so, and the size bound below which the instance is a kernel
+_THRESHOLDS: dict[str, tuple[bool, str, Callable]] = {
+    "R5": (True, "p = q = 0", lambda i: case1_bound_li(i.k, i.ell)),
+    "R6": (False, "max(p, q) > 0", lambda i: case2_bound_li(i.p, i.q, i.k, i.ell)),
+    "R5nt": (True, "p = 0", lambda i: case1_bound_lnt(len(i.nonterminals), i.k, i.ell)),
+    "R6nt": (False, "p > 0", lambda i: case2_bound_lnt(len(i.nonterminals), i.p, i.k, i.ell)),
+}
 
 
 class _Edit:
     """An instance under a run of contractions and pendant deletions.
 
-    The one place a contraction or deletion is applied, by the batched
-    passes, by :func:`apply_rule` and by :func:`replay`.  Adjacency and
+    The one place a contraction or deletion is applied, by a reduction
+    phase, by :func:`apply_rule` and by :func:`replay`.  Adjacency and
     the required set are kept in starting ids, so a step touches only
     its own vertices.  ``live`` holds the surviving starting ids in
     order: a vertex's current id is its rank there, and current id
@@ -311,20 +321,6 @@ def apply_rule(
         entry = edit.delete(rule, min(pend))
         return edit.instance(), entry
 
-    if rule == "R5":
-        if inst.p or inst.q:
-            raise ValueError("R5 guard: needs p = q = 0")
-        small = g.n < case1_bound_li(inst.k, inst.ell)
-        entry = RuleApplication("R5", g.n, decision="reduced" if small else "large")
-        return inst, entry
-
-    if rule == "R6":
-        if max(inst.p, inst.q) == 0:
-            raise ValueError("R6 guard: needs max(p, q) > 0")
-        small = g.n < case2_bound_li(inst.p, inst.q, inst.k, inst.ell)
-        entry = RuleApplication("R6", g.n, decision="reduced" if small else "large")
-        return inst, entry
-
     if rule == "R8":
         h = len(pendant_vertices(g))
         if not (inst.p > 0 and h >= inst.p):
@@ -332,98 +328,89 @@ def apply_rule(
         entry = RuleApplication("R8", g.n, p_delta=-inst.p)
         return InstanceNT(g, inst.nonterminals, 0, inst.k, inst.ell), entry
 
-    if rule == "R5nt":
-        if inst.p:
-            raise ValueError("R5nt guard: needs p = 0")
-        small = g.n < case1_bound_lnt(len(inst.nonterminals), inst.k, inst.ell)
-        entry = RuleApplication("R5nt", g.n, decision="reduced" if small else "large")
-        return inst, entry
-
-    if inst.p == 0:
-        raise ValueError("R6nt guard: needs p > 0")
-    small = g.n < case2_bound_lnt(len(inst.nonterminals), inst.p, inst.k, inst.ell)
-    entry = RuleApplication("R6nt", g.n, decision="reduced" if small else "large")
-    return inst, entry
+    case1, needs, bound = _THRESHOLDS[rule]
+    if (inst.p == inst.q == 0) != case1:
+        raise ValueError(f"{rule} guard: needs {needs}")
+    small = g.n < bound(inst)
+    return inst, RuleApplication(rule, g.n, decision="reduced" if small else "large")
 
 
 def _exhaust_contractions(
-    inst: Instance | InstanceNT, rule: str, transcript: list[RuleApplication]
-) -> Instance | InstanceNT | None:
-    """Contract long degree-2-paths to exhaustion in one pass (R1 or R7).
+    edit: _Edit, rule: str, paths: list[tuple[int, ...]], transcript: list[RuleApplication]
+) -> None:
+    """Contract the long degree-2-paths ``paths`` to exhaustion (R1 or R7).
 
-    Behaves exactly like firing the rule repeatedly at the lowest
-    canonical location — contracting an interior edge never disturbs
-    another maximal path, so the path list can be maintained
-    incrementally and the graph rebuilt once at the end.  Returns None
-    when nothing fired.
+    ``paths`` are canonically oriented in starting ids, which order as
+    current ids do, so each is its own heap key; no two tie, since
+    interiors are disjoint.  Behaves exactly like firing the rule
+    repeatedly at the lowest canonical location: contracting an
+    interior edge never disturbs another maximal path, so a contraction
+    re-keys only the path it pops.
     """
-    threshold = inst.ell + 3
-    # paths come back canonically oriented, so each is its own sort key,
-    # and no two tie, since interiors are disjoint; a contraction re-keys
-    # only the path it pops, so each long path has one entry at a time
-    paths = maximal_degree2_paths(inst.graph, inst.nonterminals)
-    heap = [p.vertices for p in paths if len(p.vertices) - 1 >= threshold]
-    if not heap:
-        return None
-    heapify(heap)
-    edit = _Edit(inst)
-    while heap:
-        ordered = list(heappop(heap))
+    threshold = edit.start.ell + 3
+    heapify(paths)
+    while paths:
+        ordered = list(heappop(paths))
         transcript.append(edit.contract(rule, ordered[1], ordered[2]))
         del ordered[2]
         key = _canonical_path(ordered)
         if len(key) - 1 >= threshold:
-            heappush(heap, key)
-    return edit.instance()
+            heappush(paths, key)
 
 
 def _long_path_via(
     adj: dict[int, set[int]], forbidden: set[int], u: int, threshold: int
-) -> bool:
-    """Does ``u`` now sit inside a degree-2-path of length >= threshold?
+) -> tuple[int, ...] | None:
+    """The canonical maximal degree-2-path through ``u``, if it is long.
 
     Called after a deletion dropped ``u`` to degree 2 (or removed it
-    from the forbidden set); only paths through ``u`` can be new.  The
-    pass starts right after contractions ran out and stops at the first
-    long path, so each side of ``u`` was part of a path shorter than
-    ``threshold`` (walking both to their ends costs O(threshold)), and
-    so was a bare cycle through ``u``: a walk back to ``u`` is False.
+    from the forbidden set).  No long path existed before, so each side
+    of ``u`` was part of a path shorter than ``threshold`` (walking both
+    to their ends costs O(threshold)), and so was a bare cycle through
+    ``u``: a walk back to ``u`` gives None.
     """
     if len(adj[u]) != 2 or u in forbidden:
-        return False
-    length = 2
+        return None
+    sides = []
     for x in adj[u]:
-        prev = u
+        side, prev = [x], u
         while len(adj[x]) == 2 and x not in forbidden:
             if x == u:
-                return False
+                return None
             (nxt,) = adj[x] - {prev}
             prev, x = x, nxt
-            length += 1
-    return length >= threshold
+            side.append(x)
+        sides.append(side)
+    if len(sides[0]) + len(sides[1]) < threshold:
+        return None
+    return _canonical_path(sides[0][::-1] + [u] + sides[1])
 
 
 def _exhaust_pendant_deletions(
-    inst: Instance | InstanceNT, rules: tuple[str, ...], transcript: list[RuleApplication]
-) -> Instance | InstanceNT | None:
-    """Delete pendants to exhaustion in one pass under ``rules``.
+    edit: _Edit, rules: tuple[str, ...], transcript: list[RuleApplication]
+) -> None:
+    """Delete pendants to exhaustion under the deletion rules ``rules[1:]``,
+    contracting with ``rules[0]`` every long path a deletion opens.
 
     R2 deletes the lowest pendant sharing its host with another
     pendant; R4 and R9, listed after it, delete the lowest pendant of
     all.  Sequentially identical to firing the rules one at a time with
-    the contraction rule at higher priority: the batch stops as soon as
-    a deletion opens a degree-2-path of length >= ell+3, so the caller
-    can contract before deletions resume.  A deletion only changes its
-    host's degree, so that check is local.  Returns None when nothing
-    fired.
+    the contraction rule at higher priority.  Before a deletion no long
+    path exists, and a deletion changes only its host ``u``'s degree
+    (and, under R9, ``u``'s required status), so the only path that can
+    turn long goes through ``u``; it is contracted on the spot.
+    Contraction merges ``vs[2]`` into ``vs[1]``, and a long path has at
+    least ell+3 >= 4 edges, so ``vs[2]`` is never next to an endpoint:
+    it is no pendant and no pendant's host, every other degree stays
+    put, and the heaps pick exactly what a restarted pass would.
     """
-    twins = "R2" in rules
+    contraction, twins = rules[0], "R2" in rules
     sweep = rules[-1] if rules[-1] != "R2" else None
-    edit = _Edit(inst)
     adj = edit.adj
     pend = {v for v, nbrs in adj.items() if len(nbrs) == 1}
-    # deletions only lower degrees, so only a vertex that starts out
-    # pendant can be a required-internal pendant
+    # deletions only lower degrees, and contractions keep the degrees of
+    # the vertices they leave, so only a vertex that starts out pendant
+    # can be a required-internal pendant
     bad = pend & edit.nt
     if bad:
         raise InternalInvariantError(f"required-internal vertex {min(bad)} became pendant")
@@ -452,7 +439,7 @@ def _exhaust_pendant_deletions(
         elif sweep_heap:
             v, rule = heappop(sweep_heap), sweep
         else:
-            break
+            return
         (u,) = adj[v]
         pend.discard(v)
         pendants_of[u].discard(v)
@@ -475,30 +462,30 @@ def _exhaust_pendant_deletions(
                 # new, and re-pushing all of them would be quadratic on a star
                 for x in siblings if len(siblings) == 2 else (u,):
                     heappush(twin_heap, x)
-        if _long_path_via(adj, edit.nt, u, inst.ell + 3):
-            break
-    return edit.instance() if len(edit.live) < inst.graph.n else None
+        path = _long_path_via(adj, edit.nt, u, edit.start.ell + 3)
+        if path is not None:
+            _exhaust_contractions(edit, contraction, [path], transcript)
 
 
 def _fixpoint(
     inst: Instance | InstanceNT, rules: tuple[str, ...], transcript: list[RuleApplication]
 ) -> Instance | InstanceNT:
-    """Alternate the contraction rule ``rules[0]`` with the deletion
-    rules ``rules[1:]`` until neither fires.
+    """Apply the contraction rule ``rules[0]`` and the deletion rules
+    ``rules[1:]`` until neither fires, on one edit state.
 
-    One contraction pass exhausts contractions, so the loop ends as
-    soon as a deletion pass finds nothing to delete.
+    One scan of the starting graph finds the long paths, which are
+    contracted first; then one deletion loop runs, contracting each
+    long path the moment a deletion opens it.  Every step deletes a
+    vertex, so nothing needs a loop bound.  The graph is rebuilt once,
+    and not at all when nothing fired.
     """
-    contraction, deletions = rules[0], rules[1:]
-    for _ in range(inst.graph.n + inst.graph.m + 4):
-        inst = _exhaust_contractions(inst, contraction, transcript) or inst
-        if not deletions:
-            return inst
-        smaller = _exhaust_pendant_deletions(inst, deletions, transcript)
-        if smaller is None:
-            return inst
-        inst = smaller
-    raise InternalInvariantError("reduction loop failed to reach a fixpoint")
+    edit, fired = _Edit(inst), len(transcript)
+    paths = maximal_degree2_paths(inst.graph, inst.nonterminals)
+    long_paths = [p.vertices for p in paths if p.length >= inst.ell + 3]
+    _exhaust_contractions(edit, rules[0], long_paths, transcript)
+    if len(rules) > 1:
+        _exhaust_pendant_deletions(edit, rules, transcript)
+    return edit.instance() if len(transcript) > fired else inst
 
 
 def _case1_witness_li(cur: Instance) -> tuple[SpanningTree, ...]:

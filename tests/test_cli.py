@@ -61,6 +61,10 @@ def test_usage_problems_exit_64(tmp_path, capsys):
     for max_n in ("2", "16"):
         code, out, err = run(capsys, "audit", "--problem", "lnt", "--max-n", max_n)
         assert code == 64 and "--max-n" in err and out == ""
+    for cmd in (["kernelize", "-i", path], ["construct", "-i", path], ["audit", "--problem", "li"]):
+        for budget in ("0", "-3"):
+            code, out, err = run(capsys, *cmd, "--budget", budget)
+            assert code == 64 and "--budget" in err and out == ""
     # the smallest accepted sizes
     code, out, _ = run(capsys, "audit", "--problem", "li", "--count", "0", "--max-n", "3")
     assert code == 0 and out.strip() == "0/0 equivalence passes"

@@ -32,6 +32,7 @@ from divtrees import (
 )
 from divtrees.blackbox import mist_no_instance, ntst_no_instance
 from divtrees.graphcore import _canonical_path, _contract_edge, delete_vertex
+from divtrees import kernelizer
 from divtrees.kernelizer import _fixpoint
 from test_golden import _corpus as golden_corpus
 
@@ -412,6 +413,26 @@ def test_li_fixpoint_matches_sequential_rules(case):
     got = _fixpoint(inst, ("R1", "R2", "R4") if include_r4 else ("R1", "R2"), transcript)
     assert got == expected
     assert transcript == expected_transcript
+
+
+def test_fixpoint_builds_one_edit_state_per_phase(monkeypatch):
+    # case 4's deletions open long paths twice; each is contracted on
+    # the phase's one edit state, not by a pass that rebuilds the graph
+    inst, _ = list(li_reduction_cases())[4]
+    calls = {"__init__": 0, "instance": 0}
+    for name in calls:
+        original = getattr(kernelizer._Edit, name)
+
+        def counted(self, *args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(self, *args)
+
+        monkeypatch.setattr(kernelizer._Edit, name, counted)
+    transcript = []
+    _fixpoint(inst, ("R1", "R2", "R4"), transcript)
+    opened = [b.rule for a, b in zip(transcript, transcript[1:]) if a.rule != "R1"]
+    assert opened.count("R1") == 2
+    assert calls == {"__init__": 1, "instance": 1}
 
 
 def lnt_reduction_cases():
