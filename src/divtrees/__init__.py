@@ -52,7 +52,6 @@ from .oracle import (
     OracleLimits,
     OracleVerdict,
     counting_shortcut,
-    equivalent,
     solve,
     solve_li,
     solve_lnt,

@@ -36,7 +36,7 @@ from .graphcore import (
 )
 from .kernelizer import KernelResult, kernelize_li, kernelize_lnt, transcript_to_ndjson
 from .oracle import OracleLimits, solve
-from .spantree import read_edge_set_family, write_family
+from .spantree import family_json, read_edge_set_family, write_family
 
 EX_USAGE = 64
 EX_DATA = 65
@@ -93,10 +93,6 @@ def _emit_json(output: str | None, payload: dict) -> None:
     _emit(output, json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
-def _family_json(family) -> list[list[list[int]]]:
-    return [[list(e) for e in t.sorted_edges()] for t in family]
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -143,7 +139,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         "problem": inst.problem,
         "answer": verdict.answer,
         "stats": verdict.stats.to_json_dict(),
-        "witness": None if verdict.witness is None else _family_json(verdict.witness),
+        "witness": None if verdict.witness is None else family_json(verdict.witness),
     }
     _emit_json(args.output, payload)
     return {"yes": 0, "no": 1, "inconclusive": 2}[verdict.answer]
@@ -176,7 +172,7 @@ def _cmd_construct(args: argparse.Namespace) -> int:
         "schema": 1,
         "ok": family is not None,
         "reason": reason,
-        "family": None if family is None else _family_json(family),
+        "family": None if family is None else family_json(family),
         "report": None if report is None else report.to_json_dict(),
     }
     _emit_json(args.output, payload)

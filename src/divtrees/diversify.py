@@ -14,6 +14,7 @@ conflict-free pool.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import ceil
 from typing import Iterable, Sequence
 
@@ -46,14 +47,14 @@ class LeafSwapPlan:
     """A validated swap schedule over a chosen leaf set.
 
     ``independent`` is the conflict-free pool; ``blocks`` are its first
-    slices, one per requested tree, all the same size.
+    slices, one per requested tree, all the same size.  Each leaf's
+    tree neighbour and the conflict edges follow from the tree and the
+    swap targets, so the plan derives them rather than storing them.
     """
 
     tree: SpanningTree
     leaves: frozenset[int]
-    tree_neighbor: dict[int, int]
     swap_target: dict[int, int]
-    conflict_edges: frozenset[tuple[int, int]]
     independent: frozenset[int]
     blocks: tuple[frozenset[int], ...]
 
@@ -64,14 +65,10 @@ class LeafSwapPlan:
                 raise ValueError(f"vertex {v} is not a leaf of the tree")
             if g.degree(v) < 2:
                 raise ValueError(f"leaf {v} has host degree < 2, nothing to swap to")
-            (p,) = self.tree.adjacency[v]
-            if self.tree_neighbor[v] != p:
-                raise ValueError(f"wrong tree neighbor recorded for leaf {v}")
+        for v in self.leaves:
             t = self.swap_target[v]
-            if t == p or t not in g.neighbors(v):
+            if t == self.tree_neighbor[v] or t not in g.neighbors(v):
                 raise ValueError(f"bad swap target {t} for leaf {v}")
-        if self.conflict_edges != _conflict_edges(self.leaves, self.swap_target):
-            raise ValueError("recorded conflict edges do not match the swap targets")
         if not _is_forest(self.leaves, self.conflict_edges):
             raise InternalInvariantError("conflict edges contain a cycle")
         if not self.independent <= self.leaves:
@@ -91,6 +88,14 @@ class LeafSwapPlan:
             seen |= b
         if len(sizes) > 1:
             raise ValueError("blocks must all have the same size")
+
+    @cached_property
+    def tree_neighbor(self) -> dict[int, int]:
+        return {v: next(iter(self.tree.adjacency[v])) for v in self.leaves}
+
+    @cached_property
+    def conflict_edges(self) -> frozenset[tuple[int, int]]:
+        return _conflict_edges(self.leaves, self.swap_target)
 
 
 def _bfs_depth(vertices: Iterable[int], edges: Iterable[tuple[int, int]]) -> dict[int, int]:
@@ -119,9 +124,7 @@ def _is_forest(vertices: Iterable[int], edges: frozenset[tuple[int, int]]) -> bo
     return len(edges) == sum(1 for d in _bfs_depth(vertices, edges).values() if d)
 
 
-def plan_swaps(
-    g: Graph, t: SpanningTree, L: Iterable[int], k: int, ell: int
-) -> LeafSwapPlan:
+def plan_swaps(t: SpanningTree, L: Iterable[int], k: int, ell: int) -> LeafSwapPlan:
     """Choose swap targets for the leaves ``L`` and carve out
     conflict-free blocks, one per requested tree.
 
@@ -137,8 +140,7 @@ def plan_swaps(
     least half of ``L``.  With |L| >= 2*ceil(k/4)*ell the blocks always
     fill; smaller pools fail only if the surviving half is too small.
     """
-    if t.host != g:
-        raise ValueError("tree does not span the given graph")
+    g = t.host
     if g.n < 3:
         raise ValueError("swap planning needs at least 3 vertices")
     if k < 1 or ell < 1:
@@ -150,10 +152,9 @@ def plan_swaps(
         if g.degree(v) < 2:
             raise ValueError(f"leaf {v} has host degree < 2")
 
-    neighbor = {v: next(iter(t.adjacency[v])) for v in leaves}
     target: dict[int, int] = {}
     for v in sorted(leaves):
-        options = sorted(g.neighbors(v) - {neighbor[v]})
+        options = sorted(g.neighbors(v) - t.adjacency[v])
         outside = [u for u in options if u not in leaves]
         target[v] = outside[0] if outside else options[0]
 
@@ -177,28 +178,23 @@ def plan_swaps(
         frozenset(chosen[i * block_size : (i + 1) * block_size]) for i in range(ell)
     )
     return LeafSwapPlan(
-        tree=t,
-        leaves=leaves,
-        tree_neighbor=neighbor,
-        swap_target=target,
-        conflict_edges=conflicts,
-        independent=pool,
-        blocks=blocks,
+        tree=t, leaves=leaves, swap_target=target, independent=pool, blocks=blocks
     )
 
 
 def build_diverse_family(
-    g: Graph, t: SpanningTree, plan: LeafSwapPlan, nt: frozenset[int] = frozenset()
+    plan: LeafSwapPlan, nt: frozenset[int] = frozenset()
 ) -> list[SpanningTree]:
-    """Materialize one tree per plan block by applying its swaps to ``t``.
+    """Materialize one tree per plan block by applying its swaps to the
+    plan's tree.
 
     Distinct blocks touch disjoint leaves and their added edges never
     collide, so two family members differ in exactly two edges per
     involved leaf.  Vertices of ``nt`` stay internal provided each has
     two tree neighbors outside the swap pool.
     """
-    if plan.tree != t or t.host != g:
-        raise ValueError("plan was made for a different tree or graph")
+    t = plan.tree
+    g = t.host
     for v in nt:
         if v not in t.internal_vertices:
             raise ValueError(f"required-internal vertex {v} is a leaf of the base tree")
@@ -260,7 +256,7 @@ def construct_family(
         seed = arbitrary_spanning_tree(g)
     target = max(2 * block * ell + 2 * len(nt), inst.p + block + 2 * len(nt))
     try:
-        grown = grow_leaves(g, seed, nt, target, ell + 3)
+        grown = grow_leaves(seed, nt, target, ell + 3)
     except ValueError as exc:
         return None, f"leaf growth failed: {exc}", None
     if isinstance(grown, SmallnessReport):
@@ -275,8 +271,8 @@ def construct_family(
         v for v in grown.leaves if v not in excluded and g.degree(v) >= 2
     )
     try:
-        plan = plan_swaps(g, grown, chosen, k, ell)
-        family = build_diverse_family(g, grown, plan, nt=nt)
+        plan = plan_swaps(grown, chosen, k, ell)
+        family = build_diverse_family(plan, nt=nt)
     except ValueError as exc:
         return None, f"swap planning failed: {exc}", None
     # growth and swaps track p and k only, so q is checked here

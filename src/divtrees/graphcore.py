@@ -153,10 +153,6 @@ class Degree2Path:
         return len(self.vertices) - 1
 
     @property
-    def endpoints(self) -> tuple[int, int]:
-        return (self.vertices[0], self.vertices[-1])
-
-    @property
     def internal(self) -> tuple[int, ...]:
         return self.vertices[1:-1]
 
@@ -391,6 +387,8 @@ def _directives(text: str) -> dict[str, list[str]]:
         if line.startswith("#%"):
             parts = line[2:].split()
             if parts:
+                if parts[0] in out:
+                    raise GraphFormatError(f"directive {parts[0]} given twice")
                 out[parts[0]] = parts[1:]
     return out
 

@@ -49,7 +49,7 @@ from .graphcore import (
     maximal_degree2_paths,
     pendant_vertices,
 )
-from .spantree import SpanningTree
+from .spantree import SpanningTree, family_json
 
 
 @dataclass(frozen=True)
@@ -127,9 +127,7 @@ class KernelResult:
         return {
             "outcome": self.outcome,
             "instance": self.instance.to_json_dict() if self.instance else None,
-            "witness": None
-            if self.witness is None
-            else [[list(e) for e in t.sorted_edges()] for t in self.witness],
+            "witness": None if self.witness is None else family_json(self.witness),
             "reason": self.reason,
             "final_instance": self.final_instance.to_json_dict(),
             "transcript": [e.to_json_dict() for e in self.transcript],

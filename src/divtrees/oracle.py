@@ -296,19 +296,6 @@ def solve(inst: Instance | InstanceNT, limits: OracleLimits = _DEFAULT) -> Oracl
     return solve_li(inst, limits)
 
 
-def equivalent(
-    a: Instance | InstanceNT,
-    b: Instance | InstanceNT,
-    limits: OracleLimits = _DEFAULT,
-) -> str:
-    """Compare the yes/no status of two instances of the same problem."""
-    va = solve(a, limits)
-    vb = solve(b, limits)
-    if va.answer == "inconclusive" or vb.answer == "inconclusive":
-        return "inconclusive"
-    return "yes" if va.answer == vb.answer else "no"
-
-
 def counting_shortcut(inst: Instance | InstanceNT) -> bool | None:
     """Tree-counting answer for the unconstrained k <= 2 special case.
 

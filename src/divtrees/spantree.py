@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .graphcore import (
     Degree2Path,
@@ -39,6 +39,8 @@ class SpanningTree:
     spanning.  That also gives the balance fact that a tree on >= 2
     vertices with L leaves has B <= L - 2 vertices of degree three or
     more: the degree sum 2n - 2 is at least L + 2(n - L - B) + 3B.
+    The tree's own :class:`Graph`, built once, answers the spanning
+    check, the adjacency and the sorted edges.
     """
 
     host: Graph
@@ -50,7 +52,7 @@ class SpanningTree:
             raise ValueError("tree edges must come from the host graph")
         if len(self.edges) != n - 1:
             raise ValueError(f"a spanning tree of {n} vertices needs {n - 1} edges")
-        if n > 1 and len(_bfs_parents(self.adjacency, 1)) != n:
+        if not self.as_graph().is_connected:
             raise ValueError("edge set does not span the host graph")
 
     @classmethod
@@ -59,15 +61,15 @@ class SpanningTree:
         return cls(host, frozenset(e for i, e in enumerate(host._edge_order) if mask >> i & 1))
 
     @cached_property
-    def adjacency(self) -> dict[int, frozenset[int]]:
-        adj: dict[int, set[int]] = {v: set() for v in self.host.vertices()}
-        for u, v in self.edges:
-            adj[u].add(v)
-            adj[v].add(u)
-        return {v: frozenset(s) for v, s in adj.items()}
+    def _graph(self) -> Graph:
+        return Graph(self.host.n, self.edges)
 
-    def degree(self, v: int) -> int:
-        return len(self.adjacency[v])
+    def as_graph(self) -> Graph:
+        return self._graph
+
+    @property
+    def adjacency(self) -> dict[int, frozenset[int]]:
+        return self._graph.adjacency
 
     @cached_property
     def leaves(self) -> frozenset[int]:
@@ -85,11 +87,8 @@ class SpanningTree:
     def internal_count(self) -> int:
         return self.host.n - self.leaf_count
 
-    def as_graph(self) -> Graph:
-        return Graph(self.host.n, self.edges)
-
     def sorted_edges(self) -> list[tuple[int, int]]:
-        return sorted(self.edges)
+        return self._graph.sorted_edges()
 
 
 def arbitrary_spanning_tree(g: Graph) -> SpanningTree:
@@ -108,9 +107,7 @@ def hamming(t1: SpanningTree, t2: SpanningTree) -> int:
     return len(t1.edges ^ t2.edges)
 
 
-def augment_leaf(
-    g: Graph, t: SpanningTree, path: Degree2Path, v: int, w: int
-) -> SpanningTree:
+def augment_leaf(t: SpanningTree, path: Degree2Path, v: int, w: int) -> SpanningTree:
     """Exchange one edge to gain at least one leaf.
 
     ``path`` must be a path of ``t`` whose internal vertices have tree
@@ -122,8 +119,7 @@ def augment_leaf(
     edge's endpoints are interior path vertices that turn into leaves,
     so the leaf count rises even when ``w`` itself stops being one.
     """
-    if t.host != g:
-        raise ValueError("tree does not span the given graph")
+    g = t.host
     if path.closed:
         raise ValueError("a path of a tree cannot be closed")
     path.validate_against(t.as_graph())
@@ -200,23 +196,18 @@ class SmallnessReport:
 
 
 def grow_leaves(
-    g: Graph,
-    start: SpanningTree,
-    nt: frozenset[int],
-    target: int,
-    s: int,
+    start: SpanningTree, nt: frozenset[int], target: int, s: int
 ) -> SpanningTree | SmallnessReport:
     """Push the leaf count of ``start`` up to ``target`` by repeated
     edge exchanges, or certify that the graph is small.
 
     Requires every vertex of ``nt`` internal in ``start`` and, for the
-    smallness certificate to be sound, that ``g`` has no degree-2-path
+    smallness certificate to be sound, that the host has no degree-2-path
     of length >= s whose internal vertices all avoid ``nt``.  Vertices
     of ``nt`` never become leaves: exchanges only create leaves among
     interior path vertices, and those are kept disjoint from ``nt``.
     """
-    if start.host != g:
-        raise ValueError("start tree does not span the given graph")
+    g = start.host
     if s < 2:
         raise ValueError("s must be at least 2")
     if not nt <= start.internal_vertices:
@@ -245,7 +236,7 @@ def grow_leaves(
                 s=s,
                 leaves_reached=t.leaf_count,
             )
-        t = augment_leaf(g, t, *move)
+        t = augment_leaf(t, *move)
     if not nt <= t.internal_vertices:
         raise InternalInvariantError("growth turned a required-internal vertex into a leaf")
     return t
@@ -410,6 +401,11 @@ def write_tree(t: SpanningTree) -> str:
 
 def write_family(family: list[SpanningTree]) -> str:
     return "".join(write_tree(t) for t in family)
+
+
+def family_json(family: Iterable[SpanningTree]) -> list[list[list[int]]]:
+    """The JSON form of a family: each tree as its sorted edge pairs."""
+    return [[list(e) for e in t.sorted_edges()] for t in family]
 
 
 def read_edge_set_family(text: str, n: int) -> list[frozenset[tuple[int, int]]]:

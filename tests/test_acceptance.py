@@ -284,7 +284,7 @@ def _crit45_runs():
         g = md3(n)
         k, ell = rng.randint(1, 8), rng.randint(2, 4)
         need = ceil(k / 4) * ell
-        grown = grow_leaves(g, arbitrary_spanning_tree(g), frozenset(), 2 * need, ell + 3)
+        grown = grow_leaves(arbitrary_spanning_tree(g), frozenset(), 2 * need, ell + 3)
         if isinstance(grown, SmallnessReport):
             continue
         leaves = grown.leaves
@@ -295,8 +295,8 @@ def _crit45_runs():
         ]
         nt = frozenset(rng.sample(nt_candidates, min(len(nt_candidates), rng.randint(0, 2))))
         try:
-            plan = plan_swaps(g, grown, leaves, k, ell)
-            family = build_diverse_family(g, grown, plan, nt=nt)
+            plan = plan_swaps(grown, leaves, k, ell)
+            family = build_diverse_family(plan, nt=nt)
         except ValueError:
             continue
         runs.append((g, grown, nt, k, ell, plan, family))
@@ -384,7 +384,7 @@ def test_criterion_06_augmentation_properties():
             g, frozenset((i, i + 1) for i in range(1, n))
         )
         for path, v, w in _tree_moves(g, path_tree):
-            t2 = augment_leaf(g, path_tree, path, v, w)
+            t2 = augment_leaf(path_tree, path, v, w)
             done += 1
             if t2.leaf_count <= path_tree.leaf_count:
                 bad.append((n, v, w, "no gain"))
@@ -432,7 +432,7 @@ def test_criterion_07_growth_never_stalls_above_bound():
         )
         tried += 1
         target = 2 * ceil(k / 4) * ell
-        grown = grow_leaves(g, arbitrary_spanning_tree(g), frozenset(), target, ell + 3)
+        grown = grow_leaves(arbitrary_spanning_tree(g), frozenset(), target, ell + 3)
         if isinstance(grown, SmallnessReport) or grown.leaf_count < target:
             failures.append((k, ell, g.n))
     ok = tried == CRIT7_GRAPHS and not failures

@@ -96,6 +96,9 @@ def test_data_problems_exit_65(tmp_path, capsys):
     # parameters beyond the vertex count are a data error too
     code, _, err = run(capsys, "solve", "-i", c5_file(tmp_path), "-p", "9")
     assert code == 65 and "exceeds the vertex count" in err
+    bad.write_text("#% p 1\n#% p 2\n3 2\n1 2\n2 3\n")
+    code, out, err = run(capsys, "solve", "-i", str(bad))
+    assert code == 65 and out == "" and "error: directive p given twice" in err
 
 
 def test_bare_problem_directive_exits_65(tmp_path, capsys):
@@ -298,6 +301,7 @@ def test_construct_builds_and_verifies(tmp_path, capsys):
     payload = json.loads(out)
     assert payload["ok"] is True and payload["reason"] is None
     assert len(payload["family"]) == 2
+    assert all(tree == sorted(tree) for tree in payload["family"])
     code, _, _ = run(capsys, "verify", "-i", path, "--family", str(fam))
     assert code == 0
 
@@ -312,6 +316,17 @@ def test_construct_reports_honest_failure_on_cycles(tmp_path, capsys):
     assert payload["ok"] is False
     assert "growth stalled" in payload["reason"]
     assert payload["family"] is None
+
+
+def test_construct_failure_exits_1_with_null_family(tmp_path, capsys):
+    g = generate("twin-pendant-gadget", (support.cycle_graph(6), 10))
+    path = instance_file(tmp_path, Instance(g, 0, 0, 8, 3))
+    code, out, _ = run(capsys, "construct", "-i", path)
+    assert code == 1
+    assert '"family": null' in out
+    payload = json.loads(out)
+    assert payload["ok"] is False and payload["report"] is None
+    assert payload["reason"].startswith("swap planning failed: only 0 conflict-free leaves")
 
 
 def test_construct_respects_nonterminals(tmp_path, capsys):

@@ -4,12 +4,15 @@ from hypothesis import given, strategies as st
 import support
 from divtrees import (
     Graph,
+    Instance,
+    InstanceNT,
     InternalInvariantError,
     LeafSwapPlan,
     SmallnessReport,
     SpanningTree,
     arbitrary_spanning_tree,
     build_diverse_family,
+    construct_family,
     generate,
     grow_leaves,
     hamming,
@@ -30,8 +33,8 @@ def k4_star():
 # the worked K4 example, pinned end to end
 
 def test_plan_on_k4_star():
-    g, t = k4_star()
-    plan = plan_swaps(g, t, {2, 3, 4}, k=2, ell=2)
+    _, t = k4_star()
+    plan = plan_swaps(t, {2, 3, 4}, k=2, ell=2)
     assert plan.tree_neighbor == {2: 1, 3: 1, 4: 1}
     # lowest-id non-tree neighbor; everything here is inside L
     assert plan.swap_target == {2: 3, 3: 2, 4: 2}
@@ -43,8 +46,8 @@ def test_plan_on_k4_star():
 
 def test_family_on_k4_star():
     g, t = k4_star()
-    plan = plan_swaps(g, t, {2, 3, 4}, k=2, ell=2)
-    fam = build_diverse_family(g, t, plan)
+    plan = plan_swaps(t, {2, 3, 4}, k=2, ell=2)
+    fam = build_diverse_family(plan)
     assert [ti.edges for ti in fam] == [
         frozenset({(1, 2), (1, 4), (2, 3)}),
         frozenset({(1, 2), (1, 3), (2, 4)}),
@@ -60,7 +63,7 @@ def test_plan_prefers_targets_outside_chosen_leaves():
         6, [(1, 2), (1, 3), (1, 4), (4, 5), (4, 6), (2, 5), (3, 5), (2, 3)]
     )
     t = SpanningTree(g, frozenset({(1, 2), (1, 3), (1, 4), (4, 5), (4, 6)}))
-    plan = plan_swaps(g, t, {2, 3}, k=4, ell=1)
+    plan = plan_swaps(t, {2, 3}, k=4, ell=1)
     # 2 would pick 3 by id, but 5 is outside L; same for 3
     assert plan.swap_target == {2: 5, 3: 5}
     assert plan.conflict_edges == frozenset()
@@ -68,39 +71,33 @@ def test_plan_prefers_targets_outside_chosen_leaves():
 
 
 def test_plan_shortfall_message():
-    g, t = k4_star()
+    _, t = k4_star()
     with pytest.raises(ValueError, match="only 2 conflict-free leaves, need 3"):
-        plan_swaps(g, t, {2, 3, 4}, k=4, ell=3)
+        plan_swaps(t, {2, 3, 4}, k=4, ell=3)
 
 
 def test_plan_input_validation():
-    g, t = k4_star()
-    other = support.cycle_graph(4)
-    with pytest.raises(ValueError, match="does not span"):
-        plan_swaps(other, t, {2}, k=2, ell=1)
+    _, t = k4_star()
     with pytest.raises(ValueError, match="at least 3 vertices"):
-        g2 = support.path_graph(2)
-        plan_swaps(g2, arbitrary_spanning_tree(g2), {2}, k=2, ell=1)
+        plan_swaps(arbitrary_spanning_tree(support.path_graph(2)), {2}, k=2, ell=1)
     with pytest.raises(ValueError, match="at least 1"):
-        plan_swaps(g, t, {2}, k=0, ell=1)
+        plan_swaps(t, {2}, k=0, ell=1)
     with pytest.raises(ValueError, match="at least 1"):
-        plan_swaps(g, t, {2}, k=2, ell=0)
+        plan_swaps(t, {2}, k=2, ell=0)
     with pytest.raises(ValueError, match="not a leaf"):
-        plan_swaps(g, t, {1}, k=2, ell=1)
+        plan_swaps(t, {1}, k=2, ell=1)
 
 
 def test_plan_rejects_degree_one_leaf():
     g = support.path_graph(3)
     t = arbitrary_spanning_tree(g)
     with pytest.raises(ValueError, match="host degree < 2"):
-        plan_swaps(g, t, {3}, k=2, ell=1)
+        plan_swaps(t, {3}, k=2, ell=1)
     with pytest.raises(ValueError, match="host degree < 2, nothing to swap to"):
         LeafSwapPlan(
             tree=t,
             leaves=frozenset({3}),
-            tree_neighbor={3: 2},
             swap_target={3: 1},
-            conflict_edges=frozenset(),
             independent=frozenset({3}),
             blocks=(frozenset({3}),),
         )
@@ -110,11 +107,11 @@ def test_plan_on_cycle_path_tree():
     g = support.cycle_graph(6)
     t = arbitrary_spanning_tree(g)  # drops (4, 5)
     assert t.leaves == frozenset({4, 5})
-    plan = plan_swaps(g, t, {4, 5}, k=2, ell=1)
+    plan = plan_swaps(t, {4, 5}, k=2, ell=1)
     # 4 and 5 target each other; one survives the coloring
     assert plan.conflict_edges == frozenset({(4, 5)})
     assert plan.independent == frozenset({4})
-    fam = build_diverse_family(g, t, plan)
+    fam = build_diverse_family(plan)
     assert fam[0].edges == (t.edges - {(3, 4)}) | {(4, 5)}
 
 
@@ -161,7 +158,7 @@ def test_plan_two_colours_a_deep_conflict_forest():
         + [(2, 3), (2, 4), (3, 6), (3, 7), (4, 7), (5, 6)],
     )
     t = SpanningTree(g, frozenset((1, v) for v in range(2, 8)))
-    plan = plan_swaps(g, t, range(2, 8), k=1, ell=1)
+    plan = plan_swaps(t, range(2, 8), k=1, ell=1)
     assert plan.swap_target == {2: 3, 3: 2, 4: 2, 5: 6, 6: 3, 7: 3}
     assert plan.conflict_edges == frozenset({(2, 3), (2, 4), (3, 6), (3, 7), (5, 6)})
     assert plan.independent == frozenset({2, 6, 7})
@@ -202,7 +199,7 @@ def test_lowest_targets_never_close_a_conflict_cycle():
             eligible = sorted(v for v in t.leaves if g.degree(v) >= 2)
             for bits in range(1, 1 << len(eligible)):
                 L = frozenset(v for i, v in enumerate(eligible) if bits >> i & 1)
-                plan = plan_swaps(g, t, L, 1, 1)
+                plan = plan_swaps(t, L, 1, 1)
                 for v in L:
                     (p,) = t.adjacency[v]
                     options = sorted(g.neighbors(v) - {p})
@@ -221,9 +218,7 @@ def valid_plan_parts():
     return dict(
         tree=t,
         leaves=frozenset({2, 3, 4}),
-        tree_neighbor={2: 1, 3: 1, 4: 1},
         swap_target={2: 3, 3: 2, 4: 2},
-        conflict_edges=frozenset({(2, 3), (2, 4)}),
         independent=frozenset({3, 4}),
         blocks=(frozenset({3}), frozenset({4})),
     )
@@ -232,32 +227,25 @@ def valid_plan_parts():
 def test_plan_constructor_accepts_consistent_parts():
     plan = LeafSwapPlan(**valid_plan_parts())
     assert plan.independent == frozenset({3, 4})
+    assert plan.tree_neighbor == {2: 1, 3: 1, 4: 1}
+    assert plan.conflict_edges == frozenset({(2, 3), (2, 4)})
+
+
+def _rejection(number, patch, message):
+    # an explicit id keeps each case's name when cases come and go
+    return pytest.param(patch, ValueError, message, id=f"patch{number}-ValueError-{message}")
 
 
 @pytest.mark.parametrize(
     "patch, exc, message",
     [
-        ({"leaves": frozenset({1, 2})}, ValueError, "not a leaf"),
-        ({"tree_neighbor": {2: 3, 3: 1, 4: 1}}, ValueError, "wrong tree neighbor"),
-        ({"swap_target": {2: 1, 3: 2, 4: 2}}, ValueError, "bad swap target"),
-        ({"conflict_edges": frozenset()}, ValueError, "do not match"),
-        ({"independent": frozenset({1})}, ValueError, "consist of chosen leaves"),
-        (
-            {"independent": frozenset({2, 3})},
-            ValueError,
-            "touches a conflict edge",
-        ),
-        ({"blocks": (frozenset({2}),)}, ValueError, "come from the independent"),
-        (
-            {"blocks": (frozenset({3}), frozenset({3}))},
-            ValueError,
-            "must be disjoint",
-        ),
-        (
-            {"blocks": (frozenset({3, 4}), frozenset())},
-            ValueError,
-            "same size",
-        ),
+        _rejection(0, {"leaves": frozenset({1, 2})}, "not a leaf"),
+        _rejection(2, {"swap_target": {2: 1, 3: 2, 4: 2}}, "bad swap target"),
+        _rejection(4, {"independent": frozenset({1})}, "consist of chosen leaves"),
+        _rejection(5, {"independent": frozenset({2, 3})}, "touches a conflict edge"),
+        _rejection(6, {"blocks": (frozenset({2}),)}, "come from the independent"),
+        _rejection(7, {"blocks": (frozenset({3}), frozenset({3}))}, "must be disjoint"),
+        _rejection(8, {"blocks": (frozenset({3, 4}), frozenset())}, "same size"),
     ],
 )
 def test_plan_constructor_rejections(patch, exc, message):
@@ -269,8 +257,8 @@ def test_plan_constructor_rejections(patch, exc, message):
 
 def test_plan_constructor_rejects_conflict_cycle():
     parts = valid_plan_parts()
+    # the targets derive the conflict triangle (2,3), (3,4), (2,4)
     parts["swap_target"] = {2: 3, 3: 4, 4: 2}
-    parts["conflict_edges"] = frozenset({(2, 3), (3, 4), (2, 4)})
     parts["independent"] = frozenset()
     parts["blocks"] = ()
     with pytest.raises(InternalInvariantError, match="contain a cycle"):
@@ -280,34 +268,26 @@ def test_plan_constructor_rejects_conflict_cycle():
 # ---------------------------------------------------------------------------
 # family construction guards
 
-def test_build_rejects_foreign_tree():
-    g, t = k4_star()
-    plan = plan_swaps(g, t, {2, 3, 4}, k=2, ell=2)
-    t2 = SpanningTree(g, frozenset({(1, 2), (2, 3), (3, 4)}))
-    with pytest.raises(ValueError, match="different tree"):
-        build_diverse_family(g, t2, plan)
-
-
 def test_build_rejects_nonterminal_leaf():
-    g, t = k4_star()
-    plan = plan_swaps(g, t, {2, 3, 4}, k=2, ell=2)
+    _, t = k4_star()
+    plan = plan_swaps(t, {2, 3, 4}, k=2, ell=2)
     with pytest.raises(ValueError, match="is a leaf of the base tree"):
-        build_diverse_family(g, t, plan, nt=frozenset({2}))
+        build_diverse_family(plan, nt=frozenset({2}))
 
 
 def test_build_rejects_nonterminal_without_outside_neighbors():
-    g, t = k4_star()
-    plan = plan_swaps(g, t, {2, 3, 4}, k=2, ell=2)
+    _, t = k4_star()
+    plan = plan_swaps(t, {2, 3, 4}, k=2, ell=2)
     with pytest.raises(ValueError, match="two tree neighbors outside"):
-        build_diverse_family(g, t, plan, nt=frozenset({1}))
+        build_diverse_family(plan, nt=frozenset({1}))
 
 
 def test_build_keeps_nonterminals_internal():
     # path tree on C6 plus chords: internal spine stays internal
     g = Graph.from_edges(6, [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (1, 6), (2, 6)])
     t = SpanningTree(g, frozenset({(1, 2), (2, 3), (3, 4), (4, 5), (5, 6)}))
-    plan = plan_swaps(g, t, {1}, k=2, ell=1)
-    fam = build_diverse_family(g, t, plan, nt=frozenset({3, 4}))
+    plan = plan_swaps(t, {1}, k=2, ell=1)
+    fam = build_diverse_family(plan, nt=frozenset({3, 4}))
     assert frozenset({3, 4}) <= fam[0].internal_vertices
 
 
@@ -327,8 +307,8 @@ def test_verify_family_accepts_raw_edge_sets():
 
 def test_verify_family_flags_each_failure():
     g, t = k4_star()
-    plan = plan_swaps(g, t, {2, 3, 4}, k=2, ell=2)
-    fam = build_diverse_family(g, t, plan)
+    plan = plan_swaps(t, {2, 3, 4}, k=2, ell=2)
+    fam = build_diverse_family(plan)
     # every member has exactly 2 leaves
     assert not verify_family(g, fam, p=3, q=1, k=2).verdict
     assert not verify_family(g, fam, p=0, q=3, k=2).verdict
@@ -370,13 +350,57 @@ def test_grow_plan_build_round_trip(n, k, ell):
     g = generate("min-degree-3", (n,))
     block = -(-k // 4)
     need = block * ell
-    grown = grow_leaves(g, arbitrary_spanning_tree(g), frozenset(), 2 * need, s=ell + 3)
+    grown = grow_leaves(arbitrary_spanning_tree(g), frozenset(), 2 * need, s=ell + 3)
     if isinstance(grown, SmallnessReport):
         return
-    plan = plan_swaps(g, grown, grown.leaves, k, ell)
-    fam = build_diverse_family(g, grown, plan)
+    plan = plan_swaps(grown, grown.leaves, k, ell)
+    fam = build_diverse_family(plan)
     assert len(fam) == ell
     for i in range(ell):
         for j in range(i + 1, ell):
             assert hamming(fam[i], fam[j]) == 4 * block
     assert verify_family(g, fam, p=grown.leaf_count - block, q=0, k=k).verdict
+
+
+# ---------------------------------------------------------------------------
+# every way construct_family gives up: a reason, with no family or report
+
+@pytest.mark.parametrize(
+    "inst, limits, reason",
+    [
+        pytest.param(
+            Instance(Graph(4, frozenset({(1, 2), (3, 4)})), 0, 0, 1, 1),
+            {},
+            "graph is disconnected",
+            id="disconnected",
+        ),
+        pytest.param(
+            InstanceNT(support.path_graph(4), frozenset({1}), 0, 1, 1),
+            {},
+            "no spanning tree keeps the required vertices internal",
+            id="no-seed",
+        ),
+        pytest.param(
+            InstanceNT(generate("min-degree-3", (12,)), frozenset(range(1, 13)), 0, 1, 1),
+            {"budget": 5},
+            "seed search exhausted its budget",
+            id="seed-budget",
+        ),
+        pytest.param(
+            Instance(support.cycle_graph(100), 0, 0, 2, 2),
+            {},
+            "leaf growth failed: smallness does not hold: n=100 >= bound=64",
+            id="growth",
+        ),
+        pytest.param(
+            Instance(generate("twin-pendant-gadget", (support.cycle_graph(6), 10)), 0, 0, 8, 3),
+            {},
+            "swap planning failed: only 0 conflict-free leaves, need 6",
+            id="planning",
+        ),
+    ],
+)
+def test_construct_family_failure_reasons(inst, limits, reason):
+    family, why, report = construct_family(inst, **limits)
+    assert family is None and report is None
+    assert why.startswith(reason)

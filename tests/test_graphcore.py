@@ -310,6 +310,8 @@ def test_read_instance_rejects_bare_and_stray_directives():
         ("#% problem li\n#% nt 2\n", "nt does not apply to problem li"),
         ("#% problem lnt\n#% q 1\n", "q does not apply to problem lnt"),
         ("#% nt 2\n#% q 1\n", "q does not apply to problem lnt"),
+        ("#% p 1\n#% p 2\n", "directive p given twice"),
+        ("#% problem li\n#% k 1\n#% problem li\n", "directive problem given twice"),
     ]:
         with pytest.raises(GraphFormatError, match=pattern):
             read_instance(head + body)

@@ -15,7 +15,6 @@ from divtrees import (
     OracleVerdict,
     SpanningTree,
     counting_shortcut,
-    equivalent,
     generate,
     solve,
     solve_li,
@@ -155,16 +154,6 @@ def test_clique_budget_gives_inconclusive():
 def test_early_yes_survives_tiny_tree_budget():
     verdict = solve_li(li(K4, 0, 0, 1, 2), OracleLimits(max_trees=2))
     assert verdict.answer == "yes"
-
-
-def test_equivalent_compares_status():
-    assert equivalent(li(C5, 2, 3, 2, 5), li(K4, 3, 1, 4, 2)) == "yes"
-    assert equivalent(li(C5, 0, 0, 3, 2), li(P4, 2, 2, 1, 2)) == "yes"
-    assert equivalent(li(C5, 2, 3, 2, 5), li(C5, 0, 0, 3, 2)) == "no"
-    assert (
-        equivalent(li(C5, 0, 0, 3, 2), li(C5, 2, 3, 2, 5), OracleLimits(max_trees=2))
-        == "inconclusive"
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -245,7 +245,7 @@ def test_augment_pin_on_chorded_cycle():
     t = SpanningTree(g, frozenset((i, i + 1) for i in range(1, 8)))
     assert t.leaves == frozenset({1, 8})
     (path,) = maximal_degree2_paths(t.as_graph())
-    t2 = augment_leaf(g, t, path, 4, 8)
+    t2 = augment_leaf(t, path, 4, 8)
     assert t2.edges == frozenset(
         {(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (4, 8), (7, 8)}
     )
@@ -257,11 +257,11 @@ def test_augment_validation():
     t = SpanningTree(g, frozenset((i, i + 1) for i in range(1, 8)))
     (path,) = maximal_degree2_paths(t.as_graph())
     with pytest.raises(ValueError, match="strictly internal"):
-        augment_leaf(g, t, path, 2, 8)
+        augment_leaf(t, path, 2, 8)
     with pytest.raises(ValueError, match="not an edge"):
-        augment_leaf(g, t, path, 4, 6)
+        augment_leaf(t, path, 4, 6)
     with pytest.raises(ValueError, match="already a tree edge"):
-        augment_leaf(g, t, path, 4, 5)
+        augment_leaf(t, path, 4, 5)
 
 
 def test_augment_needs_long_path():
@@ -269,7 +269,7 @@ def test_augment_needs_long_path():
     t = arbitrary_spanning_tree(g)
     (path,) = maximal_degree2_paths(t.as_graph())
     with pytest.raises(ValueError, match="length >= 6"):
-        augment_leaf(g, t, path, 3, max(t.leaves))
+        augment_leaf(t, path, 3, max(t.leaves))
 
 
 def test_augment_gains_a_leaf_on_chorded_cycles():
@@ -280,7 +280,7 @@ def test_augment_gains_a_leaf_on_chorded_cycles():
         g = Graph(n, frozenset(edges))
         t = SpanningTree(g, frozenset((i, i + 1) for i in range(1, n)))
         (path,) = maximal_degree2_paths(t.as_graph())
-        moved = augment_leaf(g, t, path, 4, n)
+        moved = augment_leaf(t, path, 4, n)
         assert moved.leaf_count > t.leaf_count
         assert moved.leaves - t.leaves <= set(path.internal)
 
@@ -291,7 +291,7 @@ def test_augment_gains_a_leaf_on_chorded_cycles():
 def test_grow_reaches_target_on_dense_graph():
     g = generate("min-degree-3", (40,))
     start = arbitrary_spanning_tree(g)
-    out = grow_leaves(g, start, frozenset(), 6, 4)
+    out = grow_leaves(start, frozenset(), 6, 4)
     assert isinstance(out, SpanningTree)
     assert out.leaf_count >= 6
 
@@ -300,7 +300,7 @@ def test_grow_respects_required_internal_vertices():
     g = generate("min-degree-3", (30,))
     start = arbitrary_spanning_tree(g)
     nt = frozenset(sorted(start.internal_vertices)[:2])
-    out = grow_leaves(g, start, nt, 5, 4)
+    out = grow_leaves(start, nt, 5, 4)
     assert isinstance(out, SpanningTree)
     assert nt <= out.internal_vertices
 
@@ -308,7 +308,7 @@ def test_grow_respects_required_internal_vertices():
 def test_grow_reports_smallness_on_a_short_cycle():
     g = support.cycle_graph(6)
     start = arbitrary_spanning_tree(g)
-    out = grow_leaves(g, start, frozenset(), 4, 4)
+    out = grow_leaves(start, frozenset(), 4, 4)
     assert isinstance(out, SmallnessReport)
     assert out.n == 6 and out.leaves_reached == 2
     assert out.bound == (2 * 4 + 0) * 7
@@ -324,7 +324,7 @@ def test_grow_requires_internal_nt_at_start():
     start = arbitrary_spanning_tree(g)
     leaf = min(start.leaves)
     with pytest.raises(ValueError, match="internal"):
-        grow_leaves(g, start, frozenset({leaf}), 3, 4)
+        grow_leaves(start, frozenset({leaf}), 3, 4)
 
 
 # ---------------------------------------------------------------------------
