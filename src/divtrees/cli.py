@@ -96,10 +96,10 @@ def _emit_json(output: str | None, payload: dict) -> None:
 # ---------------------------------------------------------------------------
 # subcommands
 
-def _budget(args: argparse.Namespace) -> int:
-    if args.budget < 1:
-        raise UsageError("--budget must be at least 1")
-    return args.budget
+def _positive(value: int, flag: str) -> int:
+    if value < 1:
+        raise UsageError(f"{flag} must be at least 1")
+    return value
 
 
 def _kernelize_within(
@@ -115,7 +115,7 @@ def _kernelize_within(
 
 
 def _cmd_kernelize(args: argparse.Namespace) -> int:
-    budget = _budget(args)
+    budget = _positive(args.budget, "--budget")
     inst = _load_instance(args)
     result = _kernelize_within(inst, None if args.blackbox == "none" else budget, args.witness)
     if args.transcript is not None:
@@ -131,8 +131,11 @@ def _cmd_kernelize(args: argparse.Namespace) -> int:
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
+    limits = OracleLimits(
+        max_trees=_positive(args.max_trees, "--max-trees"),
+        max_clique_nodes=_positive(args.max_clique_nodes, "--max-clique-nodes"),
+    )
     inst = _load_instance(args)
-    limits = OracleLimits(max_trees=args.max_trees, max_clique_nodes=args.max_clique_nodes)
     verdict = solve(inst, limits)
     payload = {
         "schema": 1,
@@ -163,7 +166,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_construct(args: argparse.Namespace) -> int:
-    budget = _budget(args)
+    budget = _positive(args.budget, "--budget")
     inst = _load_instance(args)
     family, reason, report = construct_family(inst, budget)
     if family is not None and args.family_out is not None:
@@ -229,7 +232,7 @@ def _cmd_audit(args: argparse.Namespace) -> int:
     # random instances have at most 14 edges, so a connected one has n <= 15
     if not 3 <= args.max_n <= 15:
         raise UsageError("--max-n must be between 3 and 15")
-    budget = _budget(args)
+    budget = _positive(args.budget, "--budget")
     rng = random.Random(args.seed)
     instances = [
         _random_instance(rng, args.problem, args.max_n) for _ in range(args.count)

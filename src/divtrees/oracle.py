@@ -15,6 +15,23 @@ search walks bitset pools in index order and returns the
 lexicographically first clique, so witnesses depend only on the
 candidate order; its node count (``clique_nodes``) is the number of
 vertices it tried.
+
+Before the search, a counting bound can answer "no" outright.  Let c_e
+be the number of trees of an ell-family holding edge e:
+
+* edge e lies in exactly one tree of c_e (ell - c_e) pairs, so the
+  pairwise distances sum to sum_e c_e (ell - c_e), where sum_e c_e =
+  ell (n - 1);
+* c (ell - c) is concave, so the sum is largest when every c_e is
+  floor(ell (n - 1) / m) or one more;
+* distances are even, so a yes needs C(ell, 2) * 2 ceil(k/2) in total.
+
+The bound ignores p, q and the required set, which only shrink the
+pool, so it is sound for both problems.  It runs only after a complete
+enumeration, so ``trees_enumerated`` still counts every spanning tree
+and a tree budget still makes the answer ``inconclusive``.  A ``no``
+with ``clique_nodes`` 0 came from the bound, the peeling or too few
+candidates, not from a search.
 """
 
 from __future__ import annotations
@@ -226,9 +243,25 @@ def _find_clique(
     return _first_clique(adj, alive, ell, budget)
 
 
+def _max_distance_sum(n: int, m: int, ell: int) -> int:
+    """The largest sum of pairwise distances over ell spanning trees of
+    a connected graph with n vertices and m edges: sum_e c_e (ell - c_e)
+    at the balanced split of ell (n - 1) tree edges over the m edges."""
+    if m == 0:
+        return 0
+    lo, hi = divmod(ell * (n - 1), m)
+    return hi * (lo + 1) * (ell - lo - 1) + (m - hi) * lo * (ell - lo)
+
+
 def _decide(
     inst: Instance | InstanceNT, limits: OracleLimits
 ) -> tuple[str, list[int] | None, OracleStats]:
+    """(answer, witness masks, stats).  After a complete enumeration,
+    when ell trees cannot reach the distance sum C(ell, 2) * 2 ceil(k/2)
+    (``_max_distance_sum``, proved in the module docstring), the answer
+    is no without a clique search.  When the tree budget ran out, the
+    bound is skipped and the search runs on the partial pool, where
+    finding no clique means inconclusive."""
     g, k, ell = inst.graph, inst.k, inst.ell
     if not g.is_connected:
         return "no", None, OracleStats(0, 0)
@@ -255,6 +288,8 @@ def _decide(
         if len(cands) >= ell:
             return "yes", [m for _, m in cands[:ell]], stats
         return ("no" if complete else "inconclusive"), None, stats
+    if complete and _max_distance_sum(g.n, g.m, ell) < ell * (ell - 1) * ((k + 1) // 2):
+        return "no", None, stats
     cands.sort(key=lambda lm: (-lm[0], lm[1]))
     masks = [m for _, m in cands]
     clique, nodes, exhausted = _find_clique(masks, k, ell, limits.max_clique_nodes)

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -65,6 +69,12 @@ def test_usage_problems_exit_64(tmp_path, capsys):
         for budget in ("0", "-3"):
             code, out, err = run(capsys, *cmd, "--budget", budget)
             assert code == 64 and "--budget" in err and out == ""
+    # solve's limits are checked before the input file is read
+    for flag in ("--max-trees", "--max-clique-nodes"):
+        for source in (path, missing):
+            for value in ("0", "-3"):
+                code, out, err = run(capsys, "solve", "-i", source, flag, value)
+                assert code == 64 and flag in err and out == ""
     # the smallest accepted sizes
     code, out, _ = run(capsys, "audit", "--problem", "li", "--count", "0", "--max-n", "3")
     assert code == 0 and out.strip() == "0/0 equivalence passes"
@@ -125,6 +135,24 @@ def test_solve_exit_codes_carry_the_verdict(tmp_path, capsys):
     code, out, _ = run(capsys, "solve", "-i", path, "-k", "3", "-l", "2", "--max-trees", "2")
     assert code == 2
     assert json.loads(out)["answer"] == "inconclusive"
+    # too many candidates for the clique search's pair guard, but four
+    # trees of K7 cannot reach the distance sum k = 12 needs
+    k7 = instance_file(tmp_path, Instance(support.complete_graph(7), 0, 0, 12, 4), "k7.txt")
+    code, out, _ = run(capsys, "solve", "-i", k7)
+    assert code == 1
+    assert json.loads(out)["stats"] == {"clique_nodes": 0, "trees_enumerated": 16807}
+
+
+def test_python_m_runs_the_cli(tmp_path):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    done = subprocess.run(
+        [sys.executable, "-m", "divtrees", "solve", "-i", c5_file(tmp_path)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        timeout=60,
+    )
+    assert done.returncode == 0 and json.loads(done.stdout)["answer"] == "yes"
 
 
 def test_solve_reads_lnt_files(tmp_path, capsys):

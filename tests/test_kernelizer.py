@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import json
+import random
 import time
 
 import pytest
@@ -660,3 +661,38 @@ def test_lnt_replay_and_oracle_agreement(g, nt_pick, p, k, ell):
     else:
         assert res.outcome in ("reduced", "delegated")
         assert solve(res.instance).answer == truth
+
+
+# ---------------------------------------------------------------------------
+# metamorphic: vertex names carry no meaning
+
+@pytest.mark.parametrize("problem", ["li", "lnt"])
+def test_relabelling_keeps_answers_and_kernel_sizes(problem):
+    rng = random.Random({"li": 11, "lnt": 12}[problem])
+    changed = 0
+    for _ in range(150):
+        n = rng.randint(3, 8)
+        m = rng.randint(n - 1, min(n * (n - 1) // 2, n + 3))
+        g = generate("random-connected", (n, m), seed=rng.randrange(2**30))
+        name = dict(zip(range(1, n + 1), rng.sample(range(1, n + 1), n)))
+        h = Graph.from_edges(n, [(name[u], name[v]) for u, v in g.edges])
+        p, k, ell = rng.randint(0, 3), rng.randint(1, 2 * n), rng.randint(1, 4)
+        if problem == "li":
+            q = rng.randint(0, 3)
+            a, b = li(g, p, q, k, ell), li(h, p, q, k, ell)
+        else:
+            nt = rng.sample(range(1, n + 1), rng.randint(0, 2))
+            a, b = lnt(g, nt, p, k, ell), lnt(h, [name[v] for v in nt], p, k, ell)
+        va, vb = solve(a), solve(b)
+        assert va.answer == vb.answer
+        # a yes with k <= 2 or ell = 1 stops at the ell-th fitting tree,
+        # which depends on edge order; every other answer counts all trees
+        if va.answer == "no" or (k > 2 and ell > 1):
+            assert va.stats.trees_enumerated == vb.stats.trees_enumerated
+        ka, kb = (kernelize(inst) for inst in (a, b))
+        final = ka.final_instance.graph
+        assert (ka.outcome, final.n, final.m) == (
+            kb.outcome, kb.final_instance.graph.n, kb.final_instance.graph.m
+        )
+        changed += (final.n, final.m) != (n, m)
+    assert changed >= 20

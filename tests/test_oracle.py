@@ -14,6 +14,7 @@ from divtrees import (
     OracleLimits,
     OracleVerdict,
     SpanningTree,
+    count_spanning_trees,
     counting_shortcut,
     generate,
     solve,
@@ -21,7 +22,14 @@ from divtrees import (
     solve_lnt,
     verify_family,
 )
-from divtrees.oracle import OracleStats, _diversity_rows, _find_clique, _first_clique
+from divtrees.oracle import (
+    OracleStats,
+    _diversity_rows,
+    _find_clique,
+    _first_clique,
+    _max_distance_sum,
+)
+from divtrees.spantree import enumerate_tree_masks
 
 
 def li(g, p, q, k, ell):
@@ -75,6 +83,8 @@ SPLIT = Graph(n=3, edges=frozenset({(1, 2)}))
         # the lone vertex of K1 has degree 0, hence counts as internal
         (li(K1, 0, 1, 1, 1), "yes"),
         (li(K1, 1, 0, 1, 1), "no"),
+        # K1 has no edges for the distance bound to spread trees over
+        (li(K1, 0, 0, 3, 2), "no"),
         (li(SPLIT, 0, 0, 1, 1), "no"),
     ],
 )
@@ -147,13 +157,60 @@ def test_tree_budget_gives_inconclusive():
 
 def test_clique_budget_gives_inconclusive():
     # 16 candidate trees, so even the pair matrix blows a budget of 1
-    verdict = solve_li(li(K4, 0, 0, 6, 3), OracleLimits(max_clique_nodes=1))
+    assert solve_li(li(K4, 0, 0, 6, 2)).answer == "yes"
+    verdict = solve_li(li(K4, 0, 0, 6, 2), OracleLimits(max_clique_nodes=1))
     assert verdict.answer == "inconclusive"
+
+
+def test_distance_bound_answers_before_the_clique_budget():
+    # three trees of K4 use 9 edge slots on 6 edges: the distance sums
+    # reach at most 12, short of the 18 that k = 6 needs
+    verdict = solve_li(li(K4, 0, 0, 6, 3), OracleLimits(max_clique_nodes=1))
+    assert verdict.answer == "no"
+    assert verdict.stats.clique_nodes == 0
 
 
 def test_early_yes_survives_tiny_tree_budget():
     verdict = solve_li(li(K4, 0, 0, 1, 2), OracleLimits(max_trees=2))
     assert verdict.answer == "yes"
+
+
+# ---------------------------------------------------------------------------
+# the distance-sum bound
+
+def test_max_distance_sum_pins():
+    # each is short of C(4, 2) * 2 ceil(k/2) for the k named
+    assert _max_distance_sum(6, 15, 4) == 50  # K6, k = 10 needs 60
+    md10 = generate("min-degree-3", (10,))
+    assert (md10.n, md10.m) == (10, 15)
+    assert _max_distance_sum(10, 15, 4) == 54  # md10, k = 10 needs 60
+    assert _max_distance_sum(7, 21, 4) == 66  # K7, k = 12 needs 72
+    assert _max_distance_sum(1, 0, 3) == 0  # K1 has no edge
+    assert _max_distance_sum(2, 1, 3) == 0  # K2 has one tree
+
+
+@given(g=support.connected_graphs(min_n=2, max_n=8, max_extra=4), data=st.data())
+def test_distance_bound_is_sound(g, data):
+    masks = list(enumerate_tree_masks(g))
+    ell = data.draw(st.integers(2, 5))
+    k = data.draw(st.integers(3, 2 * g.n))
+    bound = _max_distance_sum(g.n, g.m, ell)
+    family = data.draw(st.lists(st.sampled_from(masks), min_size=ell, max_size=ell))
+    assert sum((a ^ b).bit_count() for a, b in itertools.combinations(family, 2)) <= bound
+    if bound < ell * (ell - 1) * ((k + 1) // 2):
+        clique, _, exhausted = _find_clique(masks, k, ell, 10**7)
+        assert exhausted and clique is None
+
+
+@pytest.mark.parametrize("p", [0, 3])
+@pytest.mark.parametrize(
+    "g", [support.complete_graph(6), generate("min-degree-3", (10,))], ids=["K6", "md10"]
+)
+def test_distance_bound_skips_the_search_after_full_enumeration(g, p):
+    verdict = solve_li(li(g, p, 0, 10, 4))
+    assert verdict.answer == "no"
+    assert verdict.stats.clique_nodes == 0
+    assert verdict.stats.trees_enumerated == count_spanning_trees(g)
 
 
 # ---------------------------------------------------------------------------
