@@ -9,14 +9,13 @@ against the oracle).
 Exit codes: solve uses 0/1/2 for yes/no/inconclusive; verify and
 construct use 0/1 for pass/fail; everything else 0 on success.  Usage
 problems exit 64, unreadable or malformed data 65, violated internal
-invariants 70.  All JSON is key-sorted so identical invocations give
-byte-identical output.
+invariants 70.  All JSON is one key-sorted line so identical
+invocations give byte-identical output.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import random
 import sys
 from functools import partial
@@ -34,7 +33,7 @@ from .graphcore import (
     read_instance,
     write_graph,
 )
-from .kernelizer import KernelResult, kernelize_li, kernelize_lnt, transcript_to_ndjson
+from .kernelizer import JSON_ENCODER, KernelResult, kernelize_li, kernelize_lnt, transcript_to_ndjson
 from .oracle import OracleLimits, solve
 from .spantree import family_json, read_edge_set_family, write_family
 
@@ -52,7 +51,10 @@ def _parse_nt(text: str | None) -> frozenset[int] | None:
         return None
     if not text.strip():
         return frozenset()
-    return frozenset(int(x) for x in text.split(","))
+    try:
+        return frozenset(int(x) for x in text.split(","))
+    except ValueError:
+        raise UsageError(f"--nt takes comma-separated vertex ids, not {text!r}") from None
 
 
 def _load_instance(args: argparse.Namespace) -> Instance | InstanceNT:
@@ -90,7 +92,7 @@ def _emit(output: str | None, text: str) -> None:
 
 
 def _emit_json(output: str | None, payload: dict) -> None:
-    _emit(output, json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    _emit(output, JSON_ENCODER.encode(payload) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -117,6 +119,8 @@ def _kernelize_within(
 def _cmd_kernelize(args: argparse.Namespace) -> int:
     budget = _positive(args.budget, "--budget")
     inst = _load_instance(args)
+    if args.witness and inst.problem == "lnt":
+        raise UsageError("--witness has no meaning for the lnt problem")
     result = _kernelize_within(inst, None if args.blackbox == "none" else budget, args.witness)
     if args.transcript is not None:
         Path(args.transcript).write_text(transcript_to_ndjson(result.transcript))
@@ -278,7 +282,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("kernelize", help="run the reduction pipeline")
     _add_instance_flags(sp)
-    sp.add_argument("--witness", action="store_true", help="construct a family on trivial-yes")
+    sp.add_argument("--witness", action="store_true", help="construct a family on trivial-yes (li)")
     sp.add_argument("--blackbox", choices=["exact", "none"], default="exact")
     sp.add_argument("--budget", type=int, default=200000, help="subroutine kernel tree budget")
     sp.add_argument("--transcript", default=None, help="write the transcript here, one JSON object per line")

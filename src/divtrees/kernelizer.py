@@ -101,8 +101,13 @@ class RuleApplication:
         }
 
 
+# The runtime's one JSON serializer: key-sorted, one line, default
+# separators.  Without indent, json runs its C encoder.
+JSON_ENCODER = json.JSONEncoder(sort_keys=True)
+
+
 def transcript_to_ndjson(transcript: tuple[RuleApplication, ...] | list[RuleApplication]) -> str:
-    return "".join(json.dumps(e.to_json_dict(), sort_keys=True) + "\n" for e in transcript)
+    return "".join(JSON_ENCODER.encode(e.to_json_dict()) + "\n" for e in transcript)
 
 
 @dataclass(frozen=True)

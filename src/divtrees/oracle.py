@@ -36,7 +36,7 @@ candidates, not from a search.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .graphcore import Instance, InstanceNT, InternalInvariantError
 from .spantree import (
@@ -65,10 +65,7 @@ class OracleStats:
     clique_nodes: int
 
     def to_json_dict(self) -> dict:
-        return {
-            "trees_enumerated": self.trees_enumerated,
-            "clique_nodes": self.clique_nodes,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)

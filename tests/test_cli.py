@@ -82,6 +82,27 @@ def test_usage_problems_exit_64(tmp_path, capsys):
     assert code == 0 and out.strip().endswith("2/2 equivalence passes")
 
 
+def test_unparseable_nt_is_a_usage_error_naming_the_flag(tmp_path, capsys):
+    path = c5_file(tmp_path)
+    for text in ("1,,2", "x", "1;2"):
+        code, out, err = run(capsys, "solve", "-i", path, "--problem", "lnt", "--nt", text)
+        assert code == 64 and out == ""
+        assert "--nt" in err and repr(text) in err and "invalid literal" not in err
+
+
+def test_kernelize_witness_on_lnt_exits_64(tmp_path, capsys):
+    # lnt has no trivial-yes branch, so the flag would do nothing; the
+    # problem can come from the file or from --problem
+    inst = InstanceNT(support.cycle_graph(5), frozenset({1}), 0, 1, 1)
+    lnt_file = instance_file(tmp_path, inst, "lnt.txt")
+    for argv in (["-i", lnt_file], ["-i", c5_file(tmp_path), "--problem", "lnt"]):
+        code, out, err = run(capsys, "kernelize", *argv, "--witness")
+        assert code == 64 and out == ""
+        assert "--witness has no meaning for the lnt problem" in err
+        code, out, _ = run(capsys, "kernelize", *argv)
+        assert code == 0 and json.loads(out)["problem"] == "lnt"
+
+
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     assert main(["kernelize", "--help"]) == 0
@@ -285,6 +306,28 @@ def test_identical_invocations_are_byte_identical(tmp_path, capsys):
     _, a1, _ = run(capsys, "audit", "--problem", "li", "--count", "5", "--seed", "9")
     _, a2, _ = run(capsys, "audit", "--problem", "li", "--count", "5", "--seed", "9")
     assert a1 == a2
+
+
+def test_json_outputs_are_one_sorted_line(tmp_path, capsys):
+    # every payload is the key-sorted, one-line encoding that the
+    # transcript's NDJSON lines use
+    path = md3_file(tmp_path)
+    log = tmp_path / "steps.ndjson"
+    fam = tmp_path / "fam.txt"
+    runs = [
+        ("kernelize", "-i", path, "--transcript", str(log)),
+        ("solve", "-i", c5_file(tmp_path), "-k", "2", "-l", "2"),
+        ("construct", "-i", path, "--family-out", str(fam)),
+        ("verify", "-i", path, "--family", str(fam)),
+    ]
+    for argv in runs:
+        code, out, _ = run(capsys, *argv)
+        assert code == 0, argv
+        assert out == json.dumps(json.loads(out), sort_keys=True) + "\n", argv
+        assert out.count("\n") == 1, argv
+        if argv[0] == "kernelize":
+            entries = [json.loads(line) for line in log.read_text().splitlines()]
+            assert entries and entries == json.loads(out)["transcript"]
 
 
 # ---------------------------------------------------------------------------
