@@ -23,11 +23,11 @@ from .spantree import (
     SmallnessReport,
     SpanningTree,
     TreeEnumerationOverflow,
+    _acyclic,
     _tree_fit,
     arbitrary_spanning_tree,
     enumerate_tree_masks,
     grow_leaves,
-    hamming,
 )
 
 
@@ -212,13 +212,16 @@ def build_diverse_family(
 
     block_size = len(plan.blocks[0]) if plan.blocks else 0
     floor_leaves = t.leaf_count - block_size
+    # (Ti △ T) △ (Tj △ T) = Ti △ Tj, so each member's difference from
+    # the base tree, taken once, gives every pair's distance
+    diffs = [ti.edges ^ t.edges for ti in family]
     for i, ti in enumerate(family):
         if not nt <= ti.internal_vertices:
             raise InternalInvariantError("swap turned a required-internal vertex into a leaf")
         if ti.leaf_count < floor_leaves:
             raise InternalInvariantError("swaps lost more leaves than targets replaced")
-        for tj in family[:i]:
-            if hamming(ti, tj) != 2 * (2 * block_size):
+        for dj in diffs[:i]:
+            if len(diffs[i] ^ dj) != 2 * (2 * block_size):
                 raise InternalInvariantError("family members at an unexpected distance")
     return family
 
@@ -337,7 +340,7 @@ class FamilyReport:
 
 
 def _spans(g: Graph, edges: frozenset[tuple[int, int]]) -> bool:
-    return edges <= g.edges and len(edges) == g.n - 1 and Graph(g.n, edges).is_connected
+    return edges <= g.edges and len(edges) == g.n - 1 and _acyclic(g.n, edges)
 
 
 def verify_family(
@@ -376,9 +379,18 @@ def verify_family(
                 required_internal_ok=nt <= internal,
             )
         )
+    # one bit per distinct edge, foreign edges included, so a pair's
+    # distance is the popcount of the xor of its two masks
+    bit: dict[tuple[int, int], int] = {}
+    masks = []
+    for edges in edge_sets:
+        mask = 0
+        for e in edges:
+            mask |= 1 << bit.setdefault(e, len(bit))
+        masks.append(mask)
     pairs = []
-    for i in range(len(edge_sets)):
-        for j in range(i + 1, len(edge_sets)):
-            d = len(edge_sets[i] ^ edge_sets[j])
+    for i in range(len(masks)):
+        for j in range(i + 1, len(masks)):
+            d = (masks[i] ^ masks[j]).bit_count()
             pairs.append(PairCheck(first=i, second=j, distance=d, ok=d >= k))
     return FamilyReport(trees=tuple(trees), pairs=tuple(pairs))

@@ -31,6 +31,23 @@ class TreeEnumerationOverflow(RuntimeError):
     """More spanning trees exist than the enumeration limit allows."""
 
 
+def _acyclic(n: int, edges: Iterable[tuple[int, int]]) -> bool:
+    """Whether ``edges`` on vertices 1..n close no cycle.  Given n - 1
+    of them, that is whether they form a spanning tree."""
+    parent = list(range(n + 1))
+    for u, v in edges:
+        while parent[u] != u:
+            parent[u] = parent[parent[u]]
+            u = parent[u]
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        if u == v:
+            return False
+        parent[u] = v
+    return True
+
+
 @dataclass(frozen=True)
 class SpanningTree:
     """A spanning tree of ``host``: n-1 of its edges, acyclic, spanning.
@@ -39,8 +56,9 @@ class SpanningTree:
     spanning.  That also gives the balance fact that a tree on >= 2
     vertices with L leaves has B <= L - 2 vertices of degree three or
     more: the degree sum 2n - 2 is at least L + 2(n - L - B) + 3B.
-    The tree's own :class:`Graph`, built once, answers the spanning
-    check, the adjacency and the sorted edges.
+    A union-find pass answers the spanning check (n-1 edges that close
+    no cycle span); the tree's own :class:`Graph` is built once, when
+    the adjacency or the sorted edges are first asked for.
     """
 
     host: Graph
@@ -52,7 +70,7 @@ class SpanningTree:
             raise ValueError("tree edges must come from the host graph")
         if len(self.edges) != n - 1:
             raise ValueError(f"a spanning tree of {n} vertices needs {n - 1} edges")
-        if not self.as_graph().is_connected:
+        if not _acyclic(n, self.edges):
             raise ValueError("edge set does not span the host graph")
 
     @classmethod
@@ -245,12 +263,6 @@ def grow_leaves(
 # ---------------------------------------------------------------------------
 # exhaustive enumeration
 
-def _find(parent: list[int], x: int) -> int:
-    while parent[x] != x:
-        x = parent[x]
-    return x
-
-
 def enumerate_tree_masks(g: Graph, limit: int = 200000) -> Iterator[int]:
     """Yield every spanning tree as a bitmask over ``g.sorted_edges()``.
 
@@ -266,6 +278,19 @@ def enumerate_tree_masks(g: Graph, limit: int = 200000) -> Iterator[int]:
     child keeps picked plus undecided edges unchanged; and the exclude
     child of an edge inside one component drops an edge the forest
     already made redundant.  So the first tree costs no scan at all.
+
+    The forest is one union-find per generator, linked by size and
+    undone rather than copied: each link pushes the root it hung below
+    another onto a trail, and a frame records the trail length its
+    forest had.  Popping a frame unlinks back to that length, and the
+    spanning check unions on the same arrays and unlinks its own links
+    before it goes on.  Path compression would rewrite parents that no
+    trail entry restores, so finds walk up instead; linking by size
+    keeps every walk O(log n).  The first tree thus takes O(m log n)
+    union-find steps, and the forest and its trail take O(n) words
+    however deep the search runs.  Only the frames' masks grow with
+    depth: pending frames share at most one m-bit mask per picked edge
+    on the current path.
     """
     if not g.is_connected:
         raise ValueError("enumeration expects a connected graph")
@@ -276,13 +301,19 @@ def enumerate_tree_masks(g: Graph, limit: int = 200000) -> Iterator[int]:
     edges = g.sorted_edges()
     m = len(edges)
     emitted = 0
-    # frame: next edge index, chosen-edge bitmask, forest as DSU parent,
-    # components, whether the frame must re-check that it can still span
-    stack: list[tuple[int, int, list[int], int, bool]] = [
-        (0, 0, list(range(n + 1)), n, False)
-    ]
+    parent = list(range(n + 1))
+    size = [1] * (n + 1)
+    trail: list[int] = []
+    # frame: next edge index, chosen-edge bitmask, trail length of its
+    # forest, components, whether the frame must re-check that it can
+    # still span
+    stack: list[tuple[int, int, int, int, bool]] = [(0, 0, 0, n, False)]
     while stack:
-        idx, mask, parent, comps, check = stack.pop()
+        idx, mask, trail_len, comps, check = stack.pop()
+        while len(trail) > trail_len:
+            r = trail.pop()
+            size[parent[r]] -= size[r]
+            parent[r] = r
         if comps == 1:
             emitted += 1
             if emitted > limit:
@@ -290,24 +321,41 @@ def enumerate_tree_masks(g: Graph, limit: int = 200000) -> Iterator[int]:
             yield mask
             continue
         if check:
-            trial = parent[:]
             c = comps
             for j in range(idx, m):
-                ru, rv = _find(trial, edges[j][0]), _find(trial, edges[j][1])
-                if ru != rv:
-                    trial[ru] = rv
+                u, v = edges[j]
+                while parent[u] != u:
+                    u = parent[u]
+                while parent[v] != v:
+                    v = parent[v]
+                if u != v:
+                    if size[u] > size[v]:
+                        u, v = v, u
+                    parent[u] = v
+                    size[v] += size[u]
+                    trail.append(u)
                     c -= 1
                     if c == 1:
                         break
+            while len(trail) > trail_len:
+                r = trail.pop()
+                size[parent[r]] -= size[r]
+                parent[r] = r
             if c > 1:
                 continue
         u, v = edges[idx]
-        ru, rv = _find(parent, u), _find(parent, v)
-        stack.append((idx + 1, mask, parent, comps, ru != rv))
-        if ru != rv:
-            child = parent[:]
-            child[ru] = rv
-            stack.append((idx + 1, mask | (1 << idx), child, comps - 1, False))
+        while parent[u] != u:
+            u = parent[u]
+        while parent[v] != v:
+            v = parent[v]
+        stack.append((idx + 1, mask, trail_len, comps, u != v))
+        if u != v:
+            if size[u] > size[v]:
+                u, v = v, u
+            parent[u] = v
+            size[v] += size[u]
+            trail.append(u)
+            stack.append((idx + 1, mask | (1 << idx), trail_len + 1, comps - 1, False))
     if emitted == 0:
         raise InternalInvariantError("a connected graph must have a spanning tree")
 

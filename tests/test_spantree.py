@@ -1,6 +1,8 @@
 import hashlib
 import random
 import time
+import tracemalloc
+from itertools import combinations, islice
 
 import pytest
 from hypothesis import given
@@ -20,6 +22,7 @@ from divtrees import (
     hamming,
     maximal_degree2_paths,
     read_edge_set_family,
+    verify_family,
     write_family,
     write_tree,
 )
@@ -55,6 +58,58 @@ def test_spanning_tree_rejects_non_spanning_sets():
     g = support.complete_graph(4)
     with pytest.raises(ValueError, match="span"):
         SpanningTree(g, frozenset({(1, 2), (1, 3), (2, 3)}))
+
+
+def _check_corpus():
+    yield support.complete_graph(4)
+    yield support.cycle_graph(5)
+    yield generate("theta", (2, 3, 3))
+    for seed, (n, m) in enumerate([(5, 7), (6, 9), (7, 10), (7, 12)]):
+        yield generate("random-connected", (n, m), seed=seed)
+
+
+def _spans_by_connectivity(g, s):
+    return s <= g.edges and len(s) == g.n - 1 and Graph(g.n, s).is_connected
+
+
+def _assert_spanning_check(g, s):
+    expected = _spans_by_connectivity(g, s)
+    try:
+        SpanningTree(g, s)
+        built = True
+    except ValueError:
+        built = False
+    assert built == expected, (g, s)
+    assert verify_family(g, [s], 0, 0, 1).trees[0].spanning == expected, (g, s)
+
+
+def test_spanning_check_agrees_with_connectivity():
+    # the union-find check against the graph search it replaced, on
+    # every subset one edge short of, at, and one edge over a tree
+    rng = random.Random(14)
+    for g in _check_corpus():
+        edges = g.sorted_edges()
+        for size in (g.n - 2, g.n - 1, g.n):
+            for s in combinations(edges, size):
+                _assert_spanning_check(g, frozenset(s))
+        foreign = [e for e in combinations(g.vertices(), 2) if e not in g.edges]
+        for _ in range(200 if foreign else 0):
+            size = rng.randint(max(0, g.n - 3), min(g.m, g.n))
+            s = frozenset(rng.sample(edges, size)) | {rng.choice(foreign)}
+            _assert_spanning_check(g, s)
+
+
+def test_pair_distances_are_symmetric_differences():
+    rng = random.Random(7)
+    g = generate("random-connected", (8, 14), seed=3)
+    pool = list(g.edges) + [(1, 1), (2, 9), (9, 10), (3, 12)]
+    pool += [e for e in combinations(g.vertices(), 2) if e not in g.edges]
+    for _ in range(50):
+        family = [frozenset(rng.sample(pool, rng.randint(0, 12))) for _ in range(rng.randint(2, 6))]
+        report = verify_family(g, family, 0, 0, 1)
+        assert len(report.pairs) == len(family) * (len(family) - 1) // 2
+        for pair in report.pairs:
+            assert pair.distance == len(family[pair.first] ^ family[pair.second])
 
 
 def test_arbitrary_tree_is_bfs_from_one():
@@ -229,6 +284,70 @@ def test_enumeration_agrees_with_networkx(g):
     }
     got = {t.edges for t in enumerate_spanning_trees(g)}
     assert got == expected
+
+
+def _first_tree_peak(n):
+    g = generate("min-degree-3", (n,))
+    # the graph caches its connectivity and edge order, and an untraced
+    # first run fills the interpreter's free lists, so the peak counts
+    # only what the search itself keeps alive
+    next(enumerate_tree_masks(g))
+    tracemalloc.start()
+    try:
+        next(enumerate_tree_masks(g))
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_first_tree_copies_no_forest():
+    # a forest copied per include child peaked at 33 MB here, four
+    # times the n = 1000 peak; what is left to grow with depth is the
+    # frames' edge masks
+    big, small = _first_tree_peak(2000), _first_tree_peak(1000)
+    assert big < 4_000_000
+    assert big / small < 3
+
+
+def test_first_tree_walks_short_finds_past_a_low_labelled_hub():
+    # edges (1, 2), (1, 3), ... in order: linking roots without sizes
+    # hangs the growing tree below each new spoke, so the finds from 1
+    # walk the whole chain and the first tree took about 0.28 s here;
+    # linked by size it takes a few ms
+    n = 3000
+    spokes = {(1, v) for v in range(2, n + 1)}
+    rim = {(v, v + 1) for v in range(2, n)} | {(2, n)}
+    g = Graph(n, frozenset(spokes | rim))
+    next(enumerate_tree_masks(g))
+    start = time.perf_counter()
+    next(enumerate_tree_masks(g))
+    assert time.perf_counter() - start < 0.1
+
+
+def test_interleaved_enumerators_are_independent():
+    g = generate("random-connected", (8, 13), seed=2)
+    solo = list(enumerate_tree_masks(g))
+    assert len(solo) > 500
+    a, b = enumerate_tree_masks(g), enumerate_tree_masks(g)
+    got_a, got_b = [], []
+    while len(got_a) < len(solo):
+        got_a.append(next(a))
+        got_b.extend(islice(b, 2))
+    got_b.extend(b)
+    assert next(a, None) is None
+    assert got_a == solo and got_b == solo
+
+    limit = 50
+    a, b = enumerate_tree_masks(g, limit), enumerate_tree_masks(g, limit)
+    got_a, got_b = [], []
+    for _ in range(limit):
+        got_b.append(next(b))
+        got_a.append(next(a))
+    assert got_a == got_b == solo[:limit]
+    with pytest.raises(TreeEnumerationOverflow):
+        next(b)
+    with pytest.raises(TreeEnumerationOverflow):
+        next(a)
 
 
 # ---------------------------------------------------------------------------
