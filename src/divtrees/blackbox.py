@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .graphcore import Graph, InternalInvariantError
-from .spantree import TreeEnumerationOverflow, _tree_fit, enumerate_tree_masks
+from .spantree import DEFAULT_TREE_BUDGET, TreeEnumerationOverflow, _tree_fit, enumerate_tree_masks
 
 
 @dataclass(frozen=True)
@@ -80,7 +80,7 @@ def _tree_exists(g: Graph, q: int, nt: frozenset[int], budget: int) -> bool | No
         return None
 
 
-def mist_kernel(inst: MistInstance, budget: int = 200000) -> MistInstance | None:
+def mist_kernel(inst: MistInstance, budget: int = DEFAULT_TREE_BUDGET) -> MistInstance | None:
     """Reduce a max-internal spanning tree instance to a canonical
     2-vertex equivalent by deciding it outright.
 
@@ -91,7 +91,7 @@ def mist_kernel(inst: MistInstance, budget: int = 200000) -> MistInstance | None
     return None if found is None else _checked_mist(_MIST_YES if found else _MIST_NO)
 
 
-def ntst_kernel(inst: NtstInstance, budget: int = 200000) -> NtstInstance | None:
+def ntst_kernel(inst: NtstInstance, budget: int = DEFAULT_TREE_BUDGET) -> NtstInstance | None:
     """Reduce a non-terminal spanning tree instance to a canonical
     2-vertex equivalent by deciding it outright.
 
@@ -100,18 +100,3 @@ def ntst_kernel(inst: NtstInstance, budget: int = 200000) -> NtstInstance | None
     found = _tree_exists(inst.graph, 0, inst.nonterminals, budget)
     return None if found is None else _checked_ntst(_NTST_YES if found else _NTST_NO)
 
-
-def mist_yes_instance() -> MistInstance:
-    return _MIST_YES
-
-
-def mist_no_instance() -> MistInstance:
-    return _MIST_NO
-
-
-def ntst_yes_instance() -> NtstInstance:
-    return _NTST_YES
-
-
-def ntst_no_instance() -> NtstInstance:
-    return _NTST_NO

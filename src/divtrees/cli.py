@@ -35,7 +35,7 @@ from .graphcore import (
 )
 from .kernelizer import JSON_ENCODER, KernelResult, kernelize_li, kernelize_lnt, transcript_to_ndjson
 from .oracle import OracleLimits, solve
-from .spantree import family_json, read_edge_set_family, write_family
+from .spantree import DEFAULT_TREE_BUDGET, family_json, read_edge_set_family, write_family
 
 EX_USAGE = 64
 EX_DATA = 65
@@ -57,18 +57,24 @@ def _parse_nt(text: str | None) -> frozenset[int] | None:
         raise UsageError(f"--nt takes comma-separated vertex ids, not {text!r}") from None
 
 
+def _check_flags(problem: str | None, q: int | None, nt: frozenset[int] | None) -> None:
+    if problem == "lnt" and q is not None:
+        raise UsageError("-q has no meaning for the lnt problem")
+    if problem == "li" and nt is not None:
+        raise UsageError("--nt has no meaning for the li problem")
+
+
 def _load_instance(args: argparse.Namespace) -> Instance | InstanceNT:
     """Read the input file and overlay any parameter flags.
 
-    Flag conflicts are usage errors, reported before the file is read.
+    Flag conflicts are usage errors: against ``--problem`` they are
+    reported before the file is read, against the file's problem after.
     """
     nt = _parse_nt(args.nt)
-    if args.problem == "lnt" and args.q is not None:
-        raise UsageError("-q has no meaning for the lnt problem")
-    if args.problem == "li" and nt is not None:
-        raise UsageError("--nt has no meaning for the li problem")
+    _check_flags(args.problem, args.q, nt)
     base = read_instance(Path(args.input).read_text())
     problem = args.problem or base.problem
+    _check_flags(problem, args.q, nt)
     if problem == "li" and base.nonterminals:
         raise UsageError("input file carries non-terminals but the problem is li")
     p = base.p if args.p is None else args.p
@@ -284,14 +290,14 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_instance_flags(sp)
     sp.add_argument("--witness", action="store_true", help="construct a family on trivial-yes (li)")
     sp.add_argument("--blackbox", choices=["exact", "none"], default="exact")
-    sp.add_argument("--budget", type=int, default=200000, help="subroutine kernel tree budget")
+    sp.add_argument("--budget", type=int, default=DEFAULT_TREE_BUDGET, help="subroutine kernel tree budget")
     sp.add_argument("--transcript", default=None, help="write the transcript here, one JSON object per line")
     sp.add_argument("--family-out", default=None, help="write the witness family here")
 
     sp = sub.add_parser("solve", help="exact oracle; exit 0 yes, 1 no, 2 inconclusive")
     _add_instance_flags(sp)
-    sp.add_argument("--max-trees", type=int, default=200000)
-    sp.add_argument("--max-clique-nodes", type=int, default=5_000_000)
+    sp.add_argument("--max-trees", type=int, default=DEFAULT_TREE_BUDGET)
+    sp.add_argument("--max-clique-nodes", type=int, default=OracleLimits.max_clique_nodes)
 
     sp = sub.add_parser("verify", help="check a family file; exit 0 pass, 1 fail")
     _add_instance_flags(sp)
@@ -299,7 +305,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("construct", help="build a diverse family; exit 0 pass, 1 fail")
     _add_instance_flags(sp)
-    sp.add_argument("--budget", type=int, default=200000, help="seed tree search budget")
+    sp.add_argument("--budget", type=int, default=DEFAULT_TREE_BUDGET, help="seed tree search budget")
     sp.add_argument("--family-out", default=None, help="write the family here")
 
     sp = sub.add_parser("gen", help="emit a corpus graph")
@@ -316,7 +322,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument(
         "--workers", type=int, default=4, help="ignored: audit runs serially"
     )
-    sp.add_argument("--budget", type=int, default=200000)
+    sp.add_argument("--budget", type=int, default=DEFAULT_TREE_BUDGET)
     sp.add_argument("-o", "--output", default=None)
 
     return parser

@@ -20,10 +20,12 @@ from typing import Iterable, Sequence
 
 from .graphcore import Graph, Instance, InstanceNT, InternalInvariantError, _bfs_parents, _norm_edge
 from .spantree import (
+    DEFAULT_TREE_BUDGET,
     SmallnessReport,
     SpanningTree,
     TreeEnumerationOverflow,
     _acyclic,
+    _leaves,
     _tree_fit,
     arbitrary_spanning_tree,
     enumerate_tree_masks,
@@ -69,7 +71,7 @@ class LeafSwapPlan:
             t = self.swap_target[v]
             if t == self.tree_neighbor[v] or t not in g.neighbors(v):
                 raise ValueError(f"bad swap target {t} for leaf {v}")
-        if not _is_forest(self.leaves, self.conflict_edges):
+        if not _acyclic(g.n, self.conflict_edges):
             raise InternalInvariantError("conflict edges contain a cycle")
         if not self.independent <= self.leaves:
             raise ValueError("independent pool must consist of chosen leaves")
@@ -116,12 +118,6 @@ def _bfs_depth(vertices: Iterable[int], edges: Iterable[tuple[int, int]]) -> dic
             for x, px in _bfs_parents(adj, root).items():
                 depth[x] = 0 if x == px else depth[px] + 1
     return depth
-
-
-def _is_forest(vertices: Iterable[int], edges: frozenset[tuple[int, int]]) -> bool:
-    """A breadth-first forest has one edge per non-root vertex, so the
-    edges form a forest exactly when there are that many of them."""
-    return len(edges) == sum(1 for d in _bfs_depth(vertices, edges).values() if d)
 
 
 def plan_swaps(t: SpanningTree, L: Iterable[int], k: int, ell: int) -> LeafSwapPlan:
@@ -216,7 +212,7 @@ def build_diverse_family(
     # the base tree, taken once, gives every pair's distance
     diffs = [ti.edges ^ t.edges for ti in family]
     for i, ti in enumerate(family):
-        if not nt <= ti.internal_vertices:
+        if nt & ti.leaves:
             raise InternalInvariantError("swap turned a required-internal vertex into a leaf")
         if ti.leaf_count < floor_leaves:
             raise InternalInvariantError("swaps lost more leaves than targets replaced")
@@ -227,7 +223,7 @@ def build_diverse_family(
 
 
 def construct_family(
-    inst: Instance | InstanceNT, budget: int = 200000
+    inst: Instance | InstanceNT, budget: int = DEFAULT_TREE_BUDGET
 ) -> tuple[list[SpanningTree] | None, str | None, FamilyReport | None]:
     """Build a family the constructive way: grow leaves, then swap.
 
@@ -359,15 +355,9 @@ def verify_family(
     edge_sets = [f.edges if isinstance(f, SpanningTree) else frozenset(f) for f in family]
     trees = []
     for i, edges in enumerate(edge_sets):
-        degree = {v: 0 for v in g.vertices()}
-        for u, v in edges:
-            if 1 <= u <= g.n:
-                degree[u] += 1
-            if 1 <= v <= g.n:
-                degree[v] += 1
-        leaf_count = sum(1 for d in degree.values() if d == 1)
+        leaves = _leaves(g.n, edges)
+        leaf_count = len(leaves)
         internal_count = g.n - leaf_count
-        internal = {v for v, d in degree.items() if d != 1}
         trees.append(
             TreeCheck(
                 index=i,
@@ -376,7 +366,7 @@ def verify_family(
                 internal_count=internal_count,
                 leaves_ok=leaf_count >= p,
                 internal_ok=internal_count >= q,
-                required_internal_ok=nt <= internal,
+                required_internal_ok=not nt & leaves,
             )
         )
     # one bit per distinct edge, foreign edges included, so a pair's

@@ -40,6 +40,7 @@ from dataclasses import asdict, dataclass
 
 from .graphcore import Instance, InstanceNT, InternalInvariantError
 from .spantree import (
+    DEFAULT_TREE_BUDGET,
     SpanningTree,
     TreeEnumerationOverflow,
     _tree_fit,
@@ -51,7 +52,7 @@ from .diversify import verify_family
 
 @dataclass(frozen=True)
 class OracleLimits:
-    max_trees: int = 200000
+    max_trees: int = DEFAULT_TREE_BUDGET
     max_clique_nodes: int = 5_000_000
 
     def __post_init__(self) -> None:

@@ -27,6 +27,10 @@ from .graphcore import (
 )
 
 
+# how many spanning trees an enumeration may produce unless told otherwise
+DEFAULT_TREE_BUDGET = 200000
+
+
 class TreeEnumerationOverflow(RuntimeError):
     """More spanning trees exist than the enumeration limit allows."""
 
@@ -48,6 +52,18 @@ def _acyclic(n: int, edges: Iterable[tuple[int, int]]) -> bool:
     return True
 
 
+def _leaves(n: int, edges: Iterable[tuple[int, int]]) -> frozenset[int]:
+    """The vertices of 1..n that end exactly one of ``edges``; endpoints
+    outside 1..n are ignored."""
+    degree = [0] * (n + 1)
+    for u, v in edges:
+        if 1 <= u <= n:
+            degree[u] += 1
+        if 1 <= v <= n:
+            degree[v] += 1
+    return frozenset(v for v, d in enumerate(degree) if d == 1)
+
+
 @dataclass(frozen=True)
 class SpanningTree:
     """A spanning tree of ``host``: n-1 of its edges, acyclic, spanning.
@@ -57,8 +73,9 @@ class SpanningTree:
     vertices with L leaves has B <= L - 2 vertices of degree three or
     more: the degree sum 2n - 2 is at least L + 2(n - L - B) + 3B.
     A union-find pass answers the spanning check (n-1 edges that close
-    no cycle span); the tree's own :class:`Graph` is built once, when
-    the adjacency or the sorted edges are first asked for.
+    no cycle span), and the leaves and sorted edges are read off the
+    edge set.  The tree's own :class:`Graph` is built once, when the
+    adjacency or :meth:`as_graph` is first asked for.
     """
 
     host: Graph
@@ -91,7 +108,7 @@ class SpanningTree:
 
     @cached_property
     def leaves(self) -> frozenset[int]:
-        return frozenset(v for v, s in self.adjacency.items() if len(s) == 1)
+        return _leaves(self.host.n, self.edges)
 
     @property
     def leaf_count(self) -> int:
@@ -106,7 +123,7 @@ class SpanningTree:
         return self.host.n - self.leaf_count
 
     def sorted_edges(self) -> list[tuple[int, int]]:
-        return self._graph.sorted_edges()
+        return sorted(self.edges)
 
 
 def arbitrary_spanning_tree(g: Graph) -> SpanningTree:
@@ -263,7 +280,7 @@ def grow_leaves(
 # ---------------------------------------------------------------------------
 # exhaustive enumeration
 
-def enumerate_tree_masks(g: Graph, limit: int = 200000) -> Iterator[int]:
+def enumerate_tree_masks(g: Graph, limit: int = DEFAULT_TREE_BUDGET) -> Iterator[int]:
     """Yield every spanning tree as a bitmask over ``g.sorted_edges()``.
 
     Depth-first over include/exclude decisions in edge order, pruning
@@ -360,7 +377,7 @@ def enumerate_tree_masks(g: Graph, limit: int = 200000) -> Iterator[int]:
         raise InternalInvariantError("a connected graph must have a spanning tree")
 
 
-def enumerate_spanning_trees(g: Graph, limit: int = 200000) -> Iterator[SpanningTree]:
+def enumerate_spanning_trees(g: Graph, limit: int = DEFAULT_TREE_BUDGET) -> Iterator[SpanningTree]:
     """Stream all spanning trees of ``g`` in a deterministic order: the
     validated reference that the tests check the mask readers against."""
     for mask in enumerate_tree_masks(g, limit):

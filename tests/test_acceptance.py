@@ -34,8 +34,7 @@ from divtrees import (
     solve,
 )
 from divtrees.cli import _audit_one, _random_instance
-from divtrees.diversify import _is_forest
-from divtrees.spantree import enumerate_tree_masks
+from divtrees.spantree import _acyclic, enumerate_tree_masks
 
 
 def _report(num: int, ok: bool, detail: str) -> None:
@@ -342,7 +341,7 @@ def test_criterion_05_conflict_structure():
     runs = _crit45_cached()
     bad = []
     for g, grown, nt, k, ell, plan, family in runs:
-        if not _is_forest(plan.leaves, plan.conflict_edges):
+        if not _acyclic(g.n, plan.conflict_edges):
             bad.append((g.n, "cycle"))
         if 2 * len(plan.independent) < len(plan.leaves):
             bad.append((g.n, "pool", len(plan.independent), len(plan.leaves)))

@@ -11,14 +11,15 @@ from divtrees import (
     mist_kernel,
     ntst_kernel,
 )
-from divtrees.blackbox import (
-    _checked_mist,
-    _checked_ntst,
-    mist_no_instance,
-    mist_yes_instance,
-    ntst_no_instance,
-    ntst_yes_instance,
-)
+from divtrees.blackbox import _checked_mist, _checked_ntst
+
+# the canonical kernel answers: K2's one spanning tree has two leaves
+# and no internal vertex
+K2 = Graph(2, frozenset({(1, 2)}))
+MIST_YES = MistInstance(K2, 0)
+MIST_NO = MistInstance(K2, 2)
+NTST_YES = NtstInstance(K2, frozenset())
+NTST_NO = NtstInstance(K2, frozenset({1, 2}))
 
 
 def test_instance_validation():
@@ -30,38 +31,34 @@ def test_instance_validation():
 
 
 def test_canonical_instances_decide_themselves():
-    yes = mist_yes_instance()
-    no = mist_no_instance()
-    assert yes.graph.n == 2 and yes.q == 0
-    assert no.graph.n == 2 and no.q == 2
-    nt_yes = ntst_yes_instance()
-    nt_no = ntst_no_instance()
-    assert nt_yes.graph.n == 2 and nt_yes.nonterminals == frozenset()
-    assert nt_no.nonterminals == frozenset({1, 2})
+    assert mist_kernel(MIST_YES) == MIST_YES
+    assert mist_kernel(MIST_NO) == MIST_NO
+    assert ntst_kernel(NTST_YES) == NTST_YES
+    assert ntst_kernel(NTST_NO) == NTST_NO
 
 
 def test_mist_kernel_small_cases():
     p3 = support.path_graph(3)
-    assert mist_kernel(MistInstance(p3, 1)) == mist_yes_instance()
-    assert mist_kernel(MistInstance(p3, 2)) == mist_no_instance()
-    assert mist_kernel(MistInstance(p3, 0)) == mist_yes_instance()
+    assert mist_kernel(MistInstance(p3, 1)) == MIST_YES
+    assert mist_kernel(MistInstance(p3, 2)) == MIST_NO
+    assert mist_kernel(MistInstance(p3, 0)) == MIST_YES
     disconnected = Graph(n=3, edges=frozenset({(1, 2)}))
-    assert mist_kernel(MistInstance(disconnected, 1)) == mist_no_instance()
+    assert mist_kernel(MistInstance(disconnected, 1)) == MIST_NO
     # q = 0 short-circuits even when disconnected enumeration would fail
-    assert mist_kernel(MistInstance(disconnected, 0)) == mist_no_instance()
+    assert mist_kernel(MistInstance(disconnected, 0)) == MIST_NO
 
 
 def test_ntst_kernel_small_cases():
     p3 = support.path_graph(3)
-    assert ntst_kernel(NtstInstance(p3, frozenset({2}))) == ntst_yes_instance()
-    assert ntst_kernel(NtstInstance(p3, frozenset({1}))) == ntst_no_instance()
-    assert ntst_kernel(NtstInstance(p3, frozenset())) == ntst_yes_instance()
+    assert ntst_kernel(NtstInstance(p3, frozenset({2}))) == NTST_YES
+    assert ntst_kernel(NtstInstance(p3, frozenset({1}))) == NTST_NO
+    assert ntst_kernel(NtstInstance(p3, frozenset())) == NTST_YES
     # every spanning tree of C4 is a path leaving one of the marked pair a leaf
     c4 = support.cycle_graph(4)
-    assert ntst_kernel(NtstInstance(c4, frozenset({1, 3}))) == ntst_no_instance()
-    assert ntst_kernel(NtstInstance(c4, frozenset({1}))) == ntst_yes_instance()
+    assert ntst_kernel(NtstInstance(c4, frozenset({1, 3}))) == NTST_NO
+    assert ntst_kernel(NtstInstance(c4, frozenset({1}))) == NTST_YES
     disconnected = Graph(n=3, edges=frozenset({(1, 2)}))
-    assert ntst_kernel(NtstInstance(disconnected, frozenset())) == ntst_no_instance()
+    assert ntst_kernel(NtstInstance(disconnected, frozenset())) == NTST_NO
 
 
 def test_budget_exhaustion_returns_none():
@@ -71,7 +68,7 @@ def test_budget_exhaustion_returns_none():
     assert mist_kernel(MistInstance(c4, 3), budget=2) is None
     assert ntst_kernel(NtstInstance(c4, frozenset({1, 3})), budget=2) is None
     # an early witness still counts even under the same budget
-    assert mist_kernel(MistInstance(c4, 1), budget=2) == mist_yes_instance()
+    assert mist_kernel(MistInstance(c4, 1), budget=2) == MIST_YES
 
 
 def test_output_size_bounds_are_enforced():
@@ -91,7 +88,7 @@ def test_mist_kernel_matches_enumeration(g):
     for q in range(0, g.n + 1):
         out = mist_kernel(MistInstance(g, q))
         assert out is not None
-        assert (out == mist_yes_instance()) == (best >= q)
+        assert (out == MIST_YES) == (best >= q)
 
 
 @given(g=support.connected_graphs(min_n=2, max_n=7, max_extra=4))
@@ -101,4 +98,4 @@ def test_ntst_kernel_matches_enumeration(g):
         expected = any(nt <= t.internal_vertices for t in trees)
         out = ntst_kernel(NtstInstance(g, nt))
         assert out is not None
-        assert (out == ntst_yes_instance()) == expected
+        assert (out == NTST_YES) == expected

@@ -60,6 +60,14 @@ def test_usage_problems_exit_64(tmp_path, capsys):
     assert code == 64 and "no meaning" in err
     code, _, err = run(capsys, "kernelize", "-i", missing, "--problem", "li", "--nt", "1")
     assert code == 64 and "no meaning" in err
+    # and a flag that conflicts with the problem the file names
+    li_file = instance_file(tmp_path, Instance(support.cycle_graph(6), 0, 0, 1, 1), "li.txt")
+    code, _, err = run(capsys, "kernelize", "-i", li_file, "--nt", "1,2")
+    assert code == 64 and "no meaning" in err
+    lnt_inst = InstanceNT(support.cycle_graph(6), frozenset({1}), 0, 1, 1)
+    lnt_file = instance_file(tmp_path, lnt_inst, "lnt.txt")
+    code, _, err = run(capsys, "kernelize", "-i", lnt_file, "-q", "3")
+    assert code == 64 and "no meaning" in err
     code, out, err = run(capsys, "audit", "--problem", "li", "--count", "-3")
     assert code == 64 and "--count" in err and out == ""
     for max_n in ("2", "16"):

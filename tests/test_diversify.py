@@ -19,8 +19,8 @@ from divtrees import (
     plan_swaps,
     verify_family,
 )
-from divtrees.diversify import _conflict_edges, _is_forest
-from divtrees.spantree import enumerate_spanning_trees
+from divtrees.diversify import _conflict_edges
+from divtrees.spantree import _acyclic as _uf_acyclic, enumerate_spanning_trees, family_json
 
 
 def k4_star():
@@ -125,28 +125,28 @@ def test_conflict_edges_only_inside_leaf_set():
 
 
 def test_find_cycle_on_forest_and_triangle():
-    assert _is_forest([1, 2, 3, 4], frozenset({(1, 2), (3, 4)}))
-    assert not _is_forest([1, 2, 3, 4], frozenset({(1, 2), (2, 3), (1, 3)}))
+    assert _uf_acyclic(4, frozenset({(1, 2), (3, 4)}))
+    assert not _uf_acyclic(4, frozenset({(1, 2), (2, 3), (1, 3)}))
 
 
 def test_find_cycle_skips_acyclic_component():
     # a cycle in the second component, after an acyclic one
     edges = frozenset({(1, 2), (3, 4), (4, 5), (3, 5)})
-    assert not _is_forest([1, 2, 3, 4, 5], edges)
-    assert _is_forest([1, 2, 3, 4, 5], edges - {(3, 5)})
+    assert not _uf_acyclic(5, edges)
+    assert _uf_acyclic(5, edges - {(3, 5)})
 
 
 def test_is_forest_on_forests_and_cycles():
-    assert _is_forest([1, 2, 3], frozenset())
+    assert _uf_acyclic(3, frozenset())
     deep = frozenset({(2, 3), (2, 4), (3, 6), (3, 7), (5, 6)})
-    assert _is_forest(range(2, 8), deep)
+    assert _uf_acyclic(7, deep)
     hanging = frozenset({(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (3, 6)})
-    assert not _is_forest(range(1, 7), hanging)
+    assert not _uf_acyclic(6, hanging)
     both = frozenset({(2, 4), (4, 6), (2, 6), (1, 3), (3, 5), (5, 7), (1, 7)})
-    assert not _is_forest(range(1, 8), both)
+    assert not _uf_acyclic(7, both)
     c5 = frozenset({(1, 2), (2, 3), (3, 4), (4, 5), (1, 5)})
-    assert not _is_forest(range(1, 6), c5)
-    assert _is_forest(range(1, 6), c5 - {(1, 5)})
+    assert not _uf_acyclic(5, c5)
+    assert _uf_acyclic(5, c5 - {(1, 5)})
 
 
 def test_plan_two_colours_a_deep_conflict_forest():
@@ -360,6 +360,21 @@ def test_grow_plan_build_round_trip(n, k, ell):
         for j in range(i + 1, ell):
             assert hamming(fam[i], fam[j]) == 4 * block
     assert verify_family(g, fam, p=grown.leaf_count - block, q=0, k=k).verdict
+
+
+def test_family_members_build_no_tree_graph():
+    # growth and planning walk the base tree's adjacency; a member's
+    # leaves, counts and sorted edges come off its edge set
+    g = generate("min-degree-3", (60,))
+    grown = grow_leaves(arbitrary_spanning_tree(g), frozenset(), 6, s=6)
+    fam = build_diverse_family(plan_swaps(grown, grown.leaves, 4, 3))
+    assert verify_family(g, fam, p=0, q=0, k=4).verdict
+    family_json(fam)
+    for t in fam:
+        assert t.internal_vertices | t.leaves == frozenset(g.vertices())
+        assert t.internal_count == g.n - t.leaf_count
+    assert "_graph" in grown.__dict__
+    assert not any("_graph" in t.__dict__ for t in fam)
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,6 @@ from divtrees import (
     transcript_to_ndjson,
     verify_family,
 )
-from divtrees.blackbox import mist_no_instance, ntst_no_instance
 from divtrees.graphcore import _canonical_path, _contract_edge, delete_vertex
 from divtrees import kernelizer
 from divtrees.kernelizer import _fixpoint
@@ -290,7 +289,8 @@ def test_li_delegation_wraps_the_subkernel_answer():
     assert res.outcome == "delegated"
     assert res.instance == Instance(Graph(2, frozenset({(1, 2)})), 0, 0, 1, 1)
     assert res.final_instance.graph.n == 50
-    stub = kernelize_li(inst, blackbox=lambda m: mist_no_instance())
+    k2 = Graph(2, frozenset({(1, 2)}))
+    stub = kernelize_li(inst, blackbox=lambda m: MistInstance(k2, 2))
     assert stub.instance == Instance(Graph(2, frozenset({(1, 2)})), 0, 2, 1, 1)
     off = kernelize_li(inst, blackbox=None)
     assert off.outcome == "delegated_unavailable"
@@ -329,7 +329,8 @@ def test_lnt_pipeline_case2_and_delegation():
     assert res.instance == InstanceNT(
         Graph(2, frozenset({(1, 2)})), frozenset(), 0, 1, 1
     )
-    stub = kernelize_lnt(inst, blackbox=lambda m: ntst_no_instance())
+    k2 = Graph(2, frozenset({(1, 2)}))
+    stub = kernelize_lnt(inst, blackbox=lambda m: NtstInstance(k2, frozenset({1, 2})))
     assert stub.instance.nonterminals == frozenset({1, 2})
     off = kernelize_lnt(inst, blackbox=None)
     assert off.outcome == "delegated_unavailable"

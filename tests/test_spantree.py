@@ -72,20 +72,35 @@ def _spans_by_connectivity(g, s):
     return s <= g.edges and len(s) == g.n - 1 and Graph(g.n, s).is_connected
 
 
+def _leaves_by_adjacency(g, s):
+    # a Graph over every endpoint, so an edge to a vertex past n still
+    # gives its end inside 1..n a degree, as the verifier counts it
+    adjacency = Graph(max([g.n] + [v for _, v in s]), s).adjacency
+    return frozenset(v for v in g.vertices() if len(adjacency[v]) == 1)
+
+
 def _assert_spanning_check(g, s):
     expected = _spans_by_connectivity(g, s)
+    leaves = _leaves_by_adjacency(g, s)
     try:
-        SpanningTree(g, s)
-        built = True
+        t = SpanningTree(g, s)
     except ValueError:
-        built = False
-    assert built == expected, (g, s)
-    assert verify_family(g, [s], 0, 0, 1).trees[0].spanning == expected, (g, s)
+        t = None
+    assert (t is not None) == expected, (g, s)
+    if t is not None:
+        assert t.leaves == leaves and t.leaf_count == len(leaves), (g, s)
+    for nt in (frozenset({1}), frozenset({2, g.n})):
+        check = verify_family(g, [s], 0, 0, 1, nt=nt).trees[0]
+        assert check.spanning == expected, (g, s)
+        assert (check.leaf_count, check.internal_count) == (len(leaves), g.n - len(leaves))
+        assert check.required_internal_ok == (nt <= frozenset(g.vertices()) - leaves), (g, s, nt)
 
 
 def test_spanning_check_agrees_with_connectivity():
-    # the union-find check against the graph search it replaced, on
-    # every subset one edge short of, at, and one edge over a tree
+    # the union-find check against the graph search it replaced, and
+    # the degree-count leaves against tree adjacency, on every subset
+    # one edge short of, at, and one edge over a tree, then on raw sets
+    # with a foreign edge or an endpoint past n
     rng = random.Random(14)
     for g in _check_corpus():
         edges = g.sorted_edges()
@@ -97,6 +112,10 @@ def test_spanning_check_agrees_with_connectivity():
             size = rng.randint(max(0, g.n - 3), min(g.m, g.n))
             s = frozenset(rng.sample(edges, size)) | {rng.choice(foreign)}
             _assert_spanning_check(g, s)
+        for _ in range(100):
+            size = rng.randint(max(0, g.n - 3), min(g.m, g.n))
+            stray = (rng.randint(1, g.n), g.n + rng.randint(1, 3))
+            _assert_spanning_check(g, frozenset(rng.sample(edges, size)) | {stray})
 
 
 def test_pair_distances_are_symmetric_differences():
