@@ -26,7 +26,6 @@ from .graphcore import (
     write_instance,
 )
 from .spantree import (
-    SmallnessReport,
     SpanningTree,
     TreeEnumerationOverflow,
     arbitrary_spanning_tree,
@@ -34,7 +33,6 @@ from .spantree import (
     count_spanning_trees,
     enumerate_spanning_trees,
     grow_leaves,
-    hamming,
     read_edge_set_family,
     write_family,
     write_tree,
@@ -47,7 +45,7 @@ from .diversify import (
     plan_swaps,
     verify_family,
 )
-from .blackbox import MistInstance, NtstInstance, mist_kernel, ntst_kernel
+from .blackbox import mist_kernel, ntst_kernel
 from .oracle import (
     OracleLimits,
     OracleVerdict,

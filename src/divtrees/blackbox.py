@@ -3,7 +3,11 @@
 The pipelines hand off their hard cases to external kernels for
 max-internal spanning tree (given q, is there a spanning tree with at
 least q internal vertices?) and non-terminal spanning tree (is there a
-spanning tree keeping every marked vertex internal?).  The default
+spanning tree keeping every marked vertex internal?).  A kernel takes
+the pipeline's own instance, an :class:`Instance` or
+:class:`InstanceNT`, reads only its graph and its q or non-terminals,
+and returns an instance of the same type asking an equivalent
+single-tree question (p = 0, k = ell = 1), or None.  The default
 plug-in decides each instance exactly by bounded tree enumeration and
 answers with a tiny canonical equivalent; when the budget runs out it
 reports unavailable (None) instead of guessing.
@@ -11,47 +15,20 @@ reports unavailable (None) instead of guessing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .graphcore import Graph, InternalInvariantError
+from .graphcore import Graph, Instance, InstanceNT, InternalInvariantError
 from .spantree import DEFAULT_TREE_BUDGET, TreeEnumerationOverflow, _tree_fit, enumerate_tree_masks
-
-
-@dataclass(frozen=True)
-class MistInstance:
-    """Max-internal spanning tree: graph plus required internal count."""
-
-    graph: Graph
-    q: int
-
-    def __post_init__(self) -> None:
-        if self.q < 0:
-            raise ValueError("required internal count must be non-negative")
-
-
-@dataclass(frozen=True)
-class NtstInstance:
-    """Non-terminal spanning tree: graph plus must-stay-internal set."""
-
-    graph: Graph
-    nonterminals: frozenset[int]
-
-    def __post_init__(self) -> None:
-        for v in self.nonterminals:
-            if not 1 <= v <= self.graph.n:
-                raise ValueError(f"non-terminal {v} outside vertex range")
 
 
 _K2 = Graph(n=2, edges=frozenset({(1, 2)}))
 
 
-def _checked_mist(out: MistInstance) -> MistInstance:
+def _checked_mist(out: Instance) -> Instance:
     if out.graph.n > max(2 * out.q, 2):
         raise InternalInvariantError("mist kernel output exceeds its size bound")
     return out
 
 
-def _checked_ntst(out: NtstInstance) -> NtstInstance:
+def _checked_ntst(out: InstanceNT) -> InstanceNT:
     if out.graph.n > max(3 * len(out.nonterminals), 2):
         raise InternalInvariantError("ntst kernel output exceeds its size bound")
     return out
@@ -59,10 +36,10 @@ def _checked_ntst(out: NtstInstance) -> NtstInstance:
 
 # K_2 has a single spanning tree: one edge, two leaves, zero internal
 # vertices.  Demanding 0 internals always holds; demanding 2 never does.
-_MIST_YES = MistInstance(graph=_K2, q=0)
-_MIST_NO = MistInstance(graph=_K2, q=2)
-_NTST_YES = NtstInstance(graph=_K2, nonterminals=frozenset())
-_NTST_NO = NtstInstance(graph=_K2, nonterminals=frozenset({1, 2}))
+_MIST_YES = Instance(_K2, 0, 0, 1, 1)
+_MIST_NO = Instance(_K2, 0, 2, 1, 1)
+_NTST_YES = InstanceNT(_K2, frozenset(), 0, 1, 1)
+_NTST_NO = InstanceNT(_K2, frozenset({1, 2}), 0, 1, 1)
 
 
 def _tree_exists(g: Graph, q: int, nt: frozenset[int], budget: int) -> bool | None:
@@ -80,9 +57,10 @@ def _tree_exists(g: Graph, q: int, nt: frozenset[int], budget: int) -> bool | No
         return None
 
 
-def mist_kernel(inst: MistInstance, budget: int = DEFAULT_TREE_BUDGET) -> MistInstance | None:
-    """Reduce a max-internal spanning tree instance to a canonical
-    2-vertex equivalent by deciding it outright.
+def mist_kernel(inst: Instance, budget: int = DEFAULT_TREE_BUDGET) -> Instance | None:
+    """Reduce the max-internal spanning tree question of ``inst`` (its
+    graph and q) to a canonical 2-vertex equivalent by deciding it
+    outright.
 
     ``budget`` caps the number of spanning trees examined; exceeding it
     returns None (unavailable) unless a witness already turned up.
@@ -91,12 +69,12 @@ def mist_kernel(inst: MistInstance, budget: int = DEFAULT_TREE_BUDGET) -> MistIn
     return None if found is None else _checked_mist(_MIST_YES if found else _MIST_NO)
 
 
-def ntst_kernel(inst: NtstInstance, budget: int = DEFAULT_TREE_BUDGET) -> NtstInstance | None:
-    """Reduce a non-terminal spanning tree instance to a canonical
-    2-vertex equivalent by deciding it outright.
+def ntst_kernel(inst: InstanceNT, budget: int = DEFAULT_TREE_BUDGET) -> InstanceNT | None:
+    """Reduce the non-terminal spanning tree question of ``inst`` (its
+    graph and non-terminals) to a canonical 2-vertex equivalent by
+    deciding it outright.
 
     Same budget semantics as :func:`mist_kernel`.
     """
     found = _tree_exists(inst.graph, 0, inst.nonterminals, budget)
     return None if found is None else _checked_ntst(_NTST_YES if found else _NTST_NO)
-

@@ -21,7 +21,6 @@ from typing import Iterable, Sequence
 from .graphcore import Graph, Instance, InstanceNT, InternalInvariantError, _bfs_parents, _norm_edge
 from .spantree import (
     DEFAULT_TREE_BUDGET,
-    SmallnessReport,
     SpanningTree,
     TreeEnumerationOverflow,
     _acyclic,
@@ -255,13 +254,21 @@ def construct_family(
         seed = arbitrary_spanning_tree(g)
     target = max(2 * block * ell + 2 * len(nt), inst.p + block + 2 * len(nt))
     try:
-        grown = grow_leaves(seed, nt, target, ell + 3)
+        grown = grow_leaves(seed, nt, target)
     except ValueError as exc:
         return None, f"leaf growth failed: {exc}", None
-    if isinstance(grown, SmallnessReport):
+    if grown.leaf_count < target:
+        # a stall on a host with no degree-2-path of length >= ell + 3
+        # avoiding nt implies n < bound; past the bound that path exists
+        bound = (2 * target + len(nt)) * (ell + 6)
+        if g.n >= bound:
+            return None, (
+                f"leaf growth failed: smallness does not hold: n={g.n} >= bound={bound}; "
+                "the host graph must contain a long degree-2-path"
+            ), None
         return None, (
-            f"growth stalled at {grown.leaves_reached} leaves; "
-            f"the graph has fewer than {grown.bound} vertices"
+            f"growth stalled at {grown.leaf_count} leaves; "
+            f"the graph has fewer than {bound} vertices"
         ), None
     excluded: set[int] = set()
     for v in sorted(nt):

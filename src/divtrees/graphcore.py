@@ -366,10 +366,15 @@ def delete_vertex(g: Graph, v: int) -> tuple[Graph, dict[int, int]]:
 # '#' starts a comment; directive comments "#% key value..." carry the
 # instance parameters so a written instance reads back identically.
 
-def write_graph(g: Graph) -> str:
-    lines = [f"{g.n} {g.m}"]
-    lines += [f"{u} {v}" for u, v in g.sorted_edges()]
+def _write_edge_list(n: int, edges: list[tuple[int, int]]) -> str:
+    """The text format: an ``n m`` header, then one ``u v`` line per edge."""
+    lines = [f"{n} {len(edges)}"]
+    lines += [f"{u} {v}" for u, v in edges]
     return "\n".join(lines) + "\n"
+
+
+def write_graph(g: Graph) -> str:
+    return _write_edge_list(g.n, g.sorted_edges())
 
 
 def _content_lines(text: str) -> Iterator[list[str]]:

@@ -7,10 +7,11 @@ satisfies), then either certify the answer, shrink the instance below
 an explicit size threshold, or hand the residual single-tree question
 to a pluggable subroutine kernel.  A small per-variant table
 (``_VARIANTS``) supplies what differs: the contraction and deletion
-rules of each phase, the reset rule, the two threshold rules, whether
-a large case-1 instance is a yes outright, and the subroutine kernel's
-instance type.  The lnt problem has no internal count, so q reads as 0
-there and the q-specific steps (R1's decrement, PC-q) never fire.
+rules of each phase, the reset rule, the two threshold rules and
+whether a large case-1 instance is a yes outright.  The subroutine
+kernel takes and returns the pipeline's own instance type.  The lnt
+problem has no internal count, so q reads as 0 there and the
+q-specific steps (R1's decrement, PC-q) never fire.
 
 Every firing is logged as a :class:`RuleApplication`; replaying the
 transcript from the input instance reproduces the pipeline's final
@@ -37,7 +38,7 @@ from heapq import heapify, heappop, heappush
 from math import ceil
 from typing import Callable
 
-from .blackbox import MistInstance, NtstInstance, mist_kernel, ntst_kernel
+from .blackbox import mist_kernel, ntst_kernel
 from .diversify import construct_family, verify_family
 from .graphcore import (
     Graph,
@@ -510,8 +511,6 @@ class _Variant:
     thresholds: tuple[str, str]
     # case 1 above its threshold: yes outright (li) or delegate (lnt)
     large_is_yes: bool
-    to_kernel: Callable
-    from_kernel: Callable
 
 
 _VARIANTS = {
@@ -520,16 +519,12 @@ _VARIANTS = {
         "R3",
         ("R5", "R6"),
         True,
-        lambda inst: MistInstance(inst.graph, inst.q),
-        lambda out: Instance(out.graph, 0, out.q, 1, 1),
     ),
     InstanceNT: _Variant(
         (("R7",), ("R7", "R9")),
         "R8",
         ("R5nt", "R6nt"),
         False,
-        lambda inst: NtstInstance(inst.graph, inst.nonterminals),
-        lambda out: InstanceNT(out.graph, out.nonterminals, 0, 1, 1),
     ),
 }
 
@@ -549,7 +544,7 @@ def _kernelize(
     inst: Instance | InstanceNT, construct_witness: bool, blackbox: Callable | None
 ) -> KernelResult:
     """The pipeline both problems share; :data:`_VARIANTS` supplies the
-    rules, thresholds and subroutine kernel types."""
+    rules and thresholds."""
     variant = _VARIANTS[type(inst)]
     transcript: list[RuleApplication] = []
 
@@ -625,7 +620,7 @@ def _kernelize(
     if case1 and variant.large_is_yes:
         witness = _case1_witness_li(cur) if construct_witness else None
         return done("trivial_yes", cur, witness=witness)
-    out = blackbox(variant.to_kernel(cur)) if blackbox is not None else None
+    out = blackbox(cur) if blackbox is not None else None
     if out is None:
         return done(
             "delegated_unavailable",
@@ -633,14 +628,14 @@ def _kernelize(
             instance=cur,
             reason="subroutine kernel unavailable within budget",
         )
-    return done("delegated", cur, instance=variant.from_kernel(out))
+    return done("delegated", cur, instance=out)
 
 
 def kernelize_li(
     inst: Instance,
     *,
     construct_witness: bool = False,
-    blackbox: Callable[[MistInstance], MistInstance | None] | None = mist_kernel,
+    blackbox: Callable[[Instance], Instance | None] | None = mist_kernel,
 ) -> KernelResult:
     """Kernelize a leaf/internal instance.
 
@@ -656,7 +651,7 @@ def kernelize_li(
 def kernelize_lnt(
     inst: InstanceNT,
     *,
-    blackbox: Callable[[NtstInstance], NtstInstance | None] | None = ntst_kernel,
+    blackbox: Callable[[InstanceNT], InstanceNT | None] | None = ntst_kernel,
 ) -> KernelResult:
     """Kernelize a leaf/non-terminal instance.
 

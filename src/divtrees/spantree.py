@@ -1,10 +1,9 @@
 """Spanning trees and the constructive leaf machinery.
 
-Holds the validated spanning-tree value type, edge-set Hamming
-distance, the single-step leaf-gaining edge exchange, the growth loop
-that either reaches a leaf target or certifies the graph is small, and
-bounded exhaustive enumeration of all spanning trees (the engine
-behind the exact solvers).
+Holds the validated spanning-tree value type, the single-step
+leaf-gaining edge exchange, the growth loop that pushes a tree towards
+a leaf target, and bounded exhaustive enumeration of all spanning trees
+(the engine behind the exact solvers).
 """
 
 from __future__ import annotations
@@ -22,8 +21,8 @@ from .graphcore import (
     _content_lines,
     _edge_block,
     _norm_edge,
+    _write_edge_list,
     maximal_degree2_paths,
-    write_graph,
 )
 
 
@@ -135,13 +134,6 @@ def arbitrary_spanning_tree(g: Graph) -> SpanningTree:
     return SpanningTree(g, frozenset(_norm_edge(v, u) for v, u in parent.items() if v != u))
 
 
-def hamming(t1: SpanningTree, t2: SpanningTree) -> int:
-    """Size of the symmetric difference of the two edge sets."""
-    if t1.host != t2.host:
-        raise ValueError("trees live in different host graphs")
-    return len(t1.edges ^ t2.edges)
-
-
 def augment_leaf(t: SpanningTree, path: Degree2Path, v: int, w: int) -> SpanningTree:
     """Exchange one edge to gain at least one leaf.
 
@@ -207,44 +199,18 @@ def augment_leaf(t: SpanningTree, path: Degree2Path, v: int, w: int) -> Spanning
     return out
 
 
-@dataclass(frozen=True)
-class SmallnessReport:
-    """Certificate that the leaf target is unreachable because the
-    graph is small: n < (2*target + nonterminal_count) * (s + 3)."""
-
-    n: int
-    target: int
-    nonterminal_count: int
-    s: int
-    leaves_reached: int
-
-    @property
-    def bound(self) -> int:
-        return (2 * self.target + self.nonterminal_count) * (self.s + 3)
-
-    def __post_init__(self) -> None:
-        if self.n >= self.bound:
-            raise ValueError(
-                f"smallness does not hold: n={self.n} >= bound={self.bound}; "
-                "the host graph must contain a long degree-2-path"
-            )
-
-
-def grow_leaves(
-    start: SpanningTree, nt: frozenset[int], target: int, s: int
-) -> SpanningTree | SmallnessReport:
+def grow_leaves(start: SpanningTree, nt: frozenset[int], target: int) -> SpanningTree:
     """Push the leaf count of ``start`` up to ``target`` by repeated
-    edge exchanges, or certify that the graph is small.
+    edge exchanges, and return the tree reached.
 
-    Requires every vertex of ``nt`` internal in ``start`` and, for the
-    smallness certificate to be sound, that the host has no degree-2-path
-    of length >= s whose internal vertices all avoid ``nt``.  Vertices
-    of ``nt`` never become leaves: exchanges only create leaves among
-    interior path vertices, and those are kept disjoint from ``nt``.
+    Growth stops short of ``target`` when no tree path of length >= 6
+    avoiding ``nt`` has an exchange left; the caller reads the shortfall
+    off the returned tree's leaf count.  Requires every vertex of ``nt``
+    internal in ``start``.  Vertices of ``nt`` never become leaves:
+    exchanges only create leaves among interior path vertices, and those
+    are kept disjoint from ``nt``.
     """
     g = start.host
-    if s < 2:
-        raise ValueError("s must be at least 2")
     if not nt <= start.internal_vertices:
         raise ValueError("start tree must keep every required vertex internal")
 
@@ -264,13 +230,7 @@ def grow_leaves(
             if move:
                 break
         if move is None:
-            return SmallnessReport(
-                n=g.n,
-                target=target,
-                nonterminal_count=len(nt),
-                s=s,
-                leaves_reached=t.leaf_count,
-            )
+            break
         t = augment_leaf(t, *move)
     if not nt <= t.internal_vertices:
         raise InternalInvariantError("growth turned a required-internal vertex into a leaf")
@@ -461,7 +421,7 @@ def count_spanning_trees(g: Graph) -> int:
 # file is a plain concatenation of such blocks
 
 def write_tree(t: SpanningTree) -> str:
-    return write_graph(t.as_graph())
+    return _write_edge_list(t.host.n, t.sorted_edges())
 
 
 def write_family(family: list[SpanningTree]) -> str:

@@ -14,7 +14,6 @@ from divtrees import (
     Graph,
     Instance,
     InstanceNT,
-    SmallnessReport,
     SpanningTree,
     apply_rule,
     arbitrary_spanning_tree,
@@ -26,7 +25,6 @@ from divtrees import (
     case2_bound_lnt,
     generate,
     grow_leaves,
-    hamming,
     kernelize,
     kernelize_lnt,
     maximal_degree2_paths,
@@ -283,8 +281,8 @@ def _crit45_runs():
         g = md3(n)
         k, ell = rng.randint(1, 8), rng.randint(2, 4)
         need = ceil(k / 4) * ell
-        grown = grow_leaves(arbitrary_spanning_tree(g), frozenset(), 2 * need, ell + 3)
-        if isinstance(grown, SmallnessReport):
+        grown = grow_leaves(arbitrary_spanning_tree(g), frozenset(), 2 * need)
+        if grown.leaf_count < 2 * need:
             continue
         leaves = grown.leaves
         nt_candidates = [
@@ -322,7 +320,7 @@ def test_criterion_04_swap_family_properties():
             if not nt <= ti.internal_vertices or ti.leaf_count < floor:
                 bad.append((g.n, k, ell, "tree", i))
             for j in range(i):
-                d = hamming(ti, family[j])
+                d = len(ti.edges ^ family[j].edges)
                 si, sj = len(plan.blocks[i]), len(plan.blocks[j])
                 if d != 2 * (si + sj) or d < k:
                     bad.append((g.n, k, ell, "pair", (i, j), d))
@@ -431,8 +429,8 @@ def test_criterion_07_growth_never_stalls_above_bound():
         )
         tried += 1
         target = 2 * ceil(k / 4) * ell
-        grown = grow_leaves(arbitrary_spanning_tree(g), frozenset(), target, ell + 3)
-        if isinstance(grown, SmallnessReport) or grown.leaf_count < target:
+        grown = grow_leaves(arbitrary_spanning_tree(g), frozenset(), target)
+        if grown.leaf_count < target:
             failures.append((k, ell, g.n))
     ok = tried == CRIT7_GRAPHS and not failures
     _report(

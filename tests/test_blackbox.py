@@ -4,30 +4,33 @@ from hypothesis import given
 import support
 from divtrees import (
     Graph,
+    Instance,
+    InstanceNT,
     InternalInvariantError,
-    MistInstance,
-    NtstInstance,
     enumerate_spanning_trees,
     mist_kernel,
     ntst_kernel,
 )
 from divtrees.blackbox import _checked_mist, _checked_ntst
 
+
+def mist(g, q):
+    """The max-internal question as the li pipeline delegates it."""
+    return Instance(g, 0, q, 1, 1)
+
+
+def ntst(g, nt):
+    """The non-terminal question as the lnt pipeline delegates it."""
+    return InstanceNT(g, frozenset(nt), 0, 1, 1)
+
+
 # the canonical kernel answers: K2's one spanning tree has two leaves
 # and no internal vertex
 K2 = Graph(2, frozenset({(1, 2)}))
-MIST_YES = MistInstance(K2, 0)
-MIST_NO = MistInstance(K2, 2)
-NTST_YES = NtstInstance(K2, frozenset())
-NTST_NO = NtstInstance(K2, frozenset({1, 2}))
-
-
-def test_instance_validation():
-    g = support.path_graph(3)
-    with pytest.raises(ValueError, match="non-negative"):
-        MistInstance(graph=g, q=-1)
-    with pytest.raises(ValueError, match="outside vertex range"):
-        NtstInstance(graph=g, nonterminals=frozenset({4}))
+MIST_YES = mist(K2, 0)
+MIST_NO = mist(K2, 2)
+NTST_YES = ntst(K2, ())
+NTST_NO = ntst(K2, {1, 2})
 
 
 def test_canonical_instances_decide_themselves():
@@ -39,46 +42,49 @@ def test_canonical_instances_decide_themselves():
 
 def test_mist_kernel_small_cases():
     p3 = support.path_graph(3)
-    assert mist_kernel(MistInstance(p3, 1)) == MIST_YES
-    assert mist_kernel(MistInstance(p3, 2)) == MIST_NO
-    assert mist_kernel(MistInstance(p3, 0)) == MIST_YES
+    assert mist_kernel(mist(p3, 1)) == MIST_YES
+    assert mist_kernel(mist(p3, 2)) == MIST_NO
+    assert mist_kernel(mist(p3, 0)) == MIST_YES
+    # a kernel reads only the graph and q of the instance it is handed
+    assert mist_kernel(Instance(p3, 2, 1, 3, 2)) == MIST_YES
     disconnected = Graph(n=3, edges=frozenset({(1, 2)}))
-    assert mist_kernel(MistInstance(disconnected, 1)) == MIST_NO
+    assert mist_kernel(mist(disconnected, 1)) == MIST_NO
     # q = 0 short-circuits even when disconnected enumeration would fail
-    assert mist_kernel(MistInstance(disconnected, 0)) == MIST_NO
+    assert mist_kernel(mist(disconnected, 0)) == MIST_NO
 
 
 def test_ntst_kernel_small_cases():
     p3 = support.path_graph(3)
-    assert ntst_kernel(NtstInstance(p3, frozenset({2}))) == NTST_YES
-    assert ntst_kernel(NtstInstance(p3, frozenset({1}))) == NTST_NO
-    assert ntst_kernel(NtstInstance(p3, frozenset())) == NTST_YES
+    assert ntst_kernel(ntst(p3, {2})) == NTST_YES
+    assert ntst_kernel(ntst(p3, {1})) == NTST_NO
+    assert ntst_kernel(ntst(p3, ())) == NTST_YES
+    assert ntst_kernel(InstanceNT(p3, frozenset({1}), 2, 3, 2)) == NTST_NO
     # every spanning tree of C4 is a path leaving one of the marked pair a leaf
     c4 = support.cycle_graph(4)
-    assert ntst_kernel(NtstInstance(c4, frozenset({1, 3}))) == NTST_NO
-    assert ntst_kernel(NtstInstance(c4, frozenset({1}))) == NTST_YES
+    assert ntst_kernel(ntst(c4, {1, 3})) == NTST_NO
+    assert ntst_kernel(ntst(c4, {1})) == NTST_YES
     disconnected = Graph(n=3, edges=frozenset({(1, 2)}))
-    assert ntst_kernel(NtstInstance(disconnected, frozenset())) == NTST_NO
+    assert ntst_kernel(ntst(disconnected, ())) == NTST_NO
 
 
 def test_budget_exhaustion_returns_none():
     c4 = support.cycle_graph(4)
     # negative instances need the full enumeration, so a tight budget
     # must give up rather than guess
-    assert mist_kernel(MistInstance(c4, 3), budget=2) is None
-    assert ntst_kernel(NtstInstance(c4, frozenset({1, 3})), budget=2) is None
+    assert mist_kernel(mist(c4, 3), budget=2) is None
+    assert ntst_kernel(ntst(c4, {1, 3}), budget=2) is None
     # an early witness still counts even under the same budget
-    assert mist_kernel(MistInstance(c4, 1), budget=2) == MIST_YES
+    assert mist_kernel(mist(c4, 1), budget=2) == MIST_YES
 
 
 def test_output_size_bounds_are_enforced():
     p3 = support.path_graph(3)
     with pytest.raises(InternalInvariantError, match="exceeds its size bound"):
-        _checked_mist(MistInstance(p3, 0))
+        _checked_mist(mist(p3, 0))
     with pytest.raises(InternalInvariantError, match="exceeds its size bound"):
-        _checked_ntst(NtstInstance(support.cycle_graph(4), frozenset()))
+        _checked_ntst(ntst(support.cycle_graph(4), ()))
     # two non-terminals allow up to 6 vertices
-    roomy = NtstInstance(support.cycle_graph(5), frozenset({1, 2}))
+    roomy = ntst(support.cycle_graph(5), {1, 2})
     assert _checked_ntst(roomy) is roomy
 
 
@@ -86,7 +92,7 @@ def test_output_size_bounds_are_enforced():
 def test_mist_kernel_matches_enumeration(g):
     best = max(t.internal_count for t in enumerate_spanning_trees(g))
     for q in range(0, g.n + 1):
-        out = mist_kernel(MistInstance(g, q))
+        out = mist_kernel(mist(g, q))
         assert out is not None
         assert (out == MIST_YES) == (best >= q)
 
@@ -96,6 +102,6 @@ def test_ntst_kernel_matches_enumeration(g):
     trees = list(enumerate_spanning_trees(g))
     for nt in [frozenset(), frozenset({1}), frozenset({1, g.n})]:
         expected = any(nt <= t.internal_vertices for t in trees)
-        out = ntst_kernel(NtstInstance(g, nt))
+        out = ntst_kernel(ntst(g, nt))
         assert out is not None
         assert (out == NTST_YES) == expected

@@ -8,14 +8,12 @@ from divtrees import (
     InstanceNT,
     InternalInvariantError,
     LeafSwapPlan,
-    SmallnessReport,
     SpanningTree,
     arbitrary_spanning_tree,
     build_diverse_family,
     construct_family,
     generate,
     grow_leaves,
-    hamming,
     plan_swaps,
     verify_family,
 )
@@ -52,7 +50,7 @@ def test_family_on_k4_star():
         frozenset({(1, 2), (1, 4), (2, 3)}),
         frozenset({(1, 2), (1, 3), (2, 4)}),
     ]
-    assert hamming(fam[0], fam[1]) == 4
+    assert len(fam[0].edges ^ fam[1].edges) == 4
     assert verify_family(g, fam, p=2, q=1, k=2).verdict
 
 
@@ -350,15 +348,15 @@ def test_grow_plan_build_round_trip(n, k, ell):
     g = generate("min-degree-3", (n,))
     block = -(-k // 4)
     need = block * ell
-    grown = grow_leaves(arbitrary_spanning_tree(g), frozenset(), 2 * need, s=ell + 3)
-    if isinstance(grown, SmallnessReport):
+    grown = grow_leaves(arbitrary_spanning_tree(g), frozenset(), 2 * need)
+    if grown.leaf_count < 2 * need:
         return
     plan = plan_swaps(grown, grown.leaves, k, ell)
     fam = build_diverse_family(plan)
     assert len(fam) == ell
     for i in range(ell):
         for j in range(i + 1, ell):
-            assert hamming(fam[i], fam[j]) == 4 * block
+            assert len(fam[i].edges ^ fam[j].edges) == 4 * block
     assert verify_family(g, fam, p=grown.leaf_count - block, q=0, k=k).verdict
 
 
@@ -366,7 +364,7 @@ def test_family_members_build_no_tree_graph():
     # growth and planning walk the base tree's adjacency; a member's
     # leaves, counts and sorted edges come off its edge set
     g = generate("min-degree-3", (60,))
-    grown = grow_leaves(arbitrary_spanning_tree(g), frozenset(), 6, s=6)
+    grown = grow_leaves(arbitrary_spanning_tree(g), frozenset(), 6)
     fam = build_diverse_family(plan_swaps(grown, grown.leaves, 4, 3))
     assert verify_family(g, fam, p=0, q=0, k=4).verdict
     family_json(fam)

@@ -76,6 +76,8 @@ def test_instance_validation():
     g = support.cycle_graph(4)
     with pytest.raises(ValueError):
         Instance(g, -1, 0, 1, 1)
+    with pytest.raises(ValueError, match="non-negative"):
+        Instance(g, 0, -1, 1, 1)
     with pytest.raises(ValueError):
         Instance(g, 0, 0, 0, 1)
     with pytest.raises(ValueError):

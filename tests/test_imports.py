@@ -6,6 +6,7 @@ third-party dependency such as numpy or bitarray.
 """
 
 import ast
+import re
 import sys
 from pathlib import Path
 
@@ -81,3 +82,52 @@ def test_the_runtime_has_one_json_serializer():
     assert stray == []
     assert [what for _, _, what in shared] == ["JSONEncoder"]
 
+
+
+BENCH = SRC.parents[1] / "bench"
+
+# exported without a runtime or bench caller, each for a stated reason
+_EXPORT_ALLOWLIST = {
+    "kernelize": "the documented library entry point for either problem",
+    "contract_path_edge": "the tests' independent reference for R1, R2 and R7",
+    "delete_vertex": "the tests' independent reference for pendant deletion",
+    "enumerate_spanning_trees": "the tests' validated reference for the mask readers",
+    "counting_shortcut": "a diversity certificate kept for the oracle's certify stage",
+}
+
+
+def _references(tree):
+    """(top-level name defined, identifiers read) per statement of a
+    module.  A string that is a dotted name, such as
+    ``"spantree.grow_leaves"``, reads its last part: the bench tracer
+    wraps functions by such names."""
+    for stmt in tree.body:
+        names = set()
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                if re.fullmatch(r"\w+(\.\w+)+", node.value):
+                    names.add(node.value.rpartition(".")[2])
+        yield getattr(stmt, "name", None), names
+
+
+def test_every_export_has_a_caller():
+    init = ast.parse((SRC / "__init__.py").read_text())
+    exported = {
+        alias.name
+        for node in init.body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    paths = [p for p in SRC.glob("*.py") if p.name != "__init__.py"]
+    paths += BENCH.rglob("*.py")
+    used = set()
+    for path in paths:
+        for defined, names in _references(ast.parse(path.read_text(), filename=str(path))):
+            # a name read only inside its own definition has no caller
+            used |= names - {defined}
+    assert exported - used - set(_EXPORT_ALLOWLIST) == set()
+    assert set(_EXPORT_ALLOWLIST) <= exported

@@ -14,8 +14,6 @@ from divtrees import (
     InstanceNT,
     InternalInvariantError,
     KernelResult,
-    MistInstance,
-    NtstInstance,
     RuleApplication,
     apply_rule,
     case1_bound_li,
@@ -289,9 +287,13 @@ def test_li_delegation_wraps_the_subkernel_answer():
     assert res.outcome == "delegated"
     assert res.instance == Instance(Graph(2, frozenset({(1, 2)})), 0, 0, 1, 1)
     assert res.final_instance.graph.n == 50
-    k2 = Graph(2, frozenset({(1, 2)}))
-    stub = kernelize_li(inst, blackbox=lambda m: MistInstance(k2, 2))
-    assert stub.instance == Instance(Graph(2, frozenset({(1, 2)})), 0, 2, 1, 1)
+    # the plug-in gets the pipeline's final instance and its answer is
+    # the result's instance as it stands
+    received = []
+    answer = Instance(Graph(2, frozenset({(1, 2)})), 0, 2, 1, 1)
+    stub = kernelize_li(inst, blackbox=lambda m: received.append(m) or answer)
+    assert len(received) == 1 and received[0] is stub.final_instance
+    assert stub.instance is answer
     off = kernelize_li(inst, blackbox=None)
     assert off.outcome == "delegated_unavailable"
     assert off.instance == off.final_instance
@@ -329,9 +331,11 @@ def test_lnt_pipeline_case2_and_delegation():
     assert res.instance == InstanceNT(
         Graph(2, frozenset({(1, 2)})), frozenset(), 0, 1, 1
     )
-    k2 = Graph(2, frozenset({(1, 2)}))
-    stub = kernelize_lnt(inst, blackbox=lambda m: NtstInstance(k2, frozenset({1, 2})))
-    assert stub.instance.nonterminals == frozenset({1, 2})
+    received = []
+    answer = InstanceNT(Graph(2, frozenset({(1, 2)})), frozenset({1, 2}), 0, 1, 1)
+    stub = kernelize_lnt(inst, blackbox=lambda m: received.append(m) or answer)
+    assert len(received) == 1 and received[0] is stub.final_instance
+    assert stub.instance is answer
     off = kernelize_lnt(inst, blackbox=None)
     assert off.outcome == "delegated_unavailable"
 
