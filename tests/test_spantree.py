@@ -25,7 +25,7 @@ from divtrees import (
     write_graph,
     write_tree,
 )
-from divtrees.spantree import _tree_fit, enumerate_tree_masks
+from divtrees.spantree import _acyclic, _tree_fit, enumerate_tree_masks
 
 
 # ---------------------------------------------------------------------------
@@ -233,6 +233,65 @@ def test_enumeration_order_is_pinned():
     for name, g, limit in _order_corpus():
         h.update(f"{name} {_mask_digest(g, limit)}\n".encode())
     assert h.hexdigest() == ORDER_GOLDEN
+
+
+def _reference_masks(g):
+    """Tree masks in include-first edge order: the (n-1)-subsets of the
+    edge indices in lexicographic order, kept when they close no cycle."""
+    edges = g.sorted_edges()
+    return [
+        sum(1 << i for i in picked)
+        for picked in combinations(range(len(edges)), g.n - 1)
+        if _acyclic(g.n, (edges[i] for i in picked))
+    ]
+
+
+def _random_connected(rng, n):
+    edges = {(rng.randint(1, v - 1), v) for v in range(2, n + 1)}
+    pool = [e for e in combinations(range(1, n + 1), 2) if e not in edges]
+    edges |= set(rng.sample(pool, rng.randint(0, min(len(pool), n + 2))))
+    return Graph(n, frozenset(edges))
+
+
+def test_enumeration_matches_the_combinations_reference():
+    rng = random.Random(17)
+    for _ in range(300):
+        g = _random_connected(rng, rng.randint(1, 8))
+        assert list(enumerate_tree_masks(g)) == _reference_masks(g), g.edges
+
+
+@given(support.connected_graphs(min_n=2, max_n=8))
+def test_enumeration_matches_the_reference_on_sampled_graphs(g):
+    assert list(enumerate_tree_masks(g)) == _reference_masks(g)
+
+
+def test_enumeration_stops_at_every_limit():
+    # every limit from 0 to the tree count, so some fall in the middle
+    # of a run of trees that differ only in their last edge
+    for g in (
+        support.complete_graph(4),
+        support.complete_graph(5),
+        support.cycle_graph(6),
+        generate("theta", (2, 3, 3)),
+    ):
+        full = _reference_masks(g)
+        for limit in range(len(full) + 1):
+            got = []
+            try:
+                for mask in enumerate_tree_masks(g, limit):
+                    got.append(mask)
+                overflow = False
+            except TreeEnumerationOverflow:
+                overflow = True
+            assert got == full[:limit], (g.edges, limit)
+            assert overflow == (len(full) > limit), (g.edges, limit)
+
+
+def test_enumeration_edge_cases():
+    assert list(enumerate_tree_masks(Graph(1, frozenset()))) == [0]
+    assert list(enumerate_tree_masks(support.path_graph(2))) == [1]
+    with pytest.raises(ValueError):
+        list(enumerate_tree_masks(Graph(4, frozenset({(1, 2), (3, 4)}))))
 
 
 def _fit_corpus():
