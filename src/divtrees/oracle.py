@@ -266,7 +266,9 @@ def _decide(
     # li reads the required set as empty and lnt reads q as 0
     fit = _tree_fit(g, inst.p, inst.q, inst.nonterminals)
     seen = 0
-    cands: list[tuple[int, int]] = []  # (leaf count, mask)
+    # (-leaf count, mask): sorting plain tuples puts most leaves first,
+    # then the lower mask
+    cands: list[tuple[int, int]] = []
     # pairwise distances between distinct trees are even and >= 2, so
     # for k <= 2 (or a single tree) any ell distinct candidates do
     fast = ell == 1 or k <= 2
@@ -276,7 +278,7 @@ def _decide(
             seen += 1
             leaves = fit(mask)
             if leaves is not None:
-                cands.append((leaves, mask))
+                cands.append((-leaves, mask))
                 if fast and len(cands) == ell:
                     break
     except TreeEnumerationOverflow:
@@ -288,7 +290,7 @@ def _decide(
         return ("no" if complete else "inconclusive"), None, stats
     if complete and _max_distance_sum(g.n, g.m, ell) < ell * (ell - 1) * ((k + 1) // 2):
         return "no", None, stats
-    cands.sort(key=lambda lm: (-lm[0], lm[1]))
+    cands.sort()
     masks = [m for _, m in cands]
     clique, nodes, exhausted = _find_clique(masks, k, ell, limits.max_clique_nodes)
     stats = OracleStats(seen, nodes)

@@ -243,31 +243,50 @@ def grow_leaves(start: SpanningTree, nt: frozenset[int], target: int) -> Spannin
 def enumerate_tree_masks(g: Graph, limit: int = DEFAULT_TREE_BUDGET) -> Iterator[int]:
     """Yield every spanning tree as a bitmask over ``g.sorted_edges()``.
 
-    Depth-first over include/exclude decisions in edge order, pruning
-    branches that cannot span (picked edges plus undecided edges
-    disconnected) or that close a cycle.  Raises
+    The order is include-first depth-first over the edges in index
+    order: the (n-1)-subsets of the edge indices in lexicographic
+    order, kept when they form a tree.  Raises
     :class:`TreeEnumerationOverflow` as soon as a (limit+1)-th tree is
     found.
 
-    The O(m) spanning check runs only on the exclude child of an edge
-    that joins two forest components, the one frame that can lose
-    viability.  The root spans because ``g`` is connected; an include
-    child keeps picked plus undecided edges unchanged; and the exclude
-    child of an edge inside one component drops an edge the forest
-    already made redundant.  So the first tree costs no scan at all.
+    Every frame the search processes can still span: its picked edges
+    plus its undecided ones connect ``g``.  The root does because ``g``
+    is connected, and three moves keep it so:
+
+    1. Include descent runs inline.  An edge that joins two forest
+       components is picked at once, and only its exclude alternative
+       is pushed as a frame; an edge inside one component is skipped
+       with no frame.
+    2. Leaving out a joining edge (a, b) keeps the frame spanning iff a
+       and b reconnect through the forest plus the edges after it.  So
+       a popped exclude frame is checked by unioning those edges in
+       order, stopping at the first one that joins a's component to
+       b's, and dropped unexpanded if none does.  Before that, the
+       frame is not even pushed when a's or b's component has no edge
+       after (a, b) at all: each root keeps the highest edge index that
+       touches its component.
+    3. Once the forest has two components, the trees below it are the
+       forest plus each undecided edge that crosses between them, in
+       index order.  One scan emits them, with no frames and no checks;
+       a (limit+1)-th tree still raises in the middle of it.
+
+    So each tree of a last-level scan costs one crossing test (two
+    finds) plus the scan's skipped edges, each pushed exclude frame
+    costs one reconnection check that stops where the endpoints meet,
+    and the first tree costs no check at all.
 
     The forest is one union-find per generator, linked by size and
     undone rather than copied: each link pushes the root it hung below
     another onto a trail, and a frame records the trail length its
     forest had.  Popping a frame unlinks back to that length, and the
-    spanning check unions on the same arrays and unlinks its own links
-    before it goes on.  Path compression would rewrite parents that no
-    trail entry restores, so finds walk up instead; linking by size
-    keeps every walk O(log n).  The first tree thus takes O(m log n)
-    union-find steps, and the forest and its trail take O(n) words
-    however deep the search runs.  Only the frames' masks grow with
-    depth: pending frames share at most one m-bit mask per picked edge
-    on the current path.
+    reconnection check unions on the same arrays and unlinks its own
+    links before it goes on.  Path compression would rewrite parents
+    that no trail entry restores, so finds walk up instead; linking by
+    size keeps every walk O(log n).  The first tree thus takes
+    O(m log n) union-find steps, and the forest, its trail and the
+    roots' edge indices take O(n) words however deep the search runs.
+    Only the frames' masks grow with depth: pending frames share at
+    most one m-bit mask per picked edge on the current path.
     """
     if not g.is_connected:
         raise ValueError("enumeration expects a connected graph")
@@ -281,58 +300,92 @@ def enumerate_tree_masks(g: Graph, limit: int = DEFAULT_TREE_BUDGET) -> Iterator
     parent = list(range(n + 1))
     size = [1] * (n + 1)
     trail: list[int] = []
-    # frame: next edge index, chosen-edge bitmask, trail length of its
-    # forest, components, whether the frame must re-check that it can
-    # still span
-    stack: list[tuple[int, int, int, int, bool]] = [(0, 0, 0, n, False)]
-    while stack:
-        idx, mask, trail_len, comps, check = stack.pop()
-        while len(trail) > trail_len:
-            r = trail.pop()
-            size[parent[r]] -= size[r]
-            parent[r] = r
-        if comps == 1:
-            emitted += 1
-            if emitted > limit:
-                raise TreeEnumerationOverflow(f"more than {limit} spanning trees")
-            yield mask
-            continue
-        if check:
-            c = comps
-            for j in range(idx, m):
+    # reach[r]: the highest index of an edge touching r's component;
+    # kept[u]: its parent's reach before u was linked below it
+    reach = [0] * (n + 1)
+    for i, (u, v) in enumerate(edges):
+        reach[u] = reach[v] = i
+    kept = [0] * (n + 1)
+    # exclude frame: index of the edge left out, then the chosen-edge
+    # mask and trail length of the forest before it; each trail entry
+    # is one link, so that forest has n - trail length components
+    stack: list[tuple[int, int, int]] = []
+    idx, mask, comps = 0, 0, n
+    while True:
+        while comps > 2:
+            u, v = edges[idx]
+            while parent[u] != u:
+                u = parent[u]
+            while parent[v] != v:
+                v = parent[v]
+            if u != v:
+                if reach[u] > idx and reach[v] > idx:
+                    stack.append((idx, mask, len(trail)))
+                if size[u] > size[v]:
+                    u, v = v, u
+                parent[u] = v
+                size[v] += size[u]
+                trail.append(u)
+                kept[u] = reach[v]
+                if reach[u] > reach[v]:
+                    reach[v] = reach[u]
+                mask |= 1 << idx
+                comps -= 1
+            idx += 1
+        for j in range(idx, m):
+            u, v = edges[j]
+            while parent[u] != u:
+                u = parent[u]
+            while parent[v] != v:
+                v = parent[v]
+            if u != v:
+                emitted += 1
+                if emitted > limit:
+                    raise TreeEnumerationOverflow(f"more than {limit} spanning trees")
+                yield mask | 1 << j
+        viable = False
+        while stack and not viable:
+            idx, mask, trail_len = stack.pop()
+            while len(trail) > trail_len:
+                r = trail.pop()
+                p = parent[r]
+                size[p] -= size[r]
+                reach[p] = kept[r]
+                parent[r] = r
+            a, b = edges[idx]
+            while parent[a] != a:
+                a = parent[a]
+            while parent[b] != b:
+                b = parent[b]
+            # the check's links leave reach alone and are undone below
+            for j in range(idx + 1, m):
                 u, v = edges[j]
                 while parent[u] != u:
                     u = parent[u]
                 while parent[v] != v:
                     v = parent[v]
                 if u != v:
+                    if (u == a and v == b) or (u == b and v == a):
+                        viable = True
+                        break
                     if size[u] > size[v]:
                         u, v = v, u
                     parent[u] = v
                     size[v] += size[u]
                     trail.append(u)
-                    c -= 1
-                    if c == 1:
-                        break
+                    # keep a and b naming the roots of their components
+                    if u == a:
+                        a = v
+                    elif u == b:
+                        b = v
             while len(trail) > trail_len:
                 r = trail.pop()
                 size[parent[r]] -= size[r]
                 parent[r] = r
-            if c > 1:
-                continue
-        u, v = edges[idx]
-        while parent[u] != u:
-            u = parent[u]
-        while parent[v] != v:
-            v = parent[v]
-        stack.append((idx + 1, mask, trail_len, comps, u != v))
-        if u != v:
-            if size[u] > size[v]:
-                u, v = v, u
-            parent[u] = v
-            size[v] += size[u]
-            trail.append(u)
-            stack.append((idx + 1, mask | (1 << idx), trail_len + 1, comps - 1, False))
+        if not viable:
+            break
+        idx += 1
+        comps = n - trail_len
     if emitted == 0:
         raise InternalInvariantError("a connected graph must have a spanning tree")
 
