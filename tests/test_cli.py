@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -525,3 +526,21 @@ def test_audit_small_batches_pass(tmp_path, capsys):
     assert out.strip().endswith("12/12 equivalence passes")
     # lnt rows read q as 0
     assert all(" q=0 " in row for row in out.splitlines()[:-1])
+
+
+# The benchmark's two audits, byte for byte: one SHA-256 each over the
+# text output of 300 random instances.
+AUDIT_GOLDEN = {
+    ("li", 7): "e45c8f1f9a4de0c68416e31686509091ec4f3b5302516ef6d14833461c37277e",
+    ("lnt", 8): "bfeb3ed8c96341c98513323d0421161ab4174db161b2ba62b4fb99f66a8362dc",
+}
+
+
+@pytest.mark.parametrize("problem, seed", list(AUDIT_GOLDEN))
+def test_audit_output_is_pinned(capsys, problem, seed):
+    code, out, _ = run(
+        capsys, "audit", "--problem", problem, "--count", "300", "--seed", str(seed),
+        "--workers", "1",
+    )
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == AUDIT_GOLDEN[(problem, seed)]

@@ -22,6 +22,7 @@ from divtrees import (
     solve_lnt,
     verify_family,
 )
+from divtrees import oracle
 from divtrees.oracle import (
     OracleStats,
     _diversity_rows,
@@ -29,7 +30,7 @@ from divtrees.oracle import (
     _first_clique,
     _max_distance_sum,
 )
-from divtrees.spantree import enumerate_tree_masks
+from divtrees.spantree import _tree_fit, enumerate_tree_masks
 
 
 def li(g, p, q, k, ell):
@@ -329,6 +330,89 @@ def test_oracle_golden(problem):
     pinned = [r[:3] for r in records]
     text = json.dumps(pinned, sort_keys=True, separators=(",", ":"))
     assert hashlib.sha256(text.encode()).hexdigest() == ORACLE_GOLDEN[problem]
+
+
+# ---------------------------------------------------------------------------
+# the order the oracle hands its candidates on in
+#
+# A witness is the first clique by candidate index, so the candidate
+# order is part of every pinned witness.  The reference: the fitting
+# trees of the enumeration, most leaves first, then the lower mask;
+# on the fast path, the first ell fitting trees as enumerated.
+
+def _fitting(inst, limit=None):
+    """(-leaf count, mask) of each fitting tree among the first
+    ``limit``, in enumeration order; sorted, it is the reference order."""
+    fit = _tree_fit(inst.graph, inst.p, inst.q, inst.nonterminals)
+    pool = []
+    for mask in itertools.islice(enumerate_tree_masks(inst.graph), limit):
+        leaves = fit(mask)
+        if leaves is not None:
+            pool.append((-leaves, mask))
+    return pool
+
+
+def _witness_masks(inst, verdict):
+    index = {e: i for i, e in enumerate(inst.graph.sorted_edges())}
+    return [sum(1 << index[e] for e in t.edges) for t in verdict.witness]
+
+
+def _random_oracle_instance(rng, k_floor):
+    n = rng.randint(3, 8)
+    m = rng.randint(n - 1, min(n * (n - 1) // 2, n + 5))
+    g = generate("random-connected", (n, m), seed=rng.randrange(2**30))
+    k = rng.randint(k_floor, 2 * (n - 1))
+    ell = rng.randint(1, 4)
+    p = rng.randint(0, 3)
+    if rng.random() < 0.5:
+        return li(g, p, rng.randint(0, 3), k, ell)
+    return lnt(g, rng.sample(range(1, n + 1), rng.randint(0, 2)), p, k, ell)
+
+
+def test_clique_search_sees_most_leaves_first_then_lower_masks(monkeypatch):
+    seen = []
+    real = oracle._find_clique
+
+    def spy(cands, k, ell, budget):
+        seen.append(list(cands))
+        return real(cands, k, ell, budget)
+
+    monkeypatch.setattr(oracle, "_find_clique", spy)
+    rng = random.Random(5)
+    searched = 0
+    for _ in range(400):
+        inst = _random_oracle_instance(rng, 3)
+        seen.clear()
+        solve(inst)
+        if seen:
+            assert seen == [[mask for _, mask in sorted(_fitting(inst))]]
+            searched += 1
+    assert searched > 50
+    # a pool cut short by the tree budget is ordered the same way
+    md8 = generate("min-degree-3", (8,))
+    for inst in (li(md8, 3, 0, 8, 4), lnt(md8, {1}, 0, 8, 4)):
+        seen.clear()
+        assert solve(inst, OracleLimits(max_trees=100)).answer == "inconclusive"
+        pool = _fitting(inst, 100)
+        assert len(pool) > 4
+        assert seen == [[mask for _, mask in sorted(pool)]]
+
+
+def test_fast_path_witness_is_the_first_fitting_trees():
+    rng = random.Random(6)
+    answered = 0
+    for _ in range(300):
+        inst = _random_oracle_instance(rng, 1)
+        if inst.k > 2 and inst.ell > 1:
+            continue
+        verdict = solve(inst)
+        first = [mask for _, mask in _fitting(inst)][: inst.ell]
+        if len(first) < inst.ell:
+            assert verdict.answer == "no"
+            continue
+        assert _witness_masks(inst, verdict) == first
+        answered += 1
+    assert answered > 50
 
 
 # ---------------------------------------------------------------------------
