@@ -18,7 +18,7 @@ from __future__ import annotations
 import argparse
 import random
 import sys
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 
 from .blackbox import mist_kernel, ntst_kernel
@@ -230,7 +230,9 @@ def _audit_one(inst: Instance | InstanceNT, budget: int) -> tuple[str, str, str]
         reduced = "no"
     elif result.outcome in ("reduced", "delegated"):
         assert result.instance is not None
-        reduced = solve(result.instance).answer
+        # solve is a function of the instance, so a kernel equal to the
+        # input has the input's answer
+        reduced = original if result.instance == inst else solve(result.instance).answer
     else:
         reduced = "inconclusive"
     return result.outcome, original, reduced
@@ -279,6 +281,7 @@ def _add_instance_flags(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("-o", "--output", default=None, help="write output here instead of stdout")
 
 
+@cache  # one parser per process, however often main() runs
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="divtrees",

@@ -266,32 +266,36 @@ def _decide(
     # li reads the required set as empty and lnt reads q as 0
     fit = _tree_fit(g, inst.p, inst.q, inst.nonterminals)
     seen = 0
-    # (-leaf count, mask): sorting plain tuples puts most leaves first,
-    # then the lower mask
-    cands: list[tuple[int, int]] = []
     # pairwise distances between distinct trees are even and >= 2, so
-    # for k <= 2 (or a single tree) any ell distinct candidates do
+    # for k <= 2 (or a single tree) the first ell fitting trees do
     fast = ell == 1 or k <= 2
+    first: list[int] = []
+    # buckets[L]: the fitting masks with L leaves
+    buckets: list[list[int]] = [[] for _ in range(g.n + 1)]
     complete = True
     try:
         for mask in enumerate_tree_masks(g, limit=limits.max_trees):
             seen += 1
             leaves = fit(mask)
-            if leaves is not None:
-                cands.append((-leaves, mask))
-                if fast and len(cands) == ell:
+            if leaves is None:
+                continue
+            if fast:
+                first.append(mask)
+                if len(first) == ell:
                     break
+            else:
+                buckets[leaves].append(mask)
     except TreeEnumerationOverflow:
         complete = False
     stats = OracleStats(seen, 0)
     if fast:
-        if len(cands) >= ell:
-            return "yes", [m for _, m in cands[:ell]], stats
+        if len(first) == ell:
+            return "yes", first, stats
         return ("no" if complete else "inconclusive"), None, stats
     if complete and _max_distance_sum(g.n, g.m, ell) < ell * (ell - 1) * ((k + 1) // 2):
         return "no", None, stats
-    cands.sort()
-    masks = [m for _, m in cands]
+    # most leaves first, then the lower mask
+    masks = [mask for bucket in reversed(buckets) for mask in sorted(bucket)]
     clique, nodes, exhausted = _find_clique(masks, k, ell, limits.max_clique_nodes)
     stats = OracleStats(seen, nodes)
     if clique is not None:

@@ -544,3 +544,62 @@ def test_audit_output_is_pinned(capsys, problem, seed):
     )
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == AUDIT_GOLDEN[(problem, seed)]
+
+
+@pytest.mark.parametrize(
+    "inst, solves",
+    [
+        # no rule fires: the kernel is the input
+        (Instance(support.complete_graph(4), 0, 0, 4, 2), 1),
+        (InstanceNT(support.complete_graph(5), frozenset({1}), 2, 4, 2), 1),
+        # a long degree-2 path is contracted
+        (Instance(support.cycle_graph(9), 0, 0, 3, 2), 2),
+        (InstanceNT(support.cycle_graph(9), frozenset({1}), 0, 2, 2), 2),
+    ],
+)
+def test_audit_solves_a_kernel_only_when_it_differs(monkeypatch, inst, solves):
+    result = cli._kernelize_within(inst, 200000)
+    assert result.outcome == "reduced"
+    assert (result.instance == inst) == (solves == 1)
+    expected = (result.outcome, solve(inst).answer, solve(result.instance).answer)
+    calls = []
+
+    def counting(instance, *args):
+        calls.append(instance)
+        return solve(instance, *args)
+
+    monkeypatch.setattr(cli, "solve", counting)
+    assert cli._audit_one(inst, 200000) == expected
+    assert len(calls) == solves
+
+
+def test_a_usage_error_leaves_the_next_call_as_in_a_fresh_process(tmp_path, capsys):
+    # main() reuses one parser per process; a call it rejected must not
+    # change what the next call prints
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = c5_file(tmp_path)
+    after = [
+        ["solve", "-i", path],
+        ["kernelize", "-i", path, "-k", "x"],
+        ["audit", "--problem", "lnt", "--count", "3", "--seed", "2"],
+    ]
+    for argv in after:
+        assert run(capsys, "kernelize")[0] == 64
+        assert run(capsys, "audit", "--problem", "li", "--count", "-3")[0] == 64
+        fresh = subprocess.run(
+            [sys.executable, "-m", "divtrees", *argv],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": src},
+            timeout=60,
+        )
+        assert run(capsys, *argv) == (fresh.returncode, fresh.stdout, fresh.stderr)
+
+
+def test_audit_reads_an_unavailable_kernel_as_inconclusive(monkeypatch):
+    # the pre-delegation instance is the input, but it is no kernel
+    monkeypatch.setattr(cli, "mist_kernel", lambda inst, budget: None)
+    inst = Instance(generate("min-degree-3", (50,)), 1, 0, 2, 1)
+    result = cli._kernelize_within(inst, 1)
+    assert result.outcome == "delegated_unavailable" and result.instance == inst
+    assert cli._audit_one(inst, 1) == ("delegated_unavailable", "yes", "inconclusive")
