@@ -18,7 +18,7 @@ from __future__ import annotations
 import argparse
 import random
 import sys
-from functools import cache, partial
+from functools import partial
 from pathlib import Path
 
 from .blackbox import mist_kernel, ntst_kernel
@@ -281,7 +281,6 @@ def _add_instance_flags(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("-o", "--output", default=None, help="write output here instead of stdout")
 
 
-@cache  # one parser per process, however often main() runs
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="divtrees",

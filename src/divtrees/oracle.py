@@ -270,8 +270,8 @@ def _decide(
     # for k <= 2 (or a single tree) the first ell fitting trees do
     fast = ell == 1 or k <= 2
     first: list[int] = []
-    # buckets[L]: the fitting masks with L leaves
-    buckets: list[list[int]] = [[] for _ in range(g.n + 1)]
+    # buckets[L]: the fitting masks with L leaves (unused on the fast path)
+    buckets: list[list[int]] = [] if fast else [[] for _ in range(g.n + 1)]
     complete = True
     try:
         for mask in enumerate_tree_masks(g, limit=limits.max_trees):

@@ -574,8 +574,8 @@ def test_audit_solves_a_kernel_only_when_it_differs(monkeypatch, inst, solves):
 
 
 def test_a_usage_error_leaves_the_next_call_as_in_a_fresh_process(tmp_path, capsys):
-    # main() reuses one parser per process; a call it rejected must not
-    # change what the next call prints
+    # a call that main() rejected must not change what the next call in
+    # the same process prints
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = c5_file(tmp_path)
     after = [
