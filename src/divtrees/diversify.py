@@ -13,7 +13,7 @@ conflict-free pool.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from functools import cached_property
 from math import ceil
 from typing import Iterable, Sequence
@@ -311,7 +311,15 @@ class TreeCheck:
         )
 
     def to_json_dict(self) -> dict:
-        return asdict(self)
+        return {
+            "index": self.index,
+            "spanning": self.spanning,
+            "leaf_count": self.leaf_count,
+            "internal_count": self.internal_count,
+            "leaves_ok": self.leaves_ok,
+            "internal_ok": self.internal_ok,
+            "required_internal_ok": self.required_internal_ok,
+        }
 
 
 @dataclass(frozen=True)
@@ -322,7 +330,7 @@ class PairCheck:
     ok: bool
 
     def to_json_dict(self) -> dict:
-        return asdict(self)
+        return {"first": self.first, "second": self.second, "distance": self.distance, "ok": self.ok}
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import islice
-from typing import ClassVar, Iterable, Iterator, Mapping
+from typing import ClassVar, Iterable, Iterator, Mapping, Sequence
 
 
 class GraphFormatError(ValueError):
@@ -366,7 +366,7 @@ def delete_vertex(g: Graph, v: int) -> tuple[Graph, dict[int, int]]:
 # '#' starts a comment; directive comments "#% key value..." carry the
 # instance parameters so a written instance reads back identically.
 
-def _write_edge_list(n: int, edges: list[tuple[int, int]]) -> str:
+def _write_edge_list(n: int, edges: Sequence[tuple[int, int]]) -> str:
     """The text format: an ``n m`` header, then one ``u v`` line per edge."""
     lines = [f"{n} {len(edges)}"]
     lines += [f"{u} {v}" for u, v in edges]
@@ -378,11 +378,11 @@ def write_graph(g: Graph) -> str:
 
 
 def _content_lines(text: str) -> Iterator[list[str]]:
+    """The fields of each line that is neither blank nor a comment."""
     for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        yield line.split()
+        row = raw.split()
+        if row and row[0][0] != "#":
+            yield row
 
 
 def _directives(text: str) -> dict[str, list[str]]:
@@ -399,7 +399,10 @@ def _directives(text: str) -> dict[str, list[str]]:
 
 
 def _edge_block(rows: Iterator[list[str]], header: list[str]) -> Graph:
-    """Parse one ``n m`` header and the m edge lines that follow it."""
+    """Parse one ``n m`` header and the m edge lines that follow it.
+
+    Each row is checked and normalised as it is read.  A bad row is
+    reported first, then a short block, then the first duplicate."""
     if len(header) != 2:
         raise GraphFormatError(f"header must be 'n m', got {' '.join(header)!r}")
     try:
@@ -418,15 +421,22 @@ def _edge_block(rows: Iterator[list[str]], header: list[str]) -> Graph:
             raise GraphFormatError(f"edge line must be two integers, got {' '.join(row)!r}") from None
         if not (1 <= u <= n and 1 <= v <= n):
             raise GraphFormatError(f"vertex out of range in edge {u} {v}")
-        if u == v:
+        if u < v:
+            pairs.append((u, v))
+        elif u > v:
+            pairs.append((v, u))
+        else:
             raise GraphFormatError(f"self-loop at vertex {u}")
-        pairs.append((u, v))
     if len(pairs) != m:
         raise GraphFormatError(f"expected {m} edges, found {len(pairs)}")
-    try:
-        return Graph.from_edges(n, pairs)
-    except ValueError as exc:
-        raise GraphFormatError(str(exc)) from None
+    edges = frozenset(pairs)
+    if len(edges) != m:
+        seen: set[tuple[int, int]] = set()
+        for e in pairs:
+            if e in seen:
+                raise GraphFormatError(f"duplicate edge {e}")
+            seen.add(e)
+    return Graph(n, edges)
 
 
 def read_graph(text: str) -> Graph:

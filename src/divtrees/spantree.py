@@ -8,9 +8,10 @@ a leaf target, and bounded exhaustive enumeration of all spanning trees
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Mapping
 
 from .graphcore import (
     Degree2Path,
@@ -18,6 +19,7 @@ from .graphcore import (
     GraphFormatError,
     InternalInvariantError,
     _bfs_parents,
+    _canonical_path,
     _content_lines,
     _edge_block,
     _norm_edge,
@@ -121,8 +123,12 @@ class SpanningTree:
     def internal_count(self) -> int:
         return self.host.n - self.leaf_count
 
+    @cached_property
+    def _edge_order(self) -> tuple[tuple[int, int], ...]:
+        return tuple(sorted(self.edges))
+
     def sorted_edges(self) -> list[tuple[int, int]]:
-        return sorted(self.edges)
+        return list(self._edge_order)
 
 
 def arbitrary_spanning_tree(g: Graph) -> SpanningTree:
@@ -199,6 +205,83 @@ def augment_leaf(t: SpanningTree, path: Degree2Path, v: int, w: int) -> Spanning
     return out
 
 
+class _TreePaths:
+    """The maximal degree-2-paths of a tree, kept across edge exchanges.
+
+    ``paths`` holds every path that :func:`maximal_degree2_paths` finds
+    on the tree with ``forbidden=nt``, as canonical vertex tuples, and
+    ``candidates`` the ones an exchange can use, sorted.  A strictly
+    interior path vertex has tree degree 2, so it has a non-tree host
+    edge exactly when its host degree is >= 3: whether a path is a
+    candidate follows from its vertex tuple alone.
+
+    An exchange changes the tree degree of the endpoints of the two
+    exchanged edges only.  Every other vertex keeps its degree and its
+    tree neighbours, so a path holding none of those (at most four)
+    vertices stays maximal.  The old tree's paths through them give way
+    to the new tree's paths through them, each walked out to its
+    anchors.
+    """
+
+    def __init__(self, t: SpanningTree, nt: frozenset[int]) -> None:
+        self.tree = t
+        self.nt = nt
+        self.paths: set[tuple[int, ...]] = set()
+        self.candidates: list[tuple[int, ...]] = []
+        self._update((), (p.vertices for p in maximal_degree2_paths(t.as_graph(), forbidden=nt)))
+
+    def _candidate(self, vs: tuple[int, ...]) -> bool:
+        adj = self.tree.host.adjacency
+        return any(len(adj[x]) >= 3 for x in vs[3 : len(vs) - 3])
+
+    def _update(self, gone: Iterable[tuple[int, ...]], found: Iterable[tuple[int, ...]]) -> None:
+        for vs in gone:
+            self.paths.remove(vs)
+            if self._candidate(vs):
+                del self.candidates[bisect_left(self.candidates, vs)]
+        for vs in found:
+            self.paths.add(vs)
+            if self._candidate(vs):
+                insort(self.candidates, vs)
+
+    def _through(self, adj: Mapping[int, frozenset[int]], x: int) -> set[tuple[int, ...]]:
+        """The canonical maximal degree-2-paths of the tree ``adj`` that hold ``x``."""
+        nt = self.nt
+
+        def run(a: int, b: int) -> list[int]:
+            # from a through b on to the first anchor
+            vs = [a, b]
+            while len(adj[vs[-1]]) == 2 and vs[-1] not in nt:
+                (nxt,) = adj[vs[-1]] - {vs[-2]}
+                vs.append(nxt)
+            return vs
+
+        if len(adj[x]) == 2 and x not in nt:
+            y, z = adj[x]
+            return {_canonical_path(run(x, y)[::-1] + run(x, z)[1:])}
+        return {_canonical_path(run(x, y)) for y in adj[x] if len(adj[y]) == 2 and y not in nt}
+
+    def move(self) -> tuple[Degree2Path, int, int] | None:
+        """The exchange growth makes next: the first candidate path, its
+        first strictly interior vertex v of host degree >= 3, and v's
+        lowest non-tree neighbour."""
+        if not self.candidates:
+            return None
+        vs = self.candidates[0]
+        adj = self.tree.host.adjacency
+        i = next(i for i in range(3, len(vs) - 3) if len(adj[vs[i]]) >= 3)
+        return Degree2Path(vs), vs[i], min(adj[vs[i]] - {vs[i - 1], vs[i + 1]})
+
+    def exchange(self, out: SpanningTree) -> None:
+        """Follow the tree to ``out``, one edge exchange away."""
+        ends = {x for e in self.tree.edges ^ out.edges for x in e}
+        old, new = self.tree.adjacency, out.adjacency
+        gone = set().union(*(self._through(old, x) for x in ends))
+        found = set().union(*(self._through(new, x) for x in ends))
+        self.tree = out
+        self._update(gone - found, found - gone)
+
+
 def grow_leaves(start: SpanningTree, nt: frozenset[int], target: int) -> SpanningTree:
     """Push the leaf count of ``start`` up to ``target`` by repeated
     edge exchanges, and return the tree reached.
@@ -208,30 +291,22 @@ def grow_leaves(start: SpanningTree, nt: frozenset[int], target: int) -> Spannin
     off the returned tree's leaf count.  Requires every vertex of ``nt``
     internal in ``start``.  Vertices of ``nt`` never become leaves:
     exchanges only create leaves among interior path vertices, and those
-    are kept disjoint from ``nt``.
+    are kept disjoint from ``nt``.  The tree's degree-2-paths are found
+    once, and only when growth is needed; each exchange then re-walks
+    the few it touched (see :class:`_TreePaths`).
     """
-    g = start.host
     if not nt <= start.internal_vertices:
         raise ValueError("start tree must keep every required vertex internal")
 
     t = start
-    while t.leaf_count < target:
-        move = None
-        for path in maximal_degree2_paths(t.as_graph(), forbidden=nt):
-            if path.length < 6:
-                continue
-            for v in path.strictly_internal():
-                for w in sorted(g.neighbors(v)):
-                    if _norm_edge(v, w) not in t.edges:
-                        move = (path, v, w)
-                        break
-                if move:
-                    break
-            if move:
+    if t.leaf_count < target:
+        paths = _TreePaths(t, nt)
+        while t.leaf_count < target:
+            move = paths.move()
+            if move is None:
                 break
-        if move is None:
-            break
-        t = augment_leaf(t, *move)
+            t = augment_leaf(t, *move)
+            paths.exchange(t)
     if not nt <= t.internal_vertices:
         raise InternalInvariantError("growth turned a required-internal vertex into a leaf")
     return t
@@ -474,16 +549,17 @@ def count_spanning_trees(g: Graph) -> int:
 # file is a plain concatenation of such blocks
 
 def write_tree(t: SpanningTree) -> str:
-    return _write_edge_list(t.host.n, t.sorted_edges())
+    return _write_edge_list(t.host.n, t._edge_order)
 
 
 def write_family(family: list[SpanningTree]) -> str:
     return "".join(write_tree(t) for t in family)
 
 
-def family_json(family: Iterable[SpanningTree]) -> list[list[list[int]]]:
-    """The JSON form of a family: each tree as its sorted edge pairs."""
-    return [[list(e) for e in t.sorted_edges()] for t in family]
+def family_json(family: Iterable[SpanningTree]) -> list[tuple[tuple[int, int], ...]]:
+    """The JSON form of a family: each tree as its sorted edge pairs.
+    The encoder writes tuples as arrays, so no pair is copied."""
+    return [t._edge_order for t in family]
 
 
 def read_edge_set_family(text: str, n: int) -> list[frozenset[tuple[int, int]]]:

@@ -336,6 +336,22 @@ def test_verify_family_json_shape():
     assert d["pairs"] == []
 
 
+
+def test_report_json_equals_the_dataclass_fields():
+    # to_json_dict builds its dicts directly; asdict is the reference
+    from dataclasses import asdict
+
+    g = generate("min-degree-3", (20,))
+    grown = grow_leaves(arbitrary_spanning_tree(g), frozenset(), 6)
+    fam = build_diverse_family(plan_swaps(grown, grown.leaves, 4, 3))
+    foreign = frozenset({(1, 2), (2, 3), (5, 19)})
+    report = verify_family(g, [*fam, foreign], p=5, q=10, k=5, nt=frozenset({1}))
+    assert not report.verdict
+    for check in (*report.trees, *report.pairs):
+        assert check.to_json_dict() == asdict(check)
+        assert list(check.to_json_dict()) == list(asdict(check))
+
+
 # ---------------------------------------------------------------------------
 # the full construct pipeline on dense hosts
 

@@ -507,6 +507,144 @@ def test_grow_requires_internal_nt_at_start():
         grow_leaves(start, frozenset({leaf}), 3)
 
 
+
+def _reference_grow(start, nt, target):
+    """Growth as a rescan: every maximal degree-2-path of the current
+    tree, found afresh before each exchange.  Returns the trees passed
+    through, start first."""
+    trees = [start]
+    while trees[-1].leaf_count < target:
+        move = _reference_move(trees[-1], nt)
+        if move is None:
+            break
+        trees.append(augment_leaf(trees[-1], *move))
+    return trees
+
+
+def _reference_move(t, nt):
+    for path in maximal_degree2_paths(t.as_graph(), forbidden=nt):
+        if path.length < 6:
+            continue
+        for v in path.strictly_internal():
+            for w in sorted(t.host.neighbors(v)):
+                if (min(v, w), max(v, w)) not in t.edges:
+                    return path, v, w
+    return None
+
+
+def _dfs_tree(g, rng):
+    # a random depth-first tree: long tree paths, unlike the
+    # breadth-first one, so growth has many exchanges to make
+    root = rng.randint(1, g.n)
+    seen, stack, edges = {root}, [root], []
+    while stack:
+        x = stack[-1]
+        fresh = [y for y in sorted(g.neighbors(x)) if y not in seen]
+        if not fresh:
+            stack.pop()
+            continue
+        y = rng.choice(fresh)
+        seen.add(y)
+        edges.append((min(x, y), max(x, y)))
+        stack.append(y)
+    return SpanningTree(g, frozenset(edges))
+
+
+def _growth_corpus():
+    rng = random.Random(19)
+    for i in range(60):
+        if i % 3 == 0:
+            n = rng.randint(40, 120)
+            g = generate("random-connected", (n, rng.randint(n + n // 4, 2 * n)), seed=i)
+        elif i % 3 == 1:
+            g = generate("subdivided", (generate("random-connected", (rng.randint(20, 40), 50), seed=i), 2))
+        else:
+            g = generate("min-degree-3", (rng.randint(40, 120),))
+        start = _dfs_tree(g, rng) if i % 4 else arbitrary_spanning_tree(g)
+        inner = sorted(start.internal_vertices)
+        nt = frozenset(rng.sample(inner, rng.randint(1, 4))) if i % 2 else frozenset()
+        yield g, start, nt
+    square = Graph.from_edges(60, [(i, i + 1) for i in range(1, 60)] + [(i, i + 2) for i in range(1, 59)])
+    yield square, arbitrary_spanning_tree(square), frozenset({7, 20, 33})
+
+
+def test_kept_paths_match_a_rescan_after_every_exchange():
+    from divtrees.spantree import _TreePaths
+
+    exchanges = 0
+    for g, start, nt in _growth_corpus():
+        paths = _TreePaths(start, nt)
+        t = start
+        while True:
+            found = maximal_degree2_paths(t.as_graph(), forbidden=nt)
+            assert paths.paths == {p.vertices for p in found}
+            move = paths.move()
+            assert move == _reference_move(t, nt)
+            if move is None:
+                break
+            t = augment_leaf(t, *move)
+            paths.exchange(t)
+            exchanges += 1
+    assert exchanges > 150
+
+
+def test_grow_matches_a_rescan_and_calls_augment_once_per_exchange(monkeypatch):
+    from divtrees import spantree
+
+    calls = []
+
+    def counting_augment(*args):
+        calls.append(args)
+        return augment_leaf(*args)
+
+    monkeypatch.setattr(spantree, "augment_leaf", counting_augment)
+    for g, start, nt in _growth_corpus():
+        for target in (start.leaf_count + 1, start.leaf_count + 3, g.n):
+            trees = _reference_grow(start, nt, target)
+            calls.clear()
+            assert grow_leaves(start, nt, target) == trees[-1]
+            assert [c[0] for c in calls] == trees[:-1]
+
+
+def test_grow_scans_paths_once_and_only_when_growth_is_needed(monkeypatch):
+    from divtrees import spantree
+
+    scans = []
+
+    def counting_scan(*args, **kwargs):
+        scans.append(args)
+        return maximal_degree2_paths(*args, **kwargs)
+
+    monkeypatch.setattr(spantree, "maximal_degree2_paths", counting_scan)
+    g = generate("min-degree-3", (40,))
+    start = arbitrary_spanning_tree(g)
+    assert grow_leaves(start, frozenset(), start.leaf_count) is start
+    assert scans == []
+    grown = grow_leaves(start, frozenset(), start.leaf_count + 4)
+    assert grown.leaf_count >= start.leaf_count + 4
+    assert len(scans) == 1
+
+
+def test_grow_on_the_bench_growth_instance_makes_24_exchanges(monkeypatch):
+    # the benchmark's construct-li-grow case reads this count as
+    # spantree.augment_leaf.calls
+    from divtrees import spantree
+
+    calls = []
+
+    def counting_augment(*args):
+        calls.append(args)
+        return augment_leaf(*args)
+
+    monkeypatch.setattr(spantree, "augment_leaf", counting_augment)
+    g = generate("subdivided", (generate("min-degree-3", (88,)), 8))
+    start = arbitrary_spanning_tree(g)
+    assert start.leaf_count == 48
+    grown = grow_leaves(start, frozenset(), 72)
+    assert grown.leaf_count >= 72
+    assert len(calls) == 24
+
+
 # ---------------------------------------------------------------------------
 # family I/O
 
@@ -516,6 +654,22 @@ def test_tree_and_family_round_trip():
     text = write_family(trees)
     back = read_edge_set_family(text, g.n)
     assert back == [t.edges for t in trees]
+
+
+def test_family_text_and_json_share_one_sort():
+    import json
+
+    from divtrees.kernelizer import JSON_ENCODER
+    from divtrees.spantree import family_json
+
+    g = generate("min-degree-3", (12,))
+    trees = list(islice(enumerate_spanning_trees(g), 3))
+    as_lists = [[list(e) for e in sorted(t.edges)] for t in trees]
+    assert JSON_ENCODER.encode(family_json(trees)) == json.dumps(as_lists, sort_keys=True)
+    assert write_family(trees) == "".join(write_graph(t.as_graph()) for t in trees)
+    for t, edges in zip(trees, family_json(trees)):
+        assert edges is t._edge_order
+        assert t.sorted_edges() == sorted(t.edges)
 
 
 def test_write_tree_format():
