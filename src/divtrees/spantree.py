@@ -226,13 +226,13 @@ class _TreePaths:
     def __init__(self, t: SpanningTree, nt: frozenset[int]) -> None:
         self.tree = t
         self.nt = nt
+        self.host_adj = t.host.adjacency
         self.paths: set[tuple[int, ...]] = set()
         self.candidates: list[tuple[int, ...]] = []
         self._update((), (p.vertices for p in maximal_degree2_paths(t.as_graph(), forbidden=nt)))
 
     def _candidate(self, vs: tuple[int, ...]) -> bool:
-        adj = self.tree.host.adjacency
-        return any(len(adj[x]) >= 3 for x in vs[3 : len(vs) - 3])
+        return any(len(self.host_adj[x]) >= 3 for x in vs[3 : len(vs) - 3])
 
     def _update(self, gone: Iterable[tuple[int, ...]], found: Iterable[tuple[int, ...]]) -> None:
         for vs in gone:
@@ -268,9 +268,8 @@ class _TreePaths:
         if not self.candidates:
             return None
         vs = self.candidates[0]
-        adj = self.tree.host.adjacency
-        i = next(i for i in range(3, len(vs) - 3) if len(adj[vs[i]]) >= 3)
-        return Degree2Path(vs), vs[i], min(adj[vs[i]] - {vs[i - 1], vs[i + 1]})
+        i = next(i for i in range(3, len(vs) - 3) if len(self.host_adj[vs[i]]) >= 3)
+        return Degree2Path(vs), vs[i], min(self.host_adj[vs[i]] - {vs[i - 1], vs[i + 1]})
 
     def exchange(self, out: SpanningTree) -> None:
         """Follow the tree to ``out``, one edge exchange away."""

@@ -25,7 +25,7 @@ from divtrees import (
     write_graph,
     write_tree,
 )
-from divtrees.spantree import _acyclic, _tree_fit, enumerate_tree_masks
+from divtrees.spantree import _acyclic, _tree_fit, _TreePaths, enumerate_tree_masks
 
 
 # ---------------------------------------------------------------------------
@@ -569,8 +569,6 @@ def _growth_corpus():
 
 
 def test_kept_paths_match_a_rescan_after_every_exchange():
-    from divtrees.spantree import _TreePaths
-
     exchanges = 0
     for g, start, nt in _growth_corpus():
         paths = _TreePaths(start, nt)
@@ -588,16 +586,23 @@ def test_kept_paths_match_a_rescan_after_every_exchange():
     assert exchanges > 150
 
 
-def test_grow_matches_a_rescan_and_calls_augment_once_per_exchange(monkeypatch):
+def _spy(monkeypatch, name):
+    """Record the positional arguments of every call of spantree.<name>."""
     from divtrees import spantree
 
     calls = []
+    real = getattr(spantree, name)
 
-    def counting_augment(*args):
+    def spy(*args, **kwargs):
         calls.append(args)
-        return augment_leaf(*args)
+        return real(*args, **kwargs)
 
-    monkeypatch.setattr(spantree, "augment_leaf", counting_augment)
+    monkeypatch.setattr(spantree, name, spy)
+    return calls
+
+
+def test_grow_matches_a_rescan_and_calls_augment_once_per_exchange(monkeypatch):
+    calls = _spy(monkeypatch, "augment_leaf")
     for g, start, nt in _growth_corpus():
         for target in (start.leaf_count + 1, start.leaf_count + 3, g.n):
             trees = _reference_grow(start, nt, target)
@@ -607,15 +612,7 @@ def test_grow_matches_a_rescan_and_calls_augment_once_per_exchange(monkeypatch):
 
 
 def test_grow_scans_paths_once_and_only_when_growth_is_needed(monkeypatch):
-    from divtrees import spantree
-
-    scans = []
-
-    def counting_scan(*args, **kwargs):
-        scans.append(args)
-        return maximal_degree2_paths(*args, **kwargs)
-
-    monkeypatch.setattr(spantree, "maximal_degree2_paths", counting_scan)
+    scans = _spy(monkeypatch, "maximal_degree2_paths")
     g = generate("min-degree-3", (40,))
     start = arbitrary_spanning_tree(g)
     assert grow_leaves(start, frozenset(), start.leaf_count) is start
@@ -628,22 +625,13 @@ def test_grow_scans_paths_once_and_only_when_growth_is_needed(monkeypatch):
 def test_grow_on_the_bench_growth_instance_makes_24_exchanges(monkeypatch):
     # the benchmark's construct-li-grow case reads this count as
     # spantree.augment_leaf.calls
-    from divtrees import spantree
-
-    calls = []
-
-    def counting_augment(*args):
-        calls.append(args)
-        return augment_leaf(*args)
-
-    monkeypatch.setattr(spantree, "augment_leaf", counting_augment)
+    calls = _spy(monkeypatch, "augment_leaf")
     g = generate("subdivided", (generate("min-degree-3", (88,)), 8))
     start = arbitrary_spanning_tree(g)
     assert start.leaf_count == 48
     grown = grow_leaves(start, frozenset(), 72)
     assert grown.leaf_count >= 72
     assert len(calls) == 24
-
 
 # ---------------------------------------------------------------------------
 # family I/O
