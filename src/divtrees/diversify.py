@@ -384,13 +384,14 @@ def verify_family(
                 required_internal_ok=not nt & leaves,
             )
         )
-    # one bit per distinct edge, foreign edges included, so a pair's
-    # distance is the popcount of the xor of its two masks
+    # one bit per edge that some member holds and another lacks, foreign
+    # edges included, so a pair's distance is the popcount of the xor of
+    # its two masks: (T_i ^ T_0) ^ (T_j ^ T_0) is T_i ^ T_j
     bit: dict[tuple[int, int], int] = {}
     masks = []
     for edges in edge_sets:
         mask = 0
-        for e in edges:
+        for e in edges ^ edge_sets[0]:
             mask |= 1 << bit.setdefault(e, len(bit))
         masks.append(mask)
     pairs = []

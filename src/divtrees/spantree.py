@@ -323,42 +323,46 @@ def enumerate_tree_masks(g: Graph, limit: int = DEFAULT_TREE_BUDGET) -> Iterator
     :class:`TreeEnumerationOverflow` as soon as a (limit+1)-th tree is
     found.
 
-    Every frame the search processes can still span: its picked edges
-    plus its undecided ones connect ``g``.  The root does because ``g``
-    is connected, and three moves keep it so:
+    A frame can span when its picked edges plus its undecided ones
+    connect ``g``.  The root can because ``g`` is connected, and three
+    moves search below the frames that can:
 
     1. Include descent runs inline.  An edge that joins two forest
        components is picked at once, and only its exclude alternative
        is pushed as a frame; an edge inside one component is skipped
-       with no frame.
-    2. Leaving out a joining edge (a, b) keeps the frame spanning iff a
-       and b reconnect through the forest plus the edges after it.  So
-       a popped exclude frame is checked by unioning those edges in
-       order, stopping at the first one that joins a's component to
-       b's, and dropped unexpanded if none does.  Before that, the
-       frame is not even pushed when a's or b's component has no edge
-       after (a, b) at all: each root keeps the highest edge index that
-       touches its component.
+       with no frame.  The frame is not pushed when the component of
+       either endpoint has no edge after it at all: each root keeps
+       the highest edge index that touches its component.
+    2. A popped exclude frame is expanded by the same descent, from the
+       edge after the one it leaves out.  Its parent could span, and
+       leaving one edge out of a connected edge set leaves at most two
+       components, so the descent always reaches two components before
+       it runs out of edges.  The frame can span iff some later edge
+       crosses between those two, that is, iff the scan of move 3
+       emits a tree.  When it emits none, the frames its descent pushed
+       lie below a frame that cannot span, so they are dropped
+       unexpanded; every frame that is popped thus has a parent that
+       can span.
     3. Once the forest has two components, the trees below it are the
        forest plus each undecided edge that crosses between them, in
-       index order.  One scan emits them, with no frames and no checks;
-       a (limit+1)-th tree still raises in the middle of it.
+       index order.  One scan emits them, with no frames; a
+       (limit+1)-th tree still raises in the middle of it.
 
-    So each tree of a last-level scan costs one crossing test (two
-    finds) plus the scan's skipped edges, each pushed exclude frame
-    costs one reconnection check that stops where the endpoints meet,
-    and the first tree costs no check at all.
+    So a frame makes each of its links once: a popped frame reads the
+    edges after the one it leaves out, each once, in its descent or
+    its scan, and the first tree costs one pass over the edges.  A
+    frame that cannot span still costs that pass, O(m), with nothing
+    to show for it.
 
     The forest is one union-find per generator, linked by size and
     undone rather than copied: each link pushes the root it hung below
-    another onto a trail, and a frame records the trail length its
-    forest had.  Popping a frame unlinks back to that length, and the
-    reconnection check unions on the same arrays and unlinks its own
-    links before it goes on.  Path compression would rewrite parents
-    that no trail entry restores, so finds walk up instead; linking by
-    size keeps every walk O(log n).  The first tree thus takes
-    O(m log n) union-find steps, and the forest, its trail and the
-    roots' edge indices take O(n) words however deep the search runs.
+    another onto a trail, a frame records the trail length its forest
+    had, and popping it unlinks back to that length.  Path compression
+    would rewrite parents that no trail entry restores, so finds walk
+    up instead; linking by size keeps every walk O(log n).  The first
+    tree thus takes O(m log n) union-find steps, and the forest, its
+    trail and the roots' edge indices take O(n) words however deep the
+    search runs.
     Only the frames' masks grow with depth: pending frames share at
     most one m-bit mask per picked edge on the current path.
     """
@@ -382,9 +386,10 @@ def enumerate_tree_masks(g: Graph, limit: int = DEFAULT_TREE_BUDGET) -> Iterator
     kept = [0] * (n + 1)
     # exclude frame: index of the edge left out, then the chosen-edge
     # mask and trail length of the forest before it; each trail entry
-    # is one link, so that forest has n - trail length components
+    # is one link, so that forest has n - trail length components.
+    # base: the stack height below the frames the current descent pushed
     stack: list[tuple[int, int, int]] = []
-    idx, mask, comps = 0, 0, n
+    idx, mask, comps, base = 0, 0, n, 0
     while True:
         while comps > 2:
             u, v = edges[idx]
@@ -406,6 +411,7 @@ def enumerate_tree_masks(g: Graph, limit: int = DEFAULT_TREE_BUDGET) -> Iterator
                 mask |= 1 << idx
                 comps -= 1
             idx += 1
+        found = emitted
         for j in range(idx, m):
             u, v = edges[j]
             while parent[u] != u:
@@ -417,47 +423,19 @@ def enumerate_tree_masks(g: Graph, limit: int = DEFAULT_TREE_BUDGET) -> Iterator
                 if emitted > limit:
                     raise TreeEnumerationOverflow(f"more than {limit} spanning trees")
                 yield mask | 1 << j
-        viable = False
-        while stack and not viable:
-            idx, mask, trail_len = stack.pop()
-            while len(trail) > trail_len:
-                r = trail.pop()
-                p = parent[r]
-                size[p] -= size[r]
-                reach[p] = kept[r]
-                parent[r] = r
-            a, b = edges[idx]
-            while parent[a] != a:
-                a = parent[a]
-            while parent[b] != b:
-                b = parent[b]
-            # the check's links leave reach alone and are undone below
-            for j in range(idx + 1, m):
-                u, v = edges[j]
-                while parent[u] != u:
-                    u = parent[u]
-                while parent[v] != v:
-                    v = parent[v]
-                if u != v:
-                    if (u == a and v == b) or (u == b and v == a):
-                        viable = True
-                        break
-                    if size[u] > size[v]:
-                        u, v = v, u
-                    parent[u] = v
-                    size[v] += size[u]
-                    trail.append(u)
-                    # keep a and b naming the roots of their components
-                    if u == a:
-                        a = v
-                    elif u == b:
-                        b = v
-            while len(trail) > trail_len:
-                r = trail.pop()
-                size[parent[r]] -= size[r]
-                parent[r] = r
-        if not viable:
+        if emitted == found:
+            # this frame cannot span, nor can any frame below it (move 2)
+            del stack[base:]
+        if not stack:
             break
+        idx, mask, trail_len = stack.pop()
+        while len(trail) > trail_len:
+            r = trail.pop()
+            p = parent[r]
+            size[p] -= size[r]
+            reach[p] = kept[r]
+            parent[r] = r
+        base = len(stack)
         idx += 1
         comps = n - trail_len
     if emitted == 0:

@@ -130,6 +130,31 @@ def test_pair_distances_are_symmetric_differences():
             assert pair.distance == len(family[pair.first] ^ family[pair.second])
 
 
+def test_pair_distances_over_a_large_common_core():
+    # the members share a 150-edge path and differ in a few edges, some
+    # of them foreign to the host, and the first member holds edges
+    # that the others lack
+    n = 160
+    g = Graph(n, frozenset({(i, i + 1) for i in range(1, n)} | {(1, n), (2, 80), (40, 120)}))
+    core = frozenset((i, i + 1) for i in range(1, 151))
+    tails = [
+        {(1, n), (151, 152), (152, 153)},
+        {(2, 80), (151, 152)},
+        {(40, 120), (n + 1, n + 2)},
+        {(1, n), (151, 152), (152, 153)},
+        {(3, 3), (2, 80), (n, n + 5)},
+        set(),
+    ]
+    family = [core | tail for tail in tails]
+    report = verify_family(g, family, 0, 0, 3)
+    assert [(p.first, p.second) for p in report.pairs] == list(combinations(range(len(family)), 2))
+    for pair in report.pairs:
+        d = len(family[pair.first] ^ family[pair.second])
+        assert (pair.distance, pair.ok) == (d, d >= 3)
+    # members 0 and 2 differ in five edges, members 0 and 3 in none
+    assert (report.pairs[1].distance, report.pairs[2].distance) == (5, 0)
+
+
 def test_arbitrary_tree_is_bfs_from_one():
     g = support.cycle_graph(5)
     t = arbitrary_spanning_tree(g)
@@ -263,6 +288,52 @@ def test_enumeration_matches_the_combinations_reference():
 @given(support.connected_graphs(min_n=2, max_n=8))
 def test_enumeration_matches_the_reference_on_sampled_graphs(g):
     assert list(enumerate_tree_masks(g)) == _reference_masks(g)
+
+
+# two triangles joined by the bridge (1, 4), which sorts before the
+# second triangle's edges
+TWO_TRIANGLES = Graph(6, frozenset({(1, 2), (1, 3), (2, 3), (1, 4), (4, 5), (4, 6), (5, 6)}))
+
+
+def test_enumeration_matches_the_reference_on_bridge_graphs():
+    # leaving out a bridge with later edges on both sides gives a frame
+    # that cannot span but still passes the reach filter
+    for g in (Graph(4, frozenset({(1, 3), (1, 4), (2, 3)})), TWO_TRIANGLES):
+        assert list(enumerate_tree_masks(g)) == _reference_masks(g), g.edges
+
+
+class _CountingEdges(list):
+    """An edge list that counts its reads by index."""
+
+    reads = 0
+
+    def __getitem__(self, i):
+        self.reads += 1
+        return super().__getitem__(i)
+
+
+def test_frames_below_a_frame_that_cannot_span_are_never_expanded(monkeypatch):
+    """The root reads every edge once, and each popped exclude frame
+    reads the edges after the one it leaves out.  On the two triangles,
+    with edges (1,2) (1,3) (1,4) (2,3) (4,5) (4,6) (5,6), nine frames
+    pop, leaving out edges 4 2 1 4 2 0 4 2 1, so the search reads
+    7 + (2 + 4 + 5 + 2 + 4 + 6 + 2 + 4 + 5) = 41 edges.  The three
+    frames that leave out the bridge (1, 4) cannot span, nor can the
+    last, which leaves out both (1, 2) and (1, 3).  The eight frames
+    their descents push for (4, 5) and (4, 6) must go unexpanded, or
+    the search reads more, or runs off the end of the edges.  A search
+    that skips more work may lower this figure."""
+    lists = []
+    real = Graph.sorted_edges
+
+    def counting(self):
+        lists.append(_CountingEdges(real(self)))
+        return lists[-1]
+
+    monkeypatch.setattr(Graph, "sorted_edges", counting)
+    masks = list(enumerate_tree_masks(TWO_TRIANGLES))
+    assert len(masks) == 9
+    assert sum(edges.reads for edges in lists) == 41
 
 
 def test_enumeration_stops_at_every_limit():
