@@ -9,13 +9,11 @@ for small instances, and a command-line front end.
 """
 
 from .graphcore import (
-    Degree2Path,
     Graph,
     GraphFormatError,
     Instance,
     InstanceNT,
     InternalInvariantError,
-    contract_path_edge,
     delete_vertex,
     generate,
     maximal_degree2_paths,
@@ -49,7 +47,6 @@ from .blackbox import mist_kernel, ntst_kernel
 from .oracle import (
     OracleLimits,
     OracleVerdict,
-    counting_shortcut,
     solve,
     solve_li,
     solve_lnt,

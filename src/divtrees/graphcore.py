@@ -2,10 +2,16 @@
 
 This module owns the graph value type, the structural queries the
 reduction pipelines build on (pendant vertices, maximal chains of
-degree-2 vertices), chain-edge contraction and vertex deletion (the
-reference that the tests fold transcripts over; both renumber vertices
-back to a contiguous range), plain-text instance I/O, and the graph
-generators behind the test corpus and the audit tooling.
+degree-2 vertices), edge contraction and vertex deletion (the reference
+that the tests fold transcripts over; both renumber vertices back to a
+contiguous range), plain-text instance I/O, and the graph generators
+behind the test corpus and the audit tooling.
+
+A degree-2-path is its vertex tuple, canonically oriented
+(``_canonical_path``).  One walk, ``_walk``, steps along such paths:
+the graph scan (``maximal_degree2_paths``), the kernelizer's pendant
+pass and leaf growth's kept tree paths all go through it and
+``_path_through``.
 
 All types are immutable values: mutations return new graphs together
 with an old-id -> new-id renaming map.
@@ -18,7 +24,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import islice
-from typing import ClassVar, Iterable, Iterator, Mapping, Sequence
+from typing import AbstractSet, ClassVar, Iterable, Iterator, Mapping, Sequence
 
 
 class GraphFormatError(ValueError):
@@ -125,57 +131,6 @@ class Graph:
 
 
 @dataclass(frozen=True)
-class Degree2Path:
-    """A path (v_0, ..., v_r) whose internal vertices all have degree 2.
-
-    Endpoints may have any degree.  The path is closed when v_0 = v_r;
-    vertices are otherwise pairwise distinct.  ``length`` counts edges.
-    """
-
-    vertices: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        vs = self.vertices
-        if len(vs) < 2:
-            raise ValueError("a path needs at least two entries")
-        body = vs[:-1] if self.closed else vs
-        if len(set(body)) != len(body):
-            raise ValueError("path vertices must be distinct")
-        if self.closed and vs[0] in vs[1:-1]:
-            raise ValueError("closed path revisits its anchor")
-
-    @property
-    def closed(self) -> bool:
-        return self.vertices[0] == self.vertices[-1]
-
-    @property
-    def length(self) -> int:
-        return len(self.vertices) - 1
-
-    @property
-    def internal(self) -> tuple[int, ...]:
-        return self.vertices[1:-1]
-
-    def strictly_internal(self) -> tuple[int, ...]:
-        """The vertices v_3..v_{r-3}; defined only for length >= 6."""
-        if self.length < 6:
-            raise ValueError("strict interior needs a path of length >= 6")
-        return self.vertices[3 : self.length - 2]
-
-    def validate_against(self, g: Graph, forbidden: frozenset[int] = frozenset()) -> None:
-        """Check this is a degree-2-path of ``g`` avoiding ``forbidden`` internally."""
-        vs = self.vertices
-        for a, b in zip(vs, vs[1:]):
-            if not g.has_edge(a, b):
-                raise ValueError(f"({a},{b}) is not an edge of the host graph")
-        for x in self.internal:
-            if g.degree(x) != 2:
-                raise ValueError(f"internal vertex {x} has degree {g.degree(x)} != 2")
-            if x in forbidden:
-                raise ValueError(f"internal vertex {x} is forbidden")
-
-
-@dataclass(frozen=True)
 class Instance:
     """Decision instance: graph plus (p, q, k, ell).
 
@@ -258,42 +213,65 @@ def _canonical_path(vs: list[int]) -> tuple[int, ...]:
     return tuple(rev) if rev < vs else tuple(vs)
 
 
-def maximal_degree2_paths(g: Graph, forbidden: frozenset[int] = frozenset()) -> list[Degree2Path]:
+def _walk(
+    adj: Mapping[int, AbstractSet[int]], forbidden: AbstractSet[int], a: int, b: int
+) -> list[int]:
+    """The walk from ``a`` through its neighbour ``b`` along allowed
+    degree-2 vertices (degree exactly 2, not in ``forbidden``), up to
+    the first vertex that is not one, or back to ``a``."""
+    vs = [a, b]
+    prev, x = a, b
+    while x != a and len(adj[x]) == 2 and x not in forbidden:
+        (nxt,) = adj[x] - {prev}
+        vs.append(nxt)
+        prev, x = x, nxt
+    return vs
+
+
+def _path_through(
+    adj: Mapping[int, AbstractSet[int]], forbidden: AbstractSet[int], x: int
+) -> tuple[int, ...] | None:
+    """The canonical maximal degree-2-path that holds the allowed
+    degree-2 vertex ``x`` internally, or None when ``x`` lies on a bare
+    cycle of allowed vertices."""
+    y, z = adj[x]
+    back = _walk(adj, forbidden, x, y)
+    if back[-1] == x:
+        return None
+    return _canonical_path(back[::-1] + _walk(adj, forbidden, x, z)[1:])
+
+
+def maximal_degree2_paths(
+    g: Graph, forbidden: frozenset[int] = frozenset()
+) -> list[tuple[int, ...]]:
     """All inclusion-maximal degree-2-paths with at least one internal
     vertex, internal vertices drawn from allowed degree-2 vertices.
 
-    A vertex is allowed interior material iff it has degree exactly 2
-    and is not in ``forbidden``; forbidden degree-2 vertices act as
-    endpoints.  Every allowed degree-2 vertex ends up internal to
-    exactly one returned path.  A connected graph that is one cycle of
-    allowed vertices yields a single closed path anchored at the
-    smallest vertex id.  Paths come back canonically oriented and
-    sorted.
+    A path is its vertex tuple (v_0, ..., v_r): r counts its edges, and
+    it is closed when v_0 = v_r.  A vertex is allowed interior material
+    iff it has degree exactly 2 and is not in ``forbidden``; forbidden
+    degree-2 vertices act as endpoints.  Every allowed degree-2 vertex
+    ends up internal to exactly one returned path.  A connected graph
+    that is one cycle of allowed vertices yields a single closed path
+    anchored at the smallest vertex id.  Paths come back canonically
+    oriented and sorted.
     """
     if not g.is_connected:
         raise ValueError("maximal_degree2_paths expects a connected graph")
     adj = g.adjacency
     interior = {v for v in g.vertices() if len(adj[v]) == 2 and v not in forbidden}
-    anchors = [v for v in g.vertices() if v not in interior]
-    if not anchors:
-        # every vertex is allowed degree-2 material: the graph is a
-        # cycle, walked once from vertex 1 towards its lower neighbour
-        anchors = [1]
-        interior.discard(1)
+    # on a bare cycle of allowed vertices the walk from vertex 1 towards
+    # its lower neighbour comes back to 1
+    anchors = [v for v in g.vertices() if v not in interior] or [1]
     claimed: set[int] = set()
-    found: list[Degree2Path] = []
+    found: list[tuple[int, ...]] = []
     for a in anchors:
         for b in sorted(adj[a]):
-            if b not in interior or b in claimed:
-                continue
-            vs = [a, b]
-            while vs[-1] in interior:
-                prev, cur = vs[-2], vs[-1]
-                (nxt,) = adj[cur] - {prev}
-                vs.append(nxt)
-            claimed.update(x for x in vs[1:-1])
-            found.append(Degree2Path(_canonical_path(vs)))
-    found.sort(key=lambda p: p.vertices)
+            if b in interior and b not in claimed:
+                vs = _walk(adj, forbidden, a, b)
+                claimed.update(vs[1:-1])
+                found.append(_canonical_path(vs))
+    found.sort()
     return found
 
 
@@ -322,24 +300,6 @@ def _contract_edge(g: Graph, keep: int, drop: int) -> tuple[Graph, dict[int, int
         raise InternalInvariantError("contraction disconnected the graph")
     rename[drop] = rename[keep]
     return out, rename
-
-
-def contract_path_edge(g: Graph, path: Degree2Path) -> tuple[Graph, dict[int, int]]:
-    """Contract the edge between the first two internal vertices of ``path``.
-
-    Requires length >= 3 so the path has two internal vertices; a
-    closed path of length 3 is rejected as well, since merging its two
-    internal vertices would create a parallel edge.  Returns the new
-    graph and the old-id -> new-id map (the dropped vertex maps to the
-    id of the merged vertex).
-    """
-    path.validate_against(g)
-    if path.length < 3 or len(path.internal) < 2:
-        raise ValueError("contraction needs a path of length >= 3")
-    if path.closed and path.length == 3:
-        raise ValueError("contracting a closed path of length 3 would create a parallel edge")
-    keep, drop = path.vertices[1], path.vertices[2]
-    return _contract_edge(g, keep, drop)
 
 
 def delete_vertex(g: Graph, v: int) -> tuple[Graph, dict[int, int]]:

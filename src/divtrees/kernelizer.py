@@ -47,6 +47,7 @@ from .graphcore import (
     InternalInvariantError,
     _canonical_path,
     _compact_renaming,
+    _path_through,
     maximal_degree2_paths,
     pendant_vertices,
 )
@@ -160,7 +161,7 @@ def case2_bound_lnt(nt_size: int, p: int, k: int, ell: int) -> int:
 
 def _first_long_path(g: Graph, min_length: int, forbidden: frozenset[int]):
     for path in maximal_degree2_paths(g, forbidden):
-        if path.length >= min_length:
+        if len(path) - 1 >= min_length:
             return path
     return None
 
@@ -292,7 +293,7 @@ def apply_rule(
             clear = " clear of the required-internal set" if rule == "R7" else ""
             raise ValueError(f"{rule} guard: no degree-2-path of length >= ell+3{clear}")
         edit = _Edit(inst)
-        entry = edit.contract(rule, path.vertices[1], path.vertices[2])
+        entry = edit.contract(rule, path[1], path[2])
         return edit.instance(), entry
 
     if rule == "R2":
@@ -360,34 +361,6 @@ def _exhaust_contractions(
         key = _canonical_path(ordered)
         if len(key) - 1 >= threshold:
             heappush(paths, key)
-
-
-def _long_path_via(
-    adj: dict[int, set[int]], forbidden: set[int], u: int, threshold: int
-) -> tuple[int, ...] | None:
-    """The canonical maximal degree-2-path through ``u``, if it is long.
-
-    Called after a deletion dropped ``u`` to degree 2 (or removed it
-    from the forbidden set).  No long path existed before, so each side
-    of ``u`` was part of a path shorter than ``threshold`` (walking both
-    to their ends costs O(threshold)), and so was a bare cycle through
-    ``u``: a walk back to ``u`` gives None.
-    """
-    if len(adj[u]) != 2 or u in forbidden:
-        return None
-    sides = []
-    for x in adj[u]:
-        side, prev = [x], u
-        while len(adj[x]) == 2 and x not in forbidden:
-            if x == u:
-                return None
-            (nxt,) = adj[x] - {prev}
-            prev, x = x, nxt
-            side.append(x)
-        sides.append(side)
-    if len(sides[0]) + len(sides[1]) < threshold:
-        return None
-    return _canonical_path(sides[0][::-1] + [u] + sides[1])
 
 
 def _exhaust_pendant_deletions(
@@ -466,9 +439,13 @@ def _exhaust_pendant_deletions(
                 # new, and re-pushing all of them would be quadratic on a star
                 for x in siblings if len(siblings) == 2 else (u,):
                     heappush(twin_heap, x)
-        path = _long_path_via(adj, edit.nt, u, edit.start.ell + 3)
-        if path is not None:
-            _exhaust_contractions(edit, contraction, [path], transcript)
+        if len(adj[u]) == 2 and u not in edit.nt:
+            # no long path existed before the deletion, so each side of u
+            # was part of a path shorter than ell+3 and walking both costs
+            # O(ell); a walk back to u is a short bare cycle (None)
+            path = _path_through(adj, edit.nt, u)
+            if path is not None and len(path) - 1 >= edit.start.ell + 3:
+                _exhaust_contractions(edit, contraction, [path], transcript)
 
 
 def _fixpoint(
@@ -485,7 +462,7 @@ def _fixpoint(
     """
     edit, fired = _Edit(inst), len(transcript)
     paths = maximal_degree2_paths(inst.graph, inst.nonterminals)
-    long_paths = [p.vertices for p in paths if p.length >= inst.ell + 3]
+    long_paths = [p for p in paths if len(p) - 1 >= inst.ell + 3]
     _exhaust_contractions(edit, rules[0], long_paths, transcript)
     if len(rules) > 1:
         _exhaust_pendant_deletions(edit, rules, transcript)

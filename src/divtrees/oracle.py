@@ -44,7 +44,6 @@ from .spantree import (
     SpanningTree,
     TreeEnumerationOverflow,
     _tree_fit,
-    count_spanning_trees,
     enumerate_tree_masks,
 )
 from .diversify import verify_family
@@ -333,17 +332,3 @@ def solve(inst: Instance | InstanceNT, limits: OracleLimits = _DEFAULT) -> Oracl
     if isinstance(inst, InstanceNT):
         return solve_lnt(inst, limits)
     return solve_li(inst, limits)
-
-
-def counting_shortcut(inst: Instance | InstanceNT) -> bool | None:
-    """Tree-counting answer for the unconstrained k <= 2 special case.
-
-    Distinct spanning trees are automatically 2-diverse, so with no
-    per-tree constraints the answer is just "are there ell trees".
-    Returns None when the instance has constraints the count ignores.
-    """
-    if inst.k > 2 or inst.p != 0 or inst.q != 0 or inst.nonterminals:
-        return None
-    if not inst.graph.is_connected:
-        return False
-    return count_spanning_trees(inst.graph) >= inst.ell

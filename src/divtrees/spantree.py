@@ -1,9 +1,11 @@
 """Spanning trees and the constructive leaf machinery.
 
 Holds the validated spanning-tree value type, the single-step
-leaf-gaining edge exchange, the growth loop that pushes a tree towards
-a leaf target, and bounded exhaustive enumeration of all spanning trees
-(the engine behind the exact solvers).
+leaf-gaining edge exchange on a tree path given as its vertex tuple,
+the growth loop that pushes a tree towards a leaf target (it keeps the
+tree's degree-2-paths with graphcore's one path walker), and bounded
+exhaustive enumeration of all spanning trees (the engine behind the
+exact solvers).
 """
 
 from __future__ import annotations
@@ -14,7 +16,6 @@ from functools import cached_property
 from typing import Callable, Iterable, Iterator, Mapping
 
 from .graphcore import (
-    Degree2Path,
     Graph,
     GraphFormatError,
     InternalInvariantError,
@@ -23,6 +24,8 @@ from .graphcore import (
     _content_lines,
     _edge_block,
     _norm_edge,
+    _path_through,
+    _walk,
     _write_edge_list,
     maximal_degree2_paths,
 )
@@ -140,27 +143,34 @@ def arbitrary_spanning_tree(g: Graph) -> SpanningTree:
     return SpanningTree(g, frozenset(_norm_edge(v, u) for v, u in parent.items() if v != u))
 
 
-def augment_leaf(t: SpanningTree, path: Degree2Path, v: int, w: int) -> SpanningTree:
+def augment_leaf(t: SpanningTree, path: tuple[int, ...], v: int, w: int) -> SpanningTree:
     """Exchange one edge to gain at least one leaf.
 
-    ``path`` must be a path of ``t`` whose internal vertices have tree
-    degree exactly 2 and whose length is >= 6; ``v`` must sit at
-    positions 3..length-3 of the path and ``vw`` must be an edge of the
-    host graph absent from the tree.  Rooting the tree at the path
-    start, the edge to delete depends on whether ``w`` is unrelated to
-    ``v``, an ancestor, or a descendant; in every case the deleted
-    edge's endpoints are interior path vertices that turn into leaves,
-    so the leaf count rises even when ``w`` itself stops being one.
+    ``path`` is the vertex tuple of a path of ``t`` whose internal
+    vertices have tree degree exactly 2 and whose length is >= 6; ``v``
+    must sit at positions 3..length-3 of the path and ``vw`` must be an
+    edge of the host graph absent from the tree.  Rooting the tree at
+    the path start, the edge to delete depends on whether ``w`` is
+    unrelated to ``v``, an ancestor, or a descendant; in every case the
+    deleted edge's endpoints are interior path vertices that turn into
+    leaves, so the leaf count rises even when ``w`` itself stops being
+    one.
     """
     g = t.host
-    if path.closed:
+    vs, r = path, len(path) - 1
+    if r > 0 and vs[0] == vs[-1]:
         raise ValueError("a path of a tree cannot be closed")
-    path.validate_against(t.as_graph())
-    if path.length < 6:
+    if len(set(vs)) != len(vs):
+        raise ValueError("path vertices must be distinct")
+    for a, b in zip(vs, vs[1:]):
+        if _norm_edge(a, b) not in t.edges:
+            raise ValueError(f"({a},{b}) is not an edge of the host graph")
+    for x in vs[1:-1]:
+        if len(t.adjacency[x]) != 2:
+            raise ValueError(f"internal vertex {x} has degree {len(t.adjacency[x])} != 2")
+    if r < 6:
         raise ValueError("augmentation needs a path of length >= 6")
-    vs = path.vertices
-    r = path.length
-    if v not in path.strictly_internal():
+    if v not in vs[3 : r - 2]:
         raise ValueError(f"vertex {v} is not strictly internal to the path")
     if w == v or not g.has_edge(v, w):
         raise ValueError(f"({v},{w}) is not an edge of the host graph")
@@ -200,7 +210,7 @@ def augment_leaf(t: SpanningTree, path: Degree2Path, v: int, w: int) -> Spanning
     out = SpanningTree(g, new_edges)
     if out.leaf_count < t.leaf_count + 1:
         raise InternalInvariantError("edge exchange failed to gain a leaf")
-    if not (out.leaves - t.leaves) <= set(path.internal):
+    if not (out.leaves - t.leaves) <= set(vs[1:-1]):
         raise InternalInvariantError("edge exchange created a leaf off the path")
     return out
 
@@ -229,7 +239,7 @@ class _TreePaths:
         self.host_adj = t.host.adjacency
         self.paths: set[tuple[int, ...]] = set()
         self.candidates: list[tuple[int, ...]] = []
-        self._update((), (p.vertices for p in maximal_degree2_paths(t.as_graph(), forbidden=nt)))
+        self._update((), maximal_degree2_paths(t.as_graph(), forbidden=nt))
 
     def _candidate(self, vs: tuple[int, ...]) -> bool:
         return any(len(self.host_adj[x]) >= 3 for x in vs[3 : len(vs) - 3])
@@ -247,21 +257,13 @@ class _TreePaths:
     def _through(self, adj: Mapping[int, frozenset[int]], x: int) -> set[tuple[int, ...]]:
         """The canonical maximal degree-2-paths of the tree ``adj`` that hold ``x``."""
         nt = self.nt
-
-        def run(a: int, b: int) -> list[int]:
-            # from a through b on to the first anchor
-            vs = [a, b]
-            while len(adj[vs[-1]]) == 2 and vs[-1] not in nt:
-                (nxt,) = adj[vs[-1]] - {vs[-2]}
-                vs.append(nxt)
-            return vs
-
         if len(adj[x]) == 2 and x not in nt:
-            y, z = adj[x]
-            return {_canonical_path(run(x, y)[::-1] + run(x, z)[1:])}
-        return {_canonical_path(run(x, y)) for y in adj[x] if len(adj[y]) == 2 and y not in nt}
+            return {_path_through(adj, nt, x)}
+        return {
+            _canonical_path(_walk(adj, nt, x, y)) for y in adj[x] if len(adj[y]) == 2 and y not in nt
+        }
 
-    def move(self) -> tuple[Degree2Path, int, int] | None:
+    def move(self) -> tuple[tuple[int, ...], int, int] | None:
         """The exchange growth makes next: the first candidate path, its
         first strictly interior vertex v of host degree >= 3, and v's
         lowest non-tree neighbour."""
@@ -269,7 +271,7 @@ class _TreePaths:
             return None
         vs = self.candidates[0]
         i = next(i for i in range(3, len(vs) - 3) if len(self.host_adj[vs[i]]) >= 3)
-        return Degree2Path(vs), vs[i], min(self.host_adj[vs[i]] - {vs[i - 1], vs[i + 1]})
+        return vs, vs[i], min(self.host_adj[vs[i]] - {vs[i - 1], vs[i + 1]})
 
     def exchange(self, out: SpanningTree) -> None:
         """Follow the tree to ``out``, one edge exchange away."""

@@ -361,10 +361,10 @@ CRIT6_AUGMENTATIONS = 100
 
 def _tree_moves(g: Graph, t: SpanningTree):
     for path in maximal_degree2_paths(t.as_graph(), frozenset()):
-        if path.length < 6:
+        if len(path) - 1 < 6:
             continue
-        vs = path.vertices
-        for v in vs[3 : path.length - 2]:
+        vs = path
+        for v in vs[3 : len(path) - 3]:
             for w in sorted(g.neighbors(v)):
                 e = (v, w) if v < w else (w, v)
                 if e not in t.edges:
@@ -385,7 +385,7 @@ def test_criterion_06_augmentation_properties():
             done += 1
             if t2.leaf_count <= path_tree.leaf_count:
                 bad.append((n, v, w, "no gain"))
-            if not (t2.leaves - path_tree.leaves) <= frozenset(path.internal):
+            if not (t2.leaves - path_tree.leaves) <= frozenset(path[1:-1]):
                 bad.append((n, v, w, "leaf outside the path"))
             if done >= CRIT6_AUGMENTATIONS:
                 break
@@ -425,7 +425,7 @@ def test_criterion_07_growth_never_stalls_above_bound():
         assert g.n >= bound
         assert all(g.degree(v) >= 2 for v in g.vertices())
         assert all(
-            path.length < ell + 3 for path in maximal_degree2_paths(g, frozenset())
+            len(path) - 1 < ell + 3 for path in maximal_degree2_paths(g, frozenset())
         )
         tried += 1
         target = 2 * ceil(k / 4) * ell

@@ -5,13 +5,11 @@ from hypothesis import given, strategies as st
 
 import support
 from divtrees import (
-    Degree2Path,
     Graph,
     GraphFormatError,
     Instance,
     InstanceNT,
     InternalInvariantError,
-    contract_path_edge,
     delete_vertex,
     generate,
     maximal_degree2_paths,
@@ -21,6 +19,7 @@ from divtrees import (
     write_graph,
     write_instance,
 )
+from divtrees.graphcore import _contract_edge, _path_through
 
 
 # ---------------------------------------------------------------------------
@@ -123,47 +122,29 @@ def test_pendant_vertices():
 
 def test_paths_on_a_path_graph():
     paths = maximal_degree2_paths(support.path_graph(5))
-    assert [p.vertices for p in paths] == [(1, 2, 3, 4, 5)]
-    assert paths[0].length == 4
-    assert not paths[0].closed
-    assert paths[0].internal == (2, 3, 4)
+    assert paths == [(1, 2, 3, 4, 5)]
+    assert len(paths[0]) - 1 == 4
+    assert paths[0][0] != paths[0][-1]
+    assert paths[0][1:-1] == (2, 3, 4)
 
 
 def test_paths_on_a_bare_cycle():
     (p,) = maximal_degree2_paths(support.cycle_graph(5))
-    assert p.vertices == (1, 2, 3, 4, 5, 1)
-    assert p.closed and p.length == 5
+    assert p == (1, 2, 3, 4, 5, 1)
+    assert p[0] == p[-1] and len(p) - 1 == 5
 
 
 def test_paths_on_theta_graph():
     g = generate("theta", (2, 2, 3))
     paths = maximal_degree2_paths(g)
-    assert [p.vertices for p in paths] == [(1, 3, 2), (1, 4, 2), (1, 5, 6, 2)]
+    assert paths == [(1, 3, 2), (1, 4, 2), (1, 5, 6, 2)]
 
 
 def test_forbidden_vertex_becomes_an_anchor():
     (p,) = maximal_degree2_paths(support.cycle_graph(5), frozenset({3}))
-    assert p.vertices == (3, 2, 1, 5, 4, 3)
-    assert p.closed
-    assert 3 not in p.internal
-
-
-def test_strictly_internal_slice():
-    p = Degree2Path(tuple(range(1, 8)))
-    assert p.length == 6
-    assert p.strictly_internal() == (4,)
-    with pytest.raises(ValueError):
-        Degree2Path((1, 2, 3)).strictly_internal()
-
-
-def test_degree2path_validation():
-    with pytest.raises(ValueError, match="distinct"):
-        Degree2Path((1, 2, 1, 3))
-    g = support.path_graph(4)
-    with pytest.raises(ValueError, match="not an edge"):
-        Degree2Path((1, 3)).validate_against(g)
-    with pytest.raises(ValueError, match="forbidden"):
-        Degree2Path((1, 2, 3)).validate_against(g, frozenset({2}))
+    assert p == (3, 2, 1, 5, 4, 3)
+    assert p[0] == p[-1]
+    assert 3 not in p[1:-1]
 
 
 @given(support.connected_graphs(min_n=3, max_n=10))
@@ -176,10 +157,36 @@ def test_every_allowed_degree2_vertex_is_internal_once(g):
         covered.discard(1)
     seen: list[int] = []
     for p in paths:
-        for x in p.internal:
+        for x in p[1:-1]:
             assert g.degree(x) == 2
             seen.append(x)
     assert sorted(seen) == sorted(covered)
+
+
+_SCAN_GRAPHS = st.one_of(
+    support.connected_graphs(min_n=3, max_n=12),
+    st.integers(3, 12).map(support.cycle_graph),
+    st.builds(
+        lambda base, factor: generate("subdivided", (base, factor)),
+        support.connected_graphs(min_n=2, max_n=6),
+        st.integers(2, 4),
+    ),
+)
+
+
+@given(_SCAN_GRAPHS, st.data())
+def test_path_through_matches_the_scan(g, data):
+    # the pendant pass and leaf growth walk one path at a time; the scan
+    # walks them all, and both must agree path for path
+    drawn = frozenset(data.draw(st.sets(st.integers(1, g.n), min_size=1, max_size=3)))
+    adj = g.adjacency
+    for forbidden in (frozenset(), drawn):
+        holder = {x: p for p in maximal_degree2_paths(g, forbidden) for x in p[1:-1]}
+        allowed = [x for x in g.vertices() if len(adj[x]) == 2 and x not in forbidden]
+        bare = len(allowed) == g.n
+        for x in allowed:
+            got = _path_through(adj, forbidden, x)
+            assert got is None if bare else got == holder[x], (g, forbidden, x)
 
 
 # ---------------------------------------------------------------------------
@@ -188,31 +195,23 @@ def test_every_allowed_degree2_vertex_is_internal_once(g):
 def test_contract_path_edge_on_c4():
     g = support.cycle_graph(4)
     (p,) = maximal_degree2_paths(g)
-    g2, rename = contract_path_edge(g, p)
+    g2, rename = _contract_edge(g, p[1], p[2])
     assert g2 == support.cycle_graph(3)
     # dropped vertex maps to the merged one
-    assert rename[p.vertices[2]] == rename[p.vertices[1]]
+    assert rename[p[2]] == rename[p[1]]
 
 
 def test_contract_rejects_closed_triangle():
     g = support.cycle_graph(3)
     (p,) = maximal_degree2_paths(g)
     with pytest.raises(ValueError, match="parallel"):
-        contract_path_edge(g, p)
-
-
-def test_contract_rejects_short_path():
-    g = support.path_graph(3)
-    (p,) = maximal_degree2_paths(g)
-    assert p.length == 2
-    with pytest.raises(ValueError, match="length >= 3"):
-        contract_path_edge(g, p)
+        _contract_edge(g, p[1], p[2])
 
 
 def test_contract_renumbers_contiguously():
     g = support.path_graph(6)
     (p,) = maximal_degree2_paths(g)
-    g2, rename = contract_path_edge(g, p)
+    g2, rename = _contract_edge(g, p[1], p[2])
     assert g2.n == 5 and g2.is_tree()
     assert sorted(rename[v] for v in range(1, 7)) == [1, 2, 2, 3, 4, 5]
 
@@ -238,9 +237,9 @@ def test_delete_only_vertex_fails():
 @given(support.connected_graphs(min_n=4, max_n=10))
 def test_contraction_preserves_connectivity_and_counts(g):
     for p in maximal_degree2_paths(g):
-        if p.length < 3 or (p.closed and p.length == 3):
+        if len(p) - 1 < 3 or (p[0] == p[-1] and len(p) - 1 == 3):
             continue
-        g2, _ = contract_path_edge(g, p)
+        g2, _ = _contract_edge(g, p[1], p[2])
         assert g2.n == g.n - 1
         assert g2.m == g.m - 1
         assert g2.is_connected

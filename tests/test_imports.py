@@ -89,10 +89,8 @@ BENCH = SRC.parents[1] / "bench"
 # exported without a runtime or bench caller, each for a stated reason
 _EXPORT_ALLOWLIST = {
     "kernelize": "the documented library entry point for either problem",
-    "contract_path_edge": "the tests' independent reference for R1, R2 and R7",
     "delete_vertex": "the tests' independent reference for pendant deletion",
     "enumerate_spanning_trees": "the tests' validated reference for the mask readers",
-    "counting_shortcut": "a diversity certificate kept for the oracle's certify stage",
 }
 
 

@@ -15,7 +15,6 @@ from divtrees import (
     OracleVerdict,
     SpanningTree,
     count_spanning_trees,
-    counting_shortcut,
     generate,
     solve,
     solve_li,
@@ -212,32 +211,6 @@ def test_distance_bound_skips_the_search_after_full_enumeration(g, p):
     assert verdict.answer == "no"
     assert verdict.stats.clique_nodes == 0
     assert verdict.stats.trees_enumerated == count_spanning_trees(g)
-
-
-# ---------------------------------------------------------------------------
-# the counting shortcut
-
-def test_counting_shortcut_unconstrained_cases():
-    assert counting_shortcut(li(C5, 0, 0, 2, 5)) is True
-    assert counting_shortcut(li(C5, 0, 0, 2, 6)) is False
-    assert counting_shortcut(li(SPLIT, 0, 0, 1, 1)) is False
-    assert counting_shortcut(lnt(C4, set(), 0, 2, 4)) is True
-    assert counting_shortcut(lnt(C4, set(), 0, 2, 5)) is False
-
-
-def test_counting_shortcut_declines_constrained_cases():
-    assert counting_shortcut(li(C5, 1, 0, 2, 2)) is None
-    assert counting_shortcut(li(C5, 0, 1, 2, 2)) is None
-    assert counting_shortcut(li(C5, 0, 0, 3, 2)) is None
-    assert counting_shortcut(lnt(C4, {1}, 0, 2, 2)) is None
-
-
-@given(g=support.connected_graphs(min_n=2, max_n=7, max_extra=4), ell=st.integers(1, 4))
-def test_counting_shortcut_matches_solver(g, ell):
-    inst = li(g, 0, 0, 2, ell)
-    shortcut = counting_shortcut(inst)
-    assert shortcut is not None
-    assert shortcut == (solve_li(inst).answer == "yes")
 
 
 # ---------------------------------------------------------------------------

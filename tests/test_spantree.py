@@ -520,6 +520,38 @@ def test_augment_validation():
         augment_leaf(t, path, 4, 5)
 
 
+def test_augment_rejects_a_malformed_path():
+    g = c8_with_chord()
+    t = SpanningTree(g, frozenset((i, i + 1) for i in range(1, 8)))
+    with pytest.raises(ValueError, match="distinct"):
+        augment_leaf(t, (1, 2, 1, 3), 4, 8)
+    with pytest.raises(ValueError, match="cannot be closed"):
+        augment_leaf(t, (1, 2, 3, 4, 5, 6, 7, 8, 1), 4, 8)
+    with pytest.raises(ValueError, match=r"\(1,3\) is not an edge"):
+        augment_leaf(t, (1, 3, 4, 5, 6, 7, 8), 4, 8)
+    # a tree edge (4,8) gives vertex 4 tree degree 3
+    t = SpanningTree(g, frozenset((i, i + 1) for i in range(1, 7)) | {(4, 8)})
+    with pytest.raises(ValueError, match="internal vertex 4 has degree 3 != 2"):
+        augment_leaf(t, (1, 2, 3, 4, 5, 6, 7), 5, 8)
+
+
+def test_augment_accepts_only_a_strictly_internal_vertex():
+    # v must sit at positions 3..length-3: on a path of length 6 that is
+    # the one middle vertex
+    n = 10
+    g = Graph(n, support.cycle_graph(n).edges | {(4, n), (5, n), (6, n)})
+    t = SpanningTree(g, frozenset((i, i + 1) for i in range(1, n)))
+    (path,) = maximal_degree2_paths(t.as_graph())
+    short = path[:7]
+    assert len(short) - 1 == 6 and short[3:4] == (4,)
+    for v in (3, 5):
+        with pytest.raises(ValueError, match="strictly internal"):
+            augment_leaf(t, short, v, n)
+    assert augment_leaf(t, short, 4, n).leaf_count > t.leaf_count
+    with pytest.raises(ValueError, match="length >= 6"):
+        augment_leaf(t, path[:6], 4, n)
+
+
 def test_augment_needs_long_path():
     g = support.cycle_graph(5)
     t = arbitrary_spanning_tree(g)
@@ -538,7 +570,7 @@ def test_augment_gains_a_leaf_on_chorded_cycles():
         (path,) = maximal_degree2_paths(t.as_graph())
         moved = augment_leaf(t, path, 4, n)
         assert moved.leaf_count > t.leaf_count
-        assert moved.leaves - t.leaves <= set(path.internal)
+        assert moved.leaves - t.leaves <= set(path[1:-1])
 
 
 # ---------------------------------------------------------------------------
@@ -594,9 +626,9 @@ def _reference_grow(start, nt, target):
 
 def _reference_move(t, nt):
     for path in maximal_degree2_paths(t.as_graph(), forbidden=nt):
-        if path.length < 6:
+        if len(path) - 1 < 6:
             continue
-        for v in path.strictly_internal():
+        for v in path[3 : len(path) - 3]:
             for w in sorted(t.host.neighbors(v)):
                 if (min(v, w), max(v, w)) not in t.edges:
                     return path, v, w
@@ -646,7 +678,7 @@ def test_kept_paths_match_a_rescan_after_every_exchange():
         t = start
         while True:
             found = maximal_degree2_paths(t.as_graph(), forbidden=nt)
-            assert paths.paths == {p.vertices for p in found}
+            assert paths.paths == set(found)
             move = paths.move()
             assert move == _reference_move(t, nt)
             if move is None:
