@@ -14,7 +14,6 @@ from .graphcore import (
     Instance,
     InstanceNT,
     InternalInvariantError,
-    delete_vertex,
     generate,
     maximal_degree2_paths,
     pendant_vertices,

@@ -128,11 +128,11 @@ def _cmd_kernelize(args: argparse.Namespace) -> int:
     if args.witness and inst.problem == "lnt":
         raise UsageError("--witness has no meaning for the lnt problem")
     result = _kernelize_within(inst, None if args.blackbox == "none" else budget, args.witness)
+    if args.family_out is not None and result.witness is None:
+        raise UsageError("no witness family to write; outcome was " + result.outcome)
     if args.transcript is not None:
         Path(args.transcript).write_text(transcript_to_ndjson(result.transcript))
     if args.family_out is not None:
-        if result.witness is None:
-            raise UsageError("no witness family to write; outcome was " + result.outcome)
         Path(args.family_out).write_text(write_family(list(result.witness)))
     payload = {"schema": 2, "problem": inst.problem}
     payload.update(result.to_json_dict())
@@ -151,7 +151,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         "schema": 1,
         "problem": inst.problem,
         "answer": verdict.answer,
-        "stats": verdict.stats.to_json_dict(),
+        "stats": verdict.stats,
         "witness": None if verdict.witness is None else family_json(verdict.witness),
     }
     _emit_json(args.output, payload)

@@ -310,17 +310,6 @@ class TreeCheck:
             and self.required_internal_ok
         )
 
-    def to_json_dict(self) -> dict:
-        return {
-            "index": self.index,
-            "spanning": self.spanning,
-            "leaf_count": self.leaf_count,
-            "internal_count": self.internal_count,
-            "leaves_ok": self.leaves_ok,
-            "internal_ok": self.internal_ok,
-            "required_internal_ok": self.required_internal_ok,
-        }
-
 
 @dataclass(frozen=True)
 class PairCheck:
@@ -329,12 +318,11 @@ class PairCheck:
     distance: int
     ok: bool
 
-    def to_json_dict(self) -> dict:
-        return {"first": self.first, "second": self.second, "distance": self.distance, "ok": self.ok}
-
 
 @dataclass(frozen=True)
 class FamilyReport:
+    """A family's checks; its JSON form writes each as its fields."""
+
     trees: tuple[TreeCheck, ...]
     pairs: tuple[PairCheck, ...]
 
@@ -345,8 +333,8 @@ class FamilyReport:
     def to_json_dict(self) -> dict:
         return {
             "verdict": self.verdict,
-            "trees": [t.to_json_dict() for t in self.trees],
-            "pairs": [p.to_json_dict() for p in self.pairs],
+            "trees": self.trees,
+            "pairs": self.pairs,
         }
 
 

@@ -2,10 +2,9 @@
 
 This module owns the graph value type, the structural queries the
 reduction pipelines build on (pendant vertices, maximal chains of
-degree-2 vertices), edge contraction and vertex deletion (the reference
-that the tests fold transcripts over; both renumber vertices back to a
-contiguous range), plain-text instance I/O, and the graph generators
-behind the test corpus and the audit tooling.
+degree-2 vertices), plain-text instance I/O, and the graph generators
+behind the test corpus and the audit tooling.  Contraction and deletion
+are applied by the kernelizer's edit state.
 
 A degree-2-path is its vertex tuple, canonically oriented
 (``_canonical_path``).  One walk, ``_walk``, steps along such paths:
@@ -13,8 +12,7 @@ the graph scan (``maximal_degree2_paths``), the kernelizer's pendant
 pass and leaf growth's kept tree paths all go through it and
 ``_path_through``.
 
-All types are immutable values: mutations return new graphs together
-with an old-id -> new-id renaming map.
+All types are immutable values.
 """
 
 from __future__ import annotations
@@ -127,7 +125,7 @@ class Graph:
         return list(self._edge_order)
 
     def to_json_dict(self) -> dict:
-        return {"n": self.n, "edges": [list(e) for e in self.sorted_edges()]}
+        return {"n": self.n, "edges": self._edge_order}
 
 
 @dataclass(frozen=True)
@@ -277,46 +275,6 @@ def maximal_degree2_paths(
 
 def _compact_renaming(n: int, removed: int) -> dict[int, int]:
     return {v: (v - 1 if v > removed else v) for v in range(1, n + 1) if v != removed}
-
-
-def _contract_edge(g: Graph, keep: int, drop: int) -> tuple[Graph, dict[int, int]]:
-    """Merge ``drop`` into ``keep`` and renumber ids above ``drop`` down by one."""
-    if not g.has_edge(keep, drop):
-        raise ValueError(f"({keep},{drop}) is not an edge")
-    if g.adjacency[keep] & g.adjacency[drop]:
-        raise ValueError("contraction would create a parallel edge")
-    rename = _compact_renaming(g.n, drop)
-    new_edges = set()
-    for u, v in g.edges:
-        if (u, v) == _norm_edge(keep, drop):
-            continue
-        u = keep if u == drop else u
-        v = keep if v == drop else v
-        new_edges.add(_norm_edge(rename[u], rename[v]))
-    out = Graph(g.n - 1, frozenset(new_edges))
-    if out.m != g.m - 1:
-        raise InternalInvariantError("contraction changed the edge count by more than one")
-    if g.is_connected and not out.is_connected:
-        raise InternalInvariantError("contraction disconnected the graph")
-    rename[drop] = rename[keep]
-    return out, rename
-
-
-def delete_vertex(g: Graph, v: int) -> tuple[Graph, dict[int, int]]:
-    """Remove ``v`` and its edges; remaining ids compact down to 1..n-1.
-
-    Connectivity is the caller's concern: deleting a cut vertex leaves
-    a disconnected graph and that is reported as such, not an error.
-    """
-    if not (1 <= v <= g.n):
-        raise ValueError(f"vertex {v} out of range")
-    if g.n == 1:
-        raise ValueError("cannot delete the only vertex")
-    rename = _compact_renaming(g.n, v)
-    new_edges = frozenset(
-        _norm_edge(rename[a], rename[b]) for a, b in g.edges if v not in (a, b)
-    )
-    return Graph(g.n - 1, new_edges), rename
 
 
 # ---------------------------------------------------------------------------

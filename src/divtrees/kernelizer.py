@@ -13,9 +13,10 @@ kernel takes and returns the pipeline's own instance type.  The lnt
 problem has no internal count, so q reads as 0 there and the
 q-specific steps (R1's decrement, PC-q) never fire.
 
-Every firing is logged as a :class:`RuleApplication`; replaying the
-transcript from the input instance reproduces the pipeline's final
-instance exactly, which is the backbone of the safety test harness.
+Every firing is logged as a :class:`RuleApplication`, which
+:data:`JSON_ENCODER` writes as its fields; replaying the transcript
+from the input instance reproduces the pipeline's final instance
+exactly, which is the backbone of the safety test harness.
 One edit state applies every contraction and deletion, for a whole
 reduction phase, :func:`apply_rule` and :func:`replay` alike: a phase
 contracts each long path the moment a deletion opens it, on the same
@@ -89,27 +90,16 @@ class RuleApplication:
             return _compact_renaming(self.n_before, self.removed_vertex)
         return {v: v for v in range(1, self.n_before + 1)}
 
-    def to_json_dict(self) -> dict:
-        return {
-            "rule": self.rule,
-            "n_before": self.n_before,
-            "touched": list(self.touched),
-            "p_delta": self.p_delta,
-            "q_delta": self.q_delta,
-            "nt_removed": list(self.nt_removed),
-            "removed_vertex": self.removed_vertex,
-            "merged_edge": list(self.merged_edge) if self.merged_edge else None,
-            "decision": self.decision,
-        }
-
 
 # The runtime's one JSON serializer: key-sorted, one line, default
-# separators.  Without indent, json runs its C encoder.
-JSON_ENCODER = json.JSONEncoder(sort_keys=True)
+# separators; without indent, json runs its C encoder.  A record is
+# written as its fields (default=vars) and a tuple as an array; the
+# to_json_dict methods are the custom forms and return what it writes.
+JSON_ENCODER = json.JSONEncoder(sort_keys=True, default=vars)
 
 
 def transcript_to_ndjson(transcript: tuple[RuleApplication, ...] | list[RuleApplication]) -> str:
-    return "".join(JSON_ENCODER.encode(e.to_json_dict()) + "\n" for e in transcript)
+    return "".join(JSON_ENCODER.encode(e) + "\n" for e in transcript)
 
 
 @dataclass(frozen=True)
@@ -137,7 +127,7 @@ class KernelResult:
             "witness": None if self.witness is None else family_json(self.witness),
             "reason": self.reason,
             "final_instance": self.final_instance.to_json_dict(),
-            "transcript": [e.to_json_dict() for e in self.transcript],
+            "transcript": self.transcript,
         }
 
 
@@ -379,7 +369,7 @@ def _exhaust_pendant_deletions(
     Contraction merges ``vs[2]`` into ``vs[1]``, and a long path has at
     least ell+3 >= 4 edges, so ``vs[2]`` is never next to an endpoint:
     it is no pendant and no pendant's host, every other degree stays
-    put, and the heaps pick exactly what a restarted pass would.
+    put, and the heap picks exactly what a restarted pass would.
     """
     contraction, twins = rules[0], "R2" in rules
     sweep = rules[-1] if rules[-1] != "R2" else None
@@ -399,24 +389,19 @@ def _exhaust_pendant_deletions(
     def is_twin(x: int) -> bool:
         return x in pend and len(pendants_of[next(iter(adj[x]))]) >= 2
 
-    # lazy min-heaps of twin-eligible pendants and of all pendants: an
-    # entry is checked when it surfaces, and a pendant is pushed again
-    # only when it (re)gains eligibility
-    twin_heap = [x for x in pend if is_twin(x)] if twins else []
-    sweep_heap = list(pend) if sweep else []
-    heapify(twin_heap)
-    heapify(sweep_heap)
-    while True:
-        while twin_heap and not is_twin(twin_heap[0]):
-            heappop(twin_heap)
-        while sweep_heap and sweep_heap[0] not in pend:
-            heappop(sweep_heap)
-        if twin_heap:
-            v, rule = heappop(twin_heap), "R2"
-        elif sweep_heap:
-            v, rule = heappop(sweep_heap), sweep
-        else:
-            return
+    # one lazy min-heap: (0, x) while x is a twin and (1, x) while x is
+    # a pendant, so a (1, x) entry surfaces only once no twin is left.
+    # An entry is checked when it surfaces, and a pendant is pushed
+    # again only when it (re)gains its status
+    heap = [(0, x) for x in pend if is_twin(x)] if twins else []
+    if sweep:
+        heap += [(1, x) for x in pend]
+    heapify(heap)
+    while heap:
+        tier, v = heappop(heap)
+        if not (v in pend if tier else is_twin(v)):
+            continue
+        rule = sweep if tier else "R2"
         (u,) = adj[v]
         pend.discard(v)
         pendants_of[u].discard(v)
@@ -430,7 +415,7 @@ def _exhaust_pendant_deletions(
         elif len(adj[u]) == 1:
             pend.add(u)
             if sweep:
-                heappush(sweep_heap, u)
+                heappush(heap, (1, u))
             (w,) = adj[u]
             siblings = pendants_of.setdefault(w, set())
             siblings.add(u)
@@ -438,7 +423,7 @@ def _exhaust_pendant_deletions(
                 # on 1 -> 2 both pendants turn eligible; above 2 only u is
                 # new, and re-pushing all of them would be quadratic on a star
                 for x in siblings if len(siblings) == 2 else (u,):
-                    heappush(twin_heap, x)
+                    heappush(heap, (0, x))
         if len(adj[u]) == 2 and u not in edit.nt:
             # no long path existed before the deletion, so each side of u
             # was part of a path shorter than ell+3 and walking both costs
@@ -546,23 +531,14 @@ def _kernelize(
     if not g.is_connected:
         return refuse(inst, "PC-disconnected", "disconnected graphs have no spanning tree")
     if g.is_tree():
-        t = SpanningTree(g, g.edges)
-        good = (
-            inst.ell == 1
-            and t.leaf_count >= inst.p
-            and t.internal_count >= inst.q
-            and nt <= t.internal_vertices
-        )
-        if not good:
+        witness = (SpanningTree(g, g.edges),)
+        if inst.ell != 1 or not verify_family(g, witness, inst.p, inst.q, inst.k, nt=nt).verdict:
             return refuse(
                 inst,
                 "PC-tree",
                 "a tree has exactly one spanning tree and it fails the requirements",
             )
         transcript.append(RuleApplication("PC-tree", g.n, decision="yes"))
-        witness = (t,)
-        if not verify_family(g, witness, inst.p, inst.q, inst.k, nt=nt).verdict:
-            raise InternalInvariantError("tree witness failed verification")
         return done("trivial_yes", inst, witness=witness)
     nt_pendants = pendant_vertices(g) & nt
     if nt_pendants:

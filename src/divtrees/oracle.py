@@ -36,7 +36,7 @@ candidates, not from a search.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 from .graphcore import Instance, InstanceNT, InternalInvariantError
 from .spantree import (
@@ -63,9 +63,6 @@ class OracleLimits:
 class OracleStats:
     trees_enumerated: int
     clique_nodes: int
-
-    def to_json_dict(self) -> dict:
-        return asdict(self)
 
 
 @dataclass(frozen=True)

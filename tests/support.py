@@ -1,10 +1,12 @@
-"""Shared graph builders and samplers for the test suite."""
+"""Shared graph builders and samplers for the test suite, and the
+one-step graph rebuilds that the tests fold transcripts over."""
 
 from itertools import combinations
 
 from hypothesis import strategies as st
 
-from divtrees import Graph, generate
+from divtrees import Graph, InternalInvariantError, generate
+from divtrees.graphcore import _compact_renaming, _norm_edge
 
 
 def path_graph(n: int) -> Graph:
@@ -60,3 +62,47 @@ def connected_graphs(draw, min_n=2, max_n=9, max_extra=5):
     for e in draw(st.permutations(pool))[:extra] if pool else []:
         edges.add(e)
     return Graph(n, frozenset(edges))
+
+
+# ---------------------------------------------------------------------------
+# graph-rebuilding reference for contraction and pendant deletion; both
+# renumber the vertices back to 1..n-1 and return the old-to-new id map
+
+def contract_edge(g: Graph, keep: int, drop: int) -> tuple[Graph, dict[int, int]]:
+    """Merge ``drop`` into ``keep`` and renumber ids above ``drop`` down by one."""
+    if not g.has_edge(keep, drop):
+        raise ValueError(f"({keep},{drop}) is not an edge")
+    if g.adjacency[keep] & g.adjacency[drop]:
+        raise ValueError("contraction would create a parallel edge")
+    rename = _compact_renaming(g.n, drop)
+    new_edges = set()
+    for u, v in g.edges:
+        if (u, v) == _norm_edge(keep, drop):
+            continue
+        u = keep if u == drop else u
+        v = keep if v == drop else v
+        new_edges.add(_norm_edge(rename[u], rename[v]))
+    out = Graph(g.n - 1, frozenset(new_edges))
+    if out.m != g.m - 1:
+        raise InternalInvariantError("contraction changed the edge count by more than one")
+    if g.is_connected and not out.is_connected:
+        raise InternalInvariantError("contraction disconnected the graph")
+    rename[drop] = rename[keep]
+    return out, rename
+
+
+def delete_vertex(g: Graph, v: int) -> tuple[Graph, dict[int, int]]:
+    """Remove ``v`` and its edges; remaining ids compact down to 1..n-1.
+
+    Connectivity is the caller's concern: deleting a cut vertex leaves
+    a disconnected graph and that is reported as such, not an error.
+    """
+    if not (1 <= v <= g.n):
+        raise ValueError(f"vertex {v} out of range")
+    if g.n == 1:
+        raise ValueError("cannot delete the only vertex")
+    rename = _compact_renaming(g.n, v)
+    new_edges = frozenset(
+        _norm_edge(rename[a], rename[b]) for a, b in g.edges if v not in (a, b)
+    )
+    return Graph(g.n - 1, new_edges), rename

@@ -136,9 +136,14 @@ def test_data_problems_exit_65(tmp_path, capsys):
     # parameters beyond the vertex count are a data error too
     code, _, err = run(capsys, "solve", "-i", c5_file(tmp_path), "-p", "9")
     assert code == 65 and "exceeds the vertex count" in err
-    bad.write_text("#% p 1\n#% p 2\n3 2\n1 2\n2 3\n")
-    code, out, err = run(capsys, "solve", "-i", str(bad))
-    assert code == 65 and out == "" and "error: directive p given twice" in err
+    for directives, message in [
+        ("#% p 1\n#% p 2", "error: directive p given twice"),
+        ("#% p x", "error: directive p needs an integer"),
+        ("#% nt 1 x", "error: directive nt needs integers"),
+    ]:
+        bad.write_text(directives + "\n3 2\n1 2\n2 3\n")
+        code, out, err = run(capsys, "solve", "-i", str(bad))
+        assert code == 65 and out == "" and message in err, directives
 
 
 def test_bare_problem_directive_exits_65(tmp_path, capsys):
@@ -281,11 +286,16 @@ def test_kernelize_family_out_needs_a_witness(tmp_path, capsys):
         "kernelize",
         "-i",
         c5_file(tmp_path),
+        "--transcript",
+        str(tmp_path / "t.ndjson"),
         "--family-out",
         str(tmp_path / "fam.txt"),
     )
     assert code == 64
     assert "no witness family" in err
+    # the usage error comes before any file is written
+    assert not (tmp_path / "t.ndjson").exists()
+    assert not (tmp_path / "fam.txt").exists()
 
 
 def test_kernelize_blackbox_none_reports_unavailable(tmp_path, capsys):
@@ -493,6 +503,8 @@ def test_gen_usage_errors(tmp_path, capsys):
         (["min-degree-3", "5", "6"], "min-degree-3 takes 1 parameter(s), got 2"),
         (["random-connected", "5"], "random-connected takes 2 parameter(s), got 1"),
         (["subdivided", "cycle", "3", "4", "2"], "cycle takes 1 parameter(s), got 2"),
+        (["cycle", "2"], "a cycle needs at least 3 vertices"),
+        (["random-connected", "4", "9"], "edge count 9 infeasible for 4 vertices"),
     ]:
         code, _, err = run(capsys, "gen", *argv)
         assert code == 64 and message in err and "Traceback" not in err, argv

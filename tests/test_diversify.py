@@ -1,3 +1,6 @@
+import json
+from dataclasses import asdict
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -18,6 +21,7 @@ from divtrees import (
     verify_family,
 )
 from divtrees.diversify import _conflict_edges
+from divtrees.kernelizer import JSON_ENCODER
 from divtrees.spantree import _acyclic as _uf_acyclic, enumerate_spanning_trees, family_json
 
 
@@ -330,7 +334,7 @@ def test_verify_family_rejects_non_spanning_sets():
 def test_verify_family_json_shape():
     g, _ = k4_star()
     report = verify_family(g, [frozenset({(1, 2), (1, 3), (1, 4)})], p=1, q=1, k=1)
-    d = report.to_json_dict()
+    d = json.loads(JSON_ENCODER.encode(report.to_json_dict()))
     assert d["verdict"] is True
     assert d["trees"][0]["leaf_count"] == 3
     assert d["pairs"] == []
@@ -338,9 +342,7 @@ def test_verify_family_json_shape():
 
 
 def test_report_json_equals_the_dataclass_fields():
-    # to_json_dict builds its dicts directly; asdict is the reference
-    from dataclasses import asdict
-
+    # the encoder writes each check as its fields; asdict is the reference
     g = generate("min-degree-3", (20,))
     grown = grow_leaves(arbitrary_spanning_tree(g), frozenset(), 6)
     fam = build_diverse_family(plan_swaps(grown, grown.leaves, 4, 3))
@@ -348,8 +350,10 @@ def test_report_json_equals_the_dataclass_fields():
     report = verify_family(g, [*fam, foreign], p=5, q=10, k=5, nt=frozenset({1}))
     assert not report.verdict
     for check in (*report.trees, *report.pairs):
-        assert check.to_json_dict() == asdict(check)
-        assert list(check.to_json_dict()) == list(asdict(check))
+        assert JSON_ENCODER.encode(check) == json.dumps(asdict(check), sort_keys=True)
+    assert JSON_ENCODER.encode(report.to_json_dict()) == json.dumps(
+        {"verdict": False, **asdict(report)}, sort_keys=True
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,6 @@ from divtrees import (
     Instance,
     InstanceNT,
     InternalInvariantError,
-    delete_vertex,
     generate,
     maximal_degree2_paths,
     pendant_vertices,
@@ -19,7 +18,7 @@ from divtrees import (
     write_graph,
     write_instance,
 )
-from divtrees.graphcore import _contract_edge, _path_through
+from divtrees.graphcore import _path_through
 
 
 # ---------------------------------------------------------------------------
@@ -83,6 +82,10 @@ def test_instance_validation():
         Instance(g, 0, 0, 1, 0)
     with pytest.raises(ValueError, match="out of range"):
         InstanceNT(g, frozenset({9}), 0, 1, 1)
+    with pytest.raises(ValueError, match="p must be non-negative"):
+        InstanceNT(g, frozenset(), -1, 1, 1)
+    with pytest.raises(ValueError, match="k and ell must be at least 1"):
+        InstanceNT(g, frozenset(), 0, 0, 1)
 
 
 def test_both_instance_types_answer_the_same_reads():
@@ -195,7 +198,7 @@ def test_path_through_matches_the_scan(g, data):
 def test_contract_path_edge_on_c4():
     g = support.cycle_graph(4)
     (p,) = maximal_degree2_paths(g)
-    g2, rename = _contract_edge(g, p[1], p[2])
+    g2, rename = support.contract_edge(g, p[1], p[2])
     assert g2 == support.cycle_graph(3)
     # dropped vertex maps to the merged one
     assert rename[p[2]] == rename[p[1]]
@@ -205,33 +208,33 @@ def test_contract_rejects_closed_triangle():
     g = support.cycle_graph(3)
     (p,) = maximal_degree2_paths(g)
     with pytest.raises(ValueError, match="parallel"):
-        _contract_edge(g, p[1], p[2])
+        support.contract_edge(g, p[1], p[2])
 
 
 def test_contract_renumbers_contiguously():
     g = support.path_graph(6)
     (p,) = maximal_degree2_paths(g)
-    g2, rename = _contract_edge(g, p[1], p[2])
+    g2, rename = support.contract_edge(g, p[1], p[2])
     assert g2.n == 5 and g2.is_tree()
     assert sorted(rename[v] for v in range(1, 7)) == [1, 2, 2, 3, 4, 5]
 
 
 def test_delete_vertex_compacts_ids():
     g = support.cycle_graph(4)
-    g2, rename = delete_vertex(g, 2)
+    g2, rename = support.delete_vertex(g, 2)
     assert g2 == Graph(3, frozenset({(1, 3), (2, 3)}))
     assert rename == {1: 1, 3: 2, 4: 3}
 
 
 def test_delete_vertex_may_disconnect():
     g = support.path_graph(5)
-    g2, _ = delete_vertex(g, 3)
+    g2, _ = support.delete_vertex(g, 3)
     assert not g2.is_connected
 
 
 def test_delete_only_vertex_fails():
     with pytest.raises(ValueError):
-        delete_vertex(Graph(1, frozenset()), 1)
+        support.delete_vertex(Graph(1, frozenset()), 1)
 
 
 @given(support.connected_graphs(min_n=4, max_n=10))
@@ -239,7 +242,7 @@ def test_contraction_preserves_connectivity_and_counts(g):
     for p in maximal_degree2_paths(g):
         if len(p) - 1 < 3 or (p[0] == p[-1] and len(p) - 1 == 3):
             continue
-        g2, _ = _contract_edge(g, p[1], p[2])
+        g2, _ = support.contract_edge(g, p[1], p[2])
         assert g2.n == g.n - 1
         assert g2.m == g.m - 1
         assert g2.is_connected

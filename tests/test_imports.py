@@ -89,7 +89,6 @@ BENCH = SRC.parents[1] / "bench"
 # exported without a runtime or bench caller, each for a stated reason
 _EXPORT_ALLOWLIST = {
     "kernelize": "the documented library entry point for either problem",
-    "delete_vertex": "the tests' independent reference for pendant deletion",
     "enumerate_spanning_trees": "the tests' validated reference for the mask readers",
 }
 

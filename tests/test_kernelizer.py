@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import itertools
 import json
 import random
@@ -29,7 +30,7 @@ from divtrees import (
     transcript_to_ndjson,
     verify_family,
 )
-from divtrees.graphcore import _canonical_path, _contract_edge, delete_vertex
+from divtrees.graphcore import _canonical_path
 from divtrees import kernelizer
 from divtrees.kernelizer import _fixpoint
 from test_golden import _corpus as golden_corpus
@@ -503,6 +504,28 @@ def test_transcript_ndjson_round_trip():
         assert got.renaming() == want.renaming()
 
 
+def test_records_hold_only_their_fields():
+    # the encoder writes a record as vars(record), so a cached_property
+    # read before encoding would leak into the JSON
+    res = kernelize_li(li(support.with_pendants(support.cycle_graph(8), [1, 1]), p=2))
+    g = support.complete_graph(4)
+    trees = [frozenset({(1, 2), (1, 3), (1, 4)}), frozenset({(1, 2), (2, 3), (3, 4)})]
+    report = verify_family(g, trees, p=2, q=1, k=2)
+    stats = solve(li(g, k=2, ell=2)).stats
+    records = [*res.transcript, *report.trees, *report.pairs, stats]
+    assert {type(r).__name__ for r in records} == {
+        "RuleApplication", "TreeCheck", "PairCheck", "OracleStats"
+    }
+    for record in records:
+        for name, attr in vars(type(record)).items():
+            if isinstance(attr, (property, functools.cached_property)):
+                getattr(record, name)
+        assert list(vars(record)) == [f.name for f in dataclasses.fields(record)]
+        assert json.loads(kernelizer.JSON_ENCODER.encode(record)) == json.loads(
+            json.dumps(dataclasses.asdict(record))
+        )
+
+
 def test_decision_entries_have_identity_renaming():
     res = kernelize_li(li(Q3, k=4, ell=2))
     (entry,) = res.transcript
@@ -578,14 +601,14 @@ def test_replay_rejects_contracting_a_required_vertex():
 
 
 def reference_replay(inst, transcript):
-    """Replay on graphcore's one-step primitives, rebuilding the graph
-    for every entry; shares no code with :func:`replay`."""
+    """Replay on the one-step rebuilds in ``support``, rebuilding the
+    graph for every entry; shares no code with :func:`replay`."""
     for e in transcript:
         g, rename = inst.graph, {v: v for v in inst.graph.vertices()}
         if e.merged_edge is not None:
-            g, rename = _contract_edge(g, *e.merged_edge)
+            g, rename = support.contract_edge(g, *e.merged_edge)
         elif e.removed_vertex is not None:
-            g, rename = delete_vertex(g, e.removed_vertex)
+            g, rename = support.delete_vertex(g, e.removed_vertex)
         p, q = inst.p + e.p_delta, inst.q + e.q_delta
         if isinstance(inst, InstanceNT):
             nt = frozenset(rename[v] for v in inst.nonterminals if v not in e.nt_removed)

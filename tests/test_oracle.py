@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import json
 import random
+from dataclasses import asdict
 
 import pytest
 from hypothesis import given, strategies as st
@@ -22,6 +23,7 @@ from divtrees import (
     verify_family,
 )
 from divtrees import oracle
+from divtrees.kernelizer import JSON_ENCODER
 from divtrees.oracle import (
     OracleStats,
     _diversity_rows,
@@ -133,7 +135,7 @@ def test_no_verdicts_have_no_witness_but_full_stats():
     verdict = solve_li(li(C5, 0, 0, 3, 2))
     assert verdict.witness is None
     assert verdict.stats.trees_enumerated == 5
-    assert verdict.stats.to_json_dict() == {
+    assert json.loads(JSON_ENCODER.encode(verdict.stats)) == asdict(verdict.stats) == {
         "trees_enumerated": 5,
         "clique_nodes": verdict.stats.clique_nodes,
     }
