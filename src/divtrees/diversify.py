@@ -100,17 +100,15 @@ class LeafSwapPlan:
 
 
 def _bfs_depth(vertices: Iterable[int], edges: Iterable[tuple[int, int]]) -> dict[int, int]:
-    """Breadth-first depth of each vertex, roots at 0.
+    """Breadth-first depth of each vertex of the forest ``edges``, roots at 0.
 
-    Components are searched from their smallest vertex, in increasing
-    order, with neighbours in id order.
+    Each component is rooted at its smallest vertex, so a depth is the
+    length of the one path from that root, whatever the visiting order.
     """
     adj: dict[int, list[int]] = {v: [] for v in vertices}
     for u, v in edges:
         adj[u].append(v)
         adj[v].append(u)
-    for v in adj:
-        adj[v].sort()
     depth: dict[int, int] = {}
     for root in sorted(adj):
         if root not in depth:
@@ -258,18 +256,11 @@ def construct_family(
     except ValueError as exc:
         return None, f"leaf growth failed: {exc}", None
     if grown.leaf_count < target:
-        # a stall on a host with no degree-2-path of length >= ell + 3
-        # avoiding nt implies n < bound; past the bound that path exists
+        reason = f"growth stalled at {grown.leaf_count} leaves"
         bound = (2 * target + len(nt)) * (ell + 6)
-        if g.n >= bound:
-            return None, (
-                f"leaf growth failed: smallness does not hold: n={g.n} >= bound={bound}; "
-                "the host graph must contain a long degree-2-path"
-            ), None
-        return None, (
-            f"growth stalled at {grown.leaf_count} leaves; "
-            f"the graph has fewer than {bound} vertices"
-        ), None
+        if g.n < bound:
+            reason += f"; the graph has fewer than {bound} vertices"
+        return None, reason, None
     excluded: set[int] = set()
     for v in sorted(nt):
         excluded.update(sorted(grown.adjacency[v])[:2])

@@ -46,7 +46,6 @@ from .graphcore import (
     Instance,
     InstanceNT,
     InternalInvariantError,
-    _canonical_path,
     _compact_renaming,
     _path_through,
     maximal_degree2_paths,
@@ -333,24 +332,24 @@ def apply_rule(
 def _exhaust_contractions(
     edit: _Edit, rule: str, paths: list[tuple[int, ...]], transcript: list[RuleApplication]
 ) -> None:
-    """Contract the long degree-2-paths ``paths`` to exhaustion (R1 or R7).
+    """Contract the degree-2-paths ``paths`` to exhaustion (R1 or R7).
 
-    ``paths`` are canonically oriented in starting ids, which order as
-    current ids do, so each is its own heap key; no two tie, since
-    interiors are disjoint.  Behaves exactly like firing the rule
-    repeatedly at the lowest canonical location: contracting an
-    interior edge never disturbs another maximal path, so a contraction
-    re-keys only the path it pops.
+    ``paths`` are canonically oriented and sorted in starting ids, which
+    order as current ids do.  A path ``vs`` of at least ell+3 edges
+    keeps ell+2: ``vs[2], vs[3], ...`` merge into ``vs[1]`` one at a
+    time.  Behaves exactly like firing the rule repeatedly at the
+    lowest canonical location: contracting an interior edge never
+    disturbs another maximal path, and it keeps the path's endpoints
+    and ``vs[1]``, so the path keeps its orientation, open or closed.
+    Two maximal paths have disjoint interiors, so ``P < Q`` is decided
+    at ``P[0]`` or ``P[1]``, and the contracted path stays below every
+    other pending path.
     """
-    threshold = edit.start.ell + 3
-    heapify(paths)
-    while paths:
-        ordered = list(heappop(paths))
-        transcript.append(edit.contract(rule, ordered[1], ordered[2]))
-        del ordered[2]
-        key = _canonical_path(ordered)
-        if len(key) - 1 >= threshold:
-            heappush(paths, key)
+    ell = edit.start.ell
+    for vs in paths:
+        # r = len(vs) - 1 edges: drop vs[2..r-ell-1], none when r < ell + 3
+        for drop in vs[2 : max(2, len(vs) - 1 - ell)]:
+            transcript.append(edit.contract(rule, vs[1], drop))
 
 
 def _exhaust_pendant_deletions(
@@ -366,10 +365,11 @@ def _exhaust_pendant_deletions(
     path exists, and a deletion changes only its host ``u``'s degree
     (and, under R9, ``u``'s required status), so the only path that can
     turn long goes through ``u``; it is contracted on the spot.
-    Contraction merges ``vs[2]`` into ``vs[1]``, and a long path has at
-    least ell+3 >= 4 edges, so ``vs[2]`` is never next to an endpoint:
-    it is no pendant and no pendant's host, every other degree stays
-    put, and the heap picks exactly what a restarted pass would.
+    Contraction merges the run ``vs[2..r-ell-1]`` of a path with r
+    edges into ``vs[1]``, and ell >= 1, so no dropped vertex is next to
+    an endpoint: it is no pendant and no pendant's host, every other
+    degree stays put, and the heap picks exactly what a restarted pass
+    would.
     """
     contraction, twins = rules[0], "R2" in rules
     sweep = rules[-1] if rules[-1] != "R2" else None
@@ -439,16 +439,15 @@ def _fixpoint(
     """Apply the contraction rule ``rules[0]`` and the deletion rules
     ``rules[1:]`` until neither fires, on one edit state.
 
-    One scan of the starting graph finds the long paths, which are
-    contracted first; then one deletion loop runs, contracting each
-    long path the moment a deletion opens it.  Every step deletes a
-    vertex, so nothing needs a loop bound.  The graph is rebuilt once,
-    and not at all when nothing fired.
+    One scan of the starting graph finds the degree-2-paths, and the
+    long ones are contracted first; then one deletion loop runs,
+    contracting each long path the moment a deletion opens it.  Every
+    step deletes a vertex, so nothing needs a loop bound.  The graph is
+    rebuilt once, and not at all when nothing fired.
     """
     edit, fired = _Edit(inst), len(transcript)
     paths = maximal_degree2_paths(inst.graph, inst.nonterminals)
-    long_paths = [p for p in paths if len(p) - 1 >= inst.ell + 3]
-    _exhaust_contractions(edit, rules[0], long_paths, transcript)
+    _exhaust_contractions(edit, rules[0], paths, transcript)
     if len(rules) > 1:
         _exhaust_pendant_deletions(edit, rules, transcript)
     return edit.instance() if len(transcript) > fired else inst

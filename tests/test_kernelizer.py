@@ -385,8 +385,23 @@ def with_legs(g, hub, legs):
     return support.with_pendants(mids, list(range(g.n + 1, g.n + legs + 1)))
 
 
-# its first path is contracted again and again while staying the lowest key
+def with_path(g, a, b, edges):
+    """Join ``a`` and ``b`` by a new path of ``edges`` edges through
+    fresh vertices, numbered from ``a``; ``a == b`` hangs a closed path."""
+    n = g.n + edges - 1
+    vs = [a, *range(g.n + 1, n + 1), b]
+    return Graph.from_edges(n, list(g.edges) + list(zip(vs, vs[1:])))
+
+
+# its first path is contracted again and again while it stays the lowest
 THETA = generate("theta", (12, 6, 7))
+K4 = support.complete_graph(4)
+# a closed path of 21 edges at one anchor
+LOLLIPOP = with_path(K4, 3, 3, 21)
+# two long paths at anchor 2; the one built second sorts first
+TWO_AT_ONE = with_path(with_path(K4, 2, 4, 9), 2, 1, 12)
+# one path of 40 edges, whose canonical orientation runs against its ids
+LONG_PATH = with_path(K4, 4, 2, 40)
 
 
 def li_reduction_cases():
@@ -410,6 +425,9 @@ def li_reduction_cases():
     yield li(support.path_graph(7)), True
     yield li(support.path_graph(3)), False
     yield li(THETA, q=4), True
+    yield li(LOLLIPOP, q=3), False
+    yield li(TWO_AT_ONE, ell=2), True
+    yield li(LONG_PATH, q=20, ell=3), True
 
 
 @pytest.mark.parametrize("case", range(len(list(li_reduction_cases()))))
@@ -450,6 +468,10 @@ def lnt_reduction_cases():
     yield lnt(with_legs(support.cycle_graph(5), 1, 6), {1, 3})
     yield lnt(support.with_pendants(support.cycle_graph(6), [2] * 40), {1})
     yield lnt(THETA, {20})
+    yield lnt(LOLLIPOP, {3}, ell=2)
+    yield lnt(TWO_AT_ONE, {1, 2})
+    # a required vertex on the long path splits it in two
+    yield lnt(LONG_PATH, {1, 25}, ell=3)
 
 
 def test_lnt_loop_matches_sequential_rules():
