@@ -18,9 +18,10 @@ Every firing is logged as a :class:`RuleApplication`, which
 from the input instance reproduces the pipeline's final instance
 exactly, which is the backbone of the safety test harness.
 One edit state applies every contraction and deletion, for a whole
-reduction phase, :func:`apply_rule` and :func:`replay` alike: a phase
-contracts each long path the moment a deletion opens it, on the same
-state, and each rebuilds the graph once, not per step.  Replay
+run from the input to the kernel, :func:`apply_rule` and :func:`replay`
+alike: the input's degree-2 paths are scanned once, a phase contracts
+each long path the moment a deletion opens it, on the same state, and
+the graph is rebuilt once, not per step or per phase.  Replay
 re-derives every entry it replays.
 
 Rule ids: R1-R6 belong to the leaf/internal pipeline (contract, twin
@@ -148,13 +149,6 @@ def case2_bound_lnt(nt_size: int, p: int, k: int, ell: int) -> int:
     return (4 * ceil(k / 4) * ell + 2 * p + 5 * nt_size) * (ell + 6)
 
 
-def _first_long_path(g: Graph, min_length: int, forbidden: frozenset[int]):
-    for path in maximal_degree2_paths(g, forbidden):
-        if len(path) - 1 >= min_length:
-            return path
-    return None
-
-
 def _twin_pendant(g: Graph) -> tuple[int, int] | None:
     """Lowest pendant that shares its neighbor with another pendant."""
     pend = sorted(pendant_vertices(g))
@@ -184,14 +178,15 @@ _THRESHOLDS: dict[str, tuple[bool, str, Callable]] = {
 class _Edit:
     """An instance under a run of contractions and pendant deletions.
 
-    The one place a contraction or deletion is applied, by a reduction
-    phase, by :func:`apply_rule` and by :func:`replay`.  Adjacency and
-    the required set are kept in starting ids, so a step touches only
-    its own vertices.  ``live`` holds the surviving starting ids in
-    order: a vertex's current id is its rank there, and current id
-    ``c`` is starting id ``live[c - 1]``.  Each step checks that it is
-    well formed, decides its parameter spend and returns its transcript
-    entry; :meth:`instance` rebuilds the graph once at the end.
+    The one place a contraction, deletion or reset is applied, by a
+    reduction run, by :func:`apply_rule` and by :func:`replay`.
+    Adjacency and the required set are kept in starting ids, so a step
+    touches only its own vertices.  ``live`` holds the surviving
+    starting ids in order: a vertex's current id is its rank there, and
+    current id ``c`` is starting id ``live[c - 1]``.  Each step checks
+    that it is well formed, decides its parameter spend and returns its
+    transcript entry; :meth:`instance` rebuilds the graph once at the
+    end, through one rank map.
     """
 
     def __init__(self, inst: Instance | InstanceNT) -> None:
@@ -248,14 +243,30 @@ class _Edit:
         del self.live[c - 1]
         return entry
 
+    def reset(self, rule: str) -> RuleApplication | None:
+        """R3 (li) or R8 (lnt, where q is 0): every spanning tree keeps
+        the pendants as leaves, so a positive target p or q that their
+        count meets drops to 0.  None when neither does."""
+        h = sum(len(nbrs) == 1 for nbrs in self.adj.values())
+        pd = -self.p if 0 < self.p <= h else 0
+        qd = -self.q if 0 < self.q <= h else 0
+        if not (pd or qd):
+            return None
+        self.p, self.q = self.p + pd, self.q + qd
+        return RuleApplication(rule, len(self.live), p_delta=pd, q_delta=qd)
+
     def instance(self) -> Instance | InstanceNT:
-        cur, inst = self.cur, self.start
+        rank = {v: c for c, v in enumerate(self.live, 1)}
         edges = frozenset(
-            (cur(u), cur(v)) for u, nbrs in self.adj.items() for v in nbrs if u < v
+            (rank[u], rank[v]) for u, nbrs in self.adj.items() for v in nbrs if u < v
         )
-        g = Graph(len(self.live), edges)
+        return self.on(Graph(len(self.live), edges), frozenset(map(rank.__getitem__, self.nt)))
+
+    def on(self, g: Graph, nt: frozenset[int]) -> Instance | InstanceNT:
+        """The current parameters on the graph ``g`` with required set ``nt``."""
+        inst = self.start
         if isinstance(inst, InstanceNT):
-            return InstanceNT(g, frozenset(map(cur, self.nt)), self.p, inst.k, inst.ell)
+            return InstanceNT(g, nt, self.p, inst.k, inst.ell)
         return Instance(g, self.p, self.q, inst.k, inst.ell)
 
 
@@ -277,7 +288,8 @@ def apply_rule(
         raise ValueError(f"{rule} guard: graph must be connected")
 
     if rule in ("R1", "R7"):
-        path = _first_long_path(g, inst.ell + 3, inst.nonterminals)
+        paths = maximal_degree2_paths(g, inst.nonterminals)
+        path = next((vs for vs in paths if len(vs) - 1 >= inst.ell + 3), None)
         if path is None:
             clear = " clear of the required-internal set" if rule == "R7" else ""
             raise ValueError(f"{rule} guard: no degree-2-path of length >= ell+3{clear}")
@@ -293,14 +305,13 @@ def apply_rule(
         entry = edit.delete(rule, tw[0])
         return edit.instance(), entry
 
-    if rule == "R3":
-        h = len(pendant_vertices(g))
-        pd = -inst.p if inst.p > 0 and h >= inst.p else 0
-        qd = -inst.q if inst.q > 0 and h >= inst.q else 0
-        if pd == 0 and qd == 0:
-            raise ValueError("R3 guard: pendant count resets neither p nor q")
-        entry = RuleApplication("R3", g.n, p_delta=pd, q_delta=qd)
-        return Instance(g, inst.p + pd, inst.q + qd, inst.k, inst.ell), entry
+    if rule in ("R3", "R8"):
+        edit = _Edit(inst)
+        entry = edit.reset(rule)
+        if entry is None:
+            why = "resets neither p nor q" if rule == "R3" else "below p, or p already 0"
+            raise ValueError(f"{rule} guard: pendant count {why}")
+        return edit.on(g, inst.nonterminals), entry
 
     if rule in ("R4", "R9"):
         if inst.p or inst.q:
@@ -314,13 +325,6 @@ def apply_rule(
         edit = _Edit(inst)
         entry = edit.delete(rule, min(pend))
         return edit.instance(), entry
-
-    if rule == "R8":
-        h = len(pendant_vertices(g))
-        if not (inst.p > 0 and h >= inst.p):
-            raise ValueError("R8 guard: pendant count below p, or p already 0")
-        entry = RuleApplication("R8", g.n, p_delta=-inst.p)
-        return InstanceNT(g, inst.nonterminals, 0, inst.k, inst.ell), entry
 
     case1, needs, bound = _THRESHOLDS[rule]
     if (inst.p == inst.q == 0) != case1:
@@ -433,24 +437,27 @@ def _exhaust_pendant_deletions(
                 _exhaust_contractions(edit, contraction, [path], transcript)
 
 
-def _fixpoint(
-    inst: Instance | InstanceNT, rules: tuple[str, ...], transcript: list[RuleApplication]
-) -> Instance | InstanceNT:
+def _phase(
+    edit: _Edit,
+    rules: tuple[str, ...],
+    paths: list[tuple[int, ...]],
+    transcript: list[RuleApplication],
+) -> None:
     """Apply the contraction rule ``rules[0]`` and the deletion rules
-    ``rules[1:]`` until neither fires, on one edit state.
+    ``rules[1:]`` on ``edit`` until neither fires.
 
-    One scan of the starting graph finds the degree-2-paths, and the
-    long ones are contracted first; then one deletion loop runs,
-    contracting each long path the moment a deletion opens it.  Every
-    step deletes a vertex, so nothing needs a loop bound.  The graph is
-    rebuilt once, and not at all when nothing fired.
+    A run keeps one edit state from the input to the kernel.  Phase 0
+    gets ``paths``, the input's one scan of degree-2-paths, and
+    contracts the long ones first; then one deletion loop runs,
+    contracting each long path the moment a deletion opens it.  Phase 1
+    gets no paths and scans nothing: phase 0 ended with no long path
+    clear of the required set, and the reset between the phases moves
+    only p and q, which no path's length or contraction guard reads.
+    Every step deletes a vertex, so nothing needs a loop bound.
     """
-    edit, fired = _Edit(inst), len(transcript)
-    paths = maximal_degree2_paths(inst.graph, inst.nonterminals)
     _exhaust_contractions(edit, rules[0], paths, transcript)
     if len(rules) > 1:
         _exhaust_pendant_deletions(edit, rules, transcript)
-    return edit.instance() if len(transcript) > fired else inst
 
 
 def _case1_witness_li(cur: Instance) -> tuple[SpanningTree, ...]:
@@ -551,16 +558,18 @@ def _kernelize(
     if unreachable:
         return refuse(inst, *unreachable)
 
-    cur = _fixpoint(inst, variant.phases[0], transcript)
-    h = len(pendant_vertices(cur.graph))
-    if (cur.p > 0 and h >= cur.p) or (cur.q > 0 and h >= cur.q):
-        cur, e = apply_rule(cur, variant.reset)
-        transcript.append(e)
-
-    case1 = cur.p == 0 and cur.q == 0
+    edit = _Edit(inst)
+    _phase(edit, variant.phases[0], maximal_degree2_paths(g, nt), transcript)
+    reset = edit.reset(variant.reset)
+    if reset:
+        transcript.append(reset)
+    case1 = edit.p == edit.q == 0
     if case1:
-        cur = _fixpoint(cur, variant.phases[1], transcript)
-    else:
+        _phase(edit, variant.phases[1], [], transcript)
+    # rebuild only when a step removed a vertex: an untouched graph keeps
+    # its cached adjacency and connectivity
+    cur = edit.instance() if len(edit.live) < g.n else edit.on(g, nt)
+    if not case1:
         # contraction can shrink n below the leftover targets, so re-check
         unreachable = _unreachable_target(cur)
         if unreachable:

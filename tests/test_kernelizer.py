@@ -30,9 +30,8 @@ from divtrees import (
     transcript_to_ndjson,
     verify_family,
 )
-from divtrees.graphcore import _canonical_path
+from divtrees.graphcore import _canonical_path, maximal_degree2_paths
 from divtrees import kernelizer
-from divtrees.kernelizer import _fixpoint
 from test_golden import _corpus as golden_corpus
 
 
@@ -362,10 +361,12 @@ def test_kernelize_dispatch():
 # ---------------------------------------------------------------------------
 # batched passes agree with one-at-a-time rule firing
 
-def sequential_li_fixpoint(inst, include_r4):
+def sequential_fixpoint(inst, rules):
+    """Fire ``rules`` through apply_rule, the first that applies each
+    time, until none does."""
     transcript = []
     for _ in range(10000):
-        for rule in ("R1", "R2") + (("R4",) if include_r4 else ()):
+        for rule in rules:
             try:
                 inst, e = apply_rule(inst, rule)
             except ValueError:
@@ -375,6 +376,35 @@ def sequential_li_fixpoint(inst, include_r4):
         else:
             return inst, transcript
     raise AssertionError("no fixpoint")
+
+
+def sequential_run(inst):
+    """A whole reduction run one rule at a time: the phase-0 rules to a
+    fixpoint, the reset when its guard holds, then the phase-1 rules
+    when p = q = 0."""
+    if isinstance(inst, InstanceNT):
+        first, reset, then = ("R7",), "R8", ("R7", "R9")
+    else:
+        first, reset, then = ("R1", "R2"), "R3", ("R1", "R2", "R4")
+    inst, transcript = sequential_fixpoint(inst, first)
+    try:
+        inst, e = apply_rule(inst, reset)
+        transcript.append(e)
+    except ValueError:
+        pass
+    if inst.p == inst.q == 0:
+        inst, more = sequential_fixpoint(inst, then)
+        transcript += more
+    return inst, transcript
+
+
+def assert_run_matches_sequential_rules(inst, rules):
+    res = kernelize(inst, blackbox=lambda _: None)
+    if res.transcript[0].rule.startswith("PC-"):
+        return  # refused before any rule could fire
+    expected, expected_transcript = sequential_run(inst)
+    assert [e for e in res.transcript if e.rule in rules] == expected_transcript
+    assert res.final_instance == expected
 
 
 def with_legs(g, hub, legs):
@@ -433,31 +463,76 @@ def li_reduction_cases():
 @pytest.mark.parametrize("case", range(len(list(li_reduction_cases()))))
 def test_li_fixpoint_matches_sequential_rules(case):
     inst, include_r4 = list(li_reduction_cases())[case]
-    expected, expected_transcript = sequential_li_fixpoint(inst, include_r4)
-    transcript = []
-    got = _fixpoint(inst, ("R1", "R2", "R4") if include_r4 else ("R1", "R2"), transcript)
-    assert got == expected
+    rules = ("R1", "R2", "R4") if include_r4 else ("R1", "R2")
+    expected, expected_transcript = sequential_fixpoint(inst, rules)
+    edit, transcript = kernelizer._Edit(inst), []
+    paths = maximal_degree2_paths(inst.graph, inst.nonterminals)
+    kernelizer._phase(edit, rules, paths, transcript)
+    assert (edit.instance() if transcript else inst) == expected
     assert transcript == expected_transcript
 
 
-def test_fixpoint_builds_one_edit_state_per_phase(monkeypatch):
-    # case 4's deletions open long paths twice; each is contracted on
-    # the phase's one edit state, not by a pass that rebuilds the graph
-    inst, _ = list(li_reduction_cases())[4]
-    calls = {"__init__": 0, "instance": 0}
-    for name in calls:
-        original = getattr(kernelizer._Edit, name)
+@pytest.mark.parametrize("case", range(len(list(li_reduction_cases()))))
+def test_li_run_matches_sequential_rules(case):
+    inst, _ = list(li_reduction_cases())[case]
+    assert_run_matches_sequential_rules(inst, ("R1", "R2", "R3", "R4"))
 
-        def counted(self, *args, _name=name, _original=original):
-            calls[_name] += 1
-            return _original(self, *args)
 
-        monkeypatch.setattr(kernelizer._Edit, name, counted)
-    transcript = []
-    _fixpoint(inst, ("R1", "R2", "R4"), transcript)
-    opened = [b.rule for a, b in zip(transcript, transcript[1:]) if a.rule != "R1"]
-    assert opened.count("R1") == 2
-    assert calls == {"__init__": 1, "instance": 1}
+@given(
+    g=support.connected_graphs(min_n=3, max_n=10, max_extra=4),
+    p=st.integers(0, 3),
+    q=st.integers(0, 3),
+    ell=st.integers(1, 2),
+)
+def test_li_run_matches_sequential_rules_on_random_graphs(g, p, q, ell):
+    assert_run_matches_sequential_rules(li(g, p=p, q=q, ell=ell), ("R1", "R2", "R3", "R4"))
+
+
+def count_calls(monkeypatch):
+    """Count _Edit constructions, instance() rebuilds and path scans."""
+    calls = {"__init__": 0, "instance": 0, "maximal_degree2_paths": 0}
+
+    def counted(name, original):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("__init__", "instance"):
+        monkeypatch.setattr(kernelizer._Edit, name, counted(name, getattr(kernelizer._Edit, name)))
+    monkeypatch.setattr(
+        kernelizer, "maximal_degree2_paths",
+        counted("maximal_degree2_paths", kernelizer.maximal_degree2_paths),
+    )
+    return calls
+
+
+def test_run_builds_one_edit_state(monkeypatch):
+    # R2 fires in phase 0 and R4 in phase 1, and R4's deletions open
+    # long paths that are contracted on the run's one edit state
+    inst = li(support.with_pendants(support.cycle_graph(9), [1, 1, 4, 4, 4, 7]))
+    calls = count_calls(monkeypatch)
+    res = kernelize_li(inst)
+    rules = [e.rule for e in res.transcript]
+    assert rules.index("R2") < rules.index("R4") < rules.index("R1")
+    assert calls == {"__init__": 1, "instance": 1, "maximal_degree2_paths": 1}
+
+
+@pytest.mark.parametrize(
+    "inst, rules",
+    [
+        (li(Q3, k=4, ell=2), ["R5"]),
+        # one pendant meets p = 1 but not q = 2, so only the reset fires
+        (li(support.with_pendants(support.complete_graph(4), [1]), p=1, q=2), ["R3", "R6"]),
+    ],
+)
+def test_run_that_removes_nothing_keeps_the_input_graph(monkeypatch, inst, rules):
+    calls = count_calls(monkeypatch)
+    res = kernelize_li(inst)
+    assert [e.rule for e in res.transcript] == rules
+    assert res.final_instance.graph is inst.graph
+    assert calls == {"__init__": 1, "instance": 0, "maximal_degree2_paths": 1}
 
 
 def lnt_reduction_cases():
@@ -472,27 +547,17 @@ def lnt_reduction_cases():
     yield lnt(TWO_AT_ONE, {1, 2})
     # a required vertex on the long path splits it in two
     yield lnt(LONG_PATH, {1, 25}, ell=3)
+    # p > 0: R8 resets p between the phases when the pendants meet it
+    yield lnt(g, {1}, p=1, ell=1)
+    yield lnt(with_legs(support.cycle_graph(5), 1, 6), {1, 3}, p=4)
+    yield lnt(support.with_pendants(support.cycle_graph(8), [3, 3]), {1}, p=2)
+    # too few pendants: no reset, so only phase 0 runs
+    yield lnt(support.with_pendants(LOLLIPOP, [1]), {3}, p=2, ell=2)
 
 
 def test_lnt_loop_matches_sequential_rules():
     for inst in lnt_reduction_cases():
-        expected = inst
-        expected_transcript = []
-        for _ in range(10000):
-            for rule in ("R7", "R9"):
-                try:
-                    expected, e = apply_rule(expected, rule)
-                except ValueError:
-                    continue
-                expected_transcript.append(e)
-                break
-            else:
-                break
-        res = kernelize_lnt(inst)
-        body = [e for e in res.transcript if e.rule in ("R7", "R9")]
-        assert body == expected_transcript
-        assert res.final_instance.graph == expected.graph
-        assert res.final_instance.nonterminals == expected.nonterminals
+        assert_run_matches_sequential_rules(inst, ("R7", "R8", "R9"))
 
 
 # ---------------------------------------------------------------------------
@@ -746,3 +811,65 @@ def test_relabelling_keeps_answers_and_kernel_sizes(problem):
         )
         changed += (final.n, final.m) != (n, m)
     assert changed >= 20
+
+
+# ---------------------------------------------------------------------------
+# metamorphic: subdividing a degree-2-path at n = 506 (ROADMAP item 15).
+# R1 and R7 shorten a path of r >= ell+3 edges to ell+2, so subdividing a
+# path of at least ell+2 edges costs exactly one more contraction and
+# leaves the kernel as it was, while a path of at most ell+1 edges stays
+# below the guard and keeps the new vertex.
+
+MD3_44 = generate("min-degree-3", (44,))
+SUBDIVISION_CASES = {
+    "li-00": lambda g, ell: li(g, ell=ell),
+    "li-11": lambda g, ell: li(g, p=1, q=1, ell=ell),
+    "lnt-1": lambda g, ell: lnt(g, {1}, ell=ell),
+}
+
+
+def kernel_signature(res):
+    f = res.final_instance
+    g = f.graph
+    degrees = sorted(len(g.adjacency[v]) for v in g.vertices())
+    return res.outcome, g.n, g.m, f.p, f.q, len(f.nonterminals), degrees
+
+
+def contractions(res):
+    return sum(e.merged_edge is not None for e in res.transcript)
+
+
+def subdivided_once(inst, fits, count, seed):
+    """``count`` seeded copies of ``inst``'s graph, each with one edge of
+    a maximal degree-2-path (clear of the required set) subdivided,
+    picked among the paths whose edge count ``fits``."""
+    rng, g = random.Random(seed), inst.graph
+    paths = [vs for vs in maximal_degree2_paths(g, inst.nonterminals) if fits(len(vs) - 1)]
+    for _ in range(count):
+        vs = rng.choice(paths)
+        i = rng.randrange(len(vs) - 1)
+        a, b, x = vs[i], vs[i + 1], g.n + 1
+        yield Graph.from_edges(x, (g.edges - {(min(a, b), max(a, b))}) | {(a, x), (b, x)})
+
+
+@pytest.mark.parametrize("case", sorted(SUBDIVISION_CASES))
+def test_subdividing_a_long_path_costs_one_contraction(case):
+    make, ell = SUBDIVISION_CASES[case], 1
+    base = make(generate("subdivided", (MD3_44, 8)), ell)
+    before = kernelize(base, blackbox=lambda _: None)
+    for g in subdivided_once(base, lambda r: r >= ell + 2, 15, seed=1):
+        after = kernelize(make(g, ell), blackbox=lambda _: None)
+        assert contractions(after) == contractions(before) + 1
+        assert kernel_signature(after) == kernel_signature(before)
+
+
+@pytest.mark.parametrize("case", sorted(SUBDIVISION_CASES))
+def test_subdividing_a_short_path_keeps_the_vertex(case):
+    make, ell = SUBDIVISION_CASES[case], 3
+    base = make(generate("subdivided", (MD3_44, 4)), ell)
+    before = kernelize(base, blackbox=lambda _: None)
+    outcome, n = kernel_signature(before)[:2]
+    for g in subdivided_once(base, lambda r: r <= ell + 1, 6, seed=2):
+        after = kernelize(make(g, ell), blackbox=lambda _: None)
+        assert contractions(after) == contractions(before)
+        assert kernel_signature(after)[:2] == (outcome, n + 1)
