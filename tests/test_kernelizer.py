@@ -398,12 +398,13 @@ def sequential_run(inst):
     return inst, transcript
 
 
-def assert_run_matches_sequential_rules(inst, rules):
+def assert_run_matches_sequential_rules(inst):
     res = kernelize(inst, blackbox=lambda _: None)
     if res.transcript[0].rule.startswith("PC-"):
         return  # refused before any rule could fire
     expected, expected_transcript = sequential_run(inst)
-    assert [e for e in res.transcript if e.rule in rules] == expected_transcript
+    # every entry but the pre-checks and thresholds
+    assert [e for e in res.transcript if e.decision is None] == expected_transcript
     assert res.final_instance == expected
 
 
@@ -475,7 +476,7 @@ def test_li_fixpoint_matches_sequential_rules(case):
 @pytest.mark.parametrize("case", range(len(list(li_reduction_cases()))))
 def test_li_run_matches_sequential_rules(case):
     inst, _ = list(li_reduction_cases())[case]
-    assert_run_matches_sequential_rules(inst, ("R1", "R2", "R3", "R4"))
+    assert_run_matches_sequential_rules(inst)
 
 
 @given(
@@ -485,7 +486,7 @@ def test_li_run_matches_sequential_rules(case):
     ell=st.integers(1, 2),
 )
 def test_li_run_matches_sequential_rules_on_random_graphs(g, p, q, ell):
-    assert_run_matches_sequential_rules(li(g, p=p, q=q, ell=ell), ("R1", "R2", "R3", "R4"))
+    assert_run_matches_sequential_rules(li(g, p=p, q=q, ell=ell))
 
 
 def count_calls(monkeypatch):
@@ -557,7 +558,7 @@ def lnt_reduction_cases():
 
 def test_lnt_loop_matches_sequential_rules():
     for inst in lnt_reduction_cases():
-        assert_run_matches_sequential_rules(inst, ("R7", "R8", "R9"))
+        assert_run_matches_sequential_rules(inst)
 
 
 # ---------------------------------------------------------------------------
