@@ -5,13 +5,15 @@ instance with local reduction rules (contract long induced paths, drop
 redundant pendants, reset parameters that pendant counting already
 satisfies), then either certify the answer, shrink the instance below
 an explicit size threshold, or hand the residual single-tree question
-to a pluggable subroutine kernel.  A small per-variant table
-(``_VARIANTS``) supplies what differs: the contraction and deletion
-rules of each phase, the reset rule, the two threshold rules and
-whether a large case-1 instance is a yes outright.  The subroutine
-kernel takes and returns the pipeline's own instance type.  The lnt
-problem has no internal count, so q reads as 0 there and the
-q-specific steps (R1's decrement, PC-q) never fire.
+to a pluggable subroutine kernel.  One record per problem
+(``_VARIANTS``) names each rule by its role: contraction, twin-pendant
+deletion (li only), reset, sweep (delete any pendant in case 1) and
+the two thresholds with their guards and bounds, plus whether a large
+case-1 instance is a yes outright.  The pipeline, :func:`apply_rule`
+and :func:`replay` all read rule ids from it.  The subroutine kernel
+takes and returns the pipeline's own instance type.  The lnt problem
+has no internal count, so q reads as 0 there and the q-specific steps
+(R1's decrement, PC-q) never fire.
 
 Every firing is logged as a :class:`RuleApplication`, which
 :data:`JSON_ENCODER` writes as its fields; replaying the transcript
@@ -19,10 +21,10 @@ from the input instance reproduces the pipeline's final instance
 exactly, which is the backbone of the safety test harness.
 One edit state applies every contraction and deletion, for a whole
 run from the input to the kernel, :func:`apply_rule` and :func:`replay`
-alike: the input's degree-2 paths are scanned once, a phase contracts
-each long path the moment a deletion opens it, on the same state, and
-the graph is rebuilt once, not per step or per phase.  Replay
-re-derives every entry it replays.
+alike: the input's degree-2 paths are scanned once, a pendant pass
+contracts each long path the moment a deletion opens it, on the same
+state, and the graph is rebuilt once, not per step or per pass.
+Replay re-derives every entry it replays.
 
 Rule ids: R1-R6 belong to the leaf/internal pipeline (contract, twin
 pendant, pendant-count reset, pendant delete, and the two size
@@ -35,6 +37,7 @@ from __future__ import annotations
 
 import json
 from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from math import ceil
@@ -149,29 +152,41 @@ def case2_bound_lnt(nt_size: int, p: int, k: int, ell: int) -> int:
     return (4 * ceil(k / 4) * ell + 2 * p + 5 * nt_size) * (ell + 6)
 
 
-def _twin_pendant(g: Graph) -> tuple[int, int] | None:
-    """Lowest pendant that shares its neighbor with another pendant."""
-    pend = sorted(pendant_vertices(g))
-    hosts: dict[int, int] = {}
-    for v in pend:
-        (w,) = g.neighbors(v)
-        hosts[w] = hosts.get(w, 0) + 1
-    for v in pend:
-        (w,) = g.neighbors(v)
-        if hosts[w] >= 2:
-            return v, w
-    return None
+@dataclass(frozen=True)
+class _Variant:
+    """One problem's rules, each named by its role in the pipeline."""
+
+    contraction: str  # shorten a long degree-2 path
+    twin: str | None  # delete a pendant whose host has another (li only)
+    reset: str  # zero a target p or q that the pendant count meets
+    sweep: str  # case 1: delete any pendant
+    # (rule, guard text, size bound) of case 1 (p = q = 0) and case 2
+    thresholds: tuple[tuple[str, str, Callable], tuple[str, str, Callable]]
+    # case 1 above its threshold: yes outright (li) or delegate (lnt)
+    large_is_yes: bool
+
+    def rules(self) -> tuple[str, ...]:
+        roles = self.contraction, self.twin, self.reset, self.sweep
+        return *filter(None, roles), *(t[0] for t in self.thresholds)
 
 
-_LI_RULES = ("R1", "R2", "R3", "R4", "R5", "R6")
-_LNT_RULES = ("R7", "R8", "R9", "R5nt", "R6nt")
-# threshold rules: whether they need case 1 (p = q = 0), the guard that
-# says so, and the size bound below which the instance is a kernel
-_THRESHOLDS: dict[str, tuple[bool, str, Callable]] = {
-    "R5": (True, "p = q = 0", lambda i: case1_bound_li(i.k, i.ell)),
-    "R6": (False, "max(p, q) > 0", lambda i: case2_bound_li(i.p, i.q, i.k, i.ell)),
-    "R5nt": (True, "p = 0", lambda i: case1_bound_lnt(len(i.nonterminals), i.k, i.ell)),
-    "R6nt": (False, "p > 0", lambda i: case2_bound_lnt(len(i.nonterminals), i.p, i.k, i.ell)),
+_VARIANTS = {
+    Instance: _Variant(
+        contraction="R1", twin="R2", reset="R3", sweep="R4",
+        thresholds=(
+            ("R5", "p = q = 0", lambda i: case1_bound_li(i.k, i.ell)),
+            ("R6", "max(p, q) > 0", lambda i: case2_bound_li(i.p, i.q, i.k, i.ell)),
+        ),
+        large_is_yes=True,
+    ),
+    InstanceNT: _Variant(
+        contraction="R7", twin=None, reset="R8", sweep="R9",
+        thresholds=(
+            ("R5nt", "p = 0", lambda i: case1_bound_lnt(len(i.nonterminals), i.k, i.ell)),
+            ("R6nt", "p > 0", lambda i: case2_bound_lnt(len(i.nonterminals), i.p, i.k, i.ell)),
+        ),
+        large_is_yes=False,
+    ),
 }
 
 
@@ -185,12 +200,14 @@ class _Edit:
     starting ids in order: a vertex's current id is its rank there, and
     current id ``c`` is starting id ``live[c - 1]``.  Each step checks
     that it is well formed, decides its parameter spend and returns its
-    transcript entry; :meth:`instance` rebuilds the graph once at the
-    end, through one rank map.
+    transcript entry, under the rule id of its role in the instance's
+    variant; :meth:`instance` rebuilds the graph once at the end,
+    through one rank map.
     """
 
     def __init__(self, inst: Instance | InstanceNT) -> None:
         self.start = inst
+        self.variant = _VARIANTS[type(inst)]
         self.adj = {v: set(nbrs) for v, nbrs in inst.graph.adjacency.items()}
         self.live = list(inst.graph.vertices())
         self.p, self.q = inst.p, inst.q
@@ -204,7 +221,7 @@ class _Edit:
             raise ValueError(f"vertex {c} out of range 1..{len(self.live)}")
         return self.live[c - 1]
 
-    def contract(self, rule: str, keep: int, drop: int) -> RuleApplication:
+    def contract(self, keep: int, drop: int) -> RuleApplication:
         """Merge ``drop`` into its neighbour ``keep``; R1 spends one unit of q."""
         adj, pair = self.adj, (self.cur(keep), self.cur(drop))
         if drop not in adj[keep]:
@@ -214,7 +231,9 @@ class _Edit:
         if keep in self.nt or drop in self.nt:
             raise ValueError(f"contracting {pair} merges a required-internal vertex")
         qd = -1 if self.q > 0 else 0
-        entry = RuleApplication(rule, len(self.live), touched=pair, q_delta=qd, merged_edge=pair)
+        entry = RuleApplication(
+            self.variant.contraction, len(self.live), touched=pair, q_delta=qd, merged_edge=pair
+        )
         adj[keep].discard(drop)
         for x in adj.pop(drop) - {keep}:
             adj[x].discard(drop)
@@ -224,16 +243,18 @@ class _Edit:
         del self.live[pair[1] - 1]
         return entry
 
-    def delete(self, rule: str, v: int) -> RuleApplication:
-        """Delete the pendant ``v``; R2 spends one unit of p, and the
-        pendant's host leaves the required set (R9)."""
+    def delete(self, v: int, twin: bool) -> RuleApplication:
+        """Delete the pendant ``v`` by the twin rule or the sweep; the
+        twin rule (R2) spends one unit of p, and the pendant's host
+        leaves the required set (R9)."""
         adj, c = self.adj, self.cur(v)
         if len(adj[v]) != 1:
             raise ValueError(f"vertex {c} is not a pendant")
         (u,) = adj.pop(v)
         adj[u].discard(v)
         h = self.cur(u)
-        pd = -1 if rule == "R2" and self.p > 0 else 0
+        pd = -1 if twin and self.p > 0 else 0
+        rule = self.variant.twin if twin else self.variant.sweep
         released = (h,) if u in self.nt else ()
         entry = RuleApplication(
             rule, len(self.live), (c, h), p_delta=pd, nt_removed=released, removed_vertex=c
@@ -243,7 +264,7 @@ class _Edit:
         del self.live[c - 1]
         return entry
 
-    def reset(self, rule: str) -> RuleApplication | None:
+    def reset(self) -> RuleApplication | None:
         """R3 (li) or R8 (lnt, where q is 0): every spanning tree keeps
         the pendants as leaves, so a positive target p or q that their
         count meets drops to 0.  None when neither does."""
@@ -253,7 +274,7 @@ class _Edit:
         if not (pd or qd):
             return None
         self.p, self.q = self.p + pd, self.q + qd
-        return RuleApplication(rule, len(self.live), p_delta=pd, q_delta=qd)
+        return RuleApplication(self.variant.reset, len(self.live), p_delta=pd, q_delta=qd)
 
     def instance(self) -> Instance | InstanceNT:
         rank = {v: c for c, v in enumerate(self.live, 1)}
@@ -276,65 +297,62 @@ def apply_rule(
     """Fire one reduction rule at its lowest canonical location.
 
     Returns the successor instance and the transcript entry; raises
-    ValueError when the rule's guard does not hold.  Threshold rules
-    mutate nothing and record a "reduced"/"large" decision.
+    ValueError when the rule's guard does not hold.  The rule's role in
+    its variant picks the step; a threshold mutates nothing, builds no
+    edit state and records a "reduced"/"large" decision.
     """
-    if rule not in _LI_RULES and rule not in _LNT_RULES:
-        raise ValueError(f"unknown rule {rule!r}")
-    if isinstance(inst, InstanceNT) != (rule in _LNT_RULES):
+    variant = _VARIANTS[type(inst)]
+    if rule not in variant.rules():
+        if all(rule not in v.rules() for v in _VARIANTS.values()):
+            raise ValueError(f"unknown rule {rule!r}")
         raise ValueError(f"{rule} does not apply to this problem variant")
     g = inst.graph
     if not g.is_connected:
         raise ValueError(f"{rule} guard: graph must be connected")
+    for case1, (name, needs, bound) in zip((True, False), variant.thresholds):
+        if rule == name:
+            if (inst.p == inst.q == 0) != case1:
+                raise ValueError(f"{rule} guard: needs {needs}")
+            small = g.n < bound(inst)
+            return inst, RuleApplication(rule, g.n, decision="reduced" if small else "large")
 
-    if rule in ("R1", "R7"):
+    lnt = isinstance(inst, InstanceNT)
+    edit = _Edit(inst)
+    if rule == variant.reset:
+        entry = edit.reset()
+        if entry is None:
+            why = "below p, or p already 0" if lnt else "resets neither p nor q"
+            raise ValueError(f"{rule} guard: pendant count {why}")
+        return edit.on(g, inst.nonterminals), entry
+    if rule == variant.contraction:
         paths = maximal_degree2_paths(g, inst.nonterminals)
         path = next((vs for vs in paths if len(vs) - 1 >= inst.ell + 3), None)
         if path is None:
-            clear = " clear of the required-internal set" if rule == "R7" else ""
+            clear = " clear of the required-internal set" if lnt else ""
             raise ValueError(f"{rule} guard: no degree-2-path of length >= ell+3{clear}")
-        edit = _Edit(inst)
-        entry = edit.contract(rule, path[1], path[2])
-        return edit.instance(), entry
-
-    if rule == "R2":
-        tw = _twin_pendant(g)
-        if tw is None:
-            raise ValueError("R2 guard: no two pendants share a neighbor")
-        edit = _Edit(inst)
-        entry = edit.delete(rule, tw[0])
-        return edit.instance(), entry
-
-    if rule in ("R3", "R8"):
-        edit = _Edit(inst)
-        entry = edit.reset(rule)
-        if entry is None:
-            why = "resets neither p nor q" if rule == "R3" else "below p, or p already 0"
-            raise ValueError(f"{rule} guard: pendant count {why}")
-        return edit.on(g, inst.nonterminals), entry
-
-    if rule in ("R4", "R9"):
+        entry = edit.contract(path[1], path[2])
+    elif rule == variant.twin:
+        # counted here, apart from the pendant pass's heap
+        host = {v: min(g.neighbors(v)) for v in pendant_vertices(g)}
+        count = Counter(host.values())
+        twins = [v for v, w in host.items() if count[w] >= 2]
+        if not twins:
+            raise ValueError(f"{rule} guard: no two pendants share a neighbor")
+        entry = edit.delete(min(twins), twin=True)
+    else:  # the sweep
         if inst.p or inst.q:
-            needs = "p = q = 0" if rule == "R4" else "p = 0"
-            raise ValueError(f"{rule} guard: needs {needs}")
+            raise ValueError(f"{rule} guard: needs {variant.thresholds[0][1]}")
         pend = pendant_vertices(g)
         if not pend:
             raise ValueError(f"{rule} guard: no pendant vertex")
         if pend & inst.nonterminals:
-            raise ValueError("R9 guard: a required-internal vertex is pendant")
-        edit = _Edit(inst)
-        entry = edit.delete(rule, min(pend))
-        return edit.instance(), entry
-
-    case1, needs, bound = _THRESHOLDS[rule]
-    if (inst.p == inst.q == 0) != case1:
-        raise ValueError(f"{rule} guard: needs {needs}")
-    small = g.n < bound(inst)
-    return inst, RuleApplication(rule, g.n, decision="reduced" if small else "large")
+            raise ValueError(f"{rule} guard: a required-internal vertex is pendant")
+        entry = edit.delete(min(pend), twin=False)
+    return edit.instance(), entry
 
 
 def _exhaust_contractions(
-    edit: _Edit, rule: str, paths: list[tuple[int, ...]], transcript: list[RuleApplication]
+    edit: _Edit, paths: list[tuple[int, ...]], transcript: list[RuleApplication]
 ) -> None:
     """Contract the degree-2-paths ``paths`` to exhaustion (R1 or R7).
 
@@ -353,31 +371,29 @@ def _exhaust_contractions(
     for vs in paths:
         # r = len(vs) - 1 edges: drop vs[2..r-ell-1], none when r < ell + 3
         for drop in vs[2 : max(2, len(vs) - 1 - ell)]:
-            transcript.append(edit.contract(rule, vs[1], drop))
+            transcript.append(edit.contract(vs[1], drop))
 
 
 def _exhaust_pendant_deletions(
-    edit: _Edit, rules: tuple[str, ...], transcript: list[RuleApplication]
+    edit: _Edit, sweep: bool, transcript: list[RuleApplication]
 ) -> None:
-    """Delete pendants to exhaustion under the deletion rules ``rules[1:]``,
-    contracting with ``rules[0]`` every long path a deletion opens.
+    """Delete pendants to exhaustion by the variant's twin rule and, when
+    ``sweep``, its sweep, contracting every long path a deletion opens.
 
-    R2 deletes the lowest pendant sharing its host with another
-    pendant; R4 and R9, listed after it, delete the lowest pendant of
-    all.  Sequentially identical to firing the rules one at a time with
-    the contraction rule at higher priority.  Before a deletion no long
-    path exists, and a deletion changes only its host ``u``'s degree
-    (and, under R9, ``u``'s required status), so the only path that can
-    turn long goes through ``u``; it is contracted on the spot.
-    Contraction merges the run ``vs[2..r-ell-1]`` of a path with r
-    edges into ``vs[1]``, and ell >= 1, so no dropped vertex is next to
-    an endpoint: it is no pendant and no pendant's host, every other
-    degree stays put, and the heap picks exactly what a restarted pass
-    would.
+    The twin rule (R2, li only) deletes the lowest pendant sharing its
+    host with another pendant; the sweep (R4, R9), below it in
+    priority, deletes the lowest pendant of all.  Sequentially identical
+    to firing the rules one at a time with the contraction rule at
+    higher priority.  Before a deletion no long path exists, and a
+    deletion changes only its host ``u``'s degree (and, under R9, ``u``'s
+    required status), so the only path that can turn long goes through
+    ``u``; it is contracted on the spot.  Contraction merges the run
+    ``vs[2..r-ell-1]`` of a path with r edges into ``vs[1]``, and
+    ell >= 1, so no dropped vertex is next to an endpoint: it is no
+    pendant and no pendant's host, every other degree stays put, and
+    the heap picks exactly what a restarted pass would.
     """
-    contraction, twins = rules[0], "R2" in rules
-    sweep = rules[-1] if rules[-1] != "R2" else None
-    adj = edit.adj
+    twins, adj = edit.variant.twin is not None, edit.adj
     pend = {v for v, nbrs in adj.items() if len(nbrs) == 1}
     # deletions only lower degrees, and contractions keep the degrees of
     # the vertices they leave, so only a vertex that starts out pendant
@@ -405,14 +421,13 @@ def _exhaust_pendant_deletions(
         tier, v = heappop(heap)
         if not (v in pend if tier else is_twin(v)):
             continue
-        rule = sweep if tier else "R2"
         (u,) = adj[v]
         pend.discard(v)
         pendants_of[u].discard(v)
         if not pendants_of[u]:
             del pendants_of[u]
         pendants_of.pop(v, None)
-        transcript.append(edit.delete(rule, v))
+        transcript.append(edit.delete(v, twin=not tier))
         if u in pend:
             # u lost its only neighbor (K_2 endgame); no longer deletable
             pend.discard(u)
@@ -434,30 +449,7 @@ def _exhaust_pendant_deletions(
             # O(ell); a walk back to u is a short bare cycle (None)
             path = _path_through(adj, edit.nt, u)
             if path is not None and len(path) - 1 >= edit.start.ell + 3:
-                _exhaust_contractions(edit, contraction, [path], transcript)
-
-
-def _phase(
-    edit: _Edit,
-    rules: tuple[str, ...],
-    paths: list[tuple[int, ...]],
-    transcript: list[RuleApplication],
-) -> None:
-    """Apply the contraction rule ``rules[0]`` and the deletion rules
-    ``rules[1:]`` on ``edit`` until neither fires.
-
-    A run keeps one edit state from the input to the kernel.  Phase 0
-    gets ``paths``, the input's one scan of degree-2-paths, and
-    contracts the long ones first; then one deletion loop runs,
-    contracting each long path the moment a deletion opens it.  Phase 1
-    gets no paths and scans nothing: phase 0 ended with no long path
-    clear of the required set, and the reset between the phases moves
-    only p and q, which no path's length or contraction guard reads.
-    Every step deletes a vertex, so nothing needs a loop bound.
-    """
-    _exhaust_contractions(edit, rules[0], paths, transcript)
-    if len(rules) > 1:
-        _exhaust_pendant_deletions(edit, rules, transcript)
+                _exhaust_contractions(edit, [path], transcript)
 
 
 def _case1_witness_li(cur: Instance) -> tuple[SpanningTree, ...]:
@@ -466,35 +458,6 @@ def _case1_witness_li(cur: Instance) -> tuple[SpanningTree, ...]:
     if reason is not None:
         raise InternalInvariantError(f"no family above the size threshold: {reason}")
     return tuple(family)
-
-
-@dataclass(frozen=True)
-class _Variant:
-    """Everything that tells the two pipelines apart."""
-
-    # contraction rule plus deletion rules, before and after the reset
-    phases: tuple[tuple[str, ...], tuple[str, ...]]
-    reset: str
-    # size thresholds of case 1 (p = q = 0) and case 2
-    thresholds: tuple[str, str]
-    # case 1 above its threshold: yes outright (li) or delegate (lnt)
-    large_is_yes: bool
-
-
-_VARIANTS = {
-    Instance: _Variant(
-        (("R1", "R2"), ("R1", "R2", "R4")),
-        "R3",
-        ("R5", "R6"),
-        True,
-    ),
-    InstanceNT: _Variant(
-        (("R7",), ("R7", "R9")),
-        "R8",
-        ("R5nt", "R6nt"),
-        False,
-    ),
-}
 
 
 def _unreachable_target(inst: Instance | InstanceNT) -> tuple[str, str] | None:
@@ -513,7 +476,6 @@ def _kernelize(
 ) -> KernelResult:
     """The pipeline both problems share; :data:`_VARIANTS` supplies the
     rules and thresholds."""
-    variant = _VARIANTS[type(inst)]
     transcript: list[RuleApplication] = []
 
     def done(outcome: str, current: Instance | InstanceNT, **kw) -> KernelResult:
@@ -559,13 +521,19 @@ def _kernelize(
         return refuse(inst, *unreachable)
 
     edit = _Edit(inst)
-    _phase(edit, variant.phases[0], maximal_degree2_paths(g, nt), transcript)
-    reset = edit.reset(variant.reset)
+    variant = edit.variant
+    _exhaust_contractions(edit, maximal_degree2_paths(g, nt), transcript)
+    if variant.twin is not None:
+        _exhaust_pendant_deletions(edit, sweep=False, transcript=transcript)
+    reset = edit.reset()
     if reset:
         transcript.append(reset)
     case1 = edit.p == edit.q == 0
     if case1:
-        _phase(edit, variant.phases[1], [], transcript)
+        # no second scan: the passes above left no long path clear of
+        # the required set, and the reset moves only p and q, which no
+        # path's length or contraction guard reads
+        _exhaust_pendant_deletions(edit, sweep=True, transcript=transcript)
     # rebuild only when a step removed a vertex: an untouched graph keeps
     # its cached adjacency and connectivity
     cur = edit.instance() if len(edit.live) < g.n else edit.on(g, nt)
@@ -574,7 +542,7 @@ def _kernelize(
         unreachable = _unreachable_target(cur)
         if unreachable:
             return refuse(cur, *unreachable)
-    cur, e = apply_rule(cur, variant.thresholds[0 if case1 else 1])
+    cur, e = apply_rule(cur, variant.thresholds[not case1][0])
     transcript.append(e)
     if e.decision == "reduced":
         return done("reduced", cur, instance=cur)
@@ -639,26 +607,30 @@ def replay(
 ) -> Instance | InstanceNT:
     """Re-apply a transcript's mutations to the starting instance.
 
-    Decision entries are no-ops and resets move p and q.  Contractions
-    and deletions are re-applied at their recorded locations on one
-    edit state and the graph is rebuilt once, so replay costs O(n + m)
-    plus O(log n) and one list shift per entry.  Entries are checked
-    strictly: ``n_before`` must be the current vertex count, and each
-    contraction or deletion must be well formed and re-derive exactly
-    the recorded entry, or ValueError is raised.  The result must equal
-    the producing run's final_instance.
+    Contractions, deletions and resets are re-applied on one edit state
+    and the graph is rebuilt once, so replay costs O(n + m) plus
+    O(log n) and one list shift per entry.  Entries are checked
+    strictly: ``n_before`` must be the current vertex count, each
+    contraction, deletion or reset must be well formed and re-derive
+    exactly the recorded entry, rule id and parameter spend included,
+    and every other entry must be a decision that moves nothing, or
+    ValueError is raised.  The result must equal the producing run's
+    final_instance.
     """
     edit = _Edit(inst)
     for e in transcript:
         if e.n_before != len(edit.live):
             raise ValueError(f"{e.rule} entry has n_before {e.n_before}, not {len(edit.live)}")
         if e.merged_edge is not None:
-            derived = edit.contract(e.rule, *map(edit.starting_id, e.merged_edge))
+            derived = edit.contract(*map(edit.starting_id, e.merged_edge))
         elif e.removed_vertex is not None:
-            derived = edit.delete(e.rule, edit.starting_id(e.removed_vertex))
+            twin = e.rule == edit.variant.twin
+            derived = edit.delete(edit.starting_id(e.removed_vertex), twin=twin)
+        elif e.rule == edit.variant.reset:
+            derived = edit.reset()
+        elif e.decision is None or e.p_delta or e.q_delta or e.nt_removed:
+            raise ValueError(f"{e} records no step and is no decision that moves nothing")
         else:
-            edit.p += e.p_delta
-            edit.q += e.q_delta
             continue
         if derived != e:
             raise ValueError(f"{e} does not match the step it records, {derived}")

@@ -30,7 +30,7 @@ from divtrees import (
     transcript_to_ndjson,
     verify_family,
 )
-from divtrees.graphcore import _canonical_path, maximal_degree2_paths
+from divtrees.graphcore import _canonical_path, maximal_degree2_paths, pendant_vertices
 from divtrees import kernelizer
 from test_golden import _corpus as golden_corpus
 
@@ -73,17 +73,23 @@ def test_bound_formulas():
 # ---------------------------------------------------------------------------
 # single rule applications
 
-def test_apply_rule_rejects_unknown_and_mismatched_rules():
+LI_RULES = ("R1", "R2", "R3", "R4", "R5", "R6")
+LNT_RULES = ("R7", "R8", "R9", "R5nt", "R6nt")
+
+
+@pytest.mark.parametrize("rule", LI_RULES + LNT_RULES)
+def test_apply_rule_rejects_unknown_and_mismatched_rules(rule):
     c8 = support.cycle_graph(8)
-    with pytest.raises(ValueError, match="unknown rule"):
-        apply_rule(li(c8), "R99")
+    for inst in (li(c8), lnt(c8, {1})):
+        with pytest.raises(ValueError, match="unknown rule"):
+            apply_rule(inst, "R99")
+    other = lnt(c8, {1}) if rule in LI_RULES else li(c8)
     with pytest.raises(ValueError, match="does not apply"):
-        apply_rule(lnt(c8, {1}), "R1")
-    with pytest.raises(ValueError, match="does not apply"):
-        apply_rule(li(c8), "R7")
+        apply_rule(other, rule)
     split = Graph(n=3, edges=frozenset({(1, 2)}))
+    own = li(split) if rule in LI_RULES else lnt(split, {1})
     with pytest.raises(ValueError, match="must be connected"):
-        apply_rule(li(split), "R1")
+        apply_rule(own, rule)
 
 
 def test_r1_contracts_lowest_long_path():
@@ -468,7 +474,8 @@ def test_li_fixpoint_matches_sequential_rules(case):
     expected, expected_transcript = sequential_fixpoint(inst, rules)
     edit, transcript = kernelizer._Edit(inst), []
     paths = maximal_degree2_paths(inst.graph, inst.nonterminals)
-    kernelizer._phase(edit, rules, paths, transcript)
+    kernelizer._exhaust_contractions(edit, paths, transcript)
+    kernelizer._exhaust_pendant_deletions(edit, sweep=include_r4, transcript=transcript)
     assert (edit.instance() if transcript else inst) == expected
     assert transcript == expected_transcript
 
@@ -688,6 +695,46 @@ def test_replay_rejects_contracting_a_required_vertex():
         replay(lnt(support.cycle_graph(8), {3}), (entry,))
 
 
+# K4 with a pendant at 1 and one at 2: the reset zeroes p = 2 (and q = 1
+# on li), then the sweep deletes both pendants
+K4_PENDANTS = support.with_pendants(support.complete_graph(4), [1, 2])
+
+
+def with_entry(transcript, index, entry):
+    return (*transcript[:index], entry, *transcript[index + 1 :])
+
+
+def reset_spent_p_by_one(transcript):
+    return with_entry(transcript, 0, dataclasses.replace(transcript[0], p_delta=-1))
+
+
+def decision_moves_p(transcript):
+    return with_entry(transcript, -1, dataclasses.replace(transcript[-1], p_delta=1))
+
+
+def extra_reset(transcript):
+    noop = dataclasses.replace(transcript[0], p_delta=0, q_delta=0)
+    return (transcript[0], noop, *transcript[1:])
+
+
+@pytest.mark.parametrize(
+    "inst, corrupt, error",
+    [
+        (li(K4_PENDANTS, p=2, q=1, k=2, ell=2), reset_spent_p_by_one, "does not match"),
+        (li(K4_PENDANTS, p=2, q=1, k=2, ell=2), decision_moves_p, "moves nothing"),
+        (lnt(K4_PENDANTS, {3}, p=2, k=2, ell=2), reset_spent_p_by_one, "does not match"),
+        (li(K4_PENDANTS, p=2, q=1, k=2, ell=2), extra_reset, "does not match"),
+    ],
+    ids=["R3-spend", "decision-spend", "R8-spend", "extra-R3"],
+)
+def test_replay_rederives_resets_and_decisions(inst, corrupt, error):
+    transcript = kernelize(inst).transcript
+    assert transcript[0].rule in ("R3", "R8") and transcript[0].p_delta == -2
+    assert replay(inst, transcript).p == 0
+    with pytest.raises(ValueError, match=error):
+        replay(inst, corrupt(transcript))
+
+
 def reference_replay(inst, transcript):
     """Replay on the one-step rebuilds in ``support``, rebuilding the
     graph for every entry; shares no code with :func:`replay`."""
@@ -874,3 +921,65 @@ def test_subdividing_a_short_path_keeps_the_vertex(case):
         after = kernelize(make(g, ell), blackbox=lambda _: None)
         assert contractions(after) == contractions(before)
         assert kernel_signature(after)[:2] == (outcome, n + 1)
+
+
+# ---------------------------------------------------------------------------
+# metamorphic: adding a pendant to a twin-pendant gadget (ROADMAP item 15).
+# R2 deletes a pendant whose host carries another and, on li with p > 0,
+# spends one unit of p, so a pendant added at a host costs exactly one more
+# R2 entry, and raising p by one pays for it.  With p = q = 0 (p = 0 on
+# lnt) the sweep, R4 or R9, deletes every pendant, so a pendant added at a
+# vertex that is no host, no pendant and not required costs exactly one
+# more deletion.  Either way the kernel keeps its signature.
+
+TWIN_GADGETS = [
+    (generate("twin-pendant-gadget", (MD3_44, 1), seed=3), 4, 2),
+    (generate("twin-pendant-gadget", (MD3_44, 6), seed=3), 4, 2),
+    (generate("twin-pendant-gadget", (md3(88), 8), seed=4), 1, 1),
+    (generate("twin-pendant-gadget", (md3(350), 200), seed=5), 2, 2),
+]
+
+
+def pendant_hosts(g):
+    return sorted({min(g.neighbors(v)) for v in pendant_vertices(g)})
+
+
+def count_rules(res, rules):
+    return sum(e.rule in rules for e in res.transcript)
+
+
+@pytest.mark.parametrize("p, q", [(0, 0), (2, 2), (1, 0)])
+def test_a_pendant_at_a_host_costs_one_twin_deletion(p, q):
+    outcomes = set()
+    for g, k, ell in TWIN_GADGETS:
+        before = kernelize(li(g, p, q, k, ell), blackbox=lambda _: None)
+        outcomes.add(before.outcome)
+        hosts = pendant_hosts(g)
+        for h in random.Random(1).sample(hosts, min(3, len(hosts))):
+            inst = li(support.with_pendants(g, [h]), p + (p > 0), q, k, ell)
+            after = kernelize(inst, blackbox=lambda _: None)
+            assert count_rules(after, {"R2"}) == count_rules(before, {"R2"}) + 1
+            assert kernel_signature(after) == kernel_signature(before)
+    assert outcomes == {"reduced", "trivial_yes"}
+
+
+def sweep_case(problem, g, k, ell):
+    """p = q = 0 on li; p = 0 with 1 required on lnt."""
+    return li(g, k=k, ell=ell) if problem == "li" else lnt(g, {1}, k=k, ell=ell)
+
+
+@pytest.mark.parametrize("problem", ["li", "lnt"])
+def test_a_pendant_at_a_free_vertex_costs_one_sweep_deletion(problem):
+    outcomes = set()
+    deletions = {"R2", "R4", "R9"}
+    for g, k, ell in TWIN_GADGETS:
+        before = kernelize(sweep_case(problem, g, k, ell), blackbox=lambda _: None)
+        outcomes.add(before.outcome)
+        taken = {1, *pendant_hosts(g), *pendant_vertices(g)}
+        free = [v for v in g.vertices() if v not in taken]
+        for v in random.Random(2).sample(free, 3):
+            inst = sweep_case(problem, support.with_pendants(g, [v]), k, ell)
+            after = kernelize(inst, blackbox=lambda _: None)
+            assert count_rules(after, deletions) == count_rules(before, deletions) + 1
+            assert kernel_signature(after) == kernel_signature(before)
+    assert outcomes == {"reduced", "trivial_yes" if problem == "li" else "delegated_unavailable"}
