@@ -33,7 +33,7 @@ from .graphcore import (
     read_instance,
     write_graph,
 )
-from .kernelizer import JSON_ENCODER, KernelResult, kernelize_li, kernelize_lnt, transcript_to_ndjson
+from .kernelizer import JSON_ENCODER, KernelResult, kernelize, transcript_to_ndjson
 from .oracle import OracleLimits, solve
 from .spantree import DEFAULT_TREE_BUDGET, family_json, read_edge_set_family, write_family
 
@@ -115,11 +115,9 @@ def _kernelize_within(
 ) -> KernelResult:
     """Run the instance's pipeline with its subroutine kernel capped at
     ``budget`` trees, or with no subroutine kernel when ``budget`` is None."""
-    if isinstance(inst, InstanceNT):
-        bb = None if budget is None else partial(ntst_kernel, budget=budget)
-        return kernelize_lnt(inst, blackbox=bb)
-    bb = None if budget is None else partial(mist_kernel, budget=budget)
-    return kernelize_li(inst, construct_witness=witness, blackbox=bb)
+    kernel = ntst_kernel if isinstance(inst, InstanceNT) else mist_kernel
+    bb = None if budget is None else partial(kernel, budget=budget)
+    return kernelize(inst, construct_witness=witness, blackbox=bb)
 
 
 def _cmd_kernelize(args: argparse.Namespace) -> int:
@@ -246,13 +244,11 @@ def _cmd_audit(args: argparse.Namespace) -> int:
         raise UsageError("--max-n must be between 3 and 15")
     budget = _positive(args.budget, "--budget")
     rng = random.Random(args.seed)
-    instances = [
-        _random_instance(rng, args.problem, args.max_n) for _ in range(args.count)
-    ]
     lines = []
     passes = 0
-    rows = [_audit_one(inst, budget) for inst in instances]
-    for idx, (inst, (outcome, original, reduced)) in enumerate(zip(instances, rows)):
+    for idx in range(args.count):
+        inst = _random_instance(rng, args.problem, args.max_n)
+        outcome, original, reduced = _audit_one(inst, budget)
         good = original == reduced and original in ("yes", "no")
         passes += good
         nt_note = ",".join(map(str, sorted(inst.nonterminals))) or "-"

@@ -316,8 +316,9 @@ def _directives(text: str) -> dict[str, list[str]]:
     return out
 
 
-def _edge_block(rows: Iterator[list[str]], header: list[str]) -> Graph:
-    """Parse one ``n m`` header and the m edge lines that follow it.
+def _edge_block(rows: Iterator[list[str]], header: list[str]) -> tuple[int, frozenset]:
+    """Parse one ``n m`` header and the m edge lines that follow it into
+    ``n`` and the edge set, which together make a valid :class:`Graph`.
 
     Each row is checked and normalised as it is read.  A bad row is
     reported first, then a short block, then the first duplicate."""
@@ -354,7 +355,7 @@ def _edge_block(rows: Iterator[list[str]], header: list[str]) -> Graph:
             if e in seen:
                 raise GraphFormatError(f"duplicate edge {e}")
             seen.add(e)
-    return Graph(n, edges)
+    return n, edges
 
 
 def read_graph(text: str) -> Graph:
@@ -362,7 +363,7 @@ def read_graph(text: str) -> Graph:
     header = next(rows, None)
     if header is None:
         raise GraphFormatError("empty input")
-    g = _edge_block(rows, header)
+    g = Graph(*_edge_block(rows, header))
     if next(rows, None) is not None:
         raise GraphFormatError("more edge lines than the header announces")
     return g

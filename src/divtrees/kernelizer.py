@@ -384,55 +384,48 @@ def _exhaust_pendant_deletions(
     host with another pendant; the sweep (R4, R9), below it in
     priority, deletes the lowest pendant of all.  Sequentially identical
     to firing the rules one at a time with the contraction rule at
-    higher priority.  Before a deletion no long path exists, and a
-    deletion changes only its host ``u``'s degree (and, under R9, ``u``'s
-    required status), so the only path that can turn long goes through
-    ``u``; it is contracted on the spot.  Contraction merges the run
-    ``vs[2..r-ell-1]`` of a path with r edges into ``vs[1]``, and
-    ell >= 1, so no dropped vertex is next to an endpoint: it is no
-    pendant and no pendant's host, every other degree stays put, and
-    the heap picks exactly what a restarted pass would.
+    higher priority.  Pendants are read off ``edit.adj``.  Before a
+    deletion no long path exists, and a deletion changes only its host
+    ``u``'s degree (and, under R9, ``u``'s required status), so the only
+    path that can turn long goes through ``u``; it is contracted on the
+    spot.  Contraction merges the run ``vs[2..r-ell-1]`` of a path with
+    r edges into ``vs[1]``, and ell >= 1, so no dropped vertex is next
+    to an endpoint: it is no pendant and no pendant's host, every other
+    degree stays put, and the heap picks exactly what a restarted pass
+    would.
     """
     twins, adj = edit.variant.twin is not None, edit.adj
-    pend = {v for v, nbrs in adj.items() if len(nbrs) == 1}
-    # deletions only lower degrees, and contractions keep the degrees of
-    # the vertices they leave, so only a vertex that starts out pendant
-    # can be a required-internal pendant
-    bad = pend & edit.nt
-    if bad:
-        raise InternalInvariantError(f"required-internal vertex {min(bad)} became pendant")
+    # deletions only lower degrees and contractions keep those of the vertices
+    # they leave, so only a starting pendant can be a required-internal pendant
     pendants_of: dict[int, set[int]] = {}
-    for v in pend:
-        (u,) = adj[v]
-        pendants_of.setdefault(u, set()).add(v)
-
-    def is_twin(x: int) -> bool:
-        return x in pend and len(pendants_of[next(iter(adj[x]))]) >= 2
+    for v, nbrs in adj.items():
+        if len(nbrs) == 1:
+            if v in edit.nt:
+                raise InternalInvariantError(f"required-internal vertex {v} became pendant")
+            pendants_of.setdefault(next(iter(nbrs)), set()).add(v)
 
     # one lazy min-heap: (0, x) while x is a twin and (1, x) while x is
     # a pendant, so a (1, x) entry surfaces only once no twin is left.
     # An entry is checked when it surfaces, and a pendant is pushed
     # again only when it (re)gains its status
-    heap = [(0, x) for x in pend if is_twin(x)] if twins else []
+    heap = [(0, x) for xs in pendants_of.values() if len(xs) >= 2 for x in xs] if twins else []
     if sweep:
-        heap += [(1, x) for x in pend]
+        heap += [(1, x) for xs in pendants_of.values() for x in xs]
     heapify(heap)
     while heap:
         tier, v = heappop(heap)
-        if not (v in pend if tier else is_twin(v)):
+        # deleted and merged vertices have left adj; a K2's last deletion leaves degree 0
+        if len(adj.get(v, ())) != 1:
             continue
         (u,) = adj[v]
-        pend.discard(v)
+        if not tier and len(pendants_of[u]) < 2:
+            continue  # no longer a twin
         pendants_of[u].discard(v)
         if not pendants_of[u]:
             del pendants_of[u]
         pendants_of.pop(v, None)
         transcript.append(edit.delete(v, twin=not tier))
-        if u in pend:
-            # u lost its only neighbor (K_2 endgame); no longer deletable
-            pend.discard(u)
-        elif len(adj[u]) == 1:
-            pend.add(u)
+        if len(adj[u]) == 1:
             if sweep:
                 heappush(heap, (1, u))
             (w,) = adj[u]
@@ -450,14 +443,6 @@ def _exhaust_pendant_deletions(
             path = _path_through(adj, edit.nt, u)
             if path is not None and len(path) - 1 >= edit.start.ell + 3:
                 _exhaust_contractions(edit, [path], transcript)
-
-
-def _case1_witness_li(cur: Instance) -> tuple[SpanningTree, ...]:
-    # every pendant is gone after R4, so construction swaps every leaf
-    family, reason, _ = construct_family(cur)
-    if reason is not None:
-        raise InternalInvariantError(f"no family above the size threshold: {reason}")
-    return tuple(family)
 
 
 def _unreachable_target(inst: Instance | InstanceNT) -> tuple[str, str] | None:
@@ -547,8 +532,13 @@ def _kernelize(
     if e.decision == "reduced":
         return done("reduced", cur, instance=cur)
     if case1 and variant.large_is_yes:
-        witness = _case1_witness_li(cur) if construct_witness else None
-        return done("trivial_yes", cur, witness=witness)
+        if not construct_witness:
+            return done("trivial_yes", cur)
+        # every pendant is gone after R4, so construction swaps every leaf
+        family, reason, _ = construct_family(cur)
+        if reason is not None:
+            raise InternalInvariantError(f"no family above the size threshold: {reason}")
+        return done("trivial_yes", cur, witness=tuple(family))
     out = blackbox(cur) if blackbox is not None else None
     if out is None:
         return done(
@@ -593,13 +583,16 @@ def kernelize_lnt(
 
 
 def kernelize(
-    inst: Instance | InstanceNT, *, construct_witness: bool = False, blackbox=None
+    inst: Instance | InstanceNT, *, construct_witness: bool = False, **blackbox
 ) -> KernelResult:
-    """Dispatch to the right pipeline; blackbox=None keeps the default
-    kernels, looked up per call so that a wrapped one is used."""
+    """Run the instance's pipeline with ``blackbox`` passed on as given:
+    None runs no subroutine kernel and, left out, the default kernel
+    runs.  Only li builds a witness; asking for one on lnt is an error."""
     if isinstance(inst, InstanceNT):
-        return kernelize_lnt(inst, blackbox=blackbox or ntst_kernel)
-    return kernelize_li(inst, construct_witness=construct_witness, blackbox=blackbox or mist_kernel)
+        if construct_witness:
+            raise ValueError("construct_witness has no meaning for the lnt problem")
+        return kernelize_lnt(inst, **blackbox)
+    return kernelize_li(inst, construct_witness=construct_witness, **blackbox)
 
 
 def replay(

@@ -550,8 +550,8 @@ def read_edge_set_family(text: str, n: int) -> list[frozenset[tuple[int, int]]]:
     rows = _content_lines(text)
     out: list[frozenset[tuple[int, int]]] = []
     for header in rows:
-        block = _edge_block(rows, header)
-        if block.n != n:
-            raise GraphFormatError(f"tree block is on {block.n} vertices, host has {n}")
-        out.append(block.edges)
+        block_n, edges = _edge_block(rows, header)
+        if block_n != n:
+            raise GraphFormatError(f"tree block is on {block_n} vertices, host has {n}")
+        out.append(edges)
     return out

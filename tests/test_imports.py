@@ -88,7 +88,6 @@ BENCH = SRC.parents[1] / "bench"
 
 # exported without a runtime or bench caller, each for a stated reason
 _EXPORT_ALLOWLIST = {
-    "kernelize": "the documented library entry point for either problem",
     "enumerate_spanning_trees": "the tests' validated reference for the mask readers",
 }
 

@@ -4,6 +4,7 @@ import itertools
 import json
 import random
 import time
+from collections import Counter
 
 import pytest
 from hypothesis import given, strategies as st
@@ -359,9 +360,13 @@ def test_lnt_case1_runs_deletions_and_contractions_together():
 def test_kernelize_dispatch():
     assert kernelize(li(support.cycle_graph(5))).outcome == "reduced"
     assert kernelize(lnt(support.cycle_graph(5), {1})).outcome == "reduced"
-    # at the dispatcher level None means "use the default plug-in"
-    res = kernelize(li(md3(50), p=1, k=2, ell=1), blackbox=None)
-    assert res.outcome == "delegated"
+    # a given blackbox is passed on as it is, so None runs no plug-in;
+    # left out, the pipeline's default plug-in runs
+    for inst in (li(md3(50), p=1, k=2, ell=1), lnt(md3(80), {1}, p=1, k=2, ell=1)):
+        assert kernelize(inst, blackbox=None).outcome == "delegated_unavailable"
+        assert kernelize(inst).outcome == "delegated"
+    with pytest.raises(ValueError, match="lnt"):
+        kernelize(lnt(support.cycle_graph(5), {1}), construct_witness=True)
 
 
 # ---------------------------------------------------------------------------
@@ -541,6 +546,22 @@ def test_run_that_removes_nothing_keeps_the_input_graph(monkeypatch, inst, rules
     assert [e.rule for e in res.transcript] == rules
     assert res.final_instance.graph is inst.graph
     assert calls == {"__init__": 1, "instance": 0, "maximal_degree2_paths": 1}
+
+
+@pytest.mark.parametrize(
+    "g", [support.path_graph(6), Graph.from_edges(4, [(1, 2), (1, 3), (1, 4)])], ids=["path", "star"]
+)
+def test_sweep_pass_runs_a_tree_down_to_one_vertex(g):
+    # a run answers a tree before any pass, so the pass is called on its
+    # own; its last deletion leaves the other end of a K2 with no
+    # neighbour, and that vertex is no pendant
+    inst = li(g, ell=3)  # no path is long
+    edit, transcript = kernelizer._Edit(inst), []
+    kernelizer._exhaust_pendant_deletions(edit, sweep=True, transcript=transcript)
+    expected, expected_transcript = sequential_fixpoint(inst, ("R1", "R2", "R4"))
+    assert transcript == expected_transcript
+    assert edit.instance() == expected
+    assert expected.graph.n == 1
 
 
 def lnt_reduction_cases():
@@ -983,3 +1004,42 @@ def test_a_pendant_at_a_free_vertex_costs_one_sweep_deletion(problem):
             assert count_rules(after, deletions) == count_rules(before, deletions) + 1
             assert kernel_signature(after) == kernel_signature(before)
     assert outcomes == {"reduced", "trivial_yes" if problem == "li" else "delegated_unavailable"}
+
+
+# ---------------------------------------------------------------------------
+# metamorphic: the R9 and R1 spends (ROADMAP item 15), on subdivided md3(44)
+# at n = 506 with k = 2 and ell = 1, and no subroutine kernel.  R9 deletes
+# a pendant and drops its host from the required set, so a pendant at a
+# required vertex h costs exactly one more R9 entry, which releases h, and
+# leaves the kernel of the graph without it and with h not required.  A
+# degree-2 h splits a long path until its pendant goes.  While q stays
+# positive R1 spends one unit of q per contraction, so subdividing a long
+# path and raising q by one costs exactly one more R1 entry.
+
+SUB_506 = generate("subdivided", (MD3_44, 8))
+
+
+def released(res):
+    """How many vertices each R9 entry drops from the required set."""
+    return Counter(len(e.nt_removed) for e in res.transcript if e.rule == "R9")
+
+
+def test_a_pendant_at_a_required_vertex_costs_one_releasing_sweep_deletion():
+    g, h2 = SUB_506, 1
+    before = kernelize(lnt(g, {h2}, k=2), blackbox=None)
+    rng = random.Random(3)
+    hs = [rng.sample([v for v in g.vertices() if v != h2 and g.degree(v) == d], 5) for d in (2, 3)]
+    for h in hs[0] + hs[1]:
+        after = kernelize(lnt(support.with_pendants(g, [h]), {h, h2}, k=2), blackbox=None)
+        assert released(after) == released(before) + Counter([1])
+        assert kernel_signature(after) == kernel_signature(before)
+
+
+def test_subdividing_a_long_path_while_q_lasts_spends_one_more_q():
+    base = li(SUB_506, q=400, k=2)
+    before = kernelize(base, blackbox=None)
+    assert before.final_instance.q == 70  # no spend hits 0
+    for g in subdivided_once(base, lambda r: r >= 3, 14, seed=4):
+        after = kernelize(li(g, q=401, k=2), blackbox=None)
+        assert count_rules(after, {"R1"}) == count_rules(before, {"R1"}) + 1
+        assert kernel_signature(after) == kernel_signature(before)

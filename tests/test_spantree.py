@@ -747,6 +747,20 @@ def test_tree_and_family_round_trip():
     assert back == [t.edges for t in trees]
 
 
+def test_reading_a_family_builds_no_graph(monkeypatch):
+    from divtrees import read_graph
+
+    g = generate("min-degree-3", (12,))
+    text = write_family(list(islice(enumerate_spanning_trees(g), 3)))
+    built = []
+    check = Graph.__post_init__
+    monkeypatch.setattr(Graph, "__post_init__", lambda self: built.append(self) or check(self))
+    assert len(read_edge_set_family(text, g.n)) == 3
+    assert built == []
+    read_graph(write_graph(g))
+    assert len(built) == 1
+
+
 def test_family_text_and_json_share_one_sort():
     import json
 
