@@ -97,8 +97,16 @@ def _emit(output: str | None, text: str) -> None:
         Path(output).write_text(text)
 
 
-def _emit_json(output: str | None, payload: dict) -> None:
-    _emit(output, JSON_ENCODER.encode(payload) + "\n")
+def _emit_json(output: str | None, payload: dict, transcript: str | None = None) -> None:
+    """Write ``payload`` as one JSON line.  ``transcript``, a transcript
+    array already encoded, is spliced in where the payload holds None
+    under its "transcript" key."""
+    text = JSON_ENCODER.encode(payload)
+    if transcript is not None:
+        # an encoded string escapes its quotes and no nested record has a
+        # transcript field, so the first match is the top-level key
+        text = text.replace('"transcript": null', '"transcript": ' + transcript, 1)
+    _emit(output, text + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -128,13 +136,16 @@ def _cmd_kernelize(args: argparse.Namespace) -> int:
     result = _kernelize_within(inst, None if args.blackbox == "none" else budget, args.witness)
     if args.family_out is not None and result.witness is None:
         raise UsageError("no witness family to write; outcome was " + result.outcome)
+    # the transcript is encoded once: the payload's array, which the
+    # NDJSON lines are cut from
+    entries = JSON_ENCODER.encode(result.transcript)
     if args.transcript is not None:
-        Path(args.transcript).write_text(transcript_to_ndjson(result.transcript))
+        Path(args.transcript).write_text(transcript_to_ndjson(entries))
     if args.family_out is not None:
         Path(args.family_out).write_text(write_family(list(result.witness)))
     payload = {"schema": 2, "problem": inst.problem}
-    payload.update(result.to_json_dict())
-    _emit_json(args.output, payload)
+    payload.update(result.to_json_dict(), transcript=None)
+    _emit_json(args.output, payload, entries)
     return 0
 
 
@@ -277,7 +288,10 @@ def _add_instance_flags(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("-o", "--output", default=None, help="write output here instead of stdout")
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(cmd: str | None = None) -> argparse.ArgumentParser:
+    """The command line: every subcommand is registered with its help, so
+    the top-level help and usage texts never change, but flags are added
+    only to ``cmd``'s subparser, or to all of them when ``cmd`` is None."""
     parser = argparse.ArgumentParser(
         prog="divtrees",
         description="Kernelization and exact solving for diverse spanning tree families.",
@@ -285,43 +299,49 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="cmd", required=True)
 
     sp = sub.add_parser("kernelize", help="run the reduction pipeline")
-    _add_instance_flags(sp)
-    sp.add_argument("--witness", action="store_true", help="construct a family on trivial-yes (li)")
-    sp.add_argument("--blackbox", choices=["exact", "none"], default="exact")
-    sp.add_argument("--budget", type=int, default=DEFAULT_TREE_BUDGET, help="subroutine kernel tree budget")
-    sp.add_argument("--transcript", default=None, help="write the transcript here, one JSON object per line")
-    sp.add_argument("--family-out", default=None, help="write the witness family here")
+    if cmd in (None, "kernelize"):
+        _add_instance_flags(sp)
+        sp.add_argument("--witness", action="store_true", help="construct a family on trivial-yes (li)")
+        sp.add_argument("--blackbox", choices=["exact", "none"], default="exact")
+        sp.add_argument("--budget", type=int, default=DEFAULT_TREE_BUDGET, help="subroutine kernel tree budget")
+        sp.add_argument("--transcript", default=None, help="write the transcript here, one JSON object per line")
+        sp.add_argument("--family-out", default=None, help="write the witness family here")
 
     sp = sub.add_parser("solve", help="exact oracle; exit 0 yes, 1 no, 2 inconclusive")
-    _add_instance_flags(sp)
-    sp.add_argument("--max-trees", type=int, default=DEFAULT_TREE_BUDGET)
-    sp.add_argument("--max-clique-nodes", type=int, default=OracleLimits.max_clique_nodes)
+    if cmd in (None, "solve"):
+        _add_instance_flags(sp)
+        sp.add_argument("--max-trees", type=int, default=DEFAULT_TREE_BUDGET)
+        sp.add_argument("--max-clique-nodes", type=int, default=OracleLimits.max_clique_nodes)
 
     sp = sub.add_parser("verify", help="check a family file; exit 0 pass, 1 fail")
-    _add_instance_flags(sp)
-    sp.add_argument("--family", required=True, help="family file to check")
+    if cmd in (None, "verify"):
+        _add_instance_flags(sp)
+        sp.add_argument("--family", required=True, help="family file to check")
 
     sp = sub.add_parser("construct", help="build a diverse family; exit 0 pass, 1 fail")
-    _add_instance_flags(sp)
-    sp.add_argument("--budget", type=int, default=DEFAULT_TREE_BUDGET, help="seed tree search budget")
-    sp.add_argument("--family-out", default=None, help="write the family here")
+    if cmd in (None, "construct"):
+        _add_instance_flags(sp)
+        sp.add_argument("--budget", type=int, default=DEFAULT_TREE_BUDGET, help="seed tree search budget")
+        sp.add_argument("--family-out", default=None, help="write the family here")
 
     sp = sub.add_parser("gen", help="emit a corpus graph")
-    sp.add_argument("family")
-    sp.add_argument("params", nargs="*")
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("-o", "--output", default=None)
+    if cmd in (None, "gen"):
+        sp.add_argument("family")
+        sp.add_argument("params", nargs="*")
+        sp.add_argument("--seed", type=int, default=0)
+        sp.add_argument("-o", "--output", default=None)
 
     sp = sub.add_parser("audit", help="batch kernelize-vs-oracle safety check")
-    sp.add_argument("--problem", choices=["li", "lnt"], required=True)
-    sp.add_argument("--count", type=int, default=100)
-    sp.add_argument("--max-n", type=int, default=9)
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument(
-        "--workers", type=int, default=4, help="ignored: audit runs serially"
-    )
-    sp.add_argument("--budget", type=int, default=DEFAULT_TREE_BUDGET)
-    sp.add_argument("-o", "--output", default=None)
+    if cmd in (None, "audit"):
+        sp.add_argument("--problem", choices=["li", "lnt"], required=True)
+        sp.add_argument("--count", type=int, default=100)
+        sp.add_argument("--max-n", type=int, default=9)
+        sp.add_argument("--seed", type=int, default=0)
+        sp.add_argument(
+            "--workers", type=int, default=4, help="ignored: audit runs serially"
+        )
+        sp.add_argument("--budget", type=int, default=DEFAULT_TREE_BUDGET)
+        sp.add_argument("-o", "--output", default=None)
 
     return parser
 
@@ -337,7 +357,10 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    # a call pays only for its own subcommand's flags; any other first
+    # word (none, -h, a typo) gets them all
+    parser = _build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

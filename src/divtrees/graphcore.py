@@ -295,25 +295,16 @@ def write_graph(g: Graph) -> str:
     return _write_edge_list(g.n, g.sorted_edges())
 
 
-def _content_lines(text: str) -> Iterator[list[str]]:
-    """The fields of each line that is neither blank nor a comment."""
+def _content_lines(text: str, directives: list[list[str]] | None = None) -> Iterator[list[str]]:
+    """The fields of each line that is neither blank nor a comment; the
+    fields after each ``#%`` go to ``directives`` as the lines go by."""
     for raw in text.splitlines():
         row = raw.split()
-        if row and row[0][0] != "#":
-            yield row
-
-
-def _directives(text: str) -> dict[str, list[str]]:
-    out: dict[str, list[str]] = {}
-    for raw in text.splitlines():
-        line = raw.strip()
-        if line.startswith("#%"):
-            parts = line[2:].split()
-            if parts:
-                if parts[0] in out:
-                    raise GraphFormatError(f"directive {parts[0]} given twice")
-                out[parts[0]] = parts[1:]
-    return out
+        if row:
+            if row[0][0] != "#":
+                yield row
+            elif directives is not None and row[0].startswith("#%"):
+                directives.append(raw.strip()[2:].split())
 
 
 def _edge_block(rows: Iterator[list[str]], header: list[str]) -> tuple[int, frozenset]:
@@ -358,8 +349,10 @@ def _edge_block(rows: Iterator[list[str]], header: list[str]) -> tuple[int, froz
     return n, edges
 
 
-def read_graph(text: str) -> Graph:
-    rows = _content_lines(text)
+def read_graph(text: str, directives: list[list[str]] | None = None) -> Graph:
+    """The graph in ``text``.  Given a list, ``directives`` collects the
+    fields after the ``#%`` of each directive line, in order."""
+    rows = _content_lines(text, directives)
     header = next(rows, None)
     if header is None:
         raise GraphFormatError("empty input")
@@ -388,8 +381,15 @@ def read_instance(text: str) -> Instance | InstanceNT:
     selects the non-terminal variant.  A ``#% nt`` directive on li, or
     ``#% q`` on lnt, is an error.
     """
-    g = read_graph(text)
-    d = _directives(text)
+    found: list[list[str]] = []
+    g = read_graph(text, found)
+    # one pass: directives are gathered while the graph is read, and
+    # checked after it, so a graph fault is reported first
+    d: dict[str, list[str]] = {}
+    for parts in filter(None, found):
+        if parts[0] in d:
+            raise GraphFormatError(f"directive {parts[0]} given twice")
+        d[parts[0]] = parts[1:]
     p, k, ell = _directive(d, "p", 0), _directive(d, "k", 1), _directive(d, "l", 1)
     problem = _directive(d, "problem", "lnt" if "nt" in d else "li", str)
     stray = {"li": "nt", "lnt": "q"}.get(problem)

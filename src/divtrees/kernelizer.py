@@ -101,8 +101,16 @@ class RuleApplication:
 JSON_ENCODER = json.JSONEncoder(sort_keys=True, default=vars)
 
 
-def transcript_to_ndjson(transcript: tuple[RuleApplication, ...] | list[RuleApplication]) -> str:
-    return "".join(JSON_ENCODER.encode(e) + "\n" for e in transcript)
+def transcript_to_ndjson(transcript: tuple[RuleApplication, ...] | list[RuleApplication] | str) -> str:
+    """One JSON line per entry, each its own ``JSON_ENCODER`` text.
+
+    Given the transcript's array text (``JSON_ENCODER.encode`` of the
+    transcript) instead, the lines are cut from it with no second
+    encoding: an entry is a flat record of ints, int arrays, null and
+    fixed strings, so ``}, {`` occurs only between entries.
+    """
+    text = transcript if isinstance(transcript, str) else JSON_ENCODER.encode(transcript)
+    return "" if text == "[]" else text[1:-1].replace("}, {", "}\n{") + "\n"
 
 
 @dataclass(frozen=True)
@@ -493,13 +501,10 @@ def _kernelize(
             )
         transcript.append(RuleApplication("PC-tree", g.n, decision="yes"))
         return done("trivial_yes", inst, witness=witness)
-    nt_pendants = pendant_vertices(g) & nt
+    nt_pendants = tuple(sorted(v for v in nt if g.degree(v) == 1))
     if nt_pendants:
         return refuse(
-            inst,
-            "PC-nt-pendant",
-            "a required-internal vertex has degree one",
-            tuple(sorted(nt_pendants)),
+            inst, "PC-nt-pendant", "a required-internal vertex has degree one", nt_pendants
         )
     unreachable = _unreachable_target(inst)
     if unreachable:

@@ -14,12 +14,15 @@ from divtrees import (
     InstanceNT,
     generate,
     read_graph,
+    read_instance,
     solve,
     write_graph,
     write_instance,
 )
 from divtrees import cli, diversify
 from divtrees.cli import main
+from divtrees.kernelizer import JSON_ENCODER
+from divtrees.spantree import DEFAULT_TREE_BUDGET
 
 
 def run(capsys, *argv):
@@ -349,6 +352,55 @@ def test_json_outputs_are_one_sorted_line(tmp_path, capsys):
             assert entries and entries == json.loads(out)["transcript"]
 
 
+def _subdivided_md3():
+    return generate("subdivided", (generate("min-degree-3", (12,)), 4))
+
+
+# one li and one lnt input per kernelize outcome: (instance, --witness, outcome)
+SPLICE_CASES = {
+    "li-trivial_yes": lambda: (Instance(_subdivided_md3(), 0, 0, 2, 1), False, "trivial_yes"),
+    "li-trivial_yes-witness": lambda: (Instance(_subdivided_md3(), 0, 0, 2, 1), True, "trivial_yes"),
+    "li-reduced": lambda: (
+        Instance(generate("twin-pendant-gadget", (generate("min-degree-3", (12,)), 3)), 0, 0, 2, 1),
+        False,
+        "reduced",
+    ),
+    "li-delegated": lambda: (Instance(_subdivided_md3(), 1, 0, 2, 1), False, "delegated"),
+    "li-trivial_no": lambda: (Instance(support.cycle_graph(6), 6, 0, 1, 1), False, "trivial_no"),
+    "lnt-trivial_yes": lambda: (
+        InstanceNT(Graph.from_edges(4, [(1, 2), (1, 3), (1, 4)]), frozenset({1}), 3, 1, 1),
+        False,
+        "trivial_yes",
+    ),
+    "lnt-reduced": lambda: (InstanceNT(_subdivided_md3(), frozenset({1}), 0, 2, 1), False, "reduced"),
+    "lnt-delegated": lambda: (InstanceNT(_subdivided_md3(), frozenset(), 0, 2, 1), False, "delegated"),
+    # PC-nt-pendant: two of the three required vertices are pendants
+    "lnt-trivial_no": lambda: (
+        InstanceNT(support.with_pendants(support.cycle_graph(6), [1, 1, 3]), frozenset({9, 7, 2}), 0, 1, 1),
+        False,
+        "trivial_no",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(SPLICE_CASES))
+def test_kernelize_payload_splices_the_ndjson_lines(tmp_path, capsys, case):
+    # the payload's transcript array is the NDJSON lines joined by ", ",
+    # byte for byte, and --transcript leaves the payload as it is
+    inst, witness, outcome = SPLICE_CASES[case]()
+    path = instance_file(tmp_path, inst)
+    flags = ["--witness"] if witness else []
+    log = tmp_path / "t.ndjson"
+    plain = run(capsys, "kernelize", "-i", path, *flags)
+    assert run(capsys, "kernelize", "-i", path, *flags, "--transcript", str(log)) == plain
+    result = cli._kernelize_within(read_instance(Path(path).read_text()), DEFAULT_TREE_BUDGET, witness)
+    assert result.outcome == outcome and len(result.transcript) > 0
+    lines = [JSON_ENCODER.encode(e) for e in result.transcript]
+    assert log.read_text() == "".join(line + "\n" for line in lines)
+    # keys are sorted, so the witness follows the transcript
+    assert '"transcript": [' + ", ".join(lines) + '], "witness": ' in plain[1]
+
+
 # ---------------------------------------------------------------------------
 # verify
 
@@ -594,10 +646,12 @@ def test_a_usage_error_leaves_the_next_call_as_in_a_fresh_process(tmp_path, caps
         ["solve", "-i", path],
         ["kernelize", "-i", path, "-k", "x"],
         ["audit", "--problem", "lnt", "--count", "3", "--seed", "2"],
+        ["kernelize", "-i", path, "--bogus"],
     ]
     for argv in after:
         assert run(capsys, "kernelize")[0] == 64
         assert run(capsys, "audit", "--problem", "li", "--count", "-3")[0] == 64
+        assert run(capsys, "solve", "-i", path, "--bogus")[0] == 64
         fresh = subprocess.run(
             [sys.executable, "-m", "divtrees", *argv],
             capture_output=True,

@@ -318,6 +318,9 @@ def test_lnt_pipeline_prechecks():
     assert bad.outcome == "trivial_no"
     assert bad.transcript[0].rule == "PC-nt-pendant"
     assert bad.transcript[0].touched == (5,)
+    # only the pendant members of nt, sorted
+    g = support.with_pendants(support.cycle_graph(6), [1, 1, 3])
+    assert kernelize_lnt(lnt(g, {9, 7, 2})).transcript[0].touched == (7, 9)
     assert kernelize_lnt(lnt(support.cycle_graph(5), {1}, p=5)).outcome == "trivial_no"
 
 
@@ -618,6 +621,18 @@ def test_transcript_ndjson_round_trip():
     assert replay(inst, parsed) == res.final_instance
     for got, want in zip(parsed, res.transcript):
         assert got.renaming() == want.renaming()
+
+
+def test_transcript_ndjson_is_cut_from_the_array_text():
+    # one line per entry, each its own encoding, whether the lines are cut
+    # from the array's text or the entries are encoded here
+    inst = li(support.with_pendants(support.cycle_graph(8), [1, 1]), p=2)
+    lnt_inst = lnt(support.with_pendants(support.cycle_graph(6), [1, 1, 3]), {9, 7, 2})
+    for transcript in ((), kernelize_li(inst).transcript, kernelize_lnt(lnt_inst).transcript):
+        want = "".join(kernelizer.JSON_ENCODER.encode(e) + "\n" for e in transcript)
+        assert transcript_to_ndjson(transcript) == want
+        assert transcript_to_ndjson(kernelizer.JSON_ENCODER.encode(transcript)) == want
+    assert transcript_to_ndjson(()) == ""
 
 
 def test_records_hold_only_their_fields():
