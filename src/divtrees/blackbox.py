@@ -16,7 +16,7 @@ reports unavailable (None) instead of guessing.
 from __future__ import annotations
 
 from .graphcore import Graph, Instance, InstanceNT, InternalInvariantError
-from .spantree import DEFAULT_TREE_BUDGET, TreeEnumerationOverflow, _tree_fit, enumerate_tree_masks
+from .spantree import DEFAULT_TREE_BUDGET, TreeEnumerationOverflow, _tree_leaves
 
 
 _K2 = Graph(n=2, edges=frozenset({(1, 2)}))
@@ -50,9 +50,9 @@ def _tree_exists(g: Graph, q: int, nt: frozenset[int], budget: int) -> bool | No
         return False
     if q == 0 and not nt:
         return True
-    fit = _tree_fit(g, 0, q, nt)
     try:
-        return any(fit(mask) is not None for mask in enumerate_tree_masks(g, limit=budget))
+        trees = _tree_leaves(g, budget, nt)
+        return any(leaves is not None and g.n - leaves >= q for _, leaves in trees)
     except TreeEnumerationOverflow:
         return None
 

@@ -25,9 +25,8 @@ from .spantree import (
     TreeEnumerationOverflow,
     _acyclic,
     _leaves,
-    _tree_fit,
+    _tree_leaves,
     arbitrary_spanning_tree,
-    enumerate_tree_masks,
     grow_leaves,
 )
 
@@ -239,10 +238,9 @@ def construct_family(
         return None, "graph is disconnected", None
     nt = inst.nonterminals
     if isinstance(inst, InstanceNT):
-        fit = _tree_fit(g, 0, 0, nt)
         try:
-            masks = enumerate_tree_masks(g, limit=budget)
-            mask = next((m for m in masks if fit(m) is not None), None)
+            trees = _tree_leaves(g, budget, nt)
+            mask = next((m for m, leaves in trees if leaves is not None), None)
         except TreeEnumerationOverflow:
             return None, "seed search exhausted its budget", None
         if mask is None:

@@ -7,8 +7,8 @@ difference has at least k edges).  Exact within its budgets; returns
 ``inconclusive`` instead of guessing when a budget runs out.  Intended
 for small instances only — this is the referee, not the algorithm.
 
-The inner layers work on whole words.  ``spantree._tree_fit`` reads a
-tree's leaves off one incidence mask per vertex.  All candidates have
+The inner layers work on whole words.  ``spantree._tree_leaves``
+yields each tree with its leaf count.  All candidates have
 n - 1 edges, so a diversity row is a bound on shared edges, evaluated
 for every other candidate at once in bit-sliced counters.  The clique
 search walks bitset pools in index order and returns the
@@ -43,8 +43,7 @@ from .spantree import (
     DEFAULT_TREE_BUDGET,
     SpanningTree,
     TreeEnumerationOverflow,
-    _tree_fit,
-    enumerate_tree_masks,
+    _tree_leaves,
 )
 from .diversify import verify_family
 
@@ -259,21 +258,20 @@ def _decide(
     g, k, ell = inst.graph, inst.k, inst.ell
     if not g.is_connected:
         return "no", None, OracleStats(0, 0)
-    # li reads the required set as empty and lnt reads q as 0
-    fit = _tree_fit(g, inst.p, inst.q, inst.nonterminals)
+    n, p, q = g.n, inst.p, inst.q
     seen = 0
     # pairwise distances between distinct trees are even and >= 2, so
     # for k <= 2 (or a single tree) the first ell fitting trees do
     fast = ell == 1 or k <= 2
     first: list[int] = []
     # buckets[L]: the fitting masks with L leaves (unused on the fast path)
-    buckets: list[list[int]] = [] if fast else [[] for _ in range(g.n + 1)]
+    buckets: list[list[int]] = [] if fast else [[] for _ in range(n + 1)]
     complete = True
     try:
-        for mask in enumerate_tree_masks(g, limit=limits.max_trees):
+        # li reads the required set as empty and lnt reads q as 0
+        for mask, leaves in _tree_leaves(g, limits.max_trees, inst.nonterminals):
             seen += 1
-            leaves = fit(mask)
-            if leaves is None:
+            if leaves is None or leaves < p or n - leaves < q:
                 continue
             if fast:
                 first.append(mask)
@@ -288,7 +286,7 @@ def _decide(
         if len(first) == ell:
             return "yes", first, stats
         return ("no" if complete else "inconclusive"), None, stats
-    if complete and _max_distance_sum(g.n, g.m, ell) < ell * (ell - 1) * ((k + 1) // 2):
+    if complete and _max_distance_sum(n, g.m, ell) < ell * (ell - 1) * ((k + 1) // 2):
         return "no", None, stats
     # most leaves first, then the lower mask
     masks = [mask for bucket in reversed(buckets) for mask in sorted(bucket)]

@@ -4,8 +4,8 @@ Holds the validated spanning-tree value type, the single-step
 leaf-gaining edge exchange on a tree path given as its vertex tuple,
 the growth loop that pushes a tree towards a leaf target (it keeps the
 tree's degree-2-paths with graphcore's one path walker), and bounded
-exhaustive enumeration of all spanning trees (the engine behind the
-exact solvers).
+exhaustive enumeration of all spanning trees with their leaf counts,
+kept by degree bookkeeping (the one engine behind the exact solvers).
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from __future__ import annotations
 from bisect import bisect_left, insort
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .graphcore import (
     Graph,
@@ -316,8 +316,10 @@ def grow_leaves(start: SpanningTree, nt: frozenset[int], target: int) -> Spannin
 # ---------------------------------------------------------------------------
 # exhaustive enumeration
 
-def enumerate_tree_masks(g: Graph, limit: int = DEFAULT_TREE_BUDGET) -> Iterator[int]:
-    """Yield every spanning tree as a bitmask over ``g.sorted_edges()``.
+def _tree_leaves(g: Graph, limit: int, nt: frozenset[int]) -> Iterator[tuple[int, int | None]]:
+    """Yield every spanning tree of ``g`` as its bitmask over
+    ``g.sorted_edges()`` with its leaf count, or with None when a vertex
+    of ``nt`` is a leaf.  A lone vertex (K1) is no leaf.
 
     The order is include-first depth-first over the edges in index
     order: the (n-1)-subsets of the edge indices in lexicographic
@@ -358,21 +360,26 @@ def enumerate_tree_masks(g: Graph, limit: int = DEFAULT_TREE_BUDGET) -> Iterator
 
     The forest is one union-find per generator, linked by size and
     undone rather than copied: each link pushes the root it hung below
-    another onto a trail, a frame records the trail length its forest
-    had, and popping it unlinks back to that length.  Path compression
-    would rewrite parents that no trail entry restores, so finds walk
-    up instead; linking by size keeps every walk O(log n).  The first
-    tree thus takes O(m log n) union-find steps, and the forest, its
-    trail and the roots' edge indices take O(n) words however deep the
-    search runs.
-    Only the frames' masks grow with depth: pending frames share at
-    most one m-bit mask per picked edge on the current path.
+    another onto a trail, and the linked edge onto a second trail; a
+    frame records the trail length its forest had, and popping it
+    unlinks back to that length.  Path compression would rewrite
+    parents that no trail entry restores, so finds walk up instead;
+    linking by size keeps every walk O(log n).  The first tree thus
+    takes O(m log n) union-find steps, and the forest, its trails and
+    the roots' edge indices take O(n) words however deep the search
+    runs.  Only the frames' masks grow with depth: pending frames share
+    at most one m-bit mask per picked edge on the current path.
+
+    Leaves are counted alongside: each vertex's forest degree and the
+    number of degree-1 vertices, kept in O(1) per link and unlink.  A
+    tree emitted as the forest plus (a, b) corrects that number for a
+    and b, O(1), and the ``nt`` test reads ``nt``'s degrees, O(|nt|).
     """
     if not g.is_connected:
         raise ValueError("enumeration expects a connected graph")
     n = g.n
     if n == 1:
-        yield 0
+        yield 0, 0
         return
     edges = g.sorted_edges()
     m = len(edges)
@@ -380,12 +387,18 @@ def enumerate_tree_masks(g: Graph, limit: int = DEFAULT_TREE_BUDGET) -> Iterator
     parent = list(range(n + 1))
     size = [1] * (n + 1)
     trail: list[int] = []
+    ends: list[tuple[int, int]] = []
     # reach[r]: the highest index of an edge touching r's component;
     # kept[u]: its parent's reach before u was linked below it
     reach = [0] * (n + 1)
     for i, (u, v) in enumerate(edges):
         reach[u] = reach[v] = i
     kept = [0] * (n + 1)
+    # deg[v]: v's forest degree; ones: the forest's degree-1 vertices;
+    # step[d]: how ones moves when a vertex of degree d gains an edge
+    deg = [0] * (n + 1)
+    step = [1, -1] + [0] * n
+    ones = 0
     # exclude frame: index of the edge left out, then the chosen-edge
     # mask and trail length of the forest before it; each trail entry
     # is one link, so that forest has n - trail length components.
@@ -394,7 +407,7 @@ def enumerate_tree_masks(g: Graph, limit: int = DEFAULT_TREE_BUDGET) -> Iterator
     idx, mask, comps, base = 0, 0, n, 0
     while True:
         while comps > 2:
-            u, v = edges[idx]
+            u, v = a, b = e = edges[idx]
             while parent[u] != u:
                 u = parent[u]
             while parent[v] != v:
@@ -407,15 +420,19 @@ def enumerate_tree_masks(g: Graph, limit: int = DEFAULT_TREE_BUDGET) -> Iterator
                 parent[u] = v
                 size[v] += size[u]
                 trail.append(u)
+                ends.append(e)
                 kept[u] = reach[v]
                 if reach[u] > reach[v]:
                     reach[v] = reach[u]
+                ones += step[deg[a]] + step[deg[b]]
+                deg[a] += 1
+                deg[b] += 1
                 mask |= 1 << idx
                 comps -= 1
             idx += 1
         found = emitted
         for j in range(idx, m):
-            u, v = edges[j]
+            u, v = a, b = edges[j]
             while parent[u] != u:
                 u = parent[u]
             while parent[v] != v:
@@ -424,7 +441,12 @@ def enumerate_tree_masks(g: Graph, limit: int = DEFAULT_TREE_BUDGET) -> Iterator
                 emitted += 1
                 if emitted > limit:
                     raise TreeEnumerationOverflow(f"more than {limit} spanning trees")
-                yield mask | 1 << j
+                leaves = ones + step[deg[a]] + step[deg[b]]
+                for x in nt:
+                    if deg[x] + (x == a) + (x == b) == 1:
+                        leaves = None
+                        break
+                yield mask | 1 << j, leaves
         if emitted == found:
             # this frame cannot span, nor can any frame below it (move 2)
             del stack[base:]
@@ -437,6 +459,10 @@ def enumerate_tree_masks(g: Graph, limit: int = DEFAULT_TREE_BUDGET) -> Iterator
             size[p] -= size[r]
             reach[p] = kept[r]
             parent[r] = r
+            a, b = ends.pop()
+            deg[a] -= 1
+            deg[b] -= 1
+            ones -= step[deg[a]] + step[deg[b]]
         base = len(stack)
         idx += 1
         comps = n - trail_len
@@ -444,42 +470,19 @@ def enumerate_tree_masks(g: Graph, limit: int = DEFAULT_TREE_BUDGET) -> Iterator
         raise InternalInvariantError("a connected graph must have a spanning tree")
 
 
+def enumerate_tree_masks(g: Graph, limit: int = DEFAULT_TREE_BUDGET) -> Iterator[int]:
+    """Yield every spanning tree as a bitmask over ``g.sorted_edges()``:
+    the masks of :func:`_tree_leaves`, the one enumeration engine, in
+    its order and with its overflow."""
+    for mask, _ in _tree_leaves(g, limit, frozenset()):
+        yield mask
+
+
 def enumerate_spanning_trees(g: Graph, limit: int = DEFAULT_TREE_BUDGET) -> Iterator[SpanningTree]:
     """Stream all spanning trees of ``g`` in a deterministic order: the
     validated reference that the tests check the mask readers against."""
     for mask in enumerate_tree_masks(g, limit):
         yield SpanningTree.from_mask(g, mask)
-
-
-def _tree_fit(g: Graph, p: int, q: int, nt: frozenset[int]) -> Callable[[int], int | None]:
-    """The per-tree test: maps a mask from :func:`enumerate_tree_masks`
-    to the tree's leaf count, or to None when it has fewer than p
-    leaves, fewer than q internal vertices, or a leaf in ``nt``.  Vertex
-    v is a leaf iff ``mask & inc[v]`` has exactly one bit."""
-    inc = [0] * (g.n + 1)
-    for i, (u, v) in enumerate(g._edge_order):
-        inc[u] |= 1 << i
-        inc[v] |= 1 << i
-    required = [inc[v] for v in nt]
-    inc = inc[1:]
-    n = g.n
-
-    def fit(mask: int) -> int | None:
-        # degree 0 (the lone vertex of K1) counts as internal
-        leaves = 0
-        for a in inc:
-            x = mask & a
-            if x and not x & (x - 1):
-                leaves += 1
-        if leaves < p or n - leaves < q:
-            return None
-        for a in required:
-            x = mask & a
-            if x and not x & (x - 1):
-                return None
-        return leaves
-
-    return fit
 
 
 def count_spanning_trees(g: Graph) -> int:

@@ -77,6 +77,18 @@ def test_budget_exhaustion_returns_none():
     assert mist_kernel(mist(c4, 1), budget=2) == MIST_YES
 
 
+def test_mist_kernel_stops_at_the_first_fitting_tree():
+    # K2,110 with hubs 1 and 2: the first 110 trees are the star on hub
+    # 1 plus one edge (2, s), so hub 2 is a leaf and only hub 1 and s
+    # are internal.  Tree 111, the first to leave out (1, 112), joins 2
+    # through side vertex 3 and hangs 112 off it: three internal
+    # vertices.  No tree has four (two hubs plus one side vertex).
+    g = Graph.from_edges(112, [(h, s) for h in (1, 2) for s in range(3, 113)])
+    assert mist_kernel(mist(g, 3), budget=111) == MIST_YES
+    assert mist_kernel(mist(g, 3), budget=110) is None
+    assert mist_kernel(mist(g, 4), budget=600) is None
+
+
 def test_output_size_bounds_are_enforced():
     p3 = support.path_graph(3)
     with pytest.raises(InternalInvariantError, match="exceeds its size bound"):

@@ -20,6 +20,7 @@ from divtrees import (
     plan_swaps,
     verify_family,
 )
+from divtrees import diversify
 from divtrees.diversify import _conflict_edges
 from divtrees.kernelizer import JSON_ENCODER
 from divtrees.spantree import _acyclic as _uf_acyclic, enumerate_spanning_trees, family_json
@@ -438,3 +439,23 @@ def test_construct_family_failure_reasons(inst, limits, reason):
     family, why, report = construct_family(inst, **limits)
     assert family is None and report is None
     assert why == reason
+
+
+def test_lnt_seed_is_the_first_tree_keeping_the_required_set_internal(monkeypatch):
+    # on md3(12) the 95th enumerated tree is the first with vertices
+    # 1..8 all internal; a budget of 94 trees stops short of it
+    seeds = []
+    grow = diversify.grow_leaves
+
+    def spy(start, nt, target):
+        seeds.append(sorted(start.edges))
+        return grow(start, nt, target)
+
+    monkeypatch.setattr(diversify, "grow_leaves", spy)
+    inst = InstanceNT(generate("min-degree-3", (12,)), frozenset(range(1, 9)), 0, 1, 1)
+    _, why, _ = construct_family(inst, budget=95)
+    assert why == "growth stalled at 4 leaves; the graph has fewer than 308 vertices"
+    assert seeds == [[(1, 2), (1, 7), (1, 12), (2, 3), (2, 8), (3, 4),
+                      (4, 10), (5, 6), (5, 11), (6, 7), (8, 9)]]
+    assert construct_family(inst, budget=94)[1] == "seed search exhausted its budget"
+    assert len(seeds) == 1

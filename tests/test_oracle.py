@@ -31,7 +31,7 @@ from divtrees.oracle import (
     _first_clique,
     _max_distance_sum,
 )
-from divtrees.spantree import _tree_fit, enumerate_tree_masks
+from divtrees.spantree import enumerate_tree_masks
 
 
 def li(g, p, q, k, ell):
@@ -318,12 +318,12 @@ def test_oracle_golden(problem):
 def _fitting(inst, limit=None):
     """(-leaf count, mask) of each fitting tree among the first
     ``limit``, in enumeration order; sorted, it is the reference order."""
-    fit = _tree_fit(inst.graph, inst.p, inst.q, inst.nonterminals)
+    g, nt = inst.graph, inst.nonterminals
     pool = []
-    for mask in itertools.islice(enumerate_tree_masks(inst.graph), limit):
-        leaves = fit(mask)
-        if leaves is not None:
-            pool.append((-leaves, mask))
+    for mask in itertools.islice(enumerate_tree_masks(g), limit):
+        t = SpanningTree.from_mask(g, mask)
+        if t.leaf_count >= inst.p and t.internal_count >= inst.q and nt <= t.internal_vertices:
+            pool.append((-t.leaf_count, mask))
     return pool
 
 

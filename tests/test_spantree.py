@@ -25,7 +25,7 @@ from divtrees import (
     write_graph,
     write_tree,
 )
-from divtrees.spantree import _acyclic, _tree_fit, _TreePaths, enumerate_tree_masks
+from divtrees.spantree import _acyclic, _tree_leaves, _TreePaths, enumerate_tree_masks
 
 
 # ---------------------------------------------------------------------------
@@ -365,37 +365,51 @@ def test_enumeration_edge_cases():
         list(enumerate_tree_masks(Graph(4, frozenset({(1, 2), (3, 4)}))))
 
 
-def _fit_corpus():
-    yield Graph(1, frozenset())
-    yield support.complete_graph(4)
-    yield support.complete_graph(5)
-    yield support.cycle_graph(5)
-    yield generate("theta", (2, 3, 3))
-    for seed in range(4):
-        n = 5 + seed
-        yield generate("random-connected", (n, n + 3), seed=seed)
-    yield generate("random-connected", (8, 12), seed=11)
+def _leaf_corpus():
+    rng = random.Random(29)
+    yield Graph(1, frozenset()), frozenset()
+    yield Graph(1, frozenset()), frozenset({1})
+    yield support.path_graph(2), frozenset()
+    yield support.path_graph(2), frozenset({2})
+    yield Graph(4, frozenset({(1, 3), (1, 4), (2, 3)})), frozenset({1})
+    yield TWO_TRIANGLES, frozenset()
+    yield TWO_TRIANGLES, frozenset({1, 4})
+    for _ in range(300):
+        g = _random_connected(rng, rng.randint(1, 7))
+        yield g, frozenset(rng.sample(range(1, g.n + 1), rng.randint(0, min(2, g.n))))
 
 
-def test_tree_fit_matches_the_tree_queries():
-    for g in _fit_corpus():
-        n = g.n
-        for p, q, nt in [
-            (0, 0, frozenset()),
-            (2, 0, frozenset()),
-            (0, 2, frozenset()),
-            (3, 3, frozenset()),
-            (0, 0, frozenset({1})),
-            (2, 0, frozenset({1, n})),
-            (0, 1, frozenset({n})),
-            (n, 0, frozenset()),
-            (0, n, frozenset()),
-        ]:
-            fit = _tree_fit(g, p, q, nt)
-            masks = enumerate_tree_masks(g)
-            for mask, t in zip(masks, enumerate_spanning_trees(g), strict=True):
-                ok = t.leaf_count >= p and t.internal_count >= q and nt <= t.internal_vertices
-                assert fit(mask) == (t.leaf_count if ok else None), (g, p, q, nt, t.edges)
+def _limited(g, nt, limit):
+    got = []
+    try:
+        for item in _tree_leaves(g, limit, nt):
+            got.append(item)
+    except TreeEnumerationOverflow:
+        return got, True
+    return got, False
+
+
+def test_engine_counts_the_leaves_of_the_trees_it_yields():
+    """The engine's masks are the enumeration's and the reference's,
+    each with the leaf count that the tree value type reads, or None
+    exactly when a vertex of ``nt`` is a leaf; a limit stops it at the
+    same tree as the reference."""
+    for g, nt in _leaf_corpus():
+        full, overflow = _limited(g, nt, 200000)
+        assert not overflow
+        masks = [mask for mask, _ in full]
+        assert masks == list(enumerate_tree_masks(g)) == _reference_masks(g), g.edges
+        for mask, leaves in full:
+            t = SpanningTree.from_mask(g, mask)
+            want = t.leaf_count if nt <= t.internal_vertices else None
+            assert leaves == want, (g.edges, nt, t.edges)
+        if g.n == 1:
+            continue  # K1's one tree comes at any limit, 0 included
+        # every limit below 20 trees; past that 10 spread over the run
+        # and the last two, since every limit costs quadratic time
+        stride = max(1, len(full) // 10)
+        for limit in {*range(0, len(full) + 1, stride), len(full) - 1, len(full)}:
+            assert _limited(g, nt, limit) == (full[:limit], len(full) > limit), (g.edges, limit)
 
 
 @given(support.connected_graphs(min_n=2, max_n=8))
