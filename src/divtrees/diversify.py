@@ -24,8 +24,10 @@ from .spantree import (
     SpanningTree,
     TreeEnumerationOverflow,
     _acyclic,
-    _leaves,
+    _degrees,
+    _leaves_after,
     _tree_leaves,
+    _unite,
     arbitrary_spanning_tree,
     grow_leaves,
 )
@@ -183,10 +185,11 @@ def build_diverse_family(
     Distinct blocks touch disjoint leaves and their added edges never
     collide, so two family members differ in exactly two edges per
     involved leaf.  Vertices of ``nt`` stay internal provided each has
-    two tree neighbors outside the swap pool.
+    two tree neighbors outside the swap pool.  Each member reads its
+    leaves off the plan tree's, corrected at its block's swapped edges,
+    and its difference from the plan tree is those edges.
     """
     t = plan.tree
-    g = t.host
     for v in nt:
         if v not in t.internal_vertices:
             raise ValueError(f"required-internal vertex {v} is a leaf of the base tree")
@@ -195,18 +198,17 @@ def build_diverse_family(
                 f"required-internal vertex {v} needs two tree neighbors outside the swap pool"
             )
     family = []
+    # (Ti △ T) △ (Tj △ T) = Ti △ Tj, so each member's difference from
+    # the base tree, its swapped edges, gives every pair's distance
+    diffs = []
     for block in plan.blocks:
-        edges = set(t.edges)
-        for v in sorted(block):
-            edges.discard(_norm_edge(v, plan.tree_neighbor[v]))
-            edges.add(_norm_edge(v, plan.swap_target[v]))
-        family.append(SpanningTree(g, frozenset(edges)))
+        gone = frozenset(_norm_edge(v, plan.tree_neighbor[v]) for v in block)
+        added = frozenset(_norm_edge(v, plan.swap_target[v]) for v in block)
+        family.append(t._exchange(gone, added))
+        diffs.append(gone | added)
 
     block_size = len(plan.blocks[0]) if plan.blocks else 0
     floor_leaves = t.leaf_count - block_size
-    # (Ti △ T) △ (Tj △ T) = Ti △ Tj, so each member's difference from
-    # the base tree, taken once, gives every pair's distance
-    diffs = [ti.edges ^ t.edges for ti in family]
     for i, ti in enumerate(family):
         if nt & ti.leaves:
             raise InternalInvariantError("swap turned a required-internal vertex into a leaf")
@@ -327,10 +329,6 @@ class FamilyReport:
         }
 
 
-def _spans(g: Graph, edges: frozenset[tuple[int, int]]) -> bool:
-    return edges <= g.edges and len(edges) == g.n - 1 and _acyclic(g.n, edges)
-
-
 def verify_family(
     g: Graph,
     family: Sequence[SpanningTree | frozenset[tuple[int, int]]],
@@ -343,17 +341,45 @@ def verify_family(
 
     Failures become report entries, never exceptions; the verdict is
     the conjunction of all per-tree and per-pair checks.
+
+    A member spans when its edges are the host's, n - 1 of them, and
+    close no cycle.  Members are read off what they all share, the core
+    (the edges every member holds): one union-find and one degree count
+    run over the core, and each member then adds only its own edges,
+    those outside the core.  It spans when its own edges, too, are the
+    host's and close no cycle over the core's forest, and its leaves
+    are the core's, corrected at its own edges' endpoints.
     """
     edge_sets = [f.edges if isinstance(f, SpanningTree) else frozenset(f) for f in family]
+    if not edge_sets:
+        return FamilyReport(trees=(), pairs=())
+    n = g.n
+    core = frozenset.intersection(*edge_sets)
+    owns = [edges - core for edges in edge_sets]
+    degree = _degrees(n, core)
+    core_leaves = frozenset(v for v, d in enumerate(degree) if d == 1)
+    # the core's union-find, or None when no member can span: the core
+    # has a foreign edge or a cycle
+    forest: list[int] | None = None
+    if core <= g.edges:
+        forest = list(range(n + 1))
+        if not _unite(forest, core):
+            forest = None
     trees = []
-    for i, edges in enumerate(edge_sets):
-        leaves = _leaves(g.n, edges)
+    for i, own in enumerate(owns):
+        leaves = _leaves_after(n, core_leaves, degree.__getitem__, (), own)
         leaf_count = len(leaves)
-        internal_count = g.n - leaf_count
+        internal_count = n - leaf_count
+        spanning = (
+            forest is not None
+            and own <= g.edges
+            and len(core) + len(own) == n - 1
+            and _unite(forest.copy(), own)
+        )
         trees.append(
             TreeCheck(
                 index=i,
-                spanning=_spans(g, edges),
+                spanning=spanning,
                 leaf_count=leaf_count,
                 internal_count=internal_count,
                 leaves_ok=leaf_count >= p,
@@ -363,12 +389,12 @@ def verify_family(
         )
     # one bit per edge that some member holds and another lacks, foreign
     # edges included, so a pair's distance is the popcount of the xor of
-    # its two masks: (T_i ^ T_0) ^ (T_j ^ T_0) is T_i ^ T_j
+    # its two masks: the core cancels, T_i ^ T_j is own_i ^ own_j
     bit: dict[tuple[int, int], int] = {}
     masks = []
-    for edges in edge_sets:
+    for own in owns:
         mask = 0
-        for e in edges ^ edge_sets[0]:
+        for e in own:
             mask |= 1 << bit.setdefault(e, len(bit))
         masks.append(mask)
     pairs = []

@@ -1,9 +1,10 @@
 """Spanning trees and the constructive leaf machinery.
 
 Holds the validated spanning-tree value type, the single-step
-leaf-gaining edge exchange on a tree path given as its vertex tuple,
-the growth loop that pushes a tree towards a leaf target (it keeps the
-tree's degree-2-paths with graphcore's one path walker), and bounded
+leaf-gaining edge exchange on a tree path given as its vertex tuple
+(the new tree carries the old one's adjacency and leaves), the growth
+loop that pushes a tree towards a leaf target (it keeps the tree's
+degree-2-paths with graphcore's one path walker), and bounded
 exhaustive enumeration of all spanning trees with their leaf counts,
 kept by degree bookkeeping (the one engine behind the exact solvers).
 """
@@ -13,7 +14,7 @@ from __future__ import annotations
 from bisect import bisect_left, insort
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 from .graphcore import (
     Graph,
@@ -42,7 +43,14 @@ class TreeEnumerationOverflow(RuntimeError):
 def _acyclic(n: int, edges: Iterable[tuple[int, int]]) -> bool:
     """Whether ``edges`` on vertices 1..n close no cycle.  Given n - 1
     of them, that is whether they form a spanning tree."""
-    parent = list(range(n + 1))
+    return _unite(list(range(n + 1)), edges)
+
+
+def _unite(parent: list[int], edges: Iterable[tuple[int, int]]) -> bool:
+    """Link each edge's endpoints in the union-find ``parent`` (each
+    vertex's parent, a root its own), halving paths on the way; False
+    as soon as an edge closes a cycle.  Given the parents a forest left,
+    that is whether ``edges`` close no cycle over that forest."""
     for u, v in edges:
         while parent[u] != u:
             parent[u] = parent[parent[u]]
@@ -56,16 +64,45 @@ def _acyclic(n: int, edges: Iterable[tuple[int, int]]) -> bool:
     return True
 
 
-def _leaves(n: int, edges: Iterable[tuple[int, int]]) -> frozenset[int]:
-    """The vertices of 1..n that end exactly one of ``edges``; endpoints
-    outside 1..n are ignored."""
+def _degrees(n: int, edges: Iterable[tuple[int, int]]) -> list[int]:
+    """How many of ``edges`` end at each vertex of 1..n (index 0 is
+    unused); endpoints outside 1..n are ignored."""
     degree = [0] * (n + 1)
     for u, v in edges:
         if 1 <= u <= n:
             degree[u] += 1
         if 1 <= v <= n:
             degree[v] += 1
-    return frozenset(v for v, d in enumerate(degree) if d == 1)
+    return degree
+
+
+def _leaves(n: int, edges: Iterable[tuple[int, int]]) -> frozenset[int]:
+    """The vertices of 1..n that end exactly one of ``edges``; endpoints
+    outside 1..n are ignored."""
+    return frozenset(v for v, d in enumerate(_degrees(n, edges)) if d == 1)
+
+
+def _leaves_after(
+    n: int,
+    leaves: frozenset[int],
+    degree: Callable[[int], int],
+    gone: Iterable[tuple[int, int]],
+    added: Iterable[tuple[int, int]],
+) -> frozenset[int]:
+    """The leaves of the edge set that loses ``gone`` and gains
+    ``added`` from one whose leaves are ``leaves`` and whose vertices
+    of 1..n have ``degree``; ``gone`` must be edges of that set and
+    ``added`` must not.  Only the changed edges' endpoints change
+    degree, so past one copy of ``leaves`` this is O(|gone| + |added|).
+    Endpoints outside 1..n are ignored, as by :func:`_leaves`."""
+    shift: dict[int, int] = {}
+    for edges, step in ((gone, -1), (added, 1)):
+        for u, v in edges:
+            shift[u] = shift.get(u, 0) + step
+            shift[v] = shift.get(v, 0) + step
+    return leaves.difference(shift).union(
+        x for x, s in shift.items() if 1 <= x <= n and degree(x) + s == 1
+    )
 
 
 @dataclass(frozen=True)
@@ -79,7 +116,9 @@ class SpanningTree:
     A union-find pass answers the spanning check (n-1 edges that close
     no cycle span), and the leaves and sorted edges are read off the
     edge set.  The tree's own :class:`Graph` is built once, when the
-    adjacency or :meth:`as_graph` is first asked for.
+    adjacency or :meth:`as_graph` is first asked for.  A tree made by
+    :meth:`_exchange` reads its leaves off the tree it came from, and
+    one made by :func:`augment_leaf` its adjacency too.
     """
 
     host: Graph
@@ -106,7 +145,7 @@ class SpanningTree:
     def as_graph(self) -> Graph:
         return self._graph
 
-    @property
+    @cached_property
     def adjacency(self) -> dict[int, frozenset[int]]:
         return self._graph.adjacency
 
@@ -133,6 +172,22 @@ class SpanningTree:
     def sorted_edges(self) -> list[tuple[int, int]]:
         return list(self._edge_order)
 
+    def _exchange(
+        self, gone: frozenset[tuple[int, int]], added: frozenset[tuple[int, int]]
+    ) -> SpanningTree:
+        """This tree with its edges ``gone`` swapped for the host edges
+        ``added``, checked as every tree is.  Its leaves are this tree's,
+        corrected at the swapped edges' endpoints (:func:`_leaves_after`),
+        and are seeded into the cached property."""
+        if not gone <= self.edges or added & self.edges:
+            raise InternalInvariantError("an exchange must drop tree edges and add new ones")
+        out = SpanningTree(self.host, (self.edges - gone) | added)
+        adj = self.adjacency
+        vars(out)["leaves"] = _leaves_after(
+            self.host.n, self.leaves, lambda x: len(adj[x]), gone, added
+        )
+        return out
+
 
 def arbitrary_spanning_tree(g: Graph) -> SpanningTree:
     """A deterministic spanning tree: breadth-first from vertex 1,
@@ -154,7 +209,9 @@ def augment_leaf(t: SpanningTree, path: tuple[int, ...], v: int, w: int) -> Span
     unrelated to ``v``, an ancestor, or a descendant; in every case the
     deleted edge's endpoints are interior path vertices that turn into
     leaves, so the leaf count rises even when ``w`` itself stops being
-    one.
+    one.  Whether ``w`` lies below ``v`` costs no search of the whole
+    tree (:func:`_off_far_end`), and the new tree carries this one's
+    adjacency and leaves, updated at the exchanged edges' endpoints.
     """
     g = t.host
     vs, r = path, len(path) - 1
@@ -177,42 +234,62 @@ def augment_leaf(t: SpanningTree, path: tuple[int, ...], v: int, w: int) -> Span
     if _norm_edge(v, w) in t.edges:
         raise ValueError(f"({v},{w}) is already a tree edge")
 
-    root = vs[0]
-    parent = _bfs_parents(t.adjacency, root)
+    # w lies below v exactly when it follows v on the path or hangs off
+    # the far path end
     pos = {x: i for i, x in enumerate(vs)}
-    j = pos[v]
-
-    # climb from w to the root; v on the way means w is a descendant
-    x = w
-    w_below_v = False
-    while x != root:
-        x = parent[x]
-        if x == v:
-            w_below_v = True
-            break
+    j0 = pos.get(w)
+    if j0 is None:
+        w_below_v = _off_far_end(t.adjacency, vs, w)
+    else:
+        w_below_v = j0 > pos[v]
 
     if w_below_v:
-        j0 = pos.get(w)
         if j0 is not None and j0 < r:
             drop = (vs[j0 - 1], vs[j0])
         else:
             # w is the far path end or hangs below it
             drop = (vs[r - 2], vs[r - 1])
-    elif w in pos and pos[w] < j:
-        j0 = pos[w]
-        drop = (vs[j0], vs[j0 + 1]) if j0 >= 1 else (vs[1], vs[2])
+    elif j0 is not None and j0 >= 1:
+        drop = (vs[j0], vs[j0 + 1])
     else:
-        # neither ancestor nor descendant: the cycle closes through the
-        # path start, so cutting near it frees two interior vertices
+        # w is the path start or neither ancestor nor descendant: the
+        # cycle closes through the path start, so cutting near it frees
+        # two interior vertices
         drop = (vs[1], vs[2])
 
-    new_edges = (t.edges - {_norm_edge(*drop)}) | {_norm_edge(v, w)}
-    out = SpanningTree(g, new_edges)
+    a, b = drop
+    out = t._exchange(frozenset({_norm_edge(a, b)}), frozenset({_norm_edge(v, w)}))
+    # the tree degree changes only at the four endpoints
+    adj = dict(t.adjacency)
+    adj[a] -= {b}
+    adj[b] -= {a}
+    adj[v] |= {w}
+    adj[w] |= {v}
+    vars(out)["adjacency"] = adj
     if out.leaf_count < t.leaf_count + 1:
         raise InternalInvariantError("edge exchange failed to gain a leaf")
     if not (out.leaves - t.leaves) <= set(vs[1:-1]):
         raise InternalInvariantError("edge exchange created a leaf off the path")
     return out
+
+
+def _off_far_end(adj: Mapping[int, frozenset[int]], vs: tuple[int, ...], w: int) -> bool:
+    """Whether ``w``, a tree vertex off the path ``vs``, lies on the
+    side of its far end: the path's interior vertices have tree degree
+    2, so cutting them out leaves the start's side and the far end's.
+    One search grows both sides in turn from the two ends and stops
+    when either runs out, so it costs O(the smaller side)."""
+    far, near = [vs[-1]], [vs[0]]
+    seen = {vs[0], vs[1], vs[-2], vs[-1]}
+    while far and near:
+        for side in (far, near):
+            for y in adj[side.pop()]:
+                if y == w:
+                    return side is far
+                if y not in seen:
+                    seen.add(y)
+                    side.append(y)
+    return not near
 
 
 class _TreePaths:
@@ -296,7 +373,8 @@ def grow_leaves(start: SpanningTree, nt: frozenset[int], target: int) -> Spannin
     once, and only when growth is needed; each exchange then re-walks
     the few it touched (see :class:`_TreePaths`).
     """
-    if not nt <= start.internal_vertices:
+    vertices = start.host.vertices()
+    if nt & start.leaves or not all(v in vertices for v in nt):
         raise ValueError("start tree must keep every required vertex internal")
 
     t = start
@@ -308,7 +386,7 @@ def grow_leaves(start: SpanningTree, nt: frozenset[int], target: int) -> Spannin
                 break
             t = augment_leaf(t, *move)
             paths.exchange(t)
-    if not nt <= t.internal_vertices:
+    if nt & t.leaves:
         raise InternalInvariantError("growth turned a required-internal vertex into a leaf")
     return t
 
@@ -379,6 +457,8 @@ def _tree_leaves(g: Graph, limit: int, nt: frozenset[int]) -> Iterator[tuple[int
         raise ValueError("enumeration expects a connected graph")
     n = g.n
     if n == 1:
+        if limit < 1:
+            raise TreeEnumerationOverflow(f"more than {limit} spanning trees")
         yield 0, 0
         return
     edges = g.sorted_edges()

@@ -1,12 +1,16 @@
-"""Shared graph builders and samplers for the test suite, and the
-one-step graph rebuilds that the tests fold transcripts over."""
+"""Shared graph builders and samplers for the test suite, the one-step
+graph rebuilds that the tests fold transcripts over, and the
+member-by-member family verifier that the shared-core one is checked
+against."""
 
 from itertools import combinations
 
 from hypothesis import strategies as st
 
-from divtrees import Graph, InternalInvariantError, generate
+from divtrees import Graph, InternalInvariantError, SpanningTree, generate
+from divtrees.diversify import FamilyReport, PairCheck, TreeCheck
 from divtrees.graphcore import _compact_renaming, _norm_edge
+from divtrees.spantree import _acyclic, _leaves
 
 
 def path_graph(n: int) -> Graph:
@@ -64,6 +68,15 @@ def connected_graphs(draw, min_n=2, max_n=9, max_extra=5):
     return Graph(n, frozenset(edges))
 
 
+def random_connected(rng, n: int) -> Graph:
+    """A seeded random connected graph: a random tree on 1..n plus up to
+    n + 2 other edges."""
+    edges = {(rng.randint(1, v - 1), v) for v in range(2, n + 1)}
+    pool = [e for e in combinations(range(1, n + 1), 2) if e not in edges]
+    edges |= set(rng.sample(pool, rng.randint(0, min(len(pool), n + 2))))
+    return Graph(n, frozenset(edges))
+
+
 # ---------------------------------------------------------------------------
 # graph-rebuilding reference for contraction and pendant deletion; both
 # renumber the vertices back to 1..n-1 and return the old-to-new id map
@@ -106,3 +119,32 @@ def delete_vertex(g: Graph, v: int) -> tuple[Graph, dict[int, int]]:
         _norm_edge(rename[a], rename[b]) for a, b in g.edges if v not in (a, b)
     )
     return Graph(g.n - 1, new_edges), rename
+
+
+# ---------------------------------------------------------------------------
+# member-by-member reference for diversify.verify_family: each member's
+# leaves and spanning check read off all of its own edges
+
+def reference_verify_family(g, family, p, q, k, nt=frozenset()) -> FamilyReport:
+    edge_sets = [f.edges if isinstance(f, SpanningTree) else frozenset(f) for f in family]
+    trees = []
+    for i, edges in enumerate(edge_sets):
+        leaves = _leaves(g.n, edges)
+        spanning = edges <= g.edges and len(edges) == g.n - 1 and _acyclic(g.n, edges)
+        trees.append(
+            TreeCheck(
+                index=i,
+                spanning=spanning,
+                leaf_count=len(leaves),
+                internal_count=g.n - len(leaves),
+                leaves_ok=len(leaves) >= p,
+                internal_ok=g.n - len(leaves) >= q,
+                required_internal_ok=not nt & leaves,
+            )
+        )
+    pairs = []
+    for i in range(len(edge_sets)):
+        for j in range(i + 1, len(edge_sets)):
+            d = len(edge_sets[i] ^ edge_sets[j])
+            pairs.append(PairCheck(first=i, second=j, distance=d, ok=d >= k))
+    return FamilyReport(trees=tuple(trees), pairs=tuple(pairs))

@@ -75,6 +75,10 @@ def test_budget_exhaustion_returns_none():
     assert ntst_kernel(ntst(c4, {1, 3}), budget=2) is None
     # an early witness still counts even under the same budget
     assert mist_kernel(mist(c4, 1), budget=2) == MIST_YES
+    # K1's one tree is a tree like any other: a budget of none finds it not
+    k1 = Graph(1, frozenset())
+    assert mist_kernel(mist(k1, 1), budget=0) is None
+    assert mist_kernel(mist(k1, 1), budget=1) == MIST_YES
 
 
 def test_mist_kernel_stops_at_the_first_fitting_tree():

@@ -1,5 +1,7 @@
 import json
+import random
 from dataclasses import asdict
+from itertools import islice
 
 import pytest
 from hypothesis import given, strategies as st
@@ -355,6 +357,122 @@ def test_report_json_equals_the_dataclass_fields():
     assert JSON_ENCODER.encode(report.to_json_dict()) == json.dumps(
         {"verdict": False, **asdict(report)}, sort_keys=True
     )
+
+
+# ---------------------------------------------------------------------------
+# the shared-core verifier against the member-by-member reference
+
+def _same_report(g, family, nt=frozenset()):
+    """Both verifiers agree at thresholds that pass and that fail, on
+    the members as trees and as raw edge sets."""
+    raw = [t.edges if isinstance(t, SpanningTree) else t for t in family]
+    for p, q, k in ((0, 0, 1), (3, 2, 4), (g.n, g.n, g.n)):
+        for members in (family, raw):
+            got = verify_family(g, members, p, q, k, nt=nt)
+            assert got == support.reference_verify_family(g, members, p, q, k, nt=nt), (p, q, k)
+
+
+def _subdivided(b):
+    return generate("subdivided", (generate("min-degree-3", (b,)), 8))
+
+
+def test_verify_matches_the_reference_on_constructed_families():
+    cases = [Instance(_subdivided(44), 2, 2, 4, 3), InstanceNT(_subdivided(44), frozenset({1}), 2, 4, 3)]
+    cases.append(Instance(_subdivided(88), 2, 2, 4, 36))
+    for inst in cases:
+        family, why, report = construct_family(inst)
+        assert why is None and len(family) == inst.ell
+        assert report == support.reference_verify_family(
+            inst.graph, family, inst.p, inst.q, inst.k, nt=inst.nonterminals
+        )
+        _same_report(inst.graph, family, inst.nonterminals)
+        # one member swapped for a tree of the plan's host that shares less
+        _same_report(inst.graph, [*family[1:], arbitrary_spanning_tree(inst.graph)])
+
+
+def test_verify_matches_the_reference_on_oracle_witnesses():
+    from test_oracle import _oracle_corpus
+
+    from divtrees import solve
+
+    witnesses = 0
+    for problem in ("li", "lnt"):
+        for inst, limits in _oracle_corpus(problem):
+            verdict = solve(inst, limits)
+            if verdict.witness is not None:
+                witnesses += 1
+                _same_report(inst.graph, verdict.witness, inst.nonterminals)
+    assert witnesses > 100
+
+
+def test_verify_matches_the_reference_on_random_families():
+    # random trees and random edge sets on small graphs share little
+    rng = random.Random(37)
+    for _ in range(200):
+        g = support.random_connected(rng, rng.randint(1, 9))
+        trees = [t.edges for t in islice(enumerate_spanning_trees(g), 200)]
+        pool = sorted(g.edges)
+        family = []
+        for _ in range(rng.randint(0, 5)):
+            if rng.random() < 0.7:
+                family.append(rng.choice(trees))
+            else:
+                family.append(frozenset(rng.sample(pool, rng.randint(0, len(pool)))))
+        nt = frozenset(rng.sample(range(1, g.n + 1), rng.randint(0, min(2, g.n))))
+        _same_report(g, family, nt)
+
+
+def test_verify_matches_the_reference_on_broken_families():
+    g = support.complete_graph(7)
+    trees = [t.edges for t in islice(enumerate_spanning_trees(g), 0, 4000, 1000)]
+    base = trees[0]
+    missing = sorted(g.edges - base)
+    # a triangle, held by every member or by one only
+    cycle = frozenset({(1, 2), (2, 3), (1, 3)})
+    # every family is checked on K7 and on h, where (6, 7) is foreign
+    h = Graph(g.n, g.edges - {(6, 7)})
+    families = {
+        "edge (6, 7)": [*trees[1:], base - {min(base)} | {(6, 7)}],
+        "out of range": [*trees[1:], base - {min(base)} | {(g.n, g.n + 1)}],
+        "vertex 0": [*trees[1:], base - {min(base)} | {(0, 1)}],
+        "n - 2 edges": [*trees[1:], base - {min(base)}],
+        "n edges": [*trees[1:], base | {missing[0]}],
+        "n - 1 edges, one cycle": [*trees[1:], cycle | {(3, 4), (4, 5), (5, 6)}],
+        "cycle in the core": [t | cycle for t in trees],
+        "cycle in one member": [*trees[1:], base | cycle],
+        "foreign core": [t | {(g.n, g.n + 1)} for t in trees],
+        "duplicates": [base, trees[1], base, base],
+        "one member": [base],
+        "one broken member": [base | cycle],
+        "no members": [],
+    }
+    for family in families.values():
+        _same_report(g, family, frozenset({1, 2}))
+        _same_report(h, family, frozenset({1, 2}))
+    assert verify_family(g, [], 0, 0, 1) == diversify.FamilyReport(trees=(), pairs=())
+
+
+def test_verify_reads_members_off_their_core(monkeypatch):
+    # one degree count and one union-find over the edges every member
+    # holds, then per member only its own edges: no whole-tree pass
+    from divtrees import spantree
+
+    family, _, _ = construct_family(Instance(_subdivided(88), 2, 2, 4, 36))
+    sets = [t.edges for t in family]
+    core = frozenset.intersection(*sets)
+    seen = {"_degrees": [], "_unite": [], "_leaves": [], "_acyclic": []}
+    for module in (diversify, spantree):
+        for name, calls in seen.items():
+            if hasattr(module, name):
+                real = getattr(module, name)
+                monkeypatch.setattr(
+                    module, name, lambda a, edges, real=real, calls=calls: calls.append(len(edges)) or real(a, edges)
+                )
+    assert verify_family(family[0].host, sets, 2, 2, 4).verdict
+    assert seen["_leaves"] == seen["_acyclic"] == []
+    assert seen["_degrees"] == [len(core)]
+    assert seen["_unite"] == [len(core), *(len(s - core) for s in sets)]
+    assert len(core) > 900 and max(len(s - core) for s in sets) < 40
 
 
 # ---------------------------------------------------------------------------

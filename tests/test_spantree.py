@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given
 
 import support
+from divtrees import spantree as spantree_module
 from divtrees import (
     Graph,
     SpanningTree,
@@ -25,6 +26,7 @@ from divtrees import (
     write_graph,
     write_tree,
 )
+from divtrees.graphcore import _bfs_parents, _norm_edge
 from divtrees.spantree import _acyclic, _tree_leaves, _TreePaths, enumerate_tree_masks
 
 
@@ -271,17 +273,10 @@ def _reference_masks(g):
     ]
 
 
-def _random_connected(rng, n):
-    edges = {(rng.randint(1, v - 1), v) for v in range(2, n + 1)}
-    pool = [e for e in combinations(range(1, n + 1), 2) if e not in edges]
-    edges |= set(rng.sample(pool, rng.randint(0, min(len(pool), n + 2))))
-    return Graph(n, frozenset(edges))
-
-
 def test_enumeration_matches_the_combinations_reference():
     rng = random.Random(17)
     for _ in range(300):
-        g = _random_connected(rng, rng.randint(1, 8))
+        g = support.random_connected(rng, rng.randint(1, 8))
         assert list(enumerate_tree_masks(g)) == _reference_masks(g), g.edges
 
 
@@ -340,6 +335,7 @@ def test_enumeration_stops_at_every_limit():
     # every limit from 0 to the tree count, so some fall in the middle
     # of a run of trees that differ only in their last edge
     for g in (
+        Graph(1, frozenset()),
         support.complete_graph(4),
         support.complete_graph(5),
         support.cycle_graph(6),
@@ -375,7 +371,7 @@ def _leaf_corpus():
     yield TWO_TRIANGLES, frozenset()
     yield TWO_TRIANGLES, frozenset({1, 4})
     for _ in range(300):
-        g = _random_connected(rng, rng.randint(1, 7))
+        g = support.random_connected(rng, rng.randint(1, 7))
         yield g, frozenset(rng.sample(range(1, g.n + 1), rng.randint(0, min(2, g.n))))
 
 
@@ -403,8 +399,6 @@ def test_engine_counts_the_leaves_of_the_trees_it_yields():
             t = SpanningTree.from_mask(g, mask)
             want = t.leaf_count if nt <= t.internal_vertices else None
             assert leaves == want, (g.edges, nt, t.edges)
-        if g.n == 1:
-            continue  # K1's one tree comes at any limit, 0 included
         # every limit below 20 trees; past that 10 spread over the run
         # and the last two, since every limit costs quadratic time
         stride = max(1, len(full) // 10)
@@ -574,6 +568,71 @@ def test_augment_needs_long_path():
         augment_leaf(t, path, 3, max(t.leaves))
 
 
+def _reference_drop(t, vs, v, w):
+    """The edge augment_leaf drops, with w's place read off breadth-first
+    parents from the path start: w lies below v when v is on w's way up."""
+    r = len(vs) - 1
+    parent = _bfs_parents(t.adjacency, vs[0])
+    pos = {x: i for i, x in enumerate(vs)}
+    x, below = w, False
+    while x != vs[0] and not below:
+        x = parent[x]
+        below = x == v
+    if below:
+        j0 = pos.get(w)
+        drop = (vs[j0 - 1], vs[j0]) if j0 is not None and j0 < r else (vs[r - 2], vs[r - 1])
+    elif w in pos and pos[w] < pos[v]:
+        drop = (vs[pos[w]], vs[pos[w] + 1]) if pos[w] >= 1 else (vs[1], vs[2])
+    else:
+        drop = (vs[1], vs[2])
+    return _norm_edge(*drop)
+
+
+def _hung_tree(rng, size, chain):
+    """Edges of a random tree on 0..size whose vertex 0 is where it hangs
+    from a path end; with ``chain`` it is a path from 0, so the path
+    runs on through degree-2 vertices."""
+    return [(rng.randrange(i) if not chain else i - 1, i) for i in range(1, size + 1)]
+
+
+def _side_search_corpus():
+    """(tree, path, v, w) on random trees: a path of length 6..12 with a
+    random tree, a chain or nothing hung at each end, and w any vertex
+    that is not v nor a tree neighbour of it."""
+    rng = random.Random(41)
+    for _ in range(400):
+        r = rng.randint(6, 12)
+        sides = [(rng.choice([0, 0, 1, 2, 5, 12]), rng.random() < 0.3) for _ in range(2)]
+        n = r + 1 + sum(size for size, _ in sides)
+        labels = rng.sample(range(1, n + 1), n)
+        path = labels[: r + 1]
+        edges = list(zip(path, path[1:]))
+        nxt = r + 1
+        for end, (size, chain) in zip((path[0], path[-1]), sides):
+            names = [end] + labels[nxt : nxt + size]
+            nxt += size
+            edges += [(names[a], names[b]) for a, b in _hung_tree(rng, size, chain)]
+        v = path[rng.randint(3, r - 3)]
+        tree_edges = frozenset(_norm_edge(a, b) for a, b in edges)
+        near = {a for e in tree_edges if v in e for a in e}
+        w = rng.choice([x for x in range(1, n + 1) if x not in near])
+        g = Graph(n, tree_edges | {_norm_edge(v, w)})
+        vs = tuple(path) if rng.random() < 0.5 else tuple(reversed(path))
+        yield SpanningTree(g, tree_edges), vs, v, w
+
+
+def test_side_search_drops_the_edge_a_bfs_from_the_path_start_drops():
+    placed = set()
+    for t, vs, v, w in _side_search_corpus():
+        out = augment_leaf(t, vs, v, w)
+        assert t.edges - out.edges == {_reference_drop(t, vs, v, w)}, (sorted(t.edges), vs, v, w)
+        assert out.edges - t.edges == {_norm_edge(v, w)}
+        pos = vs.index(w) if w in vs else None
+        placed.add("path" if pos is not None else _reference_drop(t, vs, v, w) == _norm_edge(vs[1], vs[2]))
+    # w on the path, off it near the start and off it near the far end
+    assert placed == {"path", True, False}
+
+
 def test_augment_gains_a_leaf_on_chorded_cycles():
     # a bare cycle cannot be improved (every tree is a path with both
     # non-tree endpoints outside the strict interior), so add one chord
@@ -739,16 +798,61 @@ def test_grow_scans_paths_once_and_only_when_growth_is_needed(monkeypatch):
     assert len(scans) == 1
 
 
+def _relabelled_subdivisions():
+    """Seeded subdivided min-degree-3 graphs under a random relabelling,
+    each with a depth-first or breadth-first start tree and sometimes a
+    required-internal set."""
+    rng = random.Random(23)
+    for i in range(24):
+        base = generate("min-degree-3", (rng.randint(8, 30),))
+        h = generate("subdivided", (base, rng.randint(3, 8)))
+        perm = rng.sample(range(1, h.n + 1), h.n)
+        g = Graph.from_edges(h.n, [(perm[u - 1], perm[v - 1]) for u, v in h.edges])
+        start = _dfs_tree(g, rng) if i % 4 else arbitrary_spanning_tree(g)
+        nt = frozenset(rng.sample(sorted(start.internal_vertices), 3)) if i % 3 == 0 else frozenset()
+        yield g, start, nt
+
+
+def test_exchanges_carry_the_adjacency_and_leaves_a_fresh_tree_reads():
+    exchanges = 0
+    for g, start, nt in _relabelled_subdivisions():
+        paths = _TreePaths(start, nt)
+        t = start
+        while (move := paths.move()) is not None:
+            t = augment_leaf(t, *move)
+            paths.exchange(t)
+            exchanges += 1
+            carried = vars(t)
+            assert "adjacency" in carried and "leaves" in carried and "_graph" not in carried
+            fresh = SpanningTree(g, t.edges)
+            assert t.adjacency == fresh.adjacency
+            assert t.leaves == fresh.leaves
+    assert exchanges > 120
+
+
 def test_grow_on_the_bench_growth_instance_makes_24_exchanges(monkeypatch):
     # the benchmark's construct-li-grow case reads this count as
-    # spantree.augment_leaf.calls
+    # spantree.augment_leaf.calls.  Only the start tree builds a Graph
+    # and searches it; every exchange carries the tree's state
+    from divtrees import graphcore
+
     calls = _spy(monkeypatch, "augment_leaf")
     g = generate("subdivided", (generate("min-degree-3", (88,)), 8))
     start = arbitrary_spanning_tree(g)
     assert start.leaf_count == 48
+    # per Graph built or search run, the exchanges made before it
+    after = []
+    check = Graph.__post_init__
+    monkeypatch.setattr(Graph, "__post_init__", lambda self: after.append(len(calls)) or check(self))
+    for module in (graphcore, spantree_module):
+        real = module._bfs_parents
+        monkeypatch.setattr(
+            module, "_bfs_parents", lambda adj, root, real=real: after.append(len(calls)) or real(adj, root)
+        )
     grown = grow_leaves(start, frozenset(), 72)
     assert grown.leaf_count >= 72
     assert len(calls) == 24
+    assert after and set(after) == {0}
 
 # ---------------------------------------------------------------------------
 # family I/O
