@@ -17,12 +17,15 @@ All types are immutable values.
 
 from __future__ import annotations
 
+import json
 import random
+import re
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import islice
-from typing import AbstractSet, ClassVar, Iterable, Iterator, Mapping, Sequence
+from operator import lt
+from typing import AbstractSet, ClassVar, Iterable, Mapping, Sequence
 
 
 class GraphFormatError(ValueError):
@@ -111,6 +114,10 @@ class Graph:
 
     @cached_property
     def is_connected(self) -> bool:
+        # fewer than n - 1 edges cannot connect n vertices: answer before
+        # building the adjacency, which costs O(n)
+        if self.m < self.n - 1:
+            return False
         return len(_bfs_parents(self.adjacency, 1)) == self.n
 
     def is_tree(self) -> bool:
@@ -283,6 +290,10 @@ def _compact_renaming(n: int, removed: int) -> dict[int, int]:
 # First non-comment line is "n m", followed by exactly m lines "u v".
 # '#' starts a comment; directive comments "#% key value..." carry the
 # instance parameters so a written instance reads back identically.
+# A block of edge lines in the writers' canonical form is read in one
+# pass (``_ContentLines.canonical_block``); every other block goes through
+# the row loop, which alone decides what else is accepted and which fault
+# is reported.
 
 def _write_edge_list(n: int, edges: Sequence[tuple[int, int]]) -> str:
     """The text format: an ``n m`` header, then one ``u v`` line per edge."""
@@ -295,24 +306,66 @@ def write_graph(g: Graph) -> str:
     return _write_edge_list(g.n, g.sorted_edges())
 
 
-def _content_lines(text: str, directives: list[list[str]] | None = None) -> Iterator[list[str]]:
-    """The fields of each line that is neither blank nor a comment; the
-    fields after each ``#%`` go to ``directives`` as the lines go by."""
-    for raw in text.splitlines():
-        row = raw.split()
-        if row:
-            if row[0][0] != "#":
-                yield row
-            elif directives is not None and row[0].startswith("#%"):
-                directives.append(raw.strip()[2:].split())
+# the canonical form: each line "u v", two ASCII integers with no sign
+# and no leading zero, one space apart, and nothing between the lines
+_CANONICAL_BLOCK = re.compile(r"[1-9][0-9]*+ [1-9][0-9]*+(?:\n[1-9][0-9]*+ [1-9][0-9]*+)*+")
 
 
-def _edge_block(rows: Iterator[list[str]], header: list[str]) -> tuple[int, frozenset]:
+class _ContentLines:
+    """A cursor over the lines of edge-list text.  Iterating yields the
+    fields of each line that is neither blank nor a comment; the fields
+    after each ``#%`` go to ``directives`` as the lines go by."""
+
+    def __init__(self, text: str, directives: list[list[str]] | None = None) -> None:
+        self._lines = text.splitlines()
+        self._at = 0
+        self._directives = directives
+
+    def __iter__(self) -> _ContentLines:
+        return self
+
+    def __next__(self) -> list[str]:
+        lines, directives = self._lines, self._directives
+        while self._at < len(lines):
+            raw = lines[self._at]
+            self._at += 1
+            row = raw.split()
+            if row:
+                if row[0][0] != "#":
+                    return row
+                if directives is not None and row[0].startswith("#%"):
+                    directives.append(raw.strip()[2:].split())
+        raise StopIteration
+
+    def canonical_block(self, n: int, m: int) -> list[tuple[int, int]] | None:
+        """The next m lines as normalised edges, read in one pass, when
+        each is "u v" in canonical form with 1 <= u < v <= n.  Otherwise
+        None, and the cursor stays put for the row loop to read them."""
+        lines = self._lines[self._at : self._at + m]
+        if len(lines) != m:
+            return None
+        block = "\n".join(lines)
+        if not _CANONICAL_BLOCK.fullmatch(block):
+            return None
+        try:
+            nums = json.loads("[" + block.replace("\n", ",").replace(" ", ",") + "]")
+        except ValueError:  # a number past int's digit limit
+            return None
+        us, vs = nums[::2], nums[1::2]
+        if max(vs) > n or not all(map(lt, us, vs)):
+            return None
+        self._at += m
+        return list(zip(us, vs))
+
+
+def _edge_block(rows: _ContentLines, header: list[str]) -> tuple[int, frozenset]:
     """Parse one ``n m`` header and the m edge lines that follow it into
     ``n`` and the edge set, which together make a valid :class:`Graph`.
 
-    Each row is checked and normalised as it is read.  A bad row is
-    reported first, then a short block, then the first duplicate."""
+    A block in canonical form is read in one pass; any other goes to the
+    row loop, which checks and normalises each row as it is read and so
+    decides what is accepted and which fault is reported: a bad row
+    first, then a short block, then the first duplicate."""
     if len(header) != 2:
         raise GraphFormatError(f"header must be 'n m', got {' '.join(header)!r}")
     try:
@@ -321,22 +374,24 @@ def _edge_block(rows: Iterator[list[str]], header: list[str]) -> tuple[int, froz
         raise GraphFormatError(f"header must be two integers, got {' '.join(header)!r}") from None
     if n < 1 or m < 0:
         raise GraphFormatError(f"bad sizes n={n} m={m}")
-    pairs = []
-    for row in islice(rows, m):
-        if len(row) != 2:
-            raise GraphFormatError(f"edge line must be 'u v', got {' '.join(row)!r}")
-        try:
-            u, v = int(row[0]), int(row[1])
-        except ValueError:
-            raise GraphFormatError(f"edge line must be two integers, got {' '.join(row)!r}") from None
-        if not (1 <= u <= n and 1 <= v <= n):
-            raise GraphFormatError(f"vertex out of range in edge {u} {v}")
-        if u < v:
-            pairs.append((u, v))
-        elif u > v:
-            pairs.append((v, u))
-        else:
-            raise GraphFormatError(f"self-loop at vertex {u}")
+    pairs = rows.canonical_block(n, m)
+    if pairs is None:
+        pairs = []
+        for row in islice(rows, m):
+            if len(row) != 2:
+                raise GraphFormatError(f"edge line must be 'u v', got {' '.join(row)!r}")
+            try:
+                u, v = int(row[0]), int(row[1])
+            except ValueError:
+                raise GraphFormatError(f"edge line must be two integers, got {' '.join(row)!r}") from None
+            if not (1 <= u <= n and 1 <= v <= n):
+                raise GraphFormatError(f"vertex out of range in edge {u} {v}")
+            if u < v:
+                pairs.append((u, v))
+            elif u > v:
+                pairs.append((v, u))
+            else:
+                raise GraphFormatError(f"self-loop at vertex {u}")
     if len(pairs) != m:
         raise GraphFormatError(f"expected {m} edges, found {len(pairs)}")
     edges = frozenset(pairs)
@@ -352,7 +407,7 @@ def _edge_block(rows: Iterator[list[str]], header: list[str]) -> tuple[int, froz
 def read_graph(text: str, directives: list[list[str]] | None = None) -> Graph:
     """The graph in ``text``.  Given a list, ``directives`` collects the
     fields after the ``#%`` of each directive line, in order."""
-    rows = _content_lines(text, directives)
+    rows = _ContentLines(text, directives)
     header = next(rows, None)
     if header is None:
         raise GraphFormatError("empty input")

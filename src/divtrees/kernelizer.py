@@ -422,7 +422,10 @@ def _exhaust_pendant_deletions(
     heapify(heap)
     while heap:
         tier, v = heappop(heap)
-        # deleted and merged vertices have left adj; a K2's last deletion leaves degree 0
+        # deleted and merged vertices have left adj.  A K2's last deletion
+        # leaves degree 0, which only a direct call of this pass on a tree
+        # reaches: _kernelize never does, since deletions and contractions
+        # keep m - n fixed and the PC-tree pre-check answers every tree
         if len(adj.get(v, ())) != 1:
             continue
         (u,) = adj[v]

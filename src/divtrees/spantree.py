@@ -22,7 +22,7 @@ from .graphcore import (
     InternalInvariantError,
     _bfs_parents,
     _canonical_path,
-    _content_lines,
+    _ContentLines,
     _edge_block,
     _norm_edge,
     _path_through,
@@ -630,7 +630,7 @@ def read_edge_set_family(text: str, n: int) -> list[frozenset[tuple[int, int]]]:
     Only format problems are errors here; whether each block is an
     actual spanning tree of some host is the verifier's question.
     """
-    rows = _content_lines(text)
+    rows = _ContentLines(text)
     out: list[frozenset[tuple[int, int]]] = []
     for header in rows:
         block_n, edges = _edge_block(rows, header)

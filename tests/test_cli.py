@@ -157,6 +157,41 @@ def test_bare_problem_directive_exits_65(tmp_path, capsys):
     assert "error: directive problem needs one value" in err
 
 
+def test_too_few_edges_answer_no_without_touching_every_vertex(tmp_path, capsys, monkeypatch):
+    # m < n - 1 decides "disconnected" before any adjacency, which costs
+    # O(n): three million vertices and one edge answer at once
+    import time
+
+    def no_adjacency(self):
+        raise AssertionError("adjacency was built")
+
+    monkeypatch.setattr(Graph, "adjacency", property(no_adjacency))
+    n = 3_000_000
+    killed = {"decision": "no", "merged_edge": None, "n_before": n, "nt_removed": [], "p_delta": 0,
+              "q_delta": 0, "removed_vertex": None, "rule": "PC-disconnected", "touched": []}
+    for problem, directive, final in [
+        ("li", "#% problem li", {"q": 0}),
+        ("lnt", "#% nt 1", {"nonterminals": [1]}),
+    ]:
+        path = tmp_path / f"{problem}.txt"
+        path.write_text(f"{directive}\n{n} 1\n1 2\n")
+        final = {"edges": [[1, 2]], "ell": 1, "k": 1, "n": n, "p": 0, "problem": problem, **final}
+        expected = {
+            "kernelize": (0, {"final_instance": final, "instance": None, "outcome": "trivial_no",
+                              "problem": problem, "reason": "disconnected graphs have no spanning tree",
+                              "schema": 2, "transcript": [killed], "witness": None}),
+            "solve": (1, {"answer": "no", "problem": problem, "schema": 1,
+                          "stats": {"clique_nodes": 0, "trees_enumerated": 0}, "witness": None}),
+            "construct": (1, {"family": None, "ok": False, "reason": "graph is disconnected",
+                              "report": None, "schema": 1}),
+        }
+        for cmd, (want_code, payload) in expected.items():
+            start = time.perf_counter()
+            code, out, err = run(capsys, cmd, "-i", str(path))
+            assert time.perf_counter() - start < 1.0, (problem, cmd)
+            assert (code, out, err) == (want_code, JSON_ENCODER.encode(payload) + "\n", ""), (problem, cmd)
+
+
 # ---------------------------------------------------------------------------
 # solve
 

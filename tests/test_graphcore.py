@@ -1,4 +1,6 @@
 import dataclasses
+from functools import partial
+from itertools import islice
 
 import pytest
 from hypothesis import given, strategies as st
@@ -13,12 +15,15 @@ from divtrees import (
     generate,
     maximal_degree2_paths,
     pendant_vertices,
+    enumerate_spanning_trees,
+    read_edge_set_family,
     read_graph,
     read_instance,
+    write_family,
     write_graph,
     write_instance,
 )
-from divtrees.graphcore import _path_through
+from divtrees.graphcore import _ContentLines, _path_through
 
 
 # ---------------------------------------------------------------------------
@@ -319,6 +324,111 @@ def test_read_instance_rejects_bare_and_stray_directives():
     ]:
         with pytest.raises(GraphFormatError, match=pattern):
             read_instance(head + body)
+
+
+# ---------------------------------------------------------------------------
+# the two ways an edge block is read: a canonical block in one pass, any
+# other through the row loop, which must decide everything the same way
+
+@pytest.fixture
+def split_rows(monkeypatch):
+    """Every row the reader's cursor splits and hands out."""
+    rows = []
+    step = _ContentLines.__next__
+    monkeypatch.setattr(_ContentLines, "__next__", lambda self: rows.append(step(self)) or rows[-1])
+    return rows
+
+
+def _outcome(read, text):
+    try:
+        return read(text)
+    except GraphFormatError as exc:
+        return f"error: {exc}"
+
+
+def _by_row_loop(monkeypatch, read, text):
+    with monkeypatch.context() as patch:
+        patch.setattr(_ContentLines, "canonical_block", lambda self, n, m: None)
+        return _outcome(read, text)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_writer_output_reads_the_same_with_tabs(seed, split_rows):
+    g = generate("random-connected", (40, 90), seed)
+    trees = list(islice(enumerate_spanning_trees(g), 4))
+    cases = [
+        (read_graph, write_graph(g)),
+        (read_instance, write_instance(Instance(g, 2, 3, 2, 2))),
+        (read_instance, write_instance(InstanceNT(g, frozenset({1, 5}), 2, 2, 2))),
+        (partial(read_edge_set_family, n=g.n), write_family(trees)),
+    ]
+    for read, text in cases:
+        content = [line.split() for line in text.splitlines() if line[0] != "#"]
+        headers, at = [], 0
+        while at < len(content):
+            headers.append(content[at])
+            at += 1 + int(content[at][1])
+        split_rows.clear()
+        got = read(text)
+        assert split_rows == headers
+        # a tab for each space sends every edge line through the row loop
+        split_rows.clear()
+        assert read(text.replace(" ", "\t")) == got
+        assert split_rows == content
+
+
+PATH4 = Graph(4, frozenset({(1, 2), (2, 3), (3, 4)}))
+HUGE = "4" * 5000  # past int's default limit on digits
+
+# each block next to what read_graph makes of it
+BLOCKS = [
+    pytest.param("4 3\r\n1 2\r\n2 3\r\n3 4\r\n", PATH4, id="crlf"),
+    pytest.param("4 3\n1 2 \n2 3  \n3 4\n", PATH4, id="trailing-spaces"),
+    pytest.param("4 3\n1  2\n\t2 3\n 3 4\n", PATH4, id="inner-and-leading-space"),
+    pytest.param("4 3\n2 1\n2 3\n3 4\n", PATH4, id="reversed-pair"),
+    pytest.param("4 3\n1 2\n2 3\n3 004\n", PATH4, id="leading-zero"),
+    pytest.param("4 3\n1 2\n2 +3\n3 4\n", PATH4, id="plus-sign"),
+    pytest.param("4 3\n1 2\n2 \uff13\n\u0663 4\n", PATH4, id="unicode-digits"),
+    pytest.param("4 3\n1 2\n# a comment\n2 3\n3 4\n", PATH4, id="comment"),
+    pytest.param("4 3\n1 2\n\n2 3\n3 4\n", PATH4, id="blank"),
+    pytest.param("4 3\n1 2\n#% p 1\n2 3\n3 4\n", PATH4, id="directive"),
+    pytest.param("4 3\n0 2\n2 3\n3 4\n", "error: vertex out of range in edge 0 2", id="zero"),
+    pytest.param("4 3\n-1 2\n2 3\n3 4\n", "error: vertex out of range in edge -1 2", id="negative"),
+    pytest.param("4 3\n1 2\n2 3\n3 5\n", "error: vertex out of range in edge 3 5", id="out-of-range"),
+    pytest.param("4 3\n1 2\n2 2\n3 4\n", "error: self-loop at vertex 2", id="self-loop"),
+    pytest.param("4 3\n1 2\n2 3\n1 2\n", "error: duplicate edge (1, 2)", id="duplicate"),
+    pytest.param("4 3\n1 2\n2 3\n", "error: expected 3 edges, found 2", id="short"),
+    pytest.param("4 3\n1 2\n2 3\n3 4\n1 3\n", "error: more edge lines than the header announces",
+                 id="extra-row"),
+    pytest.param("4 3\n1 2\n2 3.0\n3 4\n", "error: edge line must be two integers, got '2 3.0'",
+                 id="float"),
+    pytest.param(f"4 3\n1 2\n2 3\n3 {HUGE}\n", f"error: edge line must be two integers, got '3 {HUGE}'",
+                 id="past-the-digit-limit"),
+]
+
+
+@pytest.mark.parametrize("text, graph", BLOCKS)
+def test_both_paths_agree_on_every_block(text, graph, monkeypatch):
+    assert _outcome(read_graph, text) == graph
+    family = partial(read_edge_set_family, n=4)
+    for read in (read_graph, read_instance, family):
+        assert _outcome(read, text) == _by_row_loop(monkeypatch, read, text)
+    # the same block after a canonical one, so a fault sits in a later block only
+    text = write_graph(PATH4) + text
+    assert _outcome(family, text) == _by_row_loop(monkeypatch, family, text)
+
+
+def test_canonical_text_is_never_split_row_by_row(split_rows):
+    g = generate("min-degree-3", (12,))
+    inst = Instance(g, 2, 2, 2, 2)
+    for text in (write_instance(inst), write_instance(inst).replace("\n", "\r\n")):
+        split_rows.clear()
+        assert read_instance(text) == inst
+        assert split_rows == [["12", "18"]]
+    split_rows.clear()
+    trees = list(islice(enumerate_spanning_trees(g), 36))
+    assert read_edge_set_family(write_family(trees), g.n) == [t.edges for t in trees]
+    assert split_rows == [["12", "11"]] * 36
 
 
 # ---------------------------------------------------------------------------
