@@ -185,9 +185,10 @@ def build_diverse_family(
     Distinct blocks touch disjoint leaves and their added edges never
     collide, so two family members differ in exactly two edges per
     involved leaf.  Vertices of ``nt`` stay internal provided each has
-    two tree neighbors outside the swap pool.  Each member reads its
-    leaves off the plan tree's, corrected at its block's swapped edges,
-    and its difference from the plan tree is those edges.
+    two tree neighbors outside the swap pool.  Each member is checked
+    as every tree is; its leaves, for the checks here, are the plan
+    tree's corrected at its block's swapped edges, and its difference
+    from the plan tree is those edges.
     """
     t = plan.tree
     for v in nt:
@@ -197,6 +198,9 @@ def build_diverse_family(
             raise ValueError(
                 f"required-internal vertex {v} needs two tree neighbors outside the swap pool"
             )
+    block_size = len(plan.blocks[0]) if plan.blocks else 0
+    floor_leaves = t.leaf_count - block_size
+    adj = t.adjacency
     family = []
     # (Ti △ T) △ (Tj △ T) = Ti △ Tj, so each member's difference from
     # the base tree, its swapped edges, gives every pair's distance
@@ -204,19 +208,16 @@ def build_diverse_family(
     for block in plan.blocks:
         gone = frozenset(_norm_edge(v, plan.tree_neighbor[v]) for v in block)
         added = frozenset(_norm_edge(v, plan.swap_target[v]) for v in block)
-        family.append(t._exchange(gone, added))
-        diffs.append(gone | added)
-
-    block_size = len(plan.blocks[0]) if plan.blocks else 0
-    floor_leaves = t.leaf_count - block_size
-    for i, ti in enumerate(family):
-        if nt & ti.leaves:
+        leaves = _leaves_after(t.host.n, t.leaves, lambda x: len(adj[x]), gone, added)
+        if nt & leaves:
             raise InternalInvariantError("swap turned a required-internal vertex into a leaf")
-        if ti.leaf_count < floor_leaves:
+        if len(leaves) < floor_leaves:
             raise InternalInvariantError("swaps lost more leaves than targets replaced")
-        for dj in diffs[:i]:
-            if len(diffs[i] ^ dj) != 2 * (2 * block_size):
-                raise InternalInvariantError("family members at an unexpected distance")
+        family.append(SpanningTree(t.host, (t.edges - gone) | added))
+        diff = gone | added
+        if any(len(diff ^ dj) != 2 * (2 * block_size) for dj in diffs):
+            raise InternalInvariantError("family members at an unexpected distance")
+        diffs.append(diff)
     return family
 
 
@@ -344,11 +345,14 @@ def verify_family(
 
     A member spans when its edges are the host's, n - 1 of them, and
     close no cycle.  Members are read off what they all share, the core
-    (the edges every member holds): one union-find and one degree count
-    run over the core, and each member then adds only its own edges,
-    those outside the core.  It spans when its own edges, too, are the
-    host's and close no cycle over the core's forest, and its leaves
-    are the core's, corrected at its own edges' endpoints.
+    (the edges every member holds): one degree count runs over the core,
+    and, when some member has n - 1 edges, one union-find; each member
+    then adds only its own edges, those outside the core.  It spans when
+    its own edges, too, are the host's and close no cycle over the
+    core's forest, and its leaves are the core's, corrected at its own
+    edges' endpoints.  A member that spans covers every vertex, so the
+    rest are internal (K1's lone vertex too); one that does not counts
+    as internal only the vertices its edges reach more than once.
     """
     edge_sets = [f.edges if isinstance(f, SpanningTree) else frozenset(f) for f in family]
     if not edge_sets:
@@ -357,11 +361,11 @@ def verify_family(
     core = frozenset.intersection(*edge_sets)
     owns = [edges - core for edges in edge_sets]
     degree = _degrees(n, core)
-    core_leaves = frozenset(v for v, d in enumerate(degree) if d == 1)
-    # the core's union-find, or None when no member can span: the core
-    # has a foreign edge or a cycle
+    core_leaves = frozenset(v for v, d in degree.items() if d == 1)
+    # the core's union-find, or None when no member can span: none has
+    # n - 1 edges, or the core has a foreign edge or a cycle
     forest: list[int] | None = None
-    if core <= g.edges:
+    if core <= g.edges and any(len(core) + len(own) == n - 1 for own in owns):
         forest = list(range(n + 1))
         if not _unite(forest, core):
             forest = None
@@ -369,13 +373,14 @@ def verify_family(
     for i, own in enumerate(owns):
         leaves = _leaves_after(n, core_leaves, degree.__getitem__, (), own)
         leaf_count = len(leaves)
-        internal_count = n - leaf_count
         spanning = (
             forest is not None
             and own <= g.edges
             and len(core) + len(own) == n - 1
             and _unite(forest.copy(), own)
         )
+        reached = n if spanning else len(degree) + sum(x not in degree for x in _degrees(n, own))
+        internal_count = reached - leaf_count
         trees.append(
             TreeCheck(
                 index=i,

@@ -2,19 +2,22 @@
 
 Holds the validated spanning-tree value type, the single-step
 leaf-gaining edge exchange on a tree path given as its vertex tuple
-(the new tree carries the old one's adjacency and leaves), the growth
-loop that pushes a tree towards a leaf target (it keeps the tree's
-degree-2-paths with graphcore's one path walker), and bounded
-exhaustive enumeration of all spanning trees with their leaf counts,
-kept by degree bookkeeping (the one engine behind the exact solvers).
+(it names the tree edge to drop), the growth loop that pushes a tree
+towards a leaf target (it edits one working tree in place, keeping its
+degree-2-paths with graphcore's one path walker, and checks the tree it
+reaches once), and bounded exhaustive enumeration of all spanning trees
+with their leaf counts, kept by degree bookkeeping (the one engine
+behind the exact solvers).
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, insort
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Iterator, Mapping
+from itertools import chain
+from typing import AbstractSet, Callable, Iterable, Iterator, Mapping
 
 from .graphcore import (
     Graph,
@@ -64,22 +67,20 @@ def _unite(parent: list[int], edges: Iterable[tuple[int, int]]) -> bool:
     return True
 
 
-def _degrees(n: int, edges: Iterable[tuple[int, int]]) -> list[int]:
-    """How many of ``edges`` end at each vertex of 1..n (index 0 is
-    unused); endpoints outside 1..n are ignored."""
-    degree = [0] * (n + 1)
-    for u, v in edges:
-        if 1 <= u <= n:
-            degree[u] += 1
-        if 1 <= v <= n:
-            degree[v] += 1
+def _degrees(n: int, edges: Iterable[tuple[int, int]]) -> Counter[int]:
+    """How many of ``edges`` end at each vertex of 1..n, for the
+    vertices they reach (any other reads 0); endpoints outside 1..n are
+    ignored."""
+    degree = Counter(chain.from_iterable(edges))
+    for x in [x for x in degree if not 1 <= x <= n]:
+        del degree[x]
     return degree
 
 
 def _leaves(n: int, edges: Iterable[tuple[int, int]]) -> frozenset[int]:
     """The vertices of 1..n that end exactly one of ``edges``; endpoints
     outside 1..n are ignored."""
-    return frozenset(v for v, d in enumerate(_degrees(n, edges)) if d == 1)
+    return frozenset(v for v, d in _degrees(n, edges).items() if d == 1)
 
 
 def _leaves_after(
@@ -116,9 +117,8 @@ class SpanningTree:
     A union-find pass answers the spanning check (n-1 edges that close
     no cycle span), and the leaves and sorted edges are read off the
     edge set.  The tree's own :class:`Graph` is built once, when the
-    adjacency or :meth:`as_graph` is first asked for.  A tree made by
-    :meth:`_exchange` reads its leaves off the tree it came from, and
-    one made by :func:`augment_leaf` its adjacency too.
+    adjacency or :meth:`as_graph` is first asked for.  Nothing edits a
+    tree: leaf growth edits a working copy of one (:class:`_Growth`).
     """
 
     host: Graph
@@ -172,22 +172,6 @@ class SpanningTree:
     def sorted_edges(self) -> list[tuple[int, int]]:
         return list(self._edge_order)
 
-    def _exchange(
-        self, gone: frozenset[tuple[int, int]], added: frozenset[tuple[int, int]]
-    ) -> SpanningTree:
-        """This tree with its edges ``gone`` swapped for the host edges
-        ``added``, checked as every tree is.  Its leaves are this tree's,
-        corrected at the swapped edges' endpoints (:func:`_leaves_after`),
-        and are seeded into the cached property."""
-        if not gone <= self.edges or added & self.edges:
-            raise InternalInvariantError("an exchange must drop tree edges and add new ones")
-        out = SpanningTree(self.host, (self.edges - gone) | added)
-        adj = self.adjacency
-        vars(out)["leaves"] = _leaves_after(
-            self.host.n, self.leaves, lambda x: len(adj[x]), gone, added
-        )
-        return out
-
 
 def arbitrary_spanning_tree(g: Graph) -> SpanningTree:
     """A deterministic spanning tree: breadth-first from vertex 1,
@@ -198,20 +182,24 @@ def arbitrary_spanning_tree(g: Graph) -> SpanningTree:
     return SpanningTree(g, frozenset(_norm_edge(v, u) for v, u in parent.items() if v != u))
 
 
-def augment_leaf(t: SpanningTree, path: tuple[int, ...], v: int, w: int) -> SpanningTree:
-    """Exchange one edge to gain at least one leaf.
+def augment_leaf(
+    t: SpanningTree | _Growth, path: tuple[int, ...], v: int, w: int
+) -> tuple[int, int]:
+    """The tree edge to exchange for ``vw`` so that the tree gains at
+    least one leaf.
 
-    ``path`` is the vertex tuple of a path of ``t`` whose internal
-    vertices have tree degree exactly 2 and whose length is >= 6; ``v``
-    must sit at positions 3..length-3 of the path and ``vw`` must be an
-    edge of the host graph absent from the tree.  Rooting the tree at
-    the path start, the edge to delete depends on whether ``w`` is
-    unrelated to ``v``, an ancestor, or a descendant; in every case the
-    deleted edge's endpoints are interior path vertices that turn into
-    leaves, so the leaf count rises even when ``w`` itself stops being
-    one.  Whether ``w`` lies below ``v`` costs no search of the whole
-    tree (:func:`_off_far_end`), and the new tree carries this one's
-    adjacency and leaves, updated at the exchanged edges' endpoints.
+    ``t`` is read as its ``host``, ``edges`` and ``adjacency`` only, so
+    it is a :class:`SpanningTree` or growth's working tree.  ``path`` is
+    the vertex tuple of a path of ``t`` whose internal vertices have
+    tree degree exactly 2 and whose length is >= 6; ``v`` must sit at
+    positions 3..length-3 of the path and ``vw`` must be an edge of the
+    host graph absent from the tree.  Rooting the tree at the path
+    start, the edge to delete depends on whether ``w`` is unrelated to
+    ``v``, an ancestor, or a descendant; in every case it is a path edge
+    on the cycle that ``vw`` closes, and its endpoints are interior path
+    vertices that turn into leaves, so the leaf count rises even when
+    ``w`` itself stops being one.  Whether ``w`` lies below ``v`` costs
+    no search of the whole tree (:func:`_off_far_end`).
     """
     g = t.host
     vs, r = path, len(path) - 1
@@ -257,23 +245,10 @@ def augment_leaf(t: SpanningTree, path: tuple[int, ...], v: int, w: int) -> Span
         # two interior vertices
         drop = (vs[1], vs[2])
 
-    a, b = drop
-    out = t._exchange(frozenset({_norm_edge(a, b)}), frozenset({_norm_edge(v, w)}))
-    # the tree degree changes only at the four endpoints
-    adj = dict(t.adjacency)
-    adj[a] -= {b}
-    adj[b] -= {a}
-    adj[v] |= {w}
-    adj[w] |= {v}
-    vars(out)["adjacency"] = adj
-    if out.leaf_count < t.leaf_count + 1:
-        raise InternalInvariantError("edge exchange failed to gain a leaf")
-    if not (out.leaves - t.leaves) <= set(vs[1:-1]):
-        raise InternalInvariantError("edge exchange created a leaf off the path")
-    return out
+    return _norm_edge(*drop)
 
 
-def _off_far_end(adj: Mapping[int, frozenset[int]], vs: tuple[int, ...], w: int) -> bool:
+def _off_far_end(adj: Mapping[int, AbstractSet[int]], vs: tuple[int, ...], w: int) -> bool:
     """Whether ``w``, a tree vertex off the path ``vs``, lies on the
     side of its far end: the path's interior vertices have tree degree
     2, so cutting them out leaves the start's side and the far end's.
@@ -292,26 +267,30 @@ def _off_far_end(adj: Mapping[int, frozenset[int]], vs: tuple[int, ...], w: int)
     return not near
 
 
-class _TreePaths:
-    """The maximal degree-2-paths of a tree, kept across edge exchanges.
+class _Growth:
+    """A spanning tree under leaf growth, edited in place.
 
-    ``paths`` holds every path that :func:`maximal_degree2_paths` finds
-    on the tree with ``forbidden=nt``, as canonical vertex tuples, and
-    ``candidates`` the ones an exchange can use, sorted.  A strictly
-    interior path vertex has tree degree 2, so it has a non-tree host
-    edge exactly when its host degree is >= 3: whether a path is a
-    candidate follows from its vertex tuple alone.
+    Holds the tree's ``host``, its ``edges``, its ``adjacency`` as sets
+    and its ``leaves``, and ``paths``: every path that
+    :func:`maximal_degree2_paths` finds on the tree with ``forbidden=nt``,
+    as canonical vertex tuples, with ``candidates`` the ones an exchange
+    can use, sorted.  A strictly interior path vertex has tree degree 2,
+    so it has a non-tree host edge exactly when its host degree is >= 3:
+    whether a path is a candidate follows from its vertex tuple alone.
 
     An exchange changes the tree degree of the endpoints of the two
     exchanged edges only.  Every other vertex keeps its degree and its
-    tree neighbours, so a path holding none of those (at most four)
-    vertices stays maximal.  The old tree's paths through them give way
-    to the new tree's paths through them, each walked out to its
-    anchors.
+    tree neighbours, so it stays a leaf or not, and a path holding none
+    of those (at most four) vertices stays maximal.  The paths through
+    them, read before the edit, give way to the paths through them after
+    it, each walked out to its anchors.
     """
 
     def __init__(self, t: SpanningTree, nt: frozenset[int]) -> None:
-        self.tree = t
+        self.host = t.host
+        self.edges = set(t.edges)
+        self.adjacency = {x: set(ys) for x, ys in t.adjacency.items()}
+        self.leaves = set(t.leaves)
         self.nt = nt
         self.host_adj = t.host.adjacency
         self.paths: set[tuple[int, ...]] = set()
@@ -331,9 +310,9 @@ class _TreePaths:
             if self._candidate(vs):
                 insort(self.candidates, vs)
 
-    def _through(self, adj: Mapping[int, frozenset[int]], x: int) -> set[tuple[int, ...]]:
-        """The canonical maximal degree-2-paths of the tree ``adj`` that hold ``x``."""
-        nt = self.nt
+    def _through(self, x: int) -> set[tuple[int, ...]]:
+        """The canonical maximal degree-2-paths of the tree that hold ``x``."""
+        adj, nt = self.adjacency, self.nt
         if len(adj[x]) == 2 and x not in nt:
             return {_path_through(adj, nt, x)}
         return {
@@ -350,13 +329,27 @@ class _TreePaths:
         i = next(i for i in range(3, len(vs) - 3) if len(self.host_adj[vs[i]]) >= 3)
         return vs, vs[i], min(self.host_adj[vs[i]] - {vs[i - 1], vs[i + 1]})
 
-    def exchange(self, out: SpanningTree) -> None:
-        """Follow the tree to ``out``, one edge exchange away."""
-        ends = {x for e in self.tree.edges ^ out.edges for x in e}
-        old, new = self.tree.adjacency, out.adjacency
-        gone = set().union(*(self._through(old, x) for x in ends))
-        found = set().union(*(self._through(new, x) for x in ends))
-        self.tree = out
+    def exchange(self, path: tuple[int, ...], v: int, w: int) -> None:
+        """Swap in ``vw`` for the tree edge :func:`augment_leaf` drops,
+        and check that the tree gained a leaf, and only on ``path``'s
+        interior."""
+        a, b = augment_leaf(self, path, v, w)
+        ends = {a, b, v, w}
+        gone = set().union(*map(self._through, ends))
+        adj, old = self.adjacency, ends & self.leaves
+        self.edges.remove((a, b))
+        self.edges.add(_norm_edge(v, w))
+        adj[a].remove(b)
+        adj[b].remove(a)
+        adj[v].add(w)
+        adj[w].add(v)
+        now = {x for x in ends if len(adj[x]) == 1}
+        if len(now) <= len(old):
+            raise InternalInvariantError("edge exchange failed to gain a leaf")
+        if not now - old <= set(path[1:-1]):
+            raise InternalInvariantError("edge exchange created a leaf off the path")
+        self.leaves ^= old ^ now
+        found = set().union(*map(self._through, ends))
         self._update(gone - found, found - gone)
 
 
@@ -369,26 +362,25 @@ def grow_leaves(start: SpanningTree, nt: frozenset[int], target: int) -> Spannin
     off the returned tree's leaf count.  Requires every vertex of ``nt``
     internal in ``start``.  Vertices of ``nt`` never become leaves:
     exchanges only create leaves among interior path vertices, and those
-    are kept disjoint from ``nt``.  The tree's degree-2-paths are found
-    once, and only when growth is needed; each exchange then re-walks
-    the few it touched (see :class:`_TreePaths`).
+    are kept disjoint from ``nt``.  Only when growth is needed is
+    ``start`` copied into one working tree, edited in place by each
+    exchange (see :class:`_Growth`).  The tree reached is checked once,
+    as every :class:`SpanningTree` is; with no exchange made, ``start``
+    itself comes back.
     """
     vertices = start.host.vertices()
     if nt & start.leaves or not all(v in vertices for v in nt):
         raise ValueError("start tree must keep every required vertex internal")
-
-    t = start
-    if t.leaf_count < target:
-        paths = _TreePaths(t, nt)
-        while t.leaf_count < target:
-            move = paths.move()
-            if move is None:
-                break
-            t = augment_leaf(t, *move)
-            paths.exchange(t)
-    if nt & t.leaves:
+    if start.leaf_count >= target:
+        return start
+    growth = _Growth(start, nt)
+    while len(growth.leaves) < target and (move := growth.move()) is not None:
+        growth.exchange(*move)
+    if nt & growth.leaves:
         raise InternalInvariantError("growth turned a required-internal vertex into a leaf")
-    return t
+    if len(growth.leaves) == start.leaf_count:
+        return start
+    return SpanningTree(start.host, frozenset(growth.edges))
 
 
 # ---------------------------------------------------------------------------

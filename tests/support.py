@@ -131,14 +131,19 @@ def reference_verify_family(g, family, p, q, k, nt=frozenset()) -> FamilyReport:
     for i, edges in enumerate(edge_sets):
         leaves = _leaves(g.n, edges)
         spanning = edges <= g.edges and len(edges) == g.n - 1 and _acyclic(g.n, edges)
+        # a tree covers every vertex, K1's lone one too; an edge set that
+        # does not span has as internal vertices only those it reaches
+        # more than once
+        covered = g.n if spanning else len({x for e in edges for x in e if 1 <= x <= g.n})
+        internal = covered - len(leaves)
         trees.append(
             TreeCheck(
                 index=i,
                 spanning=spanning,
                 leaf_count=len(leaves),
-                internal_count=g.n - len(leaves),
+                internal_count=internal,
                 leaves_ok=len(leaves) >= p,
-                internal_ok=g.n - len(leaves) >= q,
+                internal_ok=internal >= q,
                 required_internal_ok=not nt & leaves,
             )
         )

@@ -381,7 +381,8 @@ def test_criterion_06_augmentation_properties():
             g, frozenset((i, i + 1) for i in range(1, n))
         )
         for path, v, w in _tree_moves(g, path_tree):
-            t2 = augment_leaf(path_tree, path, v, w)
+            drop = augment_leaf(path_tree, path, v, w)
+            t2 = SpanningTree(g, path_tree.edges - {drop} | {(min(v, w), max(v, w))})
             done += 1
             if t2.leaf_count <= path_tree.leaf_count:
                 bad.append((n, v, w, "no gain"))

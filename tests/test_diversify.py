@@ -1,5 +1,6 @@
 import json
 import random
+import tracemalloc
 from dataclasses import asdict
 from itertools import islice
 
@@ -450,6 +451,23 @@ def test_verify_matches_the_reference_on_broken_families():
         _same_report(g, family, frozenset({1, 2}))
         _same_report(h, family, frozenset({1, 2}))
     assert verify_family(g, [], 0, 0, 1) == diversify.FamilyReport(trees=(), pairs=())
+
+
+def test_verify_pays_per_vertex_only_when_a_member_can_span(monkeypatch):
+    # no member has n - 1 edges: no union-find and no scan of 1..n, and a
+    # member that does not span counts no untouched vertex as internal
+    unites = []
+    monkeypatch.setattr(diversify, "_unite", lambda *args: unites.append(args) or True)
+    g = Graph(3_000_000, frozenset({(1, 2)}))
+    tracemalloc.start()
+    try:
+        report = verify_family(g, [frozenset({(1, 2)})], 1, 1, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    (check,) = report.trees
+    assert (check.spanning, check.leaf_count, check.internal_count) == (False, 2, 0)
+    assert not check.internal_ok and unites == [] and peak < 1 << 20
 
 
 def test_verify_reads_members_off_their_core(monkeypatch):

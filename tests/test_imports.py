@@ -83,6 +83,33 @@ def test_the_runtime_has_one_json_serializer():
     assert [what for _, _, what in shared] == ["JSONEncoder"]
 
 
+def _namespace_writes(tree):
+    """Each assignment target of the form ``vars(x)[...]`` or
+    ``x.__dict__[...]``: a write past an object's attributes, as into a
+    frozen dataclass's cached properties."""
+    for node in ast.walk(tree):
+        targets = getattr(node, "targets", None) or [getattr(node, "target", None)]
+        for target in targets:
+            if isinstance(target, ast.Subscript):
+                inner = target.value
+                if (
+                    isinstance(inner, ast.Call) and getattr(inner.func, "id", None) == "vars"
+                ) or (isinstance(inner, ast.Attribute) and inner.attr == "__dict__"):
+                    yield target.lineno
+
+
+def test_the_runtime_writes_no_object_namespace():
+    # a value type's state is what its constructor made of it; reading
+    # vars(), as JSON_ENCODER's default=vars does, stays allowed
+    writes = [
+        (path.name, line)
+        for path in sorted(SRC.glob("*.py"))
+        for line in _namespace_writes(ast.parse(path.read_text(), filename=str(path)))
+    ]
+    assert writes == []
+    assert list(_namespace_writes(ast.parse('vars(t)["leaves"] = x\nt.__dict__["a"] += 1'))) == [1, 2]
+
+
 
 BENCH = SRC.parents[1] / "bench"
 

@@ -27,7 +27,7 @@ from divtrees import (
     write_tree,
 )
 from divtrees.graphcore import _bfs_parents, _norm_edge
-from divtrees.spantree import _acyclic, _tree_leaves, _TreePaths, enumerate_tree_masks
+from divtrees.spantree import _acyclic, _Growth, _tree_leaves, enumerate_tree_masks
 
 
 # ---------------------------------------------------------------------------
@@ -93,7 +93,8 @@ def _assert_spanning_check(g, s):
     for nt in (frozenset({1}), frozenset({2, g.n})):
         check = verify_family(g, [s], 0, 0, 1, nt=nt).trees[0]
         assert check.spanning == expected, (g, s)
-        assert (check.leaf_count, check.internal_count) == (len(leaves), g.n - len(leaves))
+        covered = g.n if expected else len({x for e in s for x in e if 1 <= x <= g.n})
+        assert (check.leaf_count, check.internal_count) == (len(leaves), covered - len(leaves))
         assert check.required_internal_ok == (nt <= frozenset(g.vertices()) - leaves), (g, s, nt)
 
 
@@ -504,12 +505,18 @@ def c8_with_chord():
     return Graph(8, frozenset(edges))
 
 
+def _exchanged(t, path, v, w):
+    """The tree ``t`` with ``vw`` swapped in for the edge augment_leaf drops."""
+    return SpanningTree(t.host, t.edges - {augment_leaf(t, path, v, w)} | {_norm_edge(v, w)})
+
+
 def test_augment_pin_on_chorded_cycle():
     g = c8_with_chord()
     t = SpanningTree(g, frozenset((i, i + 1) for i in range(1, 8)))
     assert t.leaves == frozenset({1, 8})
     (path,) = maximal_degree2_paths(t.as_graph())
-    t2 = augment_leaf(t, path, 4, 8)
+    assert augment_leaf(t, path, 4, 8) == (6, 7)
+    t2 = _exchanged(t, path, 4, 8)
     assert t2.edges == frozenset(
         {(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (4, 8), (7, 8)}
     )
@@ -555,7 +562,7 @@ def test_augment_accepts_only_a_strictly_internal_vertex():
     for v in (3, 5):
         with pytest.raises(ValueError, match="strictly internal"):
             augment_leaf(t, short, v, n)
-    assert augment_leaf(t, short, 4, n).leaf_count > t.leaf_count
+    assert _exchanged(t, short, 4, n).leaf_count > t.leaf_count
     with pytest.raises(ValueError, match="length >= 6"):
         augment_leaf(t, path[:6], 4, n)
 
@@ -624,9 +631,7 @@ def _side_search_corpus():
 def test_side_search_drops_the_edge_a_bfs_from_the_path_start_drops():
     placed = set()
     for t, vs, v, w in _side_search_corpus():
-        out = augment_leaf(t, vs, v, w)
-        assert t.edges - out.edges == {_reference_drop(t, vs, v, w)}, (sorted(t.edges), vs, v, w)
-        assert out.edges - t.edges == {_norm_edge(v, w)}
+        assert augment_leaf(t, vs, v, w) == _reference_drop(t, vs, v, w), (sorted(t.edges), vs, v, w)
         pos = vs.index(w) if w in vs else None
         placed.add("path" if pos is not None else _reference_drop(t, vs, v, w) == _norm_edge(vs[1], vs[2]))
     # w on the path, off it near the start and off it near the far end
@@ -641,7 +646,7 @@ def test_augment_gains_a_leaf_on_chorded_cycles():
         g = Graph(n, frozenset(edges))
         t = SpanningTree(g, frozenset((i, i + 1) for i in range(1, n)))
         (path,) = maximal_degree2_paths(t.as_graph())
-        moved = augment_leaf(t, path, 4, n)
+        moved = _exchanged(t, path, 4, n)
         assert moved.leaf_count > t.leaf_count
         assert moved.leaves - t.leaves <= set(path[1:-1])
 
@@ -686,15 +691,16 @@ def test_grow_requires_internal_nt_at_start():
 
 def _reference_grow(start, nt, target):
     """Growth as a rescan: every maximal degree-2-path of the current
-    tree, found afresh before each exchange.  Returns the trees passed
-    through, start first."""
-    trees = [start]
-    while trees[-1].leaf_count < target:
-        move = _reference_move(trees[-1], nt)
+    tree, found afresh before each exchange.  Returns the tree reached
+    and the moves made."""
+    t, moves = start, []
+    while t.leaf_count < target:
+        move = _reference_move(t, nt)
         if move is None:
             break
-        trees.append(augment_leaf(trees[-1], *move))
-    return trees
+        moves.append(move)
+        t = _exchanged(t, *move)
+    return t, moves
 
 
 def _reference_move(t, nt):
@@ -744,24 +750,6 @@ def _growth_corpus():
     yield square, arbitrary_spanning_tree(square), frozenset({7, 20, 33})
 
 
-def test_kept_paths_match_a_rescan_after_every_exchange():
-    exchanges = 0
-    for g, start, nt in _growth_corpus():
-        paths = _TreePaths(start, nt)
-        t = start
-        while True:
-            found = maximal_degree2_paths(t.as_graph(), forbidden=nt)
-            assert paths.paths == set(found)
-            move = paths.move()
-            assert move == _reference_move(t, nt)
-            if move is None:
-                break
-            t = augment_leaf(t, *move)
-            paths.exchange(t)
-            exchanges += 1
-    assert exchanges > 150
-
-
 def _spy(monkeypatch, name):
     """Record the positional arguments of every call of spantree.<name>."""
     from divtrees import spantree
@@ -781,10 +769,11 @@ def test_grow_matches_a_rescan_and_calls_augment_once_per_exchange(monkeypatch):
     calls = _spy(monkeypatch, "augment_leaf")
     for g, start, nt in _growth_corpus():
         for target in (start.leaf_count + 1, start.leaf_count + 3, g.n):
-            trees = _reference_grow(start, nt, target)
+            reached, moves = _reference_grow(start, nt, target)
             calls.clear()
-            assert grow_leaves(start, nt, target) == trees[-1]
-            assert [c[0] for c in calls] == trees[:-1]
+            grown = grow_leaves(start, nt, target)
+            assert grown == reached and (grown is start) == (not moves)
+            assert [c[1:] for c in calls] == moves
 
 
 def test_grow_scans_paths_once_and_only_when_growth_is_needed(monkeypatch):
@@ -813,32 +802,37 @@ def _relabelled_subdivisions():
         yield g, start, nt
 
 
-def test_exchanges_carry_the_adjacency_and_leaves_a_fresh_tree_reads():
+def test_growth_matches_a_fresh_tree_and_a_rescan_after_every_exchange():
+    # the whole-tree union-find of a fresh SpanningTree is the reference
+    # that growth's in-place edits keep a spanning tree
     exchanges = 0
-    for g, start, nt in _relabelled_subdivisions():
-        paths = _TreePaths(start, nt)
-        t = start
-        while (move := paths.move()) is not None:
-            t = augment_leaf(t, *move)
-            paths.exchange(t)
+    for g, start, nt in [*_growth_corpus(), *_relabelled_subdivisions()]:
+        growth = _Growth(start, nt)
+        while True:
+            fresh = SpanningTree(g, frozenset(growth.edges))
+            assert growth.adjacency == fresh.adjacency
+            assert growth.leaves == fresh.leaves
+            assert growth.paths == set(maximal_degree2_paths(fresh.as_graph(), forbidden=nt))
+            move = growth.move()
+            assert move == _reference_move(fresh, nt)
+            if move is None:
+                break
+            growth.exchange(*move)
             exchanges += 1
-            carried = vars(t)
-            assert "adjacency" in carried and "leaves" in carried and "_graph" not in carried
-            fresh = SpanningTree(g, t.edges)
-            assert t.adjacency == fresh.adjacency
-            assert t.leaves == fresh.leaves
-    assert exchanges > 120
+    assert exchanges > 270
 
 
 def test_grow_on_the_bench_growth_instance_makes_24_exchanges(monkeypatch):
     # the benchmark's construct-li-grow case reads this count as
     # spantree.augment_leaf.calls.  Only the start tree builds a Graph
-    # and searches it; every exchange carries the tree's state
+    # and searches it, every exchange edits the working tree, and only
+    # the tree reached runs the whole-tree union-find
     from divtrees import graphcore
 
     calls = _spy(monkeypatch, "augment_leaf")
     g = generate("subdivided", (generate("min-degree-3", (88,)), 8))
     start = arbitrary_spanning_tree(g)
+    unites = _spy(monkeypatch, "_unite")
     assert start.leaf_count == 48
     # per Graph built or search run, the exchanges made before it
     after = []
@@ -853,6 +847,7 @@ def test_grow_on_the_bench_growth_instance_makes_24_exchanges(monkeypatch):
     assert grown.leaf_count >= 72
     assert len(calls) == 24
     assert after and set(after) == {0}
+    assert [len(edges) for _, edges in unites] == [g.n - 1]
 
 # ---------------------------------------------------------------------------
 # family I/O
