@@ -802,23 +802,38 @@ def _relabelled_subdivisions():
         yield g, start, nt
 
 
-def test_growth_matches_a_fresh_tree_and_a_rescan_after_every_exchange():
-    # the whole-tree union-find of a fresh SpanningTree is the reference
-    # that growth's in-place edits keep a spanning tree
-    exchanges = 0
+def _growth_steps():
+    """The working growth state before each exchange and after the last,
+    over both corpora, with its host graph and required-internal set."""
     for g, start, nt in [*_growth_corpus(), *_relabelled_subdivisions()]:
         growth = _Growth(start, nt)
         while True:
-            fresh = SpanningTree(g, frozenset(growth.edges))
-            assert growth.adjacency == fresh.adjacency
-            assert growth.leaves == fresh.leaves
-            assert growth.paths == set(maximal_degree2_paths(fresh.as_graph(), forbidden=nt))
-            move = growth.move()
-            assert move == _reference_move(fresh, nt)
-            if move is None:
+            yield g, nt, growth
+            if (move := growth.move()) is None:
                 break
             growth.exchange(*move)
-            exchanges += 1
+
+
+def test_exchanges_carry_the_adjacency_and_leaves_a_fresh_tree_reads():
+    # the whole-tree union-find of a fresh SpanningTree is the reference
+    # that growth's in-place edits keep a spanning tree
+    exchanges = 0
+    for g, nt, growth in _growth_steps():
+        fresh = SpanningTree(g, frozenset(growth.edges))
+        assert growth.adjacency == fresh.adjacency
+        assert growth.leaves == fresh.leaves
+        exchanges += growth.move() is not None
+    assert exchanges > 270
+
+
+def test_kept_paths_match_a_rescan_after_every_exchange():
+    exchanges = 0
+    for g, nt, growth in _growth_steps():
+        t = SpanningTree(g, frozenset(growth.edges))
+        assert growth.paths == set(maximal_degree2_paths(t.as_graph(), forbidden=nt))
+        move = growth.move()
+        assert move == _reference_move(t, nt)
+        exchanges += move is not None
     assert exchanges > 270
 
 
