@@ -17,6 +17,7 @@ All types are immutable values.
 
 from __future__ import annotations
 
+import heapq
 import json
 import random
 import re
@@ -574,8 +575,6 @@ def _prufer_tree(n: int, rng: random.Random) -> list[tuple[int, int]]:
     for x in seq:
         degree[x] += 1
     edges = []
-    import heapq
-
     leaves = [v for v in range(1, n + 1) if degree[v] == 1]
     heapq.heapify(leaves)
     for x in seq:

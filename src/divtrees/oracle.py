@@ -7,14 +7,13 @@ difference has at least k edges).  Exact within its budgets; returns
 ``inconclusive`` instead of guessing when a budget runs out.  Intended
 for small instances only — this is the referee, not the algorithm.
 
-The inner layers work on whole words.  ``spantree._tree_leaves``
-yields each tree with its leaf count.  All candidates have
-n - 1 edges, so a diversity row is a bound on shared edges, evaluated
-for every other candidate at once in bit-sliced counters.  The clique
-search walks bitset pools in index order and returns the
-lexicographically first clique, so witnesses depend only on the
-candidate order; its node count (``clique_nodes``) is the number of
-vertices it tried.
+Trees are edge bitmasks: ``spantree._tree_leaves`` yields each tree
+with its leaf count, and the distance of two trees is the popcount of
+their xor.  The diversity graph is a list of bitset rows, built by one
+such test per pair of candidates.  The clique search walks bitset
+pools in index order and returns the lexicographically first clique,
+so witnesses depend only on the candidate order; its node count
+(``clique_nodes``) is the number of vertices it tried.
 
 Before the search, a counting bound can answer "no" outright.  Let c_e
 be the number of trees of an ell-family holding edge e:
@@ -90,46 +89,16 @@ def _bits(x: int):
 def _diversity_rows(cands: list[int], k: int) -> list[int]:
     """Row i: the bitset of j with ``(cands[i] ^ cands[j]).bit_count() >= k``.
 
-    Every mask must have the same bit count s.  Then the distance is
-    2(s - shared), so "distance >= k" is "shared <= s - ceil(k/2)".
-    Row i adds, for each edge of ``cands[i]``, the bitset of candidates
-    holding that edge into bit-sliced counter planes, and compares the
-    planes with that cap: O(s log s) big-int operations per row.
+    Each unordered pair is tested once and sets its bit in both rows, so
+    i never sits in its own row.
     """
-    n = len(cands)
-    if n == 0:
-        return []
-    cap = cands[0].bit_count() - (k + 1) // 2
-    if cap < 0:
-        return [0] * n
-    full = (1 << n) - 1
-    columns = [0] * max(m.bit_length() for m in cands)
-    for i, mask in enumerate(cands):
-        for e in _bits(mask):
-            columns[e] |= 1 << i
-    rows = []
-    for i, mask in enumerate(cands):
-        planes: list[int] = []  # planes[b]: candidates whose shared count has bit b
-        for e in _bits(mask):
-            carry = columns[e]
-            for b, plane in enumerate(planes):
-                planes[b] = plane ^ carry
-                carry &= plane
-                if not carry:
-                    break
-            else:
-                planes.append(carry)
-        # bit-sliced "count <= cap", most significant plane first; k >= 1
-        # puts cap below s, i's count with itself, so cap fits the planes
-        # and i drops out of its own row
-        below, equal = 0, full
-        for b in range(len(planes) - 1, -1, -1):
-            if cap >> b & 1:
-                below |= equal & ~planes[b]
-                equal &= planes[b]
-            else:
-                equal &= ~planes[b]
-        rows.append(below | equal)
+    rows = [0] * len(cands)
+    for i, a in enumerate(cands):
+        bit = 1 << i
+        for j in range(i):
+            if (a ^ cands[j]).bit_count() >= k:
+                rows[i] |= 1 << j
+                rows[j] |= bit
     return rows
 
 
@@ -195,15 +164,16 @@ def _find_clique(
 ) -> tuple[list[int] | None, int, bool]:
     """Search for ``ell`` pairwise k-distant masks among ``cands``.
 
-    Every mask must have the same bit count, as the spanning trees of
-    one graph do.  Returns (clique or None, nodes, search exhausted).
-    The caller orders ``cands``; a greedy pass runs first.  Past it,
-    the diversity graph is built as bit-sliced rows, vertices that
-    cannot sit in an ell-clique are peeled, and the search returns the
+    Returns (clique or None, nodes, search exhausted).  The caller
+    orders ``cands``; a greedy pass runs first.  Past it, the diversity
+    graph is built one pair test at a time, vertices that cannot sit in
+    an ell-clique are peeled, and the search returns the
     lexicographically first ell-clique by index.  Nodes count the
-    vertices the search tried.  Not exhausted means the node budget (or
-    the quadratic adjacency guard) cut the search short, so None is not
-    a proven absence.
+    vertices the search tried.  A pool with more pairs than the node
+    budget is refused before any row is built, so the build costs at
+    most one pair test per node the budget allows.  Not exhausted means
+    the node budget (or that guard) cut the search short, so None is
+    not a proven absence.
     """
     n = len(cands)
     if n < ell:

@@ -12,6 +12,7 @@ from divtrees import (
     Graph,
     Instance,
     InstanceNT,
+    InternalInvariantError,
     generate,
     read_graph,
     read_instance,
@@ -147,6 +148,16 @@ def test_data_problems_exit_65(tmp_path, capsys):
         bad.write_text(directives + "\n3 2\n1 2\n2 3\n")
         code, out, err = run(capsys, "solve", "-i", str(bad))
         assert code == 65 and out == "" and message in err, directives
+
+
+def test_internal_errors_exit_70(tmp_path, capsys, monkeypatch):
+    def broken(inst, limits):
+        raise InternalInvariantError("oracle produced a non-verifying witness")
+
+    monkeypatch.setattr(cli, "solve", broken)
+    code, out, err = run(capsys, "solve", "-i", c5_file(tmp_path))
+    assert code == 70 and out == ""
+    assert err == "internal error: oracle produced a non-verifying witness\n"
 
 
 def test_bare_problem_directive_exits_65(tmp_path, capsys):

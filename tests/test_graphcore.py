@@ -455,6 +455,9 @@ def test_generate_random_connected_is_connected():
     for seed in range(5):
         g = generate("random-connected", (8, 11), seed=seed)
         assert g.n == 8 and g.m == 11 and g.is_connected
+    # K1 and K2: Pruefer sequences need n >= 3
+    assert generate("random-connected", (1, 0)) == Graph(1, frozenset())
+    assert generate("random-connected", (2, 1)) == Graph(2, frozenset({(1, 2)}))
 
 
 def test_generate_random_connected_deterministic():
@@ -487,6 +490,22 @@ def test_generate_min_degree_3():
         g = generate("min-degree-3", (n,))
         assert g.n == n and g.is_connected
         assert min(g.degree(v) for v in g.vertices()) >= 3
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (partial(maximal_degree2_paths, Graph(3, frozenset({(1, 2)}))), "connected graph"),
+        (partial(generate, "theta", (0, 2, 3)), "path lengths must be positive"),
+        (partial(generate, "subdivided", (support.cycle_graph(3), 0)), "at least 1"),
+        (partial(generate, "twin-pendant-gadget", (support.cycle_graph(3), -1)), "non-negative"),
+        (partial(generate, "min-degree-3", (3,)), "at least 4 vertices"),
+        (partial(generate, "random-connected", (0, 0)), "at least one vertex"),
+    ],
+)
+def test_input_guards(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 def test_generate_unknown_family():

@@ -449,3 +449,18 @@ def test_find_clique_matches_brute_force():
             assert _first_clique(adj, pool, ell, tried - 1) == (None, tried, False)
             assert _first_clique(adj, pool, ell, tried) == (found, tried, True)
     assert searched["no"] > 50 and searched["yes"] > 10
+
+
+def test_find_clique_pins_on_md10(monkeypatch):
+    """The clique layer on a whole pool: md10's 1,815 trees in the
+    oracle's order, past the greedy pass in both answers."""
+    md10 = generate("min-degree-3", (10,))
+    masks = [mask for _, mask in sorted(_fitting(li(md10, 0, 0, 1, 1)))]
+    assert len(masks) == 1815
+    assert _find_clique(masks, 8, 8, 10**7) == ([0, 3, 7, 58, 103, 784, 1605, 1788], 21, True)
+    assert _find_clique(masks, 12, 4, 10**7) == (None, 28297, True)
+    # a pool with more pairs than the node budget builds no rows
+    built = []
+    monkeypatch.setattr(oracle, "_diversity_rows", lambda *args: built.append(args))
+    assert _find_clique(masks, 8, 8, 1815 * 1814 // 2 - 1) == (None, 0, False)
+    assert built == []
