@@ -55,6 +55,23 @@ def _bfs_parents(adj: Mapping[int, Iterable[int]], root: int) -> dict[int, int]:
     return parent
 
 
+def _component_count(n: int, edges: Iterable[tuple[int, int]]) -> int:
+    """The components of 1..n under ``edges``: one union-find pass with path
+    halving that skips cycle edges (``spantree._unite`` stops at the first)."""
+    parent, count = list(range(n + 1)), n
+    for u, v in edges:
+        while parent[u] != u:
+            parent[u] = parent[parent[u]]
+            u = parent[u]
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        if u != v:
+            parent[u] = v
+            count -= 1
+    return count
+
+
 @dataclass(frozen=True)
 class Graph:
     """An undirected simple graph on vertices 1..n.
@@ -115,11 +132,10 @@ class Graph:
 
     @cached_property
     def is_connected(self) -> bool:
-        # fewer than n - 1 edges cannot connect n vertices: answer before
-        # building the adjacency, which costs O(n)
+        # fewer than n - 1 edges cannot connect n vertices
         if self.m < self.n - 1:
             return False
-        return len(_bfs_parents(self.adjacency, 1)) == self.n
+        return _component_count(self.n, self.edges) == 1
 
     def is_tree(self) -> bool:
         return self.is_connected and self.m == self.n - 1
@@ -248,7 +264,8 @@ def _path_through(
 
 
 def maximal_degree2_paths(
-    g: Graph, forbidden: frozenset[int] = frozenset()
+    g: Graph, forbidden: frozenset[int] = frozenset(), *,
+    adj: Mapping[int, AbstractSet[int]] | None = None,
 ) -> list[tuple[int, ...]]:
     """All inclusion-maximal degree-2-paths with at least one internal
     vertex, internal vertices drawn from allowed degree-2 vertices.
@@ -260,15 +277,16 @@ def maximal_degree2_paths(
     ends up internal to exactly one returned path.  A connected graph
     that is one cycle of allowed vertices yields a single closed path
     anchored at the smallest vertex id.  Paths come back canonically
-    oriented and sorted.
+    oriented and sorted.  ``adj`` is the adjacency walked: ``g.adjacency``
+    by default, else ``g``'s own neighbour sets, keyed 1..n in order.
     """
     if not g.is_connected:
         raise ValueError("maximal_degree2_paths expects a connected graph")
-    adj = g.adjacency
-    interior = {v for v in g.vertices() if len(adj[v]) == 2 and v not in forbidden}
+    adj = g.adjacency if adj is None else adj
+    interior = {v for v, nbrs in adj.items() if len(nbrs) == 2 and v not in forbidden}
     # on a bare cycle of allowed vertices the walk from vertex 1 towards
     # its lower neighbour comes back to 1
-    anchors = [v for v in g.vertices() if v not in interior] or [1]
+    anchors = [v for v in adj if v not in interior] or [1]
     claimed: set[int] = set()
     found: list[tuple[int, ...]] = []
     for a in anchors:

@@ -203,21 +203,25 @@ class _Edit:
 
     The one place a contraction, deletion or reset is applied, by a
     reduction run, by :func:`apply_rule` and by :func:`replay`.
-    Adjacency and the required set are kept in starting ids, so a step
-    touches only its own vertices.  ``live`` holds the surviving
-    starting ids in order: a vertex's current id is its rank there, and
-    current id ``c`` is starting id ``live[c - 1]``.  Each step checks
-    that it is well formed, decides its parameter spend and returns its
-    transcript entry, under the rule id of its role in the instance's
-    variant; :meth:`instance` rebuilds the graph once at the end,
-    through one rank map.
+    Adjacency, as sets built from the input's edges, and the required
+    set are kept in starting ids, so a step touches only its own
+    vertices.  ``live`` holds the surviving starting ids in order: a
+    vertex's current id is its rank there, and current id ``c`` is
+    starting id ``live[c - 1]``.  Each step checks that it is well
+    formed, decides its parameter spend and returns its transcript
+    entry, under the rule id of its role in the instance's variant;
+    :meth:`instance` rebuilds the graph once at the end, through one
+    rank map.
     """
 
     def __init__(self, inst: Instance | InstanceNT) -> None:
         self.start = inst
         self.variant = _VARIANTS[type(inst)]
-        self.adj = {v: set(nbrs) for v, nbrs in inst.graph.adjacency.items()}
         self.live = list(inst.graph.vertices())
+        self.adj: dict[int, set[int]] = {v: set() for v in self.live}
+        for u, v in inst.graph.edges:
+            self.adj[u].add(v)
+            self.adj[v].add(u)
         self.p, self.q = inst.p, inst.q
         self.nt = set(inst.nonterminals)
 
@@ -504,7 +508,8 @@ def _kernelize(
             )
         transcript.append(RuleApplication("PC-tree", g.n, decision="yes"))
         return done("trivial_yes", inst, witness=witness)
-    nt_pendants = tuple(sorted(v for v in nt if g.degree(v) == 1))
+    edit = _Edit(inst)  # the run reads the input only through it
+    nt_pendants = tuple(sorted(v for v in nt if len(edit.adj[v]) == 1))
     if nt_pendants:
         return refuse(
             inst, "PC-nt-pendant", "a required-internal vertex has degree one", nt_pendants
@@ -513,9 +518,8 @@ def _kernelize(
     if unreachable:
         return refuse(inst, *unreachable)
 
-    edit = _Edit(inst)
     variant = edit.variant
-    _exhaust_contractions(edit, maximal_degree2_paths(g, nt), transcript)
+    _exhaust_contractions(edit, maximal_degree2_paths(g, nt, adj=edit.adj), transcript)
     if variant.twin is not None:
         _exhaust_pendant_deletions(edit, sweep=False, transcript=transcript)
     reset = edit.reset()
@@ -528,7 +532,7 @@ def _kernelize(
         # path's length or contraction guard reads
         _exhaust_pendant_deletions(edit, sweep=True, transcript=transcript)
     # rebuild only when a step removed a vertex: an untouched graph keeps
-    # its cached adjacency and connectivity
+    # its cached connectivity
     cur = edit.instance() if len(edit.live) < g.n else edit.on(g, nt)
     if not case1:
         # contraction can shrink n below the leftover targets, so re-check

@@ -52,7 +52,8 @@ def _acyclic(n: int, edges: Iterable[tuple[int, int]]) -> bool:
 def _unite(parent: list[int], edges: Iterable[tuple[int, int]]) -> bool:
     """Link each edge's endpoints in the union-find ``parent`` (each
     vertex's parent, a root its own), halving paths on the way; False
-    as soon as an edge closes a cycle.  Given the parents a forest left,
+    as soon as an edge closes a cycle, where ``graphcore._component_count``
+    skips it to count components.  Given the parents a forest left,
     that is whether ``edges`` close no cycle over that forest."""
     for u, v in edges:
         while parent[u] != u:

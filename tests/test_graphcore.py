@@ -1,6 +1,7 @@
 import dataclasses
+import random
 from functools import partial
-from itertools import islice
+from itertools import combinations, islice
 
 import pytest
 from hypothesis import given, strategies as st
@@ -23,7 +24,7 @@ from divtrees import (
     write_graph,
     write_instance,
 )
-from divtrees.graphcore import _ContentLines, _path_through
+from divtrees.graphcore import _bfs_parents, _ContentLines, _path_through
 
 
 # ---------------------------------------------------------------------------
@@ -73,6 +74,47 @@ def test_connectivity_and_tree_checks():
     split = Graph(4, frozenset({(1, 2), (3, 4)}))
     assert not split.is_connected
     assert not split.is_tree()
+
+
+def _reachable_from_1(g):
+    return len(_bfs_parents(g.adjacency, 1)) == g.n
+
+
+def _random_graphs(seed, count=300):
+    """Seeded random graphs of every density, many of them disconnected."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(1, 12)
+        pairs = list(combinations(range(1, n + 1), 2))
+        yield Graph(n, frozenset(rng.sample(pairs, rng.randint(0, len(pairs)))))
+
+
+@pytest.mark.parametrize(
+    "g, connected",
+    [
+        (Graph(1, frozenset()), True),
+        (Graph(2, frozenset()), False),
+        (Graph(5, frozenset({(1, 2), (3, 4)})), False),  # m < n - 1
+        # K4 plus an isolated vertex: m = 6 >= n - 1 = 4, still split
+        (Graph(5, frozenset(combinations(range(1, 5), 2))), False),
+        # only high ids are joined, so vertex 1 is isolated
+        (Graph(6, frozenset(combinations(range(2, 7), 2))), False),
+        (support.cycle_graph(7), True),
+    ],
+    ids=["K1", "two-isolated", "few-edges", "K4-plus-isolated", "1-isolated", "cycle"],
+)
+def test_connectivity_matches_bfs_reachability(g, connected):
+    assert g.is_connected is connected
+    assert "adjacency" not in vars(g)  # the answer reads only the edges
+    assert _reachable_from_1(g) is connected
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_connectivity_matches_bfs_reachability_on_random_graphs(seed):
+    graphs = list(_random_graphs(seed))
+    assert any(g.is_connected for g in graphs) and not all(g.is_connected for g in graphs)
+    for g in graphs:
+        assert g.is_connected == _reachable_from_1(g), g
 
 
 def test_instance_validation():

@@ -552,6 +552,48 @@ def test_run_that_removes_nothing_keeps_the_input_graph(monkeypatch, inst, rules
 
 
 @pytest.mark.parametrize(
+    "inst, outcome",
+    [
+        # core n = 80 is above case1_bound_li(2, 2) = 64: R5 says large
+        (li(generate("twin-pendant-gadget", (md3(80), 40), seed=1), k=2, ell=2), "trivial_yes"),
+        (lnt(generate("subdivided", (md3(40), 8)), {1}, k=4, ell=3), "delegated"),
+    ],
+    ids=["tp-li", "sub-lnt"],
+)
+def test_run_builds_no_graph_adjacency(inst, outcome):
+    # the run reads the input through its edit state's adjacency sets
+    # and answers connectivity from the edges alone
+    res = kernelize(inst)
+    assert res.outcome == outcome
+    assert res.final_instance.graph is not inst.graph
+    assert "adjacency" not in vars(inst.graph)
+    assert "adjacency" not in vars(res.final_instance.graph)
+
+
+def _edge_sets(g):
+    adj = {v: set() for v in g.vertices()}
+    for u, v in g.edges:
+        adj[u].add(v)
+        adj[v].add(u)
+    return adj
+
+
+@pytest.mark.parametrize("source", ["li", "lnt", "random"])
+def test_scan_of_given_adjacency_matches_the_graphs_own(source):
+    if source == "random":
+        rng = random.Random(5)
+        insts = [li(support.random_connected(rng, rng.randint(2, 30))) for _ in range(200)]
+    else:
+        insts = [inst for inst, _ in golden_corpus(source)]
+    rng = random.Random(6)
+    for g, nt in ((i.graph, i.nonterminals) for i in insts if i.graph.is_connected):
+        drawn = frozenset(rng.sample(range(1, g.n + 1), min(g.n, 3)))
+        for forbidden in (frozenset(), nt, drawn):
+            expected = maximal_degree2_paths(g, forbidden)
+            assert maximal_degree2_paths(g, forbidden, adj=_edge_sets(g)) == expected, g
+
+
+@pytest.mark.parametrize(
     "g", [support.path_graph(6), Graph.from_edges(4, [(1, 2), (1, 3), (1, 4)])], ids=["path", "star"]
 )
 def test_sweep_pass_runs_a_tree_down_to_one_vertex(g):
