@@ -18,7 +18,7 @@ from functools import cached_property
 from math import ceil
 from typing import Iterable, Sequence
 
-from .graphcore import Graph, Instance, InstanceNT, InternalInvariantError, _bfs_parents, _norm_edge
+from .graphcore import Graph, Instance, InstanceNT, InternalInvariantError, _adjacency, _bfs_parents, _norm_edge
 from .spantree import (
     DEFAULT_TREE_BUDGET,
     SpanningTree,
@@ -106,12 +106,9 @@ def _bfs_depth(vertices: Iterable[int], edges: Iterable[tuple[int, int]]) -> dic
     Each component is rooted at its smallest vertex, so a depth is the
     length of the one path from that root, whatever the visiting order.
     """
-    adj: dict[int, list[int]] = {v: [] for v in vertices}
-    for u, v in edges:
-        adj[u].append(v)
-        adj[v].append(u)
+    adj = _adjacency(sorted(vertices), edges)
     depth: dict[int, int] = {}
-    for root in sorted(adj):
+    for root in adj:
         if root not in depth:
             for x, px in _bfs_parents(adj, root).items():
                 depth[x] = 0 if x == px else depth[px] + 1
@@ -367,7 +364,7 @@ def verify_family(
     forest: list[int] | None = None
     if core <= g.edges and any(len(core) + len(own) == n - 1 for own in owns):
         forest = list(range(n + 1))
-        if not _unite(forest, core):
+        if _unite(forest, core) != 0:
             forest = None
     trees = []
     for i, own in enumerate(owns):
@@ -377,7 +374,7 @@ def verify_family(
             forest is not None
             and own <= g.edges
             and len(core) + len(own) == n - 1
-            and _unite(forest.copy(), own)
+            and _unite(forest.copy(), own) == 0
         )
         reached = n if spanning else len(degree) + sum(x not in degree for x in _degrees(n, own))
         internal_count = reached - leaf_count

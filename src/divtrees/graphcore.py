@@ -55,10 +55,23 @@ def _bfs_parents(adj: Mapping[int, Iterable[int]], root: int) -> dict[int, int]:
     return parent
 
 
-def _component_count(n: int, edges: Iterable[tuple[int, int]]) -> int:
-    """The components of 1..n under ``edges``: one union-find pass with path
-    halving that skips cycle edges (``spantree._unite`` stops at the first)."""
-    parent, count = list(range(n + 1)), n
+def _adjacency(vertices: Iterable[int], edges: Iterable[tuple[int, int]]) -> dict[int, set[int]]:
+    """Each vertex's neighbours under ``edges``, keyed in ``vertices`` order."""
+    adj: dict[int, set[int]] = {v: set() for v in vertices}
+    for u, v in edges:
+        adj[u].add(v)
+        adj[v].add(u)
+    return adj
+
+
+def _unite(parent: list[int], edges: Iterable[tuple[int, int]]) -> int:
+    """Link each edge's endpoints in the union-find ``parent`` (each
+    vertex's parent, a root its own), halving paths on the way, and
+    return how many edges were skipped because they closed a cycle.
+    Given the parents a forest left, 0 says ``edges`` close no cycle
+    over that forest; on the identity over 1..n, the m edges leave
+    n - m + that count components."""
+    cycles = 0
     for u, v in edges:
         while parent[u] != u:
             parent[u] = parent[parent[u]]
@@ -66,10 +79,11 @@ def _component_count(n: int, edges: Iterable[tuple[int, int]]) -> int:
         while parent[v] != v:
             parent[v] = parent[parent[v]]
             v = parent[v]
-        if u != v:
+        if u == v:
+            cycles += 1
+        else:
             parent[u] = v
-            count -= 1
-    return count
+    return cycles
 
 
 @dataclass(frozen=True)
@@ -115,11 +129,7 @@ class Graph:
 
     @cached_property
     def adjacency(self) -> dict[int, frozenset[int]]:
-        adj: dict[int, set[int]] = {v: set() for v in self.vertices()}
-        for u, v in self.edges:
-            adj[u].add(v)
-            adj[v].add(u)
-        return {v: frozenset(s) for v, s in adj.items()}
+        return {v: frozenset(s) for v, s in _adjacency(self.vertices(), self.edges).items()}
 
     def neighbors(self, v: int) -> frozenset[int]:
         return self.adjacency[v]
@@ -132,10 +142,11 @@ class Graph:
 
     @cached_property
     def is_connected(self) -> bool:
-        # fewer than n - 1 edges cannot connect n vertices
+        # fewer than n - 1 edges cannot connect n vertices; m edges do
+        # exactly when all but n - 1 of them close a cycle
         if self.m < self.n - 1:
             return False
-        return _component_count(self.n, self.edges) == 1
+        return _unite(list(range(self.n + 1)), self.edges) == self.m - self.n + 1
 
     def is_tree(self) -> bool:
         return self.is_connected and self.m == self.n - 1
@@ -572,15 +583,12 @@ def _gen_min_degree3(n: int) -> Graph:
     ladder for even n, a two-step circulant for odd n."""
     if n < 4:
         raise ValueError("minimum degree 3 needs at least 4 vertices")
-    edges = {(i, i % n + 1) for i in range(1, n + 1)}
+    edges = [(i, i % n + 1) for i in range(1, n + 1)]
     if n % 2 == 0:
-        for i in range(1, n // 2 + 1):
-            edges.add((i, i + n // 2))
+        edges += [(i, i + n // 2) for i in range(1, n // 2 + 1)]
     else:
-        for i in range(1, n + 1):
-            j = (i + 1) % n + 1
-            edges.add(_norm_edge(i, j))
-    return Graph.from_edges(n, sorted({_norm_edge(u, v) for u, v in edges}))
+        edges += [(i, (i + 1) % n + 1) for i in range(1, n + 1)]
+    return Graph.from_edges(n, edges)
 
 
 def _prufer_tree(n: int, rng: random.Random) -> list[tuple[int, int]]:

@@ -50,6 +50,7 @@ from .graphcore import (
     Instance,
     InstanceNT,
     InternalInvariantError,
+    _adjacency,
     _compact_renaming,
     _path_through,
     maximal_degree2_paths,
@@ -202,26 +203,23 @@ class _Edit:
     """An instance under a run of contractions and pendant deletions.
 
     The one place a contraction, deletion or reset is applied, by a
-    reduction run, by :func:`apply_rule` and by :func:`replay`.
-    Adjacency, as sets built from the input's edges, and the required
-    set are kept in starting ids, so a step touches only its own
-    vertices.  ``live`` holds the surviving starting ids in order: a
-    vertex's current id is its rank there, and current id ``c`` is
-    starting id ``live[c - 1]``.  Each step checks that it is well
-    formed, decides its parameter spend and returns its transcript
-    entry, under the rule id of its role in the instance's variant;
-    :meth:`instance` rebuilds the graph once at the end, through one
-    rank map.
+    reduction run, by :func:`apply_rule` and by :func:`replay`.  The
+    adjacency, sets that ``graphcore._adjacency`` builds from the
+    input's edges, and the required set are kept in starting ids, so a
+    step touches only its own vertices.  ``live`` holds the surviving
+    starting ids in order: a vertex's current id is its rank there, and
+    current id ``c`` is starting id ``live[c - 1]``.  Each step checks
+    that it is well formed, decides its parameter spend and returns its
+    transcript entry, under the rule id of its role in the instance's
+    variant; :meth:`instance` rebuilds the graph once at the end,
+    through one rank map.
     """
 
     def __init__(self, inst: Instance | InstanceNT) -> None:
         self.start = inst
         self.variant = _VARIANTS[type(inst)]
         self.live = list(inst.graph.vertices())
-        self.adj: dict[int, set[int]] = {v: set() for v in self.live}
-        for u, v in inst.graph.edges:
-            self.adj[u].add(v)
-            self.adj[v].add(u)
+        self.adj = _adjacency(self.live, inst.graph.edges)
         self.p, self.q = inst.p, inst.q
         self.nt = set(inst.nonterminals)
 

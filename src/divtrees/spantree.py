@@ -23,12 +23,14 @@ from .graphcore import (
     Graph,
     GraphFormatError,
     InternalInvariantError,
+    _adjacency,
     _bfs_parents,
     _canonical_path,
     _ContentLines,
     _edge_block,
     _norm_edge,
     _path_through,
+    _unite,
     _walk,
     _write_edge_list,
     maximal_degree2_paths,
@@ -44,28 +46,10 @@ class TreeEnumerationOverflow(RuntimeError):
 
 
 def _acyclic(n: int, edges: Iterable[tuple[int, int]]) -> bool:
-    """Whether ``edges`` on vertices 1..n close no cycle.  Given n - 1
-    of them, that is whether they form a spanning tree."""
-    return _unite(list(range(n + 1)), edges)
-
-
-def _unite(parent: list[int], edges: Iterable[tuple[int, int]]) -> bool:
-    """Link each edge's endpoints in the union-find ``parent`` (each
-    vertex's parent, a root its own), halving paths on the way; False
-    as soon as an edge closes a cycle, where ``graphcore._component_count``
-    skips it to count components.  Given the parents a forest left,
-    that is whether ``edges`` close no cycle over that forest."""
-    for u, v in edges:
-        while parent[u] != u:
-            parent[u] = parent[parent[u]]
-            u = parent[u]
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        if u == v:
-            return False
-        parent[u] = v
-    return True
+    """Whether ``edges`` on vertices 1..n close no cycle: graphcore's
+    union-find skips none of them.  Given n - 1 of them, that is
+    whether they form a spanning tree."""
+    return _unite(list(range(n + 1)), edges) == 0
 
 
 def _degrees(n: int, edges: Iterable[tuple[int, int]]) -> Counter[int]:
@@ -116,10 +100,11 @@ class SpanningTree:
     vertices with L leaves has B <= L - 2 vertices of degree three or
     more: the degree sum 2n - 2 is at least L + 2(n - L - B) + 3B.
     A union-find pass answers the spanning check (n-1 edges that close
-    no cycle span), and the leaves and sorted edges are read off the
-    edge set.  The tree's own :class:`Graph` is built once, when the
-    adjacency or :meth:`as_graph` is first asked for.  Nothing edits a
-    tree: leaf growth edits a working copy of one (:class:`_Growth`).
+    no cycle span), and the leaves, sorted edges and adjacency are read
+    off the edge set; :meth:`as_graph` builds the tree's own
+    :class:`Graph` each time it is called.  Nothing edits a tree, nor
+    its adjacency: leaf growth edits a working copy of one
+    (:class:`_Growth`).
     """
 
     host: Graph
@@ -139,16 +124,12 @@ class SpanningTree:
         """The tree on the set bits of ``mask`` over ``host.sorted_edges()``."""
         return cls(host, frozenset(e for i, e in enumerate(host._edge_order) if mask >> i & 1))
 
-    @cached_property
-    def _graph(self) -> Graph:
+    def as_graph(self) -> Graph:
         return Graph(self.host.n, self.edges)
 
-    def as_graph(self) -> Graph:
-        return self._graph
-
     @cached_property
-    def adjacency(self) -> dict[int, frozenset[int]]:
-        return self._graph.adjacency
+    def adjacency(self) -> dict[int, set[int]]:
+        return _adjacency(self.host.vertices(), self.edges)
 
     @cached_property
     def leaves(self) -> frozenset[int]:
@@ -271,13 +252,14 @@ def _off_far_end(adj: Mapping[int, AbstractSet[int]], vs: tuple[int, ...], w: in
 class _Growth:
     """A spanning tree under leaf growth, edited in place.
 
-    Holds the tree's ``host``, its ``edges``, its ``adjacency`` as sets
-    and its ``leaves``, and ``paths``: every path that
-    :func:`maximal_degree2_paths` finds on the tree with ``forbidden=nt``,
-    as canonical vertex tuples, with ``candidates`` the ones an exchange
-    can use, sorted.  A strictly interior path vertex has tree degree 2,
-    so it has a non-tree host edge exactly when its host degree is >= 3:
-    whether a path is a candidate follows from its vertex tuple alone.
+    Holds the tree's ``host``, its ``edges``, its ``adjacency`` (sets
+    built from the start tree's edges) and its ``leaves``, and
+    ``paths``: every path that :func:`maximal_degree2_paths` finds on
+    the tree with ``forbidden=nt``, as canonical vertex tuples, with
+    ``candidates`` the ones an exchange can use, sorted.  A strictly
+    interior path vertex has tree degree 2, so it has a non-tree host
+    edge exactly when its host degree is >= 3: whether a path is a
+    candidate follows from its vertex tuple alone.
 
     An exchange changes the tree degree of the endpoints of the two
     exchanged edges only.  Every other vertex keeps its degree and its
@@ -290,13 +272,13 @@ class _Growth:
     def __init__(self, t: SpanningTree, nt: frozenset[int]) -> None:
         self.host = t.host
         self.edges = set(t.edges)
-        self.adjacency = {x: set(ys) for x, ys in t.adjacency.items()}
+        self.adjacency = _adjacency(t.host.vertices(), t.edges)
         self.leaves = set(t.leaves)
         self.nt = nt
         self.host_adj = t.host.adjacency
         self.paths: set[tuple[int, ...]] = set()
         self.candidates: list[tuple[int, ...]] = []
-        self._update((), maximal_degree2_paths(t.as_graph(), forbidden=nt))
+        self._update((), maximal_degree2_paths(t.as_graph(), nt, adj=self.adjacency))
 
     def _candidate(self, vs: tuple[int, ...]) -> bool:
         return any(len(self.host_adj[x]) >= 3 for x in vs[3 : len(vs) - 3])

@@ -528,8 +528,8 @@ def test_family_members_build_no_tree_graph():
     for t in fam:
         assert t.internal_vertices | t.leaves == frozenset(g.vertices())
         assert t.internal_count == g.n - t.leaf_count
-    assert "_graph" in grown.__dict__
-    assert not any("_graph" in t.__dict__ for t in fam)
+    assert "adjacency" in grown.__dict__
+    assert not any("adjacency" in t.__dict__ or "_graph" in t.__dict__ for t in fam)
 
 
 # ---------------------------------------------------------------------------

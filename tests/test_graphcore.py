@@ -24,7 +24,8 @@ from divtrees import (
     write_graph,
     write_instance,
 )
-from divtrees.graphcore import _bfs_parents, _ContentLines, _path_through
+from divtrees.graphcore import _bfs_parents, _ContentLines, _path_through, _unite
+from divtrees.spantree import _acyclic
 
 
 # ---------------------------------------------------------------------------
@@ -115,6 +116,31 @@ def test_connectivity_matches_bfs_reachability_on_random_graphs(seed):
     assert any(g.is_connected for g in graphs) and not all(g.is_connected for g in graphs)
     for g in graphs:
         assert g.is_connected == _reachable_from_1(g), g
+
+
+def _components(g):
+    seen, count = set(), 0
+    for v in g.vertices():
+        if v not in seen:
+            seen.update(_bfs_parents(g.adjacency, v))
+            count += 1
+    return count
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_unite_skips_the_edges_past_a_spanning_forest(seed):
+    # c components keep n - c edges of a spanning forest, so the other
+    # m - n + c close cycles; the edges are a forest exactly when none do
+    seen = dict.fromkeys(["K1", "few-edges", "split-with-cycle", "1-isolated"], 0)
+    for g in [Graph(1, frozenset()), *_random_graphs(seed)]:
+        c = _components(g)
+        assert _unite(list(range(g.n + 1)), g.edges) == g.m - g.n + c
+        assert _acyclic(g.n, (e for e in g.sorted_edges())) is (g.m - g.n + c == 0)
+        seen["K1"] += g.n == 1
+        seen["few-edges"] += g.m < g.n - 1
+        seen["split-with-cycle"] += c > 1 and g.m - g.n + c > 0
+        seen["1-isolated"] += g.n > 1 and not g.adjacency[1]
+    assert all(seen.values()), seen
 
 
 def test_instance_validation():

@@ -83,6 +83,37 @@ def test_the_runtime_has_one_json_serializer():
     assert [what for _, _, what in shared] == ["JSONEncoder"]
 
 
+def _root_walks(tree):
+    """(function, line) of each ``while parent[x] != x`` loop: a
+    union-find's walk up to a root, whatever its names."""
+    for fn in ast.walk(tree):
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for node in ast.walk(fn):
+                test = getattr(node, "test", None)
+                if (
+                    isinstance(node, ast.While)
+                    and isinstance(test, ast.Compare)
+                    and isinstance(test.ops[0], ast.NotEq)
+                    and isinstance(test.left, ast.Subscript)
+                    and ast.dump(test.left.slice) == ast.dump(test.comparators[0])
+                ):
+                    yield fn.name, node.lineno
+
+
+def test_the_runtime_has_one_path_halving_union_find():
+    # graphcore._unite serves every connectivity, spanning and forest
+    # check; the enumerator keeps its own, undoable one, which cannot
+    # compress paths because it unlinks
+    owners = {
+        (path.name, name)
+        for path in sorted(SRC.glob("*.py"))
+        for name, _ in _root_walks(ast.parse(path.read_text(), filename=str(path)))
+    }
+    assert owners == {("graphcore.py", "_unite"), ("spantree.py", "_tree_leaves")}
+    copy = "def _component_count(n, edges):\n    for u, v in edges:\n        while parent[u] != u:\n            u = parent[u]"
+    assert list(_root_walks(ast.parse(copy))) == [("_component_count", 3)]
+
+
 def _namespace_writes(tree):
     """Each assignment target of the form ``vars(x)[...]`` or
     ``x.__dict__[...]``: a write past an object's attributes, as into a
