@@ -3,9 +3,9 @@
 Holds the validated spanning-tree value type, the single-step
 leaf-gaining edge exchange on a tree path given as its vertex tuple
 (it names the tree edge to drop), the growth loop that pushes a tree
-towards a leaf target (it edits one working tree in place, keeping its
-degree-2-paths with graphcore's one path walker, and checks the tree it
-reaches once), and bounded exhaustive enumeration of all spanning trees
+towards a leaf target (it edits one working tree's adjacency in place,
+keeping its candidate degree-2-paths with graphcore's one path walker,
+and checks the tree it reaches once), and bounded exhaustive enumeration of all spanning trees
 with their leaf counts, kept by degree bookkeeping (the one engine
 behind the exact solvers).
 """
@@ -33,7 +33,6 @@ from .graphcore import (
     _unite,
     _walk,
     _write_edge_list,
-    maximal_degree2_paths,
 )
 
 
@@ -101,10 +100,9 @@ class SpanningTree:
     more: the degree sum 2n - 2 is at least L + 2(n - L - B) + 3B.
     A union-find pass answers the spanning check (n-1 edges that close
     no cycle span), and the leaves, sorted edges and adjacency are read
-    off the edge set; :meth:`as_graph` builds the tree's own
-    :class:`Graph` each time it is called.  Nothing edits a tree, nor
-    its adjacency: leaf growth edits a working copy of one
-    (:class:`_Growth`).
+    off the edge set; a tree builds no :class:`Graph` of its own.
+    Nothing edits a tree, nor its adjacency: leaf growth edits a working
+    copy of the adjacency (:class:`_Growth`).
     """
 
     host: Graph
@@ -123,9 +121,6 @@ class SpanningTree:
     def from_mask(cls, host: Graph, mask: int) -> SpanningTree:
         """The tree on the set bits of ``mask`` over ``host.sorted_edges()``."""
         return cls(host, frozenset(e for i, e in enumerate(host._edge_order) if mask >> i & 1))
-
-    def as_graph(self) -> Graph:
-        return Graph(self.host.n, self.edges)
 
     @cached_property
     def adjacency(self) -> dict[int, set[int]]:
@@ -170,8 +165,8 @@ def augment_leaf(
     """The tree edge to exchange for ``vw`` so that the tree gains at
     least one leaf.
 
-    ``t`` is read as its ``host``, ``edges`` and ``adjacency`` only, so
-    it is a :class:`SpanningTree` or growth's working tree.  ``path`` is
+    ``t`` is read as its ``host`` and ``adjacency`` only, so it is a
+    :class:`SpanningTree` or growth's working tree.  ``path`` is
     the vertex tuple of a path of ``t`` whose internal vertices have
     tree degree exactly 2 and whose length is >= 6; ``v`` must sit at
     positions 3..length-3 of the path and ``vw`` must be an edge of the
@@ -183,33 +178,33 @@ def augment_leaf(
     ``w`` itself stops being one.  Whether ``w`` lies below ``v`` costs
     no search of the whole tree (:func:`_off_far_end`).
     """
-    g = t.host
+    adj = t.adjacency
     vs, r = path, len(path) - 1
     if r > 0 and vs[0] == vs[-1]:
         raise ValueError("a path of a tree cannot be closed")
-    if len(set(vs)) != len(vs):
+    pos = {x: i for i, x in enumerate(vs)}
+    if len(pos) != len(vs):
         raise ValueError("path vertices must be distinct")
     for a, b in zip(vs, vs[1:]):
-        if _norm_edge(a, b) not in t.edges:
-            raise ValueError(f"({a},{b}) is not an edge of the host graph")
+        if b not in adj.get(a, ()):
+            raise ValueError(f"({a},{b}) is not an edge of the tree")
     for x in vs[1:-1]:
-        if len(t.adjacency[x]) != 2:
-            raise ValueError(f"internal vertex {x} has degree {len(t.adjacency[x])} != 2")
+        if len(adj[x]) != 2:
+            raise ValueError(f"internal vertex {x} has degree {len(adj[x])} != 2")
     if r < 6:
         raise ValueError("augmentation needs a path of length >= 6")
     if v not in vs[3 : r - 2]:
         raise ValueError(f"vertex {v} is not strictly internal to the path")
-    if w == v or not g.has_edge(v, w):
+    if w == v or not t.host.has_edge(v, w):
         raise ValueError(f"({v},{w}) is not an edge of the host graph")
-    if _norm_edge(v, w) in t.edges:
+    if w in adj[v]:
         raise ValueError(f"({v},{w}) is already a tree edge")
 
     # w lies below v exactly when it follows v on the path or hangs off
     # the far path end
-    pos = {x: i for i, x in enumerate(vs)}
     j0 = pos.get(w)
     if j0 is None:
-        w_below_v = _off_far_end(t.adjacency, vs, w)
+        w_below_v = _off_far_end(adj, vs, w)
     else:
         w_below_v = j0 > pos[v]
 
@@ -252,14 +247,16 @@ def _off_far_end(adj: Mapping[int, AbstractSet[int]], vs: tuple[int, ...], w: in
 class _Growth:
     """A spanning tree under leaf growth, edited in place.
 
-    Holds the tree's ``host``, its ``edges``, its ``adjacency`` (sets
-    built from the start tree's edges) and its ``leaves``, and
-    ``paths``: every path that :func:`maximal_degree2_paths` finds on
-    the tree with ``forbidden=nt``, as canonical vertex tuples, with
-    ``candidates`` the ones an exchange can use, sorted.  A strictly
-    interior path vertex has tree degree 2, so it has a non-tree host
-    edge exactly when its host degree is >= 3: whether a path is a
-    candidate follows from its vertex tuple alone.
+    Holds the tree's ``host``, its ``adjacency`` (sets built from the
+    start tree's edges), its ``leaves`` and ``candidates``: the maximal
+    degree-2-paths of the tree with ``forbidden=nt`` that an exchange
+    can use, as canonical vertex tuples, sorted.  A strictly interior
+    path vertex has tree degree 2, so it has a non-tree host edge
+    exactly when its host degree is >= 3: whether a path is a candidate
+    follows from its vertex tuple alone.  One rule, :meth:`_through`,
+    finds the paths: at the start, every path through an anchor (a
+    vertex of tree degree other than 2, or in ``nt``), and after each
+    exchange the paths through its endpoints.
 
     An exchange changes the tree degree of the endpoints of the two
     exchanged edges only.  Every other vertex keeps its degree and its
@@ -271,27 +268,21 @@ class _Growth:
 
     def __init__(self, t: SpanningTree, nt: frozenset[int]) -> None:
         self.host = t.host
-        self.edges = set(t.edges)
-        self.adjacency = _adjacency(t.host.vertices(), t.edges)
+        self.adjacency = adj = _adjacency(t.host.vertices(), t.edges)
         self.leaves = set(t.leaves)
         self.nt = nt
-        self.host_adj = t.host.adjacency
-        self.paths: set[tuple[int, ...]] = set()
         self.candidates: list[tuple[int, ...]] = []
-        self._update((), maximal_degree2_paths(t.as_graph(), nt, adj=self.adjacency))
+        anchors = [x for x in adj if len(adj[x]) != 2 or x in nt]
+        self._update((), set().union(*map(self._through, anchors)))
 
     def _candidate(self, vs: tuple[int, ...]) -> bool:
-        return any(len(self.host_adj[x]) >= 3 for x in vs[3 : len(vs) - 3])
+        return any(len(self.host.adjacency[x]) >= 3 for x in vs[3 : len(vs) - 3])
 
     def _update(self, gone: Iterable[tuple[int, ...]], found: Iterable[tuple[int, ...]]) -> None:
-        for vs in gone:
-            self.paths.remove(vs)
-            if self._candidate(vs):
-                del self.candidates[bisect_left(self.candidates, vs)]
-        for vs in found:
-            self.paths.add(vs)
-            if self._candidate(vs):
-                insort(self.candidates, vs)
+        for vs in filter(self._candidate, gone):
+            del self.candidates[bisect_left(self.candidates, vs)]
+        for vs in filter(self._candidate, found):
+            insort(self.candidates, vs)
 
     def _through(self, x: int) -> set[tuple[int, ...]]:
         """The canonical maximal degree-2-paths of the tree that hold ``x``."""
@@ -308,20 +299,19 @@ class _Growth:
         lowest non-tree neighbour."""
         if not self.candidates:
             return None
-        vs = self.candidates[0]
-        i = next(i for i in range(3, len(vs) - 3) if len(self.host_adj[vs[i]]) >= 3)
-        return vs, vs[i], min(self.host_adj[vs[i]] - {vs[i - 1], vs[i + 1]})
+        vs, host_adj = self.candidates[0], self.host.adjacency
+        i = next(i for i in range(3, len(vs) - 3) if len(host_adj[vs[i]]) >= 3)
+        return vs, vs[i], min(host_adj[vs[i]] - {vs[i - 1], vs[i + 1]})
 
     def exchange(self, path: tuple[int, ...], v: int, w: int) -> None:
         """Swap in ``vw`` for the tree edge :func:`augment_leaf` drops,
         and check that the tree gained a leaf, and only on ``path``'s
-        interior."""
+        interior.  ``path`` is a candidate, as :meth:`move` gives it."""
         a, b = augment_leaf(self, path, v, w)
+        # a, b and v are interior to path: it is the one path through each
+        gone = {path} | self._through(w)
         ends = {a, b, v, w}
-        gone = set().union(*map(self._through, ends))
         adj, old = self.adjacency, ends & self.leaves
-        self.edges.remove((a, b))
-        self.edges.add(_norm_edge(v, w))
         adj[a].remove(b)
         adj[b].remove(a)
         adj[v].add(w)
@@ -345,11 +335,12 @@ def grow_leaves(start: SpanningTree, nt: frozenset[int], target: int) -> Spannin
     off the returned tree's leaf count.  Requires every vertex of ``nt``
     internal in ``start``.  Vertices of ``nt`` never become leaves:
     exchanges only create leaves among interior path vertices, and those
-    are kept disjoint from ``nt``.  Only when growth is needed is
-    ``start`` copied into one working tree, edited in place by each
-    exchange (see :class:`_Growth`).  The tree reached is checked once,
-    as every :class:`SpanningTree` is; with no exchange made, ``start``
-    itself comes back.
+    are kept disjoint from ``nt``.  Only when growth is needed is one
+    working tree built from ``start``'s edges, edited in place by each
+    exchange (see :class:`_Growth`).  The edges of the tree reached are
+    read off its adjacency once and checked, as every
+    :class:`SpanningTree` is; with no exchange made, ``start`` itself
+    comes back.
     """
     vertices = start.host.vertices()
     if nt & start.leaves or not all(v in vertices for v in nt):
@@ -363,7 +354,8 @@ def grow_leaves(start: SpanningTree, nt: frozenset[int], target: int) -> Spannin
         raise InternalInvariantError("growth turned a required-internal vertex into a leaf")
     if len(growth.leaves) == start.leaf_count:
         return start
-    return SpanningTree(start.host, frozenset(growth.edges))
+    adj = growth.adjacency
+    return SpanningTree(start.host, frozenset((x, y) for x in adj for y in adj[x] if x < y))
 
 
 # ---------------------------------------------------------------------------

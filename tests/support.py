@@ -17,6 +17,11 @@ def path_graph(n: int) -> Graph:
     return Graph(n, frozenset((i, i + 1) for i in range(1, n)))
 
 
+def tree_graph(t: SpanningTree) -> Graph:
+    """The tree ``t`` as a graph of its own, on its host's vertices."""
+    return Graph(t.host.n, t.edges)
+
+
 def cycle_graph(n: int) -> Graph:
     return generate("cycle", (n,))
 

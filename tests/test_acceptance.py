@@ -360,7 +360,7 @@ CRIT6_AUGMENTATIONS = 100
 
 
 def _tree_moves(g: Graph, t: SpanningTree):
-    for path in maximal_degree2_paths(t.as_graph(), frozenset()):
+    for path in maximal_degree2_paths(support.tree_graph(t), frozenset()):
         if len(path) - 1 < 6:
             continue
         vs = path

@@ -40,7 +40,7 @@ def test_spanning_tree_queries():
     assert t.leaf_count == 2
     assert t.internal_vertices == frozenset({2, 3})
     assert t.internal_count == 2
-    assert t.as_graph().is_tree()
+    assert support.tree_graph(t).is_tree()
 
 
 def test_spanning_tree_rejects_wrong_edge_count():
@@ -169,7 +169,7 @@ def test_arbitrary_tree_is_bfs_from_one():
 @given(support.connected_graphs(min_n=2, max_n=9))
 def test_arbitrary_tree_spans(g):
     t = arbitrary_spanning_tree(g)
-    assert t.as_graph().is_tree()
+    assert support.tree_graph(t).is_tree()
     assert support.leaf_balance_ok(g.n, t.edges) or g.n < 2
 
 
@@ -413,7 +413,7 @@ def test_enumeration_agrees_with_kirchhoff(g):
     assert len(trees) == count_spanning_trees(g)
     assert len({t.edges for t in trees}) == len(trees)
     # a tree is written in the graph text format without building a graph
-    assert all(write_tree(t) == write_graph(t.as_graph()) for t in trees)
+    assert all(write_tree(t) == write_graph(support.tree_graph(t)) for t in trees)
 
 
 @given(support.connected_graphs(min_n=2, max_n=8))
@@ -514,7 +514,7 @@ def test_augment_pin_on_chorded_cycle():
     g = c8_with_chord()
     t = SpanningTree(g, frozenset((i, i + 1) for i in range(1, 8)))
     assert t.leaves == frozenset({1, 8})
-    (path,) = maximal_degree2_paths(t.as_graph())
+    (path,) = maximal_degree2_paths(support.tree_graph(t))
     assert augment_leaf(t, path, 4, 8) == (6, 7)
     t2 = _exchanged(t, path, 4, 8)
     assert t2.edges == frozenset(
@@ -526,7 +526,7 @@ def test_augment_pin_on_chorded_cycle():
 def test_augment_validation():
     g = c8_with_chord()
     t = SpanningTree(g, frozenset((i, i + 1) for i in range(1, 8)))
-    (path,) = maximal_degree2_paths(t.as_graph())
+    (path,) = maximal_degree2_paths(support.tree_graph(t))
     with pytest.raises(ValueError, match="strictly internal"):
         augment_leaf(t, path, 2, 8)
     with pytest.raises(ValueError, match="not an edge"):
@@ -544,6 +544,12 @@ def test_augment_rejects_a_malformed_path():
         augment_leaf(t, (1, 2, 3, 4, 5, 6, 7, 8, 1), 4, 8)
     with pytest.raises(ValueError, match=r"\(1,3\) is not an edge"):
         augment_leaf(t, (1, 3, 4, 5, 6, 7, 8), 4, 8)
+    # (1,8) is a host edge that the tree left out
+    with pytest.raises(ValueError, match=r"\(1,8\) is not an edge of the tree"):
+        augment_leaf(t, (1, 8, 7, 6, 5, 4, 3), 5, 2)
+    for path in [(1, 2, 3, 4, 5, 6, 7, 9), (0, 1, 2, 3, 4, 5, 6, 7)]:
+        with pytest.raises(ValueError, match="is not an edge of the tree"):
+            augment_leaf(t, path, 4, 8)
     # a tree edge (4,8) gives vertex 4 tree degree 3
     t = SpanningTree(g, frozenset((i, i + 1) for i in range(1, 7)) | {(4, 8)})
     with pytest.raises(ValueError, match="internal vertex 4 has degree 3 != 2"):
@@ -556,7 +562,7 @@ def test_augment_accepts_only_a_strictly_internal_vertex():
     n = 10
     g = Graph(n, support.cycle_graph(n).edges | {(4, n), (5, n), (6, n)})
     t = SpanningTree(g, frozenset((i, i + 1) for i in range(1, n)))
-    (path,) = maximal_degree2_paths(t.as_graph())
+    (path,) = maximal_degree2_paths(support.tree_graph(t))
     short = path[:7]
     assert len(short) - 1 == 6 and short[3:4] == (4,)
     for v in (3, 5):
@@ -570,7 +576,7 @@ def test_augment_accepts_only_a_strictly_internal_vertex():
 def test_augment_needs_long_path():
     g = support.cycle_graph(5)
     t = arbitrary_spanning_tree(g)
-    (path,) = maximal_degree2_paths(t.as_graph())
+    (path,) = maximal_degree2_paths(support.tree_graph(t))
     with pytest.raises(ValueError, match="length >= 6"):
         augment_leaf(t, path, 3, max(t.leaves))
 
@@ -645,7 +651,7 @@ def test_augment_gains_a_leaf_on_chorded_cycles():
         edges = set(support.cycle_graph(n).edges) | {(4, n)}
         g = Graph(n, frozenset(edges))
         t = SpanningTree(g, frozenset((i, i + 1) for i in range(1, n)))
-        (path,) = maximal_degree2_paths(t.as_graph())
+        (path,) = maximal_degree2_paths(support.tree_graph(t))
         moved = _exchanged(t, path, 4, n)
         assert moved.leaf_count > t.leaf_count
         assert moved.leaves - t.leaves <= set(path[1:-1])
@@ -704,7 +710,7 @@ def _reference_grow(start, nt, target):
 
 
 def _reference_move(t, nt):
-    for path in maximal_degree2_paths(t.as_graph(), forbidden=nt):
+    for path in maximal_degree2_paths(support.tree_graph(t), forbidden=nt):
         if len(path) - 1 < 6:
             continue
         for v in path[3 : len(path) - 3]:
@@ -777,14 +783,25 @@ def test_grow_matches_a_rescan_and_calls_augment_once_per_exchange(monkeypatch):
 
 
 def test_grow_scans_paths_once_and_only_when_growth_is_needed(monkeypatch):
-    scans = _spy(monkeypatch, "maximal_degree2_paths")
+    # the working tree finds its start paths by its own rule, with no
+    # graph scan under either module's name for it
+    from divtrees import graphcore
+
+    growths = _spy(monkeypatch, "_Growth")
+    scans = []
+    real = graphcore.maximal_degree2_paths
+    for module in (graphcore, spantree_module):
+        monkeypatch.setattr(
+            module, "maximal_degree2_paths", lambda *a, **k: scans.append(a) or real(*a, **k), raising=False
+        )
     g = generate("min-degree-3", (40,))
     start = arbitrary_spanning_tree(g)
     assert grow_leaves(start, frozenset(), start.leaf_count) is start
-    assert scans == []
+    assert growths == []
     grown = grow_leaves(start, frozenset(), start.leaf_count + 4)
     assert grown.leaf_count >= start.leaf_count + 4
-    assert len(scans) == 1
+    assert len(growths) == 1
+    assert scans == []
 
 
 def _relabelled_subdivisions():
@@ -814,12 +831,25 @@ def _growth_steps():
             growth.exchange(*move)
 
 
+def _tree_of(growth):
+    """The working tree as a checked SpanningTree, its edges read off
+    the adjacency."""
+    adj = growth.adjacency
+    return SpanningTree(growth.host, frozenset((x, y) for x in adj for y in adj[x] if x < y))
+
+
+def _candidates(g, paths):
+    """The paths with a strictly interior vertex (positions 3..r-3)
+    that has a non-tree host edge, in the given order."""
+    return [vs for vs in paths if any(g.degree(x) >= 3 for x in vs[3 : len(vs) - 3])]
+
+
 def test_exchanges_carry_the_adjacency_and_leaves_a_fresh_tree_reads():
     # the whole-tree union-find of a fresh SpanningTree is the reference
     # that growth's in-place edits keep a spanning tree
     exchanges = 0
     for g, nt, growth in _growth_steps():
-        fresh = SpanningTree(g, frozenset(growth.edges))
+        fresh = _tree_of(growth)
         assert growth.adjacency == fresh.adjacency
         assert growth.leaves == fresh.leaves
         exchanges += growth.move() is not None
@@ -829,19 +859,48 @@ def test_exchanges_carry_the_adjacency_and_leaves_a_fresh_tree_reads():
 def test_kept_paths_match_a_rescan_after_every_exchange():
     exchanges = 0
     for g, nt, growth in _growth_steps():
-        t = SpanningTree(g, frozenset(growth.edges))
-        assert growth.paths == set(maximal_degree2_paths(t.as_graph(), forbidden=nt))
+        t = _tree_of(growth)
+        assert growth.candidates == _candidates(g, maximal_degree2_paths(support.tree_graph(t), forbidden=nt))
         move = growth.move()
         assert move == _reference_move(t, nt)
         exchanges += move is not None
     assert exchanges > 270
 
 
+def test_growth_starts_from_the_scan_and_walks_only_w_before_an_edit(monkeypatch):
+    # an exchange's a, b and v are interior to its path, so the paths
+    # they hold are that path: before the edit only w's are walked
+    for g, start, nt in [*_growth_corpus(), *_relabelled_subdivisions()]:
+        growth = _Growth(start, nt)
+        assert growth.candidates == _candidates(g, maximal_degree2_paths(Graph(g.n, start.edges), nt))
+    # drop: the tree edge the exchange about to be made drops; a walk
+    # made while it is still in the tree is made before the edit
+    real = _Growth._through
+    walked, drop = [], None
+
+    def spy(self, x):
+        if drop is not None:
+            walked.append((x, drop[1] in self.adjacency[drop[0]]))
+        return real(self, x)
+
+    monkeypatch.setattr(_Growth, "_through", spy)
+    exchanges = 0
+    for g, nt, growth in _growth_steps():
+        if drop is not None:
+            assert [x for x, before in walked if before] == [w]
+        walked.clear()
+        move, drop = growth.move(), None
+        if move is not None:
+            drop, w = augment_leaf(growth, *move), move[2]
+            exchanges += 1
+    assert exchanges > 270
+
+
 def test_grow_on_the_bench_growth_instance_makes_24_exchanges(monkeypatch):
     # the benchmark's construct-li-grow case reads this count as
-    # spantree.augment_leaf.calls.  Only the start tree builds a Graph
-    # and searches it, every exchange edits the working tree, and only
-    # the tree reached runs the whole-tree union-find
+    # spantree.augment_leaf.calls.  Growth builds no Graph and runs no
+    # search, every exchange edits the working tree, and only the tree
+    # reached runs the whole-tree union-find
     from divtrees import graphcore
 
     calls = _spy(monkeypatch, "augment_leaf")
@@ -861,7 +920,7 @@ def test_grow_on_the_bench_growth_instance_makes_24_exchanges(monkeypatch):
     grown = grow_leaves(start, frozenset(), 72)
     assert grown.leaf_count >= 72
     assert len(calls) == 24
-    assert after and set(after) == {0}
+    assert after == []
     assert [len(edges) for _, edges in unites] == [g.n - 1]
 
 # ---------------------------------------------------------------------------
@@ -899,7 +958,7 @@ def test_family_text_and_json_share_one_sort():
     trees = list(islice(enumerate_spanning_trees(g), 3))
     as_lists = [[list(e) for e in sorted(t.edges)] for t in trees]
     assert JSON_ENCODER.encode(family_json(trees)) == json.dumps(as_lists, sort_keys=True)
-    assert write_family(trees) == "".join(write_graph(t.as_graph()) for t in trees)
+    assert write_family(trees) == "".join(write_graph(support.tree_graph(t)) for t in trees)
     for t, edges in zip(trees, family_json(trees)):
         assert edges is t._edge_order
         assert t.sorted_edges() == sorted(t.edges)
