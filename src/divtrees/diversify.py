@@ -18,12 +18,11 @@ from functools import cached_property
 from math import ceil
 from typing import Iterable, Sequence
 
-from .graphcore import Graph, Instance, InstanceNT, InternalInvariantError, _adjacency, _bfs_parents, _norm_edge
+from .graphcore import Graph, Instance, InstanceNT, _adjacency, _bfs_parents, _norm_edge
 from .spantree import (
     DEFAULT_TREE_BUDGET,
     SpanningTree,
     TreeEnumerationOverflow,
-    _acyclic,
     _degrees,
     _leaves_after,
     _tree_leaves,
@@ -46,12 +45,13 @@ def _conflict_edges(
 
 @dataclass(frozen=True)
 class LeafSwapPlan:
-    """A validated swap schedule over a chosen leaf set.
-
-    ``independent`` is the conflict-free pool; ``blocks`` are its first
-    slices, one per requested tree, all the same size.  Each leaf's
-    tree neighbour and the conflict edges follow from the tree and the
-    swap targets, so the plan derives them rather than storing them.
+    """A swap schedule over a chosen leaf set, as :func:`plan_swaps`
+    builds it: each leaf's ``swap_target`` is a host neighbour other
+    than its tree neighbour, ``independent`` is one colour class of the
+    conflict forest, and ``blocks`` are its first slices, one per
+    requested tree, disjoint and all the same size.  Each leaf's tree
+    neighbour and the conflict edges follow from the tree and the swap
+    targets, so the plan derives them rather than storing them.
     """
 
     tree: SpanningTree
@@ -59,37 +59,6 @@ class LeafSwapPlan:
     swap_target: dict[int, int]
     independent: frozenset[int]
     blocks: tuple[frozenset[int], ...]
-
-    def __post_init__(self) -> None:
-        g = self.tree.host
-        for v in self.leaves:
-            if v not in self.tree.leaves:
-                raise ValueError(f"vertex {v} is not a leaf of the tree")
-            if g.degree(v) < 2:
-                raise ValueError(f"leaf {v} has host degree < 2, nothing to swap to")
-        for v in self.leaves:
-            t = self.swap_target[v]
-            if t == self.tree_neighbor[v] or t not in g.neighbors(v):
-                raise ValueError(f"bad swap target {t} for leaf {v}")
-        if not _acyclic(g.n, self.conflict_edges):
-            raise InternalInvariantError("conflict edges contain a cycle")
-        if not self.independent <= self.leaves:
-            raise ValueError("independent pool must consist of chosen leaves")
-        # a swap target inside the pool is a chosen leaf, so it would
-        # make such an edge too
-        for u, v in self.conflict_edges:
-            if u in self.independent and v in self.independent:
-                raise ValueError("independent pool touches a conflict edge")
-        seen: set[int] = set()
-        sizes = {len(b) for b in self.blocks}
-        for b in self.blocks:
-            if not b <= self.independent:
-                raise ValueError("blocks must come from the independent pool")
-            if b & seen:
-                raise ValueError("blocks must be disjoint")
-            seen |= b
-        if len(sizes) > 1:
-            raise ValueError("blocks must all have the same size")
 
     @cached_property
     def tree_neighbor(self) -> dict[int, int]:
@@ -182,10 +151,11 @@ def build_diverse_family(
     Distinct blocks touch disjoint leaves and their added edges never
     collide, so two family members differ in exactly two edges per
     involved leaf.  Vertices of ``nt`` stay internal provided each has
-    two tree neighbors outside the swap pool.  Each member is checked
-    as every tree is; its leaves, for the checks here, are the plan
-    tree's corrected at its block's swapped edges, and its difference
-    from the plan tree is those edges.
+    two tree neighbors outside the swap pool.  A member is a spanning
+    tree by construction, so it is built with no check: it moves each
+    leaf of its block from its tree edge to a host edge at the same
+    leaf, whose target is no leaf of the block (the pool holds no
+    conflict edge).  :func:`construct_family` verifies the family.
     """
     t = plan.tree
     for v in nt:
@@ -195,26 +165,11 @@ def build_diverse_family(
             raise ValueError(
                 f"required-internal vertex {v} needs two tree neighbors outside the swap pool"
             )
-    block_size = len(plan.blocks[0]) if plan.blocks else 0
-    floor_leaves = t.leaf_count - block_size
-    adj = t.adjacency
     family = []
-    # (Ti △ T) △ (Tj △ T) = Ti △ Tj, so each member's difference from
-    # the base tree, its swapped edges, gives every pair's distance
-    diffs = []
     for block in plan.blocks:
-        gone = frozenset(_norm_edge(v, plan.tree_neighbor[v]) for v in block)
-        added = frozenset(_norm_edge(v, plan.swap_target[v]) for v in block)
-        leaves = _leaves_after(t.host.n, t.leaves, lambda x: len(adj[x]), gone, added)
-        if nt & leaves:
-            raise InternalInvariantError("swap turned a required-internal vertex into a leaf")
-        if len(leaves) < floor_leaves:
-            raise InternalInvariantError("swaps lost more leaves than targets replaced")
-        family.append(SpanningTree(t.host, (t.edges - gone) | added))
-        diff = gone | added
-        if any(len(diff ^ dj) != 2 * (2 * block_size) for dj in diffs):
-            raise InternalInvariantError("family members at an unexpected distance")
-        diffs.append(diff)
+        gone = {_norm_edge(v, plan.tree_neighbor[v]) for v in block}
+        added = {_norm_edge(v, plan.swap_target[v]) for v in block}
+        family.append(SpanningTree._unchecked(t.host, (t.edges - gone) | added))
     return family
 
 
@@ -368,7 +323,7 @@ def verify_family(
             forest = None
     trees = []
     for i, own in enumerate(owns):
-        leaves = _leaves_after(n, core_leaves, degree.__getitem__, (), own)
+        leaves = _leaves_after(n, core_leaves, degree.__getitem__, own)
         leaf_count = len(leaves)
         spanning = (
             forest is not None

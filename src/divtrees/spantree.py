@@ -1,13 +1,14 @@
 """Spanning trees and the constructive leaf machinery.
 
-Holds the validated spanning-tree value type, the single-step
-leaf-gaining edge exchange on a tree path given as its vertex tuple
-(it names the tree edge to drop), the growth loop that pushes a tree
-towards a leaf target (it edits one working tree's adjacency in place,
-keeping its candidate degree-2-paths with graphcore's one path walker,
-and checks the tree it reaches once), and bounded exhaustive enumeration of all spanning trees
-with their leaf counts, kept by degree bookkeeping (the one engine
-behind the exact solvers).
+Holds the spanning-tree value type, the single-step leaf-gaining edge
+exchange on a tree path given as its vertex tuple (it names the tree
+edge to drop), the growth loop that pushes a tree towards a leaf
+target (it edits one working tree's adjacency in place, keeping its
+candidate degree-2-paths with graphcore's one path walker), and
+bounded exhaustive enumeration of all spanning trees with their leaf
+counts, kept by degree bookkeeping (the one engine behind the exact
+solvers).  A tree built from outside is checked; one built by
+construction here or by swap building is trusted.
 """
 
 from __future__ import annotations
@@ -71,20 +72,18 @@ def _leaves_after(
     n: int,
     leaves: frozenset[int],
     degree: Callable[[int], int],
-    gone: Iterable[tuple[int, int]],
     added: Iterable[tuple[int, int]],
 ) -> frozenset[int]:
-    """The leaves of the edge set that loses ``gone`` and gains
-    ``added`` from one whose leaves are ``leaves`` and whose vertices
-    of 1..n have ``degree``; ``gone`` must be edges of that set and
-    ``added`` must not.  Only the changed edges' endpoints change
-    degree, so past one copy of ``leaves`` this is O(|gone| + |added|).
-    Endpoints outside 1..n are ignored, as by :func:`_leaves`."""
+    """The leaves of the edge set that gains ``added`` from one whose
+    leaves are ``leaves`` and whose vertices of 1..n have ``degree``;
+    ``added`` must not hold edges of that set.  Only the added edges'
+    endpoints change degree, so past one copy of ``leaves`` this is
+    O(|added|).  Endpoints outside 1..n are ignored, as by
+    :func:`_leaves`."""
     shift: dict[int, int] = {}
-    for edges, step in ((gone, -1), (added, 1)):
-        for u, v in edges:
-            shift[u] = shift.get(u, 0) + step
-            shift[v] = shift.get(v, 0) + step
+    for u, v in added:
+        shift[u] = shift.get(u, 0) + 1
+        shift[v] = shift.get(v, 0) + 1
     return leaves.difference(shift).union(
         x for x, s in shift.items() if 1 <= x <= n and degree(x) + s == 1
     )
@@ -103,6 +102,11 @@ class SpanningTree:
     off the edge set; a tree builds no :class:`Graph` of its own.
     Nothing edits a tree, nor its adjacency: leaf growth edits a working
     copy of the adjacency (:class:`_Growth`).
+
+    Three trees are spanning by construction and skip the check
+    (:meth:`_unchecked`): the breadth-first tree of a connected graph,
+    the tree leaf growth reaches, and each swap family member;
+    ``construct_family`` verifies the family it returns.
     """
 
     host: Graph
@@ -116,6 +120,15 @@ class SpanningTree:
             raise ValueError(f"a spanning tree of {n} vertices needs {n - 1} edges")
         if not _acyclic(n, self.edges):
             raise ValueError("edge set does not span the host graph")
+
+    @classmethod
+    def _unchecked(cls, host: Graph, edges: frozenset[tuple[int, int]]) -> SpanningTree:
+        """The tree on ``edges``, which are a spanning tree of ``host``
+        by construction: it runs none of the constructor's checks."""
+        t = object.__new__(cls)
+        object.__setattr__(t, "host", host)
+        object.__setattr__(t, "edges", edges)
+        return t
 
     @classmethod
     def from_mask(cls, host: Graph, mask: int) -> SpanningTree:
@@ -156,7 +169,7 @@ def arbitrary_spanning_tree(g: Graph) -> SpanningTree:
     if not g.is_connected:
         raise ValueError("disconnected graphs have no spanning tree")
     parent = _bfs_parents({v: sorted(g.neighbors(v)) for v in g.vertices()}, 1)
-    return SpanningTree(g, frozenset(_norm_edge(v, u) for v, u in parent.items() if v != u))
+    return SpanningTree._unchecked(g, frozenset(_norm_edge(v, u) for v, u in parent.items() if v != u))
 
 
 def augment_leaf(
@@ -337,10 +350,10 @@ def grow_leaves(start: SpanningTree, nt: frozenset[int], target: int) -> Spannin
     exchanges only create leaves among interior path vertices, and those
     are kept disjoint from ``nt``.  Only when growth is needed is one
     working tree built from ``start``'s edges, edited in place by each
-    exchange (see :class:`_Growth`).  The edges of the tree reached are
-    read off its adjacency once and checked, as every
-    :class:`SpanningTree` is; with no exchange made, ``start`` itself
-    comes back.
+    exchange (see :class:`_Growth`).  Each exchange drops an edge of the
+    cycle that the added edge closes, so the tree reached is a spanning
+    tree by construction: its edges are read off the adjacency once,
+    with no check; with no exchange made, ``start`` itself comes back.
     """
     vertices = start.host.vertices()
     if nt & start.leaves or not all(v in vertices for v in nt):
@@ -355,7 +368,7 @@ def grow_leaves(start: SpanningTree, nt: frozenset[int], target: int) -> Spannin
     if len(growth.leaves) == start.leaf_count:
         return start
     adj = growth.adjacency
-    return SpanningTree(start.host, frozenset((x, y) for x in adj for y in adj[x] if x < y))
+    return SpanningTree._unchecked(start.host, frozenset((x, y) for x in adj for y in adj[x] if x < y))
 
 
 # ---------------------------------------------------------------------------

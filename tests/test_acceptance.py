@@ -310,6 +310,16 @@ def _crit45_cached():
     return _CRIT45
 
 
+def _spans(g, edges):
+    """Whether the public, checked constructor accepts ``edges`` as a
+    spanning tree of ``g``: swap building trusts its members."""
+    try:
+        SpanningTree(g, edges)
+    except ValueError:
+        return False
+    return True
+
+
 def test_criterion_04_swap_family_properties():
     runs = _crit45_cached()
     bad = []
@@ -317,7 +327,7 @@ def test_criterion_04_swap_family_properties():
         block = ceil(k / 4)
         floor = grown.leaf_count - block
         for i, ti in enumerate(family):
-            if not nt <= ti.internal_vertices or ti.leaf_count < floor:
+            if not _spans(g, ti.edges) or not nt <= ti.internal_vertices or ti.leaf_count < floor:
                 bad.append((g.n, k, ell, "tree", i))
             for j in range(i):
                 d = len(ti.edges ^ family[j].edges)
@@ -328,8 +338,8 @@ def test_criterion_04_swap_family_properties():
     _report(
         4,
         ok,
-        f"{len(runs)} constructions; exact pairwise distances, protected internals,"
-        f" leaf floors; {len(bad)} deviations",
+        f"{len(runs)} constructions; spanning members, exact pairwise distances,"
+        f" protected internals, leaf floors; {len(bad)} deviations",
     )
     assert len(runs) == CRIT4_INPUTS
     assert not bad, bad[:5]

@@ -1,7 +1,7 @@
 import json
 import random
 import tracemalloc
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from itertools import islice
 
 import pytest
@@ -12,7 +12,6 @@ from divtrees import (
     Graph,
     Instance,
     InstanceNT,
-    InternalInvariantError,
     LeafSwapPlan,
     SpanningTree,
     arbitrary_spanning_tree,
@@ -99,14 +98,6 @@ def test_plan_rejects_degree_one_leaf():
     t = arbitrary_spanning_tree(g)
     with pytest.raises(ValueError, match="host degree < 2"):
         plan_swaps(t, {3}, k=2, ell=1)
-    with pytest.raises(ValueError, match="host degree < 2, nothing to swap to"):
-        LeafSwapPlan(
-            tree=t,
-            leaves=frozenset({3}),
-            swap_target={3: 1},
-            independent=frozenset({3}),
-            blocks=(frozenset({3}),),
-        )
 
 
 def test_plan_on_cycle_path_tree():
@@ -197,8 +188,11 @@ def _swap_corpus():
 
 
 def test_lowest_targets_never_close_a_conflict_cycle():
-    # plan_swaps keeps no cycle repair: on every tree and every leaf
-    # subset the targets are the lowest-id ones and the conflicts a forest
+    # plan_swaps keeps no cycle repair and the plan checks nothing: on
+    # every tree and every leaf subset the targets are the lowest-id
+    # non-tree host neighbours, the conflicts a forest, the pool a
+    # conflict-free set of chosen leaves and the blocks equal, disjoint
+    # slices of it
     plans = 0
     for g in _swap_corpus():
         for t in enumerate_spanning_trees(g):
@@ -208,16 +202,27 @@ def test_lowest_targets_never_close_a_conflict_cycle():
                 plan = plan_swaps(t, L, 1, 1)
                 for v in L:
                     (p,) = t.adjacency[v]
+                    assert plan.tree_neighbor[v] == p
                     options = sorted(g.neighbors(v) - {p})
                     outside = [u for u in options if u not in L]
                     assert plan.swap_target[v] == (outside or options)[0]
                 assert _acyclic(plan.conflict_edges), (g, t.edges, L)
+                pool = plan.independent
+                assert pool <= L
+                assert not any(u in pool and v in pool for u, v in plan.conflict_edges)
+                # every pool leaf a block of its own, then blocks of two
+                for k, ell in ((1, len(pool)), (5, len(pool) // 2)):
+                    if ell:
+                        blocks = plan_swaps(t, L, k, ell).blocks
+                        assert len(blocks) == ell and {len(b) for b in blocks} == {-(-k // 4)}
+                        assert sum(map(len, blocks)) == len(frozenset().union(*blocks))
+                        assert frozenset().union(*blocks) <= pool
                 plans += 1
     assert plans > 1000
 
 
 # ---------------------------------------------------------------------------
-# plan validation (constructor-level)
+# a plan is built by plan_swaps and checks nothing itself
 
 def valid_plan_parts():
     g, t = k4_star()
@@ -235,40 +240,6 @@ def test_plan_constructor_accepts_consistent_parts():
     assert plan.independent == frozenset({3, 4})
     assert plan.tree_neighbor == {2: 1, 3: 1, 4: 1}
     assert plan.conflict_edges == frozenset({(2, 3), (2, 4)})
-
-
-def _rejection(number, patch, message):
-    # an explicit id keeps each case's name when cases come and go
-    return pytest.param(patch, ValueError, message, id=f"patch{number}-ValueError-{message}")
-
-
-@pytest.mark.parametrize(
-    "patch, exc, message",
-    [
-        _rejection(0, {"leaves": frozenset({1, 2})}, "not a leaf"),
-        _rejection(2, {"swap_target": {2: 1, 3: 2, 4: 2}}, "bad swap target"),
-        _rejection(4, {"independent": frozenset({1})}, "consist of chosen leaves"),
-        _rejection(5, {"independent": frozenset({2, 3})}, "touches a conflict edge"),
-        _rejection(6, {"blocks": (frozenset({2}),)}, "come from the independent"),
-        _rejection(7, {"blocks": (frozenset({3}), frozenset({3}))}, "must be disjoint"),
-        _rejection(8, {"blocks": (frozenset({3, 4}), frozenset())}, "same size"),
-    ],
-)
-def test_plan_constructor_rejections(patch, exc, message):
-    parts = valid_plan_parts()
-    parts.update(patch)
-    with pytest.raises(exc, match=message):
-        LeafSwapPlan(**parts)
-
-
-def test_plan_constructor_rejects_conflict_cycle():
-    parts = valid_plan_parts()
-    # the targets derive the conflict triangle (2,3), (3,4), (2,4)
-    parts["swap_target"] = {2: 3, 3: 4, 4: 2}
-    parts["independent"] = frozenset()
-    parts["blocks"] = ()
-    with pytest.raises(InternalInvariantError, match="contain a cycle"):
-        LeafSwapPlan(**parts)
 
 
 # ---------------------------------------------------------------------------
@@ -491,6 +462,69 @@ def test_verify_reads_members_off_their_core(monkeypatch):
     assert seen["_degrees"] == [len(core)]
     assert seen["_unite"] == [len(core), *(len(s - core) for s in sets)]
     assert len(core) > 900 and max(len(s - core) for s in sets) < 40
+
+
+# ---------------------------------------------------------------------------
+# construct trusts what it builds and verifies the family on the way out
+
+def _bench_growth_instance():
+    # the benchmark's construct-li-grow case: 24 exchanges, then 36 trees
+    return Instance(_subdivided(88), 2, 2, 4, 36)
+
+
+def test_construct_runs_no_whole_tree_union_find(monkeypatch):
+    # one union-find pass over the graph (connectivity), one over the
+    # family's core and one per member over its own edges: the BFS tree,
+    # the grown tree and the members are spanning trees by construction
+    from divtrees import graphcore, spantree
+
+    inst = _bench_growth_instance()
+    g = inst.graph
+    passes = []
+    for module in (graphcore, spantree, diversify):
+        real = module._unite
+
+        def spy(parent, edges, real=real):
+            edges = list(edges)
+            passes.append(len(edges))
+            return real(parent, edges)
+
+        monkeypatch.setattr(module, "_unite", spy)
+    family, why, report = construct_family(inst)
+    assert why is None and report.verdict and len(family) == 36
+    core = frozenset.intersection(*(t.edges for t in family))
+    assert passes == [g.m, len(core), *(len(t.edges - core) for t in family)]
+    assert len(passes) == 38 and g.n - 1 not in passes
+
+
+def _wrong_swap_target(plan):
+    # the first block's leaf swaps to a vertex that is no host neighbour
+    (v,) = plan.blocks[0]
+    g = plan.tree.host
+    bad = min(set(g.vertices()) - g.neighbors(v) - {v})
+    return replace(plan, swap_target={**plan.swap_target, v: bad})
+
+
+def _member_drops_an_edge(family):
+    first = family[0]
+    return [SpanningTree._unchecked(first.host, first.edges - {min(first.edges)}), *family[1:]]
+
+
+@pytest.mark.parametrize(
+    "name, mutate",
+    [
+        pytest.param("plan_swaps", _wrong_swap_target, id="wrong-swap-target"),
+        pytest.param("build_diverse_family", _member_drops_an_edge, id="member-drops-an-edge"),
+    ],
+)
+def test_a_broken_member_comes_back_as_a_reason(monkeypatch, name, mutate):
+    # nothing checks the plan or the members as they are built, so a
+    # broken one must be caught by the verification on the way out
+    real = getattr(diversify, name)
+    monkeypatch.setattr(diversify, name, lambda *args, **kwargs: mutate(real(*args, **kwargs)))
+    family, why, report = construct_family(_bench_growth_instance())
+    assert family is None and why == "the constructed family fails verification"
+    assert not report.verdict and not report.trees[0].spanning
 
 
 # ---------------------------------------------------------------------------

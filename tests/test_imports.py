@@ -142,6 +142,40 @@ def test_the_runtime_writes_no_object_namespace():
 
 
 
+def _unchecked_uses(tree):
+    """(innermost enclosing function or "<module>", line) of each read
+    of the name ``_unchecked``, SpanningTree's constructor that runs no
+    check, as an attribute, a name or a string."""
+    owner = {}
+    # ast.walk is breadth-first, so an inner function claims its nodes last
+    for fn in ast.walk(tree):
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for node in ast.walk(fn):
+                owner[id(node)] = fn.name
+    for node in ast.walk(tree):
+        if "_unchecked" in (getattr(node, "attr", None), getattr(node, "id", None), getattr(node, "value", None)):
+            yield owner.get(id(node), "<module>"), node.lineno
+
+
+def test_only_trees_built_by_construction_skip_the_check():
+    # the BFS tree, the tree leaf growth reaches and the swap family's
+    # members are spanning trees by construction, and construct_family
+    # verifies the family it returns; every other tree, from a reader,
+    # the CLI or the oracle, runs SpanningTree's check
+    uses = {
+        (path.name, fn)
+        for path in sorted(SRC.glob("*.py"))
+        for fn, _ in _unchecked_uses(ast.parse(path.read_text(), filename=str(path)))
+    }
+    assert uses == {
+        ("spantree.py", "arbitrary_spanning_tree"),
+        ("spantree.py", "grow_leaves"),
+        ("diversify.py", "build_diverse_family"),
+    }
+    copy = 'make = T._unchecked\ndef f():\n    def g():\n        return getattr(T, "_unchecked")\n    return T._unchecked(h, e)'
+    assert sorted(_unchecked_uses(ast.parse(copy))) == [("<module>", 1), ("f", 5), ("g", 4)]
+
+
 BENCH = SRC.parents[1] / "bench"
 
 # exported without a runtime or bench caller, each for a stated reason

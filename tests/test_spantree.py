@@ -899,8 +899,8 @@ def test_growth_starts_from_the_scan_and_walks_only_w_before_an_edit(monkeypatch
 def test_grow_on_the_bench_growth_instance_makes_24_exchanges(monkeypatch):
     # the benchmark's construct-li-grow case reads this count as
     # spantree.augment_leaf.calls.  Growth builds no Graph and runs no
-    # search, every exchange edits the working tree, and only the tree
-    # reached runs the whole-tree union-find
+    # search, every exchange edits the working tree, and the tree
+    # reached, a spanning tree by construction, runs no union-find
     from divtrees import graphcore
 
     calls = _spy(monkeypatch, "augment_leaf")
@@ -921,7 +921,8 @@ def test_grow_on_the_bench_growth_instance_makes_24_exchanges(monkeypatch):
     assert grown.leaf_count >= 72
     assert len(calls) == 24
     assert after == []
-    assert [len(edges) for _, edges in unites] == [g.n - 1]
+    assert unites == []
+    assert SpanningTree(g, grown.edges) == grown
 
 # ---------------------------------------------------------------------------
 # family I/O
