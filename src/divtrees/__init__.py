@@ -26,20 +26,15 @@ from .spantree import (
     SpanningTree,
     TreeEnumerationOverflow,
     arbitrary_spanning_tree,
-    augment_leaf,
     count_spanning_trees,
     enumerate_spanning_trees,
-    grow_leaves,
     read_edge_set_family,
     write_family,
     write_tree,
 )
 from .diversify import (
     FamilyReport,
-    LeafSwapPlan,
-    build_diverse_family,
     construct_family,
-    plan_swaps,
     verify_family,
 )
 from .blackbox import mist_kernel, ntst_kernel

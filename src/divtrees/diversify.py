@@ -88,8 +88,11 @@ def plan_swaps(t: SpanningTree, L: Iterable[int], k: int, ell: int) -> LeafSwapP
     """Choose swap targets for the leaves ``L`` and carve out
     conflict-free blocks, one per requested tree.
 
-    Each target is the lowest-id host neighbor other than the leaf's
-    tree neighbor, preferring targets outside ``L``.  The conflict
+    Requires every vertex of ``L`` to be a leaf of ``t`` with host
+    degree >= 2, as :func:`construct_family` chooses them, and k, ell
+    >= 1, as the instance checks them.  Each target is the lowest-id
+    host neighbor other than the leaf's tree neighbor, preferring
+    targets outside ``L``.  The conflict
     edges then form a forest.  Each leaf has one target, so a conflict
     cycle of length r >= 3 is a directed cycle v1 -> v2 -> ... -> vr
     -> v1 inside ``L``.  Each vi aims inside ``L``, so all its non-tree
@@ -103,15 +106,7 @@ def plan_swaps(t: SpanningTree, L: Iterable[int], k: int, ell: int) -> LeafSwapP
     g = t.host
     if g.n < 3:
         raise ValueError("swap planning needs at least 3 vertices")
-    if k < 1 or ell < 1:
-        raise ValueError("k and ell must be at least 1")
     leaves = frozenset(L)
-    for v in leaves:
-        if v not in t.leaves:
-            raise ValueError(f"vertex {v} is not a leaf of the tree")
-        if g.degree(v) < 2:
-            raise ValueError(f"leaf {v} has host degree < 2")
-
     target: dict[int, int] = {}
     for v in sorted(leaves):
         options = sorted(g.neighbors(v) - t.adjacency[v])
@@ -142,29 +137,19 @@ def plan_swaps(t: SpanningTree, L: Iterable[int], k: int, ell: int) -> LeafSwapP
     )
 
 
-def build_diverse_family(
-    plan: LeafSwapPlan, nt: frozenset[int] = frozenset()
-) -> list[SpanningTree]:
+def build_diverse_family(plan: LeafSwapPlan) -> list[SpanningTree]:
     """Materialize one tree per plan block by applying its swaps to the
     plan's tree.
 
     Distinct blocks touch disjoint leaves and their added edges never
     collide, so two family members differ in exactly two edges per
-    involved leaf.  Vertices of ``nt`` stay internal provided each has
-    two tree neighbors outside the swap pool.  A member is a spanning
-    tree by construction, so it is built with no check: it moves each
-    leaf of its block from its tree edge to a host edge at the same
-    leaf, whose target is no leaf of the block (the pool holds no
-    conflict edge).  :func:`construct_family` verifies the family.
+    involved leaf.  A member is a spanning tree by construction, so it
+    is built with no check: it moves each leaf of its block from its
+    tree edge to a host edge at the same leaf, whose target is no leaf
+    of the block (the pool holds no conflict edge).
+    :func:`construct_family` verifies the family.
     """
     t = plan.tree
-    for v in nt:
-        if v not in t.internal_vertices:
-            raise ValueError(f"required-internal vertex {v} is a leaf of the base tree")
-        if len(t.adjacency[v] - plan.leaves) < 2:
-            raise ValueError(
-                f"required-internal vertex {v} needs two tree neighbors outside the swap pool"
-            )
     family = []
     for block in plan.blocks:
         gone = {_norm_edge(v, plan.tree_neighbor[v]) for v in block}
@@ -204,16 +189,15 @@ def construct_family(
     else:
         seed = arbitrary_spanning_tree(g)
     target = max(2 * block * ell + 2 * len(nt), inst.p + block + 2 * len(nt))
-    try:
-        grown = grow_leaves(seed, nt, target)
-    except ValueError as exc:
-        return None, f"leaf growth failed: {exc}", None
+    grown = grow_leaves(seed, nt, target)
     if grown.leaf_count < target:
         reason = f"growth stalled at {grown.leaf_count} leaves"
         bound = (2 * target + len(nt)) * (ell + 6)
         if g.n < bound:
             reason += f"; the graph has fewer than {bound} vertices"
         return None, reason, None
+    # each vertex of nt keeps two tree neighbours outside the swap pool,
+    # so it stays internal in every member
     excluded: set[int] = set()
     for v in sorted(nt):
         excluded.update(sorted(grown.adjacency[v])[:2])
@@ -222,9 +206,9 @@ def construct_family(
     )
     try:
         plan = plan_swaps(grown, chosen, k, ell)
-        family = build_diverse_family(plan, nt=nt)
     except ValueError as exc:
         return None, f"swap planning failed: {exc}", None
+    family = build_diverse_family(plan)
     # growth and swaps track p and k only, so q is checked here
     report = verify_family(g, family, inst.p, inst.q, k, nt=nt)
     if len(family) != ell or not report.verdict:

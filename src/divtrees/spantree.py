@@ -178,40 +178,23 @@ def augment_leaf(
     """The tree edge to exchange for ``vw`` so that the tree gains at
     least one leaf.
 
-    ``t`` is read as its ``host`` and ``adjacency`` only, so it is a
-    :class:`SpanningTree` or growth's working tree.  ``path`` is
-    the vertex tuple of a path of ``t`` whose internal vertices have
-    tree degree exactly 2 and whose length is >= 6; ``v`` must sit at
-    positions 3..length-3 of the path and ``vw`` must be an edge of the
-    host graph absent from the tree.  Rooting the tree at the path
-    start, the edge to delete depends on whether ``w`` is unrelated to
-    ``v``, an ancestor, or a descendant; in every case it is a path edge
-    on the cycle that ``vw`` closes, and its endpoints are interior path
-    vertices that turn into leaves, so the leaf count rises even when
-    ``w`` itself stops being one.  Whether ``w`` lies below ``v`` costs
-    no search of the whole tree (:func:`_off_far_end`).
+    ``t`` is read as its ``adjacency`` only, so it is a
+    :class:`SpanningTree` or growth's working tree.  Precondition,
+    which :meth:`_Growth.move` meets by construction and nothing here
+    checks: ``path`` is the vertex tuple of a path of ``t`` whose
+    internal vertices have tree degree exactly 2 and whose length is
+    >= 6; ``v`` sits at positions 3..length-3 of the path and ``vw`` is
+    an edge of the host graph absent from the tree.  Rooting the tree
+    at the path start, the edge to delete depends on whether ``w`` is
+    unrelated to ``v``, an ancestor, or a descendant; in every case it
+    is a path edge on the cycle that ``vw`` closes, and its endpoints
+    are interior path vertices that turn into leaves, so the leaf count
+    rises even when ``w`` itself stops being one.  Whether ``w`` lies
+    below ``v`` costs no search of the whole tree (:func:`_off_far_end`).
     """
     adj = t.adjacency
     vs, r = path, len(path) - 1
-    if r > 0 and vs[0] == vs[-1]:
-        raise ValueError("a path of a tree cannot be closed")
     pos = {x: i for i, x in enumerate(vs)}
-    if len(pos) != len(vs):
-        raise ValueError("path vertices must be distinct")
-    for a, b in zip(vs, vs[1:]):
-        if b not in adj.get(a, ()):
-            raise ValueError(f"({a},{b}) is not an edge of the tree")
-    for x in vs[1:-1]:
-        if len(adj[x]) != 2:
-            raise ValueError(f"internal vertex {x} has degree {len(adj[x])} != 2")
-    if r < 6:
-        raise ValueError("augmentation needs a path of length >= 6")
-    if v not in vs[3 : r - 2]:
-        raise ValueError(f"vertex {v} is not strictly internal to the path")
-    if w == v or not t.host.has_edge(v, w):
-        raise ValueError(f"({v},{w}) is not an edge of the host graph")
-    if w in adj[v]:
-        raise ValueError(f"({v},{w}) is already a tree edge")
 
     # w lies below v exactly when it follows v on the path or hangs off
     # the far path end
@@ -346,25 +329,22 @@ def grow_leaves(start: SpanningTree, nt: frozenset[int], target: int) -> Spannin
     Growth stops short of ``target`` when no tree path of length >= 6
     avoiding ``nt`` has an exchange left; the caller reads the shortfall
     off the returned tree's leaf count.  Requires every vertex of ``nt``
-    internal in ``start``.  Vertices of ``nt`` never become leaves:
-    exchanges only create leaves among interior path vertices, and those
-    are kept disjoint from ``nt``.  Only when growth is needed is one
-    working tree built from ``start``'s edges, edited in place by each
-    exchange (see :class:`_Growth`).  Each exchange drops an edge of the
-    cycle that the added edge closes, so the tree reached is a spanning
-    tree by construction: its edges are read off the adjacency once,
-    with no check; with no exchange made, ``start`` itself comes back.
+    internal in ``start``, as ``construct_family``'s seed keeps it.
+    Vertices of ``nt`` never become leaves: exchanges only create leaves
+    among interior path vertices, and those are kept disjoint from
+    ``nt``; ``verify_family`` checks that on the way out of construct.
+    Only when growth is needed is one working tree built from
+    ``start``'s edges, edited in place by each exchange (see
+    :class:`_Growth`).  Each exchange drops an edge of the cycle that
+    the added edge closes, so the tree reached is a spanning tree by
+    construction: its edges are read off the adjacency once, with no
+    check; with no exchange made, ``start`` itself comes back.
     """
-    vertices = start.host.vertices()
-    if nt & start.leaves or not all(v in vertices for v in nt):
-        raise ValueError("start tree must keep every required vertex internal")
     if start.leaf_count >= target:
         return start
     growth = _Growth(start, nt)
     while len(growth.leaves) < target and (move := growth.move()) is not None:
         growth.exchange(*move)
-    if nt & growth.leaves:
-        raise InternalInvariantError("growth turned a required-internal vertex into a leaf")
     if len(growth.leaves) == start.leaf_count:
         return start
     adj = growth.adjacency

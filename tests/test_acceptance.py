@@ -17,22 +17,19 @@ from divtrees import (
     SpanningTree,
     apply_rule,
     arbitrary_spanning_tree,
-    augment_leaf,
-    build_diverse_family,
     case1_bound_li,
     case1_bound_lnt,
     case2_bound_li,
     case2_bound_lnt,
     generate,
-    grow_leaves,
     kernelize,
     kernelize_lnt,
     maximal_degree2_paths,
-    plan_swaps,
     solve,
 )
 from divtrees.cli import _audit_one, _random_instance
-from divtrees.spantree import _acyclic, enumerate_tree_masks
+from divtrees.diversify import build_diverse_family, plan_swaps
+from divtrees.spantree import _acyclic, augment_leaf, enumerate_tree_masks, grow_leaves
 
 
 def _report(num: int, ok: bool, detail: str) -> None:
@@ -293,9 +290,9 @@ def _crit45_runs():
         nt = frozenset(rng.sample(nt_candidates, min(len(nt_candidates), rng.randint(0, 2))))
         try:
             plan = plan_swaps(grown, leaves, k, ell)
-            family = build_diverse_family(plan, nt=nt)
         except ValueError:
             continue
+        family = build_diverse_family(plan)
         runs.append((g, grown, nt, k, ell, plan, family))
     return runs
 

@@ -12,20 +12,17 @@ from divtrees import (
     Graph,
     Instance,
     InstanceNT,
-    LeafSwapPlan,
+    InternalInvariantError,
     SpanningTree,
     arbitrary_spanning_tree,
-    build_diverse_family,
     construct_family,
     generate,
-    grow_leaves,
-    plan_swaps,
     verify_family,
 )
 from divtrees import diversify
-from divtrees.diversify import _conflict_edges
+from divtrees.diversify import LeafSwapPlan, _conflict_edges, build_diverse_family, plan_swaps
 from divtrees.kernelizer import JSON_ENCODER
-from divtrees.spantree import _acyclic as _uf_acyclic, enumerate_spanning_trees, family_json
+from divtrees.spantree import _acyclic as _uf_acyclic, _Growth, enumerate_spanning_trees, family_json, grow_leaves
 
 
 def k4_star():
@@ -82,22 +79,8 @@ def test_plan_shortfall_message():
 
 
 def test_plan_input_validation():
-    _, t = k4_star()
     with pytest.raises(ValueError, match="at least 3 vertices"):
         plan_swaps(arbitrary_spanning_tree(support.path_graph(2)), {2}, k=2, ell=1)
-    with pytest.raises(ValueError, match="at least 1"):
-        plan_swaps(t, {2}, k=0, ell=1)
-    with pytest.raises(ValueError, match="at least 1"):
-        plan_swaps(t, {2}, k=2, ell=0)
-    with pytest.raises(ValueError, match="not a leaf"):
-        plan_swaps(t, {1}, k=2, ell=1)
-
-
-def test_plan_rejects_degree_one_leaf():
-    g = support.path_graph(3)
-    t = arbitrary_spanning_tree(g)
-    with pytest.raises(ValueError, match="host degree < 2"):
-        plan_swaps(t, {3}, k=2, ell=1)
 
 
 def test_plan_on_cycle_path_tree():
@@ -243,28 +226,14 @@ def test_plan_constructor_accepts_consistent_parts():
 
 
 # ---------------------------------------------------------------------------
-# family construction guards
-
-def test_build_rejects_nonterminal_leaf():
-    _, t = k4_star()
-    plan = plan_swaps(t, {2, 3, 4}, k=2, ell=2)
-    with pytest.raises(ValueError, match="is a leaf of the base tree"):
-        build_diverse_family(plan, nt=frozenset({2}))
-
-
-def test_build_rejects_nonterminal_without_outside_neighbors():
-    _, t = k4_star()
-    plan = plan_swaps(t, {2, 3, 4}, k=2, ell=2)
-    with pytest.raises(ValueError, match="two tree neighbors outside"):
-        build_diverse_family(plan, nt=frozenset({1}))
-
+# family construction
 
 def test_build_keeps_nonterminals_internal():
     # path tree on C6 plus chords: internal spine stays internal
     g = Graph.from_edges(6, [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (1, 6), (2, 6)])
     t = SpanningTree(g, frozenset({(1, 2), (2, 3), (3, 4), (4, 5), (5, 6)}))
     plan = plan_swaps(t, {1}, k=2, ell=1)
-    fam = build_diverse_family(plan, nt=frozenset({3, 4}))
+    fam = build_diverse_family(plan)
     assert frozenset({3, 4}) <= fam[0].internal_vertices
 
 
@@ -525,6 +494,43 @@ def test_a_broken_member_comes_back_as_a_reason(monkeypatch, name, mutate):
     family, why, report = construct_family(_bench_growth_instance())
     assert family is None and why == "the constructed family fails verification"
     assert not report.verdict and not report.trees[0].spanning
+
+
+def _v_at_position_2(growth, vs, v, w):
+    return vs, vs[2], w
+
+
+def _w_the_next_tree_neighbour(growth, vs, v, w):
+    return vs, v, vs[vs.index(v) + 1]
+
+
+def _w_not_a_host_neighbour(growth, vs, v, w):
+    host = growth.host
+    return vs, v, min(set(host.vertices()) - host.neighbors(v) - {v})
+
+
+def _break_growth(monkeypatch, mutate):
+    real = _Growth.move
+    monkeypatch.setattr(_Growth, "move", lambda self: (m := real(self)) and mutate(self, *m))
+
+
+# augment_leaf checks none of its input: a growth move that breaks its
+# precondition is caught by the exchange's leaf-gain checks or by the
+# verification on the way out, and never comes back as a family
+
+
+@pytest.mark.parametrize("mutate", [_v_at_position_2, _w_the_next_tree_neighbour])
+def test_a_growth_move_that_gains_no_leaf_is_an_internal_fault(monkeypatch, mutate):
+    _break_growth(monkeypatch, mutate)
+    with pytest.raises(InternalInvariantError, match="edge exchange failed to gain a leaf"):
+        construct_family(_bench_growth_instance())
+
+
+def test_a_growth_move_off_the_host_comes_back_as_a_reason(monkeypatch):
+    _break_growth(monkeypatch, _w_not_a_host_neighbour)
+    family, why, report = construct_family(_bench_growth_instance())
+    assert family is None and why == "the constructed family fails verification"
+    assert not report.verdict
 
 
 # ---------------------------------------------------------------------------

@@ -176,6 +176,58 @@ def test_only_trees_built_by_construction_skip_the_check():
     assert sorted(_unchecked_uses(ast.parse(copy))) == [("<module>", 1), ("f", 5), ("g", 4)]
 
 
+# construct's steps: construct_family is their one check boundary, so
+# each is private and has the one runtime caller named here
+_STEP_CALLERS = {
+    "augment_leaf": {("spantree.py", "_Growth.exchange")},
+    "grow_leaves": {("diversify.py", "construct_family")},
+    "plan_swaps": {("diversify.py", "construct_family")},
+    "build_diverse_family": {("diversify.py", "construct_family")},
+}
+
+
+def _calls(tree, names):
+    """(name, qualified name of the innermost enclosing function or
+    class, or "<module>") of each call of one of ``names``, as a plain
+    name or an attribute."""
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            inner = owner
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = child.name if owner == "<module>" else f"{owner}.{child.name}"
+            elif isinstance(child, ast.Call):
+                name = getattr(child.func, "id", getattr(child.func, "attr", None))
+                if name in names:
+                    yield name, owner
+            yield from visit(child, inner)
+
+    yield from visit(tree, "<module>")
+
+
+def test_construct_steps_are_private_and_called_only_by_construct():
+    # the steps trust what construct_family checked on the way in, and
+    # verify_family checks the family on the way out; nothing outside
+    # construct reaches them past that boundary
+    init = ast.parse((SRC / "__init__.py").read_text())
+    imported = {alias.name for node in ast.walk(init) if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert imported.isdisjoint({*_STEP_CALLERS, "LeafSwapPlan"})
+    callers = {}
+    for path in sorted(SRC.glob("*.py")):
+        for name, owner in _calls(ast.parse(path.read_text(), filename=str(path)), set(_STEP_CALLERS)):
+            callers.setdefault(name, set()).add((path.name, owner))
+    assert callers == _STEP_CALLERS
+    copy = (
+        "class G:\n    def exchange(self):\n        return augment_leaf(self)\n"
+        "x = m.plan_swaps()\ndef f():\n    def g():\n        grow_leaves()"
+    )
+    assert sorted(_calls(ast.parse(copy), set(_STEP_CALLERS))) == [
+        ("augment_leaf", "G.exchange"),
+        ("grow_leaves", "f.g"),
+        ("plan_swaps", "<module>"),
+    ]
+
+
 BENCH = SRC.parents[1] / "bench"
 
 # exported without a runtime or bench caller, each for a stated reason

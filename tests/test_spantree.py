@@ -14,11 +14,9 @@ from divtrees import (
     SpanningTree,
     TreeEnumerationOverflow,
     arbitrary_spanning_tree,
-    augment_leaf,
     count_spanning_trees,
     enumerate_spanning_trees,
     generate,
-    grow_leaves,
     maximal_degree2_paths,
     read_edge_set_family,
     verify_family,
@@ -27,7 +25,14 @@ from divtrees import (
     write_tree,
 )
 from divtrees.graphcore import _bfs_parents, _norm_edge
-from divtrees.spantree import _acyclic, _Growth, _tree_leaves, enumerate_tree_masks
+from divtrees.spantree import (
+    _acyclic,
+    _Growth,
+    _tree_leaves,
+    augment_leaf,
+    enumerate_tree_masks,
+    grow_leaves,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -523,37 +528,53 @@ def test_augment_pin_on_chorded_cycle():
     assert t2.leaves == frozenset({1, 6, 7})
 
 
+# augment_leaf checks none of its input; the three tests below pin that
+# growth's move, its one source, meets the precondition on each count
+
 def test_augment_validation():
+    # v is strictly internal, and vw is a host edge that the tree lacks:
+    # of the interior vertices 4 and 5 only 4 has a non-tree edge, (4,8)
     g = c8_with_chord()
     t = SpanningTree(g, frozenset((i, i + 1) for i in range(1, 8)))
     (path,) = maximal_degree2_paths(support.tree_graph(t))
-    with pytest.raises(ValueError, match="strictly internal"):
-        augment_leaf(t, path, 2, 8)
-    with pytest.raises(ValueError, match="not an edge"):
-        augment_leaf(t, path, 4, 6)
-    with pytest.raises(ValueError, match="already a tree edge"):
-        augment_leaf(t, path, 4, 5)
+    path_, v, w = _Growth(t, frozenset()).move()
+    assert (path_, v, w) == (path, 4, 8)
+    assert v in path[3 : len(path) - 3]
+    assert g.has_edge(v, w) and _norm_edge(v, w) not in t.edges
 
 
 def test_augment_rejects_a_malformed_path():
+    # a tree edge (4,8) gives vertex 4 tree degree 3: no degree-2-path of
+    # the tree reaches length 6, so growth offers none
     g = c8_with_chord()
-    t = SpanningTree(g, frozenset((i, i + 1) for i in range(1, 8)))
-    with pytest.raises(ValueError, match="distinct"):
-        augment_leaf(t, (1, 2, 1, 3), 4, 8)
-    with pytest.raises(ValueError, match="cannot be closed"):
-        augment_leaf(t, (1, 2, 3, 4, 5, 6, 7, 8, 1), 4, 8)
-    with pytest.raises(ValueError, match=r"\(1,3\) is not an edge"):
-        augment_leaf(t, (1, 3, 4, 5, 6, 7, 8), 4, 8)
-    # (1,8) is a host edge that the tree left out
-    with pytest.raises(ValueError, match=r"\(1,8\) is not an edge of the tree"):
-        augment_leaf(t, (1, 8, 7, 6, 5, 4, 3), 5, 2)
-    for path in [(1, 2, 3, 4, 5, 6, 7, 9), (0, 1, 2, 3, 4, 5, 6, 7)]:
-        with pytest.raises(ValueError, match="is not an edge of the tree"):
-            augment_leaf(t, path, 4, 8)
-    # a tree edge (4,8) gives vertex 4 tree degree 3
     t = SpanningTree(g, frozenset((i, i + 1) for i in range(1, 7)) | {(4, 8)})
-    with pytest.raises(ValueError, match="internal vertex 4 has degree 3 != 2"):
-        augment_leaf(t, (1, 2, 3, 4, 5, 6, 7), 5, 8)
+    assert _Growth(t, frozenset()).move() is None
+    # every path growth offers is open, has distinct vertices, steps
+    # along tree edges and has tree degree 2 inside
+    moves = 0
+    for _, nt, growth in _growth_steps():
+        if (move := growth.move()) is None:
+            continue
+        path, adj = move[0], growth.adjacency
+        assert len(set(path)) == len(path) and path[0] != path[-1]
+        assert all(b in adj[a] for a, b in zip(path, path[1:]))
+        assert all(len(adj[x]) == 2 and x not in nt for x in path[1:-1])
+        moves += 1
+    assert moves > 0
+
+
+def test_augment_needs_long_path():
+    g = support.cycle_graph(5)
+    t = arbitrary_spanning_tree(g)
+    (path,) = maximal_degree2_paths(support.tree_graph(t))
+    assert len(path) - 1 < 6 and _Growth(t, frozenset()).move() is None
+    # chords give every interior vertex a non-tree edge: a path of length
+    # 5 still offers no exchange, one of length 6 does, at its middle
+    for n, expected in [(6, None), (7, 4)]:
+        g = Graph(n, support.cycle_graph(n).edges | {(i, i + 2) for i in range(1, n - 1)})
+        t = SpanningTree(g, frozenset((i, i + 1) for i in range(1, n)))
+        move = _Growth(t, frozenset()).move()
+        assert (move and move[1]) == expected
 
 
 def test_augment_accepts_only_a_strictly_internal_vertex():
@@ -565,20 +586,7 @@ def test_augment_accepts_only_a_strictly_internal_vertex():
     (path,) = maximal_degree2_paths(support.tree_graph(t))
     short = path[:7]
     assert len(short) - 1 == 6 and short[3:4] == (4,)
-    for v in (3, 5):
-        with pytest.raises(ValueError, match="strictly internal"):
-            augment_leaf(t, short, v, n)
     assert _exchanged(t, short, 4, n).leaf_count > t.leaf_count
-    with pytest.raises(ValueError, match="length >= 6"):
-        augment_leaf(t, path[:6], 4, n)
-
-
-def test_augment_needs_long_path():
-    g = support.cycle_graph(5)
-    t = arbitrary_spanning_tree(g)
-    (path,) = maximal_degree2_paths(support.tree_graph(t))
-    with pytest.raises(ValueError, match="length >= 6"):
-        augment_leaf(t, path, 3, max(t.leaves))
 
 
 def _reference_drop(t, vs, v, w):
@@ -686,14 +694,6 @@ def test_grow_reports_smallness_on_a_short_cycle():
     assert out == start and out.leaf_count == 2
 
 
-def test_grow_requires_internal_nt_at_start():
-    g = support.cycle_graph(6)
-    start = arbitrary_spanning_tree(g)
-    leaf = min(start.leaves)
-    with pytest.raises(ValueError, match="internal"):
-        grow_leaves(start, frozenset({leaf}), 3)
-
-
 
 def _reference_grow(start, nt, target):
     """Growth as a rescan: every maximal degree-2-path of the current
@@ -772,14 +772,30 @@ def _spy(monkeypatch, name):
 
 
 def test_grow_matches_a_rescan_and_calls_augment_once_per_exchange(monkeypatch):
-    calls = _spy(monkeypatch, "augment_leaf")
+    # augment_leaf checks none of its input: at every call the path is a
+    # candidate of a fresh scan of the current tree, v is strictly
+    # interior to it and vw is a host edge that the tree lacks
+    from divtrees import spantree
+
+    calls = []
+
+    def checked(growth, path, v, w, real=spantree.augment_leaf):
+        t = _tree_of(growth)
+        assert path in _candidates(t.host, maximal_degree2_paths(support.tree_graph(t), forbidden=growth.nt))
+        r = len(path) - 1
+        assert r >= 6 and v in path[3 : r - 2]
+        assert t.host.has_edge(v, w) and _norm_edge(v, w) not in t.edges
+        calls.append((path, v, w))
+        return real(growth, path, v, w)
+
+    monkeypatch.setattr(spantree, "augment_leaf", checked)
     for g, start, nt in _growth_corpus():
         for target in (start.leaf_count + 1, start.leaf_count + 3, g.n):
             reached, moves = _reference_grow(start, nt, target)
             calls.clear()
             grown = grow_leaves(start, nt, target)
             assert grown == reached and (grown is start) == (not moves)
-            assert [c[1:] for c in calls] == moves
+            assert calls == moves
 
 
 def test_grow_scans_paths_once_and_only_when_growth_is_needed(monkeypatch):
