@@ -30,7 +30,6 @@ from .spantree import (
     enumerate_spanning_trees,
     read_edge_set_family,
     write_family,
-    write_tree,
 )
 from .diversify import (
     FamilyReport,

@@ -13,6 +13,7 @@ conflict-free pool.
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from functools import cached_property
 from math import ceil
@@ -147,14 +148,21 @@ def build_diverse_family(plan: LeafSwapPlan) -> list[SpanningTree]:
     is built with no check: it moves each leaf of its block from its
     tree edge to a host edge at the same leaf, whose target is no leaf
     of the block (the pool holds no conflict edge).
-    :func:`construct_family` verifies the family.
+    :func:`construct_family` verifies the family.  Each member's sorted
+    edges are the plan tree's, less its gone edges and with its added
+    ones put in place, so no member is sorted.
     """
     t = plan.tree
     family = []
     for block in plan.blocks:
         gone = {_norm_edge(v, plan.tree_neighbor[v]) for v in block}
         added = {_norm_edge(v, plan.swap_target[v]) for v in block}
-        family.append(SpanningTree._unchecked(t.host, (t.edges - gone) | added))
+        order = list(t._edge_order)
+        for e in gone:
+            del order[bisect_left(order, e)]
+        for e in added:
+            insort(order, e)
+        family.append(SpanningTree._unchecked(t.host, (t.edges - gone) | added, tuple(order)))
     return family
 
 

@@ -137,9 +137,6 @@ class Graph:
     def degree(self, v: int) -> int:
         return len(self.adjacency[v])
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return _norm_edge(u, v) in self.edges
-
     @cached_property
     def is_connected(self) -> bool:
         # fewer than n - 1 edges cannot connect n vertices; m edges do
@@ -323,13 +320,26 @@ def _compact_renaming(n: int, removed: int) -> dict[int, int]:
 # A block of edge lines in the writers' canonical form is read in one
 # pass (``_ContentLines.canonical_block``); every other block goes through
 # the row loop, which alone decides what else is accepted and which fault
-# is reported.
+# is reported.  Trees of one family share all but a few edges, so the
+# family writer formats each distinct edge's line once per family, and
+# the family reader parses each distinct line once per family: its
+# cursor keeps a memo from line text to edge, keyed by the block's n,
+# since a line is checked against that n only.
 
-def _write_edge_list(n: int, edges: Sequence[tuple[int, int]]) -> str:
-    """The text format: an ``n m`` header, then one ``u v`` line per edge."""
+def _write_edge_list(
+    n: int, edges: Sequence[tuple[int, int]], line: Mapping[tuple[int, int], str] | None = None
+) -> str:
+    """The text format: an ``n m`` header, then one ``u v`` line per edge.
+    Given ``line``, which holds each edge's line (:func:`_edge_lines`),
+    the lines are read off it rather than formatted."""
     lines = [f"{n} {len(edges)}"]
-    lines += [f"{u} {v}" for u, v in edges]
+    lines += _edge_lines(edges) if line is None else map(line.__getitem__, edges)
     return "\n".join(lines) + "\n"
+
+
+def _edge_lines(edges: Iterable[tuple[int, int]]) -> list[str]:
+    """Each edge's ``u v`` line of the text format."""
+    return [f"{u} {v}" for u, v in edges]
 
 
 def write_graph(g: Graph) -> str:
@@ -344,12 +354,16 @@ _CANONICAL_BLOCK = re.compile(r"[1-9][0-9]*+ [1-9][0-9]*+(?:\n[1-9][0-9]*+ [1-9]
 class _ContentLines:
     """A cursor over the lines of edge-list text.  Iterating yields the
     fields of each line that is neither blank nor a comment; the fields
-    after each ``#%`` go to ``directives`` as the lines go by."""
+    after each ``#%`` go to ``directives`` as the lines go by.  With
+    ``memo``, a cursor over many blocks parses each distinct line of
+    them in canonical form once (see :meth:`canonical_block`)."""
 
-    def __init__(self, text: str, directives: list[list[str]] | None = None) -> None:
+    def __init__(self, text: str, directives: list[list[str]] | None = None, memo: bool = False) -> None:
         self._lines = text.splitlines()
         self._at = 0
         self._directives = directives
+        # per block n, each canonical line read so far and its edge
+        self._known: dict[int, dict[str, tuple[int, int]]] | None = {} if memo else None
 
     def __iter__(self) -> _ContentLines:
         return self
@@ -370,22 +384,44 @@ class _ContentLines:
     def canonical_block(self, n: int, m: int) -> list[tuple[int, int]] | None:
         """The next m lines as normalised edges, read in one pass, when
         each is "u v" in canonical form with 1 <= u < v <= n.  Otherwise
-        None, and the cursor stays put for the row loop to read them."""
+        None, and the cursor stays put for the row loop to read them.
+        With a memo, only the lines it lacks for this n are parsed, and
+        a line read before comes back as the same tuple."""
         lines = self._lines[self._at : self._at + m]
         if len(lines) != m:
             return None
-        block = "\n".join(lines)
-        if not _CANONICAL_BLOCK.fullmatch(block):
-            return None
-        try:
-            nums = json.loads("[" + block.replace("\n", ",").replace(" ", ",") + "]")
-        except ValueError:  # a number past int's digit limit
-            return None
-        us, vs = nums[::2], nums[1::2]
-        if max(vs) > n or not all(map(lt, us, vs)):
-            return None
-        self._at += m
-        return list(zip(us, vs))
+        if self._known is None:
+            pairs = _canonical_pairs(lines, n)
+        else:
+            known = self._known.setdefault(n, {})
+            new = [*set(lines).difference(known)]
+            fresh = _canonical_pairs(new, n)
+            if fresh is None:
+                return None
+            known.update(zip(new, fresh))
+            pairs = [*map(known.__getitem__, lines)]
+        if pairs is not None:
+            self._at += m
+        return pairs
+
+
+def _canonical_pairs(lines: list[str], n: int) -> list[tuple[int, int]] | None:
+    """The edges of ``lines``, in order, when each is "u v" in canonical
+    form with 1 <= u < v <= n; otherwise None.  One regex match and one
+    ``json.loads`` of the integers read them all."""
+    if not lines:
+        return []
+    block = "\n".join(lines)
+    if not _CANONICAL_BLOCK.fullmatch(block):
+        return None
+    try:
+        nums = json.loads("[" + block.replace("\n", ",").replace(" ", ",") + "]")
+    except ValueError:  # a number past int's digit limit
+        return None
+    us, vs = nums[::2], nums[1::2]
+    if max(vs) > n or not all(map(lt, us, vs)):
+        return None
+    return list(zip(us, vs))
 
 
 def _edge_block(rows: _ContentLines, header: list[str]) -> tuple[int, frozenset]:

@@ -99,7 +99,10 @@ class RuleApplication:
 # separators; without indent, json runs its C encoder.  A record is
 # written as its fields (default=vars) and a tuple as an array; the
 # to_json_dict methods are the custom forms and return what it writes.
-JSON_ENCODER = json.JSONEncoder(sort_keys=True, default=vars)
+# check_circular=False skips the encoder's bookkeeping of every container
+# it enters and changes no byte: each payload is a fresh tree of dicts,
+# lists, tuples and flat records, built for one write, so none holds itself.
+JSON_ENCODER = json.JSONEncoder(sort_keys=True, default=vars, check_circular=False)
 
 
 def transcript_to_ndjson(transcript: tuple[RuleApplication, ...] | list[RuleApplication] | str) -> str:

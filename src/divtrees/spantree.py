@@ -29,6 +29,7 @@ from .graphcore import (
     _canonical_path,
     _ContentLines,
     _edge_block,
+    _edge_lines,
     _norm_edge,
     _path_through,
     _unite,
@@ -122,12 +123,18 @@ class SpanningTree:
             raise ValueError("edge set does not span the host graph")
 
     @classmethod
-    def _unchecked(cls, host: Graph, edges: frozenset[tuple[int, int]]) -> SpanningTree:
+    def _unchecked(
+        cls, host: Graph, edges: frozenset[tuple[int, int]], order: tuple[tuple[int, int], ...] | None = None
+    ) -> SpanningTree:
         """The tree on ``edges``, which are a spanning tree of ``host``
-        by construction: it runs none of the constructor's checks."""
+        by construction: it runs none of the constructor's checks.
+        ``order``, when the builder has it, is ``edges`` sorted, and the
+        tree keeps it rather than sorting them again."""
         t = object.__new__(cls)
         object.__setattr__(t, "host", host)
         object.__setattr__(t, "edges", edges)
+        if order is not None:
+            object.__setattr__(t, "_edge_order", order)
         return t
 
     @classmethod
@@ -146,10 +153,6 @@ class SpanningTree:
     @property
     def leaf_count(self) -> int:
         return len(self.leaves)
-
-    @cached_property
-    def internal_vertices(self) -> frozenset[int]:
-        return frozenset(self.host.vertices()) - self.leaves
 
     @property
     def internal_count(self) -> int:
@@ -249,10 +252,10 @@ class _Growth:
     can use, as canonical vertex tuples, sorted.  A strictly interior
     path vertex has tree degree 2, so it has a non-tree host edge
     exactly when its host degree is >= 3: whether a path is a candidate
-    follows from its vertex tuple alone.  One rule, :meth:`_through`,
-    finds the paths: at the start, every path through an anchor (a
-    vertex of tree degree other than 2, or in ``nt``), and after each
-    exchange the paths through its endpoints.
+    follows from its vertex tuple alone.  At the start every path runs
+    between two anchors (vertices of tree degree other than 2, or in
+    ``nt``) and is walked once, from one of them; after each exchange
+    :meth:`_through` finds the paths through its endpoints.
 
     An exchange changes the tree degree of the endpoints of the two
     exchanged edges only.  Every other vertex keeps its degree and its
@@ -268,8 +271,18 @@ class _Growth:
         self.leaves = set(t.leaves)
         self.nt = nt
         self.candidates: list[tuple[int, ...]] = []
-        anchors = [x for x in adj if len(adj[x]) != 2 or x in nt]
-        self._update((), set().union(*map(self._through, anchors)))
+        # every path runs between two anchors; the walk from the first
+        # claims the far end's last interior vertex, so the walk back
+        # from the far end is skipped and each path is walked once
+        found, claimed = [], set()
+        for x in adj:
+            if len(adj[x]) != 2 or x in nt:
+                for y in adj[x]:
+                    if len(adj[y]) == 2 and y not in nt and y not in claimed:
+                        vs = _walk(adj, nt, x, y)
+                        claimed.add(vs[-2])
+                        found.append(_canonical_path(vs))
+        self._update((), found)
 
     def _candidate(self, vs: tuple[int, ...]) -> bool:
         return any(len(self.host.adjacency[x]) >= 3 for x in vs[3 : len(vs) - 3])
@@ -570,12 +583,17 @@ def count_spanning_trees(g: Graph) -> int:
 # serialization: a tree is an edge list with header "n n-1"; a family
 # file is a plain concatenation of such blocks
 
-def write_tree(t: SpanningTree) -> str:
-    return _write_edge_list(t.host.n, t._edge_order)
-
-
 def write_family(family: list[SpanningTree]) -> str:
-    return "".join(write_tree(t) for t in family)
+    """The family as text: each tree's block, its sorted edges under an
+    ``n n-1`` header.  Members share all but a few edges, so each
+    distinct edge's line is formatted once per family."""
+    line: dict[tuple[int, int], str] = {}
+    blocks = []
+    for t in family:
+        new = [*t.edges.difference(line)]
+        line.update(zip(new, _edge_lines(new)))
+        blocks.append(_write_edge_list(t.host.n, t._edge_order, line))
+    return "".join(blocks)
 
 
 def family_json(family: Iterable[SpanningTree]) -> list[tuple[tuple[int, int], ...]]:
@@ -588,9 +606,11 @@ def read_edge_set_family(text: str, n: int) -> list[frozenset[tuple[int, int]]]:
     """Parse a concatenation of edge-list blocks into raw edge sets.
 
     Only format problems are errors here; whether each block is an
-    actual spanning tree of some host is the verifier's question.
+    actual spanning tree of some host is the verifier's question.  The
+    blocks of a family repeat most of their lines, so each distinct
+    canonical line is parsed once (the cursor's memo).
     """
-    rows = _ContentLines(text)
+    rows = _ContentLines(text, memo=True)
     out: list[frozenset[tuple[int, int]]] = []
     for header in rows:
         block_n, edges = _edge_block(rows, header)

@@ -22,6 +22,11 @@ def tree_graph(t: SpanningTree) -> Graph:
     return Graph(t.host.n, t.edges)
 
 
+def internal_vertices(t: SpanningTree) -> frozenset[int]:
+    """The vertices of ``t``'s host that are no leaf of ``t``."""
+    return frozenset(t.host.vertices()) - t.leaves
+
+
 def cycle_graph(n: int) -> Graph:
     return generate("cycle", (n,))
 
@@ -88,7 +93,7 @@ def random_connected(rng, n: int) -> Graph:
 
 def contract_edge(g: Graph, keep: int, drop: int) -> tuple[Graph, dict[int, int]]:
     """Merge ``drop`` into ``keep`` and renumber ids above ``drop`` down by one."""
-    if not g.has_edge(keep, drop):
+    if _norm_edge(keep, drop) not in g.edges:
         raise ValueError(f"({keep},{drop}) is not an edge")
     if g.adjacency[keep] & g.adjacency[drop]:
         raise ValueError("contraction would create a parallel edge")

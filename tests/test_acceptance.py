@@ -284,7 +284,7 @@ def _crit45_runs():
         leaves = grown.leaves
         nt_candidates = [
             v
-            for v in sorted(grown.internal_vertices)
+            for v in sorted(support.internal_vertices(grown))
             if len(grown.adjacency[v] - leaves) >= 2
         ]
         nt = frozenset(rng.sample(nt_candidates, min(len(nt_candidates), rng.randint(0, 2))))
@@ -324,7 +324,7 @@ def test_criterion_04_swap_family_properties():
         block = ceil(k / 4)
         floor = grown.leaf_count - block
         for i, ti in enumerate(family):
-            if not _spans(g, ti.edges) or not nt <= ti.internal_vertices or ti.leaf_count < floor:
+            if not _spans(g, ti.edges) or not nt <= support.internal_vertices(ti) or ti.leaf_count < floor:
                 bad.append((g.n, k, ell, "tree", i))
             for j in range(i):
                 d = len(ti.edges ^ family[j].edges)

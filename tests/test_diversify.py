@@ -17,10 +17,13 @@ from divtrees import (
     arbitrary_spanning_tree,
     construct_family,
     generate,
+    read_edge_set_family,
     verify_family,
+    write_family,
 )
 from divtrees import diversify
 from divtrees.diversify import LeafSwapPlan, _conflict_edges, build_diverse_family, plan_swaps
+from divtrees.graphcore import _write_edge_list
 from divtrees.kernelizer import JSON_ENCODER
 from divtrees.spantree import _acyclic as _uf_acyclic, _Growth, enumerate_spanning_trees, family_json, grow_leaves
 
@@ -234,7 +237,7 @@ def test_build_keeps_nonterminals_internal():
     t = SpanningTree(g, frozenset({(1, 2), (2, 3), (3, 4), (4, 5), (5, 6)}))
     plan = plan_swaps(t, {1}, k=2, ell=1)
     fam = build_diverse_family(plan)
-    assert frozenset({3, 4}) <= fam[0].internal_vertices
+    assert frozenset({3, 4}) <= support.internal_vertices(fam[0])
 
 
 # ---------------------------------------------------------------------------
@@ -441,6 +444,26 @@ def _bench_growth_instance():
     return Instance(_subdivided(88), 2, 2, 4, 36)
 
 
+def test_members_keep_the_plan_order_and_the_family_text_reads_back():
+    # each member is built with its sorted edges, taken from the plan
+    # tree's; the family text, written and read with each distinct line
+    # once, matches a sort and the one-block writer
+    for inst in (_bench_growth_instance(), InstanceNT(_subdivided(44), frozenset({1}), 2, 4, 3)):
+        family, why, _ = construct_family(inst)
+        assert why is None and len(family) == inst.ell
+        n = inst.graph.n
+        for t in family:
+            assert "_edge_order" in vars(t)
+            assert t._edge_order == tuple(sorted(t.edges))
+        text = write_family(family)
+        assert text == "".join(_write_edge_list(n, sorted(t.edges)) for t in family)
+        back = read_edge_set_family(text, n)
+        assert back == [t.edges for t in family]
+        # a line read before comes back as the tuple it gave then
+        first = {e: e for e in back[0]}
+        assert all(first.get(e, e) is e for edges in back[1:] for e in edges)
+
+
 def test_construct_runs_no_whole_tree_union_find(monkeypatch):
     # one union-find pass over the graph (connectivity), one over the
     # family's core and one per member over its own edges: the BFS tree,
@@ -566,7 +589,7 @@ def test_family_members_build_no_tree_graph():
     assert verify_family(g, fam, p=0, q=0, k=4).verdict
     family_json(fam)
     for t in fam:
-        assert t.internal_vertices | t.leaves == frozenset(g.vertices())
+        assert support.internal_vertices(t) | t.leaves == frozenset(g.vertices())
         assert t.internal_count == g.n - t.leaf_count
     assert "adjacency" in grown.__dict__
     assert not any("adjacency" in t.__dict__ or "_graph" in t.__dict__ for t in fam)

@@ -64,7 +64,7 @@ def test_basic_queries():
     assert list(g.vertices()) == [1, 2, 3, 4]
     assert g.neighbors(2) == frozenset({1, 3})
     assert g.degree(1) == 1
-    assert g.has_edge(2, 1) and not g.has_edge(1, 3)
+    assert (1, 2) in g.edges and (1, 3) not in g.edges
     assert g.sorted_edges() == [(1, 2), (2, 3), (3, 4)]
 
 

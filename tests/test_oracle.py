@@ -322,7 +322,7 @@ def _fitting(inst, limit=None):
     pool = []
     for mask in itertools.islice(enumerate_tree_masks(g), limit):
         t = SpanningTree.from_mask(g, mask)
-        if t.leaf_count >= inst.p and t.internal_count >= inst.q and nt <= t.internal_vertices:
+        if t.leaf_count >= inst.p and t.internal_count >= inst.q and nt <= support.internal_vertices(t):
             pool.append((-t.leaf_count, mask))
     return pool
 

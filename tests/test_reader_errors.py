@@ -54,6 +54,22 @@ def test_a_later_block_reports_its_own_fault():
     assert str(err.value) == "edge line must be two integers, got '1 x'"
 
 
+def test_a_line_is_checked_against_its_own_block_n():
+    # "3 9" fits the first block's n = 10, not the second's n = 5: the
+    # second block reports its own range fault, not its n
+    text = "10 2\n1 2\n3 9\n5 4\n1 2\n3 9\n2 3\n4 5\n"
+    with pytest.raises(GraphFormatError) as err:
+        read_edge_set_family(text, 10)
+    assert str(err.value) == "vertex out of range in edge 3 9"
+
+
+def test_a_later_block_of_earlier_lines_reports_its_duplicate():
+    text = "4 3\n1 2\n2 3\n3 4\n4 3\n2 3\n3 4\n2 3\n"
+    with pytest.raises(GraphFormatError) as err:
+        read_edge_set_family(text, 4)
+    assert str(err.value) == "duplicate edge (2, 3)"
+
+
 BLOCK = "4 3\n1 2\n\n# a comment\n#% p 2\n   \n2 3\n  # indented\n\t3 4  \n#\n"
 EDGES = frozenset({(1, 2), (2, 3), (3, 4)})
 

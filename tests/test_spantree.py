@@ -22,9 +22,8 @@ from divtrees import (
     verify_family,
     write_family,
     write_graph,
-    write_tree,
 )
-from divtrees.graphcore import _bfs_parents, _norm_edge
+from divtrees.graphcore import _bfs_parents, _canonical_path, _norm_edge
 from divtrees.spantree import (
     _acyclic,
     _Growth,
@@ -43,7 +42,7 @@ def test_spanning_tree_queries():
     t = SpanningTree(g, frozenset({(1, 2), (2, 3), (3, 4)}))
     assert t.leaves == frozenset({1, 4})
     assert t.leaf_count == 2
-    assert t.internal_vertices == frozenset({2, 3})
+    assert support.internal_vertices(t) == frozenset({2, 3})
     assert t.internal_count == 2
     assert support.tree_graph(t).is_tree()
 
@@ -403,7 +402,7 @@ def test_engine_counts_the_leaves_of_the_trees_it_yields():
         assert masks == list(enumerate_tree_masks(g)) == _reference_masks(g), g.edges
         for mask, leaves in full:
             t = SpanningTree.from_mask(g, mask)
-            want = t.leaf_count if nt <= t.internal_vertices else None
+            want = t.leaf_count if nt <= support.internal_vertices(t) else None
             assert leaves == want, (g.edges, nt, t.edges)
         # every limit below 20 trees; past that 10 spread over the run
         # and the last two, since every limit costs quadratic time
@@ -418,7 +417,7 @@ def test_enumeration_agrees_with_kirchhoff(g):
     assert len(trees) == count_spanning_trees(g)
     assert len({t.edges for t in trees}) == len(trees)
     # a tree is written in the graph text format without building a graph
-    assert all(write_tree(t) == write_graph(support.tree_graph(t)) for t in trees)
+    assert all(write_family([t]) == write_graph(support.tree_graph(t)) for t in trees)
 
 
 @given(support.connected_graphs(min_n=2, max_n=8))
@@ -540,7 +539,7 @@ def test_augment_validation():
     path_, v, w = _Growth(t, frozenset()).move()
     assert (path_, v, w) == (path, 4, 8)
     assert v in path[3 : len(path) - 3]
-    assert g.has_edge(v, w) and _norm_edge(v, w) not in t.edges
+    assert _norm_edge(v, w) in g.edges - t.edges
 
 
 def test_augment_rejects_a_malformed_path():
@@ -679,10 +678,10 @@ def test_grow_reaches_target_on_dense_graph():
 def test_grow_respects_required_internal_vertices():
     g = generate("min-degree-3", (30,))
     start = arbitrary_spanning_tree(g)
-    nt = frozenset(sorted(start.internal_vertices)[:2])
+    nt = frozenset(sorted(support.internal_vertices(start))[:2])
     out = grow_leaves(start, nt, 5)
     assert isinstance(out, SpanningTree)
-    assert nt <= out.internal_vertices
+    assert nt <= support.internal_vertices(out)
 
 
 def test_grow_reports_smallness_on_a_short_cycle():
@@ -749,7 +748,7 @@ def _growth_corpus():
         else:
             g = generate("min-degree-3", (rng.randint(40, 120),))
         start = _dfs_tree(g, rng) if i % 4 else arbitrary_spanning_tree(g)
-        inner = sorted(start.internal_vertices)
+        inner = sorted(support.internal_vertices(start))
         nt = frozenset(rng.sample(inner, rng.randint(1, 4))) if i % 2 else frozenset()
         yield g, start, nt
     square = Graph.from_edges(60, [(i, i + 1) for i in range(1, 60)] + [(i, i + 2) for i in range(1, 59)])
@@ -784,7 +783,7 @@ def test_grow_matches_a_rescan_and_calls_augment_once_per_exchange(monkeypatch):
         assert path in _candidates(t.host, maximal_degree2_paths(support.tree_graph(t), forbidden=growth.nt))
         r = len(path) - 1
         assert r >= 6 and v in path[3 : r - 2]
-        assert t.host.has_edge(v, w) and _norm_edge(v, w) not in t.edges
+        assert _norm_edge(v, w) in t.host.edges - t.edges
         calls.append((path, v, w))
         return real(growth, path, v, w)
 
@@ -796,6 +795,22 @@ def test_grow_matches_a_rescan_and_calls_augment_once_per_exchange(monkeypatch):
             grown = grow_leaves(start, nt, target)
             assert grown == reached and (grown is start) == (not moves)
             assert calls == moves
+
+
+def test_growth_walks_each_start_path_once(monkeypatch):
+    # the walk from a path's first anchor claims it, so its far end does
+    # not walk it back: the start walks are the tree's paths, each once
+    walks = []
+    real = spantree_module._walk
+    monkeypatch.setattr(spantree_module, "_walk", lambda *args: walks.append(real(*args)) or walks[-1])
+    bench = generate("subdivided", (generate("min-degree-3", (88,)), 8))
+    for g, start, nt in [*_growth_corpus(), (bench, arbitrary_spanning_tree(bench), frozenset())]:
+        walks.clear()
+        _Growth(start, nt)
+        paths = sorted(_canonical_path(vs) for vs in walks)
+        assert paths == maximal_degree2_paths(support.tree_graph(start), nt)
+    # the benchmark's growth instance: 1,104 path vertices, walked once
+    assert sum(map(len, walks)) == 1104
 
 
 def test_grow_scans_paths_once_and_only_when_growth_is_needed(monkeypatch):
@@ -831,7 +846,7 @@ def _relabelled_subdivisions():
         perm = rng.sample(range(1, h.n + 1), h.n)
         g = Graph.from_edges(h.n, [(perm[u - 1], perm[v - 1]) for u, v in h.edges])
         start = _dfs_tree(g, rng) if i % 4 else arbitrary_spanning_tree(g)
-        nt = frozenset(rng.sample(sorted(start.internal_vertices), 3)) if i % 3 == 0 else frozenset()
+        nt = frozenset(rng.sample(sorted(support.internal_vertices(start)), 3)) if i % 3 == 0 else frozenset()
         yield g, start, nt
 
 
@@ -984,7 +999,7 @@ def test_family_text_and_json_share_one_sort():
 def test_write_tree_format():
     g = support.cycle_graph(3)
     t = SpanningTree(g, frozenset({(1, 2), (2, 3)}))
-    assert write_tree(t) == "3 2\n1 2\n2 3\n"
+    assert write_family([t]) == "3 2\n1 2\n2 3\n"
 
 
 def test_read_family_rejects_bad_blocks():
