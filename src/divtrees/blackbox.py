@@ -8,15 +8,25 @@ the pipeline's own instance, an :class:`Instance` or
 :class:`InstanceNT`, reads only its graph and its q or non-terminals,
 and returns an instance of the same type asking an equivalent
 single-tree question (p = 0, k = ell = 1), or None.  The default
-plug-in decides each instance exactly by bounded tree enumeration and
-answers with a tiny canonical equivalent; when the budget runs out it
-reports unavailable (None) instead of guessing.
+plug-in decides each instance exactly and answers with a tiny
+canonical equivalent.  A non-terminal question is first put to a few
+union-find passes, which build a tree keeping the marked vertices
+internal or show that none exists (a marked vertex of degree 1, or
+forced edges that close a cycle); every question they leave open, and
+every max-internal one, is decided by bounded tree enumeration, and
+when its budget runs out the kernel reports unavailable (None) instead
+of guessing.
 """
 
 from __future__ import annotations
 
 from .graphcore import Graph, Instance, InstanceNT, InternalInvariantError
-from .spantree import DEFAULT_TREE_BUDGET, TreeEnumerationOverflow, _tree_leaves
+from .spantree import (
+    DEFAULT_TREE_BUDGET,
+    TreeEnumerationOverflow,
+    _required_internal_search,
+    _tree_leaves,
+)
 
 
 _K2 = Graph(n=2, edges=frozenset({(1, 2)}))
@@ -45,11 +55,16 @@ _NTST_NO = InstanceNT(_K2, frozenset({1, 2}), 0, 1, 1)
 def _tree_exists(g: Graph, q: int, nt: frozenset[int], budget: int) -> bool | None:
     """Does a spanning tree of ``g`` have at least ``q`` internal
     vertices and every vertex of ``nt`` internal?  None when ``budget``
-    trees ran out before a match."""
+    trees ran out before a match.  With q = 0 that is the search for a
+    tree keeping ``nt`` internal, where a few union-find passes answer
+    first and trees are enumerated only when they leave it open."""
     if not g.is_connected:
         return False
-    if q == 0 and not nt:
-        return True
+    if q == 0:
+        if not nt:
+            return True
+        found = _required_internal_search(g, nt, budget)
+        return None if found is None else not isinstance(found, str)
     try:
         trees = _tree_leaves(g, budget, nt)
         return any(leaves is not None and g.n - leaves >= q for _, leaves in trees)

@@ -20,6 +20,7 @@ import random
 import sys
 from functools import partial
 from pathlib import Path
+from typing import Sequence
 
 from .blackbox import mist_kernel, ntst_kernel
 from .diversify import construct_family, verify_family
@@ -35,7 +36,7 @@ from .graphcore import (
 )
 from .kernelizer import JSON_ENCODER, KernelResult, kernelize, transcript_to_ndjson
 from .oracle import OracleLimits, solve
-from .spantree import DEFAULT_TREE_BUDGET, family_json, read_edge_set_family, write_family
+from .spantree import DEFAULT_TREE_BUDGET, SpanningTree, family_json, read_edge_set_family, write_family
 
 EX_USAGE = 64
 EX_DATA = 65
@@ -97,16 +98,35 @@ def _emit(output: str | None, text: str) -> None:
         Path(output).write_text(text)
 
 
-def _emit_json(output: str | None, payload: dict, transcript: str | None = None) -> None:
-    """Write ``payload`` as one JSON line.  ``transcript``, a transcript
-    array already encoded, is spliced in where the payload holds None
-    under its "transcript" key."""
+def _emit_json(output: str | None, payload: dict, **spliced: str | None) -> None:
+    """Write ``payload`` as one JSON line.  Each ``spliced`` text, an
+    array already encoded, goes where the payload holds None under its
+    key; a None text leaves that null."""
     text = JSON_ENCODER.encode(payload)
-    if transcript is not None:
-        # an encoded string escapes its quotes and no nested record has a
-        # transcript field, so the first match is the top-level key
-        text = text.replace('"transcript": null', '"transcript": ' + transcript, 1)
+    for key, part in spliced.items():
+        if part is not None:
+            # an encoded string escapes its quotes, and neither a nested
+            # record nor a spliced array has a field of a spliced key, so
+            # the first match is the top-level key
+            text = text.replace(f'"{key}": null', f'"{key}": {part}', 1)
     _emit(output, text + "\n")
+
+
+def _family_text(family: Sequence[SpanningTree] | None) -> str | None:
+    """``JSON_ENCODER``'s text of ``family_json(family)``, None for no
+    family.  Members share all but a few edges, so the distinct edges
+    are encoded once, each pair's text is cut from that array (``], [``
+    occurs only between pairs of ints), and each member joins its
+    pairs' texts in its sorted edge order."""
+    if family is None:
+        return None
+    distinct = [*frozenset().union(*(t.edges for t in family))]
+    pair = dict(zip(distinct, JSON_ENCODER.encode(distinct)[2:-2].split("], [")))
+    members = [
+        "[[" + "], [".join(map(pair.__getitem__, order)) + "]]" if order else "[]"
+        for order in family_json(family)
+    ]
+    return "[" + ", ".join(members) + "]"
 
 
 # ---------------------------------------------------------------------------
@@ -144,8 +164,8 @@ def _cmd_kernelize(args: argparse.Namespace) -> int:
     if args.family_out is not None:
         Path(args.family_out).write_text(write_family(list(result.witness)))
     payload = {"schema": 2, "problem": inst.problem}
-    payload.update(result.to_json_dict(), transcript=None)
-    _emit_json(args.output, payload, entries)
+    payload.update(result.to_json_dict(), transcript=None, witness=None)
+    _emit_json(args.output, payload, transcript=entries, witness=_family_text(result.witness))
     return 0
 
 
@@ -161,9 +181,9 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         "problem": inst.problem,
         "answer": verdict.answer,
         "stats": verdict.stats,
-        "witness": None if verdict.witness is None else family_json(verdict.witness),
+        "witness": None,
     }
-    _emit_json(args.output, payload)
+    _emit_json(args.output, payload, witness=_family_text(verdict.witness))
     return {"yes": 0, "no": 1, "inconclusive": 2}[verdict.answer]
 
 
@@ -194,10 +214,10 @@ def _cmd_construct(args: argparse.Namespace) -> int:
         "schema": 1,
         "ok": family is not None,
         "reason": reason,
-        "family": None if family is None else family_json(family),
+        "family": None,
         "report": None if report is None else report.to_json_dict(),
     }
-    _emit_json(args.output, payload)
+    _emit_json(args.output, payload, family=_family_text(family))
     return 0 if family is not None else 1
 
 

@@ -23,10 +23,9 @@ from .graphcore import Graph, Instance, InstanceNT, _adjacency, _bfs_parents, _n
 from .spantree import (
     DEFAULT_TREE_BUDGET,
     SpanningTree,
-    TreeEnumerationOverflow,
     _degrees,
     _leaves_after,
-    _tree_leaves,
+    _required_internal_search,
     _unite,
     arbitrary_spanning_tree,
     grow_leaves,
@@ -171,9 +170,13 @@ def construct_family(
 ) -> tuple[list[SpanningTree] | None, str | None, FamilyReport | None]:
     """Build a family the constructive way: grow leaves, then swap.
 
-    The seed tree is the breadth-first tree for li; for lnt it is the
-    first enumerated tree keeping every required vertex internal, found
-    within ``budget`` trees.  Returns (family, reason, report); exactly
+    The seed tree is the breadth-first tree for li.  For lnt it is a
+    tree keeping every required vertex internal, searched within
+    ``budget`` trees: the one a few union-find passes find (the first
+    enumerated tree, when that one fits), and only when they neither
+    find one nor rule it out, the first such tree the enumeration
+    yields.  The seed goes through :class:`SpanningTree`'s check.
+    Returns (family, reason, report); exactly
     one of family and reason is None.  The report is
     :func:`verify_family`'s check of the built family, present whenever
     a family was built; a family that fails it is returned as a reason,
@@ -186,14 +189,12 @@ def construct_family(
         return None, "graph is disconnected", None
     nt = inst.nonterminals
     if isinstance(inst, InstanceNT):
-        try:
-            trees = _tree_leaves(g, budget, nt)
-            mask = next((m for m, leaves in trees if leaves is not None), None)
-        except TreeEnumerationOverflow:
+        found = _required_internal_search(g, nt, budget)
+        if found is None:
             return None, "seed search exhausted its budget", None
-        if mask is None:
+        if isinstance(found, str):
             return None, "no spanning tree keeps the required vertices internal", None
-        seed = SpanningTree.from_mask(g, mask)
+        seed = SpanningTree(g, frozenset(found))
     else:
         seed = arbitrary_spanning_tree(g)
     target = max(2 * block * ell + 2 * len(nt), inst.p + block + 2 * len(nt))

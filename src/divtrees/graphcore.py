@@ -64,15 +64,20 @@ def _adjacency(vertices: Iterable[int], edges: Iterable[tuple[int, int]]) -> dic
     return adj
 
 
-def _unite(parent: list[int], edges: Iterable[tuple[int, int]]) -> int:
+def _unite(
+    parent: list[int], edges: Iterable[tuple[int, int]], linked: list[tuple[int, int]] | None = None
+) -> int:
     """Link each edge's endpoints in the union-find ``parent`` (each
     vertex's parent, a root its own), halving paths on the way, and
     return how many edges were skipped because they closed a cycle.
     Given the parents a forest left, 0 says ``edges`` close no cycle
     over that forest; on the identity over 1..n, the m edges leave
-    n - m + that count components."""
+    n - m + that count components.  ``linked``, when given, gets each
+    edge that was linked, in order: over a connected graph's edges from
+    the identity, a spanning tree."""
     cycles = 0
-    for u, v in edges:
+    for e in edges:
+        u, v = e
         while parent[u] != u:
             parent[u] = parent[parent[u]]
             u = parent[u]
@@ -83,6 +88,8 @@ def _unite(parent: list[int], edges: Iterable[tuple[int, int]]) -> int:
             cycles += 1
         else:
             parent[u] = v
+            if linked is not None:
+                linked.append(e)
     return cycles
 
 

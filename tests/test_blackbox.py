@@ -12,6 +12,7 @@ from divtrees import (
     ntst_kernel,
 )
 from divtrees.blackbox import _checked_mist, _checked_ntst
+from divtrees.spantree import _required_internal_tree
 
 
 def mist(g, q):
@@ -72,7 +73,18 @@ def test_budget_exhaustion_returns_none():
     # negative instances need the full enumeration, so a tight budget
     # must give up rather than guess
     assert mist_kernel(mist(c4, 3), budget=2) is None
-    assert ntst_kernel(ntst(c4, {1, 3}), budget=2) is None
+    # the diamond (K4 less (3, 4)) with 1, 2 and 3 required has no such
+    # tree, and the union-find passes leave it open: vertex 3 forces
+    # (1, 3) and (2, 3), which close no cycle, and 4 then hangs off 1
+    # or 2, leaving the other a leaf.  The passes build two trees, and
+    # the second is charged to the budget: its 8 trees need a budget of 9
+    diamond = Graph.from_edges(4, [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4)])
+    assert _required_internal_tree(diamond, frozenset({1, 2, 3})) is None
+    assert ntst_kernel(ntst(diamond, {1, 2, 3}), budget=8) is None
+    assert ntst_kernel(ntst(diamond, {1, 2, 3}), budget=9) == NTST_NO
+    # C4 with 1 and 3 required: their forced edges close the cycle, a no
+    # that needs no enumeration, so no budget is too tight for it
+    assert ntst_kernel(ntst(c4, {1, 3}), budget=2) == NTST_NO
     # an early witness still counts even under the same budget
     assert mist_kernel(mist(c4, 1), budget=2) == MIST_YES
     # K1's one tree is a tree like any other: a budget of none finds it not

@@ -23,7 +23,7 @@ from divtrees import (
 )
 from divtrees import diversify
 from divtrees.diversify import LeafSwapPlan, _conflict_edges, build_diverse_family, plan_swaps
-from divtrees.graphcore import _write_edge_list
+from divtrees.graphcore import _unite, _write_edge_list
 from divtrees.kernelizer import JSON_ENCODER
 from divtrees.spantree import _acyclic as _uf_acyclic, _Growth, enumerate_spanning_trees, family_json, grow_leaves
 
@@ -464,6 +464,26 @@ def test_members_keep_the_plan_order_and_the_family_text_reads_back():
         assert all(first.get(e, e) is e for edges in back[1:] for e in edges)
 
 
+def test_the_family_json_text_is_the_plain_encode(capsys):
+    # the distinct edges are encoded once and each member joins their
+    # pairs' texts: the bytes are those of the plain encode
+    from divtrees.cli import _emit_json, _family_text
+
+    for inst in (_bench_growth_instance(), InstanceNT(_subdivided(44), frozenset({1}), 2, 4, 3)):
+        family, why, report = construct_family(inst)
+        assert why is None
+        text = _family_text(family)
+        assert text == JSON_ENCODER.encode(family_json(family))
+        _emit_json(None, {"family": None, "report": report.to_json_dict()}, family=text)
+        assert capsys.readouterr().out == JSON_ENCODER.encode(
+            {"family": family_json(family), "report": report.to_json_dict()}
+        ) + "\n"
+    k1 = [SpanningTree(Graph(1, frozenset()), frozenset())]
+    assert _family_text(k1) == JSON_ENCODER.encode(family_json(k1)) == "[[]]"
+    assert _family_text([]) == "[]"
+    assert _family_text(None) is None
+
+
 def test_construct_runs_no_whole_tree_union_find(monkeypatch):
     # one union-find pass over the graph (connectivity), one over the
     # family's core and one per member over its own edges: the BFS tree,
@@ -595,6 +615,45 @@ def test_family_members_build_no_tree_graph():
     assert not any("adjacency" in t.__dict__ or "_graph" in t.__dict__ for t in fam)
 
 
+def _required_chain_vertices(b, count):
+    """Subdivided md3(b) x8 with ``count`` chain interior vertices
+    required, drawn by a seeded sample, asking for 3 trees with 2
+    leaves each at distance 4."""
+    base = generate("min-degree-3", (b,))
+    g = generate("subdivided", (base, 8))
+    nt = frozenset(random.Random(0).sample(range(base.n + 1, g.n + 1), count))
+    return InstanceNT(g, nt, 2, 4, 3)
+
+
+@pytest.mark.parametrize("b, count", [(44, 4), (44, 16), (176, 4), (176, 16)])
+def test_required_chain_vertices_seed_construct_and_the_kernel_with_no_enumeration(monkeypatch, b, count):
+    # the first tree leaves a required vertex a leaf, and at n = 2,024
+    # the enumeration runs out of its default budget before a tree that
+    # fits; the union-find passes build one, so no tree is enumerated.  At
+    # n = 506 the reduced instance is already below R5nt's bound, so
+    # no subroutine kernel is asked
+    from divtrees import blackbox, kernelize, ntst_kernel, spantree
+
+    inst = _required_chain_vertices(b, count)
+    g = inst.graph
+    first = []
+    _unite(list(range(g.n + 1)), g._edge_order, first)
+    assert inst.nonterminals & spantree._leaves(g.n, first)
+
+    def refuse(*args):
+        raise AssertionError("a tree was enumerated")
+
+    monkeypatch.setattr(spantree, "_tree_leaves", refuse)
+    monkeypatch.setattr(blackbox, "_tree_leaves", refuse)
+    family, why, report = construct_family(inst)
+    assert why is None and report.verdict and len(family) == 3
+    result = kernelize(inst, blackbox=ntst_kernel)
+    if b == 176:
+        assert result.outcome == "delegated" and result.instance == blackbox._NTST_YES
+    else:
+        assert result.outcome == "reduced"
+
+
 # ---------------------------------------------------------------------------
 # every way construct_family gives up: a reason, with no family or report
 
@@ -640,9 +699,7 @@ def test_construct_family_failure_reasons(inst, limits, reason):
     assert why == reason
 
 
-def test_lnt_seed_is_the_first_tree_keeping_the_required_set_internal(monkeypatch):
-    # on md3(12) the 95th enumerated tree is the first with vertices
-    # 1..8 all internal; a budget of 94 trees stops short of it
+def test_lnt_seed_is_the_passes_tree_else_the_first_fitting_enumerated_one(monkeypatch):
     seeds = []
     grow = diversify.grow_leaves
 
@@ -651,10 +708,23 @@ def test_lnt_seed_is_the_first_tree_keeping_the_required_set_internal(monkeypatc
         return grow(start, nt, target)
 
     monkeypatch.setattr(diversify, "grow_leaves", spy)
+    # md3(12) with 1..8 required: the first tree leaves 6, 7 and 8 leaves, and
+    # pass 2 of the finder builds one that fits (the enumeration's first
+    # such tree is its 95th).  A budget of one tree admits only the
+    # enumeration's first, so the passes do not run
     inst = InstanceNT(generate("min-degree-3", (12,)), frozenset(range(1, 9)), 0, 1, 1)
-    _, why, _ = construct_family(inst, budget=95)
+    _, why, _ = construct_family(inst, budget=2)
     assert why == "growth stalled at 4 leaves; the graph has fewer than 308 vertices"
-    assert seeds == [[(1, 2), (1, 7), (1, 12), (2, 3), (2, 8), (3, 4),
-                      (4, 10), (5, 6), (5, 11), (6, 7), (8, 9)]]
-    assert construct_family(inst, budget=94)[1] == "seed search exhausted its budget"
-    assert len(seeds) == 1
+    assert seeds == [[(1, 2), (1, 7), (2, 3), (3, 4), (4, 5), (4, 10),
+                      (5, 6), (5, 11), (6, 12), (7, 8), (8, 9)]]
+    assert construct_family(inst, budget=1)[1] == "seed search exhausted its budget"
+    # C4 on 1-2-4-3 plus the chord (1, 4), with 1 and 4 required: the
+    # passes find no tree and no proof, so the seed is the first fitting
+    # enumerated tree, the 4th; the passes' second tree is charged to
+    # the budget, so the enumeration gets one tree less
+    g = Graph.from_edges(4, [(1, 2), (1, 3), (1, 4), (2, 4), (3, 4)])
+    inst = InstanceNT(g, frozenset({1, 4}), 0, 1, 1)
+    assert construct_family(inst, budget=5)[1].startswith("growth stalled at 2 leaves")
+    assert seeds[1] == [(1, 2), (1, 4), (3, 4)]
+    assert construct_family(inst, budget=4)[1] == "seed search exhausted its budget"
+    assert len(seeds) == 2

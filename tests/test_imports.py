@@ -228,6 +228,22 @@ def test_construct_steps_are_private_and_called_only_by_construct():
     ]
 
 
+def test_required_internal_trees_are_searched_in_one_place():
+    # construct's lnt seed and the ntst kernel ask one search, which puts
+    # the question to the union-find passes and enumerates trees only
+    # when they leave it open
+    wanted = {"_required_internal_tree", "_required_internal_search"}
+    callers = set()
+    for path in sorted(SRC.glob("*.py")):
+        for name, owner in _calls(ast.parse(path.read_text(), filename=str(path)), wanted):
+            callers.add((name, path.name, owner))
+    assert callers == {
+        ("_required_internal_tree", "spantree.py", "_required_internal_search"),
+        ("_required_internal_search", "diversify.py", "construct_family"),
+        ("_required_internal_search", "blackbox.py", "_tree_exists"),
+    }
+
+
 BENCH = SRC.parents[1] / "bench"
 
 # exported without a runtime or bench caller, each for a stated reason

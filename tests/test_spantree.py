@@ -23,10 +23,14 @@ from divtrees import (
     write_family,
     write_graph,
 )
-from divtrees.graphcore import _bfs_parents, _canonical_path, _norm_edge
+from divtrees.graphcore import _bfs_parents, _canonical_path, _norm_edge, _unite
 from divtrees.spantree import (
+    DEFAULT_TREE_BUDGET,
     _acyclic,
     _Growth,
+    _leaves,
+    _required_internal_search,
+    _required_internal_tree,
     _tree_leaves,
     augment_leaf,
     enumerate_tree_masks,
@@ -498,6 +502,91 @@ def test_interleaved_enumerators_are_independent():
         next(b)
     with pytest.raises(TreeEnumerationOverflow):
         next(a)
+
+
+# ---------------------------------------------------------------------------
+# required-internal trees: the union-find passes against the enumeration
+
+def _first_tree(g):
+    """Pass 0's tree: graphcore's union-find over every edge in index order."""
+    tree = []
+    _unite(list(range(g.n + 1)), g._edge_order, tree)
+    return tree
+
+
+def _finder_answer(g, nt):
+    """The finder's answer on ``g`` and ``nt``, checked against the full
+    enumeration: "tree", "no" or "unknown"."""
+    fits = any(leaves is not None for _, leaves in _tree_leaves(g, DEFAULT_TREE_BUDGET, nt))
+    found = _required_internal_tree(g, nt)
+    if found is None:
+        return "unknown"
+    if isinstance(found, str):
+        assert not fits, (g.edges, nt, found)
+        return "no"
+    t = SpanningTree(g, frozenset(found))
+    assert len(found) == g.n - 1 and not nt & t.leaves, (g.edges, nt)
+    assert fits
+    return "tree"
+
+
+def _chain_graph(rng):
+    """A seeded small graph whose base edges are chains of 2 or 3 edges."""
+    return generate("subdivided", (support.random_connected(rng, rng.randint(2, 5)), rng.randint(2, 3)))
+
+
+def test_the_finders_first_pass_is_the_first_enumerated_tree():
+    rng = random.Random(24)
+    for _ in range(200):
+        g = support.random_connected(rng, rng.randint(1, 9)) if rng.random() < 0.5 else _chain_graph(rng)
+        first = _first_tree(g)
+        index = {e: i for i, e in enumerate(g._edge_order)}
+        assert sum(1 << index[e] for e in first) == next(enumerate_tree_masks(g))
+        # when that tree keeps nt internal, the finder returns it
+        nt = frozenset(v for v in g.vertices() if rng.random() < 0.3)
+        if not nt & _leaves(g.n, first):
+            assert _required_internal_tree(g, nt) == first
+
+
+def test_the_finder_agrees_with_the_enumeration():
+    # every answer agrees with the enumeration, every tree spans and
+    # keeps nt internal, and each kind of answer turns up
+    rng = random.Random(40)
+    answers = {"tree": 0, "no": 0, "unknown": 0}
+    for _ in range(600):
+        g = support.random_connected(rng, rng.randint(1, 9))
+        share = rng.choice([0.2, 0.5, 0.8])
+        answers[_finder_answer(g, frozenset(v for v in g.vertices() if rng.random() < share))] += 1
+    for _ in range(200):
+        g = _chain_graph(rng)
+        answers[_finder_answer(g, frozenset(rng.sample(range(1, g.n + 1), rng.randint(1, min(g.n, 4)))))] += 1
+    assert min(answers.values()) >= 20, answers
+
+
+def test_the_finder_decides_forced_cycles_and_degree_one():
+    c4 = support.cycle_graph(4)
+    assert _required_internal_tree(c4, frozenset({1, 3})) == "the forced edges close a cycle"
+    assert _required_internal_tree(support.path_graph(3), frozenset({1})) == "a required vertex has degree 1"
+    assert _required_internal_tree(Graph(1, frozenset()), frozenset({1})) == []
+    # the bench's no-gadget shape: a and b both adjacent to 1 and 2 only
+    g = Graph.from_edges(6, [(1, 2), (1, 3), (2, 3), (3, 4), (1, 5), (2, 5), (1, 6), (2, 6)])
+    assert _required_internal_tree(g, frozenset({5, 6})) == "the forced edges close a cycle"
+
+
+def test_the_search_charges_the_passes_second_tree_to_the_budget(monkeypatch):
+    # C4 on 1-2-4-3 plus (1, 4), with 1 and 4 required: the passes leave
+    # it open, and the first fitting tree is the 4th enumerated
+    g = Graph.from_edges(4, [(1, 2), (1, 3), (1, 4), (2, 4), (3, 4)])
+    nt = frozenset({1, 4})
+    assert _required_internal_tree(g, nt) is None
+    assert _required_internal_search(g, nt, 4) is None
+    assert _required_internal_search(g, nt, 5) == [(1, 2), (1, 4), (3, 4)]
+    # under a budget of one tree the passes do not run
+    calls = _spy(monkeypatch, "_required_internal_tree")
+    assert _required_internal_search(support.path_graph(3), frozenset({2}), 1) == [(1, 2), (2, 3)]
+    no = _required_internal_search(support.path_graph(3), frozenset({1}), 1)
+    assert no == "no enumerated tree keeps them internal"
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------
