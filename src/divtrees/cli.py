@@ -36,7 +36,7 @@ from .graphcore import (
 )
 from .kernelizer import JSON_ENCODER, KernelResult, kernelize, transcript_to_ndjson
 from .oracle import OracleLimits, solve
-from .spantree import DEFAULT_TREE_BUDGET, SpanningTree, family_json, read_edge_set_family, write_family
+from .spantree import DEFAULT_TREE_BUDGET, Family, SpanningTree, _as_family, read_edge_set_family, write_family
 
 EX_USAGE = 64
 EX_DATA = 65
@@ -102,31 +102,29 @@ def _emit_json(output: str | None, payload: dict, **spliced: str | None) -> None
     """Write ``payload`` as one JSON line.  Each ``spliced`` text, an
     array already encoded, goes where the payload holds None under its
     key; a None text leaves that null."""
-    text = JSON_ENCODER.encode(payload)
+    text = JSON_ENCODER.encode(payload) + "\n"
     for key, part in spliced.items():
         if part is not None:
             # an encoded string escapes its quotes, and neither a nested
             # record nor a spliced array has a field of a spliced key, so
             # the first match is the top-level key
             text = text.replace(f'"{key}": null', f'"{key}": {part}', 1)
-    _emit(output, text + "\n")
+    _emit(output, text)
 
 
-def _family_text(family: Sequence[SpanningTree] | None) -> str | None:
+def _pair_texts(edges: Sequence[tuple[int, int]]) -> list[str]:
+    """Each edge's ``JSON_ENCODER`` text less its brackets, cut from one
+    encode of them all (``], [`` occurs only between pairs of ints)."""
+    return JSON_ENCODER.encode(edges)[2:-2].split("], [") if edges else []
+
+
+def _family_text(family: Family | Sequence[SpanningTree] | None) -> str | None:
     """``JSON_ENCODER``'s text of ``family_json(family)``, None for no
-    family.  Members share all but a few edges, so the distinct edges
-    are encoded once, each pair's text is cut from that array (``], [``
-    occurs only between pairs of ints), and each member joins its
-    pairs' texts in its sorted edge order."""
+    family, with each edge's pair encoded once per family."""
     if family is None:
         return None
-    distinct = [*frozenset().union(*(t.edges for t in family))]
-    pair = dict(zip(distinct, JSON_ENCODER.encode(distinct)[2:-2].split("], [")))
-    members = [
-        "[[" + "], [".join(map(pair.__getitem__, order)) + "]]" if order else "[]"
-        for order in family_json(family)
-    ]
-    return "[" + ", ".join(members) + "]"
+    members = (f"[[{'], ['.join(m)}]]" if m else "[]" for m in _as_family(family)._merged(_pair_texts))
+    return f"[{', '.join(members)}]"
 
 
 # ---------------------------------------------------------------------------
@@ -162,7 +160,7 @@ def _cmd_kernelize(args: argparse.Namespace) -> int:
     if args.transcript is not None:
         Path(args.transcript).write_text(transcript_to_ndjson(entries))
     if args.family_out is not None:
-        Path(args.family_out).write_text(write_family(list(result.witness)))
+        Path(args.family_out).write_text(write_family(result.witness))
     payload = {"schema": 2, "problem": inst.problem}
     payload.update(result.to_json_dict(), transcript=None, witness=None)
     _emit_json(args.output, payload, transcript=entries, witness=_family_text(result.witness))
@@ -209,7 +207,7 @@ def _cmd_construct(args: argparse.Namespace) -> int:
     inst = _load_instance(args)
     family, reason, report = construct_family(inst, budget)
     if family is not None and args.family_out is not None:
-        Path(args.family_out).write_text(write_family(list(family)))
+        Path(args.family_out).write_text(write_family(family))
     payload = {
         "schema": 1,
         "ok": family is not None,

@@ -4,7 +4,8 @@ Every chosen leaf v of a spanning tree keeps a designated swap: drop
 its tree edge (to tree_neighbor[v]) and pick up a host edge to
 swap_target[v] instead.  Applying the swaps of disjoint leaf blocks to
 the same base tree yields trees at exactly known pairwise Hamming
-distance.  Swap targets are chosen to minimize conflicts (a target
+distance, built as one ``Family``: the edges they all hold, and each
+one's own.  Swap targets are chosen to minimize conflicts (a target
 that is itself a chosen leaf).  Lowest-id targets cannot close a
 conflict cycle (the proof is in :func:`plan_swaps`), so the conflicts
 form a forest and two-colouring it keeps half the leaves as a
@@ -13,18 +14,19 @@ conflict-free pool.
 
 from __future__ import annotations
 
-from bisect import bisect_left, insort
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from math import ceil
 from typing import Iterable, Sequence
 
 from .graphcore import Graph, Instance, InstanceNT, _adjacency, _bfs_parents, _norm_edge
 from .spantree import (
     DEFAULT_TREE_BUDGET,
+    Family,
     SpanningTree,
     _degrees,
-    _leaves_after,
     _required_internal_search,
     _unite,
     arbitrary_spanning_tree,
@@ -137,37 +139,34 @@ def plan_swaps(t: SpanningTree, L: Iterable[int], k: int, ell: int) -> LeafSwapP
     )
 
 
-def build_diverse_family(plan: LeafSwapPlan) -> list[SpanningTree]:
-    """Materialize one tree per plan block by applying its swaps to the
-    plan's tree.
+def build_diverse_family(plan: LeafSwapPlan) -> Family:
+    """One tree per plan block, the plan's tree with the block's swaps
+    applied, as a :class:`Family`.
 
     Distinct blocks touch disjoint leaves and their added edges never
     collide, so two family members differ in exactly two edges per
-    involved leaf.  A member is a spanning tree by construction, so it
-    is built with no check: it moves each leaf of its block from its
-    tree edge to a host edge at the same leaf, whose target is no leaf
-    of the block (the pool holds no conflict edge).
-    :func:`construct_family` verifies the family.  Each member's sorted
-    edges are the plan tree's, less its gone edges and with its added
-    ones put in place, so no member is sorted.
+    involved leaf.  A member is a spanning tree by construction: it
+    moves each leaf of its block from its tree edge to a host edge at
+    the same leaf, whose target is no leaf of the block (the pool holds
+    no conflict edge).  :func:`construct_family` verifies the family.
+    With two blocks or more, the core is the plan tree's edges less
+    every block's gone edges, and a member owns the other blocks' gone
+    edges and its block's added ones: no member is built or sorted.
     """
     t = plan.tree
-    family = []
-    for block in plan.blocks:
-        gone = {_norm_edge(v, plan.tree_neighbor[v]) for v in block}
-        added = {_norm_edge(v, plan.swap_target[v]) for v in block}
-        order = list(t._edge_order)
-        for e in gone:
-            del order[bisect_left(order, e)]
-        for e in added:
-            insort(order, e)
-        family.append(SpanningTree._unchecked(t.host, (t.edges - gone) | added, tuple(order)))
-    return family
+    gone = [{_norm_edge(v, plan.tree_neighbor[v]) for v in block} for block in plan.blocks]
+    added = [{_norm_edge(v, plan.swap_target[v]) for v in block} for block in plan.blocks]
+    # every member holds what no block drops and what every block adds,
+    # which is something only when there is one block
+    every, shared = set().union(*gone), set.intersection(*added)
+    core = tuple(sorted(t.edges.difference(every).union(shared)))
+    own = [sorted(every.difference(out).union(new).difference(shared)) for out, new in zip(gone, added)]
+    return Family(t.host, core, tuple(map(tuple, own)))
 
 
 def construct_family(
     inst: Instance | InstanceNT, budget: int = DEFAULT_TREE_BUDGET
-) -> tuple[list[SpanningTree] | None, str | None, FamilyReport | None]:
+) -> tuple[Family | None, str | None, FamilyReport | None]:
     """Build a family the constructive way: grow leaves, then swap.
 
     The seed tree is the breadth-first tree for li.  For lnt it is a
@@ -277,7 +276,7 @@ class FamilyReport:
 
 def verify_family(
     g: Graph,
-    family: Sequence[SpanningTree | frozenset[tuple[int, int]]],
+    family: Family | Sequence[SpanningTree | frozenset[tuple[int, int]]],
     p: int,
     q: int,
     k: int,
@@ -286,70 +285,56 @@ def verify_family(
     """Check a claimed family against every instance constraint.
 
     Failures become report entries, never exceptions; the verdict is
-    the conjunction of all per-tree and per-pair checks.
+    the conjunction of all per-tree and per-pair checks.  A list of
+    members is read as its :class:`Family`.
 
     A member spans when its edges are the host's, n - 1 of them, and
-    close no cycle.  Members are read off what they all share, the core
-    (the edges every member holds): one degree count runs over the core,
-    and, when some member has n - 1 edges, one union-find; each member
-    then adds only its own edges, those outside the core.  It spans when
-    its own edges, too, are the host's and close no cycle over the
-    core's forest, and its leaves are the core's, corrected at its own
-    edges' endpoints.  A member that spans covers every vertex, so the
-    rest are internal (K1's lone vertex too); one that does not counts
-    as internal only the vertices its edges reach more than once.
+    close no cycle.  One degree count runs over the family's core and,
+    when some member has n - 1 edges, one union-find, after which each
+    vertex points at its root.  Each member then reads only its own
+    edges: it spans when they, too, are the host's and close no cycle
+    among the roots they join, and its leaves are the core's, corrected
+    at their endpoints.  A member that spans covers every vertex, so
+    the rest are internal (K1's lone vertex too); one that does not
+    counts as internal only the vertices its edges reach more than once.
     """
-    edge_sets = [f.edges if isinstance(f, SpanningTree) else frozenset(f) for f in family]
-    if not edge_sets:
-        return FamilyReport(trees=(), pairs=())
-    n = g.n
-    core = frozenset.intersection(*edge_sets)
-    owns = [edges - core for edges in edge_sets]
+    fam = family if isinstance(family, Family) else Family.of(g, family)
+    n, core = g.n, fam.core
     degree = _degrees(n, core)
-    core_leaves = frozenset(v for v, d in degree.items() if d == 1)
-    # the core's union-find, or None when no member can span: none has
-    # n - 1 edges, or the core has a foreign edge or a cycle
-    forest: list[int] | None = None
-    if core <= g.edges and any(len(core) + len(own) == n - 1 for own in owns):
+    core_leaves = {v for v, d in degree.items() if d == 1}
+    nt_leaves = nt & core_leaves
+    # each vertex's root in the core's forest, or None when no member can
+    # span: none has n - 1 edges, or the core has a foreign edge or a cycle
+    root: list[int] | None = None
+    if g.edges.issuperset(core) and any(len(core) + len(own) == n - 1 for own in fam.own):
         forest = list(range(n + 1))
-        if _unite(forest, core) != 0:
-            forest = None
+        if _unite(forest, core) == 0:
+            # each round halves every path to a root
+            while (root := [*map(forest.__getitem__, forest)]) != forest:
+                forest = root
     trees = []
-    for i, own in enumerate(owns):
-        leaves = _leaves_after(n, core_leaves, degree.__getitem__, own)
-        leaf_count = len(leaves)
-        spanning = (
-            forest is not None
-            and own <= g.edges
-            and len(core) + len(own) == n - 1
-            and _unite(forest.copy(), own) == 0
-        )
-        reached = n if spanning else len(degree) + sum(x not in degree for x in _degrees(n, own))
-        internal_count = reached - leaf_count
-        trees.append(
-            TreeCheck(
-                index=i,
-                spanning=spanning,
-                leaf_count=leaf_count,
-                internal_count=internal_count,
-                leaves_ok=leaf_count >= p,
-                internal_ok=internal_count >= q,
-                required_internal_ok=not nt & leaves,
-            )
-        )
+    for i, own in enumerate(fam.own):
+        touched = Counter(chain.from_iterable(own))
+        # the core's leaves that own edges touch stop being leaves, and
+        # a vertex only own edges reach is one when one edge reaches it
+        fresh = [x for x in touched if x not in degree and 1 <= x <= n]
+        gained = {x for x in fresh if touched[x] == 1}
+        leaves = len(core_leaves) - len(touched.keys() & core_leaves) + len(gained)
+        spanning = False
+        if root is not None and len(core) + len(own) == n - 1 and g.edges.issuperset(own):
+            joins = [(root[u], root[v]) for u, v in own]
+            spanning = _unite({x: x for x in chain.from_iterable(joins)}, joins) == 0
+        internal = (n if spanning else len(degree) + len(fresh)) - leaves
+        nt_ok = not nt & gained and touched.keys() >= nt_leaves
+        trees.append(TreeCheck(i, spanning, leaves, internal, leaves >= p, internal >= q, nt_ok))
     # one bit per edge that some member holds and another lacks, foreign
     # edges included, so a pair's distance is the popcount of the xor of
     # its two masks: the core cancels, T_i ^ T_j is own_i ^ own_j
     bit: dict[tuple[int, int], int] = {}
-    masks = []
-    for own in owns:
-        mask = 0
-        for e in own:
-            mask |= 1 << bit.setdefault(e, len(bit))
-        masks.append(mask)
+    masks = [sum(1 << bit.setdefault(e, len(bit)) for e in own) for own in fam.own]
     pairs = []
-    for i in range(len(masks)):
+    for i, mask in enumerate(masks):
         for j in range(i + 1, len(masks)):
-            d = (masks[i] ^ masks[j]).bit_count()
-            pairs.append(PairCheck(first=i, second=j, distance=d, ok=d >= k))
+            d = (mask ^ masks[j]).bit_count()
+            pairs.append(PairCheck(i, j, d, d >= k))
     return FamilyReport(trees=tuple(trees), pairs=tuple(pairs))

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import islice
 from operator import lt
-from typing import AbstractSet, ClassVar, Iterable, Mapping, Sequence
+from typing import AbstractSet, ClassVar, Iterable, Mapping
 
 
 class GraphFormatError(ValueError):
@@ -328,29 +328,20 @@ def _compact_renaming(n: int, removed: int) -> dict[int, int]:
 # pass (``_ContentLines.canonical_block``); every other block goes through
 # the row loop, which alone decides what else is accepted and which fault
 # is reported.  Trees of one family share all but a few edges, so the
-# family writer formats each distinct edge's line once per family, and
-# the family reader parses each distinct line once per family: its
+# family writer (``spantree.write_family``) formats the lines of the
+# family's core once and each tree's own edges' lines once per family,
+# and the family reader parses each distinct line once per family: its
 # cursor keeps a memo from line text to edge, keyed by the block's n,
 # since a line is checked against that n only.
 
-def _write_edge_list(
-    n: int, edges: Sequence[tuple[int, int]], line: Mapping[tuple[int, int], str] | None = None
-) -> str:
-    """The text format: an ``n m`` header, then one ``u v`` line per edge.
-    Given ``line``, which holds each edge's line (:func:`_edge_lines`),
-    the lines are read off it rather than formatted."""
-    lines = [f"{n} {len(edges)}"]
-    lines += _edge_lines(edges) if line is None else map(line.__getitem__, edges)
-    return "\n".join(lines) + "\n"
-
-
 def _edge_lines(edges: Iterable[tuple[int, int]]) -> list[str]:
-    """Each edge's ``u v`` line of the text format."""
-    return [f"{u} {v}" for u, v in edges]
+    """Each edge's ``u v`` line of the text format, with its newline."""
+    return [f"{u} {v}\n" for u, v in edges]
 
 
 def write_graph(g: Graph) -> str:
-    return _write_edge_list(g.n, g.sorted_edges())
+    """The text format: an ``n m`` header, then one ``u v`` line per edge."""
+    return f"{g.n} {g.m}\n" + "".join(_edge_lines(g.sorted_edges()))
 
 
 # the canonical form: each line "u v", two ASCII integers with no sign

@@ -56,7 +56,7 @@ from .graphcore import (
     maximal_degree2_paths,
     pendant_vertices,
 )
-from .spantree import SpanningTree, family_json
+from .spantree import Family, SpanningTree, family_json
 
 
 @dataclass(frozen=True)
@@ -132,7 +132,7 @@ class KernelResult:
     transcript: tuple[RuleApplication, ...]
     final_instance: Instance | InstanceNT
     instance: Instance | InstanceNT | None = None
-    witness: tuple[SpanningTree, ...] | None = None
+    witness: Family | None = None
     reason: str | None = None
 
     def to_json_dict(self) -> dict:
@@ -500,7 +500,7 @@ def _kernelize(
     if not g.is_connected:
         return refuse(inst, "PC-disconnected", "disconnected graphs have no spanning tree")
     if g.is_tree():
-        witness = (SpanningTree(g, g.edges),)
+        witness = Family.of(g, [SpanningTree(g, g.edges)])
         if inst.ell != 1 or not verify_family(g, witness, inst.p, inst.q, inst.k, nt=nt).verdict:
             return refuse(
                 inst,
@@ -551,7 +551,7 @@ def _kernelize(
         family, reason, _ = construct_family(cur)
         if reason is not None:
             raise InternalInvariantError(f"no family above the size threshold: {reason}")
-        return done("trivial_yes", cur, witness=tuple(family))
+        return done("trivial_yes", cur, witness=family)
     out = blackbox(cur) if blackbox is not None else None
     if out is None:
         return done(

@@ -40,6 +40,7 @@ from dataclasses import dataclass
 from .graphcore import Instance, InstanceNT, InternalInvariantError
 from .spantree import (
     DEFAULT_TREE_BUDGET,
+    Family,
     SpanningTree,
     TreeEnumerationOverflow,
     _tree_leaves,
@@ -66,7 +67,7 @@ class OracleStats:
 @dataclass(frozen=True)
 class OracleVerdict:
     answer: str  # yes | no | inconclusive
-    witness: tuple[SpanningTree, ...] | None
+    witness: Family | None
     stats: OracleStats
 
     def __post_init__(self) -> None:
@@ -274,7 +275,7 @@ def _solve(inst: Instance | InstanceNT, limits: OracleLimits) -> OracleVerdict:
     witness = None
     if masks is not None:
         g = inst.graph
-        witness = tuple(SpanningTree.from_mask(g, mask) for mask in masks)
+        witness = Family.of(g, [SpanningTree.from_mask(g, mask) for mask in masks])
         report = verify_family(g, witness, inst.p, inst.q, inst.k, nt=inst.nonterminals)
         if not report.verdict:
             raise InternalInvariantError("oracle produced a non-verifying witness")

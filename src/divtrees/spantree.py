@@ -9,8 +9,10 @@ bounded exhaustive enumeration of all spanning trees with their leaf
 counts, kept by degree bookkeeping (the one engine behind the exact
 solvers), and the search for a tree keeping given vertices internal,
 which puts the question to a few union-find passes before it
-enumerates.  A tree built from outside is checked; one built by
-construction here or by swap building is trusted.
+enumerates; and the family value, the edges its trees all hold and
+each one's own, which the family writers read.  A tree built from
+outside is checked; one built by construction here, or read off a
+family, is trusted.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
-from typing import AbstractSet, Callable, Iterable, Iterator, Mapping
+from typing import AbstractSet, Callable, Iterable, Iterator, Mapping, Sequence
 
 from .graphcore import (
     Graph,
@@ -36,7 +38,6 @@ from .graphcore import (
     _path_through,
     _unite,
     _walk,
-    _write_edge_list,
 )
 
 
@@ -71,27 +72,6 @@ def _leaves(n: int, edges: Iterable[tuple[int, int]]) -> frozenset[int]:
     return frozenset(v for v, d in _degrees(n, edges).items() if d == 1)
 
 
-def _leaves_after(
-    n: int,
-    leaves: frozenset[int],
-    degree: Callable[[int], int],
-    added: Iterable[tuple[int, int]],
-) -> frozenset[int]:
-    """The leaves of the edge set that gains ``added`` from one whose
-    leaves are ``leaves`` and whose vertices of 1..n have ``degree``;
-    ``added`` must not hold edges of that set.  Only the added edges'
-    endpoints change degree, so past one copy of ``leaves`` this is
-    O(|added|).  Endpoints outside 1..n are ignored, as by
-    :func:`_leaves`."""
-    shift: dict[int, int] = {}
-    for u, v in added:
-        shift[u] = shift.get(u, 0) + 1
-        shift[v] = shift.get(v, 0) + 1
-    return leaves.difference(shift).union(
-        x for x, s in shift.items() if 1 <= x <= n and degree(x) + s == 1
-    )
-
-
 @dataclass(frozen=True)
 class SpanningTree:
     """A spanning tree of ``host``: n-1 of its edges, acyclic, spanning.
@@ -106,10 +86,10 @@ class SpanningTree:
     Nothing edits a tree, nor its adjacency: leaf growth edits a working
     copy of the adjacency (:class:`_Growth`).
 
-    Three trees are spanning by construction and skip the check
-    (:meth:`_unchecked`): the breadth-first tree of a connected graph,
-    the tree leaf growth reaches, and each swap family member;
-    ``construct_family`` verifies the family it returns.
+    Three trees skip the check (:meth:`_unchecked`): the breadth-first
+    tree of a connected graph and the tree leaf growth reaches, both
+    spanning by construction, and a :class:`Family` member, read off
+    the family's core and own edges when a caller indexes it.
     """
 
     host: Graph
@@ -125,18 +105,12 @@ class SpanningTree:
             raise ValueError("edge set does not span the host graph")
 
     @classmethod
-    def _unchecked(
-        cls, host: Graph, edges: frozenset[tuple[int, int]], order: tuple[tuple[int, int], ...] | None = None
-    ) -> SpanningTree:
+    def _unchecked(cls, host: Graph, edges: frozenset[tuple[int, int]]) -> SpanningTree:
         """The tree on ``edges``, which are a spanning tree of ``host``
-        by construction: it runs none of the constructor's checks.
-        ``order``, when the builder has it, is ``edges`` sorted, and the
-        tree keeps it rather than sorting them again."""
+        by construction: it runs none of the constructor's checks."""
         t = object.__new__(cls)
         object.__setattr__(t, "host", host)
         object.__setattr__(t, "edges", edges)
-        if order is not None:
-            object.__setattr__(t, "_edge_order", order)
         return t
 
     @classmethod
@@ -160,12 +134,8 @@ class SpanningTree:
     def internal_count(self) -> int:
         return self.host.n - self.leaf_count
 
-    @cached_property
-    def _edge_order(self) -> tuple[tuple[int, int], ...]:
-        return tuple(sorted(self.edges))
-
     def sorted_edges(self) -> list[tuple[int, int]]:
-        return list(self._edge_order)
+        return sorted(self.edges)
 
 
 def arbitrary_spanning_tree(g: Graph) -> SpanningTree:
@@ -659,26 +629,77 @@ def count_spanning_trees(g: Graph) -> int:
 
 
 # ---------------------------------------------------------------------------
+# families: trees told as the edges they all hold and each one's own
+
+@dataclass(frozen=True)
+class Family(Sequence[SpanningTree]):
+    """Trees of ``host`` as the sorted edges they all hold, ``core``,
+    and per tree the sorted edges it holds beyond them, ``own[i]``.
+
+    Construct builds its family this way, and :meth:`of` makes one of
+    any list of members.  The verifier and the writers read the core
+    once, then each member's own edges.  Indexing gives a member as a
+    :class:`SpanningTree` with no check: a family read off a file,
+    which need not hold trees, is verified, never indexed.
+    """
+
+    host: Graph
+    core: tuple[tuple[int, int], ...]
+    own: tuple[tuple[tuple[int, int], ...], ...]
+
+    @classmethod
+    def of(cls, host: Graph, members: Iterable[SpanningTree | AbstractSet[tuple[int, int]]]) -> Family:
+        """The family of ``members``, trees or edge sets."""
+        sets = [m.edges if isinstance(m, SpanningTree) else frozenset(m) for m in members]
+        core = frozenset.intersection(*sets) if sets else frozenset()
+        return cls(host, tuple(sorted(core)), tuple(tuple(sorted(s - core)) for s in sets))
+
+    def __len__(self) -> int:
+        return len(self.own)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(len(self))[i]]
+        return SpanningTree._unchecked(self.host, frozenset(chain(self.core, self.own[i])))
+
+    def _merged(self, items: Callable[[Sequence[tuple[int, int]]], list]) -> Iterator[list]:
+        """Each member's edges in sorted order, as ``items`` gives them
+        for a list of edges: it is asked once for the core's and once for
+        the distinct own edges', and each member puts its own edges'
+        items in place among runs of the core's."""
+        mine = [*{e for own in self.own for e in own}]
+        item = dict(zip(mine, items(mine)))
+        core, core_items = self.core, items(self.core)
+        for own in self.own:
+            out, at = [], 0
+            for e in own:
+                i = bisect_left(core, e, at)
+                out += core_items[at:i]
+                out.append(item[e])
+                at = i
+            out += core_items[at:]
+            yield out
+
+
+def _as_family(family: Family | Sequence[SpanningTree]) -> Family:
+    """``family``, or the family of the trees it lists."""
+    return family if isinstance(family, Family) else Family.of(family[0].host if family else None, family)
+
+
+# ---------------------------------------------------------------------------
 # serialization: a tree is an edge list with header "n n-1"; a family
 # file is a plain concatenation of such blocks
 
-def write_family(family: list[SpanningTree]) -> str:
+def write_family(family: Family | Sequence[SpanningTree]) -> str:
     """The family as text: each tree's block, its sorted edges under an
-    ``n n-1`` header.  Members share all but a few edges, so each
-    distinct edge's line is formatted once per family."""
-    line: dict[tuple[int, int], str] = {}
-    blocks = []
-    for t in family:
-        new = [*t.edges.difference(line)]
-        line.update(zip(new, _edge_lines(new)))
-        blocks.append(_write_edge_list(t.host.n, t._edge_order, line))
-    return "".join(blocks)
+    ``n n-1`` header, each edge's line formatted once per family."""
+    fam = _as_family(family)
+    return "".join(f"{fam.host.n} {len(lines)}\n{''.join(lines)}" for lines in fam._merged(_edge_lines))
 
 
-def family_json(family: Iterable[SpanningTree]) -> list[tuple[tuple[int, int], ...]]:
-    """The JSON form of a family: each tree as its sorted edge pairs.
-    The encoder writes tuples as arrays, so no pair is copied."""
-    return [t._edge_order for t in family]
+def family_json(family: Family | Sequence[SpanningTree]) -> list[list[tuple[int, int]]]:
+    """The JSON form of a family: each tree as its sorted edge pairs."""
+    return list(_as_family(family)._merged(list))
 
 
 def read_edge_set_family(text: str, n: int) -> list[frozenset[tuple[int, int]]]:

@@ -23,7 +23,7 @@ from divtrees import (
 )
 from divtrees import diversify
 from divtrees.diversify import LeafSwapPlan, _conflict_edges, build_diverse_family, plan_swaps
-from divtrees.graphcore import _unite, _write_edge_list
+from divtrees.graphcore import _unite, write_graph
 from divtrees.kernelizer import JSON_ENCODER
 from divtrees.spantree import _acyclic as _uf_acyclic, _Growth, enumerate_spanning_trees, family_json, grow_leaves
 
@@ -445,18 +445,17 @@ def _bench_growth_instance():
 
 
 def test_members_keep_the_plan_order_and_the_family_text_reads_back():
-    # each member is built with its sorted edges, taken from the plan
-    # tree's; the family text, written and read with each distinct line
-    # once, matches a sort and the one-block writer
+    # no member is sorted: the family's JSON and text merge the core's
+    # order, taken from the plan tree's, with each member's own edges,
+    # and match a sort of each member; the text, read with each distinct
+    # line once, gives the members back
     for inst in (_bench_growth_instance(), InstanceNT(_subdivided(44), frozenset({1}), 2, 4, 3)):
         family, why, _ = construct_family(inst)
         assert why is None and len(family) == inst.ell
         n = inst.graph.n
-        for t in family:
-            assert "_edge_order" in vars(t)
-            assert t._edge_order == tuple(sorted(t.edges))
+        assert family_json(family) == [sorted(t.edges) for t in family]
         text = write_family(family)
-        assert text == "".join(_write_edge_list(n, sorted(t.edges)) for t in family)
+        assert text == "".join(write_graph(support.tree_graph(t)) for t in family)
         back = read_edge_set_family(text, n)
         assert back == [t.edges for t in family]
         # a line read before comes back as the tuple it gave then

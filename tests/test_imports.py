@@ -158,10 +158,12 @@ def _unchecked_uses(tree):
 
 
 def test_only_trees_built_by_construction_skip_the_check():
-    # the BFS tree, the tree leaf growth reaches and the swap family's
-    # members are spanning trees by construction, and construct_family
-    # verifies the family it returns; every other tree, from a reader,
-    # the CLI or the oracle, runs SpanningTree's check
+    # the BFS tree and the tree leaf growth reaches are spanning trees by
+    # construction, and a family's member is read off its core and own
+    # edges only when a caller indexes it (a family that construct
+    # returns was verified, and one made of trees holds checked trees);
+    # every other tree, from a reader, the CLI or the oracle, runs
+    # SpanningTree's check
     uses = {
         (path.name, fn)
         for path in sorted(SRC.glob("*.py"))
@@ -170,7 +172,7 @@ def test_only_trees_built_by_construction_skip_the_check():
     assert uses == {
         ("spantree.py", "arbitrary_spanning_tree"),
         ("spantree.py", "grow_leaves"),
-        ("diversify.py", "build_diverse_family"),
+        ("spantree.py", "__getitem__"),
     }
     copy = 'make = T._unchecked\ndef f():\n    def g():\n        return getattr(T, "_unchecked")\n    return T._unchecked(h, e)'
     assert sorted(_unchecked_uses(ast.parse(copy))) == [("<module>", 1), ("f", 5), ("g", 4)]
@@ -226,6 +228,22 @@ def test_construct_steps_are_private_and_called_only_by_construct():
         ("grow_leaves", "f.g"),
         ("plan_swaps", "<module>"),
     ]
+
+
+def test_a_family_core_is_formed_in_one_place():
+    # Family.of intersects a list's members, and the swap builder reads
+    # the core off the plan and its blocks; everything else takes a
+    # family as given and reads its core and own edges, so nothing else
+    # makes a Family or intersects edge sets
+    makers = set()
+    for path in sorted(SRC.glob("*.py")):
+        for name, owner in _calls(ast.parse(path.read_text(), filename=str(path)), {"Family", "intersection"}):
+            makers.add((name, path.name, owner))
+    assert makers == {
+        ("intersection", "spantree.py", "Family.of"),
+        ("intersection", "diversify.py", "build_diverse_family"),
+        ("Family", "diversify.py", "build_diverse_family"),
+    }
 
 
 def test_required_internal_trees_are_searched_in_one_place():

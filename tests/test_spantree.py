@@ -1081,8 +1081,7 @@ def test_family_text_and_json_share_one_sort():
     assert JSON_ENCODER.encode(family_json(trees)) == json.dumps(as_lists, sort_keys=True)
     assert write_family(trees) == "".join(write_graph(support.tree_graph(t)) for t in trees)
     for t, edges in zip(trees, family_json(trees)):
-        assert edges is t._edge_order
-        assert t.sorted_edges() == sorted(t.edges)
+        assert edges == t.sorted_edges() == sorted(t.edges)
 
 
 def test_write_tree_format():
