@@ -36,7 +36,7 @@ from .graphcore import (
 )
 from .kernelizer import JSON_ENCODER, KernelResult, kernelize, transcript_to_ndjson
 from .oracle import OracleLimits, solve
-from .spantree import DEFAULT_TREE_BUDGET, Family, SpanningTree, _as_family, read_edge_set_family, write_family
+from .spantree import DEFAULT_TREE_BUDGET, Family, SpanningTree, _as_family, read_family, write_family
 
 EX_USAGE = 64
 EX_DATA = 65
@@ -187,14 +187,13 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     inst = _load_instance(args)
-    family_text = Path(args.family).read_text()
-    edge_sets = read_edge_set_family(family_text, inst.graph.n)
-    report = verify_family(inst.graph, edge_sets, inst.p, inst.q, inst.k, nt=inst.nonterminals)
-    ok = len(edge_sets) == inst.ell and report.verdict
+    family = read_family(Path(args.family).read_text(), inst.graph)
+    report = verify_family(inst.graph, family, inst.p, inst.q, inst.k, nt=inst.nonterminals)
+    ok = len(family) == inst.ell and report.verdict
     payload = {
         "schema": 1,
         "ok": ok,
-        "family_size": len(edge_sets),
+        "family_size": len(family),
         "expected_size": inst.ell,
         "report": report.to_json_dict(),
     }
@@ -307,17 +306,18 @@ def _add_instance_flags(sp: argparse.ArgumentParser) -> None:
 
 
 def _build_parser(cmd: str | None = None) -> argparse.ArgumentParser:
-    """The command line: every subcommand is registered with its help, so
-    the top-level help and usage texts never change, but flags are added
-    only to ``cmd``'s subparser, or to all of them when ``cmd`` is None."""
+    """The command line: only ``cmd``'s subparser is built, or all of them
+    when ``cmd`` is None.  A lone subparser's top-level usage still names
+    every subcommand, so the help and usage texts never change."""
     parser = argparse.ArgumentParser(
         prog="divtrees",
         description="Kernelization and exact solving for diverse spanning tree families.",
     )
-    sub = parser.add_subparsers(dest="cmd", required=True)
+    every = None if cmd is None else "{" + ",".join(_COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="cmd", required=True, metavar=every)
 
-    sp = sub.add_parser("kernelize", help="run the reduction pipeline")
     if cmd in (None, "kernelize"):
+        sp = sub.add_parser("kernelize", help="run the reduction pipeline")
         _add_instance_flags(sp)
         sp.add_argument("--witness", action="store_true", help="construct a family on trivial-yes (li)")
         sp.add_argument("--blackbox", choices=["exact", "none"], default="exact")
@@ -325,32 +325,32 @@ def _build_parser(cmd: str | None = None) -> argparse.ArgumentParser:
         sp.add_argument("--transcript", default=None, help="write the transcript here, one JSON object per line")
         sp.add_argument("--family-out", default=None, help="write the witness family here")
 
-    sp = sub.add_parser("solve", help="exact oracle; exit 0 yes, 1 no, 2 inconclusive")
     if cmd in (None, "solve"):
+        sp = sub.add_parser("solve", help="exact oracle; exit 0 yes, 1 no, 2 inconclusive")
         _add_instance_flags(sp)
         sp.add_argument("--max-trees", type=int, default=DEFAULT_TREE_BUDGET)
         sp.add_argument("--max-clique-nodes", type=int, default=OracleLimits.max_clique_nodes)
 
-    sp = sub.add_parser("verify", help="check a family file; exit 0 pass, 1 fail")
     if cmd in (None, "verify"):
+        sp = sub.add_parser("verify", help="check a family file; exit 0 pass, 1 fail")
         _add_instance_flags(sp)
         sp.add_argument("--family", required=True, help="family file to check")
 
-    sp = sub.add_parser("construct", help="build a diverse family; exit 0 pass, 1 fail")
     if cmd in (None, "construct"):
+        sp = sub.add_parser("construct", help="build a diverse family; exit 0 pass, 1 fail")
         _add_instance_flags(sp)
         sp.add_argument("--budget", type=int, default=DEFAULT_TREE_BUDGET, help="seed tree search budget")
         sp.add_argument("--family-out", default=None, help="write the family here")
 
-    sp = sub.add_parser("gen", help="emit a corpus graph")
     if cmd in (None, "gen"):
+        sp = sub.add_parser("gen", help="emit a corpus graph")
         sp.add_argument("family")
         sp.add_argument("params", nargs="*")
         sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("-o", "--output", default=None)
 
-    sp = sub.add_parser("audit", help="batch kernelize-vs-oracle safety check")
     if cmd in (None, "audit"):
+        sp = sub.add_parser("audit", help="batch kernelize-vs-oracle safety check")
         sp.add_argument("--problem", choices=["li", "lnt"], required=True)
         sp.add_argument("--count", type=int, default=100)
         sp.add_argument("--max-n", type=int, default=9)
@@ -376,7 +376,7 @@ _COMMANDS = {
 
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    # a call pays only for its own subcommand's flags; any other first
+    # a call pays only for its own subcommand's parser; any other first
     # word (none, -h, a typo) gets them all
     parser = _build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     try:

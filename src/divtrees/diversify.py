@@ -227,7 +227,8 @@ def construct_family(
 # ---------------------------------------------------------------------------
 # verification
 
-@dataclass(frozen=True)
+# plain records, not frozen: a frozen one costs five times as much to build
+@dataclass
 class TreeCheck:
     index: int
     spanning: bool
@@ -247,7 +248,7 @@ class TreeCheck:
         )
 
 
-@dataclass(frozen=True)
+@dataclass
 class PairCheck:
     first: int
     second: int

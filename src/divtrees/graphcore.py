@@ -330,9 +330,8 @@ def _compact_renaming(n: int, removed: int) -> dict[int, int]:
 # is reported.  Trees of one family share all but a few edges, so the
 # family writer (``spantree.write_family``) formats the lines of the
 # family's core once and each tree's own edges' lines once per family,
-# and the family reader parses each distinct line once per family: its
-# cursor keeps a memo from line text to edge, keyed by the block's n,
-# since a line is checked against that n only.
+# and the family reader (``spantree.read_family``) parses each distinct
+# line once per family.
 
 def _edge_lines(edges: Iterable[tuple[int, int]]) -> list[str]:
     """Each edge's ``u v`` line of the text format, with its newline."""
@@ -352,16 +351,12 @@ _CANONICAL_BLOCK = re.compile(r"[1-9][0-9]*+ [1-9][0-9]*+(?:\n[1-9][0-9]*+ [1-9]
 class _ContentLines:
     """A cursor over the lines of edge-list text.  Iterating yields the
     fields of each line that is neither blank nor a comment; the fields
-    after each ``#%`` go to ``directives`` as the lines go by.  With
-    ``memo``, a cursor over many blocks parses each distinct line of
-    them in canonical form once (see :meth:`canonical_block`)."""
+    after each ``#%`` go to ``directives`` as the lines go by."""
 
-    def __init__(self, text: str, directives: list[list[str]] | None = None, memo: bool = False) -> None:
+    def __init__(self, text: str, directives: list[list[str]] | None = None) -> None:
         self._lines = text.splitlines()
         self._at = 0
         self._directives = directives
-        # per block n, each canonical line read so far and its edge
-        self._known: dict[int, dict[str, tuple[int, int]]] | None = {} if memo else None
 
     def __iter__(self) -> _ContentLines:
         return self
@@ -382,22 +377,9 @@ class _ContentLines:
     def canonical_block(self, n: int, m: int) -> list[tuple[int, int]] | None:
         """The next m lines as normalised edges, read in one pass, when
         each is "u v" in canonical form with 1 <= u < v <= n.  Otherwise
-        None, and the cursor stays put for the row loop to read them.
-        With a memo, only the lines it lacks for this n are parsed, and
-        a line read before comes back as the same tuple."""
+        None, and the cursor stays put for the row loop to read them."""
         lines = self._lines[self._at : self._at + m]
-        if len(lines) != m:
-            return None
-        if self._known is None:
-            pairs = _canonical_pairs(lines, n)
-        else:
-            known = self._known.setdefault(n, {})
-            new = [*set(lines).difference(known)]
-            fresh = _canonical_pairs(new, n)
-            if fresh is None:
-                return None
-            known.update(zip(new, fresh))
-            pairs = [*map(known.__getitem__, lines)]
+        pairs = _canonical_pairs(lines, n) if len(lines) == m else None
         if pairs is not None:
             self._at += m
         return pairs

@@ -20,7 +20,7 @@ from __future__ import annotations
 from bisect import bisect_left, insort
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import chain
 from typing import AbstractSet, Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -30,6 +30,7 @@ from .graphcore import (
     InternalInvariantError,
     _adjacency,
     _bfs_parents,
+    _canonical_pairs,
     _canonical_path,
     _ContentLines,
     _edge_block,
@@ -636,11 +637,11 @@ class Family(Sequence[SpanningTree]):
     """Trees of ``host`` as the sorted edges they all hold, ``core``,
     and per tree the sorted edges it holds beyond them, ``own[i]``.
 
-    Construct builds its family this way, and :meth:`of` makes one of
-    any list of members.  The verifier and the writers read the core
-    once, then each member's own edges.  Indexing gives a member as a
-    :class:`SpanningTree` with no check: a family read off a file,
-    which need not hold trees, is verified, never indexed.
+    Construct builds its family this way; :meth:`of` makes one of any
+    list of members, or of a family file's blocks.  The verifier and the
+    writers read the core once, then each member's own edges.  Indexing
+    gives a member as a :class:`SpanningTree` with no check: a family
+    read off a file, which need not hold trees, is never indexed.
     """
 
     host: Graph
@@ -648,11 +649,12 @@ class Family(Sequence[SpanningTree]):
     own: tuple[tuple[tuple[int, int], ...], ...]
 
     @classmethod
-    def of(cls, host: Graph, members: Iterable[SpanningTree | AbstractSet[tuple[int, int]]]) -> Family:
-        """The family of ``members``, trees or edge sets."""
-        sets = [m.edges if isinstance(m, SpanningTree) else frozenset(m) for m in members]
-        core = frozenset.intersection(*sets) if sets else frozenset()
-        return cls(host, tuple(sorted(core)), tuple(tuple(sorted(s - core)) for s in sets))
+    def of(cls, host: Graph, members: Iterable[SpanningTree | AbstractSet], edge: Mapping | None = None) -> Family:
+        """The family of ``members``: trees, edge sets, or key sets that ``edge`` maps to edges."""
+        sets = [m.edges if isinstance(m, SpanningTree) else m for m in members]
+        core = sets[0].intersection(*sets[1:]) if sets else frozenset()
+        edges = (lambda keys: keys) if edge is None else partial(map, edge.__getitem__)
+        return cls(host, tuple(sorted(edges(core))), tuple(tuple(sorted(edges(s - core))) for s in sets))
 
     def __len__(self) -> int:
         return len(self.own)
@@ -702,19 +704,49 @@ def family_json(family: Family | Sequence[SpanningTree]) -> list[list[tuple[int,
     return list(_as_family(family)._merged(list))
 
 
-def read_edge_set_family(text: str, n: int) -> list[frozenset[tuple[int, int]]]:
-    """Parse a concatenation of edge-list blocks into raw edge sets.
-
-    Only format problems are errors here; whether each block is an
-    actual spanning tree of some host is the verifier's question.  The
-    blocks of a family repeat most of their lines, so each distinct
-    canonical line is parsed once (the cursor's memo).
-    """
-    rows = _ContentLines(text, memo=True)
-    out: list[frozenset[tuple[int, int]]] = []
+def _read_blocks(text: str, n: int) -> tuple[list[AbstractSet], Mapping | None]:
+    """A family text's blocks on n vertices as sets, and a map from their
+    items to edges.  The writer's form (plain ``n m`` headers, m distinct
+    canonical lines each) takes one pass: sets of line texts, each
+    distinct line parsed once.  Any other text is read again from its
+    start as edge sets, by the reader that decides every error's text."""
+    lines, head, sets, at = text.splitlines(), f"{n} ", [], 0
+    while at < len(lines):
+        count = lines[at][len(head) :]
+        # ten digits or more run past any text, and int() has a digit limit
+        if not lines[at].startswith(head) or not count.isdecimal() or len(count) > 9:
+            break
+        m = int(count)
+        at += 1 + m
+        sets.append(set(lines[at - m : at]))
+        if len(sets[-1]) != m:  # a short block, or a repeated line
+            break
+    else:
+        del lines  # the sets hold every line: a garbage collection need not walk this list too
+        distinct = [*set().union(*sets)]
+        pairs = _canonical_pairs(distinct, n)
+        if pairs is not None:
+            return sets, dict(zip(distinct, pairs))
+    rows, sets = _ContentLines(text), []
     for header in rows:
         block_n, edges = _edge_block(rows, header)
         if block_n != n:
             raise GraphFormatError(f"tree block is on {block_n} vertices, host has {n}")
-        out.append(edges)
-    return out
+        sets.append(edges)
+    return sets, None
+
+
+def read_edge_set_family(text: str, n: int) -> list[frozenset[tuple[int, int]]]:
+    """Parse a concatenation of edge-list blocks into raw edge sets.
+
+    Only format problems are errors here; whether each block is an
+    actual spanning tree of some host is the verifier's question."""
+    sets, edge = _read_blocks(text, n)
+    return sets if edge is None else [frozenset(map(edge.__getitem__, s)) for s in sets]
+
+
+def read_family(text: str, host: Graph) -> Family:
+    """The family in a text of edge-list blocks on ``host``'s vertices,
+    read as :func:`read_edge_set_family` reads it but with no member's
+    edge set built: its core is the line texts every block holds."""
+    return Family.of(host, *_read_blocks(text, host.n))

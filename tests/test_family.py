@@ -9,8 +9,17 @@ corpus, for a seeded sample of oracle witnesses and for broken and
 edge-case lists.  The report must not depend on how a family splits
 into core and own edges, so each check also reads the family with part
 of its core told as every member's own.
+
+A family file is read straight into its ``Family`` (``read_family``):
+one pass takes each block's lines as a set of texts and parses each
+distinct line once, and any text it declines is read again, block by
+block, by the reader that decides every error.  The reader checks hold
+both readers to that block-by-block reader's value or error text, on
+written families and on the same texts with a fault or a variant
+spelled in.
 """
 
+import json
 import random
 
 import pytest
@@ -18,9 +27,11 @@ import support
 from test_construct_golden import _corpus
 from test_oracle import _oracle_corpus
 
-from divtrees import Graph, Instance, generate, solve
+from divtrees import Graph, GraphFormatError, Instance, generate, read_edge_set_family, solve, write_instance
+from divtrees import graphcore, spantree
+from divtrees.cli import main
 from divtrees.diversify import construct_family, verify_family
-from divtrees.spantree import Family, _leaves
+from divtrees.spantree import Family, _leaves, _read_blocks, read_family, write_family
 
 
 def _members(family):
@@ -99,3 +110,152 @@ def test_a_list_of_members_reads_as_its_family(name, g, sets, passes):
     assert verify_family(g, family, 0, 0, 1).verdict is passes
     # the first member's leaves as required vertices: most are the core's
     _same_report(g, family, frozenset({1, 2}) | _leaves(g.n, sets[0]))
+
+
+# ---------------------------------------------------------------------------
+# reading a family file
+
+
+def _blocks(text):
+    """The lines of each block of a written family, its header first."""
+    lines, out, at = text.splitlines(), [], 0
+    while at < len(lines):
+        m = int(lines[at].split()[1])
+        out.append(lines[at : at + 1 + m])
+        at += 1 + m
+    return out
+
+
+def _joined(blocks, end="\n"):
+    return "".join(line + end for block in blocks for line in block)
+
+
+def _variants(text):
+    """(name, text) for a written family and for the same text with one
+    fault or variant spelled into it, mostly at block 0's first edge."""
+    blocks = _blocks(text)
+
+    def edit(b, i, *lines):
+        out = [list(block) for block in blocks]
+        out[b][i : i + 1] = lines
+        return _joined(out)
+
+    yield "as written", text
+    yield "crlf", _joined(blocks, "\r\n")
+    yield "empty", ""
+    n, m = blocks[0][0].split()
+    yield "extra header field", edit(0, 0, f"{n} {m} 0")
+    yield "count past the digit limit", edit(0, 0, f"{n} {'1' * 5000}")
+    yield "another n", edit(len(blocks) - 1, 0, f"{int(n) + 1} {m}")
+    if len(blocks[-1]) > 1:
+        yield "short last block", _joined(blocks)[: -len(blocks[-1][-1]) - 1]
+    if len(blocks[0]) > 1:
+        x = blocks[0][1]
+        u, v = x.split()
+        yield "comment", edit(0, 1, x, "# a comment")
+        yield "blank", edit(0, 1, x, "")
+        yield "reversed pair", edit(0, 1, f"{v} {u}")
+        yield "leading zero", edit(0, 1, f"0{u} {v}")
+        yield "self-loop", edit(0, 1, "1 1")
+        yield "out of range", edit(0, 1, f"{u} {int(n) + 1}")
+    if len(blocks[0]) > 2:
+        yield "duplicate line", edit(0, 2, blocks[0][1])
+    shared = [line for line in blocks[0][1:] if len(blocks) > 1 and line in blocks[1][1:]]
+    if len(shared) > 1:
+        # x twice in block 0 and y twice in block 1: every line is still
+        # in as many blocks as before, counted with repeats
+        x, y = shared[:2]
+        out = [list(block) for block in blocks]
+        out[0][out[0].index(y)] = x
+        out[1][out[1].index(x)] = y
+        yield "multiset trap", _joined(out)
+
+
+# the variants that read: the rest are faults, and of those that read,
+# the one pass takes these, and every other goes block by block
+READ = {"as written", "crlf", "empty", "comment", "blank", "reversed pair", "leading zero"}
+ONE_PASS = {"as written", "crlf", "empty"}
+
+
+def _outcome(read, text):
+    try:
+        return read(text)
+    except GraphFormatError as exc:
+        return f"error: {exc}"
+
+
+def _block_by_block(host, text):
+    """The family the block-by-block reader alone makes of ``text``: the
+    one pass declines every text when its parse declines every line."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(spantree, "_canonical_pairs", lambda lines, n: None)
+        return _outcome(lambda t: Family.of(host, read_edge_set_family(t, host.n)), text)
+
+
+def _reads_alike(host, text):
+    n = host.n
+    names = set()
+    for name, variant in _variants(text):
+        names.add(name)
+        want = _block_by_block(host, variant)
+        assert isinstance(want, Family) is (name in READ), (name, want)
+        assert _outcome(lambda t: read_family(t, host), variant) == want, name
+        assert _outcome(lambda t: Family.of(host, read_edge_set_family(t, n)), variant) == want, name
+        # the one pass raises nothing: a fault is the block-by-block reader's
+        one_pass = isinstance(want, Family) and _read_blocks(variant, n)[1] is not None
+        assert one_pass is (name in ONE_PASS), name
+    return names
+
+
+@pytest.mark.parametrize("name, inst", list(_corpus()), ids=[name for name, _ in _corpus()])
+def test_a_written_family_reads_as_the_block_by_block_reader_reads_it(name, inst):
+    family, _, _ = construct_family(inst)
+    if family is not None:
+        assert read_family(write_family(family), inst.graph) == family
+        names = _reads_alike(inst.graph, write_family(family))
+        assert "multiset trap" in names
+
+
+def test_a_written_witness_reads_as_the_block_by_block_reader_reads_it():
+    rng = random.Random(42)
+    witnesses = 0
+    for problem in ("li", "lnt"):
+        for inst, limits in rng.sample(list(_oracle_corpus(problem)), 40):
+            witness = solve(inst, limits).witness
+            if witness is not None:
+                witnesses += 1
+                assert read_family(write_family(witness), inst.graph) == witness
+                _reads_alike(inst.graph, write_family(witness))
+    assert witnesses > 10
+
+
+def test_k1_families_read_alike():
+    k1 = Graph(1, frozenset())
+    for text in ("1 0\n", "1 0\n1 0\n", "1 0\n\n1 0\n", "1 00\n", "1 0\n1 1\n"):
+        want = _block_by_block(k1, text)
+        assert _outcome(lambda t: read_family(t, k1), text) == want, text
+    assert read_family("1 0\n1 0\n", k1) == Family(k1, (), ((), ()))
+
+
+def test_the_growth_family_parses_each_distinct_line_once(monkeypatch, tmp_path):
+    name, inst = next(_corpus())
+    assert name == "li-grow-1012"
+    family, _, _ = construct_family(inst)
+    parsed = []
+    for module in (graphcore, spantree):
+        monkeypatch.setattr(
+            module, "_canonical_pairs",
+            lambda lines, n, parse=module._canonical_pairs: parsed.append(len(lines)) or parse(lines, n),
+        )
+    assert read_family(write_family(family), inst.graph) == family
+    distinct = {*family.core, *(e for own in family.own for e in own)}
+    assert parsed == [len(distinct)]
+    # 36 blocks of 1,011 lines, about 1,050 of them distinct
+    assert len(family) * (inst.graph.n - 1) > 30 * len(distinct)
+    # construct's report and verify's, read off the file, are one report
+    path, fam = tmp_path / "inst.txt", tmp_path / "family.txt"
+    path.write_text(write_instance(inst))
+    assert main(["construct", "-i", str(path), "--family-out", str(fam), "-o", str(tmp_path / "c.json")]) == 0
+    assert main(["verify", "-i", str(path), "--family", str(fam), "-o", str(tmp_path / "v.json")]) == 0
+    built, checked = (json.loads((tmp_path / f"{x}.json").read_text()) for x in "cv")
+    assert checked["report"] == built["report"] and checked["family_size"] == 36

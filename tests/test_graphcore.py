@@ -424,13 +424,15 @@ def _by_row_loop(monkeypatch, read, text):
 def test_writer_output_reads_the_same_with_tabs(seed, split_rows):
     g = generate("random-connected", (40, 90), seed)
     trees = list(islice(enumerate_spanning_trees(g), 4))
+    # the family reader's one pass over a canonical text splits no row,
+    # not even its headers, which it walks by index
     cases = [
-        (read_graph, write_graph(g)),
-        (read_instance, write_instance(Instance(g, 2, 3, 2, 2))),
-        (read_instance, write_instance(InstanceNT(g, frozenset({1, 5}), 2, 2, 2))),
-        (partial(read_edge_set_family, n=g.n), write_family(trees)),
+        (read_graph, write_graph(g), True),
+        (read_instance, write_instance(Instance(g, 2, 3, 2, 2)), True),
+        (read_instance, write_instance(InstanceNT(g, frozenset({1, 5}), 2, 2, 2)), True),
+        (partial(read_edge_set_family, n=g.n), write_family(trees), False),
     ]
-    for read, text in cases:
+    for read, text, splits_headers in cases:
         content = [line.split() for line in text.splitlines() if line[0] != "#"]
         headers, at = [], 0
         while at < len(content):
@@ -438,7 +440,7 @@ def test_writer_output_reads_the_same_with_tabs(seed, split_rows):
             at += 1 + int(content[at][1])
         split_rows.clear()
         got = read(text)
-        assert split_rows == headers
+        assert split_rows == (headers if splits_headers else [])
         # a tab for each space sends every edge line through the row loop
         split_rows.clear()
         assert read(text.replace(" ", "\t")) == got
@@ -496,7 +498,7 @@ def test_canonical_text_is_never_split_row_by_row(split_rows):
     split_rows.clear()
     trees = list(islice(enumerate_spanning_trees(g), 36))
     assert read_edge_set_family(write_family(trees), g.n) == [t.edges for t in trees]
-    assert split_rows == [["12", "11"]] * 36
+    assert split_rows == []
 
 
 # ---------------------------------------------------------------------------
