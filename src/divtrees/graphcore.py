@@ -7,10 +7,11 @@ behind the test corpus and the audit tooling.  Contraction and deletion
 are applied by the kernelizer's edit state.
 
 A degree-2-path is its vertex tuple, canonically oriented
-(``_canonical_path``).  One walk, ``_walk``, steps along such paths:
-the graph scan (``maximal_degree2_paths``), the kernelizer's pendant
-pass and leaf growth's kept tree paths all go through it and
-``_path_through``.
+(``_canonical_path``).  One walk, ``_walk``, steps along such paths,
+and one rule, ``_path_through``, finds the path through a vertex on
+it: the graph scan (``_degree2_paths``, sorted by
+``maximal_degree2_paths``), the kernelizer's pendant pass and leaf
+growth's tree paths all go through them.
 
 All types are immutable values.
 """
@@ -278,6 +279,26 @@ def _path_through(
     return _canonical_path(back[::-1] + _walk(adj, forbidden, x, z)[1:])
 
 
+def _degree2_paths(
+    adj: Mapping[int, AbstractSet[int]], forbidden: AbstractSet[int]
+) -> list[tuple[int, ...]]:
+    """The maximal degree-2-paths of ``adj``, canonical and unsorted:
+    one :func:`_path_through` walk from each allowed degree-2 vertex
+    that no earlier walk holds.  A bare cycle of allowed vertices is one
+    closed path, anchored at its smallest vertex."""
+    claimed: set[int] = set()
+    found: list[tuple[int, ...]] = []
+    for x, nbrs in adj.items():
+        if len(nbrs) == 2 and x not in forbidden and x not in claimed:
+            vs = _path_through(adj, forbidden, x)
+            if vs is None:
+                a = min(_walk(adj, forbidden, x, next(iter(nbrs))))
+                vs = _canonical_path(_walk(adj, forbidden, a, next(iter(adj[a]))))
+            claimed.update(vs)
+            found.append(vs)
+    return found
+
+
 def maximal_degree2_paths(
     g: Graph, forbidden: frozenset[int] = frozenset(), *,
     adj: Mapping[int, AbstractSet[int]] | None = None,
@@ -291,27 +312,13 @@ def maximal_degree2_paths(
     degree-2 vertices act as endpoints.  Every allowed degree-2 vertex
     ends up internal to exactly one returned path.  A connected graph
     that is one cycle of allowed vertices yields a single closed path
-    anchored at the smallest vertex id.  Paths come back canonically
-    oriented and sorted.  ``adj`` is the adjacency walked: ``g.adjacency``
-    by default, else ``g``'s own neighbour sets, keyed 1..n in order.
+    anchored at vertex 1.  Paths come back canonically oriented and
+    sorted, whatever the key order of ``adj``, the adjacency walked:
+    ``g.adjacency`` by default, else ``g``'s own neighbour sets.
     """
     if not g.is_connected:
         raise ValueError("maximal_degree2_paths expects a connected graph")
-    adj = g.adjacency if adj is None else adj
-    interior = {v for v, nbrs in adj.items() if len(nbrs) == 2 and v not in forbidden}
-    # on a bare cycle of allowed vertices the walk from vertex 1 towards
-    # its lower neighbour comes back to 1
-    anchors = [v for v in adj if v not in interior] or [1]
-    claimed: set[int] = set()
-    found: list[tuple[int, ...]] = []
-    for a in anchors:
-        for b in sorted(adj[a]):
-            if b in interior and b not in claimed:
-                vs = _walk(adj, forbidden, a, b)
-                claimed.update(vs[1:-1])
-                found.append(_canonical_path(vs))
-    found.sort()
-    return found
+    return sorted(_degree2_paths(g.adjacency if adj is None else adj, forbidden))
 
 
 def _compact_renaming(n: int, removed: int) -> dict[int, int]:

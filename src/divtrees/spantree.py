@@ -33,6 +33,7 @@ from .graphcore import (
     _canonical_pairs,
     _canonical_path,
     _ContentLines,
+    _degree2_paths,
     _edge_block,
     _edge_lines,
     _norm_edge,
@@ -225,10 +226,9 @@ class _Growth:
     can use, as canonical vertex tuples, sorted.  A strictly interior
     path vertex has tree degree 2, so it has a non-tree host edge
     exactly when its host degree is >= 3: whether a path is a candidate
-    follows from its vertex tuple alone.  At the start every path runs
-    between two anchors (vertices of tree degree other than 2, or in
-    ``nt``) and is walked once, from one of them; after each exchange
-    :meth:`_through` finds the paths through its endpoints.
+    follows from its vertex tuple alone.  At the start the graph scan's
+    walker (``graphcore._degree2_paths``) walks each path once; after
+    each exchange :meth:`_through` finds the paths through its endpoints.
 
     An exchange changes the tree degree of the endpoints of the two
     exchanged edges only.  Every other vertex keeps its degree and its
@@ -244,18 +244,7 @@ class _Growth:
         self.leaves = set(t.leaves)
         self.nt = nt
         self.candidates: list[tuple[int, ...]] = []
-        # every path runs between two anchors; the walk from the first
-        # claims the far end's last interior vertex, so the walk back
-        # from the far end is skipped and each path is walked once
-        found, claimed = [], set()
-        for x in adj:
-            if len(adj[x]) != 2 or x in nt:
-                for y in adj[x]:
-                    if len(adj[y]) == 2 and y not in nt and y not in claimed:
-                        vs = _walk(adj, nt, x, y)
-                        claimed.add(vs[-2])
-                        found.append(_canonical_path(vs))
-        self._update((), found)
+        self._update((), _degree2_paths(adj, nt))
 
     def _candidate(self, vs: tuple[int, ...]) -> bool:
         return any(len(self.host.adjacency[x]) >= 3 for x in vs[3 : len(vs) - 3])

@@ -1,7 +1,7 @@
-"""Shared graph builders and samplers for the test suite, the one-step
-graph rebuilds that the tests fold transcripts over, and the
-member-by-member family verifier that the shared-core one is checked
-against."""
+"""Shared graph builders and samplers for the test suite, the anchor
+walk that the degree-2-path scan is checked against, the one-step graph
+rebuilds that the tests fold transcripts over, and the member-by-member
+family verifier that the shared-core one is checked against."""
 
 from itertools import combinations
 
@@ -85,6 +85,36 @@ def random_connected(rng, n: int) -> Graph:
     pool = [e for e in combinations(range(1, n + 1), 2) if e not in edges]
     edges |= set(rng.sample(pool, rng.randint(0, min(len(pool), n + 2))))
     return Graph(n, frozenset(edges))
+
+
+# ---------------------------------------------------------------------------
+# anchor-walk reference for graphcore.maximal_degree2_paths, with its own
+# walk and orientation so that it shares no code with the scan
+
+def reference_degree2_paths(g: Graph, forbidden=frozenset()) -> list[tuple[int, ...]]:
+    """From each vertex that is not allowed interior material (vertex 1
+    alone when there is none), in id order, walk towards each allowed
+    neighbour no earlier walk claimed, in id order, until the walk
+    reaches a vertex that is not allowed or comes back; then orient each
+    path canonically and sort."""
+    adj = g.adjacency
+    interior = {v for v in g.vertices() if len(adj[v]) == 2 and v not in forbidden}
+    anchors = [v for v in g.vertices() if v not in interior] or [1]
+    claimed, found = set(), []
+    for a in anchors:
+        for b in sorted(adj[a]):
+            if b in interior and b not in claimed:
+                vs = [a, b]
+                while vs[-1] != a and vs[-1] in interior:
+                    (nxt,) = adj[vs[-1]] - {vs[-2]}
+                    vs.append(nxt)
+                claimed.update(vs[1:-1])
+                if vs[0] == vs[-1]:
+                    # closed: keep the anchor, head for its lower neighbour
+                    found.append(tuple(vs) if vs[1] < vs[-2] else tuple(reversed(vs)))
+                else:
+                    found.append(min(tuple(vs), tuple(reversed(vs))))
+    return sorted(found)
 
 
 # ---------------------------------------------------------------------------

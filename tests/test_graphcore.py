@@ -250,14 +250,57 @@ _SCAN_GRAPHS = st.one_of(
 )
 
 
+def _assert_scan_is_the_anchor_walk(g, forbidden):
+    want = support.reference_degree2_paths(g, forbidden)
+    assert maximal_degree2_paths(g, forbidden) == want, (g, forbidden)
+    # the scan's answer does not depend on the key order of the adjacency
+    reverse = dict(reversed(g.adjacency.items()))
+    assert maximal_degree2_paths(g, forbidden, adj=reverse) == want, (g, forbidden)
+
+
+@given(_SCAN_GRAPHS, st.data())
+def test_scan_matches_the_anchor_walk(g, data):
+    drawn = frozenset(data.draw(st.sets(st.integers(1, g.n), min_size=1, max_size=3)))
+    for forbidden in (frozenset(), drawn):
+        _assert_scan_is_the_anchor_walk(g, forbidden)
+
+
+def test_scan_matches_the_anchor_walk_on_the_golden_corpora():
+    from test_golden import _corpus
+
+    for problem in ("li", "lnt"):
+        for inst, _ in _corpus(problem):
+            if inst.graph.is_connected:
+                _assert_scan_is_the_anchor_walk(inst.graph, inst.nonterminals)
+
+
+def test_scan_matches_the_anchor_walk_on_named_shapes():
+    hanging = Graph.from_edges(6, [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 3)])
+    shapes = {
+        "cycle off a degree-3 vertex": (hanging, [(3, 4, 5, 6, 3), (1, 2, 3)]),
+        "bare cycle": (support.cycle_graph(6), [(1, 2, 3, 4, 5, 6, 1)]),
+        "theta": (generate("theta", (2, 3, 4)), [(1, 3, 2), (1, 4, 5, 2), (1, 6, 7, 8, 2)]),
+        "path": (support.path_graph(5), [(1, 2, 3, 4, 5)]),
+        "K1": (Graph(1, frozenset()), []),
+        "K2": (support.complete_graph(2), []),
+        "K3": (support.complete_graph(3), [(1, 2, 3, 1)]),
+    }
+    for name, (g, want) in shapes.items():
+        assert maximal_degree2_paths(g) == sorted(want), name
+        for forbidden in [frozenset(), *({v} for v in g.vertices())]:
+            _assert_scan_is_the_anchor_walk(g, frozenset(forbidden))
+    # a bare cycle with one forbidden vertex is one closed path anchored there
+    assert maximal_degree2_paths(support.cycle_graph(6), frozenset({4})) == [(4, 3, 2, 1, 6, 5, 4)]
+
+
 @given(_SCAN_GRAPHS, st.data())
 def test_path_through_matches_the_scan(g, data):
-    # the pendant pass and leaf growth walk one path at a time; the scan
-    # walks them all, and both must agree path for path
+    # the pendant pass and leaf growth walk one path at a time, and each
+    # must be the anchor walk's path through that vertex
     drawn = frozenset(data.draw(st.sets(st.integers(1, g.n), min_size=1, max_size=3)))
     adj = g.adjacency
     for forbidden in (frozenset(), drawn):
-        holder = {x: p for p in maximal_degree2_paths(g, forbidden) for x in p[1:-1]}
+        holder = {x: p for p in support.reference_degree2_paths(g, forbidden) for x in p[1:-1]}
         allowed = [x for x in g.vertices() if len(adj[x]) == 2 and x not in forbidden]
         bare = len(allowed) == g.n
         for x in allowed:

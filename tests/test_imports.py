@@ -141,6 +141,54 @@ def test_the_runtime_writes_no_object_namespace():
     assert list(_namespace_writes(ast.parse('vars(t)["leaves"] = x\nt.__dict__["a"] += 1'))) == [1, 2]
 
 
+# records built once per rule firing, tree or pair: plain dataclasses,
+# since a frozen one costs three to six times as much to build
+_PLAIN_RECORDS = {"RuleApplication", "TreeCheck", "PairCheck"}
+_SETTERS = {"setattr", "__setattr__", "delattr", "__delattr__"}
+
+
+def _record_fields():
+    """Each plain record's field names, read off its class body."""
+    fields = {}
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.ClassDef) and node.name in _PLAIN_RECORDS:
+                fields[node.name] = {s.target.id for s in node.body if isinstance(s, ast.AnnAssign)}
+    return fields
+
+
+def _field_writes(tree, names):
+    """(line, name) of each store to or delete of an attribute in
+    ``names``, and of each setattr or delattr call that names one of
+    them or names its attribute by no string constant."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, (ast.Store, ast.Del)):
+            if node.attr in names:
+                yield node.lineno, node.attr
+        elif isinstance(node, ast.Call) and getattr(node.func, "id", getattr(node.func, "attr", None)) in _SETTERS:
+            name = node.args[1] if len(node.args) > 1 else None
+            if not isinstance(name, ast.Constant) or name.value in names:
+                yield node.lineno, getattr(name, "value", None)
+
+
+def test_the_plain_records_are_not_written_after_they_are_built():
+    # what frozen=True enforced, kept by the source: no runtime module
+    # stores to an attribute named like one of the records' fields
+    fields = _record_fields()
+    assert set(fields) == _PLAIN_RECORDS
+    names = set().union(*fields.values())
+    assert {"rule", "p_delta", "index", "leaves_ok", "distance", "ok"} <= names
+    writes = [
+        (path.name, *write)
+        for path in sorted(SRC.glob("*.py"))
+        for write in _field_writes(ast.parse(path.read_text(), filename=str(path)), names)
+    ]
+    assert writes == []
+    probe = "e.rule = 'R2'\nc.ok &= x\nsetattr(t, 'index', 0)\nobject.__setattr__(t, f, 0)\ndel e.decision\nt.host = g"
+    assert sorted(_field_writes(ast.parse(probe), names)) == [
+        (1, "rule"), (2, "ok"), (3, "index"), (4, None), (5, "decision")
+    ]
+
 
 def _unchecked_uses(tree):
     """(innermost enclosing function or "<module>", line) of each read

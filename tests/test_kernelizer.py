@@ -740,6 +740,17 @@ def test_replay_rejects_a_relabelled_rule():
         replay(MIXED, corrupted(5, rule="R4"))
 
 
+def test_replay_rejects_an_entry_changed_in_place():
+    # a transcript entry is a plain record, so it can be written after
+    # kernelize returns; replay re-derives every step and catches that
+    res = kernelize_li(MIXED)
+    assert res.transcript[5].rule == "R2" and res.transcript[5].p_delta == -1
+    assert replay(MIXED, res.transcript) == res.final_instance
+    res.transcript[5].p_delta = 0
+    with pytest.raises(ValueError, match="does not match the step it records"):
+        replay(MIXED, res.transcript)
+
+
 def test_replay_rejects_a_merged_pair_that_is_no_edge():
     with pytest.raises(ValueError, match="not an edge"):
         replay(MIXED, corrupted(0, touched=(1, 3), merged_edge=(1, 3)))

@@ -23,7 +23,7 @@ from divtrees import (
     write_family,
     write_graph,
 )
-from divtrees.graphcore import _bfs_parents, _canonical_path, _norm_edge, _unite
+from divtrees.graphcore import _bfs_parents, _norm_edge, _unite
 from divtrees.spantree import (
     DEFAULT_TREE_BUDGET,
     _acyclic,
@@ -887,19 +887,29 @@ def test_grow_matches_a_rescan_and_calls_augment_once_per_exchange(monkeypatch):
 
 
 def test_growth_walks_each_start_path_once(monkeypatch):
-    # the walk from a path's first anchor claims it, so its far end does
-    # not walk it back: the start walks are the tree's paths, each once
-    walks = []
-    real = spantree_module._walk
-    monkeypatch.setattr(spantree_module, "_walk", lambda *args: walks.append(real(*args)) or walks[-1])
+    # growth takes its start paths from the graph scan's walker, which
+    # walks a path only through a vertex no earlier walk claimed: the
+    # start walks are the tree's paths, each once
+    from divtrees import graphcore
+
+    found, walks = [], []
+    through, walk = graphcore._path_through, graphcore._walk
+    monkeypatch.setattr(graphcore, "_path_through", lambda *args: found.append(through(*args)) or found[-1])
+    monkeypatch.setattr(graphcore, "_walk", lambda *args: walks.append(walk(*args)) or walks[-1])
     bench = generate("subdivided", (generate("min-degree-3", (88,)), 8))
     for g, start, nt in [*_growth_corpus(), (bench, arbitrary_spanning_tree(bench), frozenset())]:
+        want = support.reference_degree2_paths(support.tree_graph(start), nt)
+        found.clear()
         walks.clear()
         _Growth(start, nt)
-        paths = sorted(_canonical_path(vs) for vs in walks)
-        assert paths == maximal_degree2_paths(support.tree_graph(start), nt)
-    # the benchmark's growth instance: 1,104 path vertices, walked once
-    assert sum(map(len, walks)) == 1104
+        assert sorted(found) == want
+        # one walk out of the start vertex each way, so each path's
+        # vertices once and its start vertex twice
+        assert len(walks) == 2 * len(found)
+        assert sum(map(len, walks)) == sum(map(len, found)) + len(found)
+    # the benchmark's growth instance: 93 paths of 1,104 vertices in all
+    assert sum(map(len, found)) == 1104
+    assert len(found) == 93
 
 
 def test_grow_scans_paths_once_and_only_when_growth_is_needed(monkeypatch):
