@@ -9,21 +9,29 @@ the pipeline's own instance, an :class:`Instance` or
 and returns an instance of the same type asking an equivalent
 single-tree question (p = 0, k = ell = 1), or None.  The default
 plug-in decides each instance exactly and answers with a tiny
-canonical equivalent.  A non-terminal question is first put to a few
-union-find passes, which build a tree keeping the marked vertices
-internal or show that none exists (a marked vertex of degree 1, or
-forced edges that close a cycle); every question they leave open, and
-every max-internal one, is decided by bounded tree enumeration, and
-when its budget runs out the kernel reports unavailable (None) instead
-of guessing.
+canonical equivalent.  Each question is first put to structure, in
+near-linear time:
+
+- a non-terminal question to a few union-find passes, which build a
+  tree keeping the marked vertices internal or show that none exists
+  (a marked vertex of degree 1, or forced edges that close a cycle);
+- a max-internal question to one depth-first tree, which answers yes
+  when it has q internal vertices itself, and no when a counting bound
+  read off its leaves shows that no spanning tree has q
+  (:func:`_dfs_answer` writes out why both are sound).
+
+Every question they leave open is decided by bounded tree enumeration,
+and when its budget runs out the kernel reports unavailable (None)
+instead of guessing.
 """
 
 from __future__ import annotations
 
-from .graphcore import Graph, Instance, InstanceNT, InternalInvariantError
+from .graphcore import Graph, Instance, InstanceNT, InternalInvariantError, _dfs_parents
 from .spantree import (
     DEFAULT_TREE_BUDGET,
     TreeEnumerationOverflow,
+    _degrees,
     _required_internal_search,
     _tree_leaves,
 )
@@ -52,12 +60,60 @@ _NTST_YES = InstanceNT(_K2, frozenset(), 0, 1, 1)
 _NTST_NO = InstanceNT(_K2, frozenset({1, 2}), 0, 1, 1)
 
 
+def _dfs_answer(g: Graph, q: int, nt: frozenset[int]) -> bool | None:
+    """Whether some spanning tree of the connected graph ``g`` (n >= 2)
+    has at least ``q`` internal vertices and keeps ``nt`` internal, when
+    one depth-first tree decides it; None leaves the question open.  The
+    tree is rooted at the lowest-id vertex of least degree and visits
+    neighbors in id order (graphcore's ``_dfs_parents``).
+
+    - Yes, when that tree itself fits.
+    - No, by counting.  Every non-tree edge joins an ancestor to a
+      descendant, so the leaves other than the root are pairwise
+      non-adjacent.  Extend them greedily, in id order, to a maximal
+      independent set I.  In any spanning tree T, each of the j vertices
+      of I internal in T has two or more edges of T, all into N(I).
+      Those edges form a forest on j + |N(I)| vertices, so
+      2j <= j + |N(I)| - 1, and T has at most n - |I| + |N(I)| - 1
+      internal vertices.  Below q, the answer is no.
+
+    Independence makes the bound strong, not sound: for any vertex set
+    S, n - |S| + |N(S)| - 1 is at least the bound of S less N(S), an
+    independent set.  The root, an ancestor of every vertex, may be
+    adjacent to a leaf, so it is left out to keep N(I) small.
+
+    The yes rule is the either/or step of Prieto and Sloper's k-internal
+    spanning tree kernel (WADS 2003): a DFS tree with fewer than q
+    internal vertices leaves a vertex cover of at most q vertices, its
+    internal vertices and root.  The no rule is the counting behind the
+    3k kernel of Fomin, Gaspers, Saurabh and Thomasse (JCSS 2013).  Both
+    take O(n + m) once each adjacency is sorted.
+    """
+    adj = g.adjacency
+    root = min(g.vertices(), key=lambda v: len(adj[v]))
+    parent = _dfs_parents({v: sorted(adj[v]) for v in g.vertices()}, root)
+    degree = _degrees(g.n, [(v, u) for v, u in parent.items() if v != u])
+    internal = {v for v, d in degree.items() if d >= 2}
+    if len(internal) >= q and nt <= internal:
+        return True
+    chosen = {v for v, d in degree.items() if d == 1 and v != root}
+    for v in g.vertices():
+        if v not in chosen and chosen.isdisjoint(adj[v]):
+            chosen.add(v)
+    hood = set().union(*(adj[v] for v in chosen))
+    return False if g.n - len(chosen) + len(hood) - 1 < q else None
+
+
 def _tree_exists(g: Graph, q: int, nt: frozenset[int], budget: int) -> bool | None:
     """Does a spanning tree of ``g`` have at least ``q`` internal
     vertices and every vertex of ``nt`` internal?  None when ``budget``
     trees ran out before a match.  With q = 0 that is the search for a
     tree keeping ``nt`` internal, where a few union-find passes answer
-    first and trees are enumerated only when they leave it open."""
+    first and trees are enumerated only when they leave it open.  With
+    q > 0, :func:`_dfs_answer`'s one depth-first tree answers first,
+    when n >= 2 and the budget allows a tree; it is charged to the
+    budget, and trees are enumerated only when it leaves the question
+    open."""
     if not g.is_connected:
         return False
     if q == 0:
@@ -65,6 +121,11 @@ def _tree_exists(g: Graph, q: int, nt: frozenset[int], budget: int) -> bool | No
             return True
         found = _required_internal_search(g, nt, budget)
         return None if found is None else not isinstance(found, str)
+    if g.n >= 2 and budget >= 1:
+        found = _dfs_answer(g, q, nt)
+        if found is not None:
+            return found
+        budget -= 1
     try:
         trees = _tree_leaves(g, budget, nt)
         return any(leaves is not None and g.n - leaves >= q for _, leaves in trees)
@@ -77,8 +138,13 @@ def mist_kernel(inst: Instance, budget: int = DEFAULT_TREE_BUDGET) -> Instance |
     graph and q) to a canonical 2-vertex equivalent by deciding it
     outright.
 
-    ``budget`` caps the number of spanning trees examined; exceeding it
-    returns None (unavailable) unless a witness already turned up.
+    One depth-first tree answers first (:func:`_dfs_answer`): yes when
+    it has q internal vertices, no when its leaves bound every tree
+    below q.  Only a question it leaves open is enumerated.
+
+    ``budget`` caps the number of spanning trees examined, the
+    depth-first one included; exceeding it returns None (unavailable)
+    unless a witness already turned up.
     """
     found = _tree_exists(inst.graph, inst.q, frozenset(), budget)
     return None if found is None else _checked_mist(_MIST_YES if found else _MIST_NO)

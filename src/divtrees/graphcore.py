@@ -56,6 +56,29 @@ def _bfs_parents(adj: Mapping[int, Iterable[int]], root: int) -> dict[int, int]:
     return parent
 
 
+def _dfs_parents(adj: Mapping[int, Iterable[int]], root: int) -> dict[int, int]:
+    """Depth-first parent of every vertex reachable from ``root``
+    (which is its own parent), visiting neighbors in ``adj`` order.
+    Iterative, so any depth fits.  Every edge between two reached
+    vertices joins an ancestor to a descendant: the end entered first
+    is left only once all its neighbors are reached, so the other end
+    is entered while the first is on the current path."""
+    parent = {root: root}
+    path = [root]
+    todo = [iter(adj[root])]
+    while todo:
+        for y in todo[-1]:
+            if y not in parent:
+                parent[y] = path[-1]
+                path.append(y)
+                todo.append(iter(adj[y]))
+                break
+        else:
+            path.pop()
+            todo.pop()
+    return parent
+
+
 def _adjacency(vertices: Iterable[int], edges: Iterable[tuple[int, int]]) -> dict[int, set[int]]:
     """Each vertex's neighbours under ``edges``, keyed in ``vertices`` order."""
     adj: dict[int, set[int]] = {v: set() for v in vertices}

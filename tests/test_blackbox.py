@@ -1,3 +1,6 @@
+import random
+from itertools import combinations
+
 import pytest
 from hypothesis import given
 
@@ -7,12 +10,15 @@ from divtrees import (
     Instance,
     InstanceNT,
     InternalInvariantError,
+    blackbox,
     enumerate_spanning_trees,
+    kernelize_li,
     mist_kernel,
     ntst_kernel,
 )
-from divtrees.blackbox import _checked_mist, _checked_ntst
-from divtrees.spantree import _required_internal_tree
+from divtrees.blackbox import _checked_mist, _checked_ntst, _dfs_answer
+from divtrees.graphcore import _norm_edge
+from divtrees.spantree import DEFAULT_TREE_BUDGET, _required_internal_tree, _tree_leaves
 
 
 def mist(g, q):
@@ -93,16 +99,88 @@ def test_budget_exhaustion_returns_none():
     assert mist_kernel(mist(k1, 1), budget=1) == MIST_YES
 
 
+def _k2n(b):
+    """K2,b with hubs 1 and 2 and side vertices 3..b+2."""
+    return Graph.from_edges(b + 2, [(h, s) for h in (1, 2) for s in range(3, b + 3)])
+
+
 def test_mist_kernel_stops_at_the_first_fitting_tree():
-    # K2,110 with hubs 1 and 2: the first 110 trees are the star on hub
-    # 1 plus one edge (2, s), so hub 2 is a leaf and only hub 1 and s
-    # are internal.  Tree 111, the first to leave out (1, 112), joins 2
-    # through side vertex 3 and hangs 112 off it: three internal
-    # vertices.  No tree has four (two hubs plus one side vertex).
-    g = Graph.from_edges(112, [(h, s) for h in (1, 2) for s in range(3, 113)])
-    assert mist_kernel(mist(g, 3), budget=111) == MIST_YES
-    assert mist_kernel(mist(g, 3), budget=110) is None
-    assert mist_kernel(mist(g, 4), budget=600) is None
+    # the DFS pass leaves this question open (its tree has 5 internal
+    # vertices, its bound is 7), and the first of its enumerated trees
+    # with 7 internal vertices is number 820; the DFS tree is charged
+    # to the budget, so a budget of 821 finds it and 820 gives up
+    g = Graph.from_edges(9, [
+        (1, 2), (1, 3), (1, 4), (1, 5), (1, 6), (1, 7), (1, 9), (2, 5),
+        (2, 6), (2, 9), (3, 4), (4, 6), (5, 6), (5, 7), (5, 8), (5, 9),
+    ])
+    assert _dfs_answer(g, 7, frozenset()) is None
+    assert mist_kernel(mist(g, 7), budget=821) == MIST_YES
+    assert mist_kernel(mist(g, 7), budget=820) is None
+    # K2,110: the first 110 enumerated trees have two internal vertices
+    # and no tree has four, but the DFS pass decides q = 3 and q = 4
+    # before any tree is enumerated
+    k2 = _k2n(110)
+    assert mist_kernel(mist(k2, 3), budget=110) == MIST_YES
+    assert mist_kernel(mist(k2, 4), budget=600) == MIST_NO
+
+
+def _best_internal(g):
+    return max(g.n - leaves for _, leaves in _tree_leaves(g, DEFAULT_TREE_BUDGET, frozenset()))
+
+
+def _small_cover(rng):
+    """A seeded K_{a,b}, a <= 3 and n <= 14, relabelled at random, plus up
+    to two other edges."""
+    a = rng.randint(1, 3)
+    n = a + rng.randint(2, {1: 13, 2: 12, 3: 6}[a])
+    label = rng.sample(range(1, n + 1), n)
+    edges = {_norm_edge(label[h], label[s]) for h in range(a) for s in range(a, n)}
+    pool = [e for e in combinations(range(1, n + 1), 2) if e not in edges]
+    edges |= set(rng.sample(pool, min(len(pool), rng.randint(0, 2))))
+    return Graph(n, frozenset(edges))
+
+
+def test_the_dfs_pass_agrees_with_the_enumeration():
+    # whenever the pass answers, for any q, full enumeration agrees; and
+    # it leaves both yes and no questions open for the enumeration
+    rng = random.Random(44)
+    graphs = [support.random_connected(rng, rng.randint(2, 9)) for _ in range(300)]
+    graphs += [_small_cover(rng) for _ in range(40)]
+    # the DFS tree runs 6, 3, 1, 2, 4, 5 and 4, 7; greedy adds 1 and 6 to
+    # its leaves 5 and 7, and only they neighbor 3, so a bound that took
+    # N(I) over the leaves alone would say no to q = 5, which the path
+    # 6, 3, 1, 2, 5, 4, 7 meets
+    graphs.append(Graph.from_edges(7, [(1, 2), (1, 3), (2, 4), (2, 5), (3, 6), (4, 5), (4, 7)]))
+    open_answers = set()
+    for g in graphs:
+        best = _best_internal(g)
+        for q in range(1, g.n + 1):
+            found = _dfs_answer(g, q, frozenset())
+            if found is None:
+                open_answers.add(best >= q)
+            else:
+                assert found == (best >= q), (g, q)
+    assert open_answers == {True, False}
+    # a tree that fits q but leaves a vertex of nt a leaf is no yes: in
+    # P3 vertex 1 is a leaf of every tree
+    assert _dfs_answer(support.path_graph(3), 1, frozenset({1})) is None
+
+
+@pytest.mark.parametrize("b", [110, 2000])
+def test_the_dfs_pass_decides_k2n_with_no_enumeration(monkeypatch, b):
+    # the DFS tree from side vertex 3 runs 3, 1, 4, 2 and hangs every
+    # other side vertex off hub 2: three internal vertices.  Its other
+    # leaves and 3 and 4 are independent, with the hubs as neighbors,
+    # so no tree has more than n - b + 2 - 1 = 3
+    def refuse(*args):
+        raise AssertionError("a tree was enumerated")
+
+    monkeypatch.setattr(blackbox, "_tree_leaves", refuse)
+    k2 = _k2n(b)
+    assert mist_kernel(mist(k2, 3), budget=1) == MIST_YES
+    assert mist_kernel(mist(k2, 4), budget=1) == MIST_NO
+    result = kernelize_li(Instance(k2, 1, 4, 1, 1))
+    assert result.outcome == "delegated" and result.instance == MIST_NO
 
 
 def test_output_size_bounds_are_enforced():
