@@ -13,7 +13,9 @@ their xor.  The diversity graph is a list of bitset rows, built by one
 such test per pair of candidates.  The clique search walks bitset
 pools in index order and returns the lexicographically first clique,
 so witnesses depend only on the candidate order; its node count
-(``clique_nodes``) is the number of vertices it tried.
+(``clique_nodes``) is the number of vertices it tried.  With more
+pairs than the node budget, it runs without rows, filtering the later
+candidates at each pick, and counts the pair tests it made instead.
 
 Before the search, a counting bound can answer "no" outright.  Let c_e
 be the number of trees of an ell-family holding edge e:
@@ -30,7 +32,9 @@ pool, so it is sound for both problems.  It runs only after a complete
 enumeration, so ``trees_enumerated`` still counts every spanning tree
 and a tree budget still makes the answer ``inconclusive``.  A ``no``
 with ``clique_nodes`` 0 came from the bound, the peeling or too few
-candidates, not from a search.
+candidates, not from a search; an ``inconclusive`` one, from those on
+a partial pool, or from a node budget below the row-free search's
+first filter.
 """
 
 from __future__ import annotations
@@ -160,6 +164,36 @@ def _first_clique(
     return None, nodes, True
 
 
+def _first_clique_unbuilt(
+    cands: list[int], k: int, ell: int, budget: int
+) -> tuple[list[int] | None, int, bool]:
+    """:func:`_first_clique` on the diversity graph of ``cands`` without
+    its rows: each level's pool (highest index first) is the previous
+    level's later candidates k-distant from its pick.  The count is of
+    pair tests; a filter that would take it past ``budget`` is not run.
+    """
+    tests = 0
+    chosen: list[int] = []
+    pools = [list(range(len(cands) - 1, -1, -1))]
+    while pools:
+        pool = pools[-1]
+        if len(pool) < ell - len(chosen):
+            pools.pop()
+            if chosen:
+                chosen.pop()
+            continue
+        v = pool.pop()
+        if len(chosen) == ell - 1:
+            return chosen + [v], tests, True
+        if tests + len(pool) > budget:
+            return None, tests, False
+        tests += len(pool)
+        chosen.append(v)
+        a = cands[v]
+        pools.append([w for w in pool if (a ^ cands[w]).bit_count() >= k])
+    return None, tests, True
+
+
 def _find_clique(
     cands: list[int], k: int, ell: int, budget: int
 ) -> tuple[list[int] | None, int, bool]:
@@ -171,10 +205,10 @@ def _find_clique(
     an ell-clique are peeled, and the search returns the
     lexicographically first ell-clique by index.  Nodes count the
     vertices the search tried.  A pool with more pairs than the node
-    budget is refused before any row is built, so the build costs at
-    most one pair test per node the budget allows.  Not exhausted means
-    the node budget (or that guard) cut the search short, so None is
-    not a proven absence.
+    budget builds no rows, and :func:`_first_clique_unbuilt` finds the
+    same clique (peeling removes no vertex of any ell-clique), counting
+    pair tests.  Not exhausted means the node budget cut the search
+    short, so None is not a proven absence.
     """
     n = len(cands)
     if n < ell:
@@ -187,7 +221,7 @@ def _find_clique(
             if len(clique) == ell:
                 return clique, 0, True
     if n * (n - 1) // 2 > budget:
-        return None, 0, False
+        return _first_clique_unbuilt(cands, k, ell, budget)
     adj = _diversity_rows(cands, k)
     # peel vertices that cannot sit in an ell-clique
     deg = [a.bit_count() for a in adj]

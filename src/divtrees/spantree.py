@@ -344,32 +344,36 @@ def _tree_leaves(g: Graph, limit: int, nt: frozenset[int]) -> Iterator[tuple[int
     connect ``g``.  The root can because ``g`` is connected, and three
     moves search below the frames that can:
 
-    1. Include descent runs inline.  An edge that joins two forest
-       components is picked at once, and only its exclude alternative
-       is pushed as a frame; an edge inside one component is skipped
-       with no frame.  The frame is not pushed when the component of
-       either endpoint has no edge after it at all: each root keeps
-       the highest edge index that touches its component.
+    1. Include descent runs inline, down to three components.  An
+       edge that joins two forest components is picked at once, and
+       only its exclude alternative is pushed as a frame; an edge
+       inside one component is skipped with no frame.  The frame is
+       not pushed when the component of either endpoint has no edge
+       after it at all: each root keeps the highest edge index that
+       touches its component.
     2. A popped exclude frame is expanded by the same descent, from the
-       edge after the one it leaves out.  Its parent could span, and
-       leaving one edge out of a connected edge set leaves at most two
-       components, so the descent always reaches two components before
-       it runs out of edges.  The frame can span iff some later edge
-       crosses between those two, that is, iff the scan of move 3
-       emits a tree.  When it emits none, the frames its descent pushed
-       lie below a frame that cannot span, so they are dropped
-       unexpanded; every frame that is popped thus has a parent that
-       can span.
-    3. Once the forest has two components, the trees below it are the
-       forest plus each undecided edge that crosses between them, in
-       index order.  One scan emits them, with no frames; a
-       (limit+1)-th tree still raises in the middle of it.
+       edge after the one it leaves out.  It was pushed at four or more
+       components, its parent could span, and leaving one edge out of
+       a connected edge set leaves at most two components, so the
+       descent always reaches three components before it runs out of
+       edges.  The frame can span iff move 3 emits a tree.  When it
+       emits none, the frames its descent pushed lie below a frame that
+       cannot span, so they are dropped unexpanded; every frame that is
+       popped thus has a parent that can span.
+    3. Once the forest has three components, the trees below it are the
+       forest plus two undecided crossing edges j1 < j2 that join
+       different pairs of them, in (j1, j2) order.  One scan lists the
+       crossing edges, each tagged with the sum of the two roots it
+       joins, and the pairs are emitted from that list with no frame
+       and no link; a (limit+1)-th tree still raises among them.  K1
+       and K2 never reach three components and are answered first.
 
     So a frame makes each of its links once: a popped frame reads the
     edges after the one it leaves out, each once, in its descent or
-    its scan, and the first tree costs one pass over the edges.  A
-    frame that cannot span still costs that pass, O(m), with nothing
-    to show for it.
+    its scan, and the first tree costs one pass over the edges.  Past
+    the scan a tree costs O(1), plus a step over each later crossing
+    edge that joins j1's own pair.  A frame that cannot span still
+    costs that pass, O(m), with nothing to show for it.
 
     The forest is one union-find per generator, linked by size and
     undone rather than copied: each link pushes the root it hung below
@@ -385,16 +389,18 @@ def _tree_leaves(g: Graph, limit: int, nt: frozenset[int]) -> Iterator[tuple[int
 
     Leaves are counted alongside: each vertex's forest degree and the
     number of degree-1 vertices, kept in O(1) per link and unlink.  A
-    tree emitted as the forest plus (a, b) corrects that number for a
-    and b, O(1), and the ``nt`` test reads ``nt``'s degrees, O(|nt|).
+    tree emitted as the forest plus j1 and j2 corrects that number at
+    j1's endpoints, then, with j1 counted in their degrees, at j2's,
+    O(1); the ``nt`` test reads ``nt``'s degrees after both, O(|nt|).
     """
     if not g.is_connected:
         raise ValueError("enumeration expects a connected graph")
     n = g.n
-    if n == 1:
+    if n <= 2:
+        # K1's empty tree; K2's one edge, whose two ends are both leaves
         if limit < 1:
             raise TreeEnumerationOverflow(f"more than {limit} spanning trees")
-        yield 0, 0
+        yield (0, 0) if n == 1 else (1, None if nt else 2)
         return
     edges = g.sorted_edges()
     m = len(edges)
@@ -421,7 +427,7 @@ def _tree_leaves(g: Graph, limit: int, nt: frozenset[int]) -> Iterator[tuple[int
     stack: list[tuple[int, int, int]] = []
     idx, mask, comps, base = 0, 0, n, 0
     while True:
-        while comps > 2:
+        while comps > 3:
             u, v = a, b = e = edges[idx]
             while parent[u] != u:
                 u = parent[u]
@@ -445,7 +451,8 @@ def _tree_leaves(g: Graph, limit: int, nt: frozenset[int]) -> Iterator[tuple[int
                 mask |= 1 << idx
                 comps -= 1
             idx += 1
-        found = emitted
+        # crossing edges, tagged by the sum of the two roots they join
+        cross = []
         for j in range(idx, m):
             u, v = a, b = edges[j]
             while parent[u] != u:
@@ -453,15 +460,33 @@ def _tree_leaves(g: Graph, limit: int, nt: frozenset[int]) -> Iterator[tuple[int
             while parent[v] != v:
                 v = parent[v]
             if u != v:
-                emitted += 1
-                if emitted > limit:
-                    raise TreeEnumerationOverflow(f"more than {limit} spanning trees")
-                leaves = ones + step[deg[a]] + step[deg[b]]
-                for x in nt:
-                    if deg[x] + (x == a) + (x == b) == 1:
-                        leaves = None
-                        break
-                yield mask | 1 << j, leaves
+                cross.append((u + v, 1 << j, a, b))
+        found = emitted
+        # cross[:k]: the j1s, each with a later edge of another tag
+        k = len(cross) - 1
+        if k > 0:
+            last = cross[k][0]
+            while k and cross[k - 1][0] == last:
+                k -= 1
+        for i in range(k):
+            tag, bit, a, b = cross[i]
+            ones1 = ones + step[deg[a]] + step[deg[b]]
+            deg[a] += 1
+            deg[b] += 1
+            bit |= mask
+            for tag2, bit2, a2, b2 in cross[i + 1:]:
+                if tag2 != tag:
+                    emitted += 1
+                    if emitted > limit:
+                        raise TreeEnumerationOverflow(f"more than {limit} spanning trees")
+                    leaves = ones1 + step[deg[a2]] + step[deg[b2]]
+                    for x in nt:
+                        if deg[x] + (x == a2) + (x == b2) == 1:
+                            leaves = None
+                            break
+                    yield bit | bit2, leaves
+            deg[a] -= 1
+            deg[b] -= 1
         if emitted == found:
             # this frame cannot span, nor can any frame below it (move 2)
             del stack[base:]

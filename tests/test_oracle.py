@@ -29,6 +29,7 @@ from divtrees.oracle import (
     _diversity_rows,
     _find_clique,
     _first_clique,
+    _first_clique_unbuilt,
     _max_distance_sum,
 )
 from divtrees.spantree import enumerate_tree_masks
@@ -162,6 +163,24 @@ def test_clique_budget_gives_inconclusive():
     assert solve_li(li(K4, 0, 0, 6, 2)).answer == "yes"
     verdict = solve_li(li(K4, 0, 0, 6, 2), OracleLimits(max_clique_nodes=1))
     assert verdict.answer == "inconclusive"
+
+
+K7 = support.complete_graph(7)
+
+
+def test_a_pool_past_the_pair_guard_is_searched_without_rows():
+    # K7's 16,807 trees give 141M pairs, past the 5M node budget: three
+    # pairwise edge-disjoint trees turn up after 1.7M pair tests
+    verdict = solve_li(li(K7, 0, 0, 12, 3))
+    assert verdict.answer == "yes"
+    assert verify_family(K7, verdict.witness, 0, 0, 12).verdict
+    assert verdict.stats == OracleStats(16807, 1698044)
+
+
+def test_a_budget_short_of_the_search_without_rows_is_inconclusive():
+    verdict = solve_li(li(K7, 0, 0, 12, 3), OracleLimits(max_clique_nodes=1_000_000))
+    assert verdict.answer == "inconclusive" and verdict.witness is None
+    assert 0 < verdict.stats.clique_nodes <= 1_000_000
 
 
 def test_distance_bound_answers_before_the_clique_budget():
@@ -451,6 +470,21 @@ def test_find_clique_matches_brute_force():
     assert searched["no"] > 50 and searched["yes"] > 10
 
 
+def test_the_unbuilt_search_finds_the_first_clique():
+    # the lexicographically first clique, the one the row search finds,
+    # and a budget that bounds its pair tests to the test
+    rng = random.Random(8)
+    for _ in range(600):
+        cands, size = _random_masks(rng, least=2)
+        k, ell = rng.randint(1, 2 * size), rng.randint(2, 5)
+        clique, tests, exhausted = _first_clique_unbuilt(cands, k, ell, 10**6)
+        assert exhausted and clique == _brute_clique(cands, k, ell)
+        assert _first_clique_unbuilt(cands, k, ell, tests) == (clique, tests, True)
+        if tests:
+            short = _first_clique_unbuilt(cands, k, ell, tests - 1)
+            assert short[0] is None and short[1] < tests and not short[2]
+
+
 def test_find_clique_pins_on_md10(monkeypatch):
     """The clique layer on a whole pool: md10's 1,815 trees in the
     oracle's order, past the greedy pass in both answers."""
@@ -459,8 +493,10 @@ def test_find_clique_pins_on_md10(monkeypatch):
     assert len(masks) == 1815
     assert _find_clique(masks, 8, 8, 10**7) == ([0, 3, 7, 58, 103, 784, 1605, 1788], 21, True)
     assert _find_clique(masks, 12, 4, 10**7) == (None, 28297, True)
-    # a pool with more pairs than the node budget builds no rows
+    # a pool with more pairs than the node budget builds no rows; its
+    # search counts pair tests and finds the same clique
     built = []
     monkeypatch.setattr(oracle, "_diversity_rows", lambda *args: built.append(args))
-    assert _find_clique(masks, 8, 8, 1815 * 1814 // 2 - 1) == (None, 0, False)
+    found = _find_clique(masks, 8, 8, 1815 * 1814 // 2 - 1)
+    assert found == ([0, 3, 7, 58, 103, 784, 1605, 1788], 3992, True)
     assert built == []

@@ -23,6 +23,7 @@ from divtrees import (
     write_family,
     write_graph,
 )
+from divtrees.blackbox import _dfs_answer, _tree_exists
 from divtrees.graphcore import _bfs_parents, _norm_edge, _unite
 from divtrees.spantree import (
     DEFAULT_TREE_BUDGET,
@@ -282,6 +283,17 @@ def _reference_masks(g):
     ]
 
 
+def _reference_trees(g, nt):
+    """(mask, leaf count) of each of ``_reference_masks``' trees, the
+    count None when a vertex of ``nt`` is a leaf."""
+    edges = g.sorted_edges()
+    trees = []
+    for mask in _reference_masks(g):
+        leaves = _leaves(g.n, [e for i, e in enumerate(edges) if mask >> i & 1])
+        trees.append((mask, None if nt & leaves else len(leaves)))
+    return trees
+
+
 def test_enumeration_matches_the_combinations_reference():
     rng = random.Random(17)
     for _ in range(300):
@@ -316,17 +328,8 @@ class _CountingEdges(list):
         return super().__getitem__(i)
 
 
-def test_frames_below_a_frame_that_cannot_span_are_never_expanded(monkeypatch):
-    """The root reads every edge once, and each popped exclude frame
-    reads the edges after the one it leaves out.  On the two triangles,
-    with edges (1,2) (1,3) (1,4) (2,3) (4,5) (4,6) (5,6), nine frames
-    pop, leaving out edges 4 2 1 4 2 0 4 2 1, so the search reads
-    7 + (2 + 4 + 5 + 2 + 4 + 6 + 2 + 4 + 5) = 41 edges.  The three
-    frames that leave out the bridge (1, 4) cannot span, nor can the
-    last, which leaves out both (1, 2) and (1, 3).  The eight frames
-    their descents push for (4, 5) and (4, 6) must go unexpanded, or
-    the search reads more, or runs off the end of the edges.  A search
-    that skips more work may lower this figure."""
+def _edge_reads(monkeypatch, g):
+    """The trees of ``g`` and how many edge reads the enumeration made."""
     lists = []
     real = Graph.sorted_edges
 
@@ -335,14 +338,43 @@ def test_frames_below_a_frame_that_cannot_span_are_never_expanded(monkeypatch):
         return lists[-1]
 
     monkeypatch.setattr(Graph, "sorted_edges", counting)
-    masks = list(enumerate_tree_masks(TWO_TRIANGLES))
-    assert len(masks) == 9
-    assert sum(edges.reads for edges in lists) == 41
+    masks = list(enumerate_tree_masks(g))
+    return len(masks), sum(edges.reads for edges in lists)
+
+
+def test_frames_below_a_frame_that_cannot_span_are_never_expanded(monkeypatch):
+    """The root reads every edge once, and each popped exclude frame
+    reads the edges after the one it leaves out.  On the two triangles,
+    with edges (1,2) (1,3) (1,4) (2,3) (4,5) (4,6) (5,6), the root's
+    descent stops at three components after (1,4), and its scan emits
+    the pairs from (4,5) (4,6) (5,6).  Six frames pop, leaving out
+    edges 2 1 2 0 2 1, so the search reads 7 + (4 + 5 + 4 + 6 + 4 + 5)
+    = 35 edges (41 when the descent went down to two components).  The
+    frames that leave out the bridge (1, 4) cannot span, nor can the
+    last, which leaves out both (1, 2) and (1, 3): each scan finds only
+    (4,6) and (5,6), which join the same pair.  The four frames their
+    descents push for (4, 5) must go unexpanded, or the search reads
+    more, or runs off the end of the edges.  A search that skips more
+    work may lower this figure."""
+    assert _edge_reads(monkeypatch, TWO_TRIANGLES) == (9, 35)
+
+
+def test_the_last_two_levels_push_no_frames(monkeypatch):
+    """On K5, with edges (1,2) (1,3) (1,4) (1,5) (2,3) (2,4) (2,5)
+    (3,4) (3,5) (4,5), a forest of two edges has three components, so
+    below it the 125 trees come in pairs of crossing edges from one
+    scan.  The root links (1,2) and (1,3) and its scan reads the other
+    eight edges, 10 reads.  Seventeen frames pop, leaving out edges
+    1 2 3 4 5, 0 2 3 4 5, 1 3 4 5 and 2 4 5, each reading the edges
+    after it, so the search reads 10 + (30 + 31 + 23 + 16) = 110 edges
+    (256 when the descent went down to two components)."""
+    assert _edge_reads(monkeypatch, support.complete_graph(5)) == (125, 110)
 
 
 def test_enumeration_stops_at_every_limit():
     # every limit from 0 to the tree count, so some fall in the middle
-    # of a run of trees that differ only in their last edge
+    # of a run of trees that differ only in their last two edges; with
+    # their leaf counts too, as the engine yields them
     for g in (
         Graph(1, frozenset()),
         support.complete_graph(4),
@@ -351,6 +383,7 @@ def test_enumeration_stops_at_every_limit():
         generate("theta", (2, 3, 3)),
     ):
         full = _reference_masks(g)
+        trees = {nt: _reference_trees(g, nt) for nt in (frozenset(), frozenset({g.n}))}
         for limit in range(len(full) + 1):
             got = []
             try:
@@ -361,6 +394,8 @@ def test_enumeration_stops_at_every_limit():
                 overflow = True
             assert got == full[:limit], (g.edges, limit)
             assert overflow == (len(full) > limit), (g.edges, limit)
+            for nt, want in trees.items():
+                assert _limited(g, nt, limit) == (want[:limit], overflow), (g.edges, nt, limit)
 
 
 def test_enumeration_edge_cases():
@@ -376,6 +411,11 @@ def _leaf_corpus():
     yield Graph(1, frozenset()), frozenset({1})
     yield support.path_graph(2), frozenset()
     yield support.path_graph(2), frozenset({2})
+    # n <= 2 is answered before the search, and n = 3 starts at three
+    # components, where the root itself is one scan
+    for g in (support.complete_graph(3), support.path_graph(3), *map(support.complete_graph, (4, 5, 6))):
+        for nt in (frozenset(), frozenset({1}), frozenset({g.n}), frozenset({1, g.n})):
+            yield g, nt
     yield Graph(4, frozenset({(1, 3), (1, 4), (2, 3)})), frozenset({1})
     yield TWO_TRIANGLES, frozenset()
     yield TWO_TRIANGLES, frozenset({1, 4})
@@ -413,6 +453,64 @@ def test_engine_counts_the_leaves_of_the_trees_it_yields():
         stride = max(1, len(full) // 10)
         for limit in {*range(0, len(full) + 1, stride), len(full) - 1, len(full)}:
             assert _limited(g, nt, limit) == (full[:limit], len(full) > limit), (g.edges, limit)
+
+
+def test_the_tail_counts_both_edges_at_a_shared_endpoint():
+    # a triangle's trees are its pairs of edges, (1,2)+(1,3), (1,2)+(2,3)
+    # and (1,3)+(2,3): each vertex of degree zero in the forest is
+    # internal only in the tree whose two tail edges it is shared by
+    triangle = support.complete_graph(3)
+    for v, centred in ((1, 0b011), (2, 0b101), (3, 0b110)):
+        want = [(mask, 2 if mask == centred else None) for mask in (0b011, 0b101, 0b110)]
+        assert list(_tree_leaves(triangle, 3, frozenset({v}))) == want
+    # the path 1-2-3: 2 is an endpoint of both tail edges, 1 of one
+    path = support.path_graph(3)
+    assert list(_tree_leaves(path, 1, frozenset({2}))) == [(0b11, 2)]
+    assert list(_tree_leaves(path, 1, frozenset({1}))) == [(0b11, None)]
+
+
+def _budget_answer(first, total, limit):
+    """What a search that may enumerate ``limit`` trees answers when the
+    first fitting tree is the ``first``-th (None: no tree fits) of
+    ``total``: True, False, or None when the limit ran out first."""
+    if first is not None and first < limit:
+        return True
+    return False if first is None and total <= limit else None
+
+
+def test_budgeted_searches_stop_inside_a_pair_run():
+    """The searches that stop at their first fitting tree, at every
+    budget up to a few past that tree, on questions their structural
+    passes leave open: the ntst search (q = 0), which charges its passes'
+    second tree, and the mist search (q > 0), which charges its
+    depth-first tree."""
+    for g in (support.complete_graph(5), support.complete_graph(6)):
+        n = g.n
+        edges = g.sorted_edges()
+        trees = [(mask, _leaves(n, [e for i, e in enumerate(edges) if mask >> i & 1])) for mask in _reference_masks(g)]
+
+        def first_fit(q, nt):
+            return next((i for i, (_, leaves) in enumerate(trees) if not nt & leaves and n - len(leaves) >= q), None)
+
+        open_nt = [frozenset(c) for c in combinations(range(1, n + 1), 3) if _required_internal_tree(g, frozenset(c)) is None]
+        for nt in open_nt[:3]:
+            first = first_fit(0, nt)
+            for budget in range(first + 4):
+                limit = budget - 1 if budget >= 2 else budget
+                want = _budget_answer(first, len(trees), limit)
+                found = _required_internal_search(g, nt, budget)
+                tree = [e for i, e in enumerate(edges) if trees[first][0] >> i & 1]
+                assert found == (tree if want else None), (n, nt, budget)
+                assert _tree_exists(g, 0, nt, budget) == want, (n, nt, budget)
+        for q, nt in ((n - 2, frozenset({n})), (n - 2, frozenset({2, n})), (n - 1, frozenset())):
+            assert _dfs_answer(g, q, nt) is None
+            first = first_fit(q, nt)
+            budgets = range(len(trees) + 3) if first is None else range(first + 4)
+            if first is None and n > 5:
+                budgets = [0, 1, 2, len(trees), len(trees) + 1]
+            for budget in budgets:
+                want = _budget_answer(first, len(trees), max(budget - 1, 0))
+                assert _tree_exists(g, q, nt, budget) == want, (n, q, nt, budget)
 
 
 @given(support.connected_graphs(min_n=2, max_n=8))
