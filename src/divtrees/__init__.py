@@ -23,6 +23,7 @@ from .graphcore import (
     write_instance,
 )
 from .spantree import (
+    Family,
     SpanningTree,
     TreeEnumerationOverflow,
     arbitrary_spanning_tree,

@@ -87,11 +87,11 @@ def _dfs_answer(g: Graph, q: int, nt: frozenset[int]) -> bool | None:
     internal vertices leaves a vertex cover of at most q vertices, its
     internal vertices and root.  The no rule is the counting behind the
     3k kernel of Fomin, Gaspers, Saurabh and Thomasse (JCSS 2013).  Both
-    take O(n + m) once each adjacency is sorted.
+    take O(n + m) beside sorting each vertex's neighbors once.
     """
     adj = g.adjacency
     root = min(g.vertices(), key=lambda v: len(adj[v]))
-    parent = _dfs_parents({v: sorted(adj[v]) for v in g.vertices()}, root)
+    parent = _dfs_parents(adj, root)
     degree = _degrees(g.n, [(v, u) for v, u in parent.items() if v != u])
     internal = {v for v, d in degree.items() if d >= 2}
     if len(internal) >= q and nt <= internal:

@@ -36,7 +36,7 @@ from .graphcore import (
 )
 from .kernelizer import JSON_ENCODER, KernelResult, kernelize, transcript_to_ndjson
 from .oracle import OracleLimits, solve
-from .spantree import DEFAULT_TREE_BUDGET, Family, SpanningTree, _as_family, read_family, write_family
+from .spantree import DEFAULT_TREE_BUDGET, Family, read_family, write_family
 
 EX_USAGE = 64
 EX_DATA = 65
@@ -118,12 +118,13 @@ def _pair_texts(edges: Sequence[tuple[int, int]]) -> list[str]:
     return JSON_ENCODER.encode(edges)[2:-2].split("], [") if edges else []
 
 
-def _family_text(family: Family | Sequence[SpanningTree] | None) -> str | None:
-    """``JSON_ENCODER``'s text of ``family_json(family)``, None for no
-    family, with each edge's pair encoded once per family."""
+def _family_text(family: Family | None) -> str | None:
+    """``JSON_ENCODER``'s text of the family as a list of its members'
+    sorted edge pairs, None for no family, with each edge's pair
+    encoded once per family."""
     if family is None:
         return None
-    members = (f"[[{'], ['.join(m)}]]" if m else "[]" for m in _as_family(family)._merged(_pair_texts))
+    members = (f"[[{'], ['.join(m)}]]" if m else "[]" for m in family._merged(_pair_texts))
     return f"[{', '.join(members)}]"
 
 

@@ -52,8 +52,8 @@ class LeafSwapPlan:
     than its tree neighbour, ``independent`` is one colour class of the
     conflict forest, and ``blocks`` are its first slices, one per
     requested tree, disjoint and all the same size.  Each leaf's tree
-    neighbour and the conflict edges follow from the tree and the swap
-    targets, so the plan derives them rather than storing them.
+    neighbour follows from the tree, so the plan derives it rather than
+    storing it.
     """
 
     tree: SpanningTree
@@ -65,10 +65,6 @@ class LeafSwapPlan:
     @cached_property
     def tree_neighbor(self) -> dict[int, int]:
         return {v: next(iter(self.tree.adjacency[v])) for v in self.leaves}
-
-    @cached_property
-    def conflict_edges(self) -> frozenset[tuple[int, int]]:
-        return _conflict_edges(self.leaves, self.swap_target)
 
 
 def _bfs_depth(vertices: Iterable[int], edges: Iterable[tuple[int, int]]) -> dict[int, int]:

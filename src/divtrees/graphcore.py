@@ -44,12 +44,12 @@ def _norm_edge(u: int, v: int) -> tuple[int, int]:
 
 def _bfs_parents(adj: Mapping[int, Iterable[int]], root: int) -> dict[int, int]:
     """Breadth-first parent of every vertex reachable from ``root``
-    (which is its own parent), visiting neighbors in ``adj`` order."""
+    (which is its own parent), visiting neighbors in id order."""
     parent = {root: root}
     queue = deque([root])
     while queue:
         x = queue.popleft()
-        for y in adj[x]:
+        for y in sorted(adj[x]):
             if y not in parent:
                 parent[y] = x
                 queue.append(y)
@@ -58,20 +58,20 @@ def _bfs_parents(adj: Mapping[int, Iterable[int]], root: int) -> dict[int, int]:
 
 def _dfs_parents(adj: Mapping[int, Iterable[int]], root: int) -> dict[int, int]:
     """Depth-first parent of every vertex reachable from ``root``
-    (which is its own parent), visiting neighbors in ``adj`` order.
+    (which is its own parent), visiting neighbors in id order.
     Iterative, so any depth fits.  Every edge between two reached
     vertices joins an ancestor to a descendant: the end entered first
     is left only once all its neighbors are reached, so the other end
     is entered while the first is on the current path."""
     parent = {root: root}
     path = [root]
-    todo = [iter(adj[root])]
+    todo = [iter(sorted(adj[root]))]
     while todo:
         for y in todo[-1]:
             if y not in parent:
                 parent[y] = path[-1]
                 path.append(y)
-                todo.append(iter(adj[y]))
+                todo.append(iter(sorted(adj[y])))
                 break
         else:
             path.pop()

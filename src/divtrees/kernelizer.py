@@ -56,7 +56,7 @@ from .graphcore import (
     maximal_degree2_paths,
     pendant_vertices,
 )
-from .spantree import Family, SpanningTree, family_json
+from .spantree import Family, SpanningTree
 
 
 # a plain record, not frozen: a run builds one per rule firing, and a
@@ -138,13 +138,13 @@ class KernelResult:
     reason: str | None = None
 
     def to_json_dict(self) -> dict:
+        """The outcome, reason and instances; a payload's writer adds the
+        transcript and the witness, each as the text it encodes once."""
         return {
             "outcome": self.outcome,
             "instance": self.instance.to_json_dict() if self.instance else None,
-            "witness": None if self.witness is None else family_json(self.witness),
             "reason": self.reason,
             "final_instance": self.final_instance.to_json_dict(),
-            "transcript": self.transcript,
         }
 
 

@@ -145,7 +145,7 @@ def arbitrary_spanning_tree(g: Graph) -> SpanningTree:
     visiting neighbors in id order."""
     if not g.is_connected:
         raise ValueError("disconnected graphs have no spanning tree")
-    parent = _bfs_parents({v: sorted(g.neighbors(v)) for v in g.vertices()}, 1)
+    parent = _bfs_parents(g.adjacency, 1)
     return SpanningTree._unchecked(g, frozenset(_norm_edge(v, u) for v, u in parent.items() if v != u))
 
 
@@ -697,25 +697,15 @@ class Family(Sequence[SpanningTree]):
             yield out
 
 
-def _as_family(family: Family | Sequence[SpanningTree]) -> Family:
-    """``family``, or the family of the trees it lists."""
-    return family if isinstance(family, Family) else Family.of(family[0].host if family else None, family)
-
-
 # ---------------------------------------------------------------------------
 # serialization: a tree is an edge list with header "n n-1"; a family
 # file is a plain concatenation of such blocks
 
-def write_family(family: Family | Sequence[SpanningTree]) -> str:
+def write_family(family: Family) -> str:
     """The family as text: each tree's block, its sorted edges under an
     ``n n-1`` header, each edge's line formatted once per family."""
-    fam = _as_family(family)
-    return "".join(f"{fam.host.n} {len(lines)}\n{''.join(lines)}" for lines in fam._merged(_edge_lines))
-
-
-def family_json(family: Family | Sequence[SpanningTree]) -> list[list[tuple[int, int]]]:
-    """The JSON form of a family: each tree as its sorted edge pairs."""
-    return list(_as_family(family)._merged(list))
+    n = family.host.n
+    return "".join(f"{n} {len(lines)}\n{''.join(lines)}" for lines in family._merged(_edge_lines))
 
 
 def _read_blocks(text: str, n: int) -> tuple[list[AbstractSet], Mapping | None]:

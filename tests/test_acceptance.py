@@ -28,7 +28,7 @@ from divtrees import (
     solve,
 )
 from divtrees.cli import _audit_one, _random_instance
-from divtrees.diversify import build_diverse_family, plan_swaps
+from divtrees.diversify import _conflict_edges, build_diverse_family, plan_swaps
 from divtrees.spantree import _acyclic, augment_leaf, enumerate_tree_masks, grow_leaves
 
 
@@ -346,7 +346,7 @@ def test_criterion_05_conflict_structure():
     runs = _crit45_cached()
     bad = []
     for g, grown, nt, k, ell, plan, family in runs:
-        if not _acyclic(g.n, plan.conflict_edges):
+        if not _acyclic(g.n, _conflict_edges(plan.leaves, plan.swap_target)):
             bad.append((g.n, "cycle"))
         if 2 * len(plan.independent) < len(plan.leaves):
             bad.append((g.n, "pool", len(plan.independent), len(plan.leaves)))

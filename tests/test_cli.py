@@ -445,6 +445,13 @@ def test_kernelize_payload_splices_the_ndjson_lines(tmp_path, capsys, case):
     assert log.read_text() == "".join(line + "\n" for line in lines)
     # keys are sorted, so the witness follows the transcript
     assert '"transcript": [' + ", ".join(lines) + '], "witness": ' in plain[1]
+    # the CLI alone forms those two keys, and the whole line is the
+    # plain encode of the records and each member's sorted edges
+    fields = result.to_json_dict()
+    assert {"transcript", "witness"}.isdisjoint(fields)
+    members = None if result.witness is None else [sorted(t.edges) for t in result.witness]
+    payload = {"schema": 2, "problem": inst.problem, **fields, "transcript": result.transcript, "witness": members}
+    assert plain[1] == JSON_ENCODER.encode(payload) + "\n"
 
 
 # ---------------------------------------------------------------------------

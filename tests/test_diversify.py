@@ -22,10 +22,11 @@ from divtrees import (
     write_family,
 )
 from divtrees import diversify
+from divtrees.cli import _emit_json, _family_text
 from divtrees.diversify import LeafSwapPlan, _conflict_edges, build_diverse_family, plan_swaps
 from divtrees.graphcore import _unite, write_graph
 from divtrees.kernelizer import JSON_ENCODER
-from divtrees.spantree import _acyclic as _uf_acyclic, _Growth, enumerate_spanning_trees, family_json, grow_leaves
+from divtrees.spantree import _acyclic as _uf_acyclic, Family, _Growth, enumerate_spanning_trees, grow_leaves
 
 
 def k4_star():
@@ -43,7 +44,7 @@ def test_plan_on_k4_star():
     assert plan.tree_neighbor == {2: 1, 3: 1, 4: 1}
     # lowest-id non-tree neighbor; everything here is inside L
     assert plan.swap_target == {2: 3, 3: 2, 4: 2}
-    assert plan.conflict_edges == frozenset({(2, 3), (2, 4)})
+    assert _conflict_edges(plan.leaves, plan.swap_target) == frozenset({(2, 3), (2, 4)})
     # 2 is the conflict-star center, so the larger color class is {3, 4}
     assert plan.independent == frozenset({3, 4})
     assert plan.blocks == (frozenset({3}), frozenset({4}))
@@ -71,7 +72,7 @@ def test_plan_prefers_targets_outside_chosen_leaves():
     plan = plan_swaps(t, {2, 3}, k=4, ell=1)
     # 2 would pick 3 by id, but 5 is outside L; same for 3
     assert plan.swap_target == {2: 5, 3: 5}
-    assert plan.conflict_edges == frozenset()
+    assert _conflict_edges(plan.leaves, plan.swap_target) == frozenset()
     assert plan.independent == frozenset({2, 3})
 
 
@@ -92,7 +93,7 @@ def test_plan_on_cycle_path_tree():
     assert t.leaves == frozenset({4, 5})
     plan = plan_swaps(t, {4, 5}, k=2, ell=1)
     # 4 and 5 target each other; one survives the coloring
-    assert plan.conflict_edges == frozenset({(4, 5)})
+    assert _conflict_edges(plan.leaves, plan.swap_target) == frozenset({(4, 5)})
     assert plan.independent == frozenset({4})
     fam = build_diverse_family(plan)
     assert fam[0].edges == (t.edges - {(3, 4)}) | {(4, 5)}
@@ -143,7 +144,7 @@ def test_plan_two_colours_a_deep_conflict_forest():
     t = SpanningTree(g, frozenset((1, v) for v in range(2, 8)))
     plan = plan_swaps(t, range(2, 8), k=1, ell=1)
     assert plan.swap_target == {2: 3, 3: 2, 4: 2, 5: 6, 6: 3, 7: 3}
-    assert plan.conflict_edges == frozenset({(2, 3), (2, 4), (3, 6), (3, 7), (5, 6)})
+    assert _conflict_edges(plan.leaves, plan.swap_target) == frozenset({(2, 3), (2, 4), (3, 6), (3, 7), (5, 6)})
     assert plan.independent == frozenset({2, 6, 7})
 
 
@@ -192,10 +193,10 @@ def test_lowest_targets_never_close_a_conflict_cycle():
                     options = sorted(g.neighbors(v) - {p})
                     outside = [u for u in options if u not in L]
                     assert plan.swap_target[v] == (outside or options)[0]
-                assert _acyclic(plan.conflict_edges), (g, t.edges, L)
+                assert _acyclic(_conflict_edges(plan.leaves, plan.swap_target)), (g, t.edges, L)
                 pool = plan.independent
                 assert pool <= L
-                assert not any(u in pool and v in pool for u, v in plan.conflict_edges)
+                assert not any(u in pool and v in pool for u, v in _conflict_edges(plan.leaves, plan.swap_target))
                 # every pool leaf a block of its own, then blocks of two
                 for k, ell in ((1, len(pool)), (5, len(pool) // 2)):
                     if ell:
@@ -225,7 +226,7 @@ def test_plan_constructor_accepts_consistent_parts():
     plan = LeafSwapPlan(**valid_plan_parts())
     assert plan.independent == frozenset({3, 4})
     assert plan.tree_neighbor == {2: 1, 3: 1, 4: 1}
-    assert plan.conflict_edges == frozenset({(2, 3), (2, 4)})
+    assert _conflict_edges(plan.leaves, plan.swap_target) == frozenset({(2, 3), (2, 4)})
 
 
 # ---------------------------------------------------------------------------
@@ -453,7 +454,7 @@ def test_members_keep_the_plan_order_and_the_family_text_reads_back():
         family, why, _ = construct_family(inst)
         assert why is None and len(family) == inst.ell
         n = inst.graph.n
-        assert family_json(family) == [sorted(t.edges) for t in family]
+        assert _family_text(family) == JSON_ENCODER.encode([sorted(t.edges) for t in family])
         text = write_family(family)
         assert text == "".join(write_graph(support.tree_graph(t)) for t in family)
         back = read_edge_set_family(text, n)
@@ -466,20 +467,18 @@ def test_members_keep_the_plan_order_and_the_family_text_reads_back():
 def test_the_family_json_text_is_the_plain_encode(capsys):
     # the distinct edges are encoded once and each member joins their
     # pairs' texts: the bytes are those of the plain encode
-    from divtrees.cli import _emit_json, _family_text
-
     for inst in (_bench_growth_instance(), InstanceNT(_subdivided(44), frozenset({1}), 2, 4, 3)):
         family, why, report = construct_family(inst)
         assert why is None
         text = _family_text(family)
-        assert text == JSON_ENCODER.encode(family_json(family))
+        plain = [sorted(t.edges) for t in family]
+        assert text == JSON_ENCODER.encode(plain)
         _emit_json(None, {"family": None, "report": report.to_json_dict()}, family=text)
         assert capsys.readouterr().out == JSON_ENCODER.encode(
-            {"family": family_json(family), "report": report.to_json_dict()}
+            {"family": plain, "report": report.to_json_dict()}
         ) + "\n"
-    k1 = [SpanningTree(Graph(1, frozenset()), frozenset())]
-    assert _family_text(k1) == JSON_ENCODER.encode(family_json(k1)) == "[[]]"
-    assert _family_text([]) == "[]"
+    k1 = Graph(1, frozenset())
+    assert _family_text(Family.of(k1, [SpanningTree(k1, frozenset())])) == "[[]]"
     assert _family_text(None) is None
 
 
@@ -606,7 +605,8 @@ def test_family_members_build_no_tree_graph():
     grown = grow_leaves(arbitrary_spanning_tree(g), frozenset(), 6)
     fam = build_diverse_family(plan_swaps(grown, grown.leaves, 4, 3))
     assert verify_family(g, fam, p=0, q=0, k=4).verdict
-    family_json(fam)
+    _family_text(fam)
+    write_family(fam)
     for t in fam:
         assert support.internal_vertices(t) | t.leaves == frozenset(g.vertices())
         assert t.internal_count == g.n - t.leaf_count

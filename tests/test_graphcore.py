@@ -25,7 +25,7 @@ from divtrees import (
     write_instance,
 )
 from divtrees.graphcore import _bfs_parents, _ContentLines, _path_through, _unite
-from divtrees.spantree import _acyclic
+from divtrees.spantree import Family, _acyclic
 
 
 # ---------------------------------------------------------------------------
@@ -473,7 +473,7 @@ def test_writer_output_reads_the_same_with_tabs(seed, split_rows):
         (read_graph, write_graph(g), True),
         (read_instance, write_instance(Instance(g, 2, 3, 2, 2)), True),
         (read_instance, write_instance(InstanceNT(g, frozenset({1, 5}), 2, 2, 2)), True),
-        (partial(read_edge_set_family, n=g.n), write_family(trees), False),
+        (partial(read_edge_set_family, n=g.n), write_family(Family.of(g, trees)), False),
     ]
     for read, text, splits_headers in cases:
         content = [line.split() for line in text.splitlines() if line[0] != "#"]
@@ -540,7 +540,7 @@ def test_canonical_text_is_never_split_row_by_row(split_rows):
         assert split_rows == [["12", "18"]]
     split_rows.clear()
     trees = list(islice(enumerate_spanning_trees(g), 36))
-    assert read_edge_set_family(write_family(trees), g.n) == [t.edges for t in trees]
+    assert read_edge_set_family(write_family(Family.of(g, trees)), g.n) == [t.edges for t in trees]
     assert split_rows == []
 
 

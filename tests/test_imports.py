@@ -294,6 +294,20 @@ def test_a_family_core_is_formed_in_one_place():
     }
 
 
+def test_a_family_is_written_by_one_writer_per_form():
+    # a family's members are merged from its core and own edges in one
+    # place, read by the text writer and the JSON writer only, so a
+    # second path to either form cannot come back
+    readers = set()
+    for path in sorted(SRC.glob("*.py")):
+        for name, owner in _calls(ast.parse(path.read_text(), filename=str(path)), {"_merged"}):
+            readers.add((name, path.name, owner))
+    assert readers == {
+        ("_merged", "spantree.py", "write_family"),
+        ("_merged", "cli.py", "_family_text"),
+    }
+
+
 def test_required_internal_trees_are_searched_in_one_place():
     # construct's lnt seed and the ntst kernel ask one search, which puts
     # the question to the union-find passes and enumerates trees only

@@ -27,6 +27,7 @@ from divtrees.blackbox import _dfs_answer, _tree_exists
 from divtrees.graphcore import _bfs_parents, _norm_edge, _unite
 from divtrees.spantree import (
     DEFAULT_TREE_BUDGET,
+    Family,
     _acyclic,
     _Growth,
     _leaves,
@@ -519,7 +520,7 @@ def test_enumeration_agrees_with_kirchhoff(g):
     assert len(trees) == count_spanning_trees(g)
     assert len({t.edges for t in trees}) == len(trees)
     # a tree is written in the graph text format without building a graph
-    assert all(write_family([t]) == write_graph(support.tree_graph(t)) for t in trees)
+    assert all(write_family(Family.of(g, [t])) == write_graph(support.tree_graph(t)) for t in trees)
 
 
 @given(support.connected_graphs(min_n=2, max_n=8))
@@ -1158,7 +1159,7 @@ def test_grow_on_the_bench_growth_instance_makes_24_exchanges(monkeypatch):
 def test_tree_and_family_round_trip():
     g = support.complete_graph(4)
     trees = list(enumerate_spanning_trees(g))[:3]
-    text = write_family(trees)
+    text = write_family(Family.of(g, trees))
     back = read_edge_set_family(text, g.n)
     assert back == [t.edges for t in trees]
 
@@ -1167,7 +1168,7 @@ def test_reading_a_family_builds_no_graph(monkeypatch):
     from divtrees import read_graph
 
     g = generate("min-degree-3", (12,))
-    text = write_family(list(islice(enumerate_spanning_trees(g), 3)))
+    text = write_family(Family.of(g, islice(enumerate_spanning_trees(g), 3)))
     built = []
     check = Graph.__post_init__
     monkeypatch.setattr(Graph, "__post_init__", lambda self: built.append(self) or check(self))
@@ -1180,22 +1181,22 @@ def test_reading_a_family_builds_no_graph(monkeypatch):
 def test_family_text_and_json_share_one_sort():
     import json
 
-    from divtrees.kernelizer import JSON_ENCODER
-    from divtrees.spantree import family_json
+    from divtrees.cli import _family_text
 
     g = generate("min-degree-3", (12,))
     trees = list(islice(enumerate_spanning_trees(g), 3))
+    family = Family.of(g, trees)
     as_lists = [[list(e) for e in sorted(t.edges)] for t in trees]
-    assert JSON_ENCODER.encode(family_json(trees)) == json.dumps(as_lists, sort_keys=True)
-    assert write_family(trees) == "".join(write_graph(support.tree_graph(t)) for t in trees)
-    for t, edges in zip(trees, family_json(trees)):
-        assert edges == t.sorted_edges() == sorted(t.edges)
+    assert _family_text(family) == json.dumps(as_lists, sort_keys=True)
+    assert write_family(family) == "".join(write_graph(support.tree_graph(t)) for t in trees)
+    for t, edges in zip(trees, json.loads(_family_text(family))):
+        assert list(map(tuple, edges)) == t.sorted_edges() == sorted(t.edges)
 
 
 def test_write_tree_format():
     g = support.cycle_graph(3)
     t = SpanningTree(g, frozenset({(1, 2), (2, 3)}))
-    assert write_family([t]) == "3 2\n1 2\n2 3\n"
+    assert write_family(Family.of(g, [t])) == "3 2\n1 2\n2 3\n"
 
 
 def test_read_family_rejects_bad_blocks():
