@@ -9,15 +9,16 @@ the pipeline's own instance, an :class:`Instance` or
 and returns an instance of the same type asking an equivalent
 single-tree question (p = 0, k = ell = 1), or None.  The default
 plug-in decides each instance exactly and answers with a tiny
-canonical equivalent.  Each question is first put to structure, in
-near-linear time:
+canonical equivalent.  Both kernels, and construct's lnt seed, ask one
+search, :func:`_tree_search`, which first puts each question to
+structure, in near-linear time:
 
 - a non-terminal question to a few union-find passes, which build a
   tree keeping the marked vertices internal or show that none exists
   (a marked vertex of degree 1, or forced edges that close a cycle);
 - a max-internal question to one depth-first tree, which answers yes
-  when it has q internal vertices itself, and no when a counting bound
-  read off its leaves shows that no spanning tree has q
+  with that tree when it has q internal vertices, and no when a
+  counting bound read off its leaves shows that no spanning tree has q
   (:func:`_dfs_answer` writes out why both are sound).
 
 Every question they leave open is decided by bounded tree enumeration,
@@ -27,12 +28,12 @@ instead of guessing.
 
 from __future__ import annotations
 
-from .graphcore import Graph, Instance, InstanceNT, InternalInvariantError, _dfs_parents
+from .graphcore import Graph, Instance, InstanceNT, InternalInvariantError, _dfs_parents, _norm_edge
 from .spantree import (
     DEFAULT_TREE_BUDGET,
     TreeEnumerationOverflow,
     _degrees,
-    _required_internal_search,
+    _required_internal_tree,
     _tree_leaves,
 )
 
@@ -60,14 +61,15 @@ _NTST_YES = InstanceNT(_K2, frozenset(), 0, 1, 1)
 _NTST_NO = InstanceNT(_K2, frozenset({1, 2}), 0, 1, 1)
 
 
-def _dfs_answer(g: Graph, q: int, nt: frozenset[int]) -> bool | None:
-    """Whether some spanning tree of the connected graph ``g`` (n >= 2)
-    has at least ``q`` internal vertices and keeps ``nt`` internal, when
-    one depth-first tree decides it; None leaves the question open.  The
-    tree is rooted at the lowest-id vertex of least degree and visits
-    neighbors in id order (graphcore's ``_dfs_parents``).
+def _dfs_answer(g: Graph, q: int, nt: frozenset[int]) -> list[tuple[int, int]] | str | None:
+    """A spanning tree of the connected graph ``g`` (n >= 2) with at
+    least ``q`` internal vertices that keeps ``nt`` internal, as its
+    edges, or a no, as its reason, when one depth-first tree decides it;
+    None leaves the question open.  The tree is rooted at the lowest-id
+    vertex of least degree and visits neighbors in id order (graphcore's
+    ``_dfs_parents``).
 
-    - Yes, when that tree itself fits.
+    - Yes, when that tree itself fits: the answer is its edges.
     - No, by counting.  Every non-tree edge joins an ancestor to a
       descendant, so the leaves other than the root are pairwise
       non-adjacent.  Extend them greedily, in id order, to a maximal
@@ -92,45 +94,66 @@ def _dfs_answer(g: Graph, q: int, nt: frozenset[int]) -> bool | None:
     adj = g.adjacency
     root = min(g.vertices(), key=lambda v: len(adj[v]))
     parent = _dfs_parents(adj, root)
-    degree = _degrees(g.n, [(v, u) for v, u in parent.items() if v != u])
+    tree = [_norm_edge(v, u) for v, u in parent.items() if v != u]
+    degree = _degrees(g.n, tree)
     internal = {v for v, d in degree.items() if d >= 2}
     if len(internal) >= q and nt <= internal:
-        return True
+        return tree
     chosen = {v for v, d in degree.items() if d == 1 and v != root}
     for v in g.vertices():
         if v not in chosen and chosen.isdisjoint(adj[v]):
             chosen.add(v)
     hood = set().union(*(adj[v] for v in chosen))
-    return False if g.n - len(chosen) + len(hood) - 1 < q else None
+    if g.n - len(chosen) + len(hood) - 1 < q:
+        return "the depth-first tree's leaves bound every tree below q"
+    return None
 
 
-def _tree_exists(g: Graph, q: int, nt: frozenset[int], budget: int) -> bool | None:
-    """Does a spanning tree of ``g`` have at least ``q`` internal
-    vertices and every vertex of ``nt`` internal?  None when ``budget``
-    trees ran out before a match.  With q = 0 that is the search for a
-    tree keeping ``nt`` internal, where a few union-find passes answer
-    first and trees are enumerated only when they leave it open.  With
-    q > 0, :func:`_dfs_answer`'s one depth-first tree answers first,
-    when n >= 2 and the budget allows a tree; it is charged to the
-    budget, and trees are enumerated only when it leaves the question
-    open."""
-    if not g.is_connected:
-        return False
-    if q == 0:
-        if not nt:
-            return True
-        found = _required_internal_search(g, nt, budget)
-        return None if found is None else not isinstance(found, str)
-    if g.n >= 2 and budget >= 1:
-        found = _dfs_answer(g, q, nt)
+def _tree_search(g: Graph, q: int, nt: frozenset[int], budget: int) -> list[tuple[int, int]] | str | None:
+    """A spanning tree of the connected graph ``g`` with at least ``q``
+    internal vertices that keeps every vertex of ``nt`` internal, as its
+    edges; a no, as its reason; or None when ``budget`` trees ran out
+    first.
+
+    Structure answers first, and is charged one tree when it leaves the
+    question open.  With q > 0 that is :func:`_dfs_answer`'s one
+    depth-first tree, when n >= 2 and the budget allows a tree.  With
+    q = 0 it is spantree's ``_required_internal_tree``, when the budget
+    allows the two trees its passes build at most: the enumeration's
+    first, which the enumeration would count again, and one more.  The
+    answer to a question structure leaves open is the first tree
+    :func:`_tree_leaves` yields that fits.
+    """
+    if (q > 0 and g.n >= 2 and budget >= 1) or (q == 0 and budget >= 2):
+        found = _dfs_answer(g, q, nt) if q > 0 else _required_internal_tree(g, nt)
         if found is not None:
             return found
         budget -= 1
     try:
         trees = _tree_leaves(g, budget, nt)
-        return any(leaves is not None and g.n - leaves >= q for _, leaves in trees)
+        mask = next((m for m, leaves in trees if leaves is not None and g.n - leaves >= q), None)
     except TreeEnumerationOverflow:
         return None
+    if mask is None:
+        return "no enumerated tree fits"
+    return [e for i, e in enumerate(g._edge_order) if mask >> i & 1]
+
+
+def _tree_exists(g: Graph, q: int, nt: frozenset[int], budget: int) -> bool | None:
+    """Does a spanning tree of ``g`` have at least ``q`` internal
+    vertices and every vertex of ``nt`` internal?  None when ``budget``
+    trees ran out before an answer: the kernels' yes or no reading of
+    :func:`_tree_search`."""
+    if not g.is_connected:
+        return False
+    if q == 0 and not nt:
+        # every tree fits.  Outside the search this stays O(1): 6 of the
+        # 82 bench calls (reduce-large li delegations, kernels of n = 308,
+        # 616 and 1,232) reach mist_kernel with q = 0, and the search's
+        # union-find passes would spend a pass over the edges on each
+        return True
+    found = _tree_search(g, q, nt, budget)
+    return None if found is None else not isinstance(found, str)
 
 
 def mist_kernel(inst: Instance, budget: int = DEFAULT_TREE_BUDGET) -> Instance | None:

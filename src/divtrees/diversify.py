@@ -21,13 +21,13 @@ from itertools import chain
 from math import ceil
 from typing import Iterable, Sequence
 
+from .blackbox import _tree_search
 from .graphcore import Graph, Instance, InstanceNT, _adjacency, _bfs_parents, _norm_edge
 from .spantree import (
     DEFAULT_TREE_BUDGET,
     Family,
     SpanningTree,
     _degrees,
-    _required_internal_search,
     _unite,
     arbitrary_spanning_tree,
     grow_leaves,
@@ -184,7 +184,7 @@ def construct_family(
         return None, "graph is disconnected", None
     nt = inst.nonterminals
     if isinstance(inst, InstanceNT):
-        found = _required_internal_search(g, nt, budget)
+        found = _tree_search(g, 0, nt, budget)
         if found is None:
             return None, "seed search exhausted its budget", None
         if isinstance(found, str):

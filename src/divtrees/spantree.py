@@ -7,9 +7,8 @@ target (it edits one working tree's adjacency in place, keeping its
 candidate degree-2-paths with graphcore's one path walker), and
 bounded exhaustive enumeration of all spanning trees with their leaf
 counts, kept by degree bookkeeping (the one engine behind the exact
-solvers), and the search for a tree keeping given vertices internal,
-which puts the question to a few union-find passes before it
-enumerates; and the family value, the edges its trees all hold and
+solvers), and the union-find passes that look for a tree keeping given
+vertices internal; and the family value, the edges its trees all hold and
 each one's own, which the family writers read.  A tree built from
 outside is checked; one built by construction here, or read off a
 family, is trusted.
@@ -515,8 +514,8 @@ def _required_internal_tree(g: Graph, nt: frozenset[int]) -> list[tuple[int, int
     vertex of ``nt`` internal, as its edges; or, when a short argument
     shows that none exists, that argument as a string; or None when
     neither is found.  The question is NP-hard (with all but two
-    vertices required, it is Hamiltonian path), so on None
-    :func:`_required_internal_search` falls back to the enumeration.
+    vertices required, it is Hamiltonian path), so on None blackbox's
+    ``_tree_search`` falls back to the enumeration.
 
     Each tree is one union-find pass (graphcore's ``_unite``) over an
     edge order, keeping the edges that join two components:
@@ -556,35 +555,6 @@ def _required_internal_tree(g: Graph, nt: frozenset[int]) -> list[tuple[int, int
                 degree[v] += 1
     _unite(parent, g._edge_order, tree)
     return None if nt & _leaves(n, tree) else tree
-
-
-def _required_internal_search(
-    g: Graph, nt: frozenset[int], budget: int
-) -> list[tuple[int, int]] | str | None:
-    """A spanning tree of the connected graph ``g`` that keeps every
-    vertex of ``nt`` internal, as its edges; a no, as its reason; or
-    None when ``budget`` trees ran out first.
-
-    :func:`_required_internal_tree` answers first, when the budget
-    allows the two trees it builds at most: the enumeration's first,
-    which the enumeration would count again, and one more, which it is
-    charged.  When the passes leave the question open, the answer is
-    the first tree :func:`_tree_leaves` yields that keeps ``nt``
-    internal.
-    """
-    if budget >= 2:
-        found = _required_internal_tree(g, nt)
-        if found is not None:
-            return found
-        budget -= 1
-    try:
-        trees = _tree_leaves(g, budget, nt)
-        mask = next((m for m, leaves in trees if leaves is not None), None)
-    except TreeEnumerationOverflow:
-        return None
-    if mask is None:
-        return "no enumerated tree keeps them internal"
-    return [e for i, e in enumerate(g._edge_order) if mask >> i & 1]
 
 
 def enumerate_tree_masks(g: Graph, limit: int = DEFAULT_TREE_BUDGET) -> Iterator[int]:

@@ -10,6 +10,7 @@ from divtrees import (
     Instance,
     InstanceNT,
     InternalInvariantError,
+    SpanningTree,
     blackbox,
     enumerate_spanning_trees,
     kernelize_li,
@@ -141,8 +142,9 @@ def _small_cover(rng):
 
 
 def test_the_dfs_pass_agrees_with_the_enumeration():
-    # whenever the pass answers, for any q, full enumeration agrees; and
-    # it leaves both yes and no questions open for the enumeration
+    # whenever the pass answers, for any q, full enumeration agrees, and
+    # each yes is a spanning tree that fits; and it leaves both yes and
+    # no questions open for the enumeration
     rng = random.Random(44)
     graphs = [support.random_connected(rng, rng.randint(2, 9)) for _ in range(300)]
     graphs += [_small_cover(rng) for _ in range(40)]
@@ -159,11 +161,16 @@ def test_the_dfs_pass_agrees_with_the_enumeration():
             if found is None:
                 open_answers.add(best >= q)
             else:
-                assert found == (best >= q), (g, q)
+                assert (not isinstance(found, str)) == (best >= q), (g, q)
+                if not isinstance(found, str):
+                    assert SpanningTree(g, frozenset(found)).internal_count >= q, (g, q)
     assert open_answers == {True, False}
     # a tree that fits q but leaves a vertex of nt a leaf is no yes: in
-    # P3 vertex 1 is a leaf of every tree
-    assert _dfs_answer(support.path_graph(3), 1, frozenset({1})) is None
+    # P3 vertex 1 is a leaf of every tree, and vertex 2 of none
+    p3 = support.path_graph(3)
+    assert _dfs_answer(p3, 1, frozenset({1})) is None
+    found = _dfs_answer(p3, 1, frozenset({2}))
+    assert not SpanningTree(p3, frozenset(found)).leaves & {2}
 
 
 @pytest.mark.parametrize("b", [110, 2000])

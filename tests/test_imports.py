@@ -309,18 +309,23 @@ def test_a_family_is_written_by_one_writer_per_form():
 
 
 def test_required_internal_trees_are_searched_in_one_place():
-    # construct's lnt seed and the ntst kernel ask one search, which puts
-    # the question to the union-find passes and enumerates trees only
-    # when they leave it open
-    wanted = {"_required_internal_tree", "_required_internal_search"}
+    # the mist and ntst kernels and construct's lnt seed ask one search,
+    # which puts the question to structure (the depth-first pass or the
+    # union-find passes) and turns the enumeration into a first fitting
+    # tree; the other enumeration readers are the oracle and the mask view
+    wanted = {"_tree_leaves", "_dfs_answer", "_required_internal_tree", "_tree_search"}
     callers = set()
     for path in sorted(SRC.glob("*.py")):
         for name, owner in _calls(ast.parse(path.read_text(), filename=str(path)), wanted):
             callers.add((name, path.name, owner))
     assert callers == {
-        ("_required_internal_tree", "spantree.py", "_required_internal_search"),
-        ("_required_internal_search", "diversify.py", "construct_family"),
-        ("_required_internal_search", "blackbox.py", "_tree_exists"),
+        ("_tree_leaves", "oracle.py", "_decide"),
+        ("_tree_leaves", "blackbox.py", "_tree_search"),
+        ("_tree_leaves", "spantree.py", "enumerate_tree_masks"),
+        ("_dfs_answer", "blackbox.py", "_tree_search"),
+        ("_required_internal_tree", "blackbox.py", "_tree_search"),
+        ("_tree_search", "blackbox.py", "_tree_exists"),
+        ("_tree_search", "diversify.py", "construct_family"),
     }
 
 

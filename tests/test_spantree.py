@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given
 
 import support
+from divtrees import blackbox
 from divtrees import spantree as spantree_module
 from divtrees import (
     Graph,
@@ -23,7 +24,7 @@ from divtrees import (
     write_family,
     write_graph,
 )
-from divtrees.blackbox import _dfs_answer, _tree_exists
+from divtrees.blackbox import _dfs_answer, _tree_exists, _tree_search
 from divtrees.graphcore import _bfs_parents, _norm_edge, _unite
 from divtrees.spantree import (
     DEFAULT_TREE_BUDGET,
@@ -31,7 +32,6 @@ from divtrees.spantree import (
     _acyclic,
     _Growth,
     _leaves,
-    _required_internal_search,
     _required_internal_tree,
     _tree_leaves,
     augment_leaf,
@@ -484,7 +484,7 @@ def test_budgeted_searches_stop_inside_a_pair_run():
     budget up to a few past that tree, on questions their structural
     passes leave open: the ntst search (q = 0), which charges its passes'
     second tree, and the mist search (q > 0), which charges its
-    depth-first tree."""
+    depth-first tree.  A yes is the first fitting enumerated tree."""
     for g in (support.complete_graph(5), support.complete_graph(6)):
         n = g.n
         edges = g.sorted_edges()
@@ -493,15 +493,17 @@ def test_budgeted_searches_stop_inside_a_pair_run():
         def first_fit(q, nt):
             return next((i for i, (_, leaves) in enumerate(trees) if not nt & leaves and n - len(leaves) >= q), None)
 
+        def search_answer(first, want):
+            tree = None if first is None else [e for i, e in enumerate(edges) if trees[first][0] >> i & 1]
+            return {True: tree, False: "no enumerated tree fits", None: None}[want]
+
         open_nt = [frozenset(c) for c in combinations(range(1, n + 1), 3) if _required_internal_tree(g, frozenset(c)) is None]
         for nt in open_nt[:3]:
             first = first_fit(0, nt)
             for budget in range(first + 4):
                 limit = budget - 1 if budget >= 2 else budget
                 want = _budget_answer(first, len(trees), limit)
-                found = _required_internal_search(g, nt, budget)
-                tree = [e for i, e in enumerate(edges) if trees[first][0] >> i & 1]
-                assert found == (tree if want else None), (n, nt, budget)
+                assert _tree_search(g, 0, nt, budget) == search_answer(first, want), (n, nt, budget)
                 assert _tree_exists(g, 0, nt, budget) == want, (n, nt, budget)
         for q, nt in ((n - 2, frozenset({n})), (n - 2, frozenset({2, n})), (n - 1, frozenset())):
             assert _dfs_answer(g, q, nt) is None
@@ -511,6 +513,7 @@ def test_budgeted_searches_stop_inside_a_pair_run():
                 budgets = [0, 1, 2, len(trees), len(trees) + 1]
             for budget in budgets:
                 want = _budget_answer(first, len(trees), max(budget - 1, 0))
+                assert _tree_search(g, q, nt, budget) == search_answer(first, want), (n, q, nt, budget)
                 assert _tree_exists(g, q, nt, budget) == want, (n, q, nt, budget)
 
 
@@ -678,14 +681,17 @@ def test_the_search_charges_the_passes_second_tree_to_the_budget(monkeypatch):
     g = Graph.from_edges(4, [(1, 2), (1, 3), (1, 4), (2, 4), (3, 4)])
     nt = frozenset({1, 4})
     assert _required_internal_tree(g, nt) is None
-    assert _required_internal_search(g, nt, 4) is None
-    assert _required_internal_search(g, nt, 5) == [(1, 2), (1, 4), (3, 4)]
-    # under a budget of one tree the passes do not run
-    calls = _spy(monkeypatch, "_required_internal_tree")
-    assert _required_internal_search(support.path_graph(3), frozenset({2}), 1) == [(1, 2), (2, 3)]
-    no = _required_internal_search(support.path_graph(3), frozenset({1}), 1)
-    assert no == "no enumerated tree keeps them internal"
+    assert _tree_search(g, 0, nt, 4) is None
+    assert _tree_search(g, 0, nt, 5) == [(1, 2), (1, 4), (3, 4)]
+    # under a budget of one tree the passes do not run; under two they do
+    p3 = support.path_graph(3)
+    calls = _spy(monkeypatch, "_required_internal_tree", blackbox)
+    assert _tree_search(p3, 0, frozenset({2}), 1) == [(1, 2), (2, 3)]
     assert calls == []
+    assert _tree_search(p3, 0, frozenset({1}), 1) == "no enumerated tree fits"
+    assert calls == []
+    assert _tree_search(p3, 0, frozenset({1}), 2) == "a required vertex has degree 1"
+    assert len(calls) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -943,18 +949,17 @@ def _growth_corpus():
     yield square, arbitrary_spanning_tree(square), frozenset({7, 20, 33})
 
 
-def _spy(monkeypatch, name):
-    """Record the positional arguments of every call of spantree.<name>."""
-    from divtrees import spantree
-
+def _spy(monkeypatch, name, module=spantree_module):
+    """Record the positional arguments of every call of <module>.<name>,
+    spantree's by default."""
     calls = []
-    real = getattr(spantree, name)
+    real = getattr(module, name)
 
     def spy(*args, **kwargs):
         calls.append(args)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(spantree, name, spy)
+    monkeypatch.setattr(module, name, spy)
     return calls
 
 
