@@ -566,10 +566,23 @@ def write_instance(inst: Instance | InstanceNT) -> str:
 # ---------------------------------------------------------------------------
 # generators
 
+def _paths(n: int, paths: Iterable[tuple[int, int, int]]) -> Graph:
+    """The graph with, for each ``(u, v, r)``, a path of r edges from u
+    to v through the next r - 1 vertex ids after 1..n."""
+    edges = []
+    for u, v, r in paths:
+        for x in range(n + 1, n + r):
+            edges.append((u, x))
+            u = x
+        edges.append((u, v))
+        n += r - 1
+    return Graph.from_edges(n, edges)
+
+
 def _gen_cycle(n: int) -> Graph:
     if n < 3:
         raise ValueError("a cycle needs at least 3 vertices")
-    return Graph.from_edges(n, [(i, i % n + 1) for i in range(1, n + 1)])
+    return _paths(1, [(1, 1, n)])
 
 
 def _gen_theta(a: int, b: int, c: int) -> Graph:
@@ -580,32 +593,14 @@ def _gen_theta(a: int, b: int, c: int) -> Graph:
         raise ValueError("path lengths must be positive")
     if sorted(lengths)[1] == 1:
         raise ValueError("at most one connecting path may be a single edge")
-    edges = []
-    nxt = 3
-    for length in lengths:
-        prev = 1
-        for _ in range(length - 1):
-            edges.append((prev, nxt))
-            prev = nxt
-            nxt += 1
-        edges.append((prev, 2))
-    return Graph.from_edges(nxt - 1, edges)
+    return _paths(2, [(1, 2, r) for r in lengths])
 
 
 def _gen_subdivided(base: Graph, factor: int) -> Graph:
     """Replace every edge of ``base`` by a path of ``factor`` edges."""
     if factor < 1:
         raise ValueError("subdivision factor must be at least 1")
-    edges = []
-    nxt = base.n + 1
-    for u, v in base.sorted_edges():
-        prev = u
-        for _ in range(factor - 1):
-            edges.append((prev, nxt))
-            prev = nxt
-            nxt += 1
-        edges.append((prev, v))
-    return Graph.from_edges(nxt - 1, edges)
+    return _paths(base.n, [(u, v, factor) for u, v in base.sorted_edges()])
 
 
 def _gen_twin_pendants(base: Graph, count: int, rng: random.Random) -> Graph:

@@ -340,39 +340,40 @@ def _tree_leaves(g: Graph, limit: int, nt: frozenset[int]) -> Iterator[tuple[int
     found.
 
     A frame can span when its picked edges plus its undecided ones
-    connect ``g``.  The root can because ``g`` is connected, and three
+    connect ``g``.  The root can because ``g`` is connected, and two
     moves search below the frames that can:
 
-    1. Include descent runs inline, down to three components.  An
-       edge that joins two forest components is picked at once, and
-       only its exclude alternative is pushed as a frame; an edge
-       inside one component is skipped with no frame.  The frame is
-       not pushed when the component of either endpoint has no edge
-       after it at all: each root keeps the highest edge index that
-       touches its component.
-    2. A popped exclude frame is expanded by the same descent, from the
-       edge after the one it leaves out.  It was pushed at four or more
-       components, its parent could span, and leaving one edge out of
-       a connected edge set leaves at most two components, so the
-       descent always reaches three components before it runs out of
-       edges.  The frame can span iff move 3 emits a tree.  When it
-       emits none, the frames its descent pushed lie below a frame that
-       cannot span, so they are dropped unexpanded; every frame that is
-       popped thus has a parent that can span.
-    3. Once the forest has three components, the trees below it are the
-       forest plus two undecided crossing edges j1 < j2 that join
-       different pairs of them, in (j1, j2) order.  One scan lists the
-       crossing edges, each tagged with the sum of the two roots it
-       joins, and the pairs are emitted from that list with no frame
-       and no link; a (limit+1)-th tree still raises among them.  K1
-       and K2 never reach three components and are answered first.
+    1. A frame's walk reads its undecided edges in index order, finding
+       both roots of each once, and skips an edge inside one component
+       with no frame.  While the forest has more than three components,
+       an edge that joins two of them is picked at once, and only its
+       exclude alternative is pushed, as a frame whose walk resumes at
+       the next edge.  That frame is not pushed when the component of
+       either endpoint has no edge after it at all: each root keeps the
+       highest edge index that touches its component.  Once the forest
+       has three components, the trees below it are the forest plus two
+       undecided crossing edges j1 < j2 that join different pairs of
+       them, in (j1, j2) order.  The rest of the walk lists the crossing
+       edges, each tagged with the sum of the two roots it joins, and
+       the pairs are emitted from that list with no frame and no link;
+       a (limit+1)-th tree still raises among them.  K1 and K2 never
+       reach three components and are answered first.
+    2. A popped frame restores its forest and resumes its walk where it
+       was pushed, past the edge it leaves out.  It was pushed at four
+       or more components, its parent could span, and leaving one edge
+       out of a connected edge set leaves at most two components, so
+       its walk reaches three components before it runs out of edges.
+       The frame can span iff its walk emits a tree.  When it emits
+       none, the frames its walk pushed lie below a frame that cannot
+       span, so they are dropped unexpanded; every frame that is popped
+       thus has a parent that can span.
 
     So a frame makes each of its links once: a popped frame reads the
-    edges after the one it leaves out, each once, in its descent or
-    its scan, and the first tree costs one pass over the edges.  Past
-    the scan a tree costs O(1), plus a step over each later crossing
-    edge that joins j1's own pair.  A frame that cannot span still
-    costs that pass, O(m), with nothing to show for it.
+    edges after the one it leaves out, each once, and the first tree
+    costs one pass over the edges.  Past the walk a tree costs O(1),
+    plus a step over each later crossing edge that joins j1's own
+    pair.  A frame that cannot span still costs that pass, O(m), with
+    nothing to show for it.
 
     The forest is one union-find per generator, linked by size and
     undone rather than copied: each link pushes the root it hung below
@@ -419,47 +420,55 @@ def _tree_leaves(g: Graph, limit: int, nt: frozenset[int]) -> Iterator[tuple[int
     deg = [0] * (n + 1)
     step = [1, -1] + [0] * n
     ones = 0
-    # exclude frame: index of the edge left out, then the chosen-edge
-    # mask and trail length of the forest before it; each trail entry
-    # is one link, so that forest has n - trail length components.
-    # base: the stack height below the frames the current descent pushed
-    stack: list[tuple[int, int, int]] = []
-    idx, mask, comps, base = 0, 0, n, 0
-    while True:
-        while comps > 3:
-            u, v = a, b = e = edges[idx]
-            while parent[u] != u:
-                u = parent[u]
-            while parent[v] != v:
-                v = parent[v]
-            if u != v:
-                if reach[u] > idx and reach[v] > idx:
-                    stack.append((idx, mask, len(trail)))
-                if size[u] > size[v]:
-                    u, v = v, u
-                parent[u] = v
-                size[v] += size[u]
-                trail.append(u)
-                ends.append(e)
-                kept[u] = reach[v]
-                if reach[u] > reach[v]:
-                    reach[v] = reach[u]
-                ones += step[deg[a]] + step[deg[b]]
-                deg[a] += 1
-                deg[b] += 1
-                mask |= 1 << idx
-                comps -= 1
-            idx += 1
-        # crossing edges, tagged by the sum of the two roots they join
+    # frame: the index of the edge its walk resumes at, then the chosen-
+    # edge mask and trail length of its forest; each trail entry is one
+    # link, so that forest has n - trail length components.
+    # base: the stack height below the frames the current walk pushed
+    stack = [(0, 0, 0)]
+    while stack:
+        start, mask, trail_len = stack.pop()
+        while len(trail) > trail_len:
+            r = trail.pop()
+            p = parent[r]
+            size[p] -= size[r]
+            reach[p] = kept[r]
+            parent[r] = r
+            a, b = ends.pop()
+            deg[a] -= 1
+            deg[b] -= 1
+            ones -= step[deg[a]] + step[deg[b]]
+        base = len(stack)
+        comps = n - trail_len
+        # at three components, the crossing edges, tagged by the sum of
+        # the two roots they join
         cross = []
-        for j in range(idx, m):
-            u, v = a, b = edges[j]
+        for j in range(start, m):
+            u, v = a, b = e = edges[j]
             while parent[u] != u:
                 u = parent[u]
             while parent[v] != v:
                 v = parent[v]
-            if u != v:
+            if u == v:
+                continue
+            if comps == 3:
                 cross.append((u + v, 1 << j, a, b))
+                continue
+            if reach[u] > j and reach[v] > j:
+                stack.append((j + 1, mask, len(trail)))
+            if size[u] > size[v]:
+                u, v = v, u
+            parent[u] = v
+            size[v] += size[u]
+            trail.append(u)
+            ends.append(e)
+            kept[u] = reach[v]
+            if reach[u] > reach[v]:
+                reach[v] = reach[u]
+            ones += step[deg[a]] + step[deg[b]]
+            deg[a] += 1
+            deg[b] += 1
+            mask |= 1 << j
+            comps -= 1
         found = emitted
         # cross[:k]: the j1s, each with a later edge of another tag
         k = len(cross) - 1
@@ -489,22 +498,6 @@ def _tree_leaves(g: Graph, limit: int, nt: frozenset[int]) -> Iterator[tuple[int
         if emitted == found:
             # this frame cannot span, nor can any frame below it (move 2)
             del stack[base:]
-        if not stack:
-            break
-        idx, mask, trail_len = stack.pop()
-        while len(trail) > trail_len:
-            r = trail.pop()
-            p = parent[r]
-            size[p] -= size[r]
-            reach[p] = kept[r]
-            parent[r] = r
-            a, b = ends.pop()
-            deg[a] -= 1
-            deg[b] -= 1
-            ones -= step[deg[a]] + step[deg[b]]
-        base = len(stack)
-        idx += 1
-        comps = n - trail_len
     if emitted == 0:
         raise InternalInvariantError("a connected graph must have a spanning tree")
 
@@ -521,8 +514,8 @@ def _required_internal_tree(g: Graph, nt: frozenset[int]) -> list[tuple[int, int
     edge order, keeping the edges that join two components:
 
     0. Every edge in index order.  That is the first tree
-       :func:`_tree_leaves` yields, since its include-first descent
-       links each edge that joins two components, so where it fits
+       :func:`_tree_leaves` yields, since its include-first walk
+       picks each edge that joins two components, so where it fits
        both give the same tree.
     1. No tree, when a required vertex has degree 1 (it is a leaf of
        every tree; ``g`` is connected and n >= 2, as K1's empty tree

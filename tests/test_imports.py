@@ -104,12 +104,15 @@ def test_the_runtime_has_one_path_halving_union_find():
     # graphcore._unite serves every connectivity, spanning and forest
     # check; the enumerator keeps its own, undoable one, which cannot
     # compress paths because it unlinks
-    owners = {
+    walks = [
         (path.name, name)
         for path in sorted(SRC.glob("*.py"))
         for name, _ in _root_walks(ast.parse(path.read_text(), filename=str(path)))
-    }
-    assert owners == {("graphcore.py", "_unite"), ("spantree.py", "_tree_leaves")}
+    ]
+    assert set(walks) == {("graphcore.py", "_unite"), ("spantree.py", "_tree_leaves")}
+    # the enumerator reads its undecided edges in one walk per frame,
+    # finding the roots of u and v once each
+    assert walks.count(("spantree.py", "_tree_leaves")) == 2
     copy = "def _component_count(n, edges):\n    for u, v in edges:\n        while parent[u] != u:\n            u = parent[u]"
     assert list(_root_walks(ast.parse(copy))) == [("_component_count", 3)]
 

@@ -376,15 +376,24 @@ def test_enumeration_stops_at_every_limit():
     # every limit from 0 to the tree count, so some fall in the middle
     # of a run of trees that differ only in their last two edges; with
     # their leaf counts too, as the engine yields them
-    for g in (
-        Graph(1, frozenset()),
-        support.complete_graph(4),
-        support.complete_graph(5),
-        support.cycle_graph(6),
-        generate("theta", (2, 3, 3)),
-    ):
+    cases = [
+        (g, (frozenset(), frozenset({g.n})))
+        for g in (
+            Graph(1, frozenset()),
+            support.complete_graph(4),
+            support.complete_graph(5),
+            support.cycle_graph(6),
+            generate("theta", (2, 3, 3)),
+        )
+    ]
+    # and seeded random graphs, each with one nonempty required set
+    rng = random.Random(49)
+    for _ in range(4):
+        g = support.random_connected(rng, rng.randint(5, 7))
+        cases.append((g, (frozenset(rng.sample(range(1, g.n + 1), rng.randint(1, 3))),)))
+    for g, nts in cases:
         full = _reference_masks(g)
-        trees = {nt: _reference_trees(g, nt) for nt in (frozenset(), frozenset({g.n}))}
+        trees = {nt: _reference_trees(g, nt) for nt in nts}
         for limit in range(len(full) + 1):
             got = []
             try:
