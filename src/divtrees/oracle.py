@@ -9,13 +9,17 @@ for small instances only — this is the referee, not the algorithm.
 
 Trees are edge bitmasks: ``spantree._tree_leaves`` yields each tree
 with its leaf count, and the distance of two trees is the popcount of
-their xor.  The diversity graph is a list of bitset rows, built by one
-such test per pair of candidates.  The clique search walks bitset
-pools in index order and returns the lexicographically first clique,
-so witnesses depend only on the candidate order; its node count
-(``clique_nodes``) is the number of vertices it tried.  With more
-pairs than the node budget, it runs without rows, filtering the later
-candidates at each pick, and counts the pair tests it made instead.
+their xor.  The candidates are ranked most leaves first, then the
+lower mask, and the search reads the ranking in order: a greedy pass
+stops reading once it holds ell trees, so a leaf count's masks are
+sorted only when the reading reaches them.  Past that pass, the
+diversity graph is a list of bitset rows, built by one such test per
+pair of candidates.  The clique search walks bitset pools in index
+order and returns the lexicographically first clique, so witnesses
+depend only on the candidate order; its node count (``clique_nodes``)
+is the number of vertices it tried.  With more pairs than the node
+budget, it runs without rows, filtering the later candidates at each
+pick, and counts the pair tests it made instead.
 
 Before the search, a counting bound can answer "no" outright.  Let c_e
 be the number of trees of an ell-family holding edge e:
@@ -40,6 +44,8 @@ first filter.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
+from typing import Iterable, Iterator
 
 from .graphcore import Instance, InstanceNT, InternalInvariantError
 from .spantree import (
@@ -195,34 +201,37 @@ def _first_clique_unbuilt(
 
 
 def _find_clique(
-    cands: list[int], k: int, ell: int, budget: int
+    cands: Iterable[int], k: int, ell: int, budget: int
 ) -> tuple[list[int] | None, int, bool]:
     """Search for ``ell`` pairwise k-distant masks among ``cands``.
 
-    Returns (clique or None, nodes, search exhausted).  The caller
-    orders ``cands``; a greedy pass runs first.  Past it, the diversity
-    graph is built one pair test at a time, vertices that cannot sit in
-    an ell-clique are peeled, and the search returns the
-    lexicographically first ell-clique by index.  Nodes count the
-    vertices the search tried.  A pool with more pairs than the node
-    budget builds no rows, and :func:`_first_clique_unbuilt` finds the
-    same clique (peeling removes no vertex of any ell-clique), counting
-    pair tests.  Not exhausted means the node budget cut the search
-    short, so None is not a proven absence.
+    Returns (clique or None, nodes, search exhausted).  A greedy pass
+    reads the ranking in order, and stops reading once it holds ell
+    masks.  Past it, the diversity graph of the whole ranking is built
+    one pair test at a time, vertices that cannot sit in an ell-clique
+    are peeled, and the search returns the lexicographically first
+    ell-clique by index.  Nodes count the vertices the search tried.  A
+    pool with more pairs than the node budget builds no rows, and
+    :func:`_first_clique_unbuilt` finds the same clique (peeling removes
+    no vertex of any ell-clique), counting pair tests.  Not exhausted
+    means the node budget cut the search short, so None is not a proven
+    absence.
     """
-    n = len(cands)
-    if n < ell:
-        return None, 0, True
     # greedy seed: cheap, no adjacency matrix needed
+    masks: list[int] = []
     clique: list[int] = []
-    for i in range(n):
-        if all((cands[i] ^ cands[j]).bit_count() >= k for j in clique):
-            clique.append(i)
+    for a in cands:
+        if all((a ^ masks[j]).bit_count() >= k for j in clique):
+            clique.append(len(masks))
             if len(clique) == ell:
                 return clique, 0, True
+        masks.append(a)
+    n = len(masks)
+    if n < ell:
+        return None, 0, True
     if n * (n - 1) // 2 > budget:
-        return _first_clique_unbuilt(cands, k, ell, budget)
-    adj = _diversity_rows(cands, k)
+        return _first_clique_unbuilt(masks, k, ell, budget)
+    adj = _diversity_rows(masks, k)
     # peel vertices that cannot sit in an ell-clique
     deg = [a.bit_count() for a in adj]
     alive = (1 << n) - 1
@@ -239,6 +248,26 @@ def _find_clique(
     if alive.bit_count() < ell:
         return None, 0, True
     return _first_clique(adj, alive, ell, budget)
+
+
+class _Ranking:
+    """The fitting masks in the candidate order: most leaves first, then
+    the lower mask.  Holds one bucket of masks per leaf count, most
+    leaves first, and sorts a bucket in place only when an iteration
+    reaches it, so a search that stops early sorts no later bucket.  Its
+    length, which the bench reads as the candidate count, is every
+    mask's."""
+
+    def __init__(self, buckets: list[list[int]]) -> None:
+        self.buckets = buckets
+
+    def __len__(self) -> int:
+        return sum(map(len, self.buckets))
+
+    def __iter__(self) -> Iterator[int]:
+        for bucket in self.buckets:
+            bucket.sort()
+            yield from bucket
 
 
 def _max_distance_sum(n: int, m: int, ell: int) -> int:
@@ -293,11 +322,11 @@ def _decide(
         return ("no" if complete else "inconclusive"), None, stats
     if complete and _max_distance_sum(n, g.m, ell) < ell * (ell - 1) * ((k + 1) // 2):
         return "no", None, stats
-    # most leaves first, then the lower mask
-    masks = [mask for bucket in reversed(buckets) for mask in sorted(bucket)]
-    clique, nodes, exhausted = _find_clique(masks, k, ell, limits.max_clique_nodes)
+    ranking = _Ranking(buckets[::-1])
+    clique, nodes, exhausted = _find_clique(ranking, k, ell, limits.max_clique_nodes)
     stats = OracleStats(seen, nodes)
     if clique is not None:
+        masks = list(islice(ranking, clique[-1] + 1))
         return "yes", [masks[i] for i in clique], stats
     if complete and exhausted:
         return "no", None, stats

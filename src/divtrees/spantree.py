@@ -20,7 +20,7 @@ from bisect import bisect_left, insort
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, partial
-from itertools import chain
+from itertools import chain, combinations
 from typing import AbstractSet, Callable, Iterable, Iterator, Mapping, Sequence
 
 from .graphcore import (
@@ -345,24 +345,31 @@ def _tree_leaves(g: Graph, limit: int, nt: frozenset[int]) -> Iterator[tuple[int
 
     1. A frame's walk reads its undecided edges in index order, finding
        both roots of each once, and skips an edge inside one component
-       with no frame.  While the forest has more than three components,
+       with no frame.  While the forest has more than four components,
        an edge that joins two of them is picked at once, and only its
        exclude alternative is pushed, as a frame whose walk resumes at
        the next edge.  That frame is not pushed when the component of
        either endpoint has no edge after it at all: each root keeps the
        highest edge index that touches its component.  Once the forest
-       has three components, the trees below it are the forest plus two
-       undecided crossing edges j1 < j2 that join different pairs of
-       them, in (j1, j2) order.  The rest of the walk lists the crossing
-       edges, each tagged with the sum of the two roots it joins, and
-       the pairs are emitted from that list with no frame and no link;
-       a (limit+1)-th tree still raises among them.  K1 and K2 never
-       reach three components and are answered first.
+       has four components, the rest of the walk lists the joining
+       edges, each with the two roots it joins, and the trees below are
+       emitted from that list with no frame and no link.  Each listed
+       edge j1 is picked in turn, leaving three components.  That
+       forest's crossing edges are the later listed edges, with j1's
+       second root read as its first and those inside j1's merged pair
+       left out, each tagged with the sum of the two roots it joins;
+       its trees are the pairs j2 < j3 of them that join different
+       pairs of components, in (j2, j3) order.  After a j1 that is the
+       last edge of either of its components no later j1 can span, so
+       the list stops there, as the reach filter would.  A (limit+1)-th
+       tree still raises among them.  A graph of at most three vertices
+       never reaches four components: every n - 1 of its edges form a
+       tree, and it is answered first.
     2. A popped frame restores its forest and resumes its walk where it
-       was pushed, past the edge it leaves out.  It was pushed at four
+       was pushed, past the edge it leaves out.  It was pushed at five
        or more components, its parent could span, and leaving one edge
        out of a connected edge set leaves at most two components, so
-       its walk reaches three components before it runs out of edges.
+       its walk reaches four components before it runs out of edges.
        The frame can span iff its walk emits a tree.  When it emits
        none, the frames its walk pushed lie below a frame that cannot
        span, so they are dropped unexpanded; every frame that is popped
@@ -370,10 +377,12 @@ def _tree_leaves(g: Graph, limit: int, nt: frozenset[int]) -> Iterator[tuple[int
 
     So a frame makes each of its links once: a popped frame reads the
     edges after the one it leaves out, each once, and the first tree
-    costs one pass over the edges.  Past the walk a tree costs O(1),
-    plus a step over each later crossing edge that joins j1's own
-    pair.  A frame that cannot span still costs that pass, O(m), with
-    nothing to show for it.
+    costs one pass over the edges.  Past the walk, each j1 costs one
+    pass over the later listed edges, with no root find, to build its
+    crossing edges, and a tree costs O(1), plus a step over each later
+    crossing edge that joins j2's own pair.  A frame that cannot span
+    still costs that walk, O(m), and those passes, with nothing to show
+    for it.
 
     The forest is one union-find per generator, linked by size and
     undone rather than copied: each link pushes the root it hung below
@@ -389,21 +398,25 @@ def _tree_leaves(g: Graph, limit: int, nt: frozenset[int]) -> Iterator[tuple[int
 
     Leaves are counted alongside: each vertex's forest degree and the
     number of degree-1 vertices, kept in O(1) per link and unlink.  A
-    tree emitted as the forest plus j1 and j2 corrects that number at
-    j1's endpoints, then, with j1 counted in their degrees, at j2's,
-    O(1); the ``nt`` test reads ``nt``'s degrees after both, O(|nt|).
+    tree emitted as the forest plus j1, j2 and j3 corrects that number
+    at j1's endpoints, then, with j1 counted in their degrees, at j2's,
+    and with j2 counted too, at j3's, O(1); the ``nt`` test reads
+    ``nt``'s degrees after all three, O(|nt|).
     """
     if not g.is_connected:
         raise ValueError("enumeration expects a connected graph")
     n = g.n
-    if n <= 2:
-        # K1's empty tree; K2's one edge, whose two ends are both leaves
-        if limit < 1:
-            raise TreeEnumerationOverflow(f"more than {limit} spanning trees")
-        yield (0, 0) if n == 1 else (1, None if nt else 2)
-        return
     edges = g.sorted_edges()
     m = len(edges)
+    if n <= 3:
+        # K1's empty tree, K2's one edge, or any two of a three-vertex
+        # graph's edges: with so few vertices, every n - 1 edges are a tree
+        for emitted, chosen in enumerate(combinations(range(m), n - 1)):
+            if emitted >= limit:
+                raise TreeEnumerationOverflow(f"more than {limit} spanning trees")
+            leaves = _leaves(n, [edges[i] for i in chosen])
+            yield sum(1 << i for i in chosen), None if nt & leaves else len(leaves)
+        return
     emitted = 0
     parent = list(range(n + 1))
     size = [1] * (n + 1)
@@ -439,8 +452,7 @@ def _tree_leaves(g: Graph, limit: int, nt: frozenset[int]) -> Iterator[tuple[int
             ones -= step[deg[a]] + step[deg[b]]
         base = len(stack)
         comps = n - trail_len
-        # at three components, the crossing edges, tagged by the sum of
-        # the two roots they join
+        # at four components, the joining edges with the two roots they join
         cross = []
         for j in range(start, m):
             u, v = a, b = e = edges[j]
@@ -450,8 +462,8 @@ def _tree_leaves(g: Graph, limit: int, nt: frozenset[int]) -> Iterator[tuple[int
                 v = parent[v]
             if u == v:
                 continue
-            if comps == 3:
-                cross.append((u + v, 1 << j, a, b))
+            if comps == 4:
+                cross.append((u, v, 1 << j, a, b))
                 continue
             if reach[u] > j and reach[v] > j:
                 stack.append((j + 1, mask, len(trail)))
@@ -470,31 +482,54 @@ def _tree_leaves(g: Graph, limit: int, nt: frozenset[int]) -> Iterator[tuple[int
             mask |= 1 << j
             comps -= 1
         found = emitted
-        # cross[:k]: the j1s, each with a later edge of another tag
-        k = len(cross) - 1
-        if k > 0:
-            last = cross[k][0]
-            while k and cross[k - 1][0] == last:
-                k -= 1
-        for i in range(k):
-            tag, bit, a, b = cross[i]
-            ones1 = ones + step[deg[a]] + step[deg[b]]
-            deg[a] += 1
-            deg[b] += 1
-            bit |= mask
-            for tag2, bit2, a2, b2 in cross[i + 1:]:
-                if tag2 != tag:
-                    emitted += 1
-                    if emitted > limit:
-                        raise TreeEnumerationOverflow(f"more than {limit} spanning trees")
-                    leaves = ones1 + step[deg[a2]] + step[deg[b2]]
-                    for x in nt:
-                        if deg[x] + (x == a2) + (x == b2) == 1:
-                            leaves = None
-                            break
-                    yield bit | bit2, leaves
-            deg[a] -= 1
-            deg[b] -= 1
+        for i1, (u1, v1, bit1, a1, b1) in enumerate(cross):
+            # the forest plus j1 has three components, and its crossing
+            # edges are the later joining edges with v1's root read as
+            # u1's, less those inside that merged pair, each tagged by the
+            # sum of the two roots it joins
+            three = []
+            for u, v, bit, a, b in cross[i1 + 1:]:
+                if u == v1:
+                    u = u1
+                elif v == v1:
+                    v = u1
+                if u != v:
+                    three.append((u + v, bit, a, b))
+            # three[:k]: the j2s, each with a later edge of another tag
+            k = len(three) - 1
+            if k > 0:
+                last = three[k][0]
+                while k and three[k - 1][0] == last:
+                    k -= 1
+            ones1 = ones + step[deg[a1]] + step[deg[b1]]
+            deg[a1] += 1
+            deg[b1] += 1
+            picked = mask | bit1
+            for i2 in range(k):
+                tag, bit, a, b = three[i2]
+                ones2 = ones1 + step[deg[a]] + step[deg[b]]
+                deg[a] += 1
+                deg[b] += 1
+                bit |= picked
+                for tag3, bit3, a3, b3 in three[i2 + 1:]:
+                    if tag3 != tag:
+                        emitted += 1
+                        if emitted > limit:
+                            raise TreeEnumerationOverflow(f"more than {limit} spanning trees")
+                        leaves = ones2 + step[deg[a3]] + step[deg[b3]]
+                        for x in nt:
+                            if deg[x] + (x == a3) + (x == b3) == 1:
+                                leaves = None
+                                break
+                        yield bit | bit3, leaves
+                deg[a] -= 1
+                deg[b] -= 1
+            deg[a1] -= 1
+            deg[b1] -= 1
+            if bit1 >> reach[u1] or bit1 >> reach[v1]:
+                # j1 is the last edge of u1's or v1's component, so the
+                # forest without it cannot span (move 1's reach filter)
+                break
         if emitted == found:
             # this frame cannot span, nor can any frame below it (move 2)
             del stack[base:]

@@ -369,7 +369,7 @@ def test_clique_search_sees_most_leaves_first_then_lower_masks(monkeypatch):
 
     def spy(cands, k, ell, budget):
         seen.append(list(cands))
-        return real(cands, k, ell, budget)
+        return real(seen[-1], k, ell, budget)
 
     monkeypatch.setattr(oracle, "_find_clique", spy)
     rng = random.Random(5)
@@ -447,9 +447,15 @@ def test_diversity_rows_match_pairwise_distances():
                 assert not any(rows)
 
 
+def _spent():
+    raise AssertionError("the search read past its greedy clique")
+    yield
+
+
 def test_find_clique_matches_brute_force():
+    # given the pool as a list or as an iterator, read once
     rng = random.Random(4)
-    searched = {"yes": 0, "no": 0}
+    searched = {"yes": 0, "no": 0, "greedy": 0}
     for _ in range(1200):
         cands, size = _random_masks(rng, least=4)
         k = rng.randint(1, 2 * size)
@@ -457,17 +463,56 @@ def test_find_clique_matches_brute_force():
         clique, nodes, exhausted = _find_clique(cands, k, ell, 10**6)
         assert exhausted
         assert clique == _brute_clique(cands, k, ell)
+        assert _find_clique(iter(cands), k, ell, 10**6) == (clique, nodes, exhausted)
+        if clique is not None and nodes == 0:
+            # a greedy clique reads no mask past its last member
+            searched["greedy"] += 1
+            prefix = itertools.chain(cands[: clique[-1] + 1], _spent())
+            assert _find_clique(prefix, k, ell, 10**6) == (clique, 0, True)
         if nodes > 1:
             # the greedy pass failed and the search needed more than one node
             searched["yes" if clique else "no"] += 1
             assert _find_clique(cands, k, ell, 1) == (None, 0, False)
+            assert _find_clique(iter(cands), k, ell, 1) == (None, 0, False)
             # the node budget bounds the search itself, to the node
             adj, pool = _diversity_rows(cands, k), (1 << len(cands)) - 1
             found, tried, done = _first_clique(adj, pool, ell, 10**6)
             assert done and found == clique
             assert _first_clique(adj, pool, ell, tried - 1) == (None, tried, False)
             assert _first_clique(adj, pool, ell, tried) == (found, tried, True)
-    assert searched["no"] > 50 and searched["yes"] > 10
+    assert searched["no"] > 50 and searched["yes"] > 10 and searched["greedy"] > 100
+
+
+def test_the_ranking_sorts_a_bucket_only_when_its_reading_reaches_it():
+    buckets = [[5, 3], [9, 1, 4], [8, 2]]
+    ranking = oracle._Ranking(buckets)
+    assert len(ranking) == 7
+    assert list(itertools.islice(ranking, 3)) == [3, 5, 1]
+    assert buckets == [[3, 5], [1, 4, 9], [8, 2]]
+    assert list(ranking) == [3, 5, 1, 4, 9, 2, 8]
+
+
+def test_the_k7_search_reads_six_of_its_candidates(monkeypatch):
+    """li K7 with p = q = 2, k = 4 and ell = 3: the greedy pass finds
+    masks 0, 2 and 5 of the 630 with five leaves, so the search reads
+    six of the 16,800 candidates."""
+    read, sizes = [], []
+    real = oracle._find_clique
+
+    def spy(cands, k, ell, budget):
+        sizes.append(len(cands))
+
+        def counted():
+            for mask in cands:
+                read.append(mask)
+                yield mask
+
+        return real(counted(), k, ell, budget)
+
+    monkeypatch.setattr(oracle, "_find_clique", spy)
+    verdict = solve(li(support.complete_graph(7), 2, 2, 4, 3))
+    assert (verdict.answer, verdict.stats) == ("yes", OracleStats(16807, 0))
+    assert (len(read), sizes) == (6, [16800])
 
 
 def test_the_unbuilt_search_finds_the_first_clique():

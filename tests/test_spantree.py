@@ -1,5 +1,7 @@
 import hashlib
+import inspect
 import random
+import sys
 import time
 import tracemalloc
 from itertools import combinations, islice
@@ -343,39 +345,97 @@ def _edge_reads(monkeypatch, g):
     return len(masks), sum(edges.reads for edges in lists)
 
 
+# the same two triangles, {1, 3, 4} and {2, 5, 6}, with the bridge
+# (1, 2) sorting first
+BRIDGE_FIRST = Graph(6, frozenset({(1, 2), (1, 3), (1, 4), (3, 4), (2, 5), (2, 6), (5, 6)}))
+
+
 def test_frames_below_a_frame_that_cannot_span_are_never_expanded(monkeypatch):
     """The root reads every edge once, and each popped exclude frame
     reads the edges after the one it leaves out.  On the two triangles,
     with edges (1,2) (1,3) (1,4) (2,3) (4,5) (4,6) (5,6), the root's
-    descent stops at three components after (1,4), and its scan emits
-    the pairs from (4,5) (4,6) (5,6).  Six frames pop, leaving out
-    edges 2 1 2 0 2 1, so the search reads 7 + (4 + 5 + 4 + 6 + 4 + 5)
-    = 35 edges (41 when the descent went down to two components).  The
-    frames that leave out the bridge (1, 4) cannot span, nor can the
-    last, which leaves out both (1, 2) and (1, 3): each scan finds only
-    (4,6) and (5,6), which join the same pair.  The four frames their
-    descents push for (4, 5) must go unexpanded, or the search reads
-    more, or runs off the end of the edges.  A search that skips more
-    work may lower this figure."""
-    assert _edge_reads(monkeypatch, TWO_TRIANGLES) == (9, 35)
+    walk reaches four components after (1,3), and its list (1,4) (4,5)
+    (4,6) (5,6) gives the three trees through (1,4).  Five frames pop,
+    leaving out edges 1 2 0 2 1, so the search reads 7 + (5 + 4 + 6 + 4
+    + 5) = 31 edges (35 when the list started at three components).
+    The frames that leave out the bridge (1,4) cannot span, nor can the
+    last, which leaves out both (1,2) and (1,3): each lists only (4,5)
+    (4,6) (5,6), whose components leave {1, 2, 3} out.  Their walks push
+    no frame: each edge they link is the last edge of one of the two
+    components it joins, so the reach filter keeps no exclude frame.
+
+    With the bridge (1,2) first, edges (1,2) (1,3) (1,4) (2,5) (2,6)
+    (3,4) (5,6), leaving out the bridge is the root's first frame, and
+    its walk pushes two frames, for (1,3) and (1,4), before it lists
+    (2,5) (2,6) (5,6), which cannot join {1, 3, 4}.  The root (7 reads)
+    gives six trees and the frame that leaves out (1,3) three more (5);
+    the frame below it that also leaves out (1,4) reads 4 and pushes a
+    frame for (2,5), and the one without the bridge reads 6.  Neither
+    emits a tree, so the three frames their walks pushed go unexpanded:
+    7 + 5 + 4 + 6 = 22 reads, where expanding them reads 40 or runs off
+    the end of the edges.  A search that skips more work may lower
+    these figures."""
+    assert _edge_reads(monkeypatch, TWO_TRIANGLES) == (9, 31)
+    assert _edge_reads(monkeypatch, BRIDGE_FIRST) == (9, 22)
 
 
-def test_the_last_two_levels_push_no_frames(monkeypatch):
+def test_the_last_three_levels_push_no_frames(monkeypatch):
     """On K5, with edges (1,2) (1,3) (1,4) (1,5) (2,3) (2,4) (2,5)
-    (3,4) (3,5) (4,5), a forest of two edges has three components, so
-    below it the 125 trees come in pairs of crossing edges from one
-    scan.  The root links (1,2) and (1,3) and its scan reads the other
-    eight edges, 10 reads.  Seventeen frames pop, leaving out edges
-    1 2 3 4 5, 0 2 3 4 5, 1 3 4 5 and 2 4 5, each reading the edges
-    after it, so the search reads 10 + (30 + 31 + 23 + 16) = 110 edges
-    (256 when the descent went down to two components)."""
-    assert _edge_reads(monkeypatch, support.complete_graph(5)) == (125, 110)
+    (3,4) (3,5) (4,5), a forest of one edge has four components, so
+    below it the 125 trees come from one list of joining edges, with no
+    frame.  The root links (1,2) and lists the other nine edges, 10
+    reads.  Three frames pop, leaving out edge 0, then 0 and 1, then 0,
+    1 and 2, each reading the edges after the last one it leaves out,
+    so the search reads 10 + (9 + 8 + 7) = 34 edges (110 when the list
+    started at three components, 256 at two).  A search that skips more
+    work may lower this figure."""
+    assert _edge_reads(monkeypatch, support.complete_graph(5)) == (125, 34)
+
+
+def _runs_of_line(g, text):
+    """How often the line of ``_tree_leaves`` that reads ``text`` runs
+    while every tree of ``g`` is enumerated."""
+    lines, first = inspect.getsourcelines(_tree_leaves)
+    target = first + next(i for i, line in enumerate(lines) if line.strip() == text)
+    runs = 0
+
+    def local(frame, event, arg):
+        nonlocal runs
+        runs += event == "line" and frame.f_lineno == target
+        return local
+
+    old = sys.gettrace()
+    sys.settrace(lambda frame, event, arg: local if frame.f_code is _tree_leaves.__code__ else None)
+    try:
+        list(_tree_leaves(g, 10**6, frozenset()))
+    finally:
+        sys.settrace(old)
+    return runs
+
+
+def test_the_four_component_list_stops_at_the_last_edge_of_a_component():
+    """On K5 the four frames that reach four components have forests
+    (1,2), (1,3), (1,4) and (1,5), and list the 9, 8, 7 and 6 joining
+    edges after the edge they link.  Vertex 2's component has no edge
+    after (2,5), so each frame picks as j1 only the listed edges up to
+    (2,5): 6 + 5 + 4 + 3 = 18 three-component forests (30 when every
+    listed edge is tried)."""
+    assert _runs_of_line(support.complete_graph(5), "three = []") == 18
+
+
+def test_k7_pops_frames_only_above_four_components(monkeypatch):
+    """On K7 a forest has five or more components only when it holds
+    at most two edges, so the search for its 16,807 trees pops 290
+    frames, the root among them (1,577 when frames were pushed down to
+    four components), and their walks read 3,211 edges (12,692).  A
+    search that skips more work may lower this figure."""
+    assert _edge_reads(monkeypatch, support.complete_graph(7)) == (16807, 3211)
 
 
 def test_enumeration_stops_at_every_limit():
-    # every limit from 0 to the tree count, so some fall in the middle
-    # of a run of trees that differ only in their last two edges; with
-    # their leaf counts too, as the engine yields them
+    # every limit from 0 to the tree count (or to 3), so some fall in
+    # the middle of a run of trees that differ only in their last two
+    # edges; with their leaf counts too, as the engine yields them
     cases = [
         (g, (frozenset(), frozenset({g.n})))
         for g in (
@@ -386,6 +446,12 @@ def test_enumeration_stops_at_every_limit():
             generate("theta", (2, 3, 3)),
         )
     ]
+    # the three-vertex graphs, answered before any frame, with every
+    # required set of the vertices 1 and 3
+    cases += [
+        (g, tuple(map(frozenset, ((), (1,), (3,), (1, 3)))))
+        for g in (support.path_graph(3), support.complete_graph(3))
+    ]
     # and seeded random graphs, each with one nonempty required set
     rng = random.Random(49)
     for _ in range(4):
@@ -394,7 +460,7 @@ def test_enumeration_stops_at_every_limit():
     for g, nts in cases:
         full = _reference_masks(g)
         trees = {nt: _reference_trees(g, nt) for nt in nts}
-        for limit in range(len(full) + 1):
+        for limit in range(max(len(full), 3) + 1):
             got = []
             try:
                 for mask in enumerate_tree_masks(g, limit):
